@@ -76,6 +76,16 @@ def _parse_phi(spec: MonomialSpec, phi_args: list[str] | None) -> PhiTuple:
     return PhiTuple(spec, entries)
 
 
+def _check_limits(args) -> None:
+    """Reject a negative (or NaN) --tol and a --count below 1 as usage errors."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not tol >= 0:
+        raise ValueError(f"--tol must be a non-negative number, got {tol}")
+    count = getattr(args, "count", None)
+    if count is not None and count < 1:
+        raise ValueError(f"--count must be at least 1, got {count}")
+
+
 def _need_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -277,16 +287,18 @@ def cmd_sample(args) -> dict:
 
 def cmd_diagnose(args) -> dict:
     spec = _parse_spec(args.monomial)
+    seeded = args.seed is not None or "WARING_SEED" in os.environ
+    seed = _need_seed(args) if seeded else 0
     if args.phi:
         phi = _parse_phi(spec, args.phi)
-    elif args.seed is not None or "WARING_SEED" in os.environ:
-        phi = sample_phi(parameter_space(spec), _need_seed(args))
+    elif seeded:
+        phi = sample_phi(parameter_space(spec), seed)
     else:
         phi = explicit_phi(spec)
     if not is_radical(spec, phi):
         raise MathFailure("the ideal is not radical; diagnostics need reduced points")
     q = build_quotient(spec, phi)
-    points = extract_points(q, tol=args.tol, seed=args.seed or 0)
+    points = extract_points(q, tol=args.tol, seed=seed)
     t_max = args.t_max if args.t_max is not None else spec.degree + 2
     rows = []
     for t in range(t_max + 1):
@@ -400,6 +412,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_limits(args)
         payload = args.fn(args)
     except SystemExit2 as exc:
         print(str(exc), file=sys.stderr)

@@ -408,7 +408,10 @@ def root_power_sum(m: int, e: int) -> CycloScalar:
     for a in range(m):
         total = total + root_of_unity(m, e * a)
     expected = m if e % m == 0 else 0
-    assert total == expected, f"geometric sum of roots disagrees with closed form for ({m}, {e})"
+    if total != expected:
+        raise AssertionError(
+            f"root_power_sum({m}, {e}): the summed roots give {total}, the closed form {expected}"
+        )
     return total
 
 

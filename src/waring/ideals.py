@@ -98,7 +98,10 @@ def hilbert_S_mod_J(spec: MonomialSpec, t: int) -> int:
     series = sum(
         c * _dim_S(spec.n, t - j) for j, c in enumerate(_series_numerator(spec)) if c
     )
-    assert count == series, f"Hilbert function mismatch at t={t}: {count} vs {series}"
+    if count != series:
+        raise AssertionError(
+            f"hilbert_S_mod_J at t={t}: monomial count {count}, generating series {series}"
+        )
     return count
 
 
@@ -135,7 +138,12 @@ def basis_Bprime(spec: MonomialSpec, i: int) -> list[Exponent]:
         for e in exponents_of_degree(spec.n + 1, degree)
         if all(e[j] <= spec.exponents[j] for j in range(1, spec.n + 1))
     ]
-    assert len(out) == hilbert_S_mod_J(spec, degree)
+    expected = hilbert_S_mod_J(spec, degree)
+    if len(out) != expected:
+        raise AssertionError(
+            f"basis_Bprime(i={i}) has {len(out)} monomials of degree {degree}, "
+            f"the Hilbert function gives {expected}"
+        )
     return out
 
 
@@ -296,7 +304,7 @@ def dim_perp_cap_alpha0(spec: MonomialSpec, t: int) -> int:
     """dim of (annihilator)_t intersected with a0 * S_{t-1}, by monomial counting.
 
     The same quantity computed on the model-ideal side,
-    dim J_{t-1} - dim J_{t-d0-1} + dim S_{t-d0-1}, is asserted to agree.
+    dim J_{t-1} - dim J_{t-d0-1} + dim S_{t-d0-1}, is checked to agree.
     """
     if t < 0:
         return 0
@@ -313,5 +321,8 @@ def dim_perp_cap_alpha0(spec: MonomialSpec, t: int) -> int:
         return _dim_S(n, s) - hilbert_S_mod_J(spec, s) if s >= 0 else 0
 
     rhs = dim_J(t - 1) - dim_J(t - d0 - 1) + _dim_S(n, t - d0 - 1)
-    assert lhs == rhs, f"dimension-difference identity fails at t={t}: {lhs} vs {rhs}"
+    if lhs != rhs:
+        raise AssertionError(
+            f"dim_perp_cap_alpha0 at t={t}: monomial count {lhs}, dimension identity {rhs}"
+        )
     return lhs

@@ -10,11 +10,12 @@ m = lcm(d1+1, ..., dn+1).
 
 from __future__ import annotations
 
+from cmath import phase
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm, pi, prod
 
-from .cyclotomic import CycloScalar, root_of_unity, root_power_sum, embed
+from .cyclotomic import CycloScalar, _reduce_mod_phi, embed, root_of_unity, root_power_sum
 from .polynomial import (
     PRIMAL,
     Exponent,
@@ -198,7 +199,10 @@ def explicit_decomposition(spec: MonomialSpec) -> Decomposition:
             rec(i + 1, index + (a,))
 
     rec(0, ())
-    assert len(summands) == spec.rank
+    if len(summands) != spec.rank:
+        raise AssertionError(
+            f"explicit decomposition built {len(summands)} summands, expected rank {spec.rank}"
+        )
     return Decomposition(degree=spec.degree, domain=EXACT_CYCLOTOMIC, summands=tuple(summands))
 
 
@@ -245,20 +249,155 @@ def verify_decomposition(
 ) -> VerificationReport:
     """Expand sum c_j l_j^d with the multinomial theorem and subtract the target.
 
-    Exact domains must cancel identically in Q(zeta_m); the float domain is
-    held to a max-coefficient tolerance instead.
+    Exact domains must cancel identically in Q(zeta_M), M the lcm of every
+    scalar's conductor.  The expansion runs in integer buckets: each output
+    monomial owns one integer vector in Z[z]/(z^M - 1) over a common
+    denominator D, which is reduced modulo Phi_M once at the end and tested
+    for zero exactly (see ``_verify_exact``).  The float domain is held to a
+    max-coefficient tolerance instead.
     """
     if dec.degree != spec.degree:
         raise ValueError("decomposition degree does not match the monomial")
+    if any(form.num_vars != spec.num_original_vars for _, form in dec.summands):
+        raise ValueError("form has the wrong number of variables")
+    if dec.domain == EXACT_CYCLOTOMIC:
+        return _verify_exact(spec, dec)
     total = SparsePoly.zero(spec.num_original_vars, PRIMAL)
     for coeff, form in dec.summands:
-        if form.num_vars != spec.num_original_vars:
-            raise ValueError("form has the wrong number of variables")
         total = total + power_linear_form(form, dec.degree).scale(coeff)
     difference = total - spec.monomial_poly("original")
-    if dec.domain == EXACT_CYCLOTOMIC:
-        ok = difference.is_zero()
-        return VerificationReport(ok=ok, mode="exact", max_error=0.0 if ok else float("inf"),
-                                  difference=None if ok else difference)
     max_error = max((abs(complex(c)) for c in difference.terms.values()), default=0.0)
     return VerificationReport(ok=max_error < tol, mode="numeric", max_error=max_error)
+
+
+def _conductor(x) -> int:
+    if isinstance(x, CycloScalar):
+        return x.conductor
+    if isinstance(x, (int, Fraction)):
+        return 1
+    raise ValueError(f"exact verification needs rational or cyclotomic scalars, got {x!r}")
+
+
+def _lift(x, m: int) -> tuple[dict[int, int], int]:
+    """A preimage of x in Z[z]/(z^m - 1): a sparse {power of z: integer} map and a denominator.
+
+    A rational multiple q*zeta_m^k lifts to the single term q*z^k.  The
+    argument of complex(x) only proposes k; k is taken when x*zeta_m^(-k) is
+    exactly rational.  Any other x lifts its reduced coordinates, the basis
+    element zeta_c^j going to z^(j*m/c).
+    """
+    if not isinstance(x, CycloScalar):
+        q = Fraction(x)
+        return ({0: q.numerator} if q else {}), q.denominator
+    if not x.is_rational():
+        try:
+            k = round(phase(complex(x)) * m / (2 * pi)) % m
+        except OverflowError:  # coordinates beyond float range give no hint
+            k = 0
+        q = x * root_of_unity(m, -k)
+        if q.is_rational():
+            return {k: q.num[0]}, q.den
+    step = m // x.conductor
+    return {j * step: c for j, c in enumerate(x.num) if c}, x.den
+
+
+def _cyclic_mul(a: dict[int, int], b: dict[int, int], m: int) -> dict[int, int]:
+    """Product of two sparse integer vectors in Z[z]/(z^m - 1)."""
+    out: dict[int, int] = {}
+    for i, u in a.items():
+        for j, v in b.items():
+            k = (i + j) % m
+            out[k] = out.get(k, 0) + u * v
+    return out
+
+
+def _verify_exact(spec: MonomialSpec, dec: Decomposition) -> VerificationReport:
+    """The exact check, in integer buckets of Z[z]/(z^M - 1) over one denominator.
+
+    Every scalar is lifted to Z[z]/(z^M - 1) (``_lift``) and every summand is
+    brought to the common denominator D.  The x^e coefficient of c*l^d is
+    (d; e) * c * prod a_i^e_i, which adds plain integers into the bucket of e.
+    Reducing a bucket modulo Phi_M gives D times the true coefficient in
+    Q(zeta_M), because Z[z]/(z^M - 1) -> Q(zeta_M), z -> zeta_M, is a ring
+    homomorphism; Q(zeta_M) is a field, so the zero test after reduction is exact.
+    """
+    degree = dec.degree
+    num_vars = spec.num_original_vars
+    m = lcm(*(_conductor(x) for c, form in dec.summands for x in (c, *form.coeffs)))
+    lifts: dict = {}
+
+    def lift(x):
+        key = (x.conductor, x.num, x.den) if isinstance(x, CycloScalar) else x
+        if key not in lifts:
+            lifts[key] = _lift(x, m)
+        return lifts[key]
+
+    # (coefficient vector, summand denominator, [(variable, entry vector)])
+    summands = []
+    for coeff, form in dec.summands:
+        c_vec, c_den = lift(coeff)
+        if not c_vec:
+            continue
+        entries = [(i, lift(v)) for i, v in enumerate(form.coeffs) if v]
+        form_den = lcm(*(den for _, (_, den) in entries))
+        entries = [
+            (i, {k: a * (form_den // den) for k, a in vec.items()}) for i, (vec, den) in entries
+        ]
+        summands.append((c_vec, c_den * form_den**degree, entries))
+    common_den = lcm(*(den for _, den, _ in summands))
+
+    power_rows: dict[tuple, list[dict[int, int]]] = {}
+
+    def powers(vec: dict[int, int]) -> list[dict[int, int]]:
+        key = tuple(sorted(vec.items()))
+        if key not in power_rows:
+            row = [{0: 1}]
+            for _ in range(degree):
+                row.append(_cyclic_mul(row[-1], vec, m))
+            power_rows[key] = row
+        return power_rows[key]
+
+    buckets: dict[Exponent, tuple[int, list[int]]] = {}  # e -> ((d; e), integer vector)
+    for c_vec, den, entries in summands:
+        support = [i for i, _ in entries]
+        rows = [powers(vec) for _, vec in entries]
+        last = len(support) - 1
+        exponent = [0] * num_vars
+
+        def rec(idx: int, remaining: int, vec: dict[int, int]):
+            i = support[idx]
+            if idx == last:
+                exponent[i] = remaining
+                e = tuple(exponent)
+                exponent[i] = 0
+                if e not in buckets:
+                    buckets[e] = (multinomial(degree, e), [0] * m)
+                mult, bucket = buckets[e]
+                row = rows[idx][remaining]
+                for k1, u in vec.items():
+                    u *= mult
+                    for k2, v in row.items():
+                        bucket[(k1 + k2) % m] += u * v
+                return
+            for j in range(remaining + 1):
+                exponent[i] = j
+                rec(idx + 1, remaining - j, _cyclic_mul(vec, rows[idx][j], m))
+            exponent[i] = 0
+
+        scale = common_den // den
+        rec(0, degree, {k: a * scale for k, a in c_vec.items()})
+
+    target = spec.original_exponents
+    if target not in buckets:
+        buckets[target] = (1, [0] * m)
+    buckets[target][1][0] -= common_den
+    difference = {}
+    for e, (_, bucket) in buckets.items():
+        if any(bucket):
+            reduced = _reduce_mod_phi(m, bucket)
+            if any(reduced):
+                difference[e] = CycloScalar(m, tuple(reduced), common_den)
+    if not difference:
+        return VerificationReport(ok=True, mode="exact", max_error=0.0)
+    return VerificationReport(ok=False, mode="exact", max_error=float("inf"),
+                              difference=SparsePoly(num_vars, PRIMAL, difference))

@@ -11,6 +11,7 @@ Exponents are plain tuples of non-negative integers, one entry per variable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -384,11 +385,12 @@ def parse_poly(text: str, num_vars: int, ring: str) -> SparsePoly:
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise ValueError("empty polynomial")
-    cleaned = cleaned.replace("-", "+-")
+    # a sign right after "<digit>e" belongs to a literal such as 1e-300, not a term
+    cleaned = re.sub(r"(?<!\d[eE])-", "+-", cleaned)
     if cleaned.startswith("+"):
         cleaned = cleaned[1:]
     poly = SparsePoly.zero(num_vars, ring)
-    for chunk in cleaned.split("+"):
+    for chunk in re.split(r"(?<!\d[eE])\+", cleaned):
         if not chunk:
             raise ValueError(f"could not parse polynomial {text!r}")
         coeff = Fraction(1)

@@ -50,7 +50,12 @@ def parameter_space(spec: MonomialSpec) -> VSPParameterSpace:
     space = VSPParameterSpace(
         spec=spec, bases=tuple(tuple(basis_Bprime(spec, i)) for i in range(1, spec.n + 1))
     )
-    assert space.dimension == dim_vsp(spec)
+    expected = dim_vsp(spec)
+    if space.dimension != expected:
+        raise AssertionError(
+            f"parameter_space({spec}): the bases span {space.dimension} parameters, "
+            f"dim_vsp gives {expected}"
+        )
     return space
 
 
@@ -67,7 +72,8 @@ def sample_phi(space: VSPParameterSpace, seed: int) -> PhiTuple:
             poly = poly + SparsePoly.monomial(spec.n + 1, DUAL, e, Fraction(c))
         entries.append(poly)
     phi = PhiTuple(spec, entries)
-    assert phi.canonical
+    if not phi.canonical:
+        raise AssertionError(f"sample_phi(seed={seed}) built a non-canonical tuple {phi}")
     return phi
 
 
@@ -159,7 +165,8 @@ def fit_phi_from_points(spec: MonomialSpec, points) -> PhiTuple:
             poly = poly + SparsePoly.monomial(spec.n + 1, DUAL, e, c if exact else complex(c))
         entries.append(poly)
     phi = PhiTuple(spec, entries)
-    assert phi.canonical
+    if not phi.canonical:
+        raise AssertionError(f"fit_phi_from_points({spec}) fitted a non-canonical tuple {phi}")
     return phi
 
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from waring import cli
 from waring.cli import main
 
 
@@ -163,6 +166,25 @@ class TestSampleAndDiagnose:
         assert data["all_agree"] is True
         assert [row["hilbert_model"] for row in data["table"]] == [1, 3, 4, 4, 4]
 
+    def test_diagnose_extracts_with_the_environment_seed(self, capsys, monkeypatch):
+        seeds = []
+        real = cli.extract_points
+
+        def recording(q, tol, seed):
+            seeds.append(seed)
+            return real(q, tol=tol, seed=seed)
+
+        monkeypatch.setattr(cli, "extract_points", recording)
+        monkeypatch.setenv("WARING_SEED", "13")
+        code, data = run_json(capsys, "diagnose", "x*y*z", "--t-max", "2")
+        assert code == 0 and data["all_agree"] is True
+        assert seeds == [13]
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_sample_count_below_one_is_usage_error(self, capsys, count):
+        code, data = run_json(capsys, "sample", "x*y*z", "--seed", "0", "--count", count)
+        assert code == 2 and "--count" in data["error"]
+
 
 class TestDeterminismAndErrors:
     def test_identical_invocations_identical_bytes(self, capsys):
@@ -188,3 +210,20 @@ class TestDeterminismAndErrors:
     def test_text_format(self, capsys):
         code, out = run(capsys, "--format", "text", "rank", "x*y*z")
         assert code == 0 and "rank: 4" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "x*y*z", "--seed", "1"],
+        ["verify", "x*y", "--input", "-"],
+        ["points", "x*y*z", "--seed", "1"],
+        ["normalize", "x*y", "--seed", "1"],
+        ["sample", "x*y*z", "--seed", "1"],
+        ["diagnose", "x*y*z", "--seed", "1"],
+    ])
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_negative_tolerance_is_usage_error(self, capsys, argv, tol):
+        code, data = run_json(capsys, *argv, "--tol", tol)
+        assert code == 2 and "--tol" in data["error"]
+
+    def test_exponent_notation_phi(self, capsys):
+        code, data = run_json(capsys, "normalize", "x*y", "--phi", "1e-300")
+        assert code == 0 and data["phi_normalized"]["canonical"] is True

@@ -11,8 +11,9 @@ from waring import (
     verify_decomposition,
     waring_rank,
 )
-from waring.monomials import Decomposition, EXACT_CYCLOTOMIC
-from waring.polynomial import LinearForm, exponents_of_degree, power_linear_form
+from waring.cyclotomic import CycloScalar, root_of_unity
+from waring.monomials import Decomposition, EXACT_CYCLOTOMIC, _lift
+from waring.polynomial import PRIMAL, LinearForm, SparsePoly, exponents_of_degree, power_linear_form
 
 from conftest import spec_grid
 
@@ -211,3 +212,123 @@ class TestCoefficientFormula:
     def test_degree_mismatch_rejected(self, xyz2):
         with pytest.raises(ValueError):
             coefficient_Cm(xyz2, (1, 1, 1))
+
+
+def reference_difference(spec, dec):
+    """The expansion the integer-bucket verifier replaces: scalar products summed."""
+    total = SparsePoly.zero(spec.num_original_vars, PRIMAL)
+    for c, form in dec.summands:
+        total = total + power_linear_form(form, dec.degree).scale(c)
+    return total - spec.monomial_poly("original")
+
+
+def check_against_reference(spec, dec):
+    report = verify_decomposition(spec, dec)
+    expected = reference_difference(spec, dec)
+    assert report.mode == "exact"
+    assert report.ok == expected.is_zero()
+    if report.ok:
+        assert report.difference is None and report.max_error == 0.0
+    else:
+        assert report.difference == expected and report.max_error == float("inf")
+    return report
+
+
+def exact_dec(degree, summands):
+    return Decomposition(degree=degree, domain=EXACT_CYCLOTOMIC,
+                         summands=tuple((c, LinearForm(f)) for c, f in summands))
+
+
+class TestIntegerBucketVerifier:
+    def test_explicit_grid_matches_reference(self):
+        for exps in spec_grid(3, 5):
+            spec = MonomialSpec.from_exponents(exps)
+            assert check_against_reference(spec, explicit_decomposition(spec)).ok
+
+    def test_rational_forms(self):
+        spec = MonomialSpec.parse("x*y")
+        third = Fraction(1, 3)
+        good = exact_dec(2, [(Fraction(1, 16), (2, 2)), (Fraction(-9, 4), (third, -third))])
+        assert check_against_reference(spec, good).ok
+        rng = random.Random(3)
+
+        def rational():
+            return Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 5))
+
+        for _ in range(10):
+            summands = [(rational(), (rational(), rational(), rational())) for _ in range(3)]
+            dec = exact_dec(3, summands)
+            assert not check_against_reference(MonomialSpec.parse("x*y*z"), dec).ok
+
+    def test_non_root_cyclotomic_coefficients(self):
+        golden = CycloScalar(5, (1, 1, 0, 0))  # 1 + zeta_5: not a rational multiple of a root
+        scaled = CycloScalar(12, (0, 0, 0, 2), 3)  # 2/3 * zeta_12^3
+        high = root_of_unity(7, 6)  # reduces to a six-term vector
+        spec = MonomialSpec.parse("x*y^2")
+        summands = [(golden, (1, golden)), (scaled, (high, 1)), (Fraction(1, 2), (golden, high))]
+        assert not check_against_reference(spec, exact_dec(3, summands)).ok
+        # a summand and its negative cancel whatever the coefficients
+        pair = ((golden, LinearForm((golden, high))), (-golden, LinearForm((golden, high))))
+        padded = Decomposition(3, EXACT_CYCLOTOMIC, explicit_decomposition(spec).summands + pair)
+        assert check_against_reference(spec, padded).ok
+
+    def test_mixed_conductors(self):
+        z6, z4 = root_of_unity(6, 1), root_of_unity(4, 1)
+        spec = MonomialSpec.parse("x*y*z^2")  # explicit decomposition lives in Q(zeta_6)
+        base = explicit_decomposition(spec).summands
+        extra = ((z4, LinearForm((1, z4, z6))), (-z4, LinearForm((1, z4, z6))))
+        dec = Decomposition(degree=4, domain=EXACT_CYCLOTOMIC, summands=base + extra)
+        assert check_against_reference(spec, dec).ok
+        # zeta_6^2 written as zeta_3 is the same scalar at a smaller conductor
+        rewritten = tuple(
+            (c, LinearForm(tuple(root_of_unity(3, 1) if v == z6**2 else v for v in form.coeffs)))
+            for c, form in base
+        )
+        assert any(getattr(v, "conductor", 1) == 3 for _, f in rewritten for v in f.coeffs)
+        assert check_against_reference(spec, Decomposition(4, EXACT_CYCLOTOMIC, rewritten)).ok
+        lopsided = Decomposition(4, EXACT_CYCLOTOMIC, base + extra[:1])
+        report = check_against_reference(spec, lopsided)
+        assert not report.ok
+        assert all(c.conductor == 12 for c in report.difference.terms.values())
+
+    @pytest.mark.parametrize("exps", [(1, 2), (1, 1, 2), (1, 2, 2), (2, 1, 3), (1, 1, 1, 1)])
+    def test_seeded_perturbations_are_rejected(self, exps):
+        spec = MonomialSpec.from_exponents(exps)
+        summands = list(explicit_decomposition(spec).summands)
+        rng = random.Random(sum(exps) * 31 + len(exps))
+        m = spec.conductor
+        for _ in range(3):
+            j = rng.randrange(len(summands))
+            c, form = summands[j]
+            changed = summands.copy()
+            changed[j] = (c * Fraction(rng.randint(2, 9), rng.randint(1, 9) * 10 + 1), form)
+            dropped = summands[:j] + summands[j + 1:]
+            coeffs = list(form.coeffs)
+            slot = rng.choice([i for i, v in enumerate(coeffs) if v])
+            coeffs[slot] = coeffs[slot] * root_of_unity(m, rng.randrange(1, m))
+            rotated = summands.copy()
+            rotated[j] = (c, LinearForm(coeffs))
+            for variant in (changed, dropped, rotated):
+                dec = Decomposition(spec.degree, EXACT_CYCLOTOMIC, tuple(variant))
+                assert not check_against_reference(spec, dec).ok
+
+    def test_roots_lift_to_one_term(self):
+        assert _lift(root_of_unity(7, 6), 7) == ({6: 1}, 1)  # six coordinates mod Phi_7
+        assert _lift(CycloScalar(12, (0, 0, 0, 2), 3), 24) == ({6: 2}, 3)
+        assert _lift(-root_of_unity(3, 1), 6) == ({5: 1}, 1)  # -zeta_3 = zeta_6^5
+        assert _lift(CycloScalar(5, (1, 1, 0, 0)), 5) == ({0: 1, 1: 1}, 1)
+        assert _lift(Fraction(-3, 4), 5) == ({0: -3}, 4)
+
+    def test_coordinates_beyond_float_range(self):
+        big = 10**400
+        spec = MonomialSpec.parse("x*y")
+        for x in (CycloScalar(3, (big, big + 1), big), CycloScalar(3, (0, big), 3),
+                  CycloScalar(6, (10**300, 10**300), 7)):
+            dec = exact_dec(2, [(x, (1, x)), (Fraction(1, 4), (1, 1))])
+            assert not check_against_reference(spec, dec).ok
+
+    def test_float_scalars_refused_in_the_exact_domain(self):
+        spec = MonomialSpec.parse("x*y")
+        dec = exact_dec(2, [(0.25, (1, 1)), (Fraction(-1, 4), (1, -1))])
+        with pytest.raises(ValueError):
+            verify_decomposition(spec, dec)

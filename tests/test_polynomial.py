@@ -187,3 +187,10 @@ def test_parse_rejects_garbage():
         parse_poly("x5", 3, PRIMAL)
     with pytest.raises(ValueError):
         parse_poly("", 3, PRIMAL)
+
+
+def test_parse_exponent_notation_literals():
+    assert parse_poly("1e-300", 2, DUAL) == SparsePoly.constant(2, DUAL, Fraction(1, 10**300))
+    assert D("2.5E+3*a1") == SparsePoly.monomial(3, DUAL, (0, 1, 0), 2500)
+    assert D("-1e-2*a0^2") == SparsePoly.monomial(3, DUAL, (2, 0, 0), Fraction(-1, 100))
+    assert D("a0 - 1e-2*a1 + 2E+1*a2") == D("a0 - 1/100*a1 + 20*a2")
