@@ -408,9 +408,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value is a polynomial, which may start with "-"
+_POLY_OPTIONS = ("--phi", "--member")
+
+
+def _attach_poly_values(argv: list[str]) -> list[str]:
+    """Rewrite "--phi -5*a1^2" as "--phi=-5*a1^2": argparse reads "-5*a1^2" as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _POLY_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
     try:
         _check_limits(args)
         payload = args.fn(args)

@@ -201,14 +201,24 @@ class CycloScalar:
         return Fraction(self.num[0], self.den)
 
     def __complex__(self) -> complex:
+        try:
+            value = self._power_sum(self.num) / self.den
+            if cmath.isfinite(value):
+                return value
+        except OverflowError:
+            pass
+        # a coordinate or the denominator is beyond float range: divide each first
+        return self._power_sum([c / self.den for c in self.num])
+
+    def _power_sum(self, coords) -> complex:
         z = cmath.exp(2j * cmath.pi / self.conductor)
         total = 0j
         power = 1 + 0j
-        for c in self.num:
+        for c in coords:
             if c:
                 total += c * power
             power *= z
-        return total / self.den
+        return total
 
     def __bool__(self) -> bool:
         return any(self.num)

@@ -1,116 +1,54 @@
-"""Buchberger's algorithm and normal forms in graded reverse lexicographic order.
+"""Normal forms modulo the complete intersections I(k, phi).
 
-Used for exact homogeneous ideal membership; the generators of a decomposition
-ideal do not have coprime leading terms in the homogeneous ring, so a genuine
-completion is required there (unlike the affine chart, where the dehomogenized
-generators are already a reduction basis).
+The generators a_i^(d_i+1) - tail_i (1 <= i <= k), with tail_i =
+phi_i * a0^(d0+1), already form a Groebner basis: in grevlex with a0 the
+smallest variable every term of tail_i carries a0, so the leading terms are
+the pairwise coprime a_i^(d_i+1) (Buchberger's first criterion;
+Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 9).  The
+same holds in the chart a0 = 1, where tail_i is the dehomogenized psi_i of
+degree at most d_i - d0.  So no completion is needed: one reduction by the
+generators gives the normal form.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Sequence
 
-from .polynomial import Exponent, SparsePoly, grevlex_key
-
-
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+from .polynomial import Exponent, SparsePoly
 
 
-def _exactify(p: SparsePoly) -> SparsePoly:
-    """Promote integer coefficients to Fractions so division never hits floats."""
-    if any(isinstance(c, int) for c in p.terms.values()):
-        return p.map_coefficients(lambda c: Fraction(c) if isinstance(c, int) else c)
-    return p
+def ci_normal_form(
+    terms: dict[Exponent, object],
+    exponents: Exponent,
+    tails: Sequence[SparsePoly],
+) -> dict[Exponent, object]:
+    """Rewrite a_i^(d_i+1) -> tails[i-1] until no term has such a factor.
 
-
-def _monic(p: SparsePoly) -> SparsePoly:
-    _, c = p.leading_term()
-    one = c / c
-    return p if c == one else p.scale(one / c)
-
-
-def normal_form(poly: SparsePoly, basis: list[SparsePoly]) -> SparsePoly:
-    """Fully reduce a polynomial: no remaining term is divisible by any leading term."""
-    leads = [g.leading_term() for g in basis]
-    tail = SparsePoly.zero(poly.num_vars, poly.ring)
-    work = poly
-    while work:
-        e, c = work.leading_term()
-        hit = next(
-            (idx for idx, (le, _) in enumerate(leads) if _divides(le, e)), None
-        )
-        if hit is None:
-            mono = SparsePoly.monomial(work.num_vars, work.ring, e, c)
-            tail = tail + mono
-            work = work - mono
-            continue
-        le, lc = leads[hit]
-        shift = tuple(a - b for a, b in zip(e, le))
-        work = work - basis[hit] * SparsePoly.monomial(work.num_vars, work.ring, shift, c / lc)
-    return tail
-
-
-def s_polynomial(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    ef, cf = f.leading_term()
-    eg, cg = g.leading_term()
-    lcm_e = tuple(max(a, b) for a, b in zip(ef, eg))
-    mf = SparsePoly.monomial(f.num_vars, f.ring, tuple(a - b for a, b in zip(lcm_e, ef)), 1)
-    mg = SparsePoly.monomial(g.num_vars, g.ring, tuple(a - b for a, b in zip(lcm_e, eg)), 1)
-    return f * mf.scale(1 / cf) - g * mg.scale(1 / cg)
-
-
-def groebner_basis(generators, max_basis: int = 512) -> list[SparsePoly]:
-    """A minimal reduced Groebner basis in grevlex order, by Buchberger's algorithm.
-
-    Pairs with coprime leading terms are skipped (their S-polynomials always
-    reduce to zero); ``max_basis`` is a safety cap for malformed input.
+    ``exponents`` is (d0, ..., dn) and ``len(tails)`` is k; terms divisible by
+    a_j^(d_j+1) with j > k are left alone.  Every leading coefficient is 1, so
+    nothing is divided.  Each rewrite moves to strictly smaller monomials, so
+    the loop ends, and the remainder is unique because the generators are a
+    Groebner basis: the input lies in the ideal exactly when it is empty.
     """
-    basis = [_monic(_exactify(g)) for g in generators if g]
-    if not basis:
-        return []
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda p: (
-                grevlex_key(
-                    tuple(
-                        max(a, b)
-                        for a, b in zip(
-                            basis[p[0]].leading_term()[0], basis[p[1]].leading_term()[0]
-                        )
-                    )
-                ),
-                p,
-            ),
-        )
-        pairs.remove((i, j))
-        ei = basis[i].leading_term()[0]
-        ej = basis[j].leading_term()[0]
-        if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
-            continue  # coprime leading terms: S-polynomial reduces to zero
-        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if remainder:
-            basis.append(_monic(remainder))
-            if len(basis) > max_basis:
-                raise RuntimeError("Groebner basis exceeded the size cap")
-            pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
-    # minimalize: processing by ascending leading term, drop any generator whose
-    # leading term is divisible by one already kept
-    minimal = []
-    for g in sorted(basis, key=lambda p: grevlex_key(p.leading_term()[0])):
-        e = g.leading_term()[0]
-        if not any(_divides(h.leading_term()[0], e) for h in minimal):
-            minimal.append(g)
-    # inter-reduce for a canonical (reduced) basis
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        reduced.append(_monic(normal_form(g, others)) if others else g)
-    return reduced
-
-
-def in_ideal(poly: SparsePoly, basis: list[SparsePoly]) -> bool:
-    """Membership test against a precomputed Groebner basis."""
-    return not normal_form(_exactify(poly), basis)
+    k = len(tails)
+    out: dict[Exponent, object] = {}
+    work = dict(terms)
+    while work:
+        e, c = work.popitem()
+        over = next((i for i in range(1, k + 1) if e[i] > exponents[i]), None)
+        if over is None:
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+            continue
+        rest = tuple(ei - (exponents[over] + 1) if i == over else ei for i, ei in enumerate(e))
+        for te, tc in tails[over - 1].terms.items():
+            ne = tuple(a + b for a, b in zip(rest, te))
+            s = work.get(ne, 0) + c * tc
+            if s:
+                work[ne] = s
+            else:
+                work.pop(ne, None)
+    return out

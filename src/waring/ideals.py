@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .groebner import ci_normal_form
 from .monomials import MonomialSpec
 from .polynomial import (
     DUAL,
@@ -217,8 +218,11 @@ class CIIdeal:
     k: int
     generators: tuple[SparsePoly, ...]
 
-    def __post_init__(self):
-        self._groebner = None
+
+def generator_tails(spec: MonomialSpec, entries) -> list[SparsePoly]:
+    """phi_i * a0^(d0+1) per entry: generator i of I(k, phi) is a_i^(d_i+1) minus it."""
+    shift = SparsePoly.monomial(spec.n + 1, DUAL, (spec.exponents[0] + 1,) + (0,) * spec.n)
+    return [p * shift for p in entries]
 
 
 def make_ci_ideal(spec: MonomialSpec, phi: PhiTuple, k: int | None = None) -> CIIdeal:
@@ -232,15 +236,13 @@ def make_ci_ideal(spec: MonomialSpec, phi: PhiTuple, k: int | None = None) -> CI
     if not 0 <= k <= len(phi):
         raise ValueError("k out of range for the phi tuple")
     n = spec.n
-    d0 = spec.exponents[0]
     target = spec.monomial_poly("sorted")
     gens = []
-    for i in range(1, k + 1):
+    for i, tail in enumerate(generator_tails(spec, phi.entries[:k]), start=1):
         lead = SparsePoly.monomial(
             n + 1, DUAL, tuple(spec.exponents[i] + 1 if j == i else 0 for j in range(n + 1))
         )
-        shift = SparsePoly.monomial(n + 1, DUAL, (d0 + 1,) + (0,) * n)
-        g = lead - phi[i - 1] * shift
+        g = lead - tail
         if not g.is_homogeneous() or g.degree() != spec.exponents[i] + 1:
             raise ValueError(f"generator {i} is not homogeneous of degree {spec.exponents[i] + 1}")
         if apply_diff(g, target):
@@ -252,51 +254,18 @@ def make_ci_ideal(spec: MonomialSpec, phi: PhiTuple, k: int | None = None) -> CI
 def canonicalize_phi(spec: MonomialSpec, phi: PhiTuple) -> PhiTuple:
     """Rewrite phi so that no term of any entry is divisible by a_j^(d_j+1).
 
-    Offending factors a_j^(d_j+1) are replaced by phi_j * a0^(d0+1), which is
-    subtracting a multiple of generator j from generator i and so leaves the
-    ideal unchanged.  Iterates to a fixpoint; idempotent on canonical input.
+    Each entry is replaced by its normal form modulo the generators, which
+    rewrites every factor a_j^(d_j+1) as phi_j * a0^(d0+1): that subtracts
+    a multiple of generator j from generator i, so the ideal is unchanged.
+    A term of phi_i has degree d_i - d0, so only factors with j < i occur and
+    the generator needed is always in the tuple.  The normal form is unique,
+    so the result is idempotent on canonical input.
     """
-    n = spec.n
-    d0 = spec.exponents[0]
-    entries = list(phi.entries)
-    k = len(entries)
-    # every rewrite raises a term's a0-exponent by d0+1 >= 2 at fixed degree,
-    # so the iteration count is bounded; the cap only guards malformed input
-    cap = 100 * (k + 1) * (spec.degree + 2) * (spec.degree + 2)
-    steps = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k):
-            while True:
-                offending = None
-                for e in sorted(entries[i].terms, key=grevlex_key, reverse=True):
-                    js = [j for j in range(1, n + 1) if e[j] >= spec.exponents[j] + 1]
-                    if js:
-                        offending = (e, js[0])
-                        break
-                if offending is None:
-                    break
-                if steps > cap:
-                    raise RuntimeError("phi elimination did not reach a fixpoint (malformed degrees?)")
-                steps += 1
-                changed = True
-                e, j = offending
-                if j > k:
-                    raise ValueError(
-                        f"term of phi_{i + 1} needs generator {j}, not present in a {k}-entry tuple"
-                    )
-                c = entries[i].terms[e]
-                reduced = tuple(
-                    ei - (spec.exponents[j] + 1) if idx == j else ei for idx, ei in enumerate(e)
-                )
-                cofactor = SparsePoly.monomial(n + 1, DUAL, reduced, c)
-                shift = SparsePoly.monomial(n + 1, DUAL, (d0 + 1,) + (0,) * n)
-                entries[i] = (
-                    entries[i]
-                    - SparsePoly.monomial(n + 1, DUAL, e, c)
-                    + cofactor * entries[j - 1] * shift
-                )
+    tails = generator_tails(spec, phi.entries)
+    entries = [
+        SparsePoly(spec.n + 1, DUAL, ci_normal_form(p.terms, spec.exponents, tails))
+        for p in phi.entries
+    ]
     return PhiTuple(spec, entries)
 
 

@@ -385,8 +385,9 @@ def parse_poly(text: str, num_vars: int, ring: str) -> SparsePoly:
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise ValueError("empty polynomial")
-    # a sign right after "<digit>e" belongs to a literal such as 1e-300, not a term
-    cleaned = re.sub(r"(?<!\d[eE])-", "+-", cleaned)
+    # a sign right after "<digit>e" belongs to a literal such as 1e-300, not a term;
+    # one right after "+" already starts a term
+    cleaned = re.sub(r"(?<!\d[eE])(?<!\+)-", "+-", cleaned)
     if cleaned.startswith("+"):
         cleaned = cleaned[1:]
     poly = SparsePoly.zero(num_vars, ring)

@@ -11,8 +11,9 @@ a^e with e_i <= d_i.  From the multiplication matrices on that basis we get
   linear combination of the multiplication matrices, and
 * the summand coefficients of the decomposition by linear solving.
 
-Homogeneous ideal membership runs an actual Buchberger completion, since the
-homogeneous generators need not have coprime leading terms.
+Homogeneous ideal membership needs no completion either: with a0 the smallest
+variable in grevlex the homogeneous generators of I(k, phi) have the coprime
+leading terms a_i^(d_i+1), so one reduction by them decides it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from itertools import product
 import numpy as np
 
 from .cyclotomic import CycloScalar
-from .groebner import groebner_basis, in_ideal
-from .ideals import CIIdeal, PhiTuple
+from .groebner import ci_normal_form
+from .ideals import CIIdeal, PhiTuple, generator_tails
 from .linalg import exact_rank, exact_solve, float_rank, lstsq_solve
 from .monomials import MonomialSpec
 from .polynomial import (
@@ -113,32 +114,6 @@ def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
     )
     index = {e: i for i, e in enumerate(basis)}
 
-    def reduce_terms(terms: dict[Exponent, object]) -> dict[int, object]:
-        out: dict[int, object] = {}
-        work = dict(terms)
-        while work:
-            e, c = work.popitem()
-            over = next((i for i in range(1, n + 1) if e[i] > bounds[i]), None)
-            if over is None:
-                idx = index[e]
-                s = out.get(idx, 0) + c
-                if s:
-                    out[idx] = s
-                else:
-                    out.pop(idx, None)
-                continue
-            rest = tuple(
-                ei - (bounds[over] + 1) if i == over else ei for i, ei in enumerate(e)
-            )
-            for pe, pc in psi[over - 1].terms.items():
-                ne = tuple(a + b for a, b in zip(rest, pe))
-                s = work.get(ne, 0) + c * pc
-                if s:
-                    work[ne] = s
-                else:
-                    work.pop(ne, None)
-        return out
-
     columns = []
     for i in range(1, n + 1):
         cols_i = []
@@ -147,8 +122,8 @@ def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
             if lifted in index:
                 cols_i.append(((index[lifted], 1),))
             else:
-                reduced = reduce_terms({lifted: 1})
-                cols_i.append(tuple(sorted(reduced.items())))
+                reduced = ci_normal_form({lifted: 1}, bounds, psi)
+                cols_i.append(tuple(sorted((index[t], c) for t, c in reduced.items())))
         columns.append(tuple(cols_i))
 
     algebra = QuotientAlgebra(spec=spec, phi=phi, basis=tuple(basis), index=index,
@@ -235,14 +210,11 @@ def is_radical(spec: MonomialSpec, phi: PhiTuple) -> bool:
 
 
 def ideal_membership(poly: SparsePoly, ideal: CIIdeal) -> bool:
-    """Exact homogeneous membership test via Buchberger completion plus reduction."""
+    """Exact homogeneous membership: the normal form by the generators is zero."""
     if not poly.is_homogeneous():
         raise ValueError("membership test expects a homogeneous polynomial")
-    basis = getattr(ideal, "_groebner", None)
-    if basis is None:
-        basis = groebner_basis(ideal.generators)
-        ideal._groebner = basis
-    return in_ideal(poly, basis)
+    tails = generator_tails(ideal.spec, ideal.phi.entries[: ideal.k])
+    return not ci_normal_form(poly.terms, ideal.spec.exponents, tails)
 
 
 @dataclass

@@ -115,6 +115,25 @@ class TestIdealAndRadical:
         code, data = run_json(capsys, "radical", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2")
         assert code == 0 and data["radical"] is False and data["trace_rank"] == 11
 
+    def test_phi_value_starting_with_minus(self, capsys):
+        code, spaced = run(capsys, "radical", "x*y^3", "--phi", "-5*a1^2")
+        assert code == 0
+        code, joined = run(capsys, "radical", "x*y^3", "--phi=-5*a1^2")
+        assert code == 0 and joined == spaced
+        data = json.loads(spaced)
+        assert data["phi"]["entries"][0] == [{"coeff": "-5", "exponent": [0, 2]}]
+
+    def test_member_value_starting_with_minus(self, capsys):
+        base = ["ideal", "x*y^2*z^3", "--phi", "-a2", "--phi", "a1^2"]
+        code, spaced = run(capsys, *base, "--member", "-a1^3 - a0^2*a2")
+        assert code == 0
+        code, joined = run(capsys, *base, "--member=-a1^3 - a0^2*a2")
+        assert code == 0 and joined == spaced
+        data = json.loads(spaced)
+        assert data["member"] == {"poly": "-a1^3 - a0^2*a2", "in_ideal": True}
+        code, data = run_json(capsys, *base, "--member", "-a1^3")
+        assert code == 0 and data["member"]["in_ideal"] is False
+
     def test_ideal_canonicalize_flag(self, capsys):
         code, data = run_json(
             capsys, "ideal", "1,1,5",

@@ -149,6 +149,31 @@ def test_complex_shadow_matches_exact_arithmetic():
         assert cmath.isclose(exact, shadow, rel_tol=1e-12, abs_tol=1e-12)
 
 
+def test_complex_beyond_float_range():
+    big = 10**400
+    value = complex(CycloScalar(3, (big, big + 1), big))  # 1 + zeta_3
+    assert cmath.isclose(value, 0.5 + 0.8660254037844386j, rel_tol=1e-12)
+    assert cmath.isclose(complex(CycloScalar(4, (0, -big), 3 * big)), -1j / 3, rel_tol=1e-12)
+    assert complex(CycloScalar(4, (1, 0), big)) == 0j  # underflows to zero
+
+
+def test_complex_in_float_range_sums_before_dividing():
+    # the exact verifier reads this conversion as a hint: keep its arithmetic exactly
+    rng = random.Random(9)
+    for _ in range(50):
+        m = rng.choice([3, 5, 7, 12, 56])
+        deg = cyclotomic_poly(m).degree
+        x = CycloScalar(m, tuple(rng.randint(-10**12, 10**12) for _ in range(deg)),
+                        rng.randint(1, 10**9))
+        z = cmath.exp(2j * cmath.pi / m)
+        total, power = 0j, 1 + 0j
+        for c in x.num:
+            if c:
+                total += c * power
+            power *= z
+        assert complex(x) == total / x.den
+
+
 def test_rational_detection_and_coeffs_view():
     x = root_of_unity(4, 1) + root_of_unity(4, 3)  # i + (-i) = 0
     assert x.is_rational() and x.to_fraction() == 0

@@ -1,53 +1,178 @@
-from waring.groebner import groebner_basis, in_ideal, normal_form, s_polynomial
-from waring.polynomial import DUAL, SparsePoly, parse_poly
+"""Normal forms modulo I(k, phi): membership, remainders and canonical phi."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from waring import MonomialSpec, PhiTuple, canonicalize_phi, ideal_membership, make_ci_ideal
+from waring.cyclotomic import root_of_unity
+from waring.groebner import ci_normal_form
+from waring.ideals import generator_tails
+from waring.linalg import exact_rank
+from waring.polynomial import DUAL, SparsePoly, exponents_of_degree, parse_poly
+
+SPECS = [(1, 2), (1, 3), (1, 2, 3), (1, 1, 5), (2, 2, 3), (1, 2, 2, 3)]
 
 
-def D(text, n=3):
-    return parse_poly(text, n, DUAL)
+def random_poly(rng, num_vars, degree, terms):
+    pool = exponents_of_degree(num_vars, degree)
+    picked = rng.sample(pool, min(terms, len(pool)))
+    return SparsePoly(num_vars, DUAL, {e: Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                                       for e in picked})
+
+
+def random_phi(rng, spec):
+    """Every monomial of each degree d_i - d0, so the tuple is usually not canonical."""
+    d0 = spec.exponents[0]
+    return PhiTuple(spec, [random_poly(rng, spec.n + 1, d - d0, 99) for d in spec.exponents[1:]])
+
+
+def member_of(rng, ideal, degree):
+    total = SparsePoly.zero(ideal.spec.n + 1, DUAL)
+    for g in ideal.generators:
+        total = total + random_poly(rng, ideal.spec.n + 1, degree - g.degree(), 3) * g
+    return total
+
+
+def in_span(poly, ideal, degree):
+    """Independent oracle: poly lies in the span of m * g_i of the given degree."""
+    num_vars = ideal.spec.n + 1
+    columns = exponents_of_degree(num_vars, degree)
+    rows = [
+        [(SparsePoly.monomial(num_vars, DUAL, m) * g).coefficient(e) for e in columns]
+        for g in ideal.generators
+        for m in exponents_of_degree(num_vars, degree - g.degree())
+    ]
+    target = [poly.coefficient(e) for e in columns]
+    return exact_rank(rows + [target]) == exact_rank(rows)
+
+
+def remainder(poly, ideal):
+    tails = generator_tails(ideal.spec, ideal.phi.entries[: ideal.k])
+    return ci_normal_form(poly.terms, ideal.spec.exponents, tails)
+
+
+@pytest.mark.parametrize("exps", SPECS)
+def test_members_and_non_members_for_every_k(exps):
+    spec = MonomialSpec.from_exponents(exps)
+    rng = random.Random(str(exps))
+    phi = random_phi(rng, spec)
+    top = max(exps) + 2
+    a0_power = SparsePoly.monomial(spec.n + 1, DUAL, (top,) + (0,) * spec.n)
+    for k in range(1, spec.n + 1):
+        ideal = make_ci_ideal(spec, phi, k=k)
+        for _ in range(3):
+            member = member_of(rng, ideal, top)
+            assert ideal_membership(member, ideal)
+            assert not ideal_membership(member + a0_power, ideal)
+            assert remainder(member + a0_power, ideal) == a0_power.terms
+
+
+@pytest.mark.parametrize("exps", SPECS)
+def test_membership_agrees_with_linear_algebra(exps):
+    spec = MonomialSpec.from_exponents(exps)
+    rng = random.Random(f"span{exps}")
+    phi = random_phi(rng, spec)
+    degree = max(exps) + 2
+    for k in range(1, spec.n + 1):
+        ideal = make_ci_ideal(spec, phi, k=k)
+        for poly in (member_of(rng, ideal, degree), random_poly(rng, spec.n + 1, degree, 4)):
+            assert ideal_membership(poly, ideal) == in_span(poly, ideal, degree)
+
+
+@pytest.mark.parametrize("exps", SPECS)
+def test_remainder_has_no_leading_term_factor(exps):
+    spec = MonomialSpec.from_exponents(exps)
+    rng = random.Random(f"rem{exps}")
+    phi = random_phi(rng, spec)
+    degree = max(exps) + 3
+    for k in range(1, spec.n + 1):
+        ideal = make_ci_ideal(spec, phi, k=k)
+        poly = random_poly(rng, spec.n + 1, degree, 12)
+        rest = remainder(poly, ideal)
+        assert rest
+        for e in rest:
+            assert all(e[i] <= exps[i] for i in range(1, k + 1))
+        # poly minus its remainder lies in the ideal
+        assert ideal_membership(poly - SparsePoly(spec.n + 1, DUAL, rest), ideal)
+
+
+def test_non_canonical_phi_gives_the_ideal_of_its_canonical_form():
+    spec = MonomialSpec.from_exponents([1, 1, 5])
+    phi = PhiTuple(spec, [parse_poly("2", 3, DUAL), parse_poly("a1^2*a2^2 - a1^4", 3, DUAL)])
+    assert not phi.canonical
+    fixed = canonicalize_phi(spec, phi)
+    assert fixed.canonical
+    assert str(fixed.entries[1]) == "-4*a0^4 + 2*a0^2*a2^2"
+    before, after = make_ci_ideal(spec, phi), make_ci_ideal(spec, fixed)
+    for g in before.generators:
+        assert ideal_membership(g, after)
+    for g in after.generators:
+        assert ideal_membership(g, before)
+
+
+def test_cyclotomic_coefficients():
+    spec = MonomialSpec.from_exponents([1, 2, 3])
+    zeta = root_of_unity(5, 1)
+    phi = PhiTuple(spec, [SparsePoly.monomial(3, DUAL, (0, 0, 1), zeta),
+                          SparsePoly.monomial(3, DUAL, (0, 2, 0), zeta * zeta)])
+    ideal = make_ci_ideal(spec, phi)
+    g1, g2 = ideal.generators
+    combo = (g1 * parse_poly("a0*a2 - 3*a1^2", 3, DUAL)
+             + g2 * SparsePoly.monomial(3, DUAL, (1, 0, 0), zeta))
+    assert ideal_membership(combo, ideal)
+    assert not ideal_membership(combo + parse_poly("a0^5", 3, DUAL), ideal)
 
 
 def test_normal_form_reduces_leading_terms():
-    basis = [D("a0^2 - a1"), D("a1^2 - a2")]
-    assert normal_form(D("a0^4"), basis) == D("a2")
-    assert normal_form(D("a0^2*a1"), basis) == D("a2")
-    assert normal_form(D("a2^5"), basis) == D("a2^5")
+    # in the chart a0 = 1: a1^3 -> 1 + a2, a2^2 -> a1, so a1^3 * a2^2 -> a1 + a1*a2
+    tails = [parse_poly("1 + a2", 3, DUAL), parse_poly("a1", 3, DUAL)]
+    out = ci_normal_form({(0, 3, 2): 1}, (1, 2, 1), tails)
+    assert out == {(0, 1, 0): 1, (0, 1, 1): 1}
+    # homogeneous, x*y^2*z^3 with phi = (a2, a1^2): a1^3 -> a0^2*a2, a2^4 -> a0^2*a1^2
+    tails = [parse_poly("a0^2*a2", 3, DUAL), parse_poly("a0^2*a1^2", 3, DUAL)]
+    out = ci_normal_form({(0, 3, 4): 1}, (1, 2, 3), tails)
+    assert out == {(4, 2, 1): 1}
+    # k = 1 leaves a2^4 alone
+    assert ci_normal_form({(0, 3, 4): 1}, (1, 2, 3), tails[:1]) == {(2, 0, 5): 1}
 
 
 def test_normal_form_of_zero():
-    assert normal_form(SparsePoly.zero(3, DUAL), [D("a0")]).is_zero()
-
-
-def test_s_polynomial_cancels_leading_terms():
-    f, g = D("a0^2*a1 - 1"), D("a0*a1^2 - a2")
-    s = s_polynomial(f, g)
-    assert s == D("a0*a2 - a1")
-
-
-def test_groebner_basis_of_principal_ideal():
-    basis = groebner_basis([D("a0^2 - a1^2")])
-    assert len(basis) == 1
-    assert in_ideal(D("a0^4 - a1^4"), basis)
-    assert not in_ideal(D("a0^3"), basis)
-
-
-def test_groebner_basis_handles_non_coprime_leads():
-    # (a0 a1 - a2^2, a0 a2 - a1^2): completion is needed for correct membership
-    basis = groebner_basis([D("a0*a1 - a2^2"), D("a0*a2 - a1^2")])
-    assert in_ideal(D("a1^3 - a2^3"), basis)
-    assert not in_ideal(D("a1^3 + a2^3"), basis)
+    spec = MonomialSpec.from_exponents([1, 2, 3])
+    phi = PhiTuple(spec, [parse_poly("a2", 3, DUAL), parse_poly("a1^2", 3, DUAL)])
+    assert ci_normal_form({}, spec.exponents, generator_tails(spec, phi.entries)) == {}
+    assert ideal_membership(SparsePoly.zero(3, DUAL), make_ci_ideal(spec, phi))
 
 
 def test_membership_is_ideal_closed():
-    gens = [D("a1^3 - a0^2*a2"), D("a2^4 - a0^2*a1^2")]
-    basis = groebner_basis(gens)
-    for g in gens:
-        assert in_ideal(g, basis)
-    combo = gens[0] * D("a0*a2") - gens[1] * D("7*a1")
-    assert in_ideal(combo, basis)
+    spec = MonomialSpec.from_exponents([1, 2, 3])
+    ideal = make_ci_ideal(spec, PhiTuple(spec, [parse_poly("a2", 3, DUAL),
+                                                parse_poly("a1^2", 3, DUAL)]))
+    g1, g2 = ideal.generators
+    for g in (g1, g2):
+        assert ideal_membership(g, ideal)
+    combo = g1 * parse_poly("a0*a2", 3, DUAL) - g2 * parse_poly("7*a1", 3, DUAL)
+    assert ideal_membership(combo, ideal)
+    assert ideal_membership(combo * parse_poly("a0 - 2*a1 + a2", 3, DUAL), ideal)
+    assert not ideal_membership(combo + parse_poly("a1^2*a2^3", 3, DUAL), ideal)
 
 
-def test_basis_is_deterministic():
-    gens = [D("a1^3 - a0^2*a2"), D("a2^4 - a0^2*a1^2")]
-    one = [str(g) for g in groebner_basis(gens)]
-    two = [str(g) for g in groebner_basis(list(reversed(gens)))]
-    assert one == two
+def test_groebner_basis_of_principal_ideal():
+    # n = 1: I(1, phi) = (a1^3 - phi_1*a0^2) is principal, its generator a Groebner basis
+    spec = MonomialSpec.from_exponents([1, 2])
+    ideal = make_ci_ideal(spec, PhiTuple(spec, [parse_poly("3*a0 - a1", 2, DUAL)]))
+    (g,) = ideal.generators
+    assert ideal_membership(g * parse_poly("a0^2 - a1^2", 2, DUAL), ideal)
+    assert not ideal_membership(g * parse_poly("a0^2", 2, DUAL) + parse_poly("a0^5", 2, DUAL), ideal)
+    assert not ideal_membership(parse_poly("a1^3", 2, DUAL), ideal)
+
+
+def test_canonicalize_refuses_a_term_that_needs_a_missing_generator():
+    # A term of phi_i has degree d_i - d0 < d_j + 1 for every j >= i, so only a
+    # tuple altered after its degree check can hold a_j^(d_j+1) with j > k.
+    spec = MonomialSpec.from_exponents([1, 1, 2])
+    phi = PhiTuple(spec, [parse_poly("1", 3, DUAL)])
+    phi.entries = (parse_poly("a2^3", 3, DUAL),)
+    with pytest.raises(ValueError):
+        canonicalize_phi(spec, phi)

@@ -194,3 +194,11 @@ def test_parse_exponent_notation_literals():
     assert D("2.5E+3*a1") == SparsePoly.monomial(3, DUAL, (0, 1, 0), 2500)
     assert D("-1e-2*a0^2") == SparsePoly.monomial(3, DUAL, (2, 0, 0), Fraction(-1, 100))
     assert D("a0 - 1e-2*a1 + 2E+1*a2") == D("a0 - 1/100*a1 + 20*a2")
+
+
+def test_parse_explicit_plus_minus():
+    assert parse_poly("a0+-a1", 2, DUAL) == parse_poly("a0-a1", 2, DUAL)
+    assert D("+-a0 + -2*a1^2 - a2") == D("-a0 - 2*a1^2 - a2")
+    assert D("a0 +-1e-2*a1") == D("a0 - 1/100*a1")
+    with pytest.raises(ValueError):
+        D("a0 ++ a1")
