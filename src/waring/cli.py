@@ -39,10 +39,9 @@ from .solver import (
     NonRadicalIdealError,
     PointExtractionError,
     build_quotient,
+    certify_radical,
     extract_points,
     ideal_membership,
-    is_radical,
-    trace_form_rank,
 )
 from .vsp import (
     apply_torus,
@@ -77,13 +76,16 @@ def _parse_phi(spec: MonomialSpec, phi_args: list[str] | None) -> PhiTuple:
 
 
 def _check_limits(args) -> None:
-    """Reject a negative (or NaN) --tol and a --count below 1 as usage errors."""
+    """Usage errors: a negative (or NaN) --tol, a --count below 1, a negative --t-max."""
     tol = getattr(args, "tol", None)
     if tol is not None and not tol >= 0:
         raise ValueError(f"--tol must be a non-negative number, got {tol}")
     count = getattr(args, "count", None)
     if count is not None and count < 1:
         raise ValueError(f"--count must be at least 1, got {count}")
+    t_max = getattr(args, "t_max", None)
+    if t_max is not None and t_max < 0:
+        raise ValueError(f"--t-max must be non-negative, got {t_max}")
 
 
 def _need_seed(args) -> int:
@@ -191,35 +193,28 @@ def cmd_ideal(args) -> dict:
 def cmd_radical(args) -> dict:
     spec = _parse_spec(args.monomial)
     phi = _parse_phi(spec, args.phi)
-    if any(not p for p in phi.entries):
-        return {
-            "monomial": str(spec),
-            "phi": serialize.phi_to_json(phi),
-            "radical": False,
-            "trace_rank": None,
-            "dimension": spec.rank,
-            "note": "a zero phi entry forces a non-reduced point",
-        }
-    q = build_quotient(spec, phi)
-    rank = trace_form_rank(q)
-    return {
+    certificate = certify_radical(spec, phi)
+    out = {
         "monomial": str(spec),
         "phi": serialize.phi_to_json(phi),
-        "radical": rank == q.dim,
-        "trace_rank": rank,
-        "dimension": q.dim,
+        "radical": certificate.radical,
+        "trace_rank": certificate.trace_rank,
+        "dimension": spec.rank,
     }
+    if certificate.quotient is None:
+        out["note"] = "a zero phi entry forces a non-reduced point"
+    return out
 
 
 def cmd_points(args) -> dict:
     spec = _parse_spec(args.monomial)
     phi = _parse_phi(spec, args.phi)
     seed = _need_seed(args)
-    if not is_radical(spec, phi):
+    certificate = certify_radical(spec, phi)
+    if not certificate.radical:
         raise MathFailure("the ideal is not radical; points would not be reduced")
-    q = build_quotient(spec, phi)
     try:
-        points = extract_points(q, tol=args.tol, seed=seed)
+        points = extract_points(certificate.quotient, tol=args.tol, seed=seed)
     except PointExtractionError as exc:
         raise MathFailure(str(exc)) from None
     out = serialize.pointset_to_json(points)
@@ -268,7 +263,6 @@ def cmd_sample(args) -> dict:
     spec = _parse_spec(args.monomial)
     seed = _need_seed(args)
     reports = sample_decompositions(spec, seed, args.count, tol=args.tol)
-    radical = sum(1 for r in reports if r.radical)
     return {
         "spec": serialize.spec_to_json(spec),
         "samples": [
@@ -281,7 +275,7 @@ def cmd_sample(args) -> dict:
             }
             for r in reports
         ],
-        "radical_fraction": radical / len(reports) if reports else 0.0,
+        "radical_fraction": sum(r.radical for r in reports) / len(reports),  # --count >= 1
     }
 
 
@@ -295,10 +289,10 @@ def cmd_diagnose(args) -> dict:
         phi = sample_phi(parameter_space(spec), seed)
     else:
         phi = explicit_phi(spec)
-    if not is_radical(spec, phi):
+    certificate = certify_radical(spec, phi)
+    if not certificate.radical:
         raise MathFailure("the ideal is not radical; diagnostics need reduced points")
-    q = build_quotient(spec, phi)
-    points = extract_points(q, tol=args.tol, seed=seed)
+    points = extract_points(certificate.quotient, tol=args.tol, seed=seed)
     t_max = args.t_max if args.t_max is not None else spec.degree + 2
     rows = []
     for t in range(t_max + 1):
@@ -348,62 +342,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=["json", "text"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--phi": {"action": "append", "help": "phi entry (repeat per entry)"},
+        "--seed": {"type": int},
+        "--tol": {"type": float, "default": 1e-8},
+        "--t-max": {"type": int, "dest": "t_max"},
+    }
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, summary, *options):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("monomial", help="monomial, e.g. \"x^2*y^2*z^3\" or \"2,2,3\"")
         p.set_defaults(fn=fn)
+        for option in options:
+            p.add_argument(option, **shared[option])
         return p
 
-    add("rank", cmd_rank, help="Waring rank of the monomial")
-    add("bounds", cmd_bounds, help="rank with its lower/upper bounds")
-
-    p = add("decompose", cmd_decompose, help="compute a decomposition")
-    p.add_argument("--exact", action="store_true", help="the explicit exact decomposition")
-    p.add_argument("--phi", action="append", help="phi entry (repeat per entry)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float, default=1e-8)
-
-    p = add("verify", cmd_verify, help="verify a decomposition JSON file")
-    p.add_argument("--input", required=True, help="decomposition JSON path or -")
-    p.add_argument("--tol", type=float, default=1e-8)
-
-    p = add("hilbert", cmd_hilbert, help="Hilbert function of the model quotient")
-    p.add_argument("--t-max", type=int, dest="t_max")
-
-    add("vsp-dim", cmd_vsp_dim, help="dimension of the space of decompositions")
-
-    p = add("ideal", cmd_ideal, help="the complete intersection ideal of a phi tuple")
-    p.add_argument("--phi", action="append")
+    add("rank", cmd_rank, "Waring rank of the monomial")
+    add("bounds", cmd_bounds, "rank with its lower/upper bounds")
+    add("decompose", cmd_decompose, "compute a decomposition", "--phi", "--seed", "--tol"
+        ).add_argument("--exact", action="store_true", help="the explicit exact decomposition")
+    add("verify", cmd_verify, "verify a decomposition JSON file", "--tol"
+        ).add_argument("--input", required=True, help="decomposition JSON path or -")
+    add("hilbert", cmd_hilbert, "Hilbert function of the model quotient", "--t-max")
+    add("vsp-dim", cmd_vsp_dim, "dimension of the space of decompositions")
+    p = add("ideal", cmd_ideal, "the complete intersection ideal of a phi tuple", "--phi")
     p.add_argument("--canonicalize", action="store_true")
     p.add_argument("--member", help="test a dual polynomial for membership")
-
-    p = add("radical", cmd_radical, help="exact radicality certificate")
-    p.add_argument("--phi", action="append")
-
-    p = add("points", cmd_points, help="extract the decomposition points")
-    p.add_argument("--phi", action="append")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float, default=1e-8)
-
-    p = add("fit-phi", cmd_fit_phi, help="recover phi from a point-set JSON")
-    p.add_argument("--points", required=True, help="point-set JSON path or -")
-
-    p = add("normalize", cmd_normalize, help="torus normalization (equal exponents)")
-    p.add_argument("--phi", action="append")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float, default=1e-8)
-
-    p = add("sample", cmd_sample, help="sample random phi tuples and decompose")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-8)
-
-    p = add("diagnose", cmd_diagnose, help="Hilbert-function and q_t diagnostics")
-    p.add_argument("--phi", action="append")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--t-max", type=int, dest="t_max")
+    add("radical", cmd_radical, "exact radicality certificate", "--phi")
+    add("points", cmd_points, "extract the decomposition points", "--phi", "--seed", "--tol")
+    add("fit-phi", cmd_fit_phi, "recover phi from a point-set JSON"
+        ).add_argument("--points", required=True, help="point-set JSON path or -")
+    add("normalize", cmd_normalize, "torus normalization (equal exponents)",
+        "--phi", "--seed", "--tol")
+    add("sample", cmd_sample, "sample random phi tuples and decompose", "--seed", "--tol"
+        ).add_argument("--count", type=int, default=1)
+    add("diagnose", cmd_diagnose, "Hilbert-function and q_t diagnostics",
+        "--phi", "--seed", "--tol", "--t-max")
 
     return parser
 
@@ -423,9 +397,13 @@ def _attach_poly_values(argv: list[str]) -> list[str]:
     return out
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main() and reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
     try:
         _check_limits(args)
         payload = args.fn(args)

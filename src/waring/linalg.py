@@ -3,6 +3,10 @@
 The exact routines only need field operations (+, -, *, /, truthiness), so
 they work uniformly for Fraction and CycloScalar entries.  Floating-point
 ranks use an SVD with a relative singular-value cutoff.
+
+``rank`` and ``solve`` are the one place that chooses between the two, by the
+entries: all int, Fraction or CycloScalar is exact, anything else is solved in
+complex floats behind a column-rank gate and a residual gate.
 """
 
 from __future__ import annotations
@@ -10,6 +14,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+
+from .cyclotomic import CycloScalar
+
+
+def _is_exact_scalar(c) -> bool:
+    return isinstance(c, (int, Fraction, CycloScalar))
+
+
+def _all_exact(*matrices) -> bool:
+    return all(_is_exact_scalar(v) for rows in matrices for row in rows for v in row)
 
 
 def _exactify(row) -> list:
@@ -22,11 +36,41 @@ class LinearSolveError(ValueError):
 
 
 class InconsistentSystem(LinearSolveError):
-    pass
+    """No solution; a float solve sets ``residual`` (max norm) and names it in ``detail``."""
+
+    def __init__(self, message: str = "no solution", residual: float | None = None):
+        super().__init__(message)
+        self.residual = residual
+        self.detail = "" if residual is None else f" (residual {residual:.3e})"
 
 
 class RankDeficientSystem(LinearSolveError):
     pass
+
+
+def _eliminate(matrix: list[list], ncols: int) -> list[int]:
+    """Row-reduce ``matrix`` in place to echelon form on its first ``ncols`` columns
+    (later columns ride along); returns the pivot columns."""
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        top = matrix[rank]
+        inv = top[col]
+        for r in range(rank + 1, len(matrix)):
+            if matrix[r][col]:
+                factor = matrix[r][col] / inv
+                row = matrix[r]
+                for c in range(col, len(row)):
+                    if top[c]:
+                        row[c] = row[c] - factor * top[c]
+        pivots.append(col)
+        if len(pivots) == len(matrix):
+            break
+    return pivots
 
 
 def exact_rank(rows) -> int:
@@ -34,25 +78,7 @@ def exact_rank(rows) -> int:
     matrix = [_exactify(r) for r in rows]
     if not matrix or not matrix[0]:
         return 0
-    ncols = len(matrix[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = matrix[rank][col]
-        for r in range(rank + 1, len(matrix)):
-            if matrix[r][col]:
-                factor = matrix[r][col] / inv
-                row, top = matrix[r], matrix[rank]
-                for c in range(col, ncols):
-                    if top[c]:
-                        row[c] = row[c] - factor * top[c]
-        rank += 1
-        if rank == len(matrix):
-            break
-    return rank
+    return len(_eliminate(matrix, len(matrix[0])))
 
 
 def exact_solve(rows, rhs) -> list:
@@ -65,29 +91,18 @@ def exact_solve(rows, rhs) -> list:
     if not matrix:
         raise RankDeficientSystem("empty system")
     ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = matrix[rank][col]
-        matrix[rank] = [v / inv for v in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(matrix)):
-        if matrix[r][ncols]:
-            raise InconsistentSystem("no solution")
+    rank = len(_eliminate(matrix, ncols))
+    if any(row[ncols] for row in matrix[rank:]):
+        raise InconsistentSystem()
     if rank < ncols:
         raise RankDeficientSystem("solution is not unique")
     solution = [None] * ncols
-    for r, col in enumerate(pivots):
-        solution[col] = matrix[r][ncols]
+    for r in reversed(range(ncols)):
+        row = matrix[r]
+        value = row[ncols]
+        for c in range(r + 1, ncols):
+            value = value - row[c] * solution[c]
+        solution[r] = value / row[r]
     return solution
 
 
@@ -109,3 +124,25 @@ def lstsq_solve(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.max(np.abs(a @ x - b))) if a.size else 0.0
     return x, residual
+
+
+def rank(rows, cutoff: float = 1e-8) -> int:
+    """Rank of a matrix given as rows: exact on exact entries, else by SVD with ``cutoff``."""
+    if _all_exact(rows):
+        return exact_rank(rows)
+    return float_rank(np.array(rows, dtype=complex), cutoff=cutoff)
+
+
+def solve(rows, rhs, tol: float) -> list:
+    """The unique solution of rows * x = rhs: exact on exact entries, else least squares,
+    refused below full column rank (RankDeficientSystem) or when the max-norm residual
+    exceeds ``tol`` (InconsistentSystem, which carries it)."""
+    if _all_exact(rows, [rhs]):
+        return exact_solve(rows, rhs)
+    a = np.array(rows, dtype=complex)
+    if float_rank(a) < a.shape[1]:
+        raise RankDeficientSystem("solution is not unique")
+    x, residual = lstsq_solve(a, np.array(rhs, dtype=complex))
+    if residual > tol:
+        raise InconsistentSystem(f"no solution (residual {residual:.3e})", residual)
+    return [complex(c) for c in x]

@@ -29,10 +29,6 @@ def grevlex_key(exponent: Exponent):
     return (sum(exponent), tuple(-e for e in reversed(exponent)))
 
 
-def exponent_degree(exponent: Exponent) -> int:
-    return sum(exponent)
-
-
 def exponents_of_degree(num_vars: int, degree: int) -> list[Exponent]:
     """All exponent tuples of the given total degree, in descending grevlex order."""
     if degree < 0:
@@ -97,11 +93,6 @@ class SparsePoly:
     def monomial(num_vars: int, ring: str, exponent: Exponent, coeff=1) -> SparsePoly:
         return SparsePoly(num_vars, ring, {tuple(exponent): coeff})
 
-    @staticmethod
-    def variable(num_vars: int, ring: str, index: int) -> SparsePoly:
-        exponent = tuple(1 if i == index else 0 for i in range(num_vars))
-        return SparsePoly(num_vars, ring, {exponent: 1})
-
     # -- structure ---------------------------------------------------------
 
     def degree(self) -> int:
@@ -117,12 +108,6 @@ class SparsePoly:
 
     def sorted_terms(self) -> list[tuple[Exponent, object]]:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
-
-    def leading_term(self) -> tuple[Exponent, object]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grevlex_key)
-        return e, self.terms[e]
 
     def coefficient(self, exponent: Exponent):
         return self.terms.get(tuple(exponent), 0)
@@ -270,14 +255,6 @@ class LinearForm:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def as_poly(self, ring: str = PRIMAL) -> SparsePoly:
-        n = self.num_vars
-        terms = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms[tuple(1 if j == i else 0 for j in range(n))] = c
-        return SparsePoly(n, ring, terms)
 
     def evaluate(self, point):
         total = 0

@@ -41,17 +41,51 @@ def scalar_to_json(value):
     raise TypeError(f"cannot serialize scalar {value!r}")
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", int: "integer",
+               float: "number", type(None): "null"}
+_REQUIRED = object()
+
+
+def _expect(value, kind: str, what: str):
+    """``value`` if it is a JSON ``kind`` ("number" admits an integer), else a ValueError."""
+    found = _JSON_TYPES.get(type(value), type(value).__name__)
+    if found != kind and not (kind == "number" and found == "integer"):
+        raise ValueError(f"{what} must be a JSON {kind}, got {found}")
+    return value
+
+
+def _field(data, name: str, kind: str | None, where: str, default=_REQUIRED):
+    """``data[name]`` checked to be a JSON ``kind`` (None: any), or a ValueError naming the
+    field.  An absent field, or a null one defaulting to None, reads as the default."""
+    value = _expect(data, "object", where).get(name, default)
+    if value is _REQUIRED:
+        raise ValueError(f"{where} has no {name!r} field")
+    if kind is None or value is default:
+        return value
+    return _expect(value, kind, f"{where} field {name!r}")
+
+
+def _fraction(text, what: str) -> Fraction:  # "1/0" is a ValueError here, not a ZeroDivisionError
+    try:
+        return Fraction(_expect(text, "string", what))
+    except ZeroDivisionError:
+        raise ValueError(f"{what} {text!r} has a zero denominator") from None
+
+
 def scalar_from_json(obj):
     if isinstance(obj, str):
-        return Fraction(obj)
+        return _fraction(obj, "rational scalar")
     if isinstance(obj, dict) and "conductor" in obj:
-        coeffs = [Fraction(c) for c in obj["coeffs"]]
+        conductor = _field(obj, "conductor", "integer", "cyclotomic scalar")
+        coeffs = [_fraction(c, "cyclotomic coefficient")
+                  for c in _field(obj, "coeffs", "array", "cyclotomic scalar")]
         den = 1
         for c in coeffs:
             den = lcm(den, c.denominator)
-        return CycloScalar(obj["conductor"], tuple(int(c * den) for c in coeffs), den)
+        return CycloScalar(conductor, tuple(int(c * den) for c in coeffs), den)
     if isinstance(obj, dict) and "re" in obj:
-        return complex(obj["re"], obj.get("im", 0.0))
+        return complex(_field(obj, "re", "number", "float scalar"),
+                       _field(obj, "im", "number", "float scalar", 0.0))
     raise ValueError(f"not a scalar record: {obj!r}")
 
 
@@ -63,8 +97,10 @@ def poly_to_json(poly: SparsePoly) -> list:
 
 def poly_from_json(data: list, num_vars: int, ring: str) -> SparsePoly:
     terms = {}
-    for entry in data:
-        terms[tuple(entry["exponent"])] = scalar_from_json(entry["coeff"])
+    for entry in _expect(data, "array", "polynomial JSON"):
+        exponent = tuple(_expect(e, "integer", "each exponent entry")
+                         for e in _field(entry, "exponent", "array", "polynomial term"))
+        terms[exponent] = scalar_from_json(_field(entry, "coeff", None, "polynomial term"))
     return SparsePoly(num_vars, ring, terms)
 
 
@@ -98,19 +134,20 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 
 
 def decomposition_from_json(data: dict) -> Decomposition:
+    where = "decomposition JSON"
     summands = tuple(
         (
-            scalar_from_json(entry["coeff"]),
-            LinearForm([scalar_from_json(v) for v in entry["form"]]),
+            scalar_from_json(_field(entry, "coeff", None, "summand")),
+            LinearForm([scalar_from_json(v) for v in _field(entry, "form", "array", "summand")]),
         )
-        for entry in data["summands"]
+        for entry in _field(data, "summands", "array", where)
     )
     return Decomposition(
-        degree=data["degree"],
-        domain=data["domain"],
+        degree=_field(data, "degree", "integer", where),
+        domain=_field(data, "domain", "string", where),
         summands=summands,
-        verified=data.get("verified", "unverified"),
-        residual=data.get("residual"),
+        verified=_field(data, "verified", "string", where, "unverified"),
+        residual=_field(data, "residual", "number", where, None),
     )
 
 
@@ -122,8 +159,8 @@ def phi_to_json(phi: PhiTuple) -> dict:
 
 
 def phi_from_json(data, spec: MonomialSpec) -> PhiTuple:
-    entries_data = data["entries"] if isinstance(data, dict) else data
-    entries = [poly_from_json(p, spec.n + 1, DUAL) for p in entries_data]
+    entries_data = _field(data, "entries", "array", "phi JSON") if isinstance(data, dict) else data
+    entries = [poly_from_json(p, spec.n + 1, DUAL) for p in _expect(entries_data, "array", "phi")]
     return PhiTuple(spec, entries)
 
 
@@ -151,9 +188,13 @@ def pointset_to_json(points: PointSet) -> dict:
 
 
 def pointset_from_json(data: dict) -> PointSet:
+    where = "point-set JSON"
+    points = _field(data, "points", "array", where)
+    residuals = _field(data, "residuals", "array", where, None)
     return PointSet(
-        points=tuple(tuple(scalar_from_json(c) for c in p) for p in data["points"]),
-        multiplicity_free=data.get("multiplicity_free", True),
-        tol=data.get("tol"),
-        residuals=tuple(data["residuals"]) if "residuals" in data else None,
+        points=tuple(tuple(scalar_from_json(c) for c in _expect(p, "array", "each point"))
+                     for p in points),
+        multiplicity_free=_field(data, "multiplicity_free", "boolean", where, True),
+        tol=_field(data, "tol", "number", where, None),
+        residuals=tuple(residuals) if residuals is not None else None,
     )

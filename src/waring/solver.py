@@ -6,7 +6,9 @@ normal forms are supported on the r = (d1+1)*...*(dn+1) standard monomials
 a^e with e_i <= d_i.  From the multiplication matrices on that basis we get
 
 * an exact radicality certificate (the rank of the trace bilinear form equals
-  the number of distinct points of the scheme),
+  the number of distinct points of the scheme); ``certify_radical`` is the one
+  place that decides radicality, and it hands back the quotient it built so
+  that no caller builds or ranks it twice,
 * the points themselves via a floating-point eigendecomposition of a random
   linear combination of the multiplication matrices, and
 * the summand coefficients of the decomposition by linear solving.
@@ -19,15 +21,13 @@ leading terms a_i^(d_i+1), so one reduction by them decides it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from .cyclotomic import CycloScalar
 from .groebner import ci_normal_form
 from .ideals import CIIdeal, PhiTuple, generator_tails
-from .linalg import exact_rank, exact_solve, float_rank, lstsq_solve
+from .linalg import InconsistentSystem, RankDeficientSystem, _is_exact_scalar, exact_rank, solve
 from .monomials import MonomialSpec
 from .polynomial import (
     Exponent,
@@ -45,10 +45,6 @@ class NonRadicalIdealError(ValueError):
 
 class PointExtractionError(RuntimeError):
     """Eigenvector clustering or conditioning failed during point extraction."""
-
-
-def _is_exact_scalar(c) -> bool:
-    return isinstance(c, (int, Fraction, CycloScalar))
 
 
 @dataclass
@@ -195,8 +191,17 @@ def trace_form_rank(q: QuotientAlgebra) -> int:
     return exact_rank(matrix)
 
 
-def is_radical(spec: MonomialSpec, phi: PhiTuple) -> bool:
-    """True when I(n, phi) cuts out r distinct reduced points.
+@dataclass(frozen=True)
+class RadicalityCertificate:
+    """The verdict with its quotient algebra and trace rank; both None after a zero phi entry."""
+
+    radical: bool
+    quotient: QuotientAlgebra | None
+    trace_rank: int | None
+
+
+def certify_radical(spec: MonomialSpec, phi: PhiTuple) -> RadicalityCertificate:
+    """Decide whether I(n, phi) cuts out r distinct reduced points.
 
     A zero entry in phi forces a_i^(d_i+1) into the ideal, which already rules
     out reducedness, so that case short-circuits without building the algebra.
@@ -204,9 +209,15 @@ def is_radical(spec: MonomialSpec, phi: PhiTuple) -> bool:
     if len(phi) != spec.n:
         raise ValueError("radicality is decided for complete tuples only")
     if any(not p for p in phi.entries):
-        return False
+        return RadicalityCertificate(False, None, None)
     q = build_quotient(spec, phi)
-    return trace_form_rank(q) == q.dim
+    rank = trace_form_rank(q)
+    return RadicalityCertificate(rank == q.dim, q, rank)
+
+
+def is_radical(spec: MonomialSpec, phi: PhiTuple) -> bool:
+    """True when I(n, phi) cuts out r distinct reduced points."""
+    return certify_radical(spec, phi).radical
 
 
 def ideal_membership(poly: SparsePoly, ideal: CIIdeal) -> bool:
@@ -239,6 +250,11 @@ class PointSet:
 
     def is_exact(self) -> bool:
         return all(_is_exact_scalar(c) for p in self.points for c in p)
+
+
+def _coords(points) -> list:
+    """The coordinate tuples of a PointSet or of a plain sequence of points."""
+    return list(points.points if isinstance(points, PointSet) else points)
 
 
 def points_from_decomposition(dec, spec: MonomialSpec) -> PointSet:
@@ -285,9 +301,7 @@ def extract_points(
 
     one_idx = q.index[(0,) * (n + 1)]
     var_idx = [q.index[tuple(1 if j == i else 0 for j in range(n + 1))] for i in range(1, n + 1)]
-    raw_points = []
-    raw_alpha0 = []
-    raw_scale = []
+    raw = []  # per eigenvector: (point without a0, a0 before normalizing, degree <= 1 scale)
     for col in range(vectors.shape[1]):
         v = vectors[:, col]
         v = v / np.linalg.norm(v)
@@ -301,37 +315,27 @@ def extract_points(
                     "the combination matrix looks non-diagonalizable"
                 )
             continue
-        raw_points.append(tuple(complex(v[k] / lead) for k in var_idx))
-        raw_alpha0.append(complex(lead))
-        raw_scale.append(scale)
+        raw.append((tuple(complex(v[k] / lead) for k in var_idx), complex(lead), scale))
 
-    clusters: list[list[int]] = []
-    for idx, p in enumerate(raw_points):
+    clusters: list[list[tuple]] = []
+    for record in raw:
         for cluster in clusters:
-            rep = raw_points[cluster[0]]
-            if max(abs(a - b) for a, b in zip(p, rep)) < tol:
-                cluster.append(idx)
+            if max(abs(a - b) for a, b in zip(record[0], cluster[0][0])) < tol:
+                cluster.append(record)
                 break
         else:
-            clusters.append([idx])
+            clusters.append([record])
 
-    points = []
-    alpha0 = []
-    scales = []
-    for cluster in clusters:
-        members = [raw_points[i] for i in cluster]
-        points.append((1.0 + 0j,) + tuple(sum(pt[k] for pt in members) / len(members)
-                                          for k in range(n)))
-        alpha0.append(raw_alpha0[cluster[0]])
-        scales.append(raw_scale[cluster[0]])
-
-    order = sorted(
-        range(len(points)),
-        key=lambda i: tuple((round(c.real, 9), round(c.imag, 9)) for c in points[i]),
+    # each cluster: the mean point, and the a0 and scale of its first member
+    merged = sorted(
+        (
+            ((1.0 + 0j,) + tuple(sum(m[0][k] for m in c) / len(c) for k in range(n)),)
+            + c[0][1:]
+            for c in clusters
+        ),
+        key=lambda record: tuple((round(x.real, 9), round(x.imag, 9)) for x in record[0]),
     )
-    points = [points[i] for i in order]
-    alpha0 = [alpha0[i] for i in order]
-    scales = [scales[i] for i in order]
+    points = [record[0] for record in merged]
 
     multiplicity_free = len(points) == r
     if expect_radical and not multiplicity_free:
@@ -358,8 +362,8 @@ def extract_points(
         multiplicity_free=multiplicity_free,
         tol=tol,
         residuals=tuple(residuals),
-        raw_alpha0=tuple(alpha0),
-        raw_scale=tuple(scales),
+        raw_alpha0=tuple(record[1] for record in merged),
+        raw_scale=tuple(record[2] for record in merged),
     )
 
 
@@ -389,24 +393,19 @@ def fit_coefficients(spec: MonomialSpec, points, tol: float = 1e-6):
     latter allows unnormalized forms).  Exact coordinates get an exact solve;
     floats go through least squares with rank and residual checks.  The system
     is consistent with a unique solution exactly when the points are a genuine
-    power-sum configuration for the monomial.
+    power-sum configuration for the monomial; otherwise NonRadicalIdealError.
     """
-    coords_list = list(points.points if isinstance(points, PointSet) else points)
+    coords_list = _coords(points)
     if len(coords_list) != spec.rank:
         raise ValueError(f"expected {spec.rank} points, got {len(coords_list)}")
     exponents, rows = _point_rows(spec, coords_list)
     target = [1 if e == spec.exponents else 0 for e in exponents]
-    exact = all(_is_exact_scalar(c) for coords in coords_list for c in coords)
-    if exact:
-        return exact_solve(rows, target)
-    a = np.array(rows, dtype=complex)
-    b = np.array(target, dtype=complex)
-    if float_rank(a) < spec.rank:
-        raise NonRadicalIdealError("power-expansion system is rank deficient")
-    x, residual = lstsq_solve(a, b)
-    if residual > tol:
+    try:
+        return solve(rows, target, tol)
+    except RankDeficientSystem:
+        raise NonRadicalIdealError("power-expansion system is rank deficient") from None
+    except InconsistentSystem as exc:
         raise NonRadicalIdealError(
-            f"power-expansion system is inconsistent (residual {residual:.3e}); "
+            f"power-expansion system is inconsistent{exc.detail}; "
             "the points are not a power-sum configuration for this monomial"
-        )
-    return [complex(c) for c in x]
+        ) from None

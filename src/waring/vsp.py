@@ -2,10 +2,13 @@
 
 The canonical generator tuples phi (no term in the model ideal J) parametrize
 the reduced decompositions bijectively, so sampling phi, solving the resulting
-ideal, and fitting the coefficients walks the space of decompositions.  This
-module also hosts the point-side Hilbert-function diagnostics and the torus
-normalization that, for equal exponents, maps any decomposition to the
-canonical one.
+ideal, and fitting the coefficients walks the space of decompositions; each
+phi is certified radical once, and the certified quotient is what gets solved.
+This module also hosts the point-side Hilbert-function diagnostics and the
+torus normalization that, for equal exponents, maps any decomposition to the
+canonical one.  The diagnostics and the phi fit evaluate monomials at points
+through one builder, ``_evaluation_matrix``, and leave the exact-or-float
+choice of rank and solve to ``linalg``.
 """
 
 from __future__ import annotations
@@ -16,21 +19,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-import numpy as np
-
 from .ideals import PhiTuple, basis_Bprime, dim_vsp
-from .linalg import InconsistentSystem, RankDeficientSystem, exact_rank, exact_solve, float_rank, lstsq_solve
+from .linalg import InconsistentSystem, RankDeficientSystem, _exactify, _is_exact_scalar, rank, solve
 from .monomials import COMPLEX_FLOAT, Decomposition, MonomialSpec, verify_decomposition
 from .polynomial import DUAL, SparsePoly, exponents_of_degree
 from .solver import (
     NonRadicalIdealError,
     PointSet,
-    _is_exact_scalar,
-    build_quotient,
+    QuotientAlgebra,
+    _coords,
+    certify_radical,
     extract_points,
     fit_coefficients,
-    is_radical,
-    trace_form_rank,
 )
 
 
@@ -80,19 +80,22 @@ def sample_phi(space: VSPParameterSpace, seed: int) -> PhiTuple:
 def decompose_from_phi(
     spec: MonomialSpec, phi: PhiTuple, tol: float = 1e-8, seed: int = 0
 ) -> Decomposition:
-    """Radicality check, point extraction, coefficient fit, numeric verification.
+    """Radicality certificate, point extraction, coefficient fit, numeric verification.
 
     Raises NonRadicalIdealError unless I(n, phi) cuts out the full set of
     reduced points, and refuses to return anything whose expansion misses the
-    monomial by more than ``tol`` in any coefficient.
+    monomial by more than ``tol`` in any coefficient.  The quotient algebra
+    that ``certify_radical`` built for the certificate is the one solved.
     """
-    if len(phi) != spec.n:
-        raise ValueError("need a complete phi tuple")
-    if any(not p for p in phi.entries):
+    certificate = certify_radical(spec, phi)
+    if not certificate.radical:
         raise NonRadicalIdealError(f"I(n, phi) is not radical for phi = {phi}")
-    q = build_quotient(spec, phi)
-    if trace_form_rank(q) != q.dim:
-        raise NonRadicalIdealError(f"I(n, phi) is not radical for phi = {phi}")
+    return _decompose_certified(certificate.quotient, tol, seed)
+
+
+def _decompose_certified(q: QuotientAlgebra, tol: float, seed: int) -> Decomposition:
+    """Decompose from the quotient algebra of an ideal already certified radical."""
+    spec = q.spec
     points = extract_points(q, tol=tol, seed=seed)
     coeffs = fit_coefficients(spec, points)
     summands = tuple(
@@ -116,53 +119,28 @@ def fit_phi_from_points(spec: MonomialSpec, points) -> PhiTuple:
     every point; with a0 normalized to 1 that reads phi_i(p) = p_i^(d_i+1),
     a linear system for the coefficients of phi_i over the no-term-in-J basis.
     """
-    coords_list = list(points.points if isinstance(points, PointSet) else points)
+    coords_list = _coords(points)
     if len(coords_list) != spec.rank:
         raise ValueError(f"expected {spec.rank} points, got {len(coords_list)}")
     if any(not p[0] for p in coords_list):
         raise ValueError("points must have nonzero a0 coordinate")
-    exact = all(_is_exact_scalar(c) for p in coords_list for c in p)
-    if exact:
-        coords_list = [
-            tuple(Fraction(c) if isinstance(c, int) else c for c in p) for p in coords_list
-        ]
-    coords_list = [tuple(c / p[0] for c in p) for p in coords_list]
+    coords_list = [tuple(c / p[0] for c in _exactify(p)) for p in coords_list]
     entries = []
     for i in range(1, spec.n + 1):
         basis = basis_Bprime(spec, i)
-        rows = []
-        rhs = []
-        for p in coords_list:
-            row = []
-            for e in basis:
-                v = 1
-                for k, ek in enumerate(e):
-                    if ek:
-                        v = v * p[k] ** ek
-                row.append(v)
-            rows.append(row)
-            rhs.append(p[i] ** (spec.exponents[i] + 1))
-        if exact:
-            try:
-                solution = exact_solve(rows, rhs)
-            except RankDeficientSystem:
-                raise ValueError("phi fit is not unique; degenerate point configuration") from None
-            except InconsistentSystem:
-                raise ValueError("no phi fits these points; not a power-sum configuration") from None
-        else:
-            a = np.array(rows, dtype=complex)
-            b = np.array(rhs, dtype=complex)
-            if float_rank(a) < len(basis):
-                raise ValueError("phi fit is not unique; degenerate point configuration")
-            solution, residual = lstsq_solve(a, b)
-            if residual > 1e-6:
-                raise ValueError(
-                    f"no phi fits these points (residual {residual:.3e}); "
-                    "not a power-sum configuration"
-                )
+        rows = _evaluation_matrix(coords_list, basis)
+        rhs = [p[i] ** (spec.exponents[i] + 1) for p in coords_list]
+        try:
+            solution = solve(rows, rhs, 1e-6)
+        except RankDeficientSystem:
+            raise ValueError("phi fit is not unique; degenerate point configuration") from None
+        except InconsistentSystem as exc:
+            raise ValueError(
+                f"no phi fits these points{exc.detail}; not a power-sum configuration"
+            ) from None
         poly = SparsePoly.zero(spec.n + 1, DUAL)
         for e, c in zip(basis, solution):
-            poly = poly + SparsePoly.monomial(spec.n + 1, DUAL, e, c if exact else complex(c))
+            poly = poly + SparsePoly.monomial(spec.n + 1, DUAL, e, c)
         entries.append(poly)
     phi = PhiTuple(spec, entries)
     if not phi.canonical:
@@ -170,17 +148,8 @@ def fit_phi_from_points(spec: MonomialSpec, points) -> PhiTuple:
     return phi
 
 
-def _evaluation_matrix(points, t: int, restrict_alpha0: bool = False):
-    """Evaluation of the degree-t monomials at the points; optionally only the
-    monomials divisible by a0.  Returns (rows, num_columns, exact_flag)."""
-    coords_list = list(points.points if isinstance(points, PointSet) else points)
-    if not coords_list:
-        raise ValueError("empty point set")
-    num_vars = len(coords_list[0])
-    exponents = [
-        e for e in exponents_of_degree(num_vars, t) if not restrict_alpha0 or e[0] >= 1
-    ]
-    exact = all(_is_exact_scalar(c) for p in coords_list for c in p)
+def _evaluation_matrix(coords_list, exponents) -> list[list]:
+    """Row j holds the monomials a^e, e in ``exponents``, evaluated at the j-th point."""
     rows = []
     for p in coords_list:
         row = []
@@ -191,17 +160,22 @@ def _evaluation_matrix(points, t: int, restrict_alpha0: bool = False):
                     v = v * p[k] ** ek
             row.append(v)
         rows.append(row)
-    return rows, len(exponents), exact
+    return rows
+
+
+def _degree_exponents(coords_list, t: int) -> list:
+    """Every degree-t exponent over the points' variables."""
+    if not coords_list:
+        raise ValueError("empty point set")
+    return exponents_of_degree(len(coords_list[0]), t)
 
 
 def point_ideal_hilbert(points, t: int, cutoff: float = 1e-8) -> int:
     """Hilbert function of the point ideal: dim (S/I)_t = rank of the evaluation matrix."""
     if t < 0:
         return 0
-    rows, _, exact = _evaluation_matrix(points, t)
-    if exact:
-        return exact_rank(rows)
-    return float_rank(np.array(rows, dtype=complex), cutoff=cutoff)
+    coords_list = _coords(points)
+    return rank(_evaluation_matrix(coords_list, _degree_exponents(coords_list, t)), cutoff)
 
 
 def q_t_diagnostic(spec: MonomialSpec, points, t: int, cutoff: float = 1e-8) -> int:
@@ -213,23 +187,18 @@ def q_t_diagnostic(spec: MonomialSpec, points, t: int, cutoff: float = 1e-8) -> 
     """
     if t <= 0:
         return 0
-    coords_list = list(points.points if isinstance(points, PointSet) else points)
+    coords_list = _coords(points)
     if coords_list and len(coords_list[0]) != spec.n + 1:
         raise ValueError("points do not match the spec's variable count")
-    rows, ncols, exact = _evaluation_matrix(points, t, restrict_alpha0=True)
-    if exact:
-        rank = exact_rank(rows)
-    else:
-        rank = float_rank(np.array(rows, dtype=complex), cutoff=cutoff)
-    return ncols - rank
+    exponents = [e for e in _degree_exponents(coords_list, t) if e[0] >= 1]
+    return len(exponents) - rank(_evaluation_matrix(coords_list, exponents), cutoff)
 
 
 def dim_point_ideal(points, t: int, cutoff: float = 1e-8) -> int:
     """dim I_t for the point ideal: codimension of the evaluation rank in S_t."""
     if t < 0:
         return 0
-    coords_list = list(points.points if isinstance(points, PointSet) else points)
-    num_vars = len(coords_list[0])
+    num_vars = len(_coords(points)[0])
     return comb(t + num_vars - 1, num_vars - 1) - point_ideal_hilbert(points, t, cutoff)
 
 
@@ -252,7 +221,7 @@ class TorusElement:
 
 def apply_torus(torus: TorusElement, points) -> PointSet:
     """Coordinatewise action on points, renormalized back to the a0 = 1 chart."""
-    coords_list = list(points.points if isinstance(points, PointSet) else points)
+    coords_list = _coords(points)
     out = []
     for p in coords_list:
         scaled = [complex(l) * complex(c) for l, c in zip(torus.lam, p)]
@@ -299,7 +268,7 @@ def check_alpha0_nonzero(points, tol: float = 1e-8) -> bool:
     Exact coordinates are tested exactly; floating data compares the
     pre-normalization a0 against the point's scale.
     """
-    coords_list = list(points.points if isinstance(points, PointSet) else points)
+    coords_list = _coords(points)
     raw = points.raw_alpha0 if isinstance(points, PointSet) and points.raw_alpha0 else None
     scales = points.raw_scale if isinstance(points, PointSet) and points.raw_scale else None
     for j, p in enumerate(coords_list):
@@ -333,13 +302,9 @@ def sample_decompositions(
     reports = []
     for s in range(seed, seed + count):
         phi = sample_phi(space, s)
-        radical = is_radical(spec, phi)
-        verified = False
-        residual = None
-        if radical:
-            dec = decompose_from_phi(spec, phi, tol=tol, seed=s)
-            verified = dec.verified == "numeric"
-            residual = dec.residual
-        reports.append(SampleReport(seed=s, phi=phi, radical=radical,
-                                    verified=verified, residual=residual))
+        certificate = certify_radical(spec, phi)
+        dec = _decompose_certified(certificate.quotient, tol, s) if certificate.radical else None
+        reports.append(SampleReport(seed=s, phi=phi, radical=certificate.radical,
+                                    verified=dec is not None,
+                                    residual=None if dec is None else dec.residual))
     return reports

@@ -246,3 +246,79 @@ class TestDeterminismAndErrors:
     def test_exponent_notation_phi(self, capsys):
         code, data = run_json(capsys, "normalize", "x*y", "--phi", "1e-300")
         assert code == 0 and data["phi_normalized"]["canonical"] is True
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["radical", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2"],
+        ["ideal", "x*y^2*z^3", "--phi", "a0+a2", "--phi", "-5*a1^2", "--member", "a1^3"],
+        ["radical", "x^2*y^2*z^2", "--phi", "1", "--phi", "0"],
+        ["decompose", "x*y*z^2", "--phi", "1", "--phi", "a1+a2", "--seed", "2"],
+        ["radical", "x^2*y^2*z^2"],
+        ["diagnose", "x*y*z", "--t-max", "2"],
+        ["hilbert", "x*y"],
+        ["radical", "x*y^2*z^3", "--phi", "a2"],
+    ]
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        built = []
+        original = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+        reused = [run(capsys, *argv) for argv in self.ARGVS]
+        assert len(built) == 1
+        fresh = []
+        for argv in self.ARGVS:
+            cli._parser = None
+            fresh.append(run(capsys, *argv))
+        assert len(built) == 1 + len(self.ARGVS)
+        # no --phi value (an append action) leaks from one call into the next
+        assert reused == fresh
+        assert reused[-1][0] == 2 and "expected 2 phi entries, got 1" in reused[-1][1]
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("payload, field", [
+        ({}, "'summands'"),
+        ({"summands": 3}, "'summands'"),
+        ([], "object"),
+        ({"summands": [{"coeff": "1"}], "degree": 2, "domain": "complex-float"}, "'form'"),
+        ({"summands": [], "domain": "complex-float"}, "'degree'"),
+    ])
+    def test_verify_input_of_the_wrong_shape(self, capsys, tmp_path, payload, field):
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps(payload))
+        code, data = run_json(capsys, "verify", "x*y", "--input", str(path))
+        assert code == 2 and field in data["error"]
+
+    @pytest.mark.parametrize("payload, field", [
+        ({}, "'points'"),
+        ({"summands": 3}, "'points'"),
+        ([], "object"),
+        ({"points": 3}, "'points'"),
+        ({"points": [3]}, "point"),
+        ({"points": [[{"re": "1"}]]}, "'re'"),
+        ({"points": [["1/0"]]}, "zero denominator"),
+    ])
+    def test_fit_phi_points_of_the_wrong_shape(self, capsys, tmp_path, payload, field):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(payload))
+        code, data = run_json(capsys, "fit-phi", "x*y", "--points", str(path))
+        assert code == 2 and field in data["error"]
+
+
+class TestTMax:
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "x*y*z"],
+        ["diagnose", "x*y"],
+        ["diagnose", "x*y", "--seed", "1"],
+    ])
+    def test_negative_t_max_is_usage_error(self, capsys, argv):
+        code, data = run_json(capsys, *argv, "--t-max", "-3")
+        assert code == 2 and "--t-max" in data["error"]
+
+    def test_zero_t_max_is_one_row(self, capsys):
+        code, data = run_json(capsys, "diagnose", "x*y", "--t-max", "0")
+        assert code == 0 and [row["t"] for row in data["table"]] == [0]
+        code, data = run_json(capsys, "hilbert", "x*y", "--t-max", "0")
+        assert code == 0 and data["hilbert_S_mod_J"] == {"0": 1}

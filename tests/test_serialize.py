@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from waring import CycloScalar, MonomialSpec, explicit_decomposition, root_of_unity
 from waring.serialize import (
     decomposition_from_json,
@@ -89,3 +91,73 @@ class TestPhiAndPoints:
         data = pointset_to_json(pts)
         back = pointset_from_json(data)
         assert pointset_to_json(back) == data
+
+
+class TestMalformedInput:
+    """Every reader answers JSON of the wrong shape with a ValueError naming the field."""
+
+    @pytest.mark.parametrize("record, text", [
+        ("1/0", "zero denominator"),
+        ({"conductor": 3}, "'coeffs'"),
+        ({"conductor": 3, "coeffs": 5}, "'coeffs'"),
+        ({"conductor": "3", "coeffs": ["1", "0"]}, "'conductor'"),
+        ({"conductor": 3, "coeffs": [1, 0]}, "cyclotomic coefficient"),
+        ({"re": "1"}, "'re'"),
+        ({"re": 1.0, "im": [0]}, "'im'"),
+        (3, "not a scalar record"),
+    ])
+    def test_scalar(self, record, text):
+        with pytest.raises(ValueError, match=text):
+            scalar_from_json(record)
+
+    @pytest.mark.parametrize("data, text", [
+        ({}, "'summands'"),
+        ({"summands": 3}, "'summands'"),
+        ([], "object"),
+        ({"summands": [3]}, "summand"),
+        ({"summands": [{"form": ["1", "1"]}]}, "'coeff'"),
+        ({"summands": [{"coeff": "1", "form": "1"}]}, "'form'"),
+        ({"summands": [], "degree": "2", "domain": "complex-float"}, "'degree'"),
+        ({"summands": [], "degree": 2}, "'domain'"),
+        ({"summands": [], "degree": 2, "domain": "complex-float", "residual": "x"}, "'residual'"),
+    ])
+    def test_decomposition(self, data, text):
+        with pytest.raises(ValueError, match=text):
+            decomposition_from_json(data)
+
+    @pytest.mark.parametrize("data, text", [
+        ({}, "'points'"),
+        ([], "object"),
+        ({"points": {}}, "'points'"),
+        ({"points": ["1"]}, "point"),
+        ({"points": [["1"]], "multiplicity_free": "yes"}, "'multiplicity_free'"),
+        ({"points": [["1"]], "residuals": 0.1}, "'residuals'"),
+        ({"points": [["1"]], "tol": "small"}, "'tol'"),
+    ])
+    def test_pointset(self, data, text):
+        with pytest.raises(ValueError, match=text):
+            pointset_from_json(data)
+
+    def test_optional_fields_may_be_absent_or_null(self):
+        back = pointset_from_json({"points": [["1", "2"]], "tol": None, "residuals": None})
+        assert back.tol is None and back.residuals is None and back.multiplicity_free
+        dec = decomposition_from_json(
+            {"summands": [], "degree": 2, "domain": "complex-float", "residual": None})
+        assert dec.verified == "unverified" and dec.residual is None
+
+    @pytest.mark.parametrize("data, text", [
+        ({"exponent": [0, 1]}, "polynomial JSON"),
+        ([{"coeff": "1"}], "'exponent'"),
+        ([{"exponent": [0, "1"], "coeff": "1"}], "exponent entry"),
+        ([{"exponent": [0, 1]}], "'coeff'"),
+    ])
+    def test_poly(self, data, text):
+        with pytest.raises(ValueError, match=text):
+            poly_from_json(data, 2, DUAL)
+
+    def test_phi(self):
+        spec = MonomialSpec.parse("x*y*z")
+        with pytest.raises(ValueError, match="'entries'"):
+            phi_from_json({"canonical": True}, spec)
+        with pytest.raises(ValueError, match="phi"):
+            phi_from_json(3, spec)
