@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 
 from . import serialize
 from .ideals import (
@@ -47,7 +48,6 @@ from .vsp import (
     apply_torus,
     check_alpha0_nonzero,
     decompose_from_phi,
-    dim_point_ideal,
     fit_phi_from_points,
     parameter_space,
     point_ideal_hilbert,
@@ -297,14 +297,14 @@ def cmd_diagnose(args) -> dict:
     rows = []
     for t in range(t_max + 1):
         h_model = hilbert_S_mod_J(spec, t)
-        h_points = point_ideal_hilbert(points, t)
+        h_points = point_ideal_hilbert(points, t)  # dim (S/I)_t; dim I_t is the rest of S_t
         rows.append(
             {
                 "t": t,
                 "hilbert_model": h_model,
                 "hilbert_points": h_points,
                 "agree": h_model == h_points,
-                "dim_I_t": dim_point_ideal(points, t),
+                "dim_I_t": comb(t + spec.n, spec.n) - h_points,
                 "q_t": q_t_diagnostic(spec, points, t),
                 "perp_cap_alpha0": dim_perp_cap_alpha0(spec, t),
             }

@@ -4,9 +4,9 @@ The exact routines only need field operations (+, -, *, /, truthiness), so
 they work uniformly for Fraction and CycloScalar entries.  Floating-point
 ranks use an SVD with a relative singular-value cutoff.
 
-``rank`` and ``solve`` are the one place that chooses between the two, by the
-entries: all int, Fraction or CycloScalar is exact, anything else is solved in
-complex floats behind a column-rank gate and a residual gate.
+``rank``, ``solve`` and ``solve_nonsingular`` are the one place that chooses
+between the two, by the entries: all int, Fraction or CycloScalar is exact,
+anything else is complex floats (``solve`` gates on column rank and residual).
 """
 
 from __future__ import annotations
@@ -117,15 +117,6 @@ def float_rank(matrix: np.ndarray, cutoff: float = 1e-8) -> int:
     return int(np.sum(s > cutoff * s[0]))
 
 
-def lstsq_solve(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares solve returning the solution and the max-norm residual."""
-    a = np.asarray(matrix)
-    b = np.asarray(rhs)
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.max(np.abs(a @ x - b))) if a.size else 0.0
-    return x, residual
-
-
 def rank(rows, cutoff: float = 1e-8) -> int:
     """Rank of a matrix given as rows: exact on exact entries, else by SVD with ``cutoff``."""
     if _all_exact(rows):
@@ -142,7 +133,21 @@ def solve(rows, rhs, tol: float) -> list:
     a = np.array(rows, dtype=complex)
     if float_rank(a) < a.shape[1]:
         raise RankDeficientSystem("solution is not unique")
-    x, residual = lstsq_solve(a, np.array(rhs, dtype=complex))
+    b = np.array(rhs, dtype=complex)
+    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    residual = float(np.max(np.abs(a @ x - b)))
     if residual > tol:
         raise InconsistentSystem(f"no solution (residual {residual:.3e})", residual)
+    return [complex(c) for c in x]
+
+
+def solve_nonsingular(rows, rhs) -> list:
+    """The solution of a square system known to be nonsingular, with no gate on floats;
+    a singular matrix (exactly, or to working precision) raises RankDeficientSystem."""
+    try:
+        if _all_exact(rows, [rhs]):
+            return exact_solve(rows, rhs)
+        x = np.linalg.solve(np.array(rows, dtype=complex), np.array(rhs, dtype=complex))
+    except (InconsistentSystem, np.linalg.LinAlgError):  # a square system with no solution
+        raise RankDeficientSystem("matrix is singular") from None
     return [complex(c) for c in x]

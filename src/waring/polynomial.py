@@ -59,6 +59,27 @@ def multinomial(degree: int, parts: Exponent) -> int:
     return result
 
 
+def evaluation_matrix(points, exponents) -> list[list]:
+    """Row j holds the monomials x^e, e in ``exponents``, evaluated at the j-th point.
+
+    Coordinates may be any scalars that multiply.  A factor x_k^0 is left out,
+    so an entry is exact unless it uses an inexact coordinate.  A point whose
+    coordinates are numpy vectors gives one row of vectors: the monomials at
+    many points at once.
+    """
+    rows = []
+    for p in points:
+        row = []
+        for e in exponents:
+            v = 1
+            for k, ek in enumerate(e):
+                if ek:
+                    v = v * p[k] ** ek
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
 class SparsePoly:
     """A sparse polynomial: a map from exponent tuples to nonzero scalars."""
 
@@ -164,18 +185,6 @@ class SparsePoly:
         if not scalar:
             return SparsePoly.zero(self.num_vars, self.ring)
         return SparsePoly(self.num_vars, self.ring, {e: scalar * c for e, c in self.terms.items()})
-
-    def __pow__(self, n: int) -> SparsePoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = SparsePoly.constant(self.num_vars, self.ring, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):
@@ -292,46 +301,22 @@ def apply_diff(op: SparsePoly, target: SparsePoly) -> SparsePoly:
 
 
 def power_linear_form(form: LinearForm, degree: int) -> SparsePoly:
-    """Expand form^degree by the multinomial theorem (primal ring).
-
-    Coefficient powers are cached per variable, so the cost is one scalar
-    product per variable per monomial of the expansion.
-    """
+    """Expand form^degree by the multinomial theorem (primal ring): the x^e
+    coefficient is (d; e) * l^e, over the exponents supported where l is nonzero."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    n = form.num_vars
     support = [i for i, c in enumerate(form.coeffs) if c]
-    powers = {}
-    for i in support:
-        row = [1]
-        for _ in range(degree):
-            row.append(row[-1] * form.coeffs[i])
-        powers[i] = row
-    terms: dict[Exponent, object] = {}
-
-    def rec(idx: int, remaining: int, exponent: list[int], coeff):
-        if idx == len(support) - 1:
-            i = support[idx]
-            exponent[i] = remaining
-            e = tuple(exponent)
-            terms[e] = multinomial(degree, tuple(e[j] for j in support)) * coeff * powers[i][remaining]
-            exponent[i] = 0
-            return
-        i = support[idx]
-        for k in range(remaining + 1):
-            exponent[i] = k
-            rec(idx + 1, remaining - k, exponent, coeff * powers[i][k])
-        exponent[i] = 0
-
     if not support:
         raise ValueError("cannot raise the zero form to a power")
-    if len(support) == 1:
-        i = support[0]
-        e = tuple(degree if j == i else 0 for j in range(n))
-        terms[e] = powers[i][degree]
-    else:
-        rec(0, degree, [0] * n, 1)
-    return SparsePoly(n, PRIMAL, terms)
+    exponents = []
+    for part in exponents_of_degree(len(support), degree):
+        e = [0] * form.num_vars
+        for i, ei in zip(support, part):
+            e[i] = ei
+        exponents.append(tuple(e))
+    (values,) = evaluation_matrix([form.coeffs], exponents)
+    return SparsePoly(form.num_vars, PRIMAL,
+                      {e: multinomial(degree, e) * v for e, v in zip(exponents, values)})
 
 
 def dehomogenize(poly: SparsePoly, var_index: int) -> SparsePoly:

@@ -72,6 +72,13 @@ def _fraction(text, what: str) -> Fraction:  # "1/0" is a ValueError here, not a
         raise ValueError(f"{what} {text!r} has a zero denominator") from None
 
 
+def _float(obj, name: str, default=_REQUIRED) -> float:  # a JSON integer may overflow a float
+    try:
+        return float(_field(obj, name, "number", "float scalar", default))
+    except OverflowError:
+        raise ValueError(f"float scalar field {name!r} is beyond float range") from None
+
+
 def scalar_from_json(obj):
     if isinstance(obj, str):
         return _fraction(obj, "rational scalar")
@@ -84,8 +91,7 @@ def scalar_from_json(obj):
             den = lcm(den, c.denominator)
         return CycloScalar(conductor, tuple(int(c * den) for c in coeffs), den)
     if isinstance(obj, dict) and "re" in obj:
-        return complex(_field(obj, "re", "number", "float scalar"),
-                       _field(obj, "im", "number", "float scalar", 0.0))
+        return complex(_float(obj, "re"), _float(obj, "im", 0.0))
     raise ValueError(f"not a scalar record: {obj!r}")
 
 

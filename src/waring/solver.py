@@ -11,7 +11,9 @@ a^e with e_i <= d_i.  From the multiplication matrices on that basis we get
   that no caller builds or ranks it twice,
 * the points themselves via a floating-point eigendecomposition of a random
   linear combination of the multiplication matrices, and
-* the summand coefficients of the decomposition by linear solving.
+* the summand coefficients from one square solve on the standard monomials,
+  which the certified points make nonsingular; ``verify_decomposition`` is
+  the only judge of the result.
 
 Homogeneous ideal membership needs no completion either: with a0 the smallest
 variable in grevlex the homogeneous generators of I(k, phi) have the coprime
@@ -27,13 +29,14 @@ import numpy as np
 
 from .groebner import ci_normal_form
 from .ideals import CIIdeal, PhiTuple, generator_tails
-from .linalg import InconsistentSystem, RankDeficientSystem, _is_exact_scalar, exact_rank, solve
-from .monomials import MonomialSpec
+from .linalg import RankDeficientSystem, _exactify, _is_exact_scalar, exact_rank, solve_nonsingular
+from .monomials import COMPLEX_FLOAT, EXACT_CYCLOTOMIC, Decomposition, MonomialSpec
+from .monomials import verify_decomposition
 from .polynomial import (
     Exponent,
     SparsePoly,
     dehomogenize,
-    exponents_of_degree,
+    evaluation_matrix,
     grevlex_key,
     multinomial,
 )
@@ -88,6 +91,12 @@ class QuotientAlgebra:
         return m
 
 
+def standard_monomials(spec: MonomialSpec) -> list[Exponent]:
+    """The r monomials a^b, b_0 = 0, b_i <= d_i (grevlex): a basis of S/I(n, phi) at a0 = 1."""
+    box = product(*(range(d + 1) for d in spec.exponents[1:]))
+    return sorted(((0,) + b for b in box), key=grevlex_key)
+
+
 def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
     """Dehomogenize the generators at a0 = 1 and build the multiplication matrices.
 
@@ -100,14 +109,7 @@ def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
         raise ValueError("build_quotient needs a complete phi tuple (k = n)")
     psi = [dehomogenize(p, 0) if p else p for p in phi.entries]
     bounds = spec.exponents
-
-    basis = sorted(
-        (
-            (0,) + e
-            for e in product(*(range(bounds[i] + 1) for i in range(1, n + 1)))
-        ),
-        key=grevlex_key,
-    )
+    basis = standard_monomials(spec)
     index = {e: i for i, e in enumerate(basis)}
 
     columns = []
@@ -367,45 +369,58 @@ def extract_points(
     )
 
 
-def _point_rows(spec: MonomialSpec, coords_list) -> tuple[list[Exponent], list[list]]:
-    """Rows of the power-expansion system: one row per degree-d exponent."""
-    d = spec.degree
-    n = spec.n
-    exponents = exponents_of_degree(n + 1, d)
-    rows = []
-    for e in exponents:
-        scale = multinomial(d, e)
-        row = []
-        for coords in coords_list:
-            v = scale
-            for i, ei in enumerate(e):
-                if ei:
-                    v = v * coords[i] ** ei
-            row.append(v)
-        rows.append(row)
-    return exponents, rows
+def in_chart(spec: MonomialSpec, points) -> list[tuple]:
+    """The r points scaled to a0 = 1, exactly on exact coordinates."""
+    coords_list = _coords(points)
+    if len(coords_list) != spec.rank:
+        raise ValueError(f"expected {spec.rank} points, got {len(coords_list)}")
+    if any(not p[0] for p in coords_list):
+        raise NonRadicalIdealError("points must have nonzero a0 coordinate")
+    return [tuple(c / p[0] for c in _exactify(p)) for p in coords_list]
+
+
+def summand_coefficients(spec: MonomialSpec, points) -> list:
+    """The c_j with sum_j c_j * (l_j)^d equal to the monomial, by one r x r solve.
+
+    With each point scaled to a0 = 1, the x^e coefficient at e = (d - |b|, b)
+    is (d; e) * sum_j c_j p_j^b; over the standard monomials b that reads
+    V^T c = e_top / (d; d0, ..., dn), V[j][b] = p_j^b, top = (0, d1, ..., dn).
+    The r points of a radical I(n, phi) make V nonsingular, so the solve takes
+    no rank gate; ``verify_decomposition`` judges the other coefficients.
+    """
+    basis = standard_monomials(spec)
+    top = (0,) + spec.exponents[1:]
+    v_transposed = [list(col) for col in zip(*evaluation_matrix(in_chart(spec, points), basis))]
+    try:
+        solution = solve_nonsingular(v_transposed, [int(b == top) for b in basis])
+    except RankDeficientSystem:
+        raise NonRadicalIdealError("the points are not distinct (V is singular)") from None
+    scale = multinomial(spec.degree, spec.exponents)
+    return [x / (scale * p[0] ** spec.degree) for x, p in zip(solution, _coords(points))]
+
+
+def decomposition_of(spec: MonomialSpec, coeffs, points) -> Decomposition:
+    """sum_j c_j * (l_j)^d, sorted-frame points read as forms; exact if the points are."""
+    coords_list = _coords(points)
+    exact = all(_is_exact_scalar(c) for p in coords_list for c in p)
+    summands = tuple((c, spec.form_to_original(p)) for c, p in zip(coeffs, coords_list))
+    return Decomposition(spec.degree, EXACT_CYCLOTOMIC if exact else COMPLEX_FLOAT, summands)
 
 
 def fit_coefficients(spec: MonomialSpec, points, tol: float = 1e-6):
     """Solve sum_j c_j * (l_j)^d = monomial for the coefficients c_j.
 
-    ``points`` may be a PointSet or a plain sequence of coordinate tuples (the
-    latter allows unnormalized forms).  Exact coordinates get an exact solve;
-    floats go through least squares with rank and residual checks.  The system
-    is consistent with a unique solution exactly when the points are a genuine
-    power-sum configuration for the monomial; otherwise NonRadicalIdealError.
+    ``points`` may be a PointSet or a plain sequence of sorted-frame coordinate
+    tuples (the latter allows unnormalized forms).  ``verify_decomposition``
+    judges the solution, exactly on exact points and to ``tol`` on floats;
+    no power-sum configuration for the monomial raises NonRadicalIdealError.
     """
-    coords_list = _coords(points)
-    if len(coords_list) != spec.rank:
-        raise ValueError(f"expected {spec.rank} points, got {len(coords_list)}")
-    exponents, rows = _point_rows(spec, coords_list)
-    target = [1 if e == spec.exponents else 0 for e in exponents]
-    try:
-        return solve(rows, target, tol)
-    except RankDeficientSystem:
-        raise NonRadicalIdealError("power-expansion system is rank deficient") from None
-    except InconsistentSystem as exc:
+    coeffs = summand_coefficients(spec, points)
+    report = verify_decomposition(spec, decomposition_of(spec, coeffs, points), tol)
+    if not report.ok:
+        detail = "" if report.mode == "exact" else f" (residual {report.max_error:.3e})"
         raise NonRadicalIdealError(
-            f"power-expansion system is inconsistent{exc.detail}; "
+            f"power-expansion system is inconsistent{detail}; "
             "the points are not a power-sum configuration for this monomial"
-        ) from None
+        )
+    return coeffs

@@ -2,13 +2,13 @@
 
 The canonical generator tuples phi (no term in the model ideal J) parametrize
 the reduced decompositions bijectively, so sampling phi, solving the resulting
-ideal, and fitting the coefficients walks the space of decompositions; each
-phi is certified radical once, and the certified quotient is what gets solved.
+ideal and its r x r coefficient system walks the space of decompositions; each
+phi is certified radical once, and each decomposition is expanded once, to verify.
 This module also hosts the point-side Hilbert-function diagnostics and the
 torus normalization that, for equal exponents, maps any decomposition to the
 canonical one.  The diagnostics and the phi fit evaluate monomials at points
-through one builder, ``_evaluation_matrix``, and leave the exact-or-float
-choice of rank and solve to ``linalg``.
+through the one builder, ``polynomial.evaluation_matrix``, and leave the
+exact-or-float choice of rank and solve to ``linalg``.
 """
 
 from __future__ import annotations
@@ -20,17 +20,19 @@ from fractions import Fraction
 from math import comb, prod
 
 from .ideals import PhiTuple, basis_Bprime, dim_vsp
-from .linalg import InconsistentSystem, RankDeficientSystem, _exactify, _is_exact_scalar, rank, solve
-from .monomials import COMPLEX_FLOAT, Decomposition, MonomialSpec, verify_decomposition
-from .polynomial import DUAL, SparsePoly, exponents_of_degree
+from .linalg import InconsistentSystem, RankDeficientSystem, _is_exact_scalar, rank, solve
+from .monomials import Decomposition, MonomialSpec, verify_decomposition
+from .polynomial import DUAL, SparsePoly, evaluation_matrix, exponents_of_degree
 from .solver import (
     NonRadicalIdealError,
     PointSet,
     QuotientAlgebra,
     _coords,
     certify_radical,
+    decomposition_of,
     extract_points,
-    fit_coefficients,
+    in_chart,
+    summand_coefficients,
 )
 
 
@@ -94,14 +96,11 @@ def decompose_from_phi(
 
 
 def _decompose_certified(q: QuotientAlgebra, tol: float, seed: int) -> Decomposition:
-    """Decompose from the quotient algebra of an ideal already certified radical."""
+    """Decompose from the quotient algebra of an ideal already certified radical:
+    one square solve for the coefficients, one expansion to judge them."""
     spec = q.spec
     points = extract_points(q, tol=tol, seed=seed)
-    coeffs = fit_coefficients(spec, points)
-    summands = tuple(
-        (c, spec.form_to_original(p)) for c, p in zip(coeffs, points.points)
-    )
-    dec = Decomposition(degree=spec.degree, domain=COMPLEX_FLOAT, summands=summands)
+    dec = decomposition_of(spec, summand_coefficients(spec, points), points)
     report = verify_decomposition(spec, dec, tol=tol)
     if not report.ok:
         raise NonRadicalIdealError(
@@ -119,16 +118,11 @@ def fit_phi_from_points(spec: MonomialSpec, points) -> PhiTuple:
     every point; with a0 normalized to 1 that reads phi_i(p) = p_i^(d_i+1),
     a linear system for the coefficients of phi_i over the no-term-in-J basis.
     """
-    coords_list = _coords(points)
-    if len(coords_list) != spec.rank:
-        raise ValueError(f"expected {spec.rank} points, got {len(coords_list)}")
-    if any(not p[0] for p in coords_list):
-        raise ValueError("points must have nonzero a0 coordinate")
-    coords_list = [tuple(c / p[0] for c in _exactify(p)) for p in coords_list]
+    coords_list = in_chart(spec, points)
     entries = []
     for i in range(1, spec.n + 1):
         basis = basis_Bprime(spec, i)
-        rows = _evaluation_matrix(coords_list, basis)
+        rows = evaluation_matrix(coords_list, basis)
         rhs = [p[i] ** (spec.exponents[i] + 1) for p in coords_list]
         try:
             solution = solve(rows, rhs, 1e-6)
@@ -148,21 +142,6 @@ def fit_phi_from_points(spec: MonomialSpec, points) -> PhiTuple:
     return phi
 
 
-def _evaluation_matrix(coords_list, exponents) -> list[list]:
-    """Row j holds the monomials a^e, e in ``exponents``, evaluated at the j-th point."""
-    rows = []
-    for p in coords_list:
-        row = []
-        for e in exponents:
-            v = 1
-            for k, ek in enumerate(e):
-                if ek:
-                    v = v * p[k] ** ek
-            row.append(v)
-        rows.append(row)
-    return rows
-
-
 def _degree_exponents(coords_list, t: int) -> list:
     """Every degree-t exponent over the points' variables."""
     if not coords_list:
@@ -175,7 +154,7 @@ def point_ideal_hilbert(points, t: int, cutoff: float = 1e-8) -> int:
     if t < 0:
         return 0
     coords_list = _coords(points)
-    return rank(_evaluation_matrix(coords_list, _degree_exponents(coords_list, t)), cutoff)
+    return rank(evaluation_matrix(coords_list, _degree_exponents(coords_list, t)), cutoff)
 
 
 def q_t_diagnostic(spec: MonomialSpec, points, t: int, cutoff: float = 1e-8) -> int:
@@ -191,7 +170,7 @@ def q_t_diagnostic(spec: MonomialSpec, points, t: int, cutoff: float = 1e-8) -> 
     if coords_list and len(coords_list[0]) != spec.n + 1:
         raise ValueError("points do not match the spec's variable count")
     exponents = [e for e in _degree_exponents(coords_list, t) if e[0] >= 1]
-    return len(exponents) - rank(_evaluation_matrix(coords_list, exponents), cutoff)
+    return len(exponents) - rank(evaluation_matrix(coords_list, exponents), cutoff)
 
 
 def dim_point_ideal(points, t: int, cutoff: float = 1e-8) -> int:

@@ -1,8 +1,8 @@
-"""One full `ideal_queries` round of the benchmark, run through the CLI.
+"""Full benchmark rounds of `ideal_queries` and `sample_decompose`, run through the CLI.
 
 Every output is judged by `benchmarks/checks.py`, which does not import the
-package, so the membership, canonicalization and radicality answers are
-checked against an independent oracle.
+package, so membership, canonicalization and radicality answers, and every
+decomposition, are checked against an independent oracle.
 """
 
 import contextlib
@@ -28,9 +28,9 @@ def workloads():
     return workloads
 
 
-def test_ideal_queries_round(workloads, monkeypatch):
+def run_round(workloads, monkeypatch, name):
     ctx = {}
-    for op in workloads.build("ideal_queries", 7):
+    for op in workloads.build(name, 7):
         if op.stdin_from:
             monkeypatch.setattr(sys, "stdin", io.StringIO(ctx[op.stdin_from]))
         out = io.StringIO()
@@ -40,3 +40,12 @@ def test_ideal_queries_round(workloads, monkeypatch):
         if op.key:
             ctx[op.key] = out.getvalue()
         assert op.check(json.loads(out.getvalue()), ctx) is None, op.label
+
+
+def test_ideal_queries_round(workloads, monkeypatch):
+    run_round(workloads, monkeypatch, "ideal_queries")
+
+
+def test_sample_decompose_round(workloads, monkeypatch):
+    # includes the two x^3*y^6*z^7 seeds whose certified points the old coefficient fit refused
+    run_round(workloads, monkeypatch, "sample_decompose")

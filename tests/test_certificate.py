@@ -1,5 +1,7 @@
-"""Every command that needs a radical ideal builds and ranks its quotient once per phi."""
+"""Every command that needs a radical ideal builds and ranks its quotient once per phi,
+and expands each decomposition it returns once."""
 
+import json
 import sys
 from collections import Counter
 
@@ -72,3 +74,31 @@ def test_certificate_carries_the_quotient_and_rank():
     radical = solver.certify_radical(spec, waring.explicit_phi(spec))
     assert radical.radical and radical.trace_rank == radical.quotient.dim == spec.rank
     assert radical.quotient.phi == waring.explicit_phi(spec)
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "x*y^2*z^3", "--seed", "1"],
+    ["sample", "x*y*z^2", "--seed", "0", "--count", "3"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_one_expansion_per_decomposition(monkeypatch, capsys, argv):
+    """The coefficients come from the square solve; only the verifier expands, once."""
+    from waring import monomials, polynomial
+
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in [("verify_decomposition", monomials.verify_decomposition),
+                     ("power_linear_form", polynomial.power_linear_form)]:
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "waring"]:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    decompositions = sum(s["verified"] for s in out["samples"]) if "samples" in out else 1
+    assert decompositions >= 1
+    assert counts == Counter(verify_decomposition=decompositions), counts

@@ -77,6 +77,19 @@ class TestDecompose:
         assert code == 0 and len(data["summands"]) == 4
 
 
+class TestCertifiedPointsAreFitted:
+    """Seeds whose certified points the old 1e-8 rank gate on the power-expansion
+    system refused: the square solve fits them and the verifier accepts them."""
+
+    @pytest.mark.parametrize("monomial, seed", [("x^3*y^6*z^7", 0), ("x^3*y^6*z^7", 3)] + [
+        ("x*y^4*z^6", s) for s in (0, 3, 13, 15, 23, 24, 26, 41, 48, 53, 59, 60, 68, 77, 78)
+    ])
+    def test_decompose_seed_verifies(self, capsys, monomial, seed):
+        code, data = run_json(capsys, "decompose", monomial, "--seed", str(seed))
+        assert code == 0, data
+        assert data["verified"] == "numeric" and data["residual"] < 1e-8
+
+
 class TestVerifyRoundTrip:
     def test_verify_reads_decompose_output(self, capsys, tmp_path):
         code, out = run(capsys, "decompose", "x*y*z", "--exact")
@@ -199,6 +212,30 @@ class TestSampleAndDiagnose:
         assert code == 0 and data["all_agree"] is True
         assert seeds == [13]
 
+    def test_diagnose_ranks_each_evaluation_matrix_once(self, capsys, monkeypatch):
+        from waring import vsp
+
+        ranks, extracted = [], []
+        real_rank, real_extract = vsp.rank, cli.extract_points
+
+        def counting(*args):
+            ranks.append(args)
+            return real_rank(*args)
+
+        def recording(q, tol, seed):
+            extracted.append(real_extract(q, tol=tol, seed=seed))
+            return extracted[-1]
+
+        monkeypatch.setattr(vsp, "rank", counting)
+        monkeypatch.setattr(cli, "extract_points", recording)
+        code, data = run_json(capsys, "diagnose", "x*y*z^2", "--seed", "1", "--t-max", "6")
+        # one rank per row for hilbert_points, one per row t >= 1 for q_t
+        assert code == 0 and len(ranks) == 13
+        monkeypatch.setattr(vsp, "rank", real_rank)
+        assert [row["dim_I_t"] for row in data["table"]] == [
+            vsp.dim_point_ideal(extracted[0], t) for t in range(7)
+        ]
+
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_sample_count_below_one_is_usage_error(self, capsys, count):
         code, data = run_json(capsys, "sample", "x*y*z", "--seed", "0", "--count", count)
@@ -284,6 +321,8 @@ class TestMalformedJson:
         ([], "object"),
         ({"summands": [{"coeff": "1"}], "degree": 2, "domain": "complex-float"}, "'form'"),
         ({"summands": [], "domain": "complex-float"}, "'degree'"),
+        ({"summands": [{"coeff": {"re": 10**400}, "form": ["1", "1"]}], "degree": 2,
+          "domain": "complex-float"}, "'re' is beyond float range"),
     ])
     def test_verify_input_of_the_wrong_shape(self, capsys, tmp_path, payload, field):
         path = tmp_path / "dec.json"
@@ -299,6 +338,7 @@ class TestMalformedJson:
         ({"points": [3]}, "point"),
         ({"points": [[{"re": "1"}]]}, "'re'"),
         ({"points": [["1/0"]]}, "zero denominator"),
+        ({"points": [[{"re": 10**400, "im": 0}]]}, "'re' is beyond float range"),
     ])
     def test_fit_phi_points_of_the_wrong_shape(self, capsys, tmp_path, payload, field):
         path = tmp_path / "points.json"

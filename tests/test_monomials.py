@@ -332,3 +332,35 @@ class TestIntegerBucketVerifier:
         dec = exact_dec(2, [(0.25, (1, 1)), (Fraction(-1, 4), (1, -1))])
         with pytest.raises(ValueError):
             verify_decomposition(spec, dec)
+
+
+class TestFloatEvaluationProduct:
+    """The float verifier is one evaluation product; the scalar expansion is its reference."""
+
+    def check(self, spec, dec):
+        report = verify_decomposition(spec, dec)
+        expected = max((abs(complex(c)) for c in reference_difference(spec, dec).terms.values()),
+                       default=0.0)
+        assert report.mode == "numeric"
+        assert report.max_error == pytest.approx(expected, rel=1e-9, abs=1e-14)
+        return report
+
+    def test_explicit_grid_in_floats(self):
+        for exps in spec_grid(3, 4):
+            spec = MonomialSpec.from_exponents(exps)
+            summands = tuple((complex(c), LinearForm(tuple(complex(v) for v in form.coeffs)))
+                             for c, form in explicit_decomposition(spec).summands)
+            assert self.check(spec, Decomposition(spec.degree, "complex-float", summands)).ok
+
+    def test_random_forms_with_zero_entries_and_stray_variables(self):
+        rng = random.Random(5)
+        spec = MonomialSpec.from_exponents([1, 0, 2])  # x1 divides no term of the target
+
+        def entry():
+            return rng.choice([0, complex(rng.uniform(-2, 2), rng.uniform(-2, 2))])
+
+        for _ in range(10):
+            summands = tuple((complex(rng.uniform(-1, 1)), LinearForm((entry(), entry(), 1.5)))
+                             for _ in range(4))
+            assert not self.check(spec, Decomposition(3, "complex-float", summands)).ok
+        assert self.check(spec, Decomposition(3, "complex-float", ())).max_error == 1.0

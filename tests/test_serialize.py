@@ -105,6 +105,8 @@ class TestMalformedInput:
         ({"re": "1"}, "'re'"),
         ({"re": 1.0, "im": [0]}, "'im'"),
         (3, "not a scalar record"),
+        ({"re": 10**400}, "'re' is beyond float range"),
+        ({"re": 1, "im": -(10**400)}, "'im' is beyond float range"),
     ])
     def test_scalar(self, record, text):
         with pytest.raises(ValueError, match=text):

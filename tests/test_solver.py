@@ -238,10 +238,20 @@ class TestFitCoefficients:
         # minimality: no (r-1)-subset of the true points can express the monomial
         dec = explicit_decomposition(xyz)
         pts = [tuple(complex(v) for v in form.coeffs) for _, form in dec.summands]
-        from waring.linalg import lstsq_solve
-        from waring.solver import _point_rows
+        from waring.polynomial import evaluation_matrix, exponents_of_degree, multinomial
 
-        exponents, rows = _point_rows(xyz, pts[:-1])
+        # one row per degree-d exponent e: (d; e) * l_j^e over the kept points
+        exponents = exponents_of_degree(xyz.n + 1, xyz.degree)
+        values = evaluation_matrix(pts[:-1], exponents)
+        rows = [[multinomial(xyz.degree, e) * at_point[i] for at_point in values]
+                for i, e in enumerate(exponents)]
         target = [1 if e == xyz.exponents else 0 for e in exponents]
-        _, residual = lstsq_solve(np.array(rows, complex), np.array(target, complex))
-        assert residual > 1e-3
+        a, b = np.array(rows, complex), np.array(target, complex)
+        x, *_ = np.linalg.lstsq(a, b, rcond=None)
+        assert np.max(np.abs(a @ x - b)) > 1e-3
+
+    def test_point_off_the_chart_is_refused(self, xyz):
+        with pytest.raises(NonRadicalIdealError, match="nonzero a0"):
+            fit_coefficients(xyz, [(0, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)])
+        with pytest.raises(NonRadicalIdealError, match="nonzero a0"):
+            fit_coefficients(xyz, [(0j, 1.0, 1.0), (1.0, 1.0, -1.0), (1.0, -1.0, 1.0), (1.0, 0, 0)])
