@@ -1,8 +1,10 @@
 """Small dense linear algebra over exact fields, plus float-rank helpers.
 
 The exact routines only need field operations (+, -, *, /, truthiness), so
-they work uniformly for Fraction and CycloScalar entries.  Floating-point
-ranks use an SVD with a relative singular-value cutoff.
+they work uniformly for Fraction and CycloScalar entries.  ``rank_mod_p``
+ranks an integer matrix over Z/p.  Floating-point ranks use an SVD with a
+relative singular-value cutoff; numpy is imported only by the float routines,
+so exact work never loads it.
 
 ``rank``, ``solve`` and ``solve_nonsingular`` are the one place that chooses
 between the two, by the entries: all int, Fraction or CycloScalar is exact,
@@ -12,8 +14,6 @@ anything else is complex floats (``solve`` gates on column rank and residual).
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 from .cyclotomic import CycloScalar
 
@@ -81,6 +81,34 @@ def exact_rank(rows) -> int:
     return len(_eliminate(matrix, len(matrix[0])))
 
 
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over Z/p (p prime) of a matrix of integers, by Gaussian elimination.
+
+    Never above the rank over Q of the same matrix, and equal to it unless p
+    divides every nonzero minor of that size.
+    """
+    matrix = [[v % p for v in row] for row in rows]
+    if not matrix or not matrix[0]:
+        return 0
+    rank = 0
+    for col in range(len(matrix[0])):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        inv = pow(matrix[rank][col], -1, p)
+        top = [v * inv % p for v in matrix[rank][col:]]
+        for r in range(rank + 1, len(matrix)):
+            row = matrix[r]
+            factor = row[col]
+            if factor:
+                row[col:] = [(x - factor * y) % p for x, y in zip(row[col:], top)]
+        rank += 1
+        if rank == len(matrix):
+            break
+    return rank
+
+
 def exact_solve(rows, rhs) -> list:
     """Solve a consistent linear system with a unique solution, exactly.
 
@@ -108,6 +136,8 @@ def exact_solve(rows, rhs) -> list:
 
 def float_rank(matrix: np.ndarray, cutoff: float = 1e-8) -> int:
     """Numerical rank: singular values below cutoff * (largest) count as zero."""
+    import numpy as np
+
     a = np.asarray(matrix)
     if a.size == 0:
         return 0
@@ -121,6 +151,8 @@ def rank(rows, cutoff: float = 1e-8) -> int:
     """Rank of a matrix given as rows: exact on exact entries, else by SVD with ``cutoff``."""
     if _all_exact(rows):
         return exact_rank(rows)
+    import numpy as np
+
     return float_rank(np.array(rows, dtype=complex), cutoff=cutoff)
 
 
@@ -130,6 +162,8 @@ def solve(rows, rhs, tol: float) -> list:
     exceeds ``tol`` (InconsistentSystem, which carries it)."""
     if _all_exact(rows, [rhs]):
         return exact_solve(rows, rhs)
+    import numpy as np
+
     a = np.array(rows, dtype=complex)
     if float_rank(a) < a.shape[1]:
         raise RankDeficientSystem("solution is not unique")
@@ -144,10 +178,15 @@ def solve(rows, rhs, tol: float) -> list:
 def solve_nonsingular(rows, rhs) -> list:
     """The solution of a square system known to be nonsingular, with no gate on floats;
     a singular matrix (exactly, or to working precision) raises RankDeficientSystem."""
-    try:
-        if _all_exact(rows, [rhs]):
+    if _all_exact(rows, [rhs]):
+        try:
             return exact_solve(rows, rhs)
+        except InconsistentSystem:  # a square system with no solution
+            raise RankDeficientSystem("matrix is singular") from None
+    import numpy as np
+
+    try:
         x = np.linalg.solve(np.array(rows, dtype=complex), np.array(rhs, dtype=complex))
-    except (InconsistentSystem, np.linalg.LinAlgError):  # a square system with no solution
+    except np.linalg.LinAlgError:
         raise RankDeficientSystem("matrix is singular") from None
     return [complex(c) for c in x]

@@ -6,9 +6,11 @@ normal forms are supported on the r = (d1+1)*...*(dn+1) standard monomials
 a^e with e_i <= d_i.  From the multiplication matrices on that basis we get
 
 * an exact radicality certificate (the rank of the trace bilinear form equals
-  the number of distinct points of the scheme); ``certify_radical`` is the one
-  place that decides radicality, and it hands back the quotient it built so
-  that no caller builds or ranks it twice,
+  the number of distinct points of the scheme); the form is ranked over Z/p
+  first, which proves full rank whenever it finds it, and exactly over Q only
+  below full rank, so ``trace_form_rank`` is always the exact rank.
+  ``certify_radical`` is the one place that decides radicality, and it hands
+  back the quotient it built so that no caller builds or ranks it twice,
 * the points themselves via a floating-point eigendecomposition of a random
   linear combination of the multiplication matrices, and
 * the summand coefficients from one square solve on the standard monomials,
@@ -22,14 +24,21 @@ leading terms a_i^(d_i+1), so one reduction by them decides it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
+from math import prod
 
-import numpy as np
-
+from .cyclotomic import CycloScalar
 from .groebner import ci_normal_form
 from .ideals import CIIdeal, PhiTuple, generator_tails
-from .linalg import RankDeficientSystem, _exactify, _is_exact_scalar, exact_rank, solve_nonsingular
+from .linalg import (
+    RankDeficientSystem,
+    _exactify,
+    _is_exact_scalar,
+    exact_rank,
+    rank_mod_p,
+    solve_nonsingular,
+)
 from .monomials import COMPLEX_FLOAT, EXACT_CYCLOTOMIC, Decomposition, MonomialSpec
 from .monomials import verify_decomposition
 from .polynomial import (
@@ -84,6 +93,8 @@ class QuotientAlgebra:
         return out
 
     def dense_matrix(self, var: int) -> np.ndarray:
+        import numpy as np
+
         m = np.zeros((self.dim, self.dim), dtype=complex)
         for col_idx, col in enumerate(self.columns[var - 1]):
             for row, c in col:
@@ -131,66 +142,94 @@ def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
 
 
 def _assert_commuting(q: QuotientAlgebra):
-    r = q.dim
+    def product_column(first: int, second: int, b: int) -> dict:
+        """Column b of M_first * M_second, sparse, without zeros."""
+        out: dict = {}
+        for mid, c in q.columns[second - 1][b]:
+            for row, d in q.columns[first - 1][mid]:
+                out[row] = out.get(row, 0) + d * c
+        return {row: v for row, v in out.items() if v}
+
     for i in range(1, q.spec.n + 1):
         for j in range(i + 1, q.spec.n + 1):
-            for b in range(r):
-                unit = [0] * r
-                unit[b] = 1
-                ij = q.apply(i, q.apply(j, unit))
-                ji = q.apply(j, q.apply(i, unit))
-                if any(x - y for x, y in zip(ij, ji)):
+            for b in range(q.dim):
+                if product_column(i, j, b) != product_column(j, i, b):
                     raise AssertionError(
                         f"multiplication matrices {i} and {j} do not commute"
                     )
 
 
-def _normal_form_grid(q: QuotientAlgebra) -> dict[Exponent, list]:
-    """Normal forms of every monomial with exponents up to 2*d_i, by dynamic programming."""
-    n = q.spec.n
-    bounds = q.spec.exponents
-    grid_exponents = sorted(
-        ((0,) + e for e in product(*(range(2 * bounds[i] + 1) for i in range(1, n + 1)))),
-        key=lambda e: (sum(e), e),
-    )
-    table: dict[Exponent, list] = {}
-    for e in grid_exponents:
-        if sum(e) == 0:
+TRACE_PRIME = 2**61 - 1
+
+
+def _trace_matrix(q: QuotientAlgebra, modulus: int | None) -> list[list]:
+    """The trace form T[a][b] = L(a + b), L(e) the trace of multiplication by a^e.
+
+    Normal forms of the grid monomials a^e, e_i <= 2*d_i, come by dynamic
+    programming, one multiplication by a variable each; the trace of basis
+    monomial k is the sum of the diagonal entries of its multiplication
+    matrix, and L(e) = sum_k trace_k * NF(a^e)[k], once per grid exponent.
+    Grid exponents are numbered with strides, so a + b has the number of a
+    plus that of b.  The arithmetic is that of the entries of ``q.columns``,
+    reduced mod ``modulus`` after every step unless it is None.
+    """
+    def reduce(value):
+        return value % modulus if modulus else value
+
+    sizes = [2 * d + 1 for d in q.spec.exponents[1:]]
+    strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+    table = []
+    for e in product(*(range(size) for size in sizes)):  # each e - e_i comes before e
+        if any(e):
+            i = next(idx for idx, ei in enumerate(e) if ei)
+            vec = q.apply(i + 1, table[len(table) - strides[i]])
+            table.append([v % modulus for v in vec] if modulus else vec)
+        else:
             unit = [0] * q.dim
-            unit[q.index[e]] = 1
-            table[e] = unit
-            continue
-        i = next(idx for idx in range(1, n + 1) if e[idx] > 0)
-        prev = tuple(ei - 1 if idx == i else ei for idx, ei in enumerate(e))
-        table[e] = q.apply(i, table[prev])
-    return table
+            unit[q.index[(0,) * len(q.spec.exponents)]] = 1
+            table.append(unit)
+    place = [sum(x * stride for x, stride in zip(b[1:], strides)) for b in q.basis]
+    traces = [reduce(sum(table[c + a][k] for k, a in enumerate(place))) for c in place]
+    values = [reduce(sum(t * v for t, v in zip(traces, vec) if v)) for vec in table]
+    return [[values[a + b] for b in place] for a in place]
+
+
+def _columns_mod_p(q: QuotientAlgebra, p: int):
+    """``q.columns`` with every entry mapped to Z/p, or None when some entry has no
+    image there: a CycloScalar, or a rational whose denominator p divides."""
+    mapped = []
+    for cols in q.columns:
+        mapped_cols = []
+        for col in cols:
+            entries = []
+            for row, c in col:
+                if isinstance(c, CycloScalar) or c.denominator % p == 0:
+                    return None
+                entries.append((row, c.numerator * pow(c.denominator, -1, p) % p))
+            mapped_cols.append(tuple(entries))
+        mapped.append(tuple(mapped_cols))
+    return tuple(mapped)
 
 
 def trace_form_rank(q: QuotientAlgebra) -> int:
     """Exact rank of the trace bilinear form; equals the number of distinct points.
 
-    Entry (a, b) is the trace of multiplication by basis[a] * basis[b]; traces
-    of basis multiplications are read off a shared normal-form table, so no
-    full product matrices are materialized.  Floating-point coefficient
-    domains are refused: this is a certificate, not an estimate.
+    Entry (a, b) is L(a + b), the trace of multiplication by basis[a] *
+    basis[b], so the matrix is read off one trace value per grid exponent.
+    For rational entries the form is first ranked over Z/p, p = 2^61 - 1:
+    the rank mod p never exceeds the rank over Q, so full rank mod p proves
+    full rank.  Below full rank, when p divides a denominator, or for
+    CycloScalar entries the form is built and ranked exactly.  Floating-point
+    coefficient domains are refused: this is a certificate, not an estimate.
     """
     if not q.is_exact():
         raise TypeError("trace form requires an exact coefficient domain")
-    r = q.dim
-    table = _normal_form_grid(q)
-    traces = []
-    for c in q.basis:
-        traces.append(
-            sum(table[tuple(x + y for x, y in zip(c, a))][idx] for idx, a in enumerate(q.basis))
-        )
-    matrix = []
-    for a in q.basis:
-        row = []
-        for b in q.basis:
-            v = table[tuple(x + y for x, y in zip(a, b))]
-            row.append(sum(t * vi for t, vi in zip(traces, v) if vi))
-        matrix.append(row)
-    return exact_rank(matrix)
+    columns = _columns_mod_p(q, TRACE_PRIME)
+    if columns is not None:
+        matrix = _trace_matrix(replace(q, columns=columns), TRACE_PRIME)
+        if rank_mod_p(matrix, TRACE_PRIME) == q.dim:
+            return q.dim
+    return exact_rank(_trace_matrix(q, None))
 
 
 @dataclass(frozen=True)
@@ -263,7 +302,7 @@ def points_from_decomposition(dec, spec: MonomialSpec) -> PointSet:
     """The point set of a decomposition's forms, rescaled to a0 = 1, sorted frame."""
     pts = []
     for _, form in dec.summands:
-        sorted_coords = tuple(form.coeffs[spec.positions[i]] for i in range(spec.n + 1))
+        sorted_coords = _exactify(form.coeffs[spec.positions[i]] for i in range(spec.n + 1))
         lead = sorted_coords[0]
         if not lead:
             raise ValueError("form has zero a0 coordinate; cannot normalize")
@@ -296,6 +335,8 @@ def extract_points(
     if n == 0:
         return PointSet(points=((1.0 + 0j,),), multiplicity_free=True, tol=tol,
                         residuals=(0.0,), raw_alpha0=(1.0,), raw_scale=(1.0,))
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.5, 1.5, size=n)
     m = sum(weights[i - 1] * q.dense_matrix(i) for i in range(1, n + 1))

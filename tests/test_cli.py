@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -362,3 +366,24 @@ class TestTMax:
         assert code == 0 and [row["t"] for row in data["table"]] == [0]
         code, data = run_json(capsys, "hilbert", "x*y", "--t-max", "0")
         assert code == 0 and data["hilbert_S_mod_J"] == {"0": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "x^2*y^3*z^3*w^3", "--exact"],
+    ["radical", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2"],
+    ["rank", "x*y^2*z^3"],
+])
+def test_exact_commands_do_not_import_numpy(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import waring.cli\n"
+        "print('numpy' in sys.modules)\n"
+        f"code = waring.cli.main({argv!r})\n"
+        "print('numpy' in sys.modules, code, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.splitlines()[0] == "False"
+    assert done.stderr.split() == ["False", "0"]

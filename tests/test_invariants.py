@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from waring import MonomialSpec, cyclotomic, ideals, vsp
+from waring import MonomialSpec, cyclotomic, ideals, solver, vsp
 from waring.cyclotomic import CycloScalar
 from waring.monomials import explicit_decomposition
 from waring.solver import PointSet
@@ -62,6 +62,12 @@ CASES = [
         lambda mp: mp.setattr(ideals, "_exponent_in_J", lambda spec, e: True),
         lambda: vsp.fit_phi_from_points(MonomialSpec.parse("x*y*z"), _points_of_xyz()),
         "non-canonical", id="fit_phi_from_points"),
+    pytest.param(
+        lambda mp: mp.setattr(solver, "ci_normal_form",
+                              lambda terms, bounds, tails: {(0,) * len(bounds): 1}),
+        lambda: solver.build_quotient(MonomialSpec.parse("x*y^2*z^3"),
+                                      ideals.explicit_phi(MonomialSpec.parse("x*y^2*z^3"))),
+        "multiplication matrices 1 and 2 do not commute", id="build_quotient"),
 ]
 
 

@@ -1,5 +1,6 @@
 """The exact/float dispatch of linalg.rank and linalg.solve."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from waring.linalg import (
     exact_rank,
     exact_solve,
     rank,
+    rank_mod_p,
     solve,
 )
 from waring.solver import NonRadicalIdealError
@@ -34,6 +36,44 @@ class TestRank:
 
     def test_empty(self):
         assert rank([]) == 0
+
+
+P = 2**61 - 1
+
+
+def random_matrix(rng, rows, cols, rank_bound):
+    """A product of rows x k and k x cols integer matrices, k = rank_bound: rank at most k."""
+    left = [[rng.randint(-3, 3) for _ in range(rank_bound)] for _ in range(rows)]
+    right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank_bound)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+class TestRankModP:
+    # entries of at most 3 * 3 * 6 = 54 bound every minor of a matrix up to 7 x 7 by
+    # 54^7 * 7^3.5 < 2^51 (Hadamard), so no nonzero minor vanishes mod p: the ranks agree
+    @pytest.mark.parametrize("seed", range(12))
+    def test_agrees_with_exact_rank(self, seed):
+        rng = random.Random(seed)
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        matrix = random_matrix(rng, rows, cols, rng.randint(1, min(rows, cols, 6)))
+        assert rank_mod_p(matrix, P) == exact_rank(matrix)
+
+    def test_deficient(self):
+        rng = random.Random(99)
+        matrix = random_matrix(rng, 7, 7, 4)
+        assert rank_mod_p(matrix, P) == exact_rank(matrix) == 4
+
+    def test_multiples_of_p_reduce_to_zero(self):
+        rng = random.Random(7)
+        matrix = random_matrix(rng, 6, 7, 5)
+        shifted = [[v + P * rng.randint(-3, 3) for v in row] for row in matrix]
+        assert rank_mod_p(shifted, P) == exact_rank(matrix) == 5
+        assert rank_mod_p([[P * v for v in row] for row in matrix], P) == 0
+        assert rank_mod_p([[2, 4], [1, 3]], 2) == 1 < exact_rank([[2, 4], [1, 3]])
+
+    def test_empty(self):
+        assert rank_mod_p([], P) == 0
+        assert rank_mod_p([[]], P) == 0
 
 
 class TestSolve:

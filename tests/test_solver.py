@@ -19,8 +19,13 @@ from waring import (
     points_from_decomposition,
     trace_form_rank,
 )
+from waring import solver
+from waring.cyclotomic import root_of_unity
+from waring.linalg import exact_rank
+from waring.monomials import EXACT_CYCLOTOMIC, Decomposition
 from waring.solver import NonRadicalIdealError, PointExtractionError
-from waring.polynomial import DUAL, parse_poly
+from waring.polynomial import DUAL, LinearForm, SparsePoly, exponents_of_degree, parse_poly
+from waring.vsp import parameter_space, sample_phi
 
 
 def D(text, n=3):
@@ -105,6 +110,92 @@ class TestTraceRankFloatCrossCheck:
             if radical:
                 for a, b in itertools.combinations(pts.points, 2):
                     assert max(abs(x - y) for x, y in zip(a, b)) > 1e-6
+
+
+def reference_trace_rank(q):
+    """The pairwise construction: every T[a][b] an r-term dot product over Q, then exact rank."""
+    table = {}
+
+    def normal_form(e):
+        if e not in table:
+            i = next((i for i, ei in enumerate(e) if ei), None)
+            if i is None:
+                table[e] = [int(b == e) for b in q.basis]
+            else:
+                table[e] = q.apply(i, normal_form(tuple(x - (k == i) for k, x in enumerate(e))))
+        return table[e]
+
+    def add(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    traces = [sum(normal_form(add(c, a))[k] for k, a in enumerate(q.basis)) for c in q.basis]
+    matrix = [[sum(t * v for t, v in zip(traces, normal_form(add(a, b))) if v) for b in q.basis]
+              for a in q.basis]
+    return exact_rank(matrix)
+
+
+def dense_phi(spec, seed):
+    """Every phi_i a full form in (a1..an) of degree d_i - d0 >= 2: the chart origin is singular."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for d in spec.exponents[1:]:
+        terms = {(0,) + e: Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 6)))
+                 for e in exponents_of_degree(spec.n, d - spec.exponents[0])}
+        entries.append(SparsePoly(spec.n + 1, DUAL, terms))
+    return PhiTuple(spec, entries)
+
+
+class TestModularCertificate:
+    """trace_form_rank agrees with the pairwise exact construction, and ranks exactly
+    only below full rank mod p or when the entries have no image mod p."""
+
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return exact_rank(rows)
+
+        monkeypatch.setattr(solver, "exact_rank", counting)
+        return calls
+
+    def check(self, spec, phi, exact_calls, want_exact_calls):
+        q = build_quotient(spec, phi)
+        expected = reference_trace_rank(q)
+        assert trace_form_rank(q) == expected
+        assert len(exact_calls) == want_exact_calls
+        return expected, q.dim
+
+    @pytest.mark.parametrize("text", ["x*y^2*z^3", "x^2*y^2*z^3", "x*y*z^2*w^3"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sampled_full_rank_phi_skips_exact_rank(self, exact_calls, text, seed):
+        spec = MonomialSpec.parse(text)
+        rank, r = self.check(spec, sample_phi(parameter_space(spec), seed), exact_calls, 0)
+        assert rank == r
+
+    @pytest.mark.parametrize("text", ["x*y*z^2", "x*y^3*z^3"])
+    def test_explicit_phi(self, exact_calls, text):
+        spec = MonomialSpec.parse(text)
+        rank, r = self.check(spec, explicit_phi(spec), exact_calls, 0)
+        assert rank == r
+
+    @pytest.mark.parametrize("text", ["x*y^3*z^3", "x*y^3*z^3*w^3"])
+    def test_dense_deficient_phi_ranks_exactly_once(self, exact_calls, text):
+        spec = MonomialSpec.parse(text)
+        rank, r = self.check(spec, dense_phi(spec, 5), exact_calls, 1)
+        assert rank < r
+
+    def test_embedded_point_ranks_exactly_once(self, exact_calls, xy2z3):
+        assert self.check(xy2z3, phi_of(xy2z3, "a2", "a1^2"), exact_calls, 1) == (11, 12)
+
+    def test_denominator_divisible_by_p_takes_the_exact_path(self, exact_calls, x2y2z2):
+        phi = phi_of(x2y2z2, Fraction(1, 2**61 - 1), Fraction(3))
+        assert self.check(x2y2z2, phi, exact_calls, 1) == (9, 9)
+
+    def test_cyclotomic_quotient_takes_the_exact_path(self, exact_calls, x2y2z2):
+        z = root_of_unity(3, 1)
+        assert self.check(x2y2z2, phi_of(x2y2z2, z, 1 + z), exact_calls, 1) == (9, 9)
 
 
 class TestIsRadical:
@@ -214,6 +305,17 @@ class TestFitCoefficients:
             coeffs = fit_coefficients(spec, pts)
             for got, (expected, _) in zip(coeffs, dec.summands):
                 assert got == expected
+
+    def test_integer_forms_give_exact_points(self):
+        # 1/4 (x + y)^2 - 1/4 (x - y)^2 = x*y, with plain int coordinates
+        spec = MonomialSpec.parse("x*y")
+        dec = Decomposition(2, EXACT_CYCLOTOMIC, ((Fraction(1, 4), LinearForm((1, 1))),
+                                                   (Fraction(-1, 4), LinearForm((1, -1)))))
+        pts = points_from_decomposition(dec, spec)
+        assert pts.is_exact()
+        assert pts.points == ((1, 1), (1, -1))
+        assert all(isinstance(c, Fraction) for p in pts.points for c in p)
+        assert fit_coefficients(spec, pts) == [Fraction(1, 4), Fraction(-1, 4)]
 
     def test_folded_forms_give_all_ones(self, xyz):
         # scale each form by c^(1/d) so the coefficients fold into the forms
