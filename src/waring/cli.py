@@ -253,7 +253,8 @@ def cmd_normalize(args) -> dict:
         moved = apply_torus(torus, points)
         k = spec.exponents[0]
         residual = max(
-            abs(p[i] ** (k + 1) - 1) for p in moved.points for i in range(1, spec.n + 1)
+            (abs(p[i] ** (k + 1) - 1) for p in moved.points for i in range(1, spec.n + 1)),
+            default=0.0,  # n = 0: no a_i to normalize
         )
         out["canonical_residual"] = residual
     return out

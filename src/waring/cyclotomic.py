@@ -271,25 +271,25 @@ class CycloScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> CycloScalar:
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[z]."""
+        """Multiplicative inverse by the norm, with no division in Q[z].
+
+        The cofactor is the product of the other Galois conjugates sigma_k(x),
+        z -> z^k for k prime to m and k != 1; x * cofactor is the norm of x, a
+        nonzero rational, and the inverse is cofactor / norm.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        phi = [Fraction(c) for c in cyclotomic_poly(self.conductor).coeffs]
-        r0, r1 = phi, [Fraction(c, self.den) for c in self.num]
-        s0, s1 = [Fraction(0)], [Fraction(1)]  # multipliers of self
-        while True:
-            r1 = _frac_trim(r1)
-            if len(r1) == 1:
-                break
-            q = _frac_divmod(r0, r1)
-            r0, r1 = r1, _frac_sub(r0, _frac_mul(q, r1))
-            s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
-        c = r1[0]
-        inv = [s / c for s in s1]
-        den = 1
-        for f in inv:
-            den = lcm(den, f.denominator)
-        return CycloScalar(self.conductor, tuple(int(f * den) for f in inv), den)
+        m = self.conductor
+        cofactor = CycloScalar.one(m)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                image = [0] * m
+                for j, c in enumerate(self.num):
+                    image[j * k % m] += c
+                cofactor = cofactor * CycloScalar(m, tuple(image), self.den)
+        norm = (self * cofactor).to_fraction()
+        return CycloScalar(m, tuple(c * norm.denominator for c in cofactor.num),
+                           cofactor.den * norm.numerator)
 
     def __truediv__(self, other):
         pair = self._coerce(other)
@@ -349,44 +349,6 @@ class CycloScalar:
 
     def __repr__(self) -> str:
         return f"CycloScalar({self.conductor}, {self.num}, {self.den})"
-
-
-def _frac_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _frac_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _frac_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return _frac_trim([x - y for x, y in zip(a, b)])
-
-
-def _frac_divmod(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    num = list(num)
-    dd = len(den) - 1
-    if len(num) - 1 < dd:
-        return [Fraction(0)]
-    quot = [Fraction(0)] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / den[-1]
-        if c == 0:
-            continue
-        quot[i - dd] = c
-        for j, dj in enumerate(den):
-            num[i - dd + j] -= c * dj
-    return _frac_trim(quot)
 
 
 def root_of_unity(m: int, k: int) -> CycloScalar:

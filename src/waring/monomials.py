@@ -24,6 +24,7 @@ from .polynomial import (
     evaluation_matrix,
     exponents_of_degree,
     multinomial,
+    split_power,
 )
 
 EXACT_CYCLOTOMIC = "exact-cyclotomic"
@@ -80,8 +81,7 @@ class MonomialSpec:
         for factor in cleaned.split("*"):
             if not factor:
                 raise ValueError(f"could not parse monomial {text!r}")
-            name, _, exp_text = factor.partition("^")
-            power = int(exp_text) if exp_text else 1
+            name, power = split_power(factor, text)
             if name.isdigit():
                 if int(name) != 1:
                     raise ValueError("only monic monomials are supported")

@@ -336,6 +336,17 @@ def dehomogenize(poly: SparsePoly, var_index: int) -> SparsePoly:
     return SparsePoly(poly.num_vars, poly.ring, terms)
 
 
+def split_power(factor: str, text: str) -> tuple[str, int]:
+    """Split a factor "name^k" of ``text`` into (name, k); a bare name has power 1.
+
+    A "^" with nothing after it is refused rather than read as power 1.
+    """
+    name, caret, exp_text = factor.partition("^")
+    if caret and not exp_text:
+        raise ValueError(f"missing exponent after '^' in {text!r}")
+    return name, int(exp_text) if exp_text else 1
+
+
 def parse_poly(text: str, num_vars: int, ring: str) -> SparsePoly:
     """Parse "3/2*a1^2*a2 - a0" style input; variables are x0.../a0... by ring.
 
@@ -364,10 +375,12 @@ def parse_poly(text: str, num_vars: int, ring: str) -> SparsePoly:
         for factor in chunk.split("*"):
             if not factor:
                 raise ValueError(f"could not parse polynomial {text!r}")
-            name, _, exp_text = factor.partition("^")
-            power = int(exp_text) if exp_text else 1
+            name, power = split_power(factor, text)
             if name[0].isdigit():
-                coeff *= Fraction(name) ** power
+                try:
+                    coeff *= Fraction(name) ** power
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {name!r} of {text!r}") from None
                 continue
             if name.startswith(prefix) and name[len(prefix):].isdigit():
                 index = int(name[len(prefix):])

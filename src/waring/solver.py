@@ -6,9 +6,11 @@ normal forms are supported on the r = (d1+1)*...*(dn+1) standard monomials
 a^e with e_i <= d_i.  From the multiplication matrices on that basis we get
 
 * an exact radicality certificate (the rank of the trace bilinear form equals
-  the number of distinct points of the scheme); the form is ranked over Z/p
-  first, which proves full rank whenever it finds it, and exactly over Q only
-  below full rank, so ``trace_form_rank`` is always the exact rank.
+  the number of distinct points of the scheme); the form is built once, as an
+  integer matrix after rescaling the variables for rational entries, and
+  ranked over Z/p first, which proves full rank whenever it finds it; the
+  same matrix is ranked exactly only below full rank, so ``trace_form_rank``
+  is always the exact rank.
   ``certify_radical`` is the one place that decides radicality, and it hands
   back the quotient it built so that no caller builds or ranks it twice,
 * the points themselves via a floating-point eigendecomposition of a random
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 from .cyclotomic import CycloScalar
 from .groebner import ci_normal_form
@@ -162,7 +164,37 @@ def _assert_commuting(q: QuotientAlgebra):
 TRACE_PRIME = 2**61 - 1
 
 
-def _trace_matrix(q: QuotientAlgebra, modulus: int | None) -> list[list]:
+def _integral_columns(q: QuotientAlgebra):
+    """``q.columns`` of the isomorphic algebra a_j -> a_j / D, as plain ints.
+
+    D is the lcm of the entry denominators.  Entry c in row g, column b becomes
+    c * D^(1 + |b| - |g|): each rewrite a_i^(d_i+1) -> psi_i lowers the degree
+    by at least d0 + 1 and brings in one denominator, and an entry no rewrite
+    reached is the lifted monomial with coefficient 1.  The trace form of the
+    new algebra is Delta T Delta, Delta = diag(D^|b|), so its rank is that of T.
+    """
+    scale = lcm(*(c.denominator for cols in q.columns for col in cols for _, c in col))
+    degree = [sum(b) for b in q.basis]
+    mapped = []
+    for i, cols in enumerate(q.columns, start=1):
+        mapped_cols = []
+        for b, col in enumerate(cols):
+            entries = []
+            for g, c in col:
+                power = 1 + degree[b] - degree[g]
+                value = c * scale**max(power, 0)
+                if power < 0 or value.denominator != 1:
+                    raise AssertionError(
+                        f"trace form rescaling: entry {c} of M_{i} at row {g}, column {b} "
+                        f"times D^{power}, D = {scale}, is not an integer"
+                    )
+                entries.append((g, value.numerator))
+            mapped_cols.append(tuple(entries))
+        mapped.append(tuple(mapped_cols))
+    return tuple(mapped)
+
+
+def _trace_matrix(q: QuotientAlgebra) -> list[list]:
     """The trace form T[a][b] = L(a + b), L(e) the trace of multiplication by a^e.
 
     Normal forms of the grid monomials a^e, e_i <= 2*d_i, come by dynamic
@@ -170,66 +202,46 @@ def _trace_matrix(q: QuotientAlgebra, modulus: int | None) -> list[list]:
     monomial k is the sum of the diagonal entries of its multiplication
     matrix, and L(e) = sum_k trace_k * NF(a^e)[k], once per grid exponent.
     Grid exponents are numbered with strides, so a + b has the number of a
-    plus that of b.  The arithmetic is that of the entries of ``q.columns``,
-    reduced mod ``modulus`` after every step unless it is None.
+    plus that of b.  The arithmetic is that of the entries of ``q.columns``.
     """
-    def reduce(value):
-        return value % modulus if modulus else value
-
     sizes = [2 * d + 1 for d in q.spec.exponents[1:]]
     strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
     table = []
     for e in product(*(range(size) for size in sizes)):  # each e - e_i comes before e
         if any(e):
             i = next(idx for idx, ei in enumerate(e) if ei)
-            vec = q.apply(i + 1, table[len(table) - strides[i]])
-            table.append([v % modulus for v in vec] if modulus else vec)
+            table.append(q.apply(i + 1, table[len(table) - strides[i]]))
         else:
             unit = [0] * q.dim
             unit[q.index[(0,) * len(q.spec.exponents)]] = 1
             table.append(unit)
     place = [sum(x * stride for x, stride in zip(b[1:], strides)) for b in q.basis]
-    traces = [reduce(sum(table[c + a][k] for k, a in enumerate(place))) for c in place]
-    values = [reduce(sum(t * v for t, v in zip(traces, vec) if v)) for vec in table]
+    traces = [sum(table[c + a][k] for k, a in enumerate(place)) for c in place]
+    values = [sum(t * v for t, v in zip(traces, vec) if v) for vec in table]
     return [[values[a + b] for b in place] for a in place]
-
-
-def _columns_mod_p(q: QuotientAlgebra, p: int):
-    """``q.columns`` with every entry mapped to Z/p, or None when some entry has no
-    image there: a CycloScalar, or a rational whose denominator p divides."""
-    mapped = []
-    for cols in q.columns:
-        mapped_cols = []
-        for col in cols:
-            entries = []
-            for row, c in col:
-                if isinstance(c, CycloScalar) or c.denominator % p == 0:
-                    return None
-                entries.append((row, c.numerator * pow(c.denominator, -1, p) % p))
-            mapped_cols.append(tuple(entries))
-        mapped.append(tuple(mapped_cols))
-    return tuple(mapped)
 
 
 def trace_form_rank(q: QuotientAlgebra) -> int:
     """Exact rank of the trace bilinear form; equals the number of distinct points.
 
     Entry (a, b) is L(a + b), the trace of multiplication by basis[a] *
-    basis[b], so the matrix is read off one trace value per grid exponent.
-    For rational entries the form is first ranked over Z/p, p = 2^61 - 1:
-    the rank mod p never exceeds the rank over Q, so full rank mod p proves
-    full rank.  Below full rank, when p divides a denominator, or for
-    CycloScalar entries the form is built and ranked exactly.  Floating-point
-    coefficient domains are refused: this is a certificate, not an estimate.
+    basis[b], so the matrix is read off one trace value per grid exponent,
+    and it is built once.  Rational entries are first rescaled to an
+    isomorphic algebra with integer multiplication matrices, so the form is
+    an integer matrix; it is ranked over Z/p, p = 2^61 - 1, and since the
+    rank mod p never exceeds the rank over Q, full rank mod p proves full
+    rank.  Below full rank, and for CycloScalar entries, the same matrix is
+    ranked exactly.  Floating-point coefficient domains are refused: this is
+    a certificate, not an estimate.
     """
     if not q.is_exact():
         raise TypeError("trace form requires an exact coefficient domain")
-    columns = _columns_mod_p(q, TRACE_PRIME)
-    if columns is not None:
-        matrix = _trace_matrix(replace(q, columns=columns), TRACE_PRIME)
-        if rank_mod_p(matrix, TRACE_PRIME) == q.dim:
-            return q.dim
-    return exact_rank(_trace_matrix(q, None))
+    if any(isinstance(c, CycloScalar) for cols in q.columns for col in cols for _, c in col):
+        return exact_rank(_trace_matrix(q))
+    matrix = _trace_matrix(replace(q, columns=_integral_columns(q)))
+    if rank_mod_p(matrix, TRACE_PRIME) == q.dim:
+        return q.dim
+    return exact_rank(matrix)
 
 
 @dataclass(frozen=True)

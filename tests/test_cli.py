@@ -178,6 +178,10 @@ class TestPointsFitNormalize:
         assert code == 0
         assert data["canonical_residual"] < 1e-8
 
+    def test_normalize_pure_power(self, capsys):
+        code, data = run_json(capsys, "normalize", "x", "--seed", "1")
+        assert code == 0 and data["canonical_residual"] == 0.0
+
     def test_normalize_unequal_exponents_fails(self, capsys):
         code, data = run_json(capsys, "normalize", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2")
         assert code == 1
@@ -266,6 +270,16 @@ class TestDeterminismAndErrors:
     def test_bad_monomial_exits_two(self, capsys):
         code, data = run_json(capsys, "rank", "2*x*y")
         assert code == 2 and "error" in data
+
+    @pytest.mark.parametrize("argv, message", [
+        (["radical", "x*y", "--phi", "0^-1"], "missing exponent"),
+        (["rank", "x^*y^2"], "missing exponent"),
+        (["radical", "x*y", "--phi", "1/0"], "zero denominator"),
+        (["ideal", "x*y", "--member", "1/0*a0"], "zero denominator"),
+    ])
+    def test_malformed_number_is_usage_error(self, capsys, argv, message):
+        code, data = run_json(capsys, *argv)
+        assert code == 2 and message in data["error"]
 
     def test_text_format(self, capsys):
         code, out = run(capsys, "--format", "text", "rank", "x*y*z")

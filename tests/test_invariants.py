@@ -1,9 +1,12 @@
 """Certificate invariants raise explicitly, so they also hold under python -O."""
 
+import ast
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,15 @@ def _points_of_xyz():
     dec = explicit_decomposition(spec)
     return PointSet(points=tuple(tuple(form.coeffs) for _, form in dec.summands),
                     multiplicity_free=True)
+
+
+def _half_lift_quotient():
+    """x*y*z with a1 * 1 = 1/2 * a1: a column entry that no rewrite reached has a denominator."""
+    spec = MonomialSpec.parse("x*y*z")
+    q = solver.build_quotient(spec, ideals.explicit_phi(spec))
+    (row, _), = q.columns[0][0]
+    columns = ((((row, Fraction(1, 2)),),) + q.columns[0][1:],) + q.columns[1:]
+    return replace(q, columns=columns)
 
 
 class _NoMonomials:
@@ -68,6 +80,9 @@ CASES = [
         lambda: solver.build_quotient(MonomialSpec.parse("x*y^2*z^3"),
                                       ideals.explicit_phi(MonomialSpec.parse("x*y^2*z^3"))),
         "multiplication matrices 1 and 2 do not commute", id="build_quotient"),
+    pytest.param(
+        lambda mp: None, lambda: solver.trace_form_rank(_half_lift_quotient()),
+        "trace form rescaling: entry 1/2 of M_1", id="trace_form_rank"),
 ]
 
 
@@ -92,3 +107,31 @@ def test_invariant_survives_optimized_mode():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert "hilbert_S_mod_J at t=2: monomial count -1" in out
+
+
+def test_trace_rescaling_survives_optimized_mode():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from test_invariants import _half_lift_quotient\n"
+        "from waring import solver\n"
+        "try:\n"
+        "    solver.trace_form_rank(_half_lift_quotient())\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert "trace form rescaling: entry 1/2 of M_1" in out
+
+
+def test_package_has_no_assert_statement():
+    """An invariant that gates a certificate is an explicit raise: -O strips asserts."""
+    package = Path(__file__).resolve().parents[1] / "src" / "waring"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -189,6 +189,18 @@ def test_parse_rejects_garbage():
         parse_poly("", 3, PRIMAL)
 
 
+def test_parse_rejects_a_caret_without_exponent():
+    for text in ("2^-1", "a0^", "a1^*a2", "a0 + 3^"):
+        with pytest.raises(ValueError, match="missing exponent"):
+            D(text)
+
+
+def test_parse_rejects_a_zero_denominator():
+    for text in ("1/0", "1/0*a0", "a1 - 3/0*a2"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            D(text)
+
+
 def test_parse_exponent_notation_literals():
     assert parse_poly("1e-300", 2, DUAL) == SparsePoly.constant(2, DUAL, Fraction(1, 10**300))
     assert D("2.5E+3*a1") == SparsePoly.monomial(3, DUAL, (0, 1, 0), 2500)

@@ -186,6 +186,30 @@ class TestModularCertificate:
         rank, r = self.check(spec, dense_phi(spec, 5), exact_calls, 1)
         assert rank < r
 
+    @pytest.mark.parametrize("text", ["x*y^3*z^3", "x*y^3*z^3*w^3"])
+    def test_dense_deficient_phi_builds_the_grid_once(self, monkeypatch, text):
+        builds = []
+        build = solver._trace_matrix
+        monkeypatch.setattr(solver, "_trace_matrix",
+                            lambda *args: builds.append(args) or build(*args))
+        spec = MonomialSpec.parse(text)
+        q = build_quotient(spec, dense_phi(spec, 5))
+        assert trace_form_rank(q) < q.dim
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("text", ["x*y^2*z^3", "x^2*y^2*z^3", "x*y*z^2*w^3"])
+    def test_rational_phi_is_certified_mod_p(self, exact_calls, text):
+        spec = MonomialSpec.parse(text)
+        divisors = itertools.cycle([2, 3, 5, 7])
+        phi = PhiTuple(spec, [
+            SparsePoly(p.num_vars, DUAL, {e: Fraction(c) / next(divisors) for e, c in p.terms.items()})
+            for p in sample_phi(parameter_space(spec), 0).entries
+        ])
+        q = build_quotient(spec, phi)
+        assert any(c.denominator > 1 for cols in q.columns for col in cols for _, c in col)
+        rank, r = self.check(spec, phi, exact_calls, 0)
+        assert rank == r
+
     def test_embedded_point_ranks_exactly_once(self, exact_calls, xy2z3):
         assert self.check(xy2z3, phi_of(xy2z3, "a2", "a1^2"), exact_calls, 1) == (11, 12)
 
