@@ -1,10 +1,11 @@
 """Small dense linear algebra over exact fields, plus float-rank helpers.
 
 The exact routines only need field operations (+, -, *, /, truthiness), so
-they work uniformly for Fraction and CycloScalar entries.  ``rank_mod_p``
-ranks an integer matrix over Z/p.  Floating-point ranks use an SVD with a
-relative singular-value cutoff; numpy is imported only by the float routines,
-so exact work never loads it.
+they work uniformly for Fraction and CycloScalar entries.  ``nullspace_mod_p``
+gives a kernel basis of an integer matrix over Z/p, ``rank_mod_p`` its rank
+there, and ``rational_reconstruction`` lifts a residue mod p to a fraction.
+Floating-point ranks use an SVD with a relative singular-value cutoff; numpy
+is imported only by the float routines, so exact work never loads it.
 
 ``rank``, ``solve`` and ``solve_nonsingular`` are the one place that chooses
 between the two, by the entries: all int, Fraction or CycloScalar is exact,
@@ -14,6 +15,7 @@ anything else is complex floats (``solve`` gates on column rank and residual).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 from .cyclotomic import CycloScalar
 
@@ -81,32 +83,75 @@ def exact_rank(rows) -> int:
     return len(_eliminate(matrix, len(matrix[0])))
 
 
-def rank_mod_p(rows, p: int) -> int:
-    """Rank over Z/p (p prime) of a matrix of integers, by Gaussian elimination.
+def nullspace_mod_p(rows, p: int) -> list[list[int]]:
+    """A basis of the right kernel over Z/p (p prime) of a matrix of integers.
 
-    Never above the rank over Q of the same matrix, and equal to it unless p
-    divides every nonzero minor of that size.
+    One vector per free (non-pivot) column of the echelon form: 1 on that
+    column, 0 on the other free columns and after it, entries in [0, p).
+    Forward elimination runs as for a rank; the back-substitution runs only
+    when there is a free column, so at full column rank the call costs one
+    elimination.
     """
     matrix = [[v % p for v in row] for row in rows]
-    if not matrix or not matrix[0]:
-        return 0
-    rank = 0
-    for col in range(len(matrix[0])):
+    ncols = len(matrix[0]) if matrix else 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
         if pivot is None:
             continue
         matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
         inv = pow(matrix[rank][col], -1, p)
         top = [v * inv % p for v in matrix[rank][col:]]
+        matrix[rank][col:] = top
         for r in range(rank + 1, len(matrix)):
             row = matrix[r]
             factor = row[col]
             if factor:
                 row[col:] = [(x - factor * y) % p for x, y in zip(row[col:], top)]
-        rank += 1
-        if rank == len(matrix):
+        pivots.append(col)
+        if len(pivots) == len(matrix):
             break
-    return rank
+    pivot_set = set(pivots)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivot_set):
+        vector = [0] * ncols
+        vector[free] = 1
+        for row, col in reversed(list(enumerate(pivots))):
+            if col < free:
+                echelon = matrix[row]
+                vector[col] = -sum(echelon[c] * vector[c] for c in range(col + 1, free + 1)) % p
+        basis.append(vector)
+    return basis
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over Z/p (p prime) of a matrix of integers, by Gaussian elimination.
+
+    Never above the rank over Q of the same matrix, and equal to it unless p
+    divides every nonzero minor of that size.
+    """
+    ncols = len(rows[0]) if rows else 0
+    return ncols - len(nullspace_mod_p(rows, p))
+
+
+def rational_reconstruction(a: int, p: int) -> Fraction | None:
+    """The fraction n/d with |n|, d <= isqrt(p // 2) and n = a*d mod p, or None.
+
+    Extended Euclid on (p, a mod p), stopped at the first remainder within the
+    bound (von zur Gathen & Gerhard, Modern Computer Algebra, 5.10).  The
+    bound makes the fraction unique when it exists.
+    """
+    bound = isqrt(p // 2)
+    r0, r1 = p, a % p
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 def exact_solve(rows, rhs) -> list:

@@ -23,6 +23,7 @@ from .polynomial import (
     SparsePoly,
     evaluation_matrix,
     exponents_of_degree,
+    is_digits,
     multinomial,
     split_power,
 )
@@ -73,22 +74,22 @@ class MonomialSpec:
         cleaned = text.replace(" ", "")
         if not cleaned:
             raise ValueError("empty monomial")
-        if all(part.lstrip("-").isdigit() for part in cleaned.split(",")) and "," in cleaned:
+        if all(is_digits(part.lstrip("-")) for part in cleaned.split(",")) and "," in cleaned:
             return MonomialSpec.from_exponents(int(p) for p in cleaned.split(","))
-        if cleaned.isdigit():
+        if is_digits(cleaned):
             raise ValueError("a bare number is not a monomial; give variables or a comma list")
         exponents: dict[int, int] = {}
         for factor in cleaned.split("*"):
             if not factor:
                 raise ValueError(f"could not parse monomial {text!r}")
             name, power = split_power(factor, text)
-            if name.isdigit():
+            if is_digits(name):
                 if int(name) != 1:
                     raise ValueError("only monic monomials are supported")
                 continue
             if name in _ALIASES:
                 index = _ALIASES[name]
-            elif name.startswith("x") and name[1:].isdigit():
+            elif name.startswith("x") and is_digits(name[1:]):
                 index = int(name[1:])
             else:
                 raise ValueError(f"unknown variable {name!r}; use x0..x9 or x, y, z, w")

@@ -21,6 +21,9 @@ DUAL = "dual"
 
 _VAR_PREFIX = {PRIMAL: "x", DUAL: "a"}
 
+# a coefficient literal: an integer, a fraction, or a decimal with an optional exponent
+_NUMBER = re.compile(r"[0-9]+(?:/[0-9]+|(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?)")
+
 Exponent = tuple[int, ...]
 
 
@@ -336,14 +339,22 @@ def dehomogenize(poly: SparsePoly, var_index: int) -> SparsePoly:
     return SparsePoly(poly.num_vars, poly.ring, terms)
 
 
+def is_digits(text: str) -> bool:
+    """True for a nonempty run of ASCII digits; ``str.isdigit`` also takes other scripts."""
+    return text.isascii() and text.isdigit()
+
+
 def split_power(factor: str, text: str) -> tuple[str, int]:
     """Split a factor "name^k" of ``text`` into (name, k); a bare name has power 1.
 
-    A "^" with nothing after it is refused rather than read as power 1.
+    A "^" with nothing after it is refused rather than read as power 1, and
+    k must be ASCII digits: no sign, underscore or other script.
     """
     name, caret, exp_text = factor.partition("^")
     if caret and not exp_text:
         raise ValueError(f"missing exponent after '^' in {text!r}")
+    if caret and not is_digits(exp_text):
+        raise ValueError(f"invalid exponent {exp_text!r} in {text!r}")
     return name, int(exp_text) if exp_text else 1
 
 
@@ -377,12 +388,14 @@ def parse_poly(text: str, num_vars: int, ring: str) -> SparsePoly:
                 raise ValueError(f"could not parse polynomial {text!r}")
             name, power = split_power(factor, text)
             if name[0].isdigit():
+                if not _NUMBER.fullmatch(name):
+                    raise ValueError(f"invalid number {name!r} in {text!r}")
                 try:
                     coeff *= Fraction(name) ** power
                 except ZeroDivisionError:
                     raise ValueError(f"zero denominator in {name!r} of {text!r}") from None
                 continue
-            if name.startswith(prefix) and name[len(prefix):].isdigit():
+            if name.startswith(prefix) and is_digits(name[len(prefix):]):
                 index = int(name[len(prefix):])
             elif name in aliases:
                 index = aliases[name]

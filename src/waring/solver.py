@@ -7,10 +7,11 @@ a^e with e_i <= d_i.  From the multiplication matrices on that basis we get
 
 * an exact radicality certificate (the rank of the trace bilinear form equals
   the number of distinct points of the scheme); the form is built once, as an
-  integer matrix after rescaling the variables for rational entries, and
-  ranked over Z/p first, which proves full rank whenever it finds it; the
-  same matrix is ranked exactly only below full rank, so ``trace_form_rank``
-  is always the exact rank.
+  integer matrix after rescaling the variables for rational entries, and its
+  kernel is taken over Z/p: an empty kernel proves full rank, and below full
+  rank the kernel vectors lifted to Q and checked exactly prove the rank mod
+  p is the rank over Q, so ``trace_form_rank`` is always the exact rank
+  (exact elimination remains only as the fallback when no prime certifies).
   ``certify_radical`` is the one place that decides radicality, and it hands
   back the quotient it built so that no caller builds or ranks it twice,
 * the points themselves via a floating-point eigendecomposition of a random
@@ -38,7 +39,8 @@ from .linalg import (
     _exactify,
     _is_exact_scalar,
     exact_rank,
-    rank_mod_p,
+    nullspace_mod_p,
+    rational_reconstruction,
     solve_nonsingular,
 )
 from .monomials import COMPLEX_FLOAT, EXACT_CYCLOTOMIC, Decomposition, MonomialSpec
@@ -161,7 +163,9 @@ def _assert_commuting(q: QuotientAlgebra):
                     )
 
 
-TRACE_PRIME = 2**61 - 1
+# Mersenne primes, tried in turn by the trace-form certificate: a larger prime
+# reconstructs larger kernel entries, at the cost of larger residues
+TRACE_PRIMES = (2**61 - 1, 2**127 - 1, 2**521 - 1)
 
 
 def _integral_columns(q: QuotientAlgebra):
@@ -221,6 +225,30 @@ def _trace_matrix(q: QuotientAlgebra) -> list[list]:
     return [[values[a + b] for b in place] for a in place]
 
 
+def _lifts_to_exact_kernel(matrix: list[list[int]], kernel: list[list[int]], p: int) -> bool:
+    """True when the kernel basis mod p lifts to as many independent kernel vectors over Q.
+
+    Each vector is lifted entry by entry by rational reconstruction and its
+    denominators are cleared; the lift must be nonzero, its last nonzero entry
+    must sit in a column no other lift ends in (so the lifts are independent),
+    and matrix * lift must be exactly 0.  Then the rank over Q is at most
+    ncols - len(kernel), which is the rank mod p, a lower bound on it.
+    """
+    ends = set()
+    for vector in kernel:
+        entries = [rational_reconstruction(v, p) for v in vector]
+        if any(x is None for x in entries):
+            return False
+        scale = lcm(*(x.denominator for x in entries))
+        support = [(i, x.numerator * (scale // x.denominator)) for i, x in enumerate(entries) if x]
+        if not support or support[-1][0] in ends:
+            return False
+        ends.add(support[-1][0])
+        if any(sum(row[i] * x for i, x in support) for row in matrix):
+            return False
+    return True
+
+
 def trace_form_rank(q: QuotientAlgebra) -> int:
     """Exact rank of the trace bilinear form; equals the number of distinct points.
 
@@ -228,19 +256,27 @@ def trace_form_rank(q: QuotientAlgebra) -> int:
     basis[b], so the matrix is read off one trace value per grid exponent,
     and it is built once.  Rational entries are first rescaled to an
     isomorphic algebra with integer multiplication matrices, so the form is
-    an integer matrix; it is ranked over Z/p, p = 2^61 - 1, and since the
-    rank mod p never exceeds the rank over Q, full rank mod p proves full
-    rank.  Below full rank, and for CycloScalar entries, the same matrix is
-    ranked exactly.  Floating-point coefficient domains are refused: this is
-    a certificate, not an estimate.
+    an integer matrix T.  For each prime p of ``TRACE_PRIMES`` in turn, T
+    gets a kernel basis over Z/p.  The rank mod p never exceeds the rank over
+    Q, so an empty kernel proves full rank.  Otherwise the kernel vectors are
+    lifted to Q by rational reconstruction; if the lifts are independent and
+    T annihilates them exactly, the rank over Q is at most the rank mod p,
+    hence equal to it.  A failed lift moves on to the next prime; after the
+    last one, and for CycloScalar entries, the matrix is ranked by exact
+    elimination.  Floating-point coefficient domains are refused: this is a
+    certificate, not an estimate.
     """
     if not q.is_exact():
         raise TypeError("trace form requires an exact coefficient domain")
     if any(isinstance(c, CycloScalar) for cols in q.columns for col in cols for _, c in col):
         return exact_rank(_trace_matrix(q))
     matrix = _trace_matrix(replace(q, columns=_integral_columns(q)))
-    if rank_mod_p(matrix, TRACE_PRIME) == q.dim:
-        return q.dim
+    for p in TRACE_PRIMES:
+        kernel = nullspace_mod_p(matrix, p)
+        if not kernel:
+            return q.dim
+        if _lifts_to_exact_kernel(matrix, kernel, p):
+            return q.dim - len(kernel)
     return exact_rank(matrix)
 
 

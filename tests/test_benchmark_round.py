@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from waring import cli
+from waring import cli, solver
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -43,7 +43,12 @@ def run_round(workloads, monkeypatch, name):
 
 
 def test_ideal_queries_round(workloads, monkeypatch):
+    # the dense, rank-deficient phi are certified by the kernel lift, never by exact elimination
+    calls = []
+    rank = solver.exact_rank
+    monkeypatch.setattr(solver, "exact_rank", lambda rows: calls.append(len(rows)) or rank(rows))
     run_round(workloads, monkeypatch, "ideal_queries")
+    assert calls == []
 
 
 def test_sample_decompose_round(workloads, monkeypatch):

@@ -276,6 +276,10 @@ class TestDeterminismAndErrors:
         (["rank", "x^*y^2"], "missing exponent"),
         (["radical", "x*y", "--phi", "1/0"], "zero denominator"),
         (["ideal", "x*y", "--member", "1/0*a0"], "zero denominator"),
+        (["rank", "x^1_0"], "invalid exponent '1_0'"),
+        (["rank", "x^+3*y"], "invalid exponent '+3'"),
+        (["rank", "x^\u0661"], "invalid exponent '\u0661'"),
+        (["radical", "x*y", "--phi", "1_000"], "invalid number '1_000'"),
     ])
     def test_malformed_number_is_usage_error(self, capsys, argv, message):
         code, data = run_json(capsys, *argv)
@@ -301,6 +305,13 @@ class TestDeterminismAndErrors:
     def test_exponent_notation_phi(self, capsys):
         code, data = run_json(capsys, "normalize", "x*y", "--phi", "1e-300")
         assert code == 0 and data["phi_normalized"]["canonical"] is True
+
+    @pytest.mark.parametrize("monomial, phi", [
+        ("x*y", "1e-300"), ("x*y", "2.5E+3"), ("x*y", "3/2"), ("x*y^2", "a0+-a1"),
+    ])
+    def test_number_literals_keep_parsing(self, capsys, monomial, phi):
+        code, data = run_json(capsys, "radical", monomial, f"--phi={phi}")
+        assert code == 0 and "error" not in data
 
 
 class TestParserReuse:

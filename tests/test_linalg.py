@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -12,8 +13,10 @@ from waring.linalg import (
     RankDeficientSystem,
     exact_rank,
     exact_solve,
+    nullspace_mod_p,
     rank,
     rank_mod_p,
+    rational_reconstruction,
     solve,
 )
 from waring.solver import NonRadicalIdealError
@@ -74,6 +77,74 @@ class TestRankModP:
     def test_empty(self):
         assert rank_mod_p([], P) == 0
         assert rank_mod_p([[]], P) == 0
+
+
+def annihilates(matrix, vector, p):
+    return all(sum(a * b for a, b in zip(row, vector)) % p == 0 for row in matrix)
+
+
+class TestNullspaceModP:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_basis_of_the_kernel(self, seed):
+        rng = random.Random(seed)
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        matrix = random_matrix(rng, rows, cols, rng.randint(1, min(rows, cols, 6)))
+        kernel = nullspace_mod_p(matrix, P)
+        # the minors are below p (see TestRankModP), so the kernel is that over Q
+        assert len(kernel) == cols - exact_rank(matrix) == cols - rank_mod_p(matrix, P)
+        assert all(annihilates(matrix, v, P) and all(0 <= x < P for x in v) for v in kernel)
+        # 1 on its own free column and 0 after it: the free columns are the last nonzero
+        # entries, all distinct, so the vectors are independent
+        ends = [max(i for i, x in enumerate(v) if x) for v in kernel]
+        assert len(set(ends)) == len(kernel)
+        for v, end in zip(kernel, ends):
+            assert v[end] == 1 and all(v[other] == 0 for other in ends if other != end)
+
+    def test_small_prime(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            matrix = random_matrix(rng, 5, 6, 4)
+            kernel = nullspace_mod_p(matrix, 3)
+            assert len(kernel) == 6 - rank_mod_p(matrix, 3) >= 2
+            assert all(annihilates(matrix, v, 3) for v in kernel)
+
+    def test_empty_at_full_rank(self):
+        assert nullspace_mod_p([[2, 1], [1, 1]], P) == []
+        assert nullspace_mod_p([[1, 0], [0, 1], [1, 1]], P) == []
+        matrix = random_matrix(random.Random(3), 5, 4, 4)
+        assert exact_rank(matrix) == 4 and nullspace_mod_p(matrix, P) == []
+
+    def test_multiples_of_p(self):
+        assert nullspace_mod_p([[P, 2 * P], [3 * P, -P]], P) == [[1, 0], [0, 1]]
+        assert nullspace_mod_p([[1 + P, 2 - P], [2, 4 + 3 * P]], P) == [[P - 2, 1]]
+        assert nullspace_mod_p([[2, 4], [1, 3]], 2) == [[1, 1]]
+
+    def test_wide_and_empty(self):
+        assert nullspace_mod_p([[1, 2, 3]], P) == [[P - 2, 1, 0], [P - 3, 0, 1]]
+        assert nullspace_mod_p([], P) == []
+        assert nullspace_mod_p([[]], P) == []
+        assert nullspace_mod_p([[0, 0]], P) == [[1, 0], [0, 1]]
+
+
+class TestRationalReconstruction:
+    BOUND = isqrt(P // 2)
+
+    @pytest.mark.parametrize("value", [
+        Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-5, 11),
+        Fraction(BOUND), Fraction(-BOUND, BOUND - 1), Fraction(1, BOUND),
+    ])
+    def test_round_trip_within_the_bound(self, value):
+        residue = value.numerator * pow(value.denominator, -1, P) % P
+        assert rational_reconstruction(residue, P) == value
+        assert rational_reconstruction(residue - 5 * P, P) == value
+
+    def test_beyond_the_bound(self):
+        for value in (Fraction(self.BOUND + 1, 3), Fraction(1, self.BOUND + 1)):
+            residue = value.numerator * pow(value.denominator, -1, P) % P
+            assert rational_reconstruction(residue, P) is None
+        # p = 101 takes |n|, d <= 7: 8 has no such fraction, 51 is 1/2
+        assert rational_reconstruction(8, 101) is None
+        assert rational_reconstruction(51, 101) == Fraction(1, 2)
 
 
 class TestSolve:

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+
 import pytest
 
 from waring import (
@@ -47,6 +49,18 @@ class TestMonomialSpec:
             MonomialSpec.parse("2*x*y")
         with pytest.raises(ValueError):
             MonomialSpec.parse("q^2")
+
+    @pytest.mark.parametrize("text, message", [
+        ("x^1_0", "invalid exponent '1_0'"),
+        ("x^+3*y", "invalid exponent '+3'"),
+        ("x^\u0661", "invalid exponent '\u0661'"),
+        ("x^\u00b2*y", "invalid exponent '\u00b2'"),
+        ("x\u0661*y", "unknown variable 'x\u0661'"),
+        ("\u0661,2", "unknown variable '\u0661,2'"),
+    ])
+    def test_parse_takes_ascii_digits_only(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MonomialSpec.parse(text)
 
     def test_pure_power(self):
         spec = MonomialSpec.parse("x^5")

@@ -201,11 +201,38 @@ def test_parse_rejects_a_zero_denominator():
             D(text)
 
 
+@pytest.mark.parametrize("text, literal", [
+    ("1_000", "'1_000'"),
+    ("\u0661*a0", "'\u0661'"),
+    ("a1 - 1_0/3*a2", "'1_0/3'"),
+    ("3/1_0", "'3/1_0'"),
+    ("1e1_0*a0", "'1e1_0'"),
+    ("2.5_0", "'2.5_0'"),
+])
+def test_parse_rejects_a_number_beyond_ascii_digits(text, literal):
+    with pytest.raises(ValueError, match=f"invalid number {literal}"):
+        D(text)
+
+
+@pytest.mark.parametrize("text, literal", [
+    ("a1^1_0", "'1_0'"), ("a0^\u0661", "'\u0661'"), ("a1*a2^\u00b2", "'\u00b2'"),
+])
+def test_parse_rejects_an_exponent_beyond_ascii_digits(text, literal):
+    with pytest.raises(ValueError, match=f"invalid exponent {literal}"):
+        D(text)
+
+
+def test_parse_rejects_a_variable_index_beyond_ascii_digits():
+    with pytest.raises(ValueError, match="unknown variable 'a\u0661'"):
+        D("a\u0661")
+
+
 def test_parse_exponent_notation_literals():
     assert parse_poly("1e-300", 2, DUAL) == SparsePoly.constant(2, DUAL, Fraction(1, 10**300))
     assert D("2.5E+3*a1") == SparsePoly.monomial(3, DUAL, (0, 1, 0), 2500)
     assert D("-1e-2*a0^2") == SparsePoly.monomial(3, DUAL, (2, 0, 0), Fraction(-1, 100))
     assert D("a0 - 1e-2*a1 + 2E+1*a2") == D("a0 - 1/100*a1 + 20*a2")
+    assert D("3/2*a0 + 1.*a1 + 0.25*a2") == D("3/2*a0 + a1 + 1/4*a2")
 
 
 def test_parse_explicit_plus_minus():

@@ -1,6 +1,10 @@
 import cmath
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,20 +138,50 @@ def reference_trace_rank(q):
     return exact_rank(matrix)
 
 
-def dense_phi(spec, seed):
-    """Every phi_i a full form in (a1..an) of degree d_i - d0 >= 2: the chart origin is singular."""
+def dense_phi(spec, seed, denominator=None):
+    """Every phi_i a full form in (a1..an) of degree d_i - d0 >= 2: the chart origin is singular.
+
+    Coefficients are k / denominator, k in 1..9, or k over a random 1..5 by default."""
     rng = np.random.default_rng(seed)
     entries = []
     for d in spec.exponents[1:]:
-        terms = {(0,) + e: Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 6)))
+        terms = {(0,) + e: Fraction(int(rng.integers(1, 10)),
+                                    denominator or int(rng.integers(1, 6)))
                  for e in exponents_of_degree(spec.n, d - spec.exponents[0])}
         entries.append(SparsePoly(spec.n + 1, DUAL, terms))
     return PhiTuple(spec, entries)
 
 
+CORRUPTIONS = [lambda x: x + 1 if x else x, lambda x: Fraction(0)]
+
+
+def ranks_with_corrupted_lifts(corrupt):
+    """(trace_form_rank, reference) pairs and the count of exact ranks, with every
+    reconstructed kernel entry passed through ``corrupt``.
+
+    The first phi is dense and deficient: every prime must reject its lifts, and
+    exact elimination decides.  The second has full rank over Q, but its form drops
+    rank mod 2^61 - 1: a lift accepted there would report a rank below 9.
+    """
+    dense = MonomialSpec.parse("x*y^3*z^3")
+    x2y2z2 = MonomialSpec.parse("x^2*y^2*z^2")
+    cases = [(dense, dense_phi(dense, 5)),
+             (x2y2z2, phi_of(x2y2z2, Fraction(1, 2**61 - 1), Fraction(3)))]
+    calls = []
+    reconstruct, rank = solver.rational_reconstruction, solver.exact_rank
+    solver.rational_reconstruction = lambda a, p: corrupt(reconstruct(a, p))
+    solver.exact_rank = lambda rows: calls.append(len(rows)) or rank(rows)
+    try:
+        quotients = [build_quotient(spec, phi) for spec, phi in cases]
+        return [(trace_form_rank(q), reference_trace_rank(q)) for q in quotients], len(calls)
+    finally:
+        solver.rational_reconstruction, solver.exact_rank = reconstruct, rank
+
+
 class TestModularCertificate:
-    """trace_form_rank agrees with the pairwise exact construction, and ranks exactly
-    only below full rank mod p or when the entries have no image mod p."""
+    """trace_form_rank agrees with the pairwise exact construction; below full rank mod p
+    it is certified by kernel vectors lifted to Q, and it ranks by exact elimination only
+    when no prime certifies or the entries are cyclotomic."""
 
     @pytest.fixture
     def exact_calls(self, monkeypatch):
@@ -181,10 +215,51 @@ class TestModularCertificate:
         assert rank == r
 
     @pytest.mark.parametrize("text", ["x*y^3*z^3", "x*y^3*z^3*w^3"])
-    def test_dense_deficient_phi_ranks_exactly_once(self, exact_calls, text):
+    def test_dense_deficient_phi_ranks_exactly_once(self, exact_calls, monkeypatch, text):
+        # with every lift refused, each prime of TRACE_PRIMES falls through and one
+        # exact elimination decides, not one per prime
+        monkeypatch.setattr(solver, "rational_reconstruction", lambda a, p: None)
         spec = MonomialSpec.parse(text)
         rank, r = self.check(spec, dense_phi(spec, 5), exact_calls, 1)
         assert rank < r
+
+    @pytest.mark.parametrize("text", ["x*y^3*z^3", "x*y^3*z^3*w^3"])
+    def test_dense_deficient_phi_is_certified_by_the_kernel_lift(self, exact_calls, text):
+        spec = MonomialSpec.parse(text)
+        rank, r = self.check(spec, dense_phi(spec, 5), exact_calls, 0)
+        assert rank < r
+
+    @pytest.mark.parametrize("text", ["x*y^3*z^3", "x*y^3*z^5", "x*y^4*z^4"])
+    @pytest.mark.parametrize("denominator", [1, 6, 35])
+    def test_dense_phi_sweep_is_certified_by_the_kernel_lift(self, exact_calls, text,
+                                                             denominator):
+        spec = MonomialSpec.parse(text)
+        rank, r = self.check(spec, dense_phi(spec, 0, denominator), exact_calls, 0)
+        assert rank < r
+
+    def test_kernel_beyond_one_prime_falls_back_to_exact_rank(self, exact_calls, monkeypatch):
+        # the kernel vectors of this rescaled form need more than 30 bits, so one
+        # 61-bit prime cannot reconstruct them
+        monkeypatch.setattr(solver, "TRACE_PRIMES", (2**61 - 1,))
+        spec = MonomialSpec.parse("x*y^3*z^3")
+        rank, r = self.check(spec, dense_phi(spec, 0, 35), exact_calls, 1)
+        assert rank < r
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=["shifted", "zero"])
+    def test_corrupted_lift_is_rejected(self, corrupt):
+        assert ranks_with_corrupted_lifts(corrupt) == ([(13, 13), (9, 9)], 1)
+
+    def test_corrupted_lift_is_rejected_in_optimized_mode(self):
+        tests = Path(__file__).resolve().parent
+        code = (
+            "from test_solver import CORRUPTIONS, ranks_with_corrupted_lifts\n"
+            "for corrupt in CORRUPTIONS:\n"
+            "    print(ranks_with_corrupted_lifts(corrupt))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        assert out.splitlines() == ["([(13, 13), (9, 9)], 1)"] * 2
 
     @pytest.mark.parametrize("text", ["x*y^3*z^3", "x*y^3*z^3*w^3"])
     def test_dense_deficient_phi_builds_the_grid_once(self, monkeypatch, text):
@@ -210,12 +285,14 @@ class TestModularCertificate:
         rank, r = self.check(spec, phi, exact_calls, 0)
         assert rank == r
 
-    def test_embedded_point_ranks_exactly_once(self, exact_calls, xy2z3):
-        assert self.check(xy2z3, phi_of(xy2z3, "a2", "a1^2"), exact_calls, 1) == (11, 12)
+    def test_embedded_point_is_certified_by_the_kernel_lift(self, exact_calls, xy2z3):
+        assert self.check(xy2z3, phi_of(xy2z3, "a2", "a1^2"), exact_calls, 0) == (11, 12)
 
-    def test_denominator_divisible_by_p_takes_the_exact_path(self, exact_calls, x2y2z2):
+    def test_denominator_divisible_by_p_is_certified_by_the_next_prime(self, exact_calls,
+                                                                        x2y2z2):
+        # mod 2^61 - 1 the rescaled form drops rank, no lift passes, and 2^127 - 1 certifies
         phi = phi_of(x2y2z2, Fraction(1, 2**61 - 1), Fraction(3))
-        assert self.check(x2y2z2, phi, exact_calls, 1) == (9, 9)
+        assert self.check(x2y2z2, phi, exact_calls, 0) == (9, 9)
 
     def test_cyclotomic_quotient_takes_the_exact_path(self, exact_calls, x2y2z2):
         z = root_of_unity(3, 1)
