@@ -5,17 +5,20 @@ A monomial x0^d0 * ... * xn^dn with every d_i >= 1 has Waring rank
 realizing that rank averages the forms x0 + z1^a1 x1 + ... + zn^an xn over all
 tuples of (d_i+1)-th roots of unity z_i^a_i, with an explicit scalar in front
 of each summand; everything here is exact over Q(zeta_m) for
-m = lcm(d1+1, ..., dn+1).
+m = lcm(d1+1, ..., dn+1).  A decomposition over Q(zeta_M) is verified exactly
+in the integers modulo N = Phi_M(2^b), with b chosen from a coefficient bound
+so that a zero residue is a proof (``verify_decomposition``).
 """
 
 from __future__ import annotations
 
-from cmath import phase
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, pi, prod
+from functools import lru_cache
+from math import lcm, prod
 
-from .cyclotomic import CycloScalar, _reduce_mod_phi, embed, root_of_unity, root_power_sum
+from .cyclotomic import CycloScalar, cyclotomic_poly, embed, root_of_unity, root_power_sum
 from .polynomial import (
     PRIMAL,
     Exponent,
@@ -252,12 +255,25 @@ def verify_decomposition(
     """Expand sum c_j l_j^d with the multinomial theorem and subtract the target.
 
     Exact domains must cancel identically in Q(zeta_M), M the lcm of every
-    scalar's conductor.  The expansion runs in integer buckets: each output
-    monomial owns one integer vector in Z[z]/(z^M - 1) over a common
-    denominator D, which is reduced modulo Phi_M once at the end and tested
-    for zero exactly (see ``_verify_exact``).  The float domain is held to a
-    max-coefficient tolerance instead, and its expansion is one evaluation
-    product: the x^e coefficient of sum_j c_j l_j^d is (d; e) * sum_j c_j l_j^e.
+    scalar's conductor.  Each summand is brought to integers over one common
+    denominator D: a' = a * F / den_a for the form entries, F their lcm
+    denominator, and c' = c * D / (den_c * F^d).  Then D times the x^e
+    coefficient of the difference is R_e = (d; e) * sum_j c'_j * prod_i
+    a'_ji^e_i - [e = target] * D, in Z[zeta_M].
+
+    The check is Kronecker substitution: z -> 2^b is a ring homomorphism
+    Z[zeta_M] -> Z/N, N = Phi_M(2^b), under which a scalar of conductor c
+    with coordinates num_k maps to sum_k num_k * 2^(b*k*M/c).  With ||x||_1
+    the sum of |num_k| and rho_M the largest |coordinate| of z^k mod Phi_M
+    over k < M, every power-basis coordinate of R_e is at most
+    C = rho_M * (sum_j ||c'_j||_1 * (sum_i ||a'_ji||_1)^d + D).  For H the
+    largest |coefficient| of Phi_M and 2^b > 2*(C + H) + 1, |R_e(2^b)| < N/2,
+    so R_e = 0 exactly when R_e = 0 mod N, and otherwise the balanced base-2^b
+    digits of the centered residue are its coordinates, which give the
+    reported difference.  A bound that fails to hold raises AssertionError
+    (see ``_verify_exact``).  The float domain is held to a max-coefficient
+    tolerance instead, and its expansion is one evaluation product: the x^e
+    coefficient of sum_j c_j l_j^d is (d; e) * sum_j c_j l_j^e.
     """
     if dec.degree != spec.degree:
         raise ValueError("decomposition degree does not match the monomial")
@@ -280,133 +296,124 @@ def verify_decomposition(
     return VerificationReport(ok=max_error < tol, mode="numeric", max_error=max_error)
 
 
-def _conductor(x) -> int:
+def _parts(x) -> tuple[tuple[int, ...], int, int]:
+    """(integer coordinates, denominator, conductor) of a rational or cyclotomic scalar."""
     if isinstance(x, CycloScalar):
-        return x.conductor
+        return x.num, x.den, x.conductor
     if isinstance(x, (int, Fraction)):
-        return 1
+        q = Fraction(x)
+        return (q.numerator,), q.denominator, 1
     raise ValueError(f"exact verification needs rational or cyclotomic scalars, got {x!r}")
 
 
-def _lift(x, m: int) -> tuple[dict[int, int], int]:
-    """A preimage of x in Z[z]/(z^m - 1): a sparse {power of z: integer} map and a denominator.
+@lru_cache(maxsize=None)
+def _ring_constants(m: int) -> tuple[int, int]:
+    """(rho_m, H_m): the largest |coordinate| of z^k mod Phi_m over k < m, and of Phi_m."""
+    rho = max(abs(c) for k in range(m) for c in root_of_unity(m, k).num)
+    return rho, max(map(abs, cyclotomic_poly(m).coeffs))
 
-    A rational multiple q*zeta_m^k lifts to the single term q*z^k.  The
-    argument of complex(x) only proposes k; k is taken when x*zeta_m^(-k) is
-    exactly rational.  Any other x lifts its reduced coordinates, the basis
-    element zeta_c^j going to z^(j*m/c).
+
+def _substitute(coords, shift: int) -> int:
+    """sum_k coords[k] * 2^(shift*k), an integer polynomial at z = 2^shift.
+
+    N = Phi_M(2^b) is ``_substitute(Phi_M, b)``; a scalar of conductor c,
+    read in Q(zeta_M), has its coordinates at z^(k*M/c), so shift = b*M/c.
     """
-    if not isinstance(x, CycloScalar):
-        q = Fraction(x)
-        return ({0: q.numerator} if q else {}), q.denominator
-    if not x.is_rational():
-        try:
-            k = round(phase(complex(x)) * m / (2 * pi)) % m
-        except OverflowError:  # coordinates beyond float range give no hint
-            k = 0
-        q = x * root_of_unity(m, -k)
-        if q.is_rational():
-            return {k: q.num[0]}, q.den
-    step = m // x.conductor
-    return {j * step: c for j, c in enumerate(x.num) if c}, x.den
+    return sum(a << shift * k for k, a in enumerate(coords) if a)
 
 
-def _cyclic_mul(a: dict[int, int], b: dict[int, int], m: int) -> dict[int, int]:
-    """Product of two sparse integer vectors in Z[z]/(z^m - 1)."""
-    out: dict[int, int] = {}
-    for i, u in a.items():
-        for j, v in b.items():
-            k = (i + j) % m
-            out[k] = out.get(k, 0) + u * v
-    return out
+def _modulus_bits(bound: int) -> int:
+    """The b of ``_verify_exact``: 2^b > 2*(C + H) + 1 for bound = C + H."""
+    return (2 * bound + 1).bit_length()
 
 
 def _verify_exact(spec: MonomialSpec, dec: Decomposition) -> VerificationReport:
-    """The exact check, in integer buckets of Z[z]/(z^M - 1) over one denominator.
+    """The exact check: Kronecker substitution into Z/N, summed one variable at a time.
 
-    Every scalar is lifted to Z[z]/(z^M - 1) (``_lift``) and every summand is
-    brought to the common denominator D.  The x^e coefficient of c*l^d is
-    (d; e) * c * prod a_i^e_i, which adds plain integers into the bucket of e.
-    Reducing a bucket modulo Phi_M gives D times the true coefficient in
-    Q(zeta_M), because Z[z]/(z^M - 1) -> Q(zeta_M), z -> zeta_M, is a ring
-    homomorphism; Q(zeta_M) is a field, so the zero test after reduction is exact.
+    See ``verify_decomposition`` for the map z -> 2^b and its bound.  The sums
+    S_e = sum_j c'_j * prod_i a'_ji^e_i are built over states (exponents
+    chosen so far, entries still to use), one variable per pass; summands
+    that share their remaining entries merge into one state, so the variable
+    with the most distinct entries goes first.
     """
-    degree = dec.degree
-    num_vars = spec.num_original_vars
-    m = lcm(*(_conductor(x) for c, form in dec.summands for x in (c, *form.coeffs)))
-    lifts: dict = {}
+    degree, num_vars = dec.degree, spec.num_original_vars
+    parts = [(_parts(c), [_parts(v) for v in form.coeffs]) for c, form in dec.summands]
+    m = lcm(*(cond for c, entries in parts for _, _, cond in (c, *entries)))
+    summands = []  # (coefficient, entries, denominator), scalars as (coordinates, conductor)
+    for (num, den, cond), entries in parts:
+        if any(num):
+            form_den = lcm(*(d for _, d, _ in entries))
+            entries = [(tuple(a * (form_den // d) for a in n) if d < form_den else n, c)
+                       for n, d, c in entries]
+            summands.append(((num, cond), entries, den * form_den**degree))
+    common_den = lcm(*(den for _, _, den in summands))
 
-    def lift(x):
-        key = (x.conductor, x.num, x.den) if isinstance(x, CycloScalar) else x
-        if key not in lifts:
-            lifts[key] = _lift(x, m)
-        return lifts[key]
+    def norm(x):
+        return sum(map(abs, x[0]))
 
-    # (coefficient vector, summand denominator, [(variable, entry vector)])
-    summands = []
-    for coeff, form in dec.summands:
-        c_vec, c_den = lift(coeff)
-        if not c_vec:
-            continue
-        entries = [(i, lift(v)) for i, v in enumerate(form.coeffs) if v]
-        form_den = lcm(*(den for _, (_, den) in entries))
-        entries = [
-            (i, {k: a * (form_den // den) for k, a in vec.items()}) for i, (vec, den) in entries
-        ]
-        summands.append((c_vec, c_den * form_den**degree, entries))
-    common_den = lcm(*(den for _, den, _ in summands))
+    rho, height = _ring_constants(m)
+    mass = sum(norm(c) * (common_den // den) * sum(map(norm, entries)) ** degree
+               for c, entries, den in summands)
+    bound = rho * (mass + common_den) + height
+    b = _modulus_bits(bound)
+    if 1 << b <= 2 * bound + 1:
+        raise AssertionError(f"Kronecker substitution: 2^{b} is not above 2*(C + H) + 1 = "
+                             f"{2 * bound + 1}, so a zero residue would prove nothing")
+    modulus = _substitute(cyclotomic_poly(m).coeffs, b)
 
-    power_rows: dict[tuple, list[dict[int, int]]] = {}
+    images: dict[tuple, int] = {}
 
-    def powers(vec: dict[int, int]) -> list[dict[int, int]]:
-        key = tuple(sorted(vec.items()))
-        if key not in power_rows:
-            row = [{0: 1}]
-            for _ in range(degree):
-                row.append(_cyclic_mul(row[-1], vec, m))
-            power_rows[key] = row
-        return power_rows[key]
+    def image(x):
+        if x not in images:
+            images[x] = _substitute(x[0], b * (m // x[1])) % modulus
+        return images[x]
 
-    buckets: dict[Exponent, tuple[int, list[int]]] = {}  # e -> ((d; e), integer vector)
-    for c_vec, den, entries in summands:
-        support = [i for i, _ in entries]
-        rows = [powers(vec) for _, vec in entries]
-        last = len(support) - 1
-        exponent = [0] * num_vars
+    ids: dict[int, int] = {}  # image of a form entry -> its index into powers
+    keyed = [(image(c) * (common_den // den) % modulus,
+              [ids.setdefault(image(a), len(ids)) for a in entries])
+             for c, entries, den in summands]
+    powers = []
+    for value in ids:
+        powers.append([1])
+        for _ in range(degree):
+            powers[-1].append(powers[-1][-1] * value % modulus)
+    order = sorted(range(num_vars), key=lambda i: -len({key[i] for _, key in keyed}))
+    states: dict[tuple, dict[tuple, int]] = defaultdict(lambda: defaultdict(int))
+    for value, key in keyed:  # entries still to use -> {exponents chosen so far: sum}
+        states[tuple(key[i] for i in order)][()] += value
+    for step in range(num_vars):
+        merged: dict[tuple, dict[tuple, int]] = defaultdict(lambda: defaultdict(int))
+        for rest, sums in states.items():
+            row, out = powers[rest[0]], merged[rest[1:]]
+            for chosen, value in sums.items():
+                left = degree - sum(chosen)
+                for k in (left,) if step == num_vars - 1 else range(left + 1):
+                    if row[k]:
+                        out[chosen + (k,)] += value * row[k]
+        states = {rest: {chosen: value % modulus for chosen, value in sums.items()}
+                  for rest, sums in merged.items()}
 
-        def rec(idx: int, remaining: int, vec: dict[int, int]):
-            i = support[idx]
-            if idx == last:
-                exponent[i] = remaining
-                e = tuple(exponent)
-                exponent[i] = 0
-                if e not in buckets:
-                    buckets[e] = (multinomial(degree, e), [0] * m)
-                mult, bucket = buckets[e]
-                row = rows[idx][remaining]
-                for k1, u in vec.items():
-                    u *= mult
-                    for k2, v in row.items():
-                        bucket[(k1 + k2) % m] += u * v
-                return
-            for j in range(remaining + 1):
-                exponent[i] = j
-                rec(idx + 1, remaining - j, _cyclic_mul(vec, rows[idx][j], m))
-            exponent[i] = 0
-
-        scale = common_den // den
-        rec(0, degree, {k: a * scale for k, a in c_vec.items()})
-
+    place = [order.index(i) for i in range(num_vars)]  # exponents are chosen in ``order``
+    sums = {tuple(chosen[p] for p in place): value for chosen, value in states.get((), {}).items()}
     target = spec.original_exponents
-    if target not in buckets:
-        buckets[target] = (1, [0] * m)
-    buckets[target][1][0] -= common_den
+    sums.setdefault(target, 0)
     difference = {}
-    for e, (_, bucket) in buckets.items():
-        if any(bucket):
-            reduced = _reduce_mod_phi(m, bucket)
-            if any(reduced):
-                difference[e] = CycloScalar(m, tuple(reduced), common_den)
+    phi_m = cyclotomic_poly(m).degree
+    for e, value in sums.items():
+        residue = value and multinomial(degree, e) * value
+        residue = (residue - (common_den if e == target else 0)) % modulus
+        if residue:
+            residue -= modulus if 2 * residue > modulus else 0
+            digits = []  # balanced base-2^b digits: the power-basis coordinates of R_e
+            for _ in range(phi_m):
+                low = residue & ((1 << b) - 1)
+                low -= 1 << b if low >> (b - 1) else 0
+                digits.append(low)
+                residue = (residue - low) >> b
+            if residue:
+                raise AssertionError(f"Kronecker substitution: the residue of x^{e} has digits "
+                                     f"beyond the {phi_m} coordinates of Q(zeta_{m})")
+            difference[e] = CycloScalar(m, tuple(digits), common_den)
     if not difference:
         return VerificationReport(ok=True, mode="exact", max_error=0.0)
     return VerificationReport(ok=False, mode="exact", max_error=float("inf"),

@@ -10,6 +10,7 @@ serialization byte-stable for equal inputs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -65,11 +66,21 @@ def _field(data, name: str, kind: str | None, where: str, default=_REQUIRED):
     return _expect(value, kind, f"{where} field {name!r}")
 
 
-def _fraction(text, what: str) -> Fraction:  # "1/0" is a ValueError here, not a ZeroDivisionError
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # exactly what scalar_to_json writes
+
+
+def _ratio(text, what: str) -> tuple[int, int]:
+    """(p, q) of a "p/q" or "p" record; anything else, "1/0" too, is a ValueError."""
+    match = _RATIO.fullmatch(_expect(text, "string", what))
+    if match is None:
+        raise ValueError(f"{what} {text!r} is not an integer or a ratio p/q of integers")
     try:
-        return Fraction(_expect(text, "string", what))
-    except ZeroDivisionError:
-        raise ValueError(f"{what} {text!r} has a zero denominator") from None
+        num, den = int(match[1]), int(match[2] or 1)
+    except ValueError as exc:  # more digits than int() converts
+        raise ValueError(f"{what} {text[:20]!r}...: {exc}") from None
+    if not den:
+        raise ValueError(f"{what} {text!r} has a zero denominator")
+    return num, den
 
 
 def _float(obj, name: str, default=_REQUIRED) -> float:  # a JSON integer may overflow a float
@@ -81,15 +92,13 @@ def _float(obj, name: str, default=_REQUIRED) -> float:  # a JSON integer may ov
 
 def scalar_from_json(obj):
     if isinstance(obj, str):
-        return _fraction(obj, "rational scalar")
+        return Fraction(*_ratio(obj, "rational scalar"))
     if isinstance(obj, dict) and "conductor" in obj:
         conductor = _field(obj, "conductor", "integer", "cyclotomic scalar")
-        coeffs = [_fraction(c, "cyclotomic coefficient")
+        coeffs = [_ratio(c, "cyclotomic coefficient")
                   for c in _field(obj, "coeffs", "array", "cyclotomic scalar")]
-        den = 1
-        for c in coeffs:
-            den = lcm(den, c.denominator)
-        return CycloScalar(conductor, tuple(int(c * den) for c in coeffs), den)
+        den = lcm(*(q for _, q in coeffs))
+        return CycloScalar(conductor, tuple(p * (den // q) for p, q in coeffs), den)
     if isinstance(obj, dict) and "re" in obj:
         return complex(_float(obj, "re"), _float(obj, "im", 0.0))
     raise ValueError(f"not a scalar record: {obj!r}")

@@ -168,16 +168,16 @@ def _assert_commuting(q: QuotientAlgebra):
 TRACE_PRIMES = (2**61 - 1, 2**127 - 1, 2**521 - 1)
 
 
-def _integral_columns(q: QuotientAlgebra):
+def _integral_columns(q: QuotientAlgebra, scale: int):
     """``q.columns`` of the isomorphic algebra a_j -> a_j / D, as plain ints.
 
-    D is the lcm of the entry denominators.  Entry c in row g, column b becomes
-    c * D^(1 + |b| - |g|): each rewrite a_i^(d_i+1) -> psi_i lowers the degree
-    by at least d0 + 1 and brings in one denominator, and an entry no rewrite
-    reached is the lifted monomial with coefficient 1.  The trace form of the
-    new algebra is Delta T Delta, Delta = diag(D^|b|), so its rank is that of T.
+    D = ``scale`` is the lcm of the entry denominators.  Entry c in row g,
+    column b becomes c * D^(1 + |b| - |g|): each rewrite a_i^(d_i+1) -> psi_i
+    lowers the degree by at least d0 + 1 and brings in one denominator, and an
+    entry no rewrite reached is the lifted monomial with coefficient 1.  The
+    trace form of the new algebra is Delta T Delta, Delta = diag(D^|b|), so its
+    rank is that of T.
     """
-    scale = lcm(*(c.denominator for cols in q.columns for col in cols for _, c in col))
     degree = [sum(b) for b in q.basis]
     mapped = []
     for i, cols in enumerate(q.columns, start=1):
@@ -225,22 +225,34 @@ def _trace_matrix(q: QuotientAlgebra) -> list[list]:
     return [[values[a + b] for b in place] for a in place]
 
 
-def _lifts_to_exact_kernel(matrix: list[list[int]], kernel: list[list[int]], p: int) -> bool:
+def _lifts_to_exact_kernel(matrix: list[list[int]], kernel: list[list[int]], p: int,
+                          degrees: list[int], scale: int) -> bool:
     """True when the kernel basis mod p lifts to as many independent kernel vectors over Q.
 
-    Each vector is lifted entry by entry by rational reconstruction and its
-    denominators are cleared; the lift must be nonzero, its last nonzero entry
-    must sit in a column no other lift ends in (so the lifts are independent),
-    and matrix * lift must be exactly 0.  Then the rank over Q is at most
-    ncols - len(kernel), which is the rank mod p, a lower bound on it.
+    ``matrix`` is Delta T Delta, Delta = diag(D^|b|) (``_integral_columns``),
+    so v is in its kernel exactly when Delta v is in that of T, whose kernel
+    carries no powers of D.  With f the free column of v (v_f = 1, v_b = 0
+    after it), u_b = v_b * D^(|b| - |f|) mod p is lifted entry by entry by
+    rational reconstruction, its denominators are cleared and it is scaled
+    back exactly, v_b = u_b * D^(t - |b|), t the largest |b| in the support
+    (v is known up to a factor); the lift must be nonzero, its last
+    nonzero entry must sit in a column no other lift ends in (so the lifts are
+    independent), and matrix * lift must be exactly 0.  Then the rank over Q
+    is at most ncols - len(kernel), which is the rank mod p, a lower bound on it.
     """
+    if scale % p == 0:
+        return False
+    weight = [pow(scale, d, p) for d in degrees]
     ends = set()
     for vector in kernel:
-        entries = [rational_reconstruction(v, p) for v in vector]
+        unit = pow(weight[max(i for i, v in enumerate(vector) if v)], -1, p)
+        entries = [rational_reconstruction(v * w * unit % p, p) for v, w in zip(vector, weight)]
         if any(x is None for x in entries):
             return False
-        scale = lcm(*(x.denominator for x in entries))
-        support = [(i, x.numerator * (scale // x.denominator)) for i, x in enumerate(entries) if x]
+        common = lcm(*(x.denominator for x in entries))
+        top = max((degrees[i] for i, x in enumerate(entries) if x), default=0)
+        support = [(i, x.numerator * (common // x.denominator) * scale ** (top - degrees[i]))
+                   for i, x in enumerate(entries) if x]
         if not support or support[-1][0] in ends:
             return False
         ends.add(support[-1][0])
@@ -270,12 +282,14 @@ def trace_form_rank(q: QuotientAlgebra) -> int:
         raise TypeError("trace form requires an exact coefficient domain")
     if any(isinstance(c, CycloScalar) for cols in q.columns for col in cols for _, c in col):
         return exact_rank(_trace_matrix(q))
-    matrix = _trace_matrix(replace(q, columns=_integral_columns(q)))
+    scale = lcm(*(c.denominator for cols in q.columns for col in cols for _, c in col))
+    matrix = _trace_matrix(replace(q, columns=_integral_columns(q, scale)))
+    degrees = [sum(b) for b in q.basis]
     for p in TRACE_PRIMES:
         kernel = nullspace_mod_p(matrix, p)
         if not kernel:
             return q.dim
-        if _lifts_to_exact_kernel(matrix, kernel, p):
+        if _lifts_to_exact_kernel(matrix, kernel, p, degrees, scale):
             return q.dim - len(kernel)
     return exact_rank(matrix)
 

@@ -1,4 +1,4 @@
-"""Full benchmark rounds of `ideal_queries` and `sample_decompose`, run through the CLI.
+"""Full benchmark rounds of all three workloads, run through the CLI.
 
 Every output is judged by `benchmarks/checks.py`, which does not import the
 package, so membership, canonicalization and radicality answers, and every
@@ -54,3 +54,8 @@ def test_ideal_queries_round(workloads, monkeypatch):
 def test_sample_decompose_round(workloads, monkeypatch):
     # includes the two x^3*y^6*z^7 seeds whose certified points the old coefficient fit refused
     run_round(workloads, monkeypatch, "sample_decompose")
+
+
+def test_exact_certify_round(workloads, monkeypatch):
+    # every exact decomposition is verified twice: by decompose --exact and by verify
+    run_round(workloads, monkeypatch, "exact_certify")

@@ -352,6 +352,10 @@ class TestMalformedJson:
         ({"summands": [], "domain": "complex-float"}, "'degree'"),
         ({"summands": [{"coeff": {"re": 10**400}, "form": ["1", "1"]}], "degree": 2,
           "domain": "complex-float"}, "'re' is beyond float range"),
+        ({"summands": [{"coeff": " 1/4", "form": ["1", "1"]}], "degree": 2,
+          "domain": "exact-cyclotomic"}, "' 1/4' is not an integer or a ratio"),
+        ({"summands": [{"coeff": {"conductor": 3, "coeffs": ["1e-3", "1"]}, "form": ["1", "1"]}],
+          "degree": 2, "domain": "exact-cyclotomic"}, "cyclotomic coefficient '1e-3'"),
     ])
     def test_verify_input_of_the_wrong_shape(self, capsys, tmp_path, payload, field):
         path = tmp_path / "dec.json"
@@ -368,6 +372,8 @@ class TestMalformedJson:
         ({"points": [[{"re": "1"}]]}, "'re'"),
         ({"points": [["1/0"]]}, "zero denominator"),
         ({"points": [[{"re": 10**400, "im": 0}]]}, "'re' is beyond float range"),
+        ({"points": [["1_000"]]}, "'1_000' is not an integer or a ratio"),
+        ({"points": [["0.5"]]}, "'0.5' is not an integer or a ratio"),
     ])
     def test_fit_phi_points_of_the_wrong_shape(self, capsys, tmp_path, payload, field):
         path = tmp_path / "points.json"

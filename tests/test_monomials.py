@@ -1,6 +1,11 @@
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +18,9 @@ from waring import (
     verify_decomposition,
     waring_rank,
 )
-from waring.cyclotomic import CycloScalar, root_of_unity
-from waring.monomials import Decomposition, EXACT_CYCLOTOMIC, _lift
+from waring import monomials
+from waring.cyclotomic import CycloScalar, cyclotomic_poly, root_of_unity
+from waring.monomials import Decomposition, EXACT_CYCLOTOMIC
 from waring.polynomial import PRIMAL, LinearForm, SparsePoly, exponents_of_degree, power_linear_form
 
 from conftest import spec_grid
@@ -229,7 +235,7 @@ class TestCoefficientFormula:
 
 
 def reference_difference(spec, dec):
-    """The expansion the integer-bucket verifier replaces: scalar products summed."""
+    """The scalar expansion the exact verifier is checked against: products summed."""
     total = SparsePoly.zero(spec.num_original_vars, PRIMAL)
     for c, form in dec.summands:
         total = total + power_linear_form(form, dec.degree).scale(c)
@@ -326,12 +332,24 @@ class TestIntegerBucketVerifier:
                 dec = Decomposition(spec.degree, EXACT_CYCLOTOMIC, tuple(variant))
                 assert not check_against_reference(spec, dec).ok
 
-    def test_roots_lift_to_one_term(self):
-        assert _lift(root_of_unity(7, 6), 7) == ({6: 1}, 1)  # six coordinates mod Phi_7
-        assert _lift(CycloScalar(12, (0, 0, 0, 2), 3), 24) == ({6: 2}, 3)
-        assert _lift(-root_of_unity(3, 1), 6) == ({5: 1}, 1)  # -zeta_3 = zeta_6^5
-        assert _lift(CycloScalar(5, (1, 1, 0, 0)), 5) == ({0: 1, 1: 1}, 1)
-        assert _lift(Fraction(-3, 4), 5) == ({0: -3}, 4)
+    def test_scalars_map_to_z_mod_n(self):
+        # z -> 2^b into Z/N, N = Phi_24(2^b): a scalar of conductor c sits at z^(k*24/c)
+        b, m = 8, 24
+        n = monomials._substitute(cyclotomic_poly(m).coeffs, b)
+        assert n.bit_length() == b * cyclotomic_poly(m).degree and (2 ** (b * m) - 1) % n == 0
+
+        def image(x):
+            num, den, cond = monomials._parts(x)
+            assert den == 1
+            return monomials._substitute(num, b * (m // cond)) % n
+
+        assert image(root_of_unity(24, 5)) == pow(2, 5 * b, n)
+        assert image(root_of_unity(8, 7)) == pow(2, 21 * b, n)  # -zeta_8^3 mod Phi_8
+        assert image(-root_of_unity(3, 1)) == pow(2, 20 * b, n)  # -zeta_3 = zeta_24^20
+        assert image(Fraction(-3)) == n - 3 and image(CycloScalar(2, (5,))) == 5
+        x, y = CycloScalar(12, (1, -2, 0, 3)), CycloScalar(8, (2, 0, 1, 1))
+        assert image(x * y) == image(x) * image(y) % n
+        assert image(x + y) == (image(x) + image(y)) % n
 
     def test_coordinates_beyond_float_range(self):
         big = 10**400
@@ -346,6 +364,103 @@ class TestIntegerBucketVerifier:
         dec = exact_dec(2, [(0.25, (1, 1)), (Fraction(-1, 4), (1, -1))])
         with pytest.raises(ValueError):
             verify_decomposition(spec, dec)
+
+
+SWEEP_SPECS = [(1, 1), (1, 2), (2, 2), (2, 3), (1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 0, 2),
+               (1, 1, 1, 1)]
+
+
+def random_scalar(rng, kind, conductor):
+    """A nonzero scalar for the sweep: what ``kind`` says about its conductor and support."""
+    q = Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 6))
+    if kind == "rational":
+        return rng.choice([q, q.numerator, CycloScalar.from_rational(q)])
+    if kind == "conductor2":
+        return CycloScalar(2, (q.numerator,), q.denominator)
+    if kind == "mixed":
+        conductor = rng.choice([3, 4, 6])
+    if kind == "sparse":
+        return q * root_of_unity(conductor, rng.randrange(conductor))
+    deg = cyclotomic_poly(conductor).degree
+    coords = tuple(rng.randint(-4, 4) for _ in range(deg))
+    return CycloScalar(conductor, coords, rng.randint(1, 6)) if any(coords) else q
+
+
+def sweep_case(kind, seed):
+    """(spec, decomposition) of one seeded case; an even seed gives an identity.
+
+    Grids are the explicit decomposition; a torus case rescales it by a rational
+    lambda, x_i -> lambda_i x_i, which an odd seed leaves out of one coefficient.
+    Every other kind adds random summands to the grid, and an even seed also
+    adds their negatives, so the sum is still the target.
+    """
+    rng = random.Random(f"{kind}-{seed}")
+    spec = MonomialSpec.from_exponents(rng.choice(SWEEP_SPECS))
+    summands = list(explicit_decomposition(spec).summands)
+    ok = seed % 2 == 0
+    if kind == "grid" and not ok:
+        j = rng.randrange(len(summands))
+        c, form = summands[j]
+        slot = rng.choice([i for i, v in enumerate(form.coeffs) if v])
+        coeffs = list(form.coeffs)
+        coeffs[slot] = coeffs[slot] * random_scalar(rng, "sparse", spec.conductor)
+        summands[j] = (c, LinearForm(coeffs))
+    elif kind == "torus":
+        lam = [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+               for _ in spec.original_exponents]
+        scale = prod(l**e for l, e in zip(lam, spec.original_exponents))
+        summands = [(c / scale, LinearForm(tuple(v * l for v, l in zip(form.coeffs, lam))))
+                    for c, form in summands]
+        if not ok:
+            j = rng.randrange(len(summands))
+            summands[j] = (summands[j][0] * scale, summands[j][1])
+    elif kind != "grid":
+        extra = []
+        for _ in range(rng.randint(1, 3)):
+            entries = [rng.choice([0, random_scalar(rng, kind, spec.conductor)])
+                       for _ in spec.original_exponents]
+            entries[rng.randrange(len(entries))] = random_scalar(rng, kind, spec.conductor)
+            extra.append((random_scalar(rng, kind, spec.conductor), LinearForm(entries)))
+        summands += extra + ([(-c, form) for c, form in extra] if ok else [])
+    return spec, Decomposition(spec.degree, EXACT_CYCLOTOMIC, tuple(summands))
+
+
+def verify_with_a_small_modulus(bits):
+    """verify_decomposition with b forced to ``bits``; 'raised' if the bound check fires."""
+    spec = MonomialSpec.parse("x*y^2")
+    dec = explicit_decomposition(spec)
+    wrong = Decomposition(3, EXACT_CYCLOTOMIC, dec.summands[1:])
+    choose = monomials._modulus_bits
+    monomials._modulus_bits = lambda bound: bits
+    try:
+        return [verify_decomposition(spec, d).ok for d in (dec, wrong)]
+    except AssertionError as exc:
+        return "raised" if "Kronecker" in str(exc) else repr(exc)
+    finally:
+        monomials._modulus_bits = choose
+
+
+class TestKroneckerVerifier:
+    """The verifier in Z/Phi_M(2^b) against the scalar expansion, on seeded input."""
+
+    @pytest.mark.parametrize("kind", ["grid", "torus", "sparse", "dense", "rational",
+                                      "conductor2", "mixed"])
+    def test_seeded_sweep_matches_reference(self, kind):
+        outcomes = [check_against_reference(*sweep_case(kind, seed)).ok for seed in range(30)]
+        assert all(outcomes[::2])
+        assert not all(outcomes[1::2])
+
+    def test_a_modulus_below_the_bound_raises(self):
+        assert verify_with_a_small_modulus(2) == "raised"
+
+    def test_a_modulus_below_the_bound_raises_in_optimized_mode(self):
+        tests = Path(__file__).resolve().parent
+        code = ("from test_monomials import verify_with_a_small_modulus\n"
+                "print(verify_with_a_small_modulus(2))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        assert out.splitlines() == ["raised"]
 
 
 class TestFloatEvaluationProduct:

@@ -112,6 +112,24 @@ class TestMalformedInput:
         with pytest.raises(ValueError, match=text):
             scalar_from_json(record)
 
+    @pytest.mark.parametrize("text", ["1_000", "\u0661/2", " 3/4 ", "+3", "0.5", "1e-3", "3/-4",
+                                      "3/", "-", "", "3\n"])
+    def test_rational_strings_are_what_scalar_to_json_writes(self, text):
+        # no underscores, other scripts' digits, whitespace, signs but a leading '-', or decimals
+        for record, what in ((text, "rational scalar"),
+                             ({"conductor": 3, "coeffs": ["1", text]}, "cyclotomic coefficient")):
+            with pytest.raises(ValueError, match=f"{what} .* is not an integer or a ratio"):
+                scalar_from_json(record)
+
+    def test_digits_beyond_the_int_limit_name_the_record(self):
+        with pytest.raises(ValueError, match="rational scalar '1111.*Exceeds the limit"):
+            scalar_from_json("1" * 5000)
+
+    def test_cyclotomic_coefficients_over_one_denominator(self):
+        z = scalar_from_json({"conductor": 5, "coeffs": ["-1/6", "0", "3/4", "-7"]})
+        assert (z.num, z.den) == ((-2, 0, 9, -84), 12)
+        assert scalar_from_json("-12/8") == Fraction(-3, 2) and scalar_from_json("-0") == 0
+
     @pytest.mark.parametrize("data, text", [
         ({}, "'summands'"),
         ({"summands": 3}, "'summands'"),

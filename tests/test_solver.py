@@ -238,12 +238,25 @@ class TestModularCertificate:
         assert rank < r
 
     def test_kernel_beyond_one_prime_falls_back_to_exact_rank(self, exact_calls, monkeypatch):
-        # the kernel vectors of this rescaled form need more than 30 bits, so one
-        # 61-bit prime cannot reconstruct them
+        # with the denominator 2^20 + 7 the kernel vectors need more than 30 bits even
+        # with the powers of D taken out, so one 61-bit prime cannot reconstruct them
         monkeypatch.setattr(solver, "TRACE_PRIMES", (2**61 - 1,))
         spec = MonomialSpec.parse("x*y^3*z^3")
-        rank, r = self.check(spec, dense_phi(spec, 0, 35), exact_calls, 1)
+        rank, r = self.check(spec, dense_phi(spec, 0, 2**20 + 7), exact_calls, 1)
         assert rank < r
+
+    @pytest.mark.parametrize("text", ["x*y^3*z^3", "x*y^4*z^4", "x*y^3*z^3*w^3"])
+    @pytest.mark.parametrize("denominator", [1, 6, 35])
+    def test_rational_dense_phi_is_certified_at_the_first_prime(self, exact_calls, monkeypatch,
+                                                                 text, denominator):
+        # the kernel is reconstructed without the powers of D the rescaled form carries
+        primes = []
+        kernel = solver.nullspace_mod_p
+        monkeypatch.setattr(solver, "nullspace_mod_p",
+                            lambda rows, p: primes.append(p) or kernel(rows, p))
+        spec = MonomialSpec.parse(text)
+        rank, r = self.check(spec, dense_phi(spec, 0, denominator), exact_calls, 0)
+        assert rank < r and primes == [2**61 - 1]
 
     @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=["shifted", "zero"])
     def test_corrupted_lift_is_rejected(self, corrupt):
