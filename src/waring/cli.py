@@ -411,7 +411,8 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (MathFailure, NonRadicalIdealError, PointExtractionError) as exc:
+    except (MathFailure, NonRadicalIdealError, PointExtractionError,
+            serialize.DigitLimitError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 1
     except (ValueError, OSError) as exc:

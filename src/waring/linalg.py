@@ -90,13 +90,20 @@ def nullspace_mod_p(rows, p: int) -> list[list[int]]:
     column, 0 on the other free columns and after it, entries in [0, p).
     Forward elimination runs as for a rank; the back-substitution runs only
     when there is a free column, so at full column rank the call costs one
-    elimination.
+    elimination.  Row updates take no remainder (delayed reduction): each
+    entry is reduced once, in its column just before the pivot search, and a
+    pivot row when it is normalized, so the back-substitution reads reduced
+    rows.  An entry starts in [0, p) and each of at most ``len(rows)`` updates
+    subtracts a product of two residues, so it stays below p + len(rows)*p^2
+    in absolute value.
     """
     matrix = [[v % p for v in row] for row in rows]
     ncols = len(matrix[0]) if matrix else 0
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
+        for r in range(rank, len(matrix)):
+            matrix[r][col] %= p
         pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
         if pivot is None:
             continue
@@ -108,7 +115,7 @@ def nullspace_mod_p(rows, p: int) -> list[list[int]]:
             row = matrix[r]
             factor = row[col]
             if factor:
-                row[col:] = [(x - factor * y) % p for x, y in zip(row[col:], top)]
+                row[col:] = [x - factor * y for x, y in zip(row[col:], top)]
         pivots.append(col)
         if len(pivots) == len(matrix):
             break

@@ -11,8 +11,9 @@ serialization byte-stable for equal inputs.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .cyclotomic import CycloScalar
 from .ideals import CIIdeal, PhiTuple
@@ -21,19 +22,48 @@ from .polynomial import DUAL, LinearForm, SparsePoly
 from .solver import PointSet
 
 
+class DigitLimitError(OverflowError):
+    """A scalar has an integer past the interpreter's limit on int-to-str conversion.
+
+    Not a ValueError: the input was fine, the answer cannot be written.
+    """
+
+
+def _decimal(value: int, what: str) -> str:
+    try:
+        return str(value)
+    except ValueError:  # past sys.get_int_max_str_digits(), which is left as it is
+        digits = (abs(value).bit_length() - 1) * 3010299 // 10**7  # a lower bound
+        while abs(value) >= 10**digits:
+            digits += 1
+        raise DigitLimitError(
+            f"cannot write {what}: one of its integers has {digits} decimal digits, past "
+            f"the limit of {sys.get_int_max_str_digits()} on int-to-str conversion"
+        ) from None
+
+
+def _ratio_text(num: int, den: int, what: str) -> str:
+    """The record of num/den (den > 0) in lowest terms: "p/q", or "p" when q is 1."""
+    g = gcd(num, den)
+    if g == den:
+        return _decimal(num // g, what)
+    return f"{_decimal(num // g, what)}/{_decimal(den // g, what)}"
+
+
 def scalar_to_json(value):
     if isinstance(value, bool):
         raise TypeError("booleans are not scalars")
     if isinstance(value, int):
-        return str(value)
+        return _decimal(value, "rational scalar")
     if isinstance(value, Fraction):
-        return str(value)
+        return _ratio_text(value.numerator, value.denominator, "rational scalar")
     if isinstance(value, CycloScalar):
-        if value.is_rational():
-            return str(value.to_fraction())
+        if not any(value.num[1:]):
+            return _ratio_text(value.num[0], value.den, "rational scalar")
+        what = f"cyclotomic scalar of conductor {value.conductor}"
         return {
             "conductor": value.conductor,
-            "coeffs": [str(c) for c in value.coeffs],
+            "coeffs": [_ratio_text(c, value.den, what) for c in value.num],
         }
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}

@@ -28,6 +28,7 @@ leading terms a_i^(d_i+1), so one reduction by them decides it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 
@@ -112,17 +113,24 @@ def standard_monomials(spec: MonomialSpec) -> list[Exponent]:
     return sorted(((0,) + b for b in box), key=grevlex_key)
 
 
+def _as_int(c):
+    """An integral Fraction as its int numerator; any other coefficient unchanged."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
 def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
     """Dehomogenize the generators at a0 = 1 and build the multiplication matrices.
 
     The reduction a_i^(d_i+1) -> psi_i strictly drops degree (deg psi_i <= d_i - d0),
     so normal forms terminate; pairwise commutation of the resulting matrices
-    is asserted, failure would mean a reduction bug.
+    is asserted, failure would mean a reduction bug.  A coefficient that is a
+    Fraction with denominator 1 enters the reduction as its int numerator, so
+    an integral phi gives int columns and the whole certificate runs in int.
     """
     n = spec.n
     if len(phi) != n:
         raise ValueError("build_quotient needs a complete phi tuple (k = n)")
-    psi = [dehomogenize(p, 0) if p else p for p in phi.entries]
+    psi = [dehomogenize(p, 0).map_coefficients(_as_int) if p else p for p in phi.entries]
     bounds = spec.exponents
     basis = standard_monomials(spec)
     index = {e: i for i, e in enumerate(basis)}

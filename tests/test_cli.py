@@ -132,6 +132,30 @@ class TestIdealAndRadical:
         code, data = run_json(capsys, "radical", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2")
         assert code == 0 and data["radical"] is False and data["trace_rank"] == 11
 
+    # (monomial, phi, radical, trace_rank): exact answers, the same on every machine
+    @pytest.mark.parametrize("monomial, phi, radical, trace_rank", [
+        ("x*y^2*z^3", ["4*a0 + 5*a1 - 8*a2",
+                       "-a0^2 + 8*a0*a1 + 7*a1^2 + 4*a0*a2 + a1*a2 + 7*a2^2"], True, 12),
+        ("x*y^2*z^3", ["4/35*a0 + 5/6*a1 - 8*a2",
+                       "-1/6*a0^2 + 8/35*a0*a1 + 7*a1^2 + 4*a0*a2 + a1*a2 + 7/6*a2^2"], True, 12),
+        ("x*y^3*z^3", ["4/3*a1^2 + a1*a2 + 5/6*a2^2", "1/2*a1^2 + 1/2*a1*a2 + 1/6*a2^2"],
+         False, 13),
+        ("x*y^4*z^4", ["8/35*a1^3 + 6/35*a1^2*a2 + 1/7*a1*a2^2 + 3/35*a2^3",
+                       "3/35*a1^3 + 1/35*a1^2*a2 + 1/35*a1*a2^2 + 1/35*a2^3"], False, 17),
+        ("x*y^3*z^3", ["4*a1^2 + a1*a2 + 5*a2^2", "a1^2 + a1*a2 + 6*a2^2"], False, 13),
+        ("x*y^3*z^3*w^3", ["7*a1^2 + a1*a2 + 5*a2^2 + 3*a1*a3 + 9*a2*a3 + 3*a3^2",
+                           "2*a1^2 + 2*a1*a2 + a2^2 + 2*a1*a3 + a2*a3 + 7*a3^2",
+                           "a1^2 + 3*a1*a2 + 4*a2^2 + 8*a1*a3 + a2*a3 + 2*a3^2"], False, 57),
+        ("x*y^3*z^3", [], True, 16),
+        ("x*y^3*z^3*w^3", [], True, 64),
+        ("x*y^3*z^3", ["0", "a1^2"], False, None),
+    ], ids=["integer", "rational-6-35", "dense-6", "dense-35", "dense-integer",
+            "dense-integer-4vars", "explicit", "explicit-4vars", "zero-entry"])
+    def test_radical_outputs_are_pinned(self, capsys, monomial, phi, radical, trace_rank):
+        code, data = run_json(capsys, "radical", monomial, *(f"--phi={p}" for p in phi))
+        assert code == 0
+        assert (data["radical"], data["trace_rank"]) == (radical, trace_rank)
+
     def test_phi_value_starting_with_minus(self, capsys):
         code, spaced = run(capsys, "radical", "x*y^3", "--phi", "-5*a1^2")
         assert code == 0
@@ -284,6 +308,15 @@ class TestDeterminismAndErrors:
     def test_malformed_number_is_usage_error(self, capsys, argv, message):
         code, data = run_json(capsys, *argv)
         assert code == 2 and message in data["error"]
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no int-to-str digit limit")
+    def test_answer_past_the_digit_limit_is_a_failure(self, capsys):
+        # the normalizing constant 20000! / (10000!)^2 has 6023 digits
+        code, data = run_json(capsys, "bounds", "x^10000*y^10000")
+        assert code == 1
+        assert data["error"].startswith("cannot write rational scalar")
+        assert "6023 decimal digits" in data["error"]
 
     def test_text_format(self, capsys):
         code, out = run(capsys, "--format", "text", "rank", "x*y*z")

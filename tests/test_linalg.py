@@ -126,6 +126,72 @@ class TestNullspaceModP:
         assert nullspace_mod_p([[0, 0]], P) == [[1, 0], [0, 1]]
 
 
+def reference_nullspace_mod_p(rows, p):
+    """The elimination with every entry reduced mod p at every step: the reference."""
+    matrix = [[v % p for v in row] for row in rows]
+    ncols = len(matrix[0]) if matrix else 0
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        inv = pow(matrix[rank][col], -1, p)
+        matrix[rank] = [v * inv % p for v in matrix[rank]]
+        for r in range(rank + 1, len(matrix)):
+            factor = matrix[r][col]
+            matrix[r] = [(x - factor * y) % p for x, y in zip(matrix[r], matrix[rank])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vector = [0] * ncols
+        vector[free] = 1
+        for row, col in reversed(list(enumerate(pivots))):
+            if col < free:
+                vector[col] = -sum(matrix[row][c] * vector[c] for c in range(col + 1, free + 1)) % p
+        basis.append(vector)
+    return basis
+
+
+class TestLazyElimination:
+    """nullspace_mod_p reduces each entry once; its kernel basis is that of the
+    elimination reduced at every step."""
+
+    @pytest.mark.parametrize("p", [P, 2**127 - 1, 7])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_agrees_with_the_reduced_elimination(self, p, seed):
+        rng = random.Random(seed)
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        low = random_matrix(rng, rows, cols, rng.randint(1, min(rows, cols)))  # often deficient
+        for matrix in (
+            low,
+            [[v + p * rng.randint(-3, 3) for v in row] for row in low],  # shifted by multiples
+            [[p * v for v in row] for row in low],  # zero mod p
+            [[rng.randint(-3 * p, 3 * p) for _ in range(cols)] for _ in range(rows)],
+            [[rng.choice([0, 0, 1, -1, p - 1, p, -p, 2 * p + 1]) for _ in range(cols)]
+             for _ in range(rows)],
+        ):
+            kernel = nullspace_mod_p(matrix, p)
+            assert kernel == reference_nullspace_mod_p(matrix, p)
+            assert all(0 <= x < p for v in kernel for x in v)
+            assert all(annihilates(matrix, v, p) for v in kernel)
+
+    def test_deficient_and_empty(self):
+        rng = random.Random(99)
+        matrix = random_matrix(rng, 9, 9, 5)
+        kernel = nullspace_mod_p(matrix, P)
+        assert len(kernel) == 4 and kernel == reference_nullspace_mod_p(matrix, P)
+        for empty in ([], [[]], [[], []]):
+            assert nullspace_mod_p(empty, P) == reference_nullspace_mod_p(empty, P) == []
+
+    def test_rows_are_not_mutated(self):
+        matrix = [[P + 1, -2, 3], [4, 5 * P, -6]]
+        copy = [row[:] for row in matrix]
+        nullspace_mod_p(matrix, P)
+        assert matrix == copy
+
+
 class TestRationalReconstruction:
     BOUND = isqrt(P // 2)
 

@@ -1,10 +1,13 @@
 import json
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from waring import CycloScalar, MonomialSpec, explicit_decomposition, root_of_unity
 from waring.serialize import (
+    DigitLimitError,
     decomposition_from_json,
     decomposition_to_json,
     phi_from_json,
@@ -47,6 +50,49 @@ class TestScalars:
             once = scalar_to_json(value)
             twice = scalar_to_json(scalar_from_json(once))
             assert json.dumps(once, sort_keys=True) == json.dumps(twice, sort_keys=True)
+
+
+def reference_scalar_to_json(value):
+    """The exact records written through Fraction and CycloScalar.coeffs: the reference bytes."""
+    if isinstance(value, CycloScalar):
+        if value.is_rational():
+            return str(value.to_fraction())
+        return {"conductor": value.conductor, "coeffs": [str(c) for c in value.coeffs]}
+    return str(value)
+
+
+class TestExactWriter:
+    def test_bytes_match_the_fraction_writer(self):
+        rng = random.Random(0)
+        values = [0, -7, 10**40, Fraction(-7, 3), Fraction(10**30, 7), CycloScalar.zero(5)]
+        for _ in range(300):
+            m = rng.choice([1, 2, 3, 4, 5, 7, 12, 20, 56])
+            deg = len(CycloScalar.zero(m).num)
+            small, large = rng.randint(-50, 50), rng.randint(-10**20, 10**20)
+            num = [rng.choice([0, 0, small, large, 6, -35]) for _ in range(deg)]
+            den = rng.choice([1, 2, 6, 35, rng.randint(1, 10**6)])
+            values += [CycloScalar(m, tuple(num), den),
+                       CycloScalar(m, (num[0],) + (0,) * (deg - 1), den),  # rational-valued
+                       Fraction(small * den, rng.randint(1, 1000))]
+        for value in values:
+            assert scalar_to_json(value) == reference_scalar_to_json(value), value
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no int-to-str digit limit")
+    @pytest.mark.parametrize("value, what, digits", [
+        (10**5000, "rational scalar", 5001),
+        (-(10**4300), "rational scalar", 4301),
+        (Fraction(-1, 10**4400), "rational scalar", 4401),
+        (CycloScalar.from_rational(Fraction(10**4300, 3), 4), "rational scalar", 4301),
+        (CycloScalar(3, (10**5000, 1)), "cyclotomic scalar of conductor 3", 5001),
+    ], ids=["int", "negative-int", "denominator", "rational-cyclotomic", "cyclotomic"])
+    def test_digits_beyond_the_int_limit_name_the_record(self, value, what, digits):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(DigitLimitError, match=f"cannot write {what}: .* {digits} decimal digits"):
+            scalar_to_json(value)
+        assert sys.get_int_max_str_digits() == limit
+        # a failure to write an answer, not bad input: the CLI exits 1, not 2
+        assert not issubclass(DigitLimitError, ValueError)
 
 
 class TestPolynomials:

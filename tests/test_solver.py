@@ -312,6 +312,54 @@ class TestModularCertificate:
         assert self.check(x2y2z2, phi_of(x2y2z2, z, 1 + z), exact_calls, 1) == (9, 9)
 
 
+def fraction_columns(spec, phi):
+    """The multiplication matrices reduced with Fraction tails, as phi stores them when
+    parsed or sampled: the reference for the int columns of build_quotient."""
+    tails = [solver.dehomogenize(p, 0).map_coefficients(Fraction) for p in phi.entries]
+    basis = solver.standard_monomials(spec)
+    index = {e: i for i, e in enumerate(basis)}
+    columns = []
+    for i in range(1, spec.n + 1):
+        lifted = [tuple(x + (j == i) for j, x in enumerate(e)) for e in basis]
+        columns.append(tuple(
+            ((index[t], 1),) if t in index else tuple(sorted(
+                (index[m], c) for m, c in
+                solver.ci_normal_form({t: Fraction(1)}, spec.exponents, tails).items()))
+            for t in lifted))
+    return tuple(columns)
+
+
+def entries(columns):
+    return [c for cols in columns for col in cols for _, c in col]
+
+
+class TestIntegerColumns:
+    """An integral phi reduces in int, and its columns equal the Fraction reduction."""
+
+    @pytest.mark.parametrize("text, phi", [
+        ("x*y^2*z^3", "sampled"), ("x^2*y^2*z^3", "sampled"), ("x*y*z^2*w^3", "sampled"),
+        ("x*y^3*z^3", "explicit"), ("x*y^3*z^3*w^3", "explicit"), ("x*y^3*z^3", "dense"),
+    ])
+    def test_integral_phi_gives_int_columns(self, text, phi):
+        spec = MonomialSpec.parse(text)
+        phi = {"sampled": lambda: sample_phi(parameter_space(spec), 0),
+               "explicit": lambda: explicit_phi(spec),
+               "dense": lambda: dense_phi(spec, 5, 1)}[phi]()
+        columns = build_quotient(spec, phi).columns
+        assert all(type(c) is int for c in entries(columns))
+        reference = fraction_columns(spec, phi)
+        assert any(type(c) is Fraction for c in entries(reference))
+        assert columns == reference
+
+    @pytest.mark.parametrize("denominator", [6, 35])
+    def test_rational_phi_keeps_fraction_columns(self, denominator):
+        spec = MonomialSpec.parse("x*y^3*z^3")
+        phi = dense_phi(spec, 0, denominator)
+        columns = build_quotient(spec, phi).columns
+        assert any(isinstance(c, Fraction) and c.denominator > 1 for c in entries(columns))
+        assert columns == fraction_columns(spec, phi)
+
+
 class TestIsRadical:
     def test_ab_nonzero_dichotomy(self, x2y2z2):
         for a, b in itertools.product(range(-2, 3), repeat=2):
