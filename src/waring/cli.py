@@ -4,8 +4,9 @@ Every subcommand takes a monomial ("x^2*y^2*z^3", "x0^2*x1^2*x2^3", or an
 exponent list "2,2,3") and writes JSON by default (``--format text`` for a
 human-readable rendering).  Exit codes: 0 on success, 1 on a mathematical
 failure (for example a non-radical phi where a radical one is required), 2 on
-usage or parse errors.  Randomized subcommands require a seed, either via
---seed or the WARING_SEED environment variable, and are reproducible.
+usage or parse errors; a failure or usage error prints ``{"error": ...}``.
+Randomized subcommands require a seed, either via --seed or the WARING_SEED
+environment variable, and are reproducible.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from math import comb
 
@@ -35,7 +37,7 @@ from .monomials import (
     verify_decomposition,
     waring_rank,
 )
-from .polynomial import DUAL, parse_poly
+from .polynomial import DUAL, is_digits, parse_poly
 from .solver import (
     NonRadicalIdealError,
     PointExtractionError,
@@ -62,10 +64,6 @@ class MathFailure(Exception):
     """A well-posed computation with a negative outcome that the command treats as failure."""
 
 
-def _parse_spec(text: str) -> MonomialSpec:
-    return MonomialSpec.parse(text)
-
-
 def _parse_phi(spec: MonomialSpec, phi_args: list[str] | None) -> PhiTuple:
     if not phi_args:
         return explicit_phi(spec)
@@ -75,39 +73,49 @@ def _parse_phi(spec: MonomialSpec, phi_args: list[str] | None) -> PhiTuple:
     return PhiTuple(spec, entries)
 
 
+# a decimal literal as in a phi coefficient: no sign, underscore, space, nan, inf or other script
+_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?")
+
+
+def _whole(text: str, name: str, least: int = 0) -> int:
+    """The integer written ``text`` in ASCII digits, at least ``least``; ``name`` is its source."""
+    if not is_digits(text) or int(text) < least:
+        raise ValueError(f"{name} must be a whole number of at least {least} "
+                         f"in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _check_limits(args) -> None:
-    """Usage errors: a negative (or NaN) --tol, a --count below 1, a negative --t-max."""
-    tol = getattr(args, "tol", None)
-    if tol is not None and not tol >= 0:
-        raise ValueError(f"--tol must be a non-negative number, got {tol}")
-    count = getattr(args, "count", None)
-    if count is not None and count < 1:
-        raise ValueError(f"--count must be at least 1, got {count}")
-    t_max = getattr(args, "t_max", None)
-    if t_max is not None and t_max < 0:
-        raise ValueError(f"--t-max must be non-negative, got {t_max}")
+    """Read --tol, --seed, --count and --t-max, left as text by argparse, from ASCII digits."""
+    if getattr(args, "tol", None) is not None:
+        if not _DECIMAL.fullmatch(args.tol):
+            raise ValueError(f"--tol must be a non-negative decimal number, got {args.tol!r}")
+        args.tol = float(args.tol)
+    for dest, option, least in (("seed", "--seed", 0), ("count", "--count", 1),
+                                ("t_max", "--t-max", 0)):
+        if getattr(args, dest, None) is not None:
+            setattr(args, dest, _whole(getattr(args, dest), option, least))
 
 
-def _need_seed(args) -> int:
+def _seed(args, required: bool = False) -> int | None:
+    """--seed, else the WARING_SEED variable, else None (a usage error if ``required``)."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("WARING_SEED")
     if env is not None:
-        return int(env)
-    raise SystemExit2("this command is randomized; pass --seed or set WARING_SEED")
-
-
-class SystemExit2(Exception):
-    """Usage error surfaced with exit code 2."""
+        return _whole(env, "WARING_SEED")
+    if required:
+        raise ValueError("this command is randomized; pass --seed or set WARING_SEED")
+    return None
 
 
 def cmd_rank(args) -> dict:
-    spec = _parse_spec(args.monomial)
+    spec = MonomialSpec.parse(args.monomial)
     return {"monomial": str(spec), "rank": waring_rank(spec)}
 
 
 def cmd_bounds(args) -> dict:
-    spec = _parse_spec(args.monomial)
+    spec = MonomialSpec.parse(args.monomial)
     return {
         "monomial": str(spec),
         "lower_bound": rank_lower_bound(spec),
@@ -118,15 +126,15 @@ def cmd_bounds(args) -> dict:
 
 
 def cmd_decompose(args) -> dict:
-    spec = _parse_spec(args.monomial)
-    if args.exact or (not args.phi and args.seed is None and "WARING_SEED" not in os.environ):
+    spec = MonomialSpec.parse(args.monomial)
+    seed = None if args.exact else _seed(args, required=bool(args.phi))
+    if seed is None:
         dec = explicit_decomposition(spec)
         report = verify_decomposition(spec, dec)
         if not report.ok:
             raise MathFailure(f"exact decomposition failed verification: {report}")
         dec.verified = "exact"
     else:
-        seed = _need_seed(args)
         if args.phi:
             phi = _parse_phi(spec, args.phi)
         else:
@@ -148,7 +156,7 @@ def _load_json(path: str):
 
 
 def cmd_verify(args) -> dict:
-    spec = _parse_spec(args.monomial)
+    spec = MonomialSpec.parse(args.monomial)
     data = _load_json(args.input)
     dec = serialize.decomposition_from_json(data)
     report = verify_decomposition(spec, dec, tol=args.tol)
@@ -162,7 +170,7 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_hilbert(args) -> dict:
-    spec = _parse_spec(args.monomial)
+    spec = MonomialSpec.parse(args.monomial)
     t_max = args.t_max if args.t_max is not None else spec.degree + 2
     table = {str(t): hilbert_S_mod_J(spec, t) for t in range(t_max + 1)}
     return {
@@ -173,12 +181,12 @@ def cmd_hilbert(args) -> dict:
 
 
 def cmd_vsp_dim(args) -> dict:
-    spec = _parse_spec(args.monomial)
+    spec = MonomialSpec.parse(args.monomial)
     return {"monomial": str(spec), "dim_vsp": dim_vsp(spec)}
 
 
 def cmd_ideal(args) -> dict:
-    spec = _parse_spec(args.monomial)
+    spec = MonomialSpec.parse(args.monomial)
     phi = _parse_phi(spec, args.phi)
     if args.canonicalize:
         phi = canonicalize_phi(spec, phi)
@@ -191,7 +199,7 @@ def cmd_ideal(args) -> dict:
 
 
 def cmd_radical(args) -> dict:
-    spec = _parse_spec(args.monomial)
+    spec = MonomialSpec.parse(args.monomial)
     phi = _parse_phi(spec, args.phi)
     certificate = certify_radical(spec, phi)
     out = {
@@ -207,9 +215,9 @@ def cmd_radical(args) -> dict:
 
 
 def cmd_points(args) -> dict:
-    spec = _parse_spec(args.monomial)
+    spec = MonomialSpec.parse(args.monomial)
     phi = _parse_phi(spec, args.phi)
-    seed = _need_seed(args)
+    seed = _seed(args, required=True)
     certificate = certify_radical(spec, phi)
     if not certificate.radical:
         raise MathFailure("the ideal is not radical; points would not be reduced")
@@ -224,7 +232,7 @@ def cmd_points(args) -> dict:
 
 
 def cmd_fit_phi(args) -> dict:
-    spec = _parse_spec(args.monomial)
+    spec = MonomialSpec.parse(args.monomial)
     data = _load_json(args.points)
     points = serialize.pointset_from_json(data)
     try:
@@ -235,7 +243,7 @@ def cmd_fit_phi(args) -> dict:
 
 
 def cmd_normalize(args) -> dict:
-    spec = _parse_spec(args.monomial)
+    spec = MonomialSpec.parse(args.monomial)
     phi = _parse_phi(spec, args.phi)
     try:
         torus, ones = torus_normalize(spec, phi)
@@ -246,8 +254,8 @@ def cmd_normalize(args) -> dict:
         "lambda": [serialize.scalar_to_json(v) for v in torus.lam],
         "phi_normalized": serialize.phi_to_json(ones),
     }
-    if args.seed is not None or "WARING_SEED" in os.environ:
-        seed = _need_seed(args)
+    seed = _seed(args)
+    if seed is not None:
         q = build_quotient(spec, phi)
         points = extract_points(q, tol=args.tol, seed=seed)
         moved = apply_torus(torus, points)
@@ -261,8 +269,8 @@ def cmd_normalize(args) -> dict:
 
 
 def cmd_sample(args) -> dict:
-    spec = _parse_spec(args.monomial)
-    seed = _need_seed(args)
+    spec = MonomialSpec.parse(args.monomial)
+    seed = _seed(args, required=True)
     reports = sample_decompositions(spec, seed, args.count, tol=args.tol)
     return {
         "spec": serialize.spec_to_json(spec),
@@ -281,19 +289,18 @@ def cmd_sample(args) -> dict:
 
 
 def cmd_diagnose(args) -> dict:
-    spec = _parse_spec(args.monomial)
-    seeded = args.seed is not None or "WARING_SEED" in os.environ
-    seed = _need_seed(args) if seeded else 0
+    spec = MonomialSpec.parse(args.monomial)
+    seed = _seed(args)
     if args.phi:
         phi = _parse_phi(spec, args.phi)
-    elif seeded:
+    elif seed is not None:
         phi = sample_phi(parameter_space(spec), seed)
     else:
         phi = explicit_phi(spec)
     certificate = certify_radical(spec, phi)
     if not certificate.radical:
         raise MathFailure("the ideal is not radical; diagnostics need reduced points")
-    points = extract_points(certificate.quotient, tol=args.tol, seed=seed)
+    points = extract_points(certificate.quotient, tol=args.tol, seed=seed or 0)
     t_max = args.t_max if args.t_max is not None else spec.degree + 2
     rows = []
     for t in range(t_max + 1):
@@ -345,9 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     shared = {
         "--phi": {"action": "append", "help": "phi entry (repeat per entry)"},
-        "--seed": {"type": int},
-        "--tol": {"type": float, "default": 1e-8},
-        "--t-max": {"type": int, "dest": "t_max"},
+        # numbers stay text here; _check_limits reads them
+        "--seed": {},
+        "--tol": {"default": "1e-8"},
+        "--t-max": {"dest": "t_max"},
     }
 
     def add(name, fn, summary, *options):
@@ -376,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("normalize", cmd_normalize, "torus normalization (equal exponents)",
         "--phi", "--seed", "--tol")
     add("sample", cmd_sample, "sample random phi tuples and decompose", "--seed", "--tol"
-        ).add_argument("--count", type=int, default=1)
+        ).add_argument("--count", default="1")
     add("diagnose", cmd_diagnose, "Hilbert-function and q_t diagnostics",
         "--phi", "--seed", "--tol", "--t-max")
 
@@ -408,9 +416,6 @@ def main(argv=None) -> int:
     try:
         _check_limits(args)
         payload = args.fn(args)
-    except SystemExit2 as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except (MathFailure, NonRadicalIdealError, PointExtractionError,
             serialize.DigitLimitError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))

@@ -2,8 +2,9 @@
 
 The exact routines only need field operations (+, -, *, /, truthiness), so
 they work uniformly for Fraction and CycloScalar entries.  ``nullspace_mod_p``
-gives a kernel basis of an integer matrix over Z/p, ``rank_mod_p`` its rank
-there, and ``rational_reconstruction`` lifts a residue mod p to a fraction.
+gives a kernel basis of an integer matrix over Z/p (its length is the number
+of columns less the rank mod p, which never exceeds the rank over Q), and
+``rational_reconstruction`` lifts a residue mod p to a fraction.
 Floating-point ranks use an SVD with a relative singular-value cutoff; numpy
 is imported only by the float routines, so exact work never loads it.
 
@@ -130,16 +131,6 @@ def nullspace_mod_p(rows, p: int) -> list[list[int]]:
                 vector[col] = -sum(echelon[c] * vector[c] for c in range(col + 1, free + 1)) % p
         basis.append(vector)
     return basis
-
-
-def rank_mod_p(rows, p: int) -> int:
-    """Rank over Z/p (p prime) of a matrix of integers, by Gaussian elimination.
-
-    Never above the rank over Q of the same matrix, and equal to it unless p
-    divides every nonzero minor of that size.
-    """
-    ncols = len(rows[0]) if rows else 0
-    return ncols - len(nullspace_mod_p(rows, p))
 
 
 def rational_reconstruction(a: int, p: int) -> Fraction | None:

@@ -201,30 +201,6 @@ class SparsePoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def evaluate(self, point):
-        """Evaluate at a point (one scalar per variable), exactly or in floats."""
-        if len(point) != self.num_vars:
-            raise ValueError("point length does not match the number of variables")
-        max_exp = [0] * self.num_vars
-        for e in self.terms:
-            for i, ei in enumerate(e):
-                if ei > max_exp[i]:
-                    max_exp[i] = ei
-        powers = []
-        for i, p in enumerate(point):
-            row = [1]
-            for _ in range(max_exp[i]):
-                row.append(row[-1] * p)
-            powers.append(row)
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for i, ei in enumerate(e):
-                if ei:
-                    v = v * powers[i][ei]
-            total = total + v
-        return total
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -267,13 +243,6 @@ class LinearForm:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def evaluate(self, point):
-        total = 0
-        for c, p in zip(self.coeffs, point):
-            if c:
-                total = total + c * p
-        return total
 
 
 def apply_diff(op: SparsePoly, target: SparsePoly) -> SparsePoly:
@@ -374,7 +343,7 @@ def parse_poly(text: str, num_vars: int, ring: str) -> SparsePoly:
     cleaned = re.sub(r"(?<!\d[eE])(?<!\+)-", "+-", cleaned)
     if cleaned.startswith("+"):
         cleaned = cleaned[1:]
-    poly = SparsePoly.zero(num_vars, ring)
+    terms: dict[Exponent, object] = {}
     for chunk in re.split(r"(?<!\d[eE])\+", cleaned):
         if not chunk:
             raise ValueError(f"could not parse polynomial {text!r}")
@@ -404,5 +373,10 @@ def parse_poly(text: str, num_vars: int, ring: str) -> SparsePoly:
             if index >= num_vars:
                 raise ValueError(f"variable {name!r} out of range for {num_vars} variables")
             exponent[index] += power
-        poly = poly + SparsePoly.monomial(num_vars, ring, tuple(exponent), coeff)
-    return poly
+        key = tuple(exponent)
+        s = terms.get(key, 0) + coeff
+        if s:
+            terms[key] = s
+        else:
+            terms.pop(key, None)
+    return SparsePoly(num_vars, ring, terms)

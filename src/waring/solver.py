@@ -88,10 +88,14 @@ class QuotientAlgebra:
             _is_exact_scalar(c) for cols in self.columns for col in cols for _, c in col
         )
 
-    def apply(self, var: int, vec: list) -> list:
-        """Multiply a coefficient vector by a_var (1-based variable index)."""
+    def apply(self, var: int, pairs) -> list:
+        """Multiply a vector, given as (index, value) pairs, by a_var (1-based variable index).
+
+        A dense vector ``vec`` goes in as ``enumerate(vec)``, a column of
+        ``columns`` as it is; the product comes out dense.
+        """
         out = [0] * self.dim
-        for col_idx, v in enumerate(vec):
+        for col_idx, v in pairs:
             if v:
                 for row, c in self.columns[var - 1][col_idx]:
                     out[row] = out[row] + c * v
@@ -154,18 +158,11 @@ def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
 
 
 def _assert_commuting(q: QuotientAlgebra):
-    def product_column(first: int, second: int, b: int) -> dict:
-        """Column b of M_first * M_second, sparse, without zeros."""
-        out: dict = {}
-        for mid, c in q.columns[second - 1][b]:
-            for row, d in q.columns[first - 1][mid]:
-                out[row] = out.get(row, 0) + d * c
-        return {row: v for row, v in out.items() if v}
-
+    """Column b of M_i * M_j is M_i applied to column b of M_j; it must equal that of M_j * M_i."""
     for i in range(1, q.spec.n + 1):
         for j in range(i + 1, q.spec.n + 1):
             for b in range(q.dim):
-                if product_column(i, j, b) != product_column(j, i, b):
+                if q.apply(i, q.columns[j - 1][b]) != q.apply(j, q.columns[i - 1][b]):
                     raise AssertionError(
                         f"multiplication matrices {i} and {j} do not commute"
                     )
@@ -222,7 +219,7 @@ def _trace_matrix(q: QuotientAlgebra) -> list[list]:
     for e in product(*(range(size) for size in sizes)):  # each e - e_i comes before e
         if any(e):
             i = next(idx for idx, ei in enumerate(e) if ei)
-            table.append(q.apply(i + 1, table[len(table) - strides[i]]))
+            table.append(q.apply(i + 1, enumerate(table[len(table) - strides[i]])))
         else:
             unit = [0] * q.dim
             unit[q.index[(0,) * len(q.spec.exponents)]] = 1
@@ -402,14 +399,11 @@ def extract_points(
     spec = q.spec
     n = spec.n
     r = q.dim
-    if n == 0:
-        return PointSet(points=((1.0 + 0j,),), multiplicity_free=True, tol=tol,
-                        residuals=(0.0,), raw_alpha0=(1.0,), raw_scale=(1.0,))
     import numpy as np
 
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.5, 1.5, size=n)
-    m = sum(weights[i - 1] * q.dense_matrix(i) for i in range(1, n + 1))
+    m = sum((weights[i - 1] * q.dense_matrix(i) for i in range(1, n + 1)), np.zeros((r, r)))
     _, vectors = np.linalg.eig(m.T)
 
     one_idx = q.index[(0,) * (n + 1)]
@@ -456,19 +450,16 @@ def extract_points(
             f"expected {r} separated points, found {len(points)} clusters at tol={tol}"
         )
 
-    psi = [
-        dehomogenize(p, 0).map_coefficients(complex) if p else p for p in q.phi.entries
-    ]
-    residuals = []
-    for p in points:
-        worst = 0.0
-        top = max(abs(c) for c in p)
-        for i in range(1, n + 1):
-            d = spec.exponents[i]
-            lhs = p[i] ** (d + 1)
-            rhs = psi[i - 1].evaluate(p) if psi[i - 1] else 0j
-            worst = max(worst, abs(lhs - rhs) / max(1.0, top ** (d + 1)))
-        residuals.append(worst)
+    # generator a_i^(d_i+1) - phi_i at each point; a0 = 1, so the homogeneous phi_i serves
+    tops = [max(abs(c) for c in p) for p in points]
+    residuals = [0.0] * len(points)
+    for i, entry in enumerate(q.phi.entries, start=1):
+        d = spec.exponents[i]
+        coeffs = [complex(c) for c in entry.terms.values()]
+        for j, row in enumerate(evaluation_matrix(points, list(entry.terms))):
+            rhs = sum(c * v for c, v in zip(coeffs, row))
+            lhs = points[j][i] ** (d + 1)
+            residuals[j] = max(residuals[j], abs(lhs - rhs) / max(1.0, tops[j] ** (d + 1)))
 
     return PointSet(
         points=tuple(points),

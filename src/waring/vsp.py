@@ -17,7 +17,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import prod
 
 from .ideals import PhiTuple, basis_Bprime, dim_vsp
 from .linalg import InconsistentSystem, RankDeficientSystem, _is_exact_scalar, rank, solve
@@ -67,12 +67,10 @@ def sample_phi(space: VSPParameterSpace, seed: int) -> PhiTuple:
     rng = random.Random(seed)
     spec = space.spec
     entries = []
+    nonzero = [k for k in range(-9, 10) if k != 0]
     for basis in space.bases:
-        poly = SparsePoly.zero(spec.n + 1, DUAL)
-        for e in basis:
-            c = rng.choice([k for k in range(-9, 10) if k != 0])
-            poly = poly + SparsePoly.monomial(spec.n + 1, DUAL, e, Fraction(c))
-        entries.append(poly)
+        terms = {e: Fraction(rng.choice(nonzero)) for e in basis}
+        entries.append(SparsePoly(spec.n + 1, DUAL, terms))
     phi = PhiTuple(spec, entries)
     if not phi.canonical:
         raise AssertionError(f"sample_phi(seed={seed}) built a non-canonical tuple {phi}")
@@ -132,10 +130,7 @@ def fit_phi_from_points(spec: MonomialSpec, points) -> PhiTuple:
             raise ValueError(
                 f"no phi fits these points{exc.detail}; not a power-sum configuration"
             ) from None
-        poly = SparsePoly.zero(spec.n + 1, DUAL)
-        for e, c in zip(basis, solution):
-            poly = poly + SparsePoly.monomial(spec.n + 1, DUAL, e, c)
-        entries.append(poly)
+        entries.append(SparsePoly(spec.n + 1, DUAL, dict(zip(basis, solution))))
     phi = PhiTuple(spec, entries)
     if not phi.canonical:
         raise AssertionError(f"fit_phi_from_points({spec}) fitted a non-canonical tuple {phi}")
@@ -171,14 +166,6 @@ def q_t_diagnostic(spec: MonomialSpec, points, t: int, cutoff: float = 1e-8) -> 
         raise ValueError("points do not match the spec's variable count")
     exponents = [e for e in _degree_exponents(coords_list, t) if e[0] >= 1]
     return len(exponents) - rank(evaluation_matrix(coords_list, exponents), cutoff)
-
-
-def dim_point_ideal(points, t: int, cutoff: float = 1e-8) -> int:
-    """dim I_t for the point ideal: codimension of the evaluation rank in S_t."""
-    if t < 0:
-        return 0
-    num_vars = len(_coords(points)[0])
-    return comb(t + num_vars - 1, num_vars - 1) - point_ideal_hilbert(points, t, cutoff)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from waring.polynomial import DUAL, parse_poly
 from waring.solver import PointSet
 from waring.vsp import (
     apply_torus,
-    dim_point_ideal,
     fit_phi_from_points,
     parameter_space,
     point_ideal_hilbert,
@@ -166,7 +165,9 @@ def test_criterion_05_graded_dimension_identities():
             pts = extract_points(build_quotient(spec, phi), seed=seed)
             for t in range(spec.degree + 3):
                 if t + 1 <= spec.degree + 2:
-                    assert q_t_diagnostic(spec, pts, t + 1) == dim_point_ideal(pts, t)
+                    # dim I_t = dim S_t - h_points(t)
+                    dim_I = comb(t + n, n) - point_ideal_hilbert(pts, t)
+                    assert q_t_diagnostic(spec, pts, t + 1) == dim_I
                 dim_J = comb(t - 1 + n, n) - hilbert_S_mod_J(spec, t - 1) if t >= 1 else 0
                 assert q_t_diagnostic(spec, pts, t) <= dim_J
             sampled += 1

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -69,11 +70,16 @@ class TestDecompose:
         )
         assert code == 1 and "error" in data
 
-    def test_missing_seed_is_usage_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "x*y*z", "--phi", "1", "--phi", "1"],
+        ["points", "x*y"],
+        ["sample", "x*y"],
+    ])
+    def test_missing_seed_is_usage_error(self, capsys, monkeypatch, argv):
         monkeypatch.delenv("WARING_SEED", raising=False)
-        code = main(["decompose", "x*y*z", "--phi", "1", "--phi", "1"])
-        capsys.readouterr()
+        code, data = run_json(capsys, *argv)
         assert code == 2
+        assert "--seed" in data["error"] and "WARING_SEED" in data["error"]
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("WARING_SEED", "7")
@@ -265,7 +271,7 @@ class TestSampleAndDiagnose:
         assert code == 0 and len(ranks) == 13
         monkeypatch.setattr(vsp, "rank", real_rank)
         assert [row["dim_I_t"] for row in data["table"]] == [
-            vsp.dim_point_ideal(extracted[0], t) for t in range(7)
+            comb(t + 2, 2) - vsp.point_ideal_hilbert(extracted[0], t) for t in range(7)
         ]
 
     @pytest.mark.parametrize("count", ["0", "-2"])
@@ -334,6 +340,38 @@ class TestDeterminismAndErrors:
     def test_negative_tolerance_is_usage_error(self, capsys, argv, tol):
         code, data = run_json(capsys, *argv, "--tol", tol)
         assert code == 2 and "--tol" in data["error"]
+
+    @pytest.mark.parametrize("argv, option", [
+        (["decompose", "x*y*z", "--seed", "1_0"], "--seed"),
+        (["decompose", "x*y*z", "--seed", " 3 "], "--seed"),
+        (["decompose", "x*y*z", "--seed=-1"], "--seed"),
+        (["points", "x*y", "--seed", "abc"], "--seed"),
+        (["sample", "x*y", "--seed", "\u0663"], "--seed"),
+        (["sample", "x*y", "--seed", "0", "--count", "\u0662"], "--count"),
+        (["diagnose", "x*y", "--t-max", "0_1"], "--t-max"),
+        (["hilbert", "x*y", "--t-max", "+1"], "--t-max"),
+        (["decompose", "x*y*z", "--seed", "1", "--tol", "\u0661e-3"], "--tol"),
+        (["decompose", "x*y*z", "--seed", "1", "--tol", "1_0"], "--tol"),
+        (["decompose", "x*y*z", "--seed", "1", "--tol", " 1e-3"], "--tol"),
+        (["decompose", "x*y*z", "--seed", "1", "--tol", "inf"], "--tol"),
+    ])
+    def test_numeric_option_in_ascii_digits_only(self, capsys, argv, option):
+        code, data = run_json(capsys, *argv)
+        assert code == 2 and option in data["error"]
+
+    @pytest.mark.parametrize("value", ["1_000", "abc", "-1", " 7", "\u0667"])
+    def test_seed_variable_in_ascii_digits_only(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("WARING_SEED", value)
+        code, data = run_json(capsys, "decompose", "x*y*z", "--phi", "1", "--phi", "1")
+        assert code == 2 and "WARING_SEED" in data["error"]
+        # a command that reads no seed, and a given --seed, ignore the variable
+        assert run_json(capsys, "decompose", "x*y*z", "--exact")[0] == 0
+        assert run_json(capsys, "sample", "x*y", "--seed", "1")[0] == 0
+
+    @pytest.mark.parametrize("tol", ["1e-6", "0.5", "3", "2.", "1E+2", "0"])
+    def test_decimal_tolerances_keep_parsing(self, capsys, tol):
+        code, data = run_json(capsys, "decompose", "x*y", "--seed", "1", "--tol", tol)
+        assert code in (0, 1) and "--tol" not in data.get("error", "")
 
     def test_exponent_notation_phi(self, capsys):
         code, data = run_json(capsys, "normalize", "x*y", "--phi", "1e-300")

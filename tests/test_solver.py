@@ -126,7 +126,8 @@ def reference_trace_rank(q):
             if i is None:
                 table[e] = [int(b == e) for b in q.basis]
             else:
-                table[e] = q.apply(i, normal_form(tuple(x - (k == i) for k, x in enumerate(e))))
+                below = normal_form(tuple(x - (k == i) for k, x in enumerate(e)))
+                table[e] = q.apply(i, enumerate(below))
         return table[e]
 
     def add(a, b):

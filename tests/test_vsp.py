@@ -20,7 +20,6 @@ from waring.vsp import (
     apply_torus,
     check_alpha0_nonzero,
     decompose_from_phi,
-    dim_point_ideal,
     fit_phi_from_points,
     parameter_space,
     point_ideal_hilbert,
@@ -186,7 +185,8 @@ class TestQtDiagnostics:
     def test_shift_identity_and_upper_bound_on_xyz_points(self, xyz):
         pts = points_from_decomposition(explicit_decomposition(xyz), xyz)
         for t in range(xyz.degree + 2):
-            assert q_t_diagnostic(xyz, pts, t + 1) == dim_point_ideal(pts, t)
+            dim_I = comb(t + 2, 2) - point_ideal_hilbert(pts, t)  # dim S_t - h_points(t)
+            assert q_t_diagnostic(xyz, pts, t + 1) == dim_I
         for t in range(xyz.degree + 3):
             s = t - 1
             dim_J = comb(s + 2, 2) - hilbert_S_mod_J(xyz, s) if s >= 0 else 0
