@@ -13,6 +13,7 @@ generators gives the normal form.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from heapq import heapify, heappop, heappush
 
 from .polynomial import Exponent, SparsePoly
 
@@ -26,29 +27,35 @@ def ci_normal_form(
 
     ``exponents`` is (d0, ..., dn) and ``len(tails)`` is k; terms divisible by
     a_j^(d_j+1) with j > k are left alone.  Every leading coefficient is 1, so
-    nothing is divided.  Each rewrite moves to strictly smaller monomials, so
-    the loop ends, and the remainder is unique because the generators are a
+    nothing is divided.  The remainder is unique because the generators are a
     Groebner basis: the input lies in the ideal exactly when it is empty.
+
+    Pending monomials are popped smallest key (-degree, a0 exponent) first.
+    A rewrite strictly raises that key: a homogeneous tail keeps the degree
+    and brings in a0^(d0+1), a tail in the chart a0 = 1 has lower degree.  So
+    every contribution to a monomial arrives before it is popped, each
+    monomial is rewritten once, and the loop ends.
     """
     k = len(tails)
     out: dict[Exponent, object] = {}
     work = dict(terms)
-    while work:
-        e, c = work.popitem()
+    heap = [(-sum(e), e[0], e) for e in work]
+    heapify(heap)
+    while heap:
+        e = heappop(heap)[2]
+        c = work.pop(e)
+        if not c:
+            continue
         over = next((i for i in range(1, k + 1) if e[i] > exponents[i]), None)
         if over is None:
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = c
             continue
         rest = tuple(ei - (exponents[over] + 1) if i == over else ei for i, ei in enumerate(e))
         for te, tc in tails[over - 1].terms.items():
             ne = tuple(a + b for a, b in zip(rest, te))
-            s = work.get(ne, 0) + c * tc
-            if s:
-                work[ne] = s
+            if ne in work:
+                work[ne] = work[ne] + c * tc
             else:
-                work.pop(ne, None)
+                work[ne] = c * tc
+                heappush(heap, (-sum(ne), ne[0], ne))
     return out

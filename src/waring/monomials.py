@@ -272,8 +272,10 @@ def verify_decomposition(
     digits of the centered residue are its coordinates, which give the
     reported difference.  A bound that fails to hold raises AssertionError
     (see ``_verify_exact``).  The float domain is held to a max-coefficient
-    tolerance instead, and its expansion is one evaluation product: the x^e
-    coefficient of sum_j c_j l_j^d is (d; e) * sum_j c_j l_j^e.
+    tolerance instead.  Its forms go into one summands x variables array, and
+    the expansion is one product with their evaluation: the x^e coefficients
+    of sum_j c_j l_j^d are weights * (c @ powers), weights[e] = (d; e) and
+    powers[j, e] = l_j^e.
     """
     if dec.degree != spec.degree:
         raise ValueError("decomposition degree does not match the monomial")
@@ -283,14 +285,15 @@ def verify_decomposition(
         return _verify_exact(spec, dec)
     import numpy as np  # only the float domain needs it
 
+    forms = np.array([[complex(a) for a in form.coeffs] for _, form in dec.summands],
+                     dtype=complex).reshape(len(dec.summands), spec.num_original_vars)
     # the target's variables and those of some form: no other one occurs in the expansion
-    used = [k for k, d in enumerate(spec.original_exponents)
-            if d or any(form.coeffs[k] for _, form in dec.summands)]
+    used = [k for k, d in enumerate(spec.original_exponents) if d or forms[:, k].any()]
     exponents = exponents_of_degree(len(used), dec.degree)
-    columns = [np.array([complex(form.coeffs[k]) for _, form in dec.summands]) for k in used]
-    (powers,) = evaluation_matrix([columns], exponents)  # powers[i][j] = l_j^(exponents[i])
-    c = np.array([complex(coeff) for coeff, _ in dec.summands])
-    difference = [float(multinomial(dec.degree, e)) * (p @ c) for e, p in zip(exponents, powers)]
+    powers = evaluation_matrix(forms[:, used], exponents)  # powers[j, i] = l_j^(exponents[i])
+    c = np.array([complex(coeff) for coeff, _ in dec.summands], dtype=complex)
+    weights = np.array([float(multinomial(dec.degree, e)) for e in exponents])
+    difference = weights * (c @ powers)
     difference[exponents.index(tuple(spec.original_exponents[k] for k in used))] -= 1
     max_error = float(np.max(np.abs(difference)))
     return VerificationReport(ok=max_error < tol, mode="numeric", max_error=max_error)

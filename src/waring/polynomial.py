@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 PRIMAL = "primal"
@@ -32,10 +33,15 @@ def grevlex_key(exponent: Exponent):
     return (sum(exponent), tuple(-e for e in reversed(exponent)))
 
 
-def exponents_of_degree(num_vars: int, degree: int) -> list[Exponent]:
-    """All exponent tuples of the given total degree, in descending grevlex order."""
+@lru_cache(maxsize=256)
+def exponents_of_degree(num_vars: int, degree: int) -> tuple[Exponent, ...]:
+    """All exponent tuples of the given total degree, in descending grevlex order.
+
+    Cached per (num_vars, degree); the result is a tuple, so no caller can
+    alter what the next one gets.
+    """
     if degree < 0:
-        return []
+        return ()
     out: list[Exponent] = []
 
     def rec(prefix: tuple[int, ...], remaining: int, slots: int):
@@ -47,7 +53,7 @@ def exponents_of_degree(num_vars: int, degree: int) -> list[Exponent]:
 
     rec((), degree, num_vars)
     out.sort(key=grevlex_key, reverse=True)
-    return out
+    return tuple(out)
 
 
 def multinomial(degree: int, parts: Exponent) -> int:
@@ -62,14 +68,20 @@ def multinomial(degree: int, parts: Exponent) -> int:
     return result
 
 
-def evaluation_matrix(points, exponents) -> list[list]:
+def evaluation_matrix(points, exponents):
     """Row j holds the monomials x^e, e in ``exponents``, evaluated at the j-th point.
 
-    Coordinates may be any scalars that multiply.  A factor x_k^0 is left out,
-    so an entry is exact unless it uses an inexact coordinate.  A point whose
-    coordinates are numpy vectors gives one row of vectors: the monomials at
-    many points at once.
+    A sequence of points gives a list of rows.  Coordinates may be any scalars
+    that multiply; a factor x_k^0 is left out, so an entry is exact unless it
+    uses an inexact coordinate, and exact callers never load numpy.
+
+    A 2-D numpy array, one row per point, gives a points x exponents array.
+    Each coordinate gets one power table x_k^0, x_k^1, ... up to its largest
+    exponent, built by repeated multiplication (so 0^0 = 1), and entry (j, e)
+    is the product over k of the table entries at e_k.
     """
+    if getattr(points, "ndim", None) == 2:
+        return _evaluation_array(points, exponents)
     rows = []
     for p in points:
         row = []
@@ -81,6 +93,24 @@ def evaluation_matrix(points, exponents) -> list[list]:
             row.append(v)
         rows.append(row)
     return rows
+
+
+def _evaluation_array(points, exponents):
+    """The array mode of ``evaluation_matrix``: points (m, k) -> values (m, len(exponents))."""
+    import numpy as np
+
+    num_points, num_vars = points.shape
+    dtype = np.result_type(points.dtype, np.float64)
+    table = np.asarray(exponents, dtype=np.intp).reshape(len(exponents), num_vars).T
+    top = table.max(initial=0)
+    powers = np.empty((num_vars, top + 1, num_points), dtype=dtype)  # powers[k, t, j] = x_jk^t
+    powers[:, 0] = 1
+    for t in range(1, top + 1):
+        powers[:, t] = powers[:, t - 1] * points.T
+    out = np.ones((len(exponents), num_points), dtype=dtype)
+    for k in range(num_vars):
+        out *= powers[k].take(table[k], axis=0)
+    return out.T
 
 
 class SparsePoly:

@@ -37,6 +37,7 @@ from .groebner import ci_normal_form
 from .ideals import CIIdeal, PhiTuple, generator_tails
 from .linalg import (
     RankDeficientSystem,
+    _all_exact,
     _exactify,
     _is_exact_scalar,
     exact_rank,
@@ -393,8 +394,12 @@ def extract_points(
     eigendecomposed; each left eigenvector is (up to scale) the evaluation
     vector of the basis monomials at one point, so after normalizing the
     constant coordinate to 1 the degree-one coordinates are the point itself.
-    Points closer than ``tol`` are clustered; with ``expect_radical`` the call
-    must produce exactly dim-many separated points or it raises.
+    All eigenvectors are normalized at once; a point joins the first cluster
+    whose first member lies within ``tol`` in every coordinate (one max-abs
+    distance matrix).  With ``expect_radical`` an eigenvector with a vanishing
+    constant coordinate raises, and so does any count other than dim
+    separated points.  The generator residuals are evaluated on the array of
+    points.
     """
     spec = q.spec
     n = spec.n
@@ -408,41 +413,37 @@ def extract_points(
 
     one_idx = q.index[(0,) * (n + 1)]
     var_idx = [q.index[tuple(1 if j == i else 0 for j in range(n + 1))] for i in range(1, n + 1)]
-    raw = []  # per eigenvector: (point without a0, a0 before normalizing, degree <= 1 scale)
-    for col in range(vectors.shape[1]):
-        v = vectors[:, col]
-        v = v / np.linalg.norm(v)
-        lead = v[one_idx]
-        window = np.concatenate(([v[one_idx]], v[var_idx]))
-        scale = float(np.linalg.norm(window))
-        if abs(lead) < 1e-12 * scale:
-            if expect_radical:
-                raise PointExtractionError(
-                    "eigenvector has vanishing constant coordinate; "
-                    "the combination matrix looks non-diagonalizable"
-                )
-            continue
-        raw.append((tuple(complex(v[k] / lead) for k in var_idx), complex(lead), scale))
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
+    lead = vectors[one_idx]
+    scale = np.linalg.norm(vectors[[one_idx] + var_idx], axis=0)  # of the degree <= 1 window
+    kept = ~(np.abs(lead) < 1e-12 * scale)
+    if expect_radical and not kept.all():
+        raise PointExtractionError(
+            "eigenvector has vanishing constant coordinate; "
+            "the combination matrix looks non-diagonalizable"
+        )
+    lead, scale = lead[kept], scale[kept]
+    coords = (vectors[var_idx][:, kept] / lead).T  # one row per eigenvector, a0 dropped
 
-    clusters: list[list[tuple]] = []
-    for record in raw:
-        for cluster in clusters:
-            if max(abs(a - b) for a, b in zip(record[0], cluster[0][0])) < tol:
-                cluster.append(record)
-                break
+    near = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2, initial=0.0) < tol
+    crowded = np.tril(near, -1).any(axis=1).tolist()  # within tol of some earlier point
+    label = np.empty(len(coords), dtype=np.intp)
+    heads: list[int] = []
+    for a in range(len(coords)):
+        hits = np.flatnonzero(near[a, heads]) if crowded[a] else ()
+        if len(hits):
+            label[a] = hits[0]
         else:
-            clusters.append([record])
-
+            label[a] = len(heads)
+            heads.append(a)
     # each cluster: the mean point, and the a0 and scale of its first member
-    merged = sorted(
-        (
-            ((1.0 + 0j,) + tuple(sum(m[0][k] for m in c) / len(c) for k in range(n)),)
-            + c[0][1:]
-            for c in clusters
-        ),
-        key=lambda record: tuple((round(x.real, 9), round(x.imag, 9)) for x in record[0]),
-    )
-    points = [record[0] for record in merged]
+    sums = np.zeros((len(heads), n), dtype=complex)
+    np.add.at(sums, label, coords)
+    means = sums / np.bincount(label, minlength=len(heads))[:, None]
+    clusters = [(1.0 + 0j,) + tuple(row) for row in means.tolist()]
+    order = sorted(range(len(heads)), key=lambda c: tuple(
+        (round(x.real, 9), round(x.imag, 9)) for x in clusters[c]))
+    points = [clusters[c] for c in order]
 
     multiplicity_free = len(points) == r
     if expect_radical and not multiplicity_free:
@@ -451,23 +452,25 @@ def extract_points(
         )
 
     # generator a_i^(d_i+1) - phi_i at each point; a0 = 1, so the homogeneous phi_i serves
-    tops = [max(abs(c) for c in p) for p in points]
-    residuals = [0.0] * len(points)
+    cloud = np.array(points, dtype=complex).reshape(len(points), n + 1)
+    residuals = np.zeros(len(points))
+    tops = np.abs(cloud).max(axis=1)
     for i, entry in enumerate(q.phi.entries, start=1):
         d = spec.exponents[i]
-        coeffs = [complex(c) for c in entry.terms.values()]
-        for j, row in enumerate(evaluation_matrix(points, list(entry.terms))):
-            rhs = sum(c * v for c, v in zip(coeffs, row))
-            lhs = points[j][i] ** (d + 1)
-            residuals[j] = max(residuals[j], abs(lhs - rhs) / max(1.0, tops[j] ** (d + 1)))
+        lifted = tuple(d + 1 if j == i else 0 for j in range(n + 1))
+        values = evaluation_matrix(cloud, (lifted,) + tuple(entry.terms))
+        rhs = values[:, 1:] @ np.array([complex(c) for c in entry.terms.values()])
+        gap = np.abs(values[:, 0] - rhs) / np.maximum(1.0, tops ** (d + 1))
+        residuals = np.maximum(residuals, gap)
 
+    firsts = [heads[c] for c in order]
     return PointSet(
         points=tuple(points),
         multiplicity_free=multiplicity_free,
         tol=tol,
-        residuals=tuple(residuals),
-        raw_alpha0=tuple(record[1] for record in merged),
-        raw_scale=tuple(record[2] for record in merged),
+        residuals=tuple(residuals.tolist()),
+        raw_alpha0=tuple(lead[firsts].tolist()),
+        raw_scale=tuple(scale[firsts].tolist()),
     )
 
 
@@ -489,10 +492,18 @@ def summand_coefficients(spec: MonomialSpec, points) -> list:
     V^T c = e_top / (d; d0, ..., dn), V[j][b] = p_j^b, top = (0, d1, ..., dn).
     The r points of a radical I(n, phi) make V nonsingular, so the solve takes
     no rank gate; ``verify_decomposition`` judges the other coefficients.
+    Float points give V as one array evaluation; exact points keep scalar
+    rows, so the solve stays exact.
     """
     basis = standard_monomials(spec)
     top = (0,) + spec.exponents[1:]
-    v_transposed = [list(col) for col in zip(*evaluation_matrix(in_chart(spec, points), basis))]
+    chart = in_chart(spec, points)
+    if _all_exact(chart):
+        v_transposed = [list(col) for col in zip(*evaluation_matrix(chart, basis))]
+    else:
+        import numpy as np
+
+        v_transposed = evaluation_matrix(np.array(chart, dtype=complex), basis).T
     try:
         solution = solve_nonsingular(v_transposed, [int(b == top) for b in basis])
     except RankDeficientSystem:

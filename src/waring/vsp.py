@@ -7,8 +7,10 @@ phi is certified radical once, and each decomposition is expanded once, to verif
 This module also hosts the point-side Hilbert-function diagnostics and the
 torus normalization that, for equal exponents, maps any decomposition to the
 canonical one.  The diagnostics and the phi fit evaluate monomials at points
-through the one builder, ``polynomial.evaluation_matrix``, and leave the
-exact-or-float choice of rank and solve to ``linalg``.
+through the one builder, ``polynomial.evaluation_matrix``, in its scalar
+mode, so exact points give exact rows, and leave the exact-or-float choice of
+rank and solve to ``linalg``.  The float stage of a decomposition (points,
+coefficients, verification) runs on its array mode, one row per point.
 """
 
 from __future__ import annotations

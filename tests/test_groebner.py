@@ -176,3 +176,94 @@ def test_canonicalize_refuses_a_term_that_needs_a_missing_generator():
     phi.entries = (parse_poly("a2^3", 3, DUAL),)
     with pytest.raises(ValueError):
         canonicalize_phi(spec, phi)
+
+
+def lifo_normal_form(terms, exponents, tails):
+    """The reduction as it was before the heap order: pop the last-inserted monomial.
+
+    Kept as the reference: the remainder is unique, so both orders must agree.
+    """
+    k = len(tails)
+    out = {}
+    work = dict(terms)
+    while work:
+        e, c = work.popitem()
+        over = next((i for i in range(1, k + 1) if e[i] > exponents[i]), None)
+        if over is None:
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+            continue
+        rest = tuple(ei - (exponents[over] + 1) if i == over else ei for i, ei in enumerate(e))
+        for te, tc in tails[over - 1].terms.items():
+            ne = tuple(a + b for a, b in zip(rest, te))
+            s = work.get(ne, 0) + c * tc
+            if s:
+                work[ne] = s
+            else:
+                work.pop(ne, None)
+    return out
+
+
+@pytest.fixture
+def pops(monkeypatch):
+    """Every monomial the reduction pops, as one (heap, popped monomials) pair per call."""
+    import waring.groebner as groebner
+
+    calls = []
+    real_pop = groebner.heappop
+
+    def heappop(heap):
+        if not calls or calls[-1][0] is not heap:  # a new call brings its own heap
+            calls.append((heap, []))
+        item = real_pop(heap)
+        calls[-1][1].append(item[2])
+        return item
+
+    monkeypatch.setattr(groebner, "heappop", heappop)
+    return calls
+
+
+def assert_each_popped_once(calls):
+    assert calls
+    for _, popped in calls:
+        assert len(popped) == len(set(popped))
+
+
+@pytest.mark.parametrize("exps", [(1, 2, 3), (1, 1, 2, 3), (2, 2, 3, 3), (1, 3, 3, 3)])
+def test_quotient_columns_match_the_lifo_reduction(monkeypatch, pops, exps):
+    from waring import build_quotient
+    import waring.solver as solver
+    from waring.vsp import parameter_space, sample_phi
+
+    spec = MonomialSpec.from_exponents(exps)
+    for seed in range(3):
+        phi = sample_phi(parameter_space(spec), seed)
+        heap_columns = build_quotient(spec, phi).columns
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "ci_normal_form", lifo_normal_form)
+            assert build_quotient(spec, phi).columns == heap_columns
+    assert_each_popped_once(pops)
+
+
+@pytest.mark.parametrize("exps", SPECS)
+def test_membership_matches_the_lifo_reduction(pops, exps):
+    spec = MonomialSpec.from_exponents(exps)
+    rng = random.Random(f"lifo{exps}")
+    phi = random_phi(rng, spec)
+    top = max(exps) + 3
+    a0_power = SparsePoly.monomial(spec.n + 1, DUAL, (top,) + (0,) * spec.n)
+    for k in range(1, spec.n + 1):
+        ideal = make_ci_ideal(spec, phi, k=k)
+        tails = generator_tails(spec, phi.entries[:k])
+        for _ in range(3):
+            member = member_of(rng, ideal, top)
+            for poly, inside in ((member, True), (member + a0_power, False),
+                                 (random_poly(rng, spec.n + 1, top, 6), None)):
+                heap = ci_normal_form(poly.terms, spec.exponents, tails)
+                assert heap == lifo_normal_form(poly.terms, spec.exponents, tails)
+                if inside is not None:
+                    assert (not heap) == inside == ideal_membership(poly, ideal)
+    assert_each_popped_once(pops)

@@ -1,12 +1,19 @@
 """The exact commands print the same bytes on every machine: their digests are pinned.
 
-Each case fixes the exit code and the SHA-256 of stdout.  Only commands whose
-answer is exact are pinned; the float commands' bits depend on LAPACK.  A
-change to the JSON schema or to an exact answer shows up here, and its digest
-is updated in the same change that names it.
+Each case fixes the exit code and the SHA-256 of stdout.  A change to the
+JSON schema or to an exact answer shows up here, and its digest is updated in
+the same change that names it.
+
+The float commands' last bits depend on LAPACK and on the order of the
+arithmetic, so ``FLOAT_PINS`` fixes their values instead, to a relative 1e-10:
+each number is compared against the largest magnitude in its group (all
+summand coefficients, one form, one point).  Counts, order and flags must
+match exactly.  The residuals are rounding errors, so they are only held
+below 1e-10.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -75,3 +82,191 @@ def test_verify_of_the_exact_decomposition_is_pinned(capsys, tmp_path):
     path.write_text(_run(capsys, argv)[1])
     monomial = argv[1]
     assert _run(capsys, ["verify", monomial, "--input", str(path)])[::2] == (0, VERIFY_DIGEST)
+
+
+# name: (argv, exit code, values); "coeffs", "forms" and "points" hold (re, im) pairs
+FLOAT_PINS = {
+    "decompose x*y^2": (
+        ["decompose", "x*y^2", "--seed", "4"], 0,
+        {"coeffs": [(0.05608095336161, 2.421241584579e-18), (-0.0280404766808, 0.07459177704404),
+                    (-0.0280404766808, -0.07459177704404)],
+         "forms": [[(1.0, 0.0), (-1.521379706805, 1.141695235898e-16)],
+                   [(1.0, 0.0), (0.7606898534023, -0.8578736265952)],
+                   [(1.0, 0.0), (0.7606898534023, 0.8578736265952)]]}),
+    "decompose x*y^2*z^3": (
+        ["decompose", "x*y^2*z^3", "--seed", "4"], 0,
+        {"coeffs": [(-1.567626467287e-05, 6.533152788066e-06),
+                    (-1.567626467287e-05, -6.533152788066e-06),
+                    (-1.57871376299e-05, -1.132991581355e-05),
+                    (-1.57871376299e-05, 1.132991581355e-05),
+                    (0.0001924046406058, -1.499396594557e-19),
+                    (5.591499783506e-07, 4.229179859394e-06),
+                    (5.591499783507e-07, -4.229179859394e-06),
+                    (-3.347697059492e-05, 8.073280994776e-05),
+                    (-3.347697059492e-05, -8.073280994776e-05),
+                    (-4.622691352599e-05, -2.119052526534e-19),
+                    (-8.707640620592e-06, -1.028199263224e-05),
+                    (-8.707640620592e-06, 1.028199263224e-05)],
+         "forms": [[(1.0, 0.0), (-2.499395713831, -0.7979768069307),
+                    (1.056613107407, 2.274788469502)],
+                   [(1.0, 0.0), (-2.499395713831, 0.7979768069307),
+                    (1.056613107407, -2.274788469502)],
+                   [(1.0, 0.0), (-1.904650934238, -1.497253455466),
+                    (-1.634085658314, 1.906831538631)],
+                   [(1.0, 0.0), (-1.904650934238, 1.497253455466),
+                    (-1.634085658314, -1.906831538631)],
+                   [(1.0, 0.0), (-0.4455837034922, 1.59468579252e-16),
+                    (-0.3928525599656, -1.678616623706e-17)],
+                   [(1.0, 0.0), (0.1031791297608, -2.786631411504),
+                    (0.08428931786969, -4.056117031568)],
+                   [(1.0, 0.0), (0.1031791297608, 2.786631411504),
+                    (0.0842893178697, 4.056117031568)],
+                   [(1.0, 0.0), (1.257826075581, -1.249229499364),
+                    (0.5260965816763, 0.4550953408044)],
+                   [(1.0, 0.0), (1.257826075581, 1.249229499364),
+                    (0.5260965816763, -0.4550953408044)],
+                   [(1.0, 0.0), (2.16505003419, -7.549516955934e-16),
+                    (-1.663915945264, 1.683738028479e-15)],
+                   [(1.0, 0.0), (2.183308277378, -1.572530095935),
+                    (0.9954709039759, 2.837802016204)],
+                   [(1.0, 0.0), (2.183308277378, 1.572530095935),
+                    (0.9954709039759, -2.837802016204)]]}),
+    "decompose x*y*z^2*w": (
+        ["decompose", "x*y*z^2*w", "--seed", "4"], 0,
+        {"coeffs": [(-6.24357764008e-05, -0.0001984767945979),
+                    (-7.116599124478e-05, 0.0001144141384451),
+                    (0.0001336017676456, 8.406265615278e-05),
+                    (0.0005261348235478, -9.772189618133e-05),
+                    (-1.070129800714e-05, -0.0001792536093407),
+                    (-0.0005154335255407, 0.000276975505522),
+                    (-6.24357764008e-05, 0.0001984767945979),
+                    (-7.116599124478e-05, -0.0001144141384451),
+                    (0.0001336017676456, -8.406265615278e-05),
+                    (0.0005261348235478, 9.772189618133e-05),
+                    (-1.070129800714e-05, 0.0001792536093407),
+                    (-0.0005154335255407, -0.000276975505522)],
+         "forms": [[(1.0, 0.0), (-1.261412657987e-15, -1.414213562373),
+                    (-1.73289862463, -0.4086792631062), (-1.0, -9.173910239908e-16)],
+                   [(1.0, 0.0), (-6.875955223394e-15, -1.414213562373),
+                    (0.6680366771902, 2.881335475992), (-1.0, 3.615192952506e-15)],
+                   [(1.0, 0.0), (-6.739360283564e-16, -1.414213562373),
+                    (1.06486194744, -2.472656212886), (-1.0, -2.503190962467e-15)],
+                   [(1.0, 0.0), (-2.591113910784e-15, -1.414213562373),
+                    (-0.5887220172733, -1.532447731205), (1.0, -7.522588773244e-16)],
+                   [(1.0, 0.0), (-7.443218793124e-15, -1.414213562373),
+                    (-0.06102977003505, 2.67015421599), (1.0, -1.646801967372e-15)],
+                   [(1.0, 0.0), (-1.393489543405e-16, -1.414213562373),
+                    (0.6497517873084, -1.137706484784), (1.0, 4.180468630216e-16)],
+                   [(1.0, 0.0), (2.064129803979e-15, 1.414213562373),
+                    (-1.73289862463, 0.4086792631062), (-1.0, 2.98152082797e-15)],
+                   [(1.0, 0.0), (-7.797474995602e-16, 1.414213562373),
+                    (0.6680366771902, -2.881335475992), (-1.0, 4.253168179419e-16)],
+                   [(1.0, 0.0), (-1.347872056713e-15, 1.414213562373),
+                    (1.06486194744, 2.472656212886), (-1.0, 8.664891793154e-16)],
+                   [(1.0, 0.0), (-7.522588773244e-16, 1.414213562373),
+                    (-0.5887220172733, 1.532447731205), (1.0, -1.671686394054e-16)],
+                   [(1.0, 0.0), (-6.081753800296e-15, 1.414213562373),
+                    (-0.06102977003505, -2.67015421599), (1.0, 4.076242493496e-17)],
+                   [(1.0, 0.0), (-3.483723858513e-16, 1.414213562373),
+                    (0.6497517873084, 1.137706484784), (1.0, -5.573958173621e-16)]]}),
+    "points x*y^2": (
+        ["points", "x*y^2", "--seed", "4"], 0,
+        {"points": [[(1.0, 0.0), (-0.5, -0.8660254037844)], [(1.0, 0.0), (-0.5, 0.8660254037844)],
+                    [(1.0, 0.0), (1.0, 1.628162398125e-32)]],
+         "multiplicity_free": True}),
+    "points x*y^2*z^3": (
+        ["points", "x*y^2*z^3", "--seed", "4", "--phi=4*a0 + 5*a1 - 8*a2",
+         "--phi=-a0^2 + 8*a0*a1 + 7*a1^2 + 4*a0*a2 + a1*a2 + 7*a2^2"], 0,
+        {"points": [[(1.0, 0.0), (-3.438026775821, 1.765562641501e-15),
+                     (3.430929907294, -1.085678741058e-15)],
+                    [(1.0, 0.0), (-2.390783935794, -1.377142936585),
+                     (-0.9863862871511, 1.76464011355)],
+                    [(1.0, 0.0), (-2.390783935794, 1.377142936585),
+                     (-0.9863862871511, -1.76464011355)],
+                    [(1.0, 0.0), (-1.412368330867, -2.238266240948),
+                     (-2.683958951598, -1.126262798426)],
+                    [(1.0, 0.0), (-1.412368330867, 2.238266240948),
+                     (-2.683958951598, 1.126262798426)],
+                    [(1.0, 0.0), (-1.266169173248, -2.125656750536e-17),
+                     (-0.03761790390288, -1.680358937377e-16)],
+                    [(1.0, 0.0), (-0.2071972547542, -2.782004546932e-17),
+                     (0.3716136062383, 4.868507957131e-17)],
+                    [(1.0, 0.0), (1.452874316501, -2.054646917215),
+                     (3.324728748729, -0.7419953130255)],
+                    [(1.0, 0.0), (1.452874316501, 2.054646917215),
+                     (3.324728748729, 0.7419953130255)],
+                    [(1.0, 0.0), (2.931407487345, -1.023605555518),
+                     (0.3351651772574, 2.524682316776)],
+                    [(1.0, 0.0), (2.931407487345, 1.023605555518),
+                     (0.3351651772574, -2.524682316776)],
+                    [(1.0, 0.0), (3.749134129452, 2.645718052597e-16),
+                     (-3.744022984103, 5.850953892897e-15)]],
+         "multiplicity_free": True}),
+    "points x*y*z^2*w": (
+        ["points", "x*y*z^2*w", "--seed", "4"], 0,
+        {"points": [[(1.0, 0.0), (-1.0, -8.326672684689e-16), (-1.0, -6.661338147751e-16),
+                     (-0.5, -0.8660254037844)],
+                    [(1.0, 0.0), (-1.0, 6.661338147751e-16), (-1.0, 1.33226762955e-15),
+                     (-0.5, 0.8660254037844)],
+                    [(1.0, 0.0), (-1.0, -1.024760375961e-30), (-1.0, -2.561900939902e-31),
+                     (1.0, 1.104819780333e-30)],
+                    [(1.0, 0.0), (-1.0, -3.845925372767e-16), (1.0, 1.922962686384e-15),
+                     (-0.5, -0.8660254037844)],
+                    [(1.0, 0.0), (-1.0, 5.768888059151e-16), (1.0, -3.365184701171e-16),
+                     (-0.5, 0.8660254037844)],
+                    [(1.0, 0.0), (-1.0, -2.935511493637e-32), (1.0, 2.428468599282e-31),
+                     (1.0, 2.428468599282e-31)],
+                    [(1.0, 0.0), (1.0, 1.415534356397e-15), (-1.0, -9.992007221626e-16),
+                     (-0.5, -0.8660254037844)],
+                    [(1.0, 0.0), (1.0, -8.326672684689e-16), (-1.0, 8.326672684689e-16),
+                     (-0.5, 0.8660254037844)],
+                    [(1.0, 0.0), (1.0, -2.775392684893e-31), (-1.0, -2.08154451367e-31),
+                     (1.0, 7.438852989558e-32)],
+                    [(1.0, 0.0), (1.0, -3.845925372767e-16), (1.0, -2.403703357979e-16),
+                     (-0.5, -0.8660254037844)],
+                    [(1.0, 0.0), (1.0, 1.346073880468e-15), (1.0, -9.614813431918e-17),
+                     (-0.5, 0.8660254037844)],
+                    [(1.0, 0.0), (1.0, -2.884444029575e-16), (1.0, -3.365184701171e-16),
+                     (1.0, -9.134072760322e-16)]],
+         "multiplicity_free": True}),
+    "sample x*y^2": (
+        ["sample", "x*y^2", "--seed", "4", "--count", "2"], 0,
+        {"radical": [True, True], "verified": [True, True]}),
+    "sample x*y^2*z^3": (
+        ["sample", "x*y^2*z^3", "--seed", "4", "--count", "2"], 0,
+        {"radical": [True, True], "verified": [True, True]}),
+    "sample x*y*z^2*w": (
+        ["sample", "x*y*z^2*w", "--seed", "4", "--count", "2"], 0,
+        {"radical": [True, True], "verified": [True, True]}),
+}
+
+
+def _assert_group_close(got, want):
+    """Complex values equal to 1e-10 of the largest magnitude in ``want``."""
+    assert len(got) == len(want)
+    scale = max(abs(complex(*w)) for w in want)
+    for g, w in zip(got, want):
+        assert abs(complex(g["re"], g["im"]) - complex(*w)) <= 1e-10 * scale, (g, w)
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_PINS))
+def test_float_command_output_is_pinned(capsys, name):
+    argv, code, want = FLOAT_PINS[name]
+    got_code, out, _ = _run(capsys, argv)
+    assert got_code == code, out
+    data = json.loads(out)
+    if "coeffs" in want:
+        assert data["residual"] < 1e-10
+        _assert_group_close([s["coeff"] for s in data["summands"]], want["coeffs"])
+        for summand, form in zip(data["summands"], want["forms"], strict=True):
+            _assert_group_close(summand["form"], form)
+    elif "points" in want:
+        assert data["multiplicity_free"] == want["multiplicity_free"]
+        assert max(data["residuals"]) < 1e-10
+        for point, pinned in zip(data["points"], want["points"], strict=True):
+            _assert_group_close(point, pinned)
+    else:
+        samples = data["samples"]
+        assert [s["radical"] for s in samples] == want["radical"]
+        assert [s["verified"] for s in samples] == want["verified"]
+        assert all(s["residual"] < 1e-10 for s in samples if s["verified"])

@@ -28,7 +28,7 @@ def D(text, n=3):
 def test_grevlex_order_degree_two():
     exps = exponents_of_degree(3, 2)
     # x^2 > xy > y^2 > xz > yz > z^2
-    assert exps == [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
+    assert exps == ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2))
 
 
 def test_multinomial():
@@ -236,3 +236,46 @@ def test_parse_explicit_plus_minus():
     assert D("a0 +-1e-2*a1") == D("a0 - 1/100*a1")
     with pytest.raises(ValueError):
         D("a0 ++ a1")
+
+
+class TestEvaluationArray:
+    """The array mode of ``evaluation_matrix`` against its scalar mode."""
+
+    EXPONENTS = [(0, 0, 0), (1, 0, 0), (0, 3, 0), (2, 0, 4), (5, 1, 2), (0, 2, 7)]
+
+    def test_matches_the_scalar_mode(self):
+        import numpy as np
+
+        from waring.polynomial import evaluation_matrix
+
+        rng = np.random.default_rng(7)
+        points = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        points[2, 1] = 0  # 0^0 = 1 in (2, 0, 4), 0 elsewhere
+        got = evaluation_matrix(points, self.EXPONENTS)
+        want = evaluation_matrix([tuple(p) for p in points.tolist()], self.EXPONENTS)
+        assert got.shape == (6, len(self.EXPONENTS))
+        assert np.allclose(got, np.array(want), rtol=1e-13, atol=0)
+        assert got[2, 2] == 0 and got[2, 3] != 0 and (got[:, 0] == 1).all()
+
+    def test_empty_exponents_and_no_points(self):
+        import numpy as np
+
+        from waring.polynomial import evaluation_matrix
+
+        points = np.ones((4, 3), dtype=complex)
+        assert evaluation_matrix(points, []).shape == (4, 0)
+        assert evaluation_matrix(np.empty((0, 3), dtype=complex), self.EXPONENTS).shape == (0, 6)
+        assert evaluation_matrix(np.empty((0, 3)), []).shape == (0, 0)
+
+    def test_scalar_mode_stays_exact(self):
+        from waring.polynomial import evaluation_matrix
+
+        rows = evaluation_matrix([(Fraction(1, 2), 0, 3)], self.EXPONENTS)
+        assert rows == [[1, Fraction(1, 2), 0, Fraction(81, 4), 0, 0]]
+        assert all(isinstance(v, (int, Fraction)) for v in rows[0])
+
+
+def test_exponents_of_degree_is_cached_and_immutable():
+    assert exponents_of_degree(4, 6) is exponents_of_degree(4, 6)
+    assert isinstance(exponents_of_degree(4, 6), tuple)
+    assert exponents_of_degree(3, -1) == ()

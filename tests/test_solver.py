@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +449,120 @@ class TestExtractPoints:
         q = build_quotient(spec, PhiTuple(spec, []))
         pts = extract_points(q, seed=0)
         assert pts.points == ((1.0 + 0j,),)
+
+
+def loop_extract_points(q, tol=1e-8, seed=0, expect_radical=True):
+    """``extract_points`` as it was before it ran on arrays: one eigenvector at a time.
+
+    Kept as the reference for the array version; it returns (points,
+    residuals, raw_alpha0, raw_scale) and raises PointExtractionError alike.
+    """
+    spec = q.spec
+    n = spec.n
+    r = q.dim
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, size=n)
+    m = sum((weights[i - 1] * q.dense_matrix(i) for i in range(1, n + 1)), np.zeros((r, r)))
+    _, vectors = np.linalg.eig(m.T)
+
+    one_idx = q.index[(0,) * (n + 1)]
+    var_idx = [q.index[tuple(1 if j == i else 0 for j in range(n + 1))] for i in range(1, n + 1)]
+    raw = []
+    for col in range(vectors.shape[1]):
+        v = vectors[:, col]
+        v = v / np.linalg.norm(v)
+        lead = v[one_idx]
+        scale = float(np.linalg.norm(np.concatenate(([v[one_idx]], v[var_idx]))))
+        if abs(lead) < 1e-12 * scale:
+            if expect_radical:
+                raise PointExtractionError("vanishing constant coordinate")
+            continue
+        raw.append((tuple(complex(v[k] / lead) for k in var_idx), complex(lead), scale))
+
+    clusters = []
+    for record in raw:
+        for cluster in clusters:
+            if max((abs(a - b) for a, b in zip(record[0], cluster[0][0])), default=0.0) < tol:
+                cluster.append(record)
+                break
+        else:
+            clusters.append([record])
+    merged = sorted(
+        (
+            ((1.0 + 0j,) + tuple(sum(m[0][k] for m in c) / len(c) for k in range(n)),)
+            + c[0][1:]
+            for c in clusters
+        ),
+        key=lambda record: tuple((round(x.real, 9), round(x.imag, 9)) for x in record[0]),
+    )
+    points = [record[0] for record in merged]
+    if expect_radical and len(points) != r:
+        raise PointExtractionError(f"expected {r} separated points, found {len(points)}")
+
+    residuals = [0.0] * len(points)
+    for i, entry in enumerate(q.phi.entries, start=1):
+        d = spec.exponents[i]
+        for j, p in enumerate(points):
+            rhs = sum(complex(c) * prod(x**k for x, k in zip(p, e)) for e, c in entry.terms.items())
+            top = max(abs(c) for c in p)
+            residuals[j] = max(residuals[j], abs(p[i] ** (d + 1) - rhs) / max(1.0, top ** (d + 1)))
+    return points, residuals, [rec[1] for rec in merged], [rec[2] for rec in merged]
+
+
+def assert_close(got, want, tol=1e-12):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert abs(complex(x) - complex(y)) <= tol * max(1.0, abs(complex(y)))
+
+
+class TestExtractPointsAgainstTheLoop:
+    @pytest.mark.parametrize("text, seed", [("x*y^2*z^3", 0), ("x*y^2*z^3", 5),
+                                            ("x^2*y^2*z^3", 1), ("x*y*z^2*w^2", 2),
+                                            ("x^2*y^3*z^3*w^3", 4), ("x*y^4", 3)])
+    def test_points_and_residuals_agree(self, text, seed):
+        spec = MonomialSpec.parse(text)
+        q = build_quotient(spec, sample_phi(parameter_space(spec), seed))
+        got = extract_points(q, seed=seed)
+        points, residuals, alpha0, scale = loop_extract_points(q, seed=seed)
+        assert len(got) == len(points) == spec.rank
+        for p, want in zip(got.points, points):  # the same order
+            assert_close(p, want)
+        assert_close(got.residuals, residuals)
+        assert_close(got.raw_alpha0, alpha0)
+        assert_close(got.raw_scale, scale)
+
+    @pytest.mark.parametrize("text", ["x*y^2*z^3", "x*y*z^2*w^2"])
+    def test_residuals_of_generators_the_points_miss(self, text):
+        # points of one phi judged against another: residuals of order 1, not rounding
+        from dataclasses import replace
+
+        spec = MonomialSpec.parse(text)
+        space = parameter_space(spec)
+        q = replace(build_quotient(spec, sample_phi(space, 1)), phi=sample_phi(space, 2))
+        got = extract_points(q, seed=1)
+        _, residuals, _, _ = loop_extract_points(q, seed=1)
+        assert min(residuals) > 1e-3
+        assert_close(got.residuals, residuals)
+
+    def test_non_radical_clusters_alike(self, x2y2z2):
+        q = build_quotient(x2y2z2, phi_of(x2y2z2, Fraction(1), Fraction(0)))
+        for seed in range(4):
+            got = extract_points(q, seed=seed, expect_radical=False)
+            points, _, _, _ = loop_extract_points(q, seed=seed, expect_radical=False)
+            assert len(got) == len(points)
+            assert got.multiplicity_free == (len(points) == q.dim)
+        # seeds 0 and 1 merge the defective eigenvectors; later seeds split them beyond tol
+        assert len(extract_points(q, seed=0, expect_radical=False)) < q.dim
+
+    def test_pure_power(self):
+        spec = MonomialSpec.parse("x^3")
+        q = build_quotient(spec, PhiTuple(spec, []))
+        got = extract_points(q, seed=0)
+        points, residuals, alpha0, scale = loop_extract_points(q, seed=0)
+        assert got.points == tuple(points) == ((1.0 + 0j,),)
+        assert list(got.residuals) == residuals == [0.0]
+        assert_close(got.raw_alpha0, alpha0)
+        assert_close(got.raw_scale, scale)
 
 
 class TestFitCoefficients:
