@@ -256,6 +256,7 @@ def cmd_normalize(args) -> dict:
     }
     seed = _seed(args)
     if seed is not None:
+        # certified all the same: torus_normalize found every phi_i a nonzero constant
         q = build_quotient(spec, phi)
         points = extract_points(q, tol=args.tol, seed=seed)
         moved = apply_torus(torus, points)

@@ -28,6 +28,7 @@ from .polynomial import (
     exponents_of_degree,
     is_digits,
     multinomial,
+    multinomial_weights,
     split_power,
 )
 
@@ -292,8 +293,7 @@ def verify_decomposition(
     exponents = exponents_of_degree(len(used), dec.degree)
     powers = evaluation_matrix(forms[:, used], exponents)  # powers[j, i] = l_j^(exponents[i])
     c = np.array([complex(coeff) for coeff, _ in dec.summands], dtype=complex)
-    weights = np.array([float(multinomial(dec.degree, e)) for e in exponents])
-    difference = weights * (c @ powers)
+    difference = np.array(multinomial_weights(len(used), dec.degree)) * (c @ powers)
     difference[exponents.index(tuple(spec.original_exponents[k] for k in used))] -= 1
     max_error = float(np.max(np.abs(difference)))
     return VerificationReport(ok=max_error < tol, mode="numeric", max_error=max_error)

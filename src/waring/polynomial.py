@@ -56,6 +56,12 @@ def exponents_of_degree(num_vars: int, degree: int) -> tuple[Exponent, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
+def multinomial_weights(num_vars: int, degree: int) -> tuple[float, ...]:
+    """The floats (degree; e) for e in ``exponents_of_degree``, cached alike."""
+    return tuple(float(multinomial(degree, e)) for e in exponents_of_degree(num_vars, degree))
+
+
 def multinomial(degree: int, parts: Exponent) -> int:
     """The multinomial coefficient degree! / (parts_0! * parts_1! * ...)."""
     if sum(parts) != degree:

@@ -62,7 +62,7 @@ class NonRadicalIdealError(ValueError):
 
 
 class PointExtractionError(RuntimeError):
-    """Eigenvector clustering or conditioning failed during point extraction."""
+    """Point extraction failed: an entry outside float range, or no r separated points."""
 
 
 @dataclass
@@ -108,7 +108,11 @@ class QuotientAlgebra:
         m = np.zeros((self.dim, self.dim), dtype=complex)
         for col_idx, col in enumerate(self.columns[var - 1]):
             for row, c in col:
-                m[row, col_idx] = complex(c)
+                try:
+                    m[row, col_idx] = complex(c)
+                except OverflowError:
+                    raise PointExtractionError(f"eigenvalue stage: entry of M_{var} at row {row}, "
+                                               f"column {col_idx} is outside float range") from None
         return m
 
 
@@ -345,10 +349,11 @@ class PointSet:
     constant basis monomial in each unit-norm eigenvector, for extracted
     points), so the no-point-at-infinity check has something to look at.
     ``residuals`` reports, per point, the worst relative error on a generator.
+    ``multiplicity_free`` is kept for the JSON schema; every producer leaves it True.
     """
 
     points: tuple[tuple, ...]
-    multiplicity_free: bool
+    multiplicity_free: bool = True
     tol: float | None = None
     residuals: tuple[float, ...] | None = None
     raw_alpha0: tuple | None = None
@@ -375,39 +380,27 @@ def points_from_decomposition(dec, spec: MonomialSpec) -> PointSet:
         if not lead:
             raise ValueError("form has zero a0 coordinate; cannot normalize")
         pts.append(tuple(c / lead for c in sorted_coords))
-    return PointSet(
-        points=tuple(pts),
-        multiplicity_free=True,
-        raw_alpha0=tuple(form.coeffs[spec.positions[0]] for _, form in dec.summands),
-    )
+    return PointSet(points=tuple(pts), raw_alpha0=tuple(
+        form.coeffs[spec.positions[0]] for _, form in dec.summands))
 
 
-def extract_points(
-    q: QuotientAlgebra,
-    tol: float = 1e-8,
-    seed: int = 0,
-    expect_radical: bool = True,
-) -> PointSet:
+def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> PointSet:
     """Eigenvalue method: read the points off the eigenvectors of a random combination.
 
-    A seeded random real combination M of the multiplication matrices is
-    eigendecomposed; each left eigenvector is (up to scale) the evaluation
-    vector of the basis monomials at one point, so after normalizing the
-    constant coordinate to 1 the degree-one coordinates are the point itself.
-    All eigenvectors are normalized at once; a point joins the first cluster
-    whose first member lies within ``tol`` in every coordinate (one max-abs
-    distance matrix).  With ``expect_radical`` an eigenvector with a vanishing
-    constant coordinate raises, and so does any count other than dim
-    separated points.  The generator residuals are evaluated on the array of
-    points.
+    ``q`` must be the quotient of a phi that ``certify_radical`` found
+    radical, so that it has r distinct reduced points.  A seeded random real
+    combination M of the multiplication matrices is eigendecomposed; each
+    left eigenvector is (up to scale) the evaluation vector of the basis
+    monomials at one point, so after normalizing the constant coordinate to 1
+    the degree-one coordinates are the point itself.  An eigenvector with a
+    vanishing constant coordinate raises, and so does a point within ``tol``
+    of an earlier one in every coordinate (one max-abs distance matrix).  The
+    generator residuals are evaluated on the array of points.
     """
-    spec = q.spec
-    n = spec.n
-    r = q.dim
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    weights = rng.uniform(0.5, 1.5, size=n)
+    spec, n, r = q.spec, q.spec.n, q.dim
+    weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
     m = sum((weights[i - 1] * q.dense_matrix(i) for i in range(1, n + 1)), np.zeros((r, r)))
     _, vectors = np.linalg.eig(m.T)
 
@@ -416,44 +409,27 @@ def extract_points(
     vectors = vectors / np.linalg.norm(vectors, axis=0)
     lead = vectors[one_idx]
     scale = np.linalg.norm(vectors[[one_idx] + var_idx], axis=0)  # of the degree <= 1 window
-    kept = ~(np.abs(lead) < 1e-12 * scale)
-    if expect_radical and not kept.all():
+    if (np.abs(lead) < 1e-12 * scale).any():
         raise PointExtractionError(
             "eigenvector has vanishing constant coordinate; "
             "the combination matrix looks non-diagonalizable"
         )
-    lead, scale = lead[kept], scale[kept]
-    coords = (vectors[var_idx][:, kept] / lead).T  # one row per eigenvector, a0 dropped
+    # + 0.0 turns -0.0 parts into 0.0, which JSON writes differently
+    coords = (vectors[var_idx] / lead).T + 0.0  # one row per eigenvector, a0 dropped
 
     near = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2, initial=0.0) < tol
-    crowded = np.tril(near, -1).any(axis=1).tolist()  # within tol of some earlier point
-    label = np.empty(len(coords), dtype=np.intp)
-    heads: list[int] = []
-    for a in range(len(coords)):
-        hits = np.flatnonzero(near[a, heads]) if crowded[a] else ()
-        if len(hits):
-            label[a] = hits[0]
-        else:
-            label[a] = len(heads)
-            heads.append(a)
-    # each cluster: the mean point, and the a0 and scale of its first member
-    sums = np.zeros((len(heads), n), dtype=complex)
-    np.add.at(sums, label, coords)
-    means = sums / np.bincount(label, minlength=len(heads))[:, None]
-    clusters = [(1.0 + 0j,) + tuple(row) for row in means.tolist()]
-    order = sorted(range(len(heads)), key=lambda c: tuple(
-        (round(x.real, 9), round(x.imag, 9)) for x in clusters[c]))
-    points = [clusters[c] for c in order]
-
-    multiplicity_free = len(points) == r
-    if expect_radical and not multiplicity_free:
-        raise PointExtractionError(
-            f"expected {r} separated points, found {len(points)} clusters at tol={tol}"
-        )
+    crowded = int(np.tril(near, -1).any(axis=1).sum())  # within tol of some earlier point
+    if crowded:
+        raise PointExtractionError(f"expected {r} separated points: {crowded} within "
+                                   f"tol={tol} of an earlier one")
+    rows = [(1.0 + 0j,) + tuple(row) for row in coords.tolist()]
+    order = sorted(range(r), key=lambda a: tuple(
+        (round(x.real, 9), round(x.imag, 9)) for x in rows[a]))
+    points = [rows[a] for a in order]
 
     # generator a_i^(d_i+1) - phi_i at each point; a0 = 1, so the homogeneous phi_i serves
-    cloud = np.array(points, dtype=complex).reshape(len(points), n + 1)
-    residuals = np.zeros(len(points))
+    cloud = np.array(points, dtype=complex).reshape(r, n + 1)
+    residuals = np.zeros(r)
     tops = np.abs(cloud).max(axis=1)
     for i, entry in enumerate(q.phi.entries, start=1):
         d = spec.exponents[i]
@@ -463,14 +439,12 @@ def extract_points(
         gap = np.abs(values[:, 0] - rhs) / np.maximum(1.0, tops ** (d + 1))
         residuals = np.maximum(residuals, gap)
 
-    firsts = [heads[c] for c in order]
     return PointSet(
         points=tuple(points),
-        multiplicity_free=multiplicity_free,
         tol=tol,
         residuals=tuple(residuals.tolist()),
-        raw_alpha0=tuple(lead[firsts].tolist()),
-        raw_scale=tuple(scale[firsts].tolist()),
+        raw_alpha0=tuple(lead[order].tolist()),
+        raw_scale=tuple(scale[order].tolist()),
     )
 
 

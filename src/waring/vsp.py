@@ -16,6 +16,7 @@ coefficients, verification) runs on its array mode, one row per point.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,8 +195,7 @@ def apply_torus(torus: TorusElement, points) -> PointSet:
     for p in coords_list:
         scaled = [complex(l) * complex(c) for l, c in zip(torus.lam, p)]
         out.append(tuple(c / scaled[0] for c in scaled))
-    return PointSet(points=tuple(out), multiplicity_free=True,
-                    raw_alpha0=tuple(p[0] for p in out))
+    return PointSet(points=tuple(out), raw_alpha0=tuple(p[0] for p in out))
 
 
 def torus_normalize(spec: MonomialSpec, phi: PhiTuple) -> tuple[TorusElement, PhiTuple]:
@@ -213,19 +213,30 @@ def torus_normalize(spec: MonomialSpec, phi: PhiTuple) -> tuple[TorusElement, Ph
         raise ValueError("torus normalization applies to equal exponents only")
     if len(phi) != spec.n:
         raise ValueError("need a complete phi tuple")
-    values = []
+    logs = []
     for i, p in enumerate(phi.entries, start=1):
         if not p:
             raise NonRadicalIdealError(f"phi_{i} = 0: the ideal is not radical")
         if p.degree() != 0:
             raise ValueError("equal exponents force scalar phi entries")
-        values.append(complex(next(iter(p.terms.values()))))
+        v = next(iter(p.terms.values()))
+        try:
+            logs.append(cmath.log(complex(v)))
+        except (OverflowError, ValueError):  # a rational past float range; math.log takes ints
+            logs.append(complex(math.log(abs(v.numerator)) - math.log(v.denominator),
+                                math.pi if v < 0 else 0.0))
     n = spec.n
-    logs = [cmath.log(v) for v in values]
-    # lambda_i = c * exp(-log(phi_i)/(k+1)), with c balancing prod lambda^k = 1
-    c = cmath.exp(sum(logs) / ((n + 1) * (k + 1)))
-    lam = (c,) + tuple(c * cmath.exp(-logs[i] / (k + 1)) for i in range(n))
-    torus = TorusElement(lam=lam, exponents=spec.exponents)
+    # lambda_i = c * exp(-log(phi_i)/(k+1)), with c = lambda_0 balancing prod lambda^k = 1
+    lam = []
+    for i, x in enumerate([sum(logs) / ((n + 1) * (k + 1))] + [-v / (k + 1) for v in logs]):
+        try:
+            lam.append(lam[0] * cmath.exp(x) if lam else cmath.exp(x))
+        except OverflowError:
+            lam.append(0)
+        if not lam[-1] or not cmath.isfinite(lam[-1]):
+            source = f"phi_{i}" if i else "the product of the phi_i"
+            raise ValueError(f"lambda_{i}, from {source}, is outside float range")
+    torus = TorusElement(lam=tuple(lam), exponents=spec.exponents)
     ones = PhiTuple(spec, [SparsePoly.constant(n + 1, DUAL, Fraction(1)) for _ in range(n)])
     return torus, ones
 

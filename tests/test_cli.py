@@ -223,6 +223,15 @@ class TestPointsFitNormalize:
         assert code == 1 and "error" in data
 
 
+    @pytest.mark.parametrize("monomial, seed", [("x*y*z", "0"), ("x*y", "3"),
+                                                ("x*y*z*w", "5")])
+    def test_points_write_no_negative_zero(self, capsys, monomial, seed):
+        # JSON writes -0.0 and 0.0 apart; a zero part of a point is always written 0.0
+        code, out = run(capsys, "points", monomial, "--seed", seed)
+        assert code == 0 and "-0.0" not in out
+        assert any(c["im"] == 0.0 for p in json.loads(out)["points"] for c in p)
+
+
 class TestSampleAndDiagnose:
     def test_sample_batch(self, capsys):
         code, data = run_json(capsys, "sample", "x*y*z^2", "--seed", "0", "--count", "4")
@@ -383,6 +392,30 @@ class TestDeterminismAndErrors:
     def test_number_literals_keep_parsing(self, capsys, monomial, phi):
         code, data = run_json(capsys, "radical", monomial, f"--phi={phi}")
         assert code == 0 and "error" not in data
+
+
+    @pytest.mark.parametrize("command", ["decompose", "points", "diagnose", "normalize"])
+    def test_phi_past_float_range_is_a_failure(self, capsys, command):
+        # radical certifies this phi exactly; the float stage names the entry it cannot hold
+        code, data = run_json(capsys, command, "x^2*y^2", "--phi", "1e400", "--seed", "0")
+        assert code == 1
+        assert data["error"] == ("eigenvalue stage: entry of M_1 at row 0, column 2 "
+                                 "is outside float range")
+
+    @pytest.mark.parametrize("phi", ["1e400", "1e-400"])
+    def test_normalize_takes_the_log_of_a_rational(self, capsys, phi):
+        code, data = run_json(capsys, "normalize", "x^2*y^2", "--phi", phi)
+        assert code == 0
+        lam = [complex(v["re"], v["im"]) for v in data["lambda"]]
+        assert abs(lam[0] ** 2 * lam[1] ** 2 - 1) < 1e-10
+
+    @pytest.mark.parametrize("phis, lam", [(["1e100000"], 0), (["1e2000", "1"], 1)])
+    def test_torus_element_past_float_range_is_a_failure(self, capsys, phis, lam):
+        monomial = "*".join(v + "^2" for v in "xyz"[: len(phis) + 1])
+        code, data = run_json(capsys, "normalize", monomial, *(f"--phi={p}" for p in phis))
+        assert code == 1
+        assert data["error"].startswith(f"lambda_{lam}, from ")
+        assert "outside float range" in data["error"]
 
 
 class TestParserReuse:

@@ -95,8 +95,8 @@ class TestTraceForm:
 
 class TestTraceRankFloatCrossCheck:
     def test_rank_equals_separated_point_count(self):
-        # trace rank == dim exactly when extraction finds dim points pairwise
-        # farther than 1e-6 apart; defective multiplicities collapse below that
+        # at tol 1e-6 extraction raises exactly when the trace rank is below dim:
+        # defective multiplicities collapse below that, distinct points stay apart
         cases = [
             ((1, 2), ("2*a0 + 3*a1",), False),  # double root: y^3 - 3y - 2
             ((1, 2), ("2*a0 + 4*a1",), True),
@@ -110,9 +110,13 @@ class TestTraceRankFloatCrossCheck:
             rank = trace_form_rank(q)
             assert rank <= q.dim
             assert (rank == q.dim) == radical
-            pts = extract_points(q, tol=1e-6, seed=0, expect_radical=False)
-            assert (len(pts) == q.dim) == radical
-            if radical:
+            for seed in range(8):
+                if not radical:
+                    with pytest.raises(PointExtractionError):
+                        extract_points(q, tol=1e-6, seed=seed)
+                    continue
+                pts = extract_points(q, tol=1e-6, seed=seed)
+                assert len(pts) == q.dim and pts.multiplicity_free
                 for a, b in itertools.combinations(pts.points, 2):
                     assert max(abs(x - y) for x, y in zip(a, b)) > 1e-6
 
@@ -431,12 +435,10 @@ class TestExtractPoints:
         pts = extract_points(build_quotient(xy2z3, phi), seed=123)
         assert max(pts.residuals) < 1e-9
 
-    def test_non_radical_raises_or_flags(self, x2y2z2):
+    def test_non_radical_raises(self, x2y2z2):
         q = build_quotient(x2y2z2, phi_of(x2y2z2, Fraction(1), Fraction(0)))
         with pytest.raises(PointExtractionError):
             extract_points(q, seed=0)
-        pts = extract_points(q, seed=0, expect_radical=False)
-        assert not pts.multiplicity_free and len(pts) < 9
 
     def test_determinism(self, xy2z3):
         q = build_quotient(xy2z3, explicit_phi(xy2z3))
@@ -451,7 +453,7 @@ class TestExtractPoints:
         assert pts.points == ((1.0 + 0j,),)
 
 
-def loop_extract_points(q, tol=1e-8, seed=0, expect_radical=True):
+def loop_extract_points(q, tol=1e-8, seed=0):
     """``extract_points`` as it was before it ran on arrays: one eigenvector at a time.
 
     Kept as the reference for the array version; it returns (points,
@@ -459,10 +461,9 @@ def loop_extract_points(q, tol=1e-8, seed=0, expect_radical=True):
     """
     spec = q.spec
     n = spec.n
-    r = q.dim
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.5, 1.5, size=n)
-    m = sum((weights[i - 1] * q.dense_matrix(i) for i in range(1, n + 1)), np.zeros((r, r)))
+    m = sum((weights[i - 1] * q.dense_matrix(i) for i in range(1, n + 1)), np.zeros((q.dim, q.dim)))
     _, vectors = np.linalg.eig(m.T)
 
     one_idx = q.index[(0,) * (n + 1)]
@@ -474,30 +475,15 @@ def loop_extract_points(q, tol=1e-8, seed=0, expect_radical=True):
         lead = v[one_idx]
         scale = float(np.linalg.norm(np.concatenate(([v[one_idx]], v[var_idx]))))
         if abs(lead) < 1e-12 * scale:
-            if expect_radical:
-                raise PointExtractionError("vanishing constant coordinate")
-            continue
-        raw.append((tuple(complex(v[k] / lead) for k in var_idx), complex(lead), scale))
-
-    clusters = []
-    for record in raw:
-        for cluster in clusters:
-            if max((abs(a - b) for a, b in zip(record[0], cluster[0][0])), default=0.0) < tol:
-                cluster.append(record)
-                break
-        else:
-            clusters.append([record])
+            raise PointExtractionError("vanishing constant coordinate")
+        point = (1.0 + 0j,) + tuple(complex(v[k] / lead) for k in var_idx)
+        if any(max(abs(a - b) for a, b in zip(point, other[0])) < tol for other in raw):
+            raise PointExtractionError("a point within tol of an earlier one")
+        raw.append((point, complex(lead), scale))
     merged = sorted(
-        (
-            ((1.0 + 0j,) + tuple(sum(m[0][k] for m in c) / len(c) for k in range(n)),)
-            + c[0][1:]
-            for c in clusters
-        ),
-        key=lambda record: tuple((round(x.real, 9), round(x.imag, 9)) for x in record[0]),
+        raw, key=lambda record: tuple((round(x.real, 9), round(x.imag, 9)) for x in record[0])
     )
     points = [record[0] for record in merged]
-    if expect_radical and len(points) != r:
-        raise PointExtractionError(f"expected {r} separated points, found {len(points)}")
 
     residuals = [0.0] * len(points)
     for i, entry in enumerate(q.phi.entries, start=1):
@@ -544,15 +530,11 @@ class TestExtractPointsAgainstTheLoop:
         assert min(residuals) > 1e-3
         assert_close(got.residuals, residuals)
 
-    def test_non_radical_clusters_alike(self, x2y2z2):
+    def test_non_radical_raises_alike(self, x2y2z2):
         q = build_quotient(x2y2z2, phi_of(x2y2z2, Fraction(1), Fraction(0)))
-        for seed in range(4):
-            got = extract_points(q, seed=seed, expect_radical=False)
-            points, _, _, _ = loop_extract_points(q, seed=seed, expect_radical=False)
-            assert len(got) == len(points)
-            assert got.multiplicity_free == (len(points) == q.dim)
-        # seeds 0 and 1 merge the defective eigenvectors; later seeds split them beyond tol
-        assert len(extract_points(q, seed=0, expect_radical=False)) < q.dim
+        for extract in (extract_points, loop_extract_points):
+            with pytest.raises(PointExtractionError):
+                extract(q, seed=0)
 
     def test_pure_power(self):
         spec = MonomialSpec.parse("x^3")
