@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from math import comb
+from math import comb, isfinite
 
 from . import serialize
 from .ideals import (
@@ -90,6 +90,8 @@ def _check_limits(args) -> None:
     if getattr(args, "tol", None) is not None:
         if not _DECIMAL.fullmatch(args.tol):
             raise ValueError(f"--tol must be a non-negative decimal number, got {args.tol!r}")
+        if not isfinite(float(args.tol)):  # past float range, as "1e400"
+            raise ValueError(f"--tol must be a finite decimal number, got {args.tol!r}")
         args.tol = float(args.tol)
     for dest, option, least in (("seed", "--seed", 0), ("count", "--count", 1),
                                 ("t_max", "--t-max", 0)):
@@ -139,20 +141,21 @@ def cmd_decompose(args) -> dict:
             phi = _parse_phi(spec, args.phi)
         else:
             phi = sample_phi(parameter_space(spec), seed)
-        try:
-            dec = decompose_from_phi(spec, phi, tol=args.tol, seed=seed)
-        except (NonRadicalIdealError, PointExtractionError) as exc:
-            raise MathFailure(str(exc)) from None
+        dec = decompose_from_phi(spec, phi, tol=args.tol, seed=seed)
     out = serialize.decomposition_to_json(dec)
     out["monomial"] = str(spec)
     return out
 
 
 def _load_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # not JSON, or not text
+        raise ValueError(f"cannot read JSON from {'standard input' if path == '-' else path}: "
+                         f"{exc}") from None
 
 
 def cmd_verify(args) -> dict:
@@ -221,10 +224,7 @@ def cmd_points(args) -> dict:
     certificate = certify_radical(spec, phi)
     if not certificate.radical:
         raise MathFailure("the ideal is not radical; points would not be reduced")
-    try:
-        points = extract_points(certificate.quotient, tol=args.tol, seed=seed)
-    except PointExtractionError as exc:
-        raise MathFailure(str(exc)) from None
+    points = extract_points(certificate.quotient, tol=args.tol, seed=seed)
     out = serialize.pointset_to_json(points)
     out["monomial"] = str(spec)
     out["alpha0_nonzero"] = check_alpha0_nonzero(points)
@@ -247,7 +247,7 @@ def cmd_normalize(args) -> dict:
     phi = _parse_phi(spec, args.phi)
     try:
         torus, ones = torus_normalize(spec, phi)
-    except (ValueError, NonRadicalIdealError) as exc:
+    except ValueError as exc:  # NonRadicalIdealError too
         raise MathFailure(str(exc)) from None
     out = {
         "monomial": str(spec),

@@ -65,10 +65,8 @@ def scalar_to_json(value):
             "conductor": value.conductor,
             "coeffs": [_ratio_text(c, value.den, what) for c in value.num],
         }
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, float):
-        return {"re": value, "im": 0.0}
+    if isinstance(value, (complex, float)):  # + 0.0 writes a -0.0 part as 0.0
+        return {"re": value.real + 0.0, "im": value.imag + 0.0}
     raise TypeError(f"cannot serialize scalar {value!r}")
 
 
@@ -223,7 +221,7 @@ def pointset_to_json(points: PointSet) -> dict:
     out = {
         "points": [[scalar_to_json(c) for c in p] for p in points.points],
         "normalized": "alpha0=1",
-        "multiplicity_free": points.multiplicity_free,
+        "multiplicity_free": True,  # a PointSet holds distinct points only
     }
     if points.tol is not None:
         out["tol"] = points.tol
@@ -236,10 +234,10 @@ def pointset_from_json(data: dict) -> PointSet:
     where = "point-set JSON"
     points = _field(data, "points", "array", where)
     residuals = _field(data, "residuals", "array", where, None)
+    _field(data, "multiplicity_free", "boolean", where, True)  # written for the schema only
     return PointSet(
         points=tuple(tuple(scalar_from_json(c) for c in _expect(p, "array", "each point"))
                      for p in points),
-        multiplicity_free=_field(data, "multiplicity_free", "boolean", where, True),
         tol=_field(data, "tol", "number", where, None),
         residuals=tuple(residuals) if residuals is not None else None,
     )

@@ -345,19 +345,13 @@ def ideal_membership(poly: SparsePoly, ideal: CIIdeal) -> bool:
 class PointSet:
     """Projective points, normalized to a0 = 1 whenever the chart allows.
 
-    ``raw_alpha0`` keeps the pre-normalization a0 data (the coordinate of the
-    constant basis monomial in each unit-norm eigenvector, for extracted
-    points), so the no-point-at-infinity check has something to look at.
-    ``residuals`` reports, per point, the worst relative error on a generator.
-    ``multiplicity_free`` is kept for the JSON schema; every producer leaves it True.
+    ``tol`` is the separation the points were extracted with; ``residuals``
+    reports, per point, the worst relative error on a generator.
     """
 
     points: tuple[tuple, ...]
-    multiplicity_free: bool = True
     tol: float | None = None
     residuals: tuple[float, ...] | None = None
-    raw_alpha0: tuple | None = None
-    raw_scale: tuple[float, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -380,8 +374,7 @@ def points_from_decomposition(dec, spec: MonomialSpec) -> PointSet:
         if not lead:
             raise ValueError("form has zero a0 coordinate; cannot normalize")
         pts.append(tuple(c / lead for c in sorted_coords))
-    return PointSet(points=tuple(pts), raw_alpha0=tuple(
-        form.coeffs[spec.positions[0]] for _, form in dec.summands))
+    return PointSet(points=tuple(pts))
 
 
 def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> PointSet:
@@ -393,9 +386,12 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
     left eigenvector is (up to scale) the evaluation vector of the basis
     monomials at one point, so after normalizing the constant coordinate to 1
     the degree-one coordinates are the point itself.  An eigenvector with a
-    vanishing constant coordinate raises, and so does a point within ``tol``
-    of an earlier one in every coordinate (one max-abs distance matrix).  The
-    generator residuals are evaluated on the array of points.
+    vanishing constant coordinate raises, and so does a point within
+    ``tol * min(1, s)`` of an earlier one in every coordinate, s the largest
+    |a_k| over all points (one max-abs distance matrix): a cloud near the
+    origin is told apart relative to its extent, while a double point at the
+    origin of a larger cloud still raises.  The generator residuals are
+    evaluated on the array of points.
     """
     import numpy as np
 
@@ -414,11 +410,13 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
             "eigenvector has vanishing constant coordinate; "
             "the combination matrix looks non-diagonalizable"
         )
-    # + 0.0 turns -0.0 parts into 0.0, which JSON writes differently
-    coords = (vectors[var_idx] / lead).T + 0.0  # one row per eigenvector, a0 dropped
+    coords = (vectors[var_idx] / lead).T  # one row per eigenvector, a0 dropped
 
-    near = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2, initial=0.0) < tol
-    crowded = int(np.tril(near, -1).any(axis=1).sum())  # within tol of some earlier point
+    # distances in units of the cloud's extent, at most 1: shrinking a small cloud keeps the
+    # verdict; a cloud all at the origin keeps tol, so coincident points there still raise
+    limit = tol * min(1.0, np.abs(coords).max(initial=0.0)) or tol
+    near = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2, initial=0.0) < limit
+    crowded = int(np.tril(near, -1).any(axis=1).sum())  # within limit of some earlier point
     if crowded:
         raise PointExtractionError(f"expected {r} separated points: {crowded} within "
                                    f"tol={tol} of an earlier one")
@@ -439,13 +437,7 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
         gap = np.abs(values[:, 0] - rhs) / np.maximum(1.0, tops ** (d + 1))
         residuals = np.maximum(residuals, gap)
 
-    return PointSet(
-        points=tuple(points),
-        tol=tol,
-        residuals=tuple(residuals.tolist()),
-        raw_alpha0=tuple(lead[order].tolist()),
-        raw_scale=tuple(scale[order].tolist()),
-    )
+    return PointSet(points=tuple(points), tol=tol, residuals=tuple(residuals.tolist()))
 
 
 def in_chart(spec: MonomialSpec, points) -> list[tuple]:
@@ -486,12 +478,30 @@ def summand_coefficients(spec: MonomialSpec, points) -> list:
     return [x / (scale * p[0] ** spec.degree) for x, p in zip(solution, _coords(points))]
 
 
-def decomposition_of(spec: MonomialSpec, coeffs, points) -> Decomposition:
-    """sum_j c_j * (l_j)^d, sorted-frame points read as forms; exact if the points are."""
+def _fit_decomposition(spec: MonomialSpec, points, tol: float) -> Decomposition:
+    """sum_j c_j * (l_j)^d from ``summand_coefficients``, judged by ``verify_decomposition``.
+
+    Sorted-frame points are read as forms; exact points give an exact
+    decomposition, checked exactly, float points one checked to ``tol`` that
+    carries its residual.  A failed check raises NonRadicalIdealError: no
+    power-sum configuration for the monomial has these points.
+    """
+    coeffs = summand_coefficients(spec, points)
     coords_list = _coords(points)
-    exact = all(_is_exact_scalar(c) for p in coords_list for c in p)
-    summands = tuple((c, spec.form_to_original(p)) for c, p in zip(coeffs, coords_list))
-    return Decomposition(spec.degree, EXACT_CYCLOTOMIC if exact else COMPLEX_FLOAT, summands)
+    domain = EXACT_CYCLOTOMIC if _all_exact(coords_list) else COMPLEX_FLOAT
+    dec = Decomposition(spec.degree, domain, tuple(
+        (c, spec.form_to_original(p)) for c, p in zip(coeffs, coords_list)))
+    report = verify_decomposition(spec, dec, tol)
+    if not report.ok:
+        detail = "" if report.mode == "exact" else f" (residual {report.max_error:.3e}, tol {tol})"
+        raise NonRadicalIdealError(
+            f"power-expansion system is inconsistent{detail}; "
+            "the points are not a power-sum configuration for this monomial"
+        )
+    dec.verified = report.mode
+    if report.mode == "numeric":
+        dec.residual = report.max_error
+    return dec
 
 
 def fit_coefficients(spec: MonomialSpec, points, tol: float = 1e-6):
@@ -502,12 +512,4 @@ def fit_coefficients(spec: MonomialSpec, points, tol: float = 1e-6):
     judges the solution, exactly on exact points and to ``tol`` on floats;
     no power-sum configuration for the monomial raises NonRadicalIdealError.
     """
-    coeffs = summand_coefficients(spec, points)
-    report = verify_decomposition(spec, decomposition_of(spec, coeffs, points), tol)
-    if not report.ok:
-        detail = "" if report.mode == "exact" else f" (residual {report.max_error:.3e})"
-        raise NonRadicalIdealError(
-            f"power-expansion system is inconsistent{detail}; "
-            "the points are not a power-sum configuration for this monomial"
-        )
-    return coeffs
+    return [c for c, _ in _fit_decomposition(spec, points, tol).summands]

@@ -24,18 +24,16 @@ from math import prod
 
 from .ideals import PhiTuple, basis_Bprime, dim_vsp
 from .linalg import InconsistentSystem, RankDeficientSystem, _is_exact_scalar, rank, solve
-from .monomials import Decomposition, MonomialSpec, verify_decomposition
+from .monomials import Decomposition, MonomialSpec
 from .polynomial import DUAL, SparsePoly, evaluation_matrix, exponents_of_degree
 from .solver import (
     NonRadicalIdealError,
     PointSet,
-    QuotientAlgebra,
     _coords,
+    _fit_decomposition,
     certify_radical,
-    decomposition_of,
     extract_points,
     in_chart,
-    summand_coefficients,
 )
 
 
@@ -93,23 +91,7 @@ def decompose_from_phi(
     certificate = certify_radical(spec, phi)
     if not certificate.radical:
         raise NonRadicalIdealError(f"I(n, phi) is not radical for phi = {phi}")
-    return _decompose_certified(certificate.quotient, tol, seed)
-
-
-def _decompose_certified(q: QuotientAlgebra, tol: float, seed: int) -> Decomposition:
-    """Decompose from the quotient algebra of an ideal already certified radical:
-    one square solve for the coefficients, one expansion to judge them."""
-    spec = q.spec
-    points = extract_points(q, tol=tol, seed=seed)
-    dec = decomposition_of(spec, summand_coefficients(spec, points), points)
-    report = verify_decomposition(spec, dec, tol=tol)
-    if not report.ok:
-        raise NonRadicalIdealError(
-            f"decomposition failed numeric verification (error {report.max_error:.3e})"
-        )
-    dec.verified = "numeric"
-    dec.residual = report.max_error
-    return dec
+    return _fit_decomposition(spec, extract_points(certificate.quotient, tol, seed), tol)
 
 
 def fit_phi_from_points(spec: MonomialSpec, points) -> PhiTuple:
@@ -118,13 +100,24 @@ def fit_phi_from_points(spec: MonomialSpec, points) -> PhiTuple:
     For each i the generator a_i^(d_i+1) - phi_i * a0^(d0+1) must vanish on
     every point; with a0 normalized to 1 that reads phi_i(p) = p_i^(d_i+1),
     a linear system for the coefficients of phi_i over the no-term-in-J basis.
+    A float point whose values there leave float range raises ValueError.
     """
     coords_list = in_chart(spec, points)
     entries = []
     for i in range(1, spec.n + 1):
         basis = basis_Bprime(spec, i)
-        rows = evaluation_matrix(coords_list, basis)
-        rhs = [p[i] ** (spec.exponents[i] + 1) for p in coords_list]
+        top = spec.exponents[i] + 1
+        rows, rhs = [], []
+        for j, p in enumerate(coords_list):
+            try:
+                (row,), value = evaluation_matrix([p], basis), p[i] ** top
+            except OverflowError:  # complex ** past float range
+                row, value = [], math.inf
+            if not all(_is_exact_scalar(v) or cmath.isfinite(v) for v in [*row, value]):
+                raise ValueError(f"point {j} is outside float range: at a0 = 1, a power of its "
+                                 f"coordinates up to degree {top} is not finite")
+            rows.append(row)
+            rhs.append(value)
         try:
             solution = solve(rows, rhs, 1e-6)
         except RankDeficientSystem:
@@ -195,7 +188,7 @@ def apply_torus(torus: TorusElement, points) -> PointSet:
     for p in coords_list:
         scaled = [complex(l) * complex(c) for l, c in zip(torus.lam, p)]
         out.append(tuple(c / scaled[0] for c in scaled))
-    return PointSet(points=tuple(out), raw_alpha0=tuple(p[0] for p in out))
+    return PointSet(points=tuple(out))
 
 
 def torus_normalize(spec: MonomialSpec, phi: PhiTuple) -> tuple[TorusElement, PhiTuple]:
@@ -244,21 +237,15 @@ def torus_normalize(spec: MonomialSpec, phi: PhiTuple) -> tuple[TorusElement, Ph
 def check_alpha0_nonzero(points, tol: float = 1e-8) -> bool:
     """Every point keeps its a0 coordinate away from zero.
 
-    Exact coordinates are tested exactly; floating data compares the
-    pre-normalization a0 against the point's scale.
+    Exact coordinates are tested exactly; a float point p needs
+    |p0| > tol * ||p||_2, a ratio that no rescaling of the point changes.
     """
-    coords_list = _coords(points)
-    raw = points.raw_alpha0 if isinstance(points, PointSet) and points.raw_alpha0 else None
-    scales = points.raw_scale if isinstance(points, PointSet) and points.raw_scale else None
-    for j, p in enumerate(coords_list):
-        lead = raw[j] if raw else p[0]
-        if _is_exact_scalar(lead):
-            if not lead:
+    for p in _coords(points):
+        if _is_exact_scalar(p[0]):
+            if not p[0]:
                 return False
-        else:
-            scale = scales[j] if scales else max(abs(complex(c)) for c in p)
-            if abs(complex(lead)) <= tol * scale:
-                return False
+        elif abs(complex(p[0])) <= tol * math.hypot(*(abs(complex(c)) for c in p)):
+            return False
     return True
 
 
@@ -282,7 +269,8 @@ def sample_decompositions(
     for s in range(seed, seed + count):
         phi = sample_phi(space, s)
         certificate = certify_radical(spec, phi)
-        dec = _decompose_certified(certificate.quotient, tol, s) if certificate.radical else None
+        dec = (_fit_decomposition(spec, extract_points(certificate.quotient, tol, s), tol)
+               if certificate.radical else None)
         reports.append(SampleReport(seed=s, phi=phi, radical=certificate.radical,
                                     verified=dec is not None,
                                     residual=None if dec is None else dec.residual))

@@ -49,10 +49,7 @@ from conftest import spec_grid
 
 
 def _float_points(points: PointSet) -> PointSet:
-    return PointSet(
-        points=tuple(tuple(complex(c) for c in p) for p in points.points),
-        multiplicity_free=points.multiplicity_free,
-    )
+    return PointSet(points=tuple(tuple(complex(c) for c in p) for p in points.points))
 
 
 def _radical_samples(spec, count, seed_base=0, max_attempts=400):

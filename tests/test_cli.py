@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from math import comb
@@ -225,11 +226,36 @@ class TestPointsFitNormalize:
 
     @pytest.mark.parametrize("monomial, seed", [("x*y*z", "0"), ("x*y", "3"),
                                                 ("x*y*z*w", "5")])
-    def test_points_write_no_negative_zero(self, capsys, monomial, seed):
-        # JSON writes -0.0 and 0.0 apart; a zero part of a point is always written 0.0
-        code, out = run(capsys, "points", monomial, "--seed", seed)
-        assert code == 0 and "-0.0" not in out
-        assert any(c["im"] == 0.0 for p in json.loads(out)["points"] for c in p)
+    def test_points_write_no_negative_zero(self, capsys, tmp_path, monomial, seed):
+        # JSON writes -0.0 and 0.0 apart; a zero part of a float is always written 0.0
+        path = tmp_path / "points.json"
+        for argv in (["points", monomial, "--seed", seed], ["decompose", monomial, "--seed", seed],
+                     ["fit-phi", monomial, "--points", str(path)]):
+            code, out = run(capsys, *argv)
+            assert code == 0 and not re.search(r"-0\.0\b", out)
+            assert '"im": 0.0' in out
+            if argv[0] == "points":
+                path.write_text(out)
+
+    @pytest.mark.parametrize("command", ["points", "normalize", "decompose"])
+    def test_points_near_the_origin_are_told_apart(self, capsys, command):
+        # the points (1, +-1e-150) are 2e-150 apart: separated relative to the cloud's extent
+        code, data = run_json(capsys, command, "x*y", "--phi", "1e-300", "--seed", "0")
+        assert code == 0
+        if command == "decompose":
+            coeffs = sorted(s["coeff"]["re"] for s in data["summands"])
+            assert coeffs == pytest.approx([-2.5e149, 2.5e149], rel=1e-12)
+            assert data["residual"] == 0.0
+        if command == "points":
+            assert sorted(p[1]["re"] for p in data["points"]) == pytest.approx([-1e-150, 1e-150])
+
+    def test_fit_phi_past_float_range_names_the_point(self, capsys, tmp_path):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"points": [[{"re": 1.0}, {"re": 1e308}],
+                                               [{"re": 1.0}, {"re": -1e308}]]}))
+        code, data = run_json(capsys, "fit-phi", "x*y", "--points", str(path))
+        assert code == 1
+        assert data["error"].startswith("point 0 is outside float range")
 
 
 class TestSampleAndDiagnose:
@@ -349,6 +375,12 @@ class TestDeterminismAndErrors:
     def test_negative_tolerance_is_usage_error(self, capsys, argv, tol):
         code, data = run_json(capsys, *argv, "--tol", tol)
         assert code == 2 and "--tol" in data["error"]
+
+    @pytest.mark.parametrize("tol", ["1e400", "1" + "0" * 400])
+    def test_tolerance_past_float_range_is_usage_error(self, capsys, tol):
+        code, data = run_json(capsys, "points", "x*y", "--seed", "0", "--tol", tol)
+        assert code == 2
+        assert data["error"] == f"--tol must be a finite decimal number, got {tol!r}"
 
     @pytest.mark.parametrize("argv, option", [
         (["decompose", "x*y*z", "--seed", "1_0"], "--seed"),
@@ -484,6 +516,14 @@ class TestMalformedJson:
         path.write_text(json.dumps(payload))
         code, data = run_json(capsys, "fit-phi", "x*y", "--points", str(path))
         assert code == 2 and field in data["error"]
+
+    @pytest.mark.parametrize("command, option", [("fit-phi", "--points"), ("verify", "--input")])
+    def test_unreadable_json_names_the_path(self, capsys, tmp_path, command, option):
+        path = tmp_path / "empty.json"
+        path.write_text("")
+        code, data = run_json(capsys, command, "x*y", option, str(path))
+        assert code == 2
+        assert data["error"] == f"cannot read JSON from {path}: Expecting value: line 1 column 1 (char 0)"
 
 
 class TestTMax:

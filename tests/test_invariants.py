@@ -24,8 +24,7 @@ def _wrong_rank(monkeypatch):
 def _points_of_xyz():
     spec = MonomialSpec.parse("x*y*z")
     dec = explicit_decomposition(spec)
-    return PointSet(points=tuple(tuple(form.coeffs) for _, form in dec.summands),
-                    multiplicity_free=True)
+    return PointSet(points=tuple(tuple(form.coeffs) for _, form in dec.summands))
 
 
 def _half_lift_quotient():

@@ -149,7 +149,7 @@ class TestPointIdealHilbert:
         assert [point_ideal_hilbert(pts, t) for t in range(4)] == [1, 3, 4, 4]
 
     def test_single_point(self):
-        pts = PointSet(points=((1, 2, 3),), multiplicity_free=True)
+        pts = PointSet(points=((1, 2, 3),))
         assert point_ideal_hilbert(pts, 1) == 1
 
     def test_matches_model_hilbert_function(self, x2y2z2):
@@ -162,7 +162,6 @@ class TestPointIdealHilbert:
         exact_pts = points_from_decomposition(explicit_decomposition(xyz2), xyz2)
         float_pts = PointSet(
             points=tuple(tuple(complex(c) for c in p) for p in exact_pts.points),
-            multiplicity_free=True,
         )
         for t in range(xyz2.degree + 3):
             assert point_ideal_hilbert(exact_pts, t) == point_ideal_hilbert(float_pts, t)
@@ -234,8 +233,14 @@ class TestAlpha0:
         assert check_alpha0_nonzero(pts)
 
     def test_constructed_failure(self):
-        pts = PointSet(points=((1, 1, 1), (0, 1, 0)), multiplicity_free=True)
+        pts = PointSet(points=((1, 1, 1), (0, 1, 0)))
         assert not check_alpha0_nonzero(pts)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+    def test_float_a0_against_the_euclidean_norm(self, scale):
+        # |p0| > 1e-8 * ||p||_2 = 1.414e-8 * scale: the verdict does not follow the point's scale
+        assert check_alpha0_nonzero([(1.5e-8 * scale, scale, -scale)])
+        assert not check_alpha0_nonzero([(1.2e-8 * scale, scale, -scale)])
 
     def test_extracted_points_pass(self, xy2z3):
         phi = sample_phi(parameter_space(xy2z3), 2)
