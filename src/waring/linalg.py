@@ -3,8 +3,10 @@
 The exact routines only need field operations (+, -, *, /, truthiness), so
 they work uniformly for Fraction and CycloScalar entries.  ``nullspace_mod_p``
 gives a kernel basis of an integer matrix over Z/p (its length is the number
-of columns less the rank mod p, which never exceeds the rank over Q), and
-``rational_reconstruction`` lifts a residue mod p to a fraction.
+of columns less the rank mod p, which never exceeds the rank over Q); it
+eliminates on rows packed into one int each, one field per column, so a row
+update is one big-int multiply-add.  ``rational_reconstruction`` lifts a
+residue mod p to a fraction.
 Floating-point ranks use an SVD with a relative singular-value cutoff; numpy
 is imported only by the float routines, so exact work never loads it.
 
@@ -89,46 +91,69 @@ def nullspace_mod_p(rows, p: int) -> list[list[int]]:
 
     One vector per free (non-pivot) column of the echelon form: 1 on that
     column, 0 on the other free columns and after it, entries in [0, p).
-    Forward elimination runs as for a rank; the back-substitution runs only
-    when there is a free column, so at full column rank the call costs one
-    elimination.  Row updates take no remainder (delayed reduction): each
-    entry is reduced once, in its column just before the pivot search, and a
-    pivot row when it is normalized, so the back-substitution reads reduced
-    rows.  An entry starts in [0, p) and each of at most ``len(rows)`` updates
-    subtracts a product of two residues, so it stays below p + len(rows)*p^2
-    in absolute value.
+
+    Each live row is one int: field j, w bits wide, holds the row's entry in
+    the j-th column not yet eliminated, and every field stays >= 0, so the
+    column being eliminated is the lowest field and a row's head is
+    ``(row & (2^w - 1)) % p``.  The first row with a nonzero head is the
+    pivot; its fields after the head are folded with 2^k = c mod p
+    (k = p.bit_length(), c = 2^k - p; c = 1 for a Mersenne prime):
+    x -> (x mod 2^k) + c*(x >> k) on every field at once, by one mask, until
+    no field reaches 2^(k+1).  Every other row drops its head field and adds
+    ((-head/pivot head) mod p) times the folded pivot row: one multiply-add
+    on the packed int (delayed reduction and packing as in FFLAS-FFPACK,
+    Dumas, Giorgi & Pernet, ACM TOMS 2008; Kronecker substitution, von zur
+    Gathen & Gerhard, 8.4).  A field starts below p and each of at most
+    ``len(rows)`` updates adds below p*2^(k+1) < 2^(2k+1), so it stays below
+    2^(2k+1+len(rows).bit_length()), and a width w >= 2k + 3 +
+    len(rows).bit_length() (rounded up to whole bytes, so that a row packs
+    and unpacks through one bytes object) never carries between fields.  The
+    pivot rows are unpacked and normalized only when a free column exists, so
+    at full column rank the call costs the forward elimination alone.
     """
-    matrix = [[v % p for v in row] for row in rows]
-    ncols = len(matrix[0]) if matrix else 0
-    pivots: list[int] = []
+    ncols = len(rows[0]) if rows else 0
+    if not ncols:
+        return []
+    k = p.bit_length()
+    size = (2 * k + 3 + len(rows).bit_length() + 7) // 8
+    w = 8 * size
+    mask, c = (1 << w) - 1, (1 << k) - p
+    ones = ((1 << w * ncols) - 1) // mask  # 1 in every field
+    low, high = ones * ((1 << k) - 1), ones * (mask ^ ((1 << k + 1) - 1))
+    live = [int.from_bytes(b"".join((v % p).to_bytes(size, "little") for v in row), "little")
+            for row in rows]
+    pivots = []  # (column, inverse of its head, folded fields of the later columns)
     for col in range(ncols):
-        rank = len(pivots)
-        for r in range(rank, len(matrix)):
-            matrix[r][col] %= p
-        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
-        if pivot is None:
+        heads = [(row & mask) % p for row in live]
+        i = next((i for i, h in enumerate(heads) if h), None)
+        if i is None:
+            live = [row >> w for row in live]
             continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = pow(matrix[rank][col], -1, p)
-        top = [v * inv % p for v in matrix[rank][col:]]
-        matrix[rank][col:] = top
-        for r in range(rank + 1, len(matrix)):
-            row = matrix[r]
-            factor = row[col]
-            if factor:
-                row[col:] = [x - factor * y for x, y in zip(row[col:], top)]
-        pivots.append(col)
-        if len(pivots) == len(matrix):
+        top = live.pop(i) >> w
+        inv = pow(heads.pop(i), -1, p)
+        while top & high:
+            part = top & low
+            top = part + c * ((top - part) >> k)
+        pivots.append((col, inv, top))
+        live = [(row >> w) + (-h * inv) % p * top if h else row >> w
+                for row, h in zip(live, heads)]
+        if not live:
             break
-    pivot_set = set(pivots)
+    if len(pivots) == ncols:
+        return []
+    echelon = []
+    for col, inv, top in pivots:
+        packed = top.to_bytes((ncols - col - 1) * size, "little")
+        echelon.append((col, [int.from_bytes(packed[j:j + size], "little") * inv % p
+                              for j in range(0, len(packed), size)]))
+    pivot_set = {col for col, _ in echelon}
     basis = []
-    for free in (c for c in range(ncols) if c not in pivot_set):
+    for free in (j for j in range(ncols) if j not in pivot_set):
         vector = [0] * ncols
         vector[free] = 1
-        for row, col in reversed(list(enumerate(pivots))):
+        for col, row in reversed(echelon):
             if col < free:
-                echelon = matrix[row]
-                vector[col] = -sum(echelon[c] * vector[c] for c in range(col + 1, free + 1)) % p
+                vector[col] = -sum(x * y for x, y in zip(row, vector[col + 1:free + 1])) % p
         basis.append(vector)
     return basis
 

@@ -84,11 +84,6 @@ class QuotientAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def is_exact(self) -> bool:
-        return all(
-            _is_exact_scalar(c) for cols in self.columns for col in cols for _, c in col
-        )
-
     def apply(self, var: int, pairs) -> list:
         """Multiply a vector, given as (index, value) pairs, by a_var (1-based variable index).
 
@@ -288,11 +283,19 @@ def trace_form_rank(q: QuotientAlgebra) -> int:
     elimination.  Floating-point coefficient domains are refused: this is a
     certificate, not an estimate.
     """
-    if not q.is_exact():
-        raise TypeError("trace form requires an exact coefficient domain")
-    if any(isinstance(c, CycloScalar) for cols in q.columns for col in cols for _, c in col):
+    denominators, cyclotomic = set(), False
+    for cols in q.columns:
+        for col in cols:
+            for _, c in col:
+                if isinstance(c, (int, Fraction)):
+                    denominators.add(c.denominator)
+                elif isinstance(c, CycloScalar):
+                    cyclotomic = True
+                else:
+                    raise TypeError("trace form requires an exact coefficient domain")
+    if cyclotomic:
         return exact_rank(_trace_matrix(q))
-    scale = lcm(*(c.denominator for cols in q.columns for col in cols for _, c in col))
+    scale = lcm(*denominators)
     matrix = _trace_matrix(replace(q, columns=_integral_columns(q, scale)))
     degrees = [sum(b) for b in q.basis]
     for p in TRACE_PRIMES:

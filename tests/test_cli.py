@@ -546,6 +546,11 @@ class TestTMax:
 @pytest.mark.parametrize("argv", [
     ["decompose", "x^2*y^3*z^3*w^3", "--exact"],
     ["radical", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2"],
+    # r = 64, every phi_i dense in (a1..a3)^2: trace rank 57, so the kernel is lifted
+    ["radical", "x*y^3*z^3*w^3",
+     "--phi=3*a1^2-2*a1*a2+5*a1*a3-a2^2+4*a2*a3-7*a3^2",
+     "--phi=-a1^2+6*a1*a2-3*a1*a3+2*a2^2-5*a2*a3+a3^2",
+     "--phi=2*a1^2+a1*a2-4*a1*a3-6*a2^2+3*a2*a3+9*a3^2"],
     ["rank", "x*y^2*z^3"],
 ])
 def test_exact_commands_do_not_import_numpy(argv):

@@ -18,7 +18,7 @@ from waring.linalg import (
     rational_reconstruction,
     solve,
 )
-from waring.solver import NonRadicalIdealError
+from waring.solver import TRACE_PRIMES, NonRadicalIdealError
 
 
 class TestRank:
@@ -155,11 +155,15 @@ def reference_nullspace_mod_p(rows, p):
     return basis
 
 
-class TestLazyElimination:
-    """nullspace_mod_p reduces each entry once; its kernel basis is that of the
-    elimination reduced at every step."""
+# 2 is the one prime not of the form 2^k - 1; the last three are TRACE_PRIMES
+PRIMES = [2, 3, 7, 2**31 - 1, *TRACE_PRIMES]
 
-    @pytest.mark.parametrize("p", [P, 2**127 - 1, 7])
+
+class TestLazyElimination:
+    """nullspace_mod_p eliminates on packed rows with delayed reduction; its kernel
+    basis is that of the elimination reduced at every step."""
+
+    @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_the_reduced_elimination(self, p, seed):
         rng = random.Random(seed)
@@ -177,6 +181,35 @@ class TestLazyElimination:
             assert kernel == reference_nullspace_mod_p(matrix, p)
             assert all(0 <= x < p for v in kernel for x in v)
             assert all(annihilates(matrix, v, p) for v in kernel)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("rows, cols", [(70, 70), (70, 9), (9, 70), (40, 1), (1, 40)])
+    def test_large_shapes(self, p, rows, cols):
+        rng = random.Random(100 * rows + cols)
+        for matrix in (
+            [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)],
+            random_matrix(rng, rows, cols, min(rows, cols) // 2),  # deficient
+            [[rng.choice([0, 0, 0, 1, p - 1]) for _ in range(cols)] for _ in range(rows)],
+        ):
+            kernel = nullspace_mod_p(matrix, p)
+            assert kernel == reference_nullspace_mod_p(matrix, p)
+            assert all(0 <= x < p for v in kernel for x in v)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_width_bound_worst_case(self, p):
+        # 80 x 71, entries p - 1: row i < 70 is nonzero on columns 0..i and 70, the
+        # last ten rows everywhere.  Pivot i is row i, so row i takes i updates and
+        # the last ten rows 70, each adding (p - 1) times a pivot's last field, which
+        # earlier updates pushed near 2^(k+1).  That field reaches up to 2k + 7 bits
+        # against the bound's 2k + 1 + len(rows).bit_length() = 2k + 8, and column
+        # 70, the one free column, takes it into the kernel vector
+        n = 70
+        triangle = [[p - 1 if j <= i or j == n else 0 for j in range(n + 1)] for i in range(n)]
+        matrix = triangle + [[p - 1] * (n + 1)] * 10
+        kernel = nullspace_mod_p(matrix, p)
+        assert len(kernel) == 1 and kernel == reference_nullspace_mod_p(matrix, p)
+        flat = [[p - 1] * n] * 2 * n  # tall, rank 1
+        assert nullspace_mod_p(flat, p) == reference_nullspace_mod_p(flat, p)
 
     def test_deficient_and_empty(self):
         rng = random.Random(99)
