@@ -5,8 +5,8 @@ Phi_m, with z standing for zeta_m = exp(2*pi*i/m).  Working modulo Phi_m
 (rather than modulo z^m - 1) makes the representation a field, so testing a
 coefficient for zero is a sound way to certify polynomial identities.
 
-Internally a scalar keeps an integer coefficient vector over a single positive
-denominator; the public ``coeffs`` view is a tuple of ``Fraction``.
+A scalar keeps an integer coefficient vector over a single positive
+denominator.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-# Arbitrary-precision rationals: Python's Fraction already is one (always in
-# lowest terms, positive denominator), so it serves as the rational scalar
-# type throughout the package.
-BigRational = Fraction
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -66,31 +61,15 @@ class CyclotomicPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __str__(self) -> str:
-        parts = []
-        for j in range(self.degree, -1, -1):
-            c = self.coeffs[j]
-            if c == 0:
-                continue
-            mono = "1" if j == 0 else ("z" if j == 1 else f"z^{j}")
-            if j == 0:
-                term = str(abs(c))
-            elif abs(c) == 1:
-                term = mono
-            else:
-                term = f"{abs(c)}*{mono}"
-            parts.append(("- " if c < 0 else "+ ") + term if parts else ("-" if c < 0 else "") + term)
-        return " ".join(parts) if parts else "0"
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> CyclotomicPolynomial:
     """Compute Phi_m as (z^m - 1) / prod of Phi_d over proper divisors d of m.
 
-    >>> str(cyclotomic_poly(1)), str(cyclotomic_poly(2))
-    ('z - 1', 'z + 1')
-    >>> str(cyclotomic_poly(6))
-    'z^2 - z + 1'
+    >>> cyclotomic_poly(1).coeffs, cyclotomic_poly(2).coeffs
+    ((-1, 1), (1, 1))
+    >>> cyclotomic_poly(6).coeffs
+    (1, -1, 1)
     """
     if m < 1:
         raise ValueError("conductor must be a positive integer")
@@ -178,19 +157,10 @@ class CycloScalar:
         return CycloScalar(conductor, (q.numerator,) + (0,) * (deg - 1), q.denominator)
 
     @staticmethod
-    def zero(conductor: int = 1) -> CycloScalar:
-        return CycloScalar.from_rational(0, conductor)
-
-    @staticmethod
     def one(conductor: int = 1) -> CycloScalar:
         return CycloScalar.from_rational(1, conductor)
 
     # -- views -------------------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """Coordinates in the power basis 1, z, ..., z^(phi(m)-1), as Fractions."""
-        return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
@@ -366,25 +336,6 @@ def root_of_unity(m: int, k: int) -> CycloScalar:
     if k < deg:
         return CycloScalar(m, tuple(1 if i == k else 0 for i in range(deg)))
     return CycloScalar(m, _reduction_rows(m)[k - deg])
-
-
-def root_power_sum(m: int, e: int) -> CycloScalar:
-    """Sum of (zeta_m^e)^a over a = 0, ..., m-1, computed by actual summation.
-
-    The result is m when m divides e and 0 otherwise; the summation is checked
-    against that closed form before returning.
-    """
-    if m < 1:
-        raise ValueError("conductor must be a positive integer")
-    total = CycloScalar.zero(m)
-    for a in range(m):
-        total = total + root_of_unity(m, e * a)
-    expected = m if e % m == 0 else 0
-    if total != expected:
-        raise AssertionError(
-            f"root_power_sum({m}, {e}): the summed roots give {total}, the closed form {expected}"
-        )
-    return total
 
 
 def embed(x: CycloScalar, conductor: int) -> CycloScalar:

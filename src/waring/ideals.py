@@ -1,4 +1,4 @@
-"""Annihilator ideals, Hilbert functions, and the complete intersections I(k, phi).
+"""Hilbert functions and the complete intersections I(k, phi).
 
 Every length-minimal power-sum decomposition of a monomial is cut out by an
 ideal with generators a_i^(d_i+1) - phi_i * a0^(d0+1) for homogeneous phi_i of
@@ -23,48 +23,7 @@ from .polynomial import (
     SparsePoly,
     apply_diff,
     exponents_of_degree,
-    grevlex_key,
 )
-
-
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """An ideal generated by monomials, stored as a minimal set of exponents."""
-
-    num_vars: int
-    generators: tuple[Exponent, ...]
-
-    @staticmethod
-    def from_exponents(num_vars: int, exponents) -> MonomialIdeal:
-        gens = [tuple(e) for e in exponents]
-        minimal = [
-            g
-            for g in gens
-            if not any(h != g and _divides(h, g) for h in gens)
-        ]
-        # deduplicate while keeping a deterministic order
-        seen: list[Exponent] = []
-        for g in sorted(minimal, key=grevlex_key):
-            if g not in seen:
-                seen.append(g)
-        return MonomialIdeal(num_vars, tuple(seen))
-
-    def contains_exponent(self, exponent: Exponent) -> bool:
-        return any(_divides(g, exponent) for g in self.generators)
-
-
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def annihilator(spec: MonomialSpec) -> MonomialIdeal:
-    """The annihilator of the monomial: (a0^(d0+1), ..., an^(dn+1))."""
-    n = spec.n
-    gens = [
-        tuple(spec.exponents[i] + 1 if j == i else 0 for j in range(n + 1))
-        for i in range(n + 1)
-    ]
-    return MonomialIdeal.from_exponents(n + 1, gens)
 
 
 def _dim_S(n: int, t: int) -> int:
@@ -236,7 +195,7 @@ def make_ci_ideal(spec: MonomialSpec, phi: PhiTuple, k: int | None = None) -> CI
     if not 0 <= k <= len(phi):
         raise ValueError("k out of range for the phi tuple")
     n = spec.n
-    target = spec.monomial_poly("sorted")
+    target = spec.monomial_poly()
     gens = []
     for i, tail in enumerate(generator_tails(spec, phi.entries[:k]), start=1):
         lead = SparsePoly.monomial(
@@ -272,18 +231,19 @@ def canonicalize_phi(spec: MonomialSpec, phi: PhiTuple) -> PhiTuple:
 def dim_perp_cap_alpha0(spec: MonomialSpec, t: int) -> int:
     """dim of (annihilator)_t intersected with a0 * S_{t-1}, by monomial counting.
 
-    The same quantity computed on the model-ideal side,
+    The annihilator of the monomial is (a0^(d0+1), ..., an^(dn+1)), so its
+    degree-t monomials in a0 * S_{t-1} are those with e_0 >= 1 and some
+    e_i > d_i.  The same quantity computed on the model-ideal side,
     dim J_{t-1} - dim J_{t-d0-1} + dim S_{t-d0-1}, is checked to agree.
     """
     if t < 0:
         return 0
     n = spec.n
     d0 = spec.exponents[0]
-    perp = annihilator(spec)
     lhs = sum(
         1
         for e in exponents_of_degree(n + 1, t)
-        if e[0] >= 1 and perp.contains_exponent(e)
+        if e[0] >= 1 and (e[0] > d0 or _exponent_in_J(spec, e))
     )
 
     def dim_J(s: int) -> int:

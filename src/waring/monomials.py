@@ -18,10 +18,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 
-from .cyclotomic import CycloScalar, cyclotomic_poly, embed, root_of_unity, root_power_sum
+from .cyclotomic import CycloScalar, cyclotomic_poly, root_of_unity
 from .polynomial import (
     PRIMAL,
-    Exponent,
     LinearForm,
     SparsePoly,
     evaluation_matrix,
@@ -125,10 +124,9 @@ class MonomialSpec:
     def num_original_vars(self) -> int:
         return len(self.original_exponents)
 
-    def monomial_poly(self, frame: str = "original") -> SparsePoly:
-        if frame == "sorted":
-            return SparsePoly.monomial(self.n + 1, PRIMAL, self.exponents)
-        return SparsePoly.monomial(self.num_original_vars, PRIMAL, self.original_exponents)
+    def monomial_poly(self) -> SparsePoly:
+        """The monomial in the sorted frame."""
+        return SparsePoly.monomial(self.n + 1, PRIMAL, self.exponents)
 
     def form_to_original(self, sorted_coeffs) -> LinearForm:
         """Place sorted-frame form coefficients back at the original variable slots."""
@@ -210,26 +208,6 @@ def explicit_decomposition(spec: MonomialSpec) -> Decomposition:
             f"explicit decomposition built {len(summands)} summands, expected rank {spec.rank}"
         )
     return Decomposition(degree=spec.degree, domain=EXACT_CYCLOTOMIC, summands=tuple(summands))
-
-
-def coefficient_Cm(spec: MonomialSpec, m_vec: Exponent) -> CycloScalar:
-    """Coefficient of x^m_vec in the explicit expression, by the factored formula.
-
-    The geometric sums over each root of unity factor the coefficient into a
-    product of ``root_power_sum`` values times (d; m_vec)/C; it is 1 at the
-    spec's own exponent vector and 0 at every other degree-d exponent.
-    ``m_vec`` is read in the spec's sorted variable frame.
-    """
-    if len(m_vec) != spec.n + 1:
-        raise ValueError("m_vec length must match the number of variables")
-    if sum(m_vec) != spec.degree:
-        raise ValueError("m_vec must have the same total degree as the monomial")
-    value = CycloScalar.from_rational(
-        Fraction(multinomial(spec.degree, tuple(m_vec))) / multinomial_C(spec), spec.conductor
-    )
-    for i in range(1, spec.n + 1):
-        value = value * root_power_sum(spec.exponents[i] + 1, m_vec[i] + 1)
-    return embed(value, spec.conductor) if value.conductor != spec.conductor else value
 
 
 @dataclass

@@ -142,10 +142,6 @@ class SparsePoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(num_vars: int, ring: str) -> SparsePoly:
-        return SparsePoly(num_vars, ring)
-
-    @staticmethod
     def constant(num_vars: int, ring: str, value) -> SparsePoly:
         return SparsePoly(num_vars, ring, {(0,) * num_vars: value})
 
@@ -163,14 +159,8 @@ class SparsePoly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sorted_terms(self) -> list[tuple[Exponent, object]]:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
-
-    def coefficient(self, exponent: Exponent):
-        return self.terms.get(tuple(exponent), 0)
 
     def map_coefficients(self, fn) -> SparsePoly:
         return SparsePoly(self.num_vars, self.ring, {e: fn(c) for e, c in self.terms.items()})
@@ -204,7 +194,7 @@ class SparsePoly:
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
-            return self.scale(other)
+            return NotImplemented
         self._check_compatible(other)
         terms: dict[Exponent, object] = {}
         for e1, c1 in self.terms.items():
@@ -216,14 +206,6 @@ class SparsePoly:
                 else:
                     terms.pop(e, None)
         return SparsePoly(self.num_vars, self.ring, terms)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, scalar) -> SparsePoly:
-        if not scalar:
-            return SparsePoly.zero(self.num_vars, self.ring)
-        return SparsePoly(self.num_vars, self.ring, {e: scalar * c for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):
@@ -306,25 +288,6 @@ def apply_diff(op: SparsePoly, target: SparsePoly) -> SparsePoly:
                 else:
                     terms.pop(out, None)
     return SparsePoly(op.num_vars, PRIMAL, terms)
-
-
-def power_linear_form(form: LinearForm, degree: int) -> SparsePoly:
-    """Expand form^degree by the multinomial theorem (primal ring): the x^e
-    coefficient is (d; e) * l^e, over the exponents supported where l is nonzero."""
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    support = [i for i, c in enumerate(form.coeffs) if c]
-    if not support:
-        raise ValueError("cannot raise the zero form to a power")
-    exponents = []
-    for part in exponents_of_degree(len(support), degree):
-        e = [0] * form.num_vars
-        for i, ei in zip(support, part):
-            e[i] = ei
-        exponents.append(tuple(e))
-    (values,) = evaluation_matrix([form.coeffs], exponents)
-    return SparsePoly(form.num_vars, PRIMAL,
-                      {e: multinomial(degree, e) * v for e, v in zip(exponents, values)})
 
 
 def dehomogenize(poly: SparsePoly, var_index: int) -> SparsePoly:

@@ -2,10 +2,10 @@
 
 Scalar records are polymorphic by shape: a rational value is the string "p/q"
 (or "p" when the denominator is 1), an irrational cyclotomic value is
-{"conductor": m, "coeffs": ["p/q", ...]}, and a float value is
-{"re": ..., "im": ...}.  Polynomials are lists of {"exponent": [...],
-"coeff": record} entries in descending grevlex order, which makes every
-serialization byte-stable for equal inputs.
+{"conductor": m, "coeffs": ["p/q", ...]} with phi(m) coefficients, and a
+float value is {"re": ..., "im": ...}.  Polynomials are lists of
+{"exponent": [...], "coeff": record} entries in descending grevlex order,
+which makes every serialization byte-stable for equal inputs.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .cyclotomic import CycloScalar
 from .ideals import CIIdeal, PhiTuple
 from .monomials import Decomposition, MonomialSpec
-from .polynomial import DUAL, LinearForm, SparsePoly
+from .polynomial import LinearForm, SparsePoly
 from .solver import PointSet
 
 
@@ -118,6 +119,20 @@ def _float(obj, name: str, default=_REQUIRED) -> float:  # a JSON integer may ov
         raise ValueError(f"float scalar field {name!r} is beyond float range") from None
 
 
+@lru_cache(maxsize=256)
+def _totient(m: int) -> int:
+    """Euler's phi(m) for m >= 1, the degree of Phi_m, by trial division."""
+    result = rest = m
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            result -= result // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return result - result // rest if rest > 1 else result
+
+
 def scalar_from_json(obj):
     if isinstance(obj, str):
         return Fraction(*_ratio(obj, "rational scalar"))
@@ -125,6 +140,12 @@ def scalar_from_json(obj):
         conductor = _field(obj, "conductor", "integer", "cyclotomic scalar")
         coeffs = [_ratio(c, "cyclotomic coefficient")
                   for c in _field(obj, "coeffs", "array", "cyclotomic scalar")]
+        if conductor < 1:
+            raise ValueError("conductor must be a positive integer")
+        # phi(m) >= sqrt(m/2), so a conductor above 2*len^2 is refused before phi(m) is taken
+        if conductor > 2 * len(coeffs) ** 2 or _totient(conductor) != len(coeffs):
+            raise ValueError(f"cyclotomic scalar of conductor {conductor} needs phi({conductor}) "
+                             f"coefficients, got {len(coeffs)}")
         den = lcm(*(q for _, q in coeffs))
         return CycloScalar(conductor, tuple(p * (den // q) for p, q in coeffs), den)
     if isinstance(obj, dict) and "re" in obj:
@@ -136,15 +157,6 @@ def poly_to_json(poly: SparsePoly) -> list:
     return [
         {"exponent": list(e), "coeff": scalar_to_json(c)} for e, c in poly.sorted_terms()
     ]
-
-
-def poly_from_json(data: list, num_vars: int, ring: str) -> SparsePoly:
-    terms = {}
-    for entry in _expect(data, "array", "polynomial JSON"):
-        exponent = tuple(_expect(e, "integer", "each exponent entry")
-                         for e in _field(entry, "exponent", "array", "polynomial term"))
-        terms[exponent] = scalar_from_json(_field(entry, "coeff", None, "polynomial term"))
-    return SparsePoly(num_vars, ring, terms)
 
 
 def spec_to_json(spec: MonomialSpec) -> dict:
@@ -199,12 +211,6 @@ def phi_to_json(phi: PhiTuple) -> dict:
         "entries": [poly_to_json(p) for p in phi.entries],
         "canonical": phi.canonical,
     }
-
-
-def phi_from_json(data, spec: MonomialSpec) -> PhiTuple:
-    entries_data = _field(data, "entries", "array", "phi JSON") if isinstance(data, dict) else data
-    entries = [poly_from_json(p, spec.n + 1, DUAL) for p in _expect(entries_data, "array", "phi")]
-    return PhiTuple(spec, entries)
 
 
 def ci_ideal_to_json(ideal: CIIdeal) -> dict:

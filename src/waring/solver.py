@@ -32,14 +32,12 @@ from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 
-from .cyclotomic import CycloScalar
 from .groebner import ci_normal_form
 from .ideals import CIIdeal, PhiTuple, generator_tails
 from .linalg import (
     RankDeficientSystem,
     _all_exact,
     _exactify,
-    _is_exact_scalar,
     exact_rank,
     nullspace_mod_p,
     rational_reconstruction,
@@ -271,32 +269,30 @@ def trace_form_rank(q: QuotientAlgebra) -> int:
 
     Entry (a, b) is L(a + b), the trace of multiplication by basis[a] *
     basis[b], so the matrix is read off one trace value per grid exponent,
-    and it is built once.  Rational entries are first rescaled to an
-    isomorphic algebra with integer multiplication matrices, so the form is
-    an integer matrix T.  For each prime p of ``TRACE_PRIMES`` in turn, T
-    gets a kernel basis over Z/p.  The rank mod p never exceeds the rank over
-    Q, so an empty kernel proves full rank.  Otherwise the kernel vectors are
-    lifted to Q by rational reconstruction; if the lifts are independent and
-    T annihilates them exactly, the rank over Q is at most the rank mod p,
-    hence equal to it.  A failed lift moves on to the next prime; after the
-    last one, and for CycloScalar entries, the matrix is ranked by exact
-    elimination.  Floating-point coefficient domains are refused: this is a
-    certificate, not an estimate.
+    and it is built once.  Int columns (every integral phi) are used as they
+    are; Fraction entries are first rescaled to an isomorphic algebra with
+    integer multiplication matrices.  So the form is an integer matrix T.
+    For each prime p of ``TRACE_PRIMES`` in turn, T gets a kernel basis over
+    Z/p.  The rank mod p never exceeds the rank over Q, so an empty kernel
+    proves full rank.  Otherwise the kernel vectors are lifted to Q by
+    rational reconstruction; if the lifts are independent and T annihilates
+    them exactly, the rank over Q is at most the rank mod p, hence equal to
+    it.  A failed lift moves on to the next prime; after the last one, the
+    matrix is ranked by exact elimination.  Any other entry, a float or a
+    CycloScalar, raises TypeError (the parser makes only rational phi).
     """
-    denominators, cyclotomic = set(), False
+    denominators = set()  # of the entries that are not int
     for cols in q.columns:
         for col in cols:
             for _, c in col:
-                if isinstance(c, (int, Fraction)):
+                if type(c) is not int:
+                    if not isinstance(c, (int, Fraction)):
+                        raise TypeError(f"trace form requires int or Fraction entries, "
+                                        f"got {type(c).__name__}")
                     denominators.add(c.denominator)
-                elif isinstance(c, CycloScalar):
-                    cyclotomic = True
-                else:
-                    raise TypeError("trace form requires an exact coefficient domain")
-    if cyclotomic:
-        return exact_rank(_trace_matrix(q))
     scale = lcm(*denominators)
-    matrix = _trace_matrix(replace(q, columns=_integral_columns(q, scale)))
+    integral = replace(q, columns=_integral_columns(q, scale)) if denominators else q
+    matrix = _trace_matrix(integral)
     degrees = [sum(b) for b in q.basis]
     for p in TRACE_PRIMES:
         kernel = nullspace_mod_p(matrix, p)
@@ -331,11 +327,6 @@ def certify_radical(spec: MonomialSpec, phi: PhiTuple) -> RadicalityCertificate:
     return RadicalityCertificate(rank == q.dim, q, rank)
 
 
-def is_radical(spec: MonomialSpec, phi: PhiTuple) -> bool:
-    """True when I(n, phi) cuts out r distinct reduced points."""
-    return certify_radical(spec, phi).radical
-
-
 def ideal_membership(poly: SparsePoly, ideal: CIIdeal) -> bool:
     """Exact homogeneous membership: the normal form by the generators is zero."""
     if not poly.is_homogeneous():
@@ -358,9 +349,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def is_exact(self) -> bool:
-        return all(_is_exact_scalar(c) for p in self.points for c in p)
 
 
 def _coords(points) -> list:

@@ -140,15 +140,16 @@ def _degree_exponents(coords_list, t: int) -> list:
     return exponents_of_degree(len(coords_list[0]), t)
 
 
-def point_ideal_hilbert(points, t: int, cutoff: float = 1e-8) -> int:
-    """Hilbert function of the point ideal: dim (S/I)_t = rank of the evaluation matrix."""
+def point_ideal_hilbert(points, t: int) -> int:
+    """Hilbert function of the point ideal: dim (S/I)_t = rank of the evaluation matrix
+    (on float points, by SVD with the relative cutoff 1e-8 of ``linalg.rank``)."""
     if t < 0:
         return 0
     coords_list = _coords(points)
-    return rank(evaluation_matrix(coords_list, _degree_exponents(coords_list, t)), cutoff)
+    return rank(evaluation_matrix(coords_list, _degree_exponents(coords_list, t)))
 
 
-def q_t_diagnostic(spec: MonomialSpec, points, t: int, cutoff: float = 1e-8) -> int:
+def q_t_diagnostic(spec: MonomialSpec, points, t: int) -> int:
     """dim of I_t intersected with a0 * S_{t-1}.
 
     A degree-t polynomial divisible by a0 is exactly one supported on the
@@ -161,7 +162,7 @@ def q_t_diagnostic(spec: MonomialSpec, points, t: int, cutoff: float = 1e-8) -> 
     if coords_list and len(coords_list[0]) != spec.n + 1:
         raise ValueError("points do not match the spec's variable count")
     exponents = [e for e in _degree_exponents(coords_list, t) if e[0] >= 1]
-    return len(exponents) - rank(evaluation_matrix(coords_list, exponents), cutoff)
+    return len(exponents) - rank(evaluation_matrix(coords_list, exponents))
 
 
 @dataclass(frozen=True)
@@ -234,17 +235,17 @@ def torus_normalize(spec: MonomialSpec, phi: PhiTuple) -> tuple[TorusElement, Ph
     return torus, ones
 
 
-def check_alpha0_nonzero(points, tol: float = 1e-8) -> bool:
+def check_alpha0_nonzero(points) -> bool:
     """Every point keeps its a0 coordinate away from zero.
 
     Exact coordinates are tested exactly; a float point p needs
-    |p0| > tol * ||p||_2, a ratio that no rescaling of the point changes.
+    |p0| > 1e-8 * ||p||_2, a ratio that no rescaling of the point changes.
     """
     for p in _coords(points):
         if _is_exact_scalar(p[0]):
             if not p[0]:
                 return False
-        elif abs(complex(p[0])) <= tol * math.hypot(*(abs(complex(c)) for c in p)):
+        elif abs(complex(p[0])) <= 1e-8 * math.hypot(*(abs(complex(c)) for c in p)):
             return False
     return True
 

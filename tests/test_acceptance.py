@@ -16,7 +16,6 @@ from waring import (
     MonomialSpec,
     PhiTuple,
     build_quotient,
-    coefficient_Cm,
     dim_perp_cap_alpha0,
     dim_vsp,
     explicit_decomposition,
@@ -25,7 +24,6 @@ from waring import (
     fit_coefficients,
     hilbert_S_mod_J,
     ideal_membership,
-    is_radical,
     make_ci_ideal,
     points_from_decomposition,
     rank_lower_bound,
@@ -34,7 +32,7 @@ from waring import (
     waring_rank,
 )
 from waring.polynomial import DUAL, parse_poly
-from waring.solver import PointSet
+from waring.solver import PointSet, certify_radical
 from waring.vsp import (
     apply_torus,
     fit_phi_from_points,
@@ -46,6 +44,7 @@ from waring.vsp import (
 )
 
 from conftest import spec_grid
+from oracles import coefficient, coefficient_Cm, power_linear_form, scale
 
 
 def _float_points(points: PointSet) -> PointSet:
@@ -58,7 +57,7 @@ def _radical_samples(spec, count, seed_base=0, max_attempts=400):
     found = []
     for seed in range(seed_base, seed_base + max_attempts):
         phi = sample_phi(space, seed)
-        if is_radical(spec, phi):
+        if certify_radical(spec, phi).radical:
             found.append((seed, phi))
             if len(found) == count:
                 return found
@@ -98,7 +97,7 @@ def test_criterion_02_explicit_decomposition_identity():
 
 
 def test_criterion_03_coefficient_analysis():
-    from waring.polynomial import exponents_of_degree, power_linear_form
+    from waring.polynomial import exponents_of_degree
 
     checked = 0
     for exps in spec_grid(2, 8, min_n=0):
@@ -113,10 +112,10 @@ def test_criterion_03_coefficient_analysis():
         dec = explicit_decomposition(spec)
         total = None
         for c, form in dec.summands:
-            piece = power_linear_form(form, dec.degree).scale(c)
+            piece = scale(power_linear_form(form, dec.degree), c)
             total = piece if total is None else total + piece
         for m_vec in exponents_of_degree(spec.n + 1, spec.degree):
-            assert total.coefficient(m_vec) == coefficient_Cm(spec, m_vec)
+            assert coefficient(total, m_vec) == coefficient_Cm(spec, m_vec)
     print(f"\nACCEPTANCE 03 PASS - C_m vanishing verified on {checked} exponent vectors")
 
 
@@ -134,7 +133,7 @@ def test_criterion_04_hilbert_function_agreement():
             point_sets.append(extract_points(q, seed=seed))
         for pts in point_sets:
             for t in range(spec.degree + 3):
-                assert point_ideal_hilbert(pts, t, cutoff=1e-8) == hilbert_S_mod_J(spec, t), (
+                assert point_ideal_hilbert(pts, t) == hilbert_S_mod_J(spec, t), (
                     exps, t)
             configs += 1
     elapsed = time.monotonic() - start
@@ -202,7 +201,7 @@ def test_criterion_07_radicality_dichotomies():
     spec = MonomialSpec.parse("x^2*y^2*z^2")
     for a, b in itertools.product(range(-2, 3), repeat=2):
         phi = PhiTuple(spec, [Fraction(a), Fraction(b)])
-        assert is_radical(spec, phi) == (a != 0 and b != 0), (a, b)
+        assert certify_radical(spec, phi).radical == (a != 0 and b != 0), (a, b)
     spec4 = MonomialSpec.parse("x*y^2*z^3")
     phi4 = PhiTuple(spec4, [parse_poly("a2", 3, DUAL), parse_poly("a1^2", 3, DUAL)])
     q = build_quotient(spec4, phi4)
@@ -224,7 +223,8 @@ def test_criterion_08_genericity_of_radicality():
     for exps in spec_grid(2, 7):
         spec = MonomialSpec.from_exponents(exps)
         space = parameter_space(spec)
-        radical = sum(1 for seed in range(100) if is_radical(spec, sample_phi(space, seed)))
+        radical = sum(1 for seed in range(100)
+                      if certify_radical(spec, sample_phi(space, seed)).radical)
         fraction = radical / 100.0
         worst = min(worst, fraction)
         assert fraction >= 0.95, f"{exps}: only {radical}/100 radical"
@@ -247,7 +247,7 @@ def test_criterion_09_round_trips():
             for original, recovered in zip(phi.entries, fitted.entries):
                 for e in set(original.terms) | set(recovered.terms):
                     delta = abs(
-                        complex(original.coefficient(e)) - complex(recovered.coefficient(e))
+                        complex(coefficient(original, e)) - complex(coefficient(recovered, e))
                     )
                     assert delta < 1e-8, (exps, seed, e, delta)
             samples += 1
@@ -282,7 +282,7 @@ def test_criterion_10_torus_transitivity():
             space = parameter_space(spec)
             for seed in range(25):
                 phi = sample_phi(space, seed)
-                assert is_radical(spec, phi)
+                assert certify_radical(spec, phi).radical
                 torus, ones = torus_normalize(spec, phi)
                 assert abs(prod(v**k for v in torus.lam) - 1) < 1e-10
                 assert all(str(p) == "1" for p in ones.entries)

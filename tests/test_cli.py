@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -498,6 +499,33 @@ class TestMalformedJson:
         path.write_text(json.dumps(payload))
         code, data = run_json(capsys, "verify", "x*y", "--input", str(path))
         assert code == 2 and field in data["error"]
+
+    def test_huge_conductor_is_refused_at_once(self, capsys, tmp_path):
+        # one coefficient cannot fill phi(200000) = 80000 slots; Phi_200000 is never built
+        payload = {"summands": [{"coeff": {"conductor": 200000, "coeffs": ["1"]},
+                                 "form": ["1", "1"]}], "degree": 2, "domain": "exact-cyclotomic"}
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        code, data = run_json(capsys, "verify", "x*y", "--input", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert data == {"error": "cyclotomic scalar of conductor 200000 needs phi(200000) "
+                                 "coefficients, got 1"}
+
+    @pytest.mark.parametrize("conductor, phi_m", [(3, 2), (12, 4), (56, 24)])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_cyclotomic_record_of_the_wrong_length(self, capsys, tmp_path, conductor, phi_m,
+                                                   extra):
+        # no longer padded with zeros (too few) or reduced mod Phi_m (too many)
+        coeffs = (["0", "1"] + ["0"] * phi_m)[:phi_m + extra]
+        payload = {"points": [["1", {"conductor": conductor, "coeffs": coeffs}]]}
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(payload))
+        code, data = run_json(capsys, "fit-phi", "x*y", "--points", str(path))
+        assert code == 2
+        assert data["error"] == (f"cyclotomic scalar of conductor {conductor} needs "
+                                 f"phi({conductor}) coefficients, got {phi_m + extra}")
 
     @pytest.mark.parametrize("payload, field", [
         ({}, "'points'"),

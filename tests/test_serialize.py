@@ -1,20 +1,20 @@
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
-from waring import CycloScalar, MonomialSpec, explicit_decomposition, root_of_unity
+from waring import CycloScalar, MonomialSpec, cyclotomic_poly, explicit_decomposition, root_of_unity
+from waring import serialize
 from waring.serialize import (
     DigitLimitError,
     decomposition_from_json,
     decomposition_to_json,
-    phi_from_json,
     phi_to_json,
     pointset_from_json,
     pointset_to_json,
-    poly_from_json,
     poly_to_json,
     scalar_from_json,
     scalar_to_json,
@@ -22,6 +22,8 @@ from waring.serialize import (
 from waring.polynomial import DUAL, parse_poly
 from waring.solver import PointSet
 from waring.vsp import parameter_space, sample_phi
+
+from oracles import fraction_coords
 
 
 class TestScalars:
@@ -52,6 +54,15 @@ class TestScalars:
             {"re": value.real or 0.0, "im": value.imag or 0.0})
         assert "-0.0" not in json.dumps(scalar_to_json(value))
 
+    def test_written_records_have_phi_of_m_coefficients(self):
+        for m in range(1, 121):
+            value = root_of_unity(m, 1) / 3 + Fraction(2, 7)
+            record = scalar_to_json(value)
+            if m > 2:
+                assert len(record["coeffs"]) == cyclotomic_poly(m).degree == serialize._totient(m)
+            assert scalar_from_json(record) == value
+            assert scalar_to_json(scalar_from_json(record)) == record
+
     def test_round_trip_is_stable(self):
         for value in (Fraction(-7, 3), root_of_unity(5, 2) + 1, 0.125 + 4j):
             once = scalar_to_json(value)
@@ -60,21 +71,22 @@ class TestScalars:
 
 
 def reference_scalar_to_json(value):
-    """The exact records written through Fraction and CycloScalar.coeffs: the reference bytes."""
+    """The exact records written through Fraction and ``oracles.fraction_coords``: the reference bytes."""
     if isinstance(value, CycloScalar):
         if value.is_rational():
             return str(value.to_fraction())
-        return {"conductor": value.conductor, "coeffs": [str(c) for c in value.coeffs]}
+        return {"conductor": value.conductor, "coeffs": [str(c) for c in fraction_coords(value)]}
     return str(value)
 
 
 class TestExactWriter:
     def test_bytes_match_the_fraction_writer(self):
         rng = random.Random(0)
-        values = [0, -7, 10**40, Fraction(-7, 3), Fraction(10**30, 7), CycloScalar.zero(5)]
+        values = [0, -7, 10**40, Fraction(-7, 3), Fraction(10**30, 7),
+                  CycloScalar.from_rational(0, 5)]
         for _ in range(300):
             m = rng.choice([1, 2, 3, 4, 5, 7, 12, 20, 56])
-            deg = len(CycloScalar.zero(m).num)
+            deg = len(CycloScalar.from_rational(0, m).num)
             small, large = rng.randint(-50, 50), rng.randint(-10**20, 10**20)
             num = [rng.choice([0, 0, small, large, 6, -35]) for _ in range(deg)]
             den = rng.choice([1, 2, 6, 35, rng.randint(1, 10**6)])
@@ -104,9 +116,10 @@ class TestExactWriter:
 
 class TestPolynomials:
     def test_poly_round_trip(self):
+        # no command reads polynomial JSON: each term's record reads back to its coefficient
         p = parse_poly("a1^3 - 5/2*a0^2*a2", 3, DUAL)
         data = poly_to_json(p)
-        assert poly_from_json(data, 3, DUAL) == p
+        assert {tuple(t["exponent"]): scalar_from_json(t["coeff"]) for t in data} == p.terms
 
     def test_descending_grevlex_ordering(self):
         p = parse_poly("a2 + a0 + a1", 3, DUAL)
@@ -132,7 +145,9 @@ class TestPhiAndPoints:
         spec = MonomialSpec.parse("x*y^2*z^3")
         phi = sample_phi(parameter_space(spec), 3)
         data = phi_to_json(phi)
-        assert phi_from_json(data, spec) == phi
+        assert data["canonical"] is phi.canonical is True
+        assert [{tuple(t["exponent"]): scalar_from_json(t["coeff"]) for t in entry}
+                for entry in data["entries"]] == [p.terms for p in phi.entries]
 
     def test_pointset_round_trip(self):
         pts = PointSet(
@@ -159,6 +174,8 @@ class TestMalformedInput:
         (3, "not a scalar record"),
         ({"re": 10**400}, "'re' is beyond float range"),
         ({"re": 1, "im": -(10**400)}, "'im' is beyond float range"),
+        ({"conductor": 0, "coeffs": ["1"]}, "conductor must be a positive integer"),
+        ({"conductor": -3, "coeffs": ["1", "0"]}, "conductor must be a positive integer"),
     ])
     def test_scalar(self, record, text):
         with pytest.raises(ValueError, match=text):
@@ -176,6 +193,22 @@ class TestMalformedInput:
     def test_digits_beyond_the_int_limit_name_the_record(self):
         with pytest.raises(ValueError, match="rational scalar '1111.*Exceeds the limit"):
             scalar_from_json("1" * 5000)
+
+    @pytest.mark.parametrize("conductor, count", [
+        (1, 0), (1, 2), (2, 2), (5, 3), (5, 5), (12, 3), (12, 5), (13, 11), (56, 25),
+        (200000, 1), (2 * 3**2 + 1, 3), (2**64, 2),
+    ])
+    def test_cyclotomic_record_needs_phi_of_m_coefficients(self, conductor, count):
+        with pytest.raises(ValueError, match=re.escape(
+                f"conductor {conductor} needs phi({conductor}) coefficients, got {count}")):
+            scalar_from_json({"conductor": conductor, "coeffs": ["1"] * count})
+
+    def test_conductor_beyond_twice_the_squared_length_skips_phi(self, monkeypatch):
+        # phi(m) >= sqrt(m/2): past 2 * len^2 no conductor fits, and phi(m) is not taken
+        monkeypatch.setattr(serialize, "_totient", lambda m: pytest.fail(f"phi({m}) taken"))
+        for conductor in (2 * 3**2 + 1, 200000, 10**30):
+            with pytest.raises(ValueError, match="needs phi"):
+                scalar_from_json({"conductor": conductor, "coeffs": ["1", "0", "0"]})
 
     def test_cyclotomic_coefficients_over_one_denominator(self):
         z = scalar_from_json({"conductor": 5, "coeffs": ["-1/6", "0", "3/4", "-7"]})
@@ -217,19 +250,3 @@ class TestMalformedInput:
             {"summands": [], "degree": 2, "domain": "complex-float", "residual": None})
         assert dec.verified == "unverified" and dec.residual is None
 
-    @pytest.mark.parametrize("data, text", [
-        ({"exponent": [0, 1]}, "polynomial JSON"),
-        ([{"coeff": "1"}], "'exponent'"),
-        ([{"exponent": [0, "1"], "coeff": "1"}], "exponent entry"),
-        ([{"exponent": [0, 1]}], "'coeff'"),
-    ])
-    def test_poly(self, data, text):
-        with pytest.raises(ValueError, match=text):
-            poly_from_json(data, 2, DUAL)
-
-    def test_phi(self):
-        spec = MonomialSpec.parse("x*y*z")
-        with pytest.raises(ValueError, match="'entries'"):
-            phi_from_json({"canonical": True}, spec)
-        with pytest.raises(ValueError, match="phi"):
-            phi_from_json(3, spec)

@@ -19,7 +19,6 @@ from waring import (
     extract_points,
     fit_coefficients,
     ideal_membership,
-    is_radical,
     make_ci_ideal,
     points_from_decomposition,
     trace_form_rank,
@@ -28,9 +27,11 @@ from waring import solver
 from waring.cyclotomic import root_of_unity
 from waring.linalg import exact_rank
 from waring.monomials import EXACT_CYCLOTOMIC, Decomposition
-from waring.solver import NonRadicalIdealError, PointExtractionError
+from waring.solver import NonRadicalIdealError, PointExtractionError, certify_radical
 from waring.polynomial import DUAL, LinearForm, SparsePoly, exponents_of_degree, parse_poly
 from waring.vsp import parameter_space, sample_phi
+
+from oracles import is_exact
 
 
 def D(text, n=3):
@@ -313,9 +314,13 @@ class TestModularCertificate:
         phi = phi_of(x2y2z2, Fraction(1, 2**61 - 1), Fraction(3))
         assert self.check(x2y2z2, phi, exact_calls, 0) == (9, 9)
 
-    def test_cyclotomic_quotient_takes_the_exact_path(self, exact_calls, x2y2z2):
+    def test_cyclotomic_quotient_is_refused(self, exact_calls, x2y2z2):
+        # the parser makes only rational phi: a CycloScalar entry is refused like a float
         z = root_of_unity(3, 1)
-        assert self.check(x2y2z2, phi_of(x2y2z2, z, 1 + z), exact_calls, 1) == (9, 9)
+        q = build_quotient(x2y2z2, phi_of(x2y2z2, z, 1 + z))
+        with pytest.raises(TypeError, match="int or Fraction entries, got CycloScalar"):
+            trace_form_rank(q)
+        assert not exact_calls
 
 
 def fraction_columns(spec, phi):
@@ -366,17 +371,55 @@ class TestIntegerColumns:
         assert columns == fraction_columns(spec, phi)
 
 
+class TestTraceFormColumns:
+    """trace_form_rank ranks int columns as they are and rescales the others."""
+
+    @pytest.fixture
+    def scales(self, monkeypatch):
+        seen = []
+        rescale = solver._integral_columns
+
+        def spy(q, scale):
+            seen.append(scale)
+            return rescale(q, scale)
+
+        monkeypatch.setattr(solver, "_integral_columns", spy)
+        return seen
+
+    @pytest.mark.parametrize("text", ["x*y^2*z^3", "x*y*z^2*w^3"])
+    def test_sampled_phi_is_certified_without_a_copy(self, scales, text):
+        spec = MonomialSpec.parse(text)
+        assert certify_radical(spec, sample_phi(parameter_space(spec), 0)).radical
+        assert scales == []
+
+    def test_a_third_is_rescaled(self, scales, xy2z3):
+        phi = phi_of(xy2z3, "4/3*a0 + 5*a1 - 8*a2",
+                     "-a0^2 + 8*a0*a1 + 7*a1^2 + 4*a0*a2 + a1*a2 + 7*a2^2")
+        q = build_quotient(xy2z3, phi)
+        assert trace_form_rank(q) == reference_trace_rank(q) == 12
+        assert scales == [3]
+
+    def test_fraction_entries_of_denominator_one_are_made_int(self, scales):
+        # phi_2 = 1/2 * a1^2 reduces through a1^2 -> 2: entries Fraction(1), no int type
+        spec = MonomialSpec.parse("x*y*z^3")
+        q = build_quotient(spec, phi_of(spec, Fraction(2), "1/2*a1^2"))
+        assert any(type(c) is Fraction for c in entries(q.columns))
+        assert trace_form_rank(q) == reference_trace_rank(q) == 8
+        assert scales == [1]
+
+
 class TestIsRadical:
     def test_ab_nonzero_dichotomy(self, x2y2z2):
         for a, b in itertools.product(range(-2, 3), repeat=2):
             expected = a != 0 and b != 0
-            assert is_radical(x2y2z2, phi_of(x2y2z2, Fraction(a), Fraction(b))) == expected
+            phi = phi_of(x2y2z2, Fraction(a), Fraction(b))
+            assert certify_radical(x2y2z2, phi).radical == expected
 
     def test_embedded_point_example_is_not_radical(self, xy2z3):
-        assert not is_radical(xy2z3, phi_of(xy2z3, "a2", "a1^2"))
+        assert not certify_radical(xy2z3, phi_of(xy2z3, "a2", "a1^2")).radical
 
     def test_explicit_phi_is_radical(self, xyz2):
-        assert is_radical(xyz2, explicit_phi(xyz2))
+        assert certify_radical(xyz2, explicit_phi(xyz2)).radical
 
 
 class TestIdealMembership:
@@ -431,7 +474,7 @@ class TestExtractPoints:
         from waring.vsp import parameter_space, sample_phi
 
         phi = sample_phi(parameter_space(xy2z3), 123)
-        assert is_radical(xy2z3, phi)
+        assert certify_radical(xy2z3, phi).radical
         pts = extract_points(build_quotient(xy2z3, phi), seed=123)
         assert max(pts.residuals) < 1e-9
 
@@ -576,7 +619,7 @@ class TestFitCoefficients:
         dec = Decomposition(2, EXACT_CYCLOTOMIC, ((Fraction(1, 4), LinearForm((1, 1))),
                                                    (Fraction(-1, 4), LinearForm((1, -1)))))
         pts = points_from_decomposition(dec, spec)
-        assert pts.is_exact()
+        assert is_exact(pts)
         assert pts.points == ((1, 1), (1, -1))
         assert all(isinstance(c, Fraction) for p in pts.points for c in p)
         assert fit_coefficients(spec, pts) == [Fraction(1, 4), Fraction(-1, 4)]
