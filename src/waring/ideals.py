@@ -174,8 +174,11 @@ class CIIdeal:
 
     spec: MonomialSpec
     phi: PhiTuple
-    k: int
     generators: tuple[SparsePoly, ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.phi)
 
 
 def generator_tails(spec: MonomialSpec, entries) -> list[SparsePoly]:
@@ -184,20 +187,16 @@ def generator_tails(spec: MonomialSpec, entries) -> list[SparsePoly]:
     return [p * shift for p in entries]
 
 
-def make_ci_ideal(spec: MonomialSpec, phi: PhiTuple, k: int | None = None) -> CIIdeal:
-    """Build I(k, phi) = (a_i^(d_i+1) - phi_i * a0^(d0+1) : 1 <= i <= k).
+def make_ci_ideal(spec: MonomialSpec, phi: PhiTuple) -> CIIdeal:
+    """Build I(k, phi) = (a_i^(d_i+1) - phi_i * a0^(d0+1) : 1 <= i <= k), k = len(phi).
 
     Each generator is checked to be homogeneous of degree d_i + 1 and to
     annihilate the monomial under the differentiation action.
     """
-    if k is None:
-        k = len(phi)
-    if not 0 <= k <= len(phi):
-        raise ValueError("k out of range for the phi tuple")
     n = spec.n
     target = spec.monomial_poly()
     gens = []
-    for i, tail in enumerate(generator_tails(spec, phi.entries[:k]), start=1):
+    for i, tail in enumerate(generator_tails(spec, phi.entries), start=1):
         lead = SparsePoly.monomial(
             n + 1, DUAL, tuple(spec.exponents[i] + 1 if j == i else 0 for j in range(n + 1))
         )
@@ -207,7 +206,7 @@ def make_ci_ideal(spec: MonomialSpec, phi: PhiTuple, k: int | None = None) -> CI
         if apply_diff(g, target):
             raise ValueError(f"generator {i} does not annihilate the monomial")
         gens.append(g)
-    return CIIdeal(spec=spec, phi=phi, k=k, generators=tuple(gens))
+    return CIIdeal(spec=spec, phi=phi, generators=tuple(gens))
 
 
 def canonicalize_phi(spec: MonomialSpec, phi: PhiTuple) -> PhiTuple:

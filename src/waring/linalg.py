@@ -7,7 +7,7 @@ of columns less the rank mod p, which never exceeds the rank over Q); it
 eliminates on rows packed into one int each, one field per column, so a row
 update is one big-int multiply-add.  ``rational_reconstruction`` lifts a
 residue mod p to a fraction.
-Floating-point ranks use an SVD with a relative singular-value cutoff; numpy
+Floating-point ranks use an SVD with the relative cutoff ``RANK_CUTOFF``; numpy
 is imported only by the float routines, so exact work never loads it.
 
 ``rank``, ``solve`` and ``solve_nonsingular`` are the one place that chooses
@@ -202,8 +202,11 @@ def exact_solve(rows, rhs) -> list:
     return solution
 
 
-def float_rank(matrix: np.ndarray, cutoff: float = 1e-8) -> int:
-    """Numerical rank: singular values below cutoff * (largest) count as zero."""
+RANK_CUTOFF = 1e-8
+
+
+def float_rank(matrix: np.ndarray) -> int:
+    """Numerical rank: singular values below RANK_CUTOFF * (largest) count as zero."""
     import numpy as np
 
     a = np.asarray(matrix)
@@ -212,16 +215,16 @@ def float_rank(matrix: np.ndarray, cutoff: float = 1e-8) -> int:
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > cutoff * s[0]))
+    return int(np.sum(s > RANK_CUTOFF * s[0]))
 
 
-def rank(rows, cutoff: float = 1e-8) -> int:
-    """Rank of a matrix given as rows: exact on exact entries, else by SVD with ``cutoff``."""
+def rank(rows) -> int:
+    """Rank of a matrix given as rows: exact on exact entries, else by SVD (``float_rank``)."""
     if _all_exact(rows):
         return exact_rank(rows)
     import numpy as np
 
-    return float_rank(np.array(rows, dtype=complex), cutoff=cutoff)
+    return float_rank(np.array(rows, dtype=complex))
 
 
 def solve(rows, rhs, tol: float) -> list:

@@ -162,9 +162,6 @@ class SparsePoly:
     def sorted_terms(self) -> list[tuple[Exponent, object]]:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
-    def map_coefficients(self, fn) -> SparsePoly:
-        return SparsePoly(self.num_vars, self.ring, {e: fn(c) for e, c in self.terms.items()})
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_compatible(self, other: SparsePoly):

@@ -6,8 +6,9 @@ normal forms are supported on the r = (d1+1)*...*(dn+1) standard monomials
 a^e with e_i <= d_i.  From the multiplication matrices on that basis we get
 
 * an exact radicality certificate (the rank of the trace bilinear form equals
-  the number of distinct points of the scheme); the form is built once, as an
-  integer matrix after rescaling the variables for rational entries, and its
+  the number of distinct points of the scheme); the matrices have int entries
+  (``build_quotient`` rescales the variables by the lcm D of phi's
+  denominators), so the form is built once as an integer matrix, and its
   kernel is taken over Z/p: an empty kernel proves full rank, and below full
   rank the kernel vectors lifted to Q and checked exactly prove the rank mod
   p is the rank over Q, so ``trace_form_rank`` is always the exact rank
@@ -27,7 +28,7 @@ leading terms a_i^(d_i+1), so one reduction by them decides it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
@@ -46,6 +47,7 @@ from .linalg import (
 from .monomials import COMPLEX_FLOAT, EXACT_CYCLOTOMIC, Decomposition, MonomialSpec
 from .monomials import verify_decomposition
 from .polynomial import (
+    DUAL,
     Exponent,
     SparsePoly,
     dehomogenize,
@@ -69,21 +71,24 @@ class QuotientAlgebra:
 
     ``basis`` lists the standard monomials (exponent tuples over the full
     sorted frame, first entry always 0); ``columns[i-1][b]`` holds the normal
-    form of a_i * basis[b] as sparse (row, coeff) pairs.
+    form of b_i * basis[b] as sparse (row, int) pairs, in the variables
+    b_j = D * a_j, D = ``scale``, so that every entry is an integer.  Entry
+    (g, b) is D^(1 + |b| - |g|) times that of a_i in the variables a_j.
     """
 
     spec: MonomialSpec
     phi: PhiTuple
     basis: tuple[Exponent, ...]
     index: dict[Exponent, int]
-    columns: tuple[tuple[tuple[tuple[int, object], ...], ...], ...]
+    columns: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    scale: int = 1
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def apply(self, var: int, pairs) -> list:
-        """Multiply a vector, given as (index, value) pairs, by a_var (1-based variable index).
+        """Multiply a vector, given as (index, value) pairs, by b_var (1-based variable index).
 
         A dense vector ``vec`` goes in as ``enumerate(vec)``, a column of
         ``columns`` as it is; the product comes out dense.
@@ -96,13 +101,15 @@ class QuotientAlgebra:
         return out
 
     def dense_matrix(self, var: int) -> np.ndarray:
+        """M_var in the variables a_j: each int entry over its power of D, correctly rounded."""
         import numpy as np
 
+        degree = [sum(b) for b in self.basis]
         m = np.zeros((self.dim, self.dim), dtype=complex)
         for col_idx, col in enumerate(self.columns[var - 1]):
             for row, c in col:
                 try:
-                    m[row, col_idx] = complex(c)
+                    m[row, col_idx] = c / self.scale ** (1 + degree[col_idx] - degree[row])
                 except OverflowError:
                     raise PointExtractionError(f"eigenvalue stage: entry of M_{var} at row {row}, "
                                                f"column {col_idx} is outside float range") from None
@@ -115,24 +122,28 @@ def standard_monomials(spec: MonomialSpec) -> list[Exponent]:
     return sorted(((0,) + b for b in box), key=grevlex_key)
 
 
-def _as_int(c):
-    """An integral Fraction as its int numerator; any other coefficient unchanged."""
-    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
-
-
 def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
     """Dehomogenize the generators at a0 = 1 and build the multiplication matrices.
 
-    The reduction a_i^(d_i+1) -> psi_i strictly drops degree (deg psi_i <= d_i - d0),
+    In the variables b_j = D * a_j, D the lcm of the denominators of phi's
+    coefficients, a term c * a^e of psi_i becomes the int c * D^(d_i + 1 - |e|)
+    (d_i + 1 - |e| >= d0 + 1), and every leading coefficient is 1, so the
+    reduction runs in int.  It strictly drops degree (deg psi_i <= d_i - d0),
     so normal forms terminate; pairwise commutation of the resulting matrices
-    is asserted, failure would mean a reduction bug.  A coefficient that is a
-    Fraction with denominator 1 enters the reduction as its int numerator, so
-    an integral phi gives int columns and the whole certificate runs in int.
+    is asserted, failure would mean a reduction bug.  A coefficient that is
+    not int or Fraction raises TypeError.
     """
     n = spec.n
     if len(phi) != n:
         raise ValueError("build_quotient needs a complete phi tuple (k = n)")
-    psi = [dehomogenize(p, 0).map_coefficients(_as_int) if p else p for p in phi.entries]
+    other = {type(c) for p in phi.entries for c in p.terms.values()} - {int, Fraction}
+    if other:
+        raise TypeError(f"build_quotient requires int or Fraction coefficients in phi, "
+                        f"got {other.pop().__name__}")
+    scale = lcm(*(c.denominator for p in phi.entries for c in p.terms.values()))
+    psi = [SparsePoly(n + 1, DUAL, {e: c.numerator * scale ** (d + 1 - sum(e)) // c.denominator
+                                    for e, c in dehomogenize(p, 0).terms.items()})
+           for d, p in zip(spec.exponents[1:], phi.entries)]
     bounds = spec.exponents
     basis = standard_monomials(spec)
     index = {e: i for i, e in enumerate(basis)}
@@ -150,7 +161,7 @@ def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
         columns.append(tuple(cols_i))
 
     algebra = QuotientAlgebra(spec=spec, phi=phi, basis=tuple(basis), index=index,
-                              columns=tuple(columns))
+                              columns=tuple(columns), scale=scale)
     _assert_commuting(algebra)
     return algebra
 
@@ -169,36 +180,6 @@ def _assert_commuting(q: QuotientAlgebra):
 # Mersenne primes, tried in turn by the trace-form certificate: a larger prime
 # reconstructs larger kernel entries, at the cost of larger residues
 TRACE_PRIMES = (2**61 - 1, 2**127 - 1, 2**521 - 1)
-
-
-def _integral_columns(q: QuotientAlgebra, scale: int):
-    """``q.columns`` of the isomorphic algebra a_j -> a_j / D, as plain ints.
-
-    D = ``scale`` is the lcm of the entry denominators.  Entry c in row g,
-    column b becomes c * D^(1 + |b| - |g|): each rewrite a_i^(d_i+1) -> psi_i
-    lowers the degree by at least d0 + 1 and brings in one denominator, and an
-    entry no rewrite reached is the lifted monomial with coefficient 1.  The
-    trace form of the new algebra is Delta T Delta, Delta = diag(D^|b|), so its
-    rank is that of T.
-    """
-    degree = [sum(b) for b in q.basis]
-    mapped = []
-    for i, cols in enumerate(q.columns, start=1):
-        mapped_cols = []
-        for b, col in enumerate(cols):
-            entries = []
-            for g, c in col:
-                power = 1 + degree[b] - degree[g]
-                value = c * scale**max(power, 0)
-                if power < 0 or value.denominator != 1:
-                    raise AssertionError(
-                        f"trace form rescaling: entry {c} of M_{i} at row {g}, column {b} "
-                        f"times D^{power}, D = {scale}, is not an integer"
-                    )
-                entries.append((g, value.numerator))
-            mapped_cols.append(tuple(entries))
-        mapped.append(tuple(mapped_cols))
-    return tuple(mapped)
 
 
 def _trace_matrix(q: QuotientAlgebra) -> list[list]:
@@ -232,16 +213,17 @@ def _lifts_to_exact_kernel(matrix: list[list[int]], kernel: list[list[int]], p: 
                           degrees: list[int], scale: int) -> bool:
     """True when the kernel basis mod p lifts to as many independent kernel vectors over Q.
 
-    ``matrix`` is Delta T Delta, Delta = diag(D^|b|) (``_integral_columns``),
-    so v is in its kernel exactly when Delta v is in that of T, whose kernel
-    carries no powers of D.  With f the free column of v (v_f = 1, v_b = 0
-    after it), u_b = v_b * D^(|b| - |f|) mod p is lifted entry by entry by
-    rational reconstruction, its denominators are cleared and it is scaled
-    back exactly, v_b = u_b * D^(t - |b|), t the largest |b| in the support
-    (v is known up to a factor); the lift must be nonzero, its last
-    nonzero entry must sit in a column no other lift ends in (so the lifts are
-    independent), and matrix * lift must be exactly 0.  Then the rank over Q
-    is at most ncols - len(kernel), which is the rank mod p, a lower bound on it.
+    ``matrix`` is Delta T Delta, Delta = diag(D^|b|), T the form in the a_j
+    (``QuotientAlgebra``), so v is in its kernel exactly when Delta v is in
+    that of T, whose kernel carries no powers of D.  With f the free column
+    of v (v_f = 1, v_b = 0 after it), u_b = v_b * D^(|b| - |f|) mod p is
+    lifted entry by entry by rational reconstruction, its denominators are
+    cleared and it is scaled back exactly, v_b = u_b * D^(t - |b|), t the
+    largest |b| in the support (v is known up to a factor); the lift must be
+    nonzero, its last nonzero entry must sit in a column no other lift ends in
+    (so the lifts are independent), and matrix * lift must be exactly 0.  Then
+    the rank over Q is at most ncols - len(kernel), which is the rank mod p, a
+    lower bound on it.
     """
     if scale % p == 0:
         return False
@@ -269,36 +251,28 @@ def trace_form_rank(q: QuotientAlgebra) -> int:
 
     Entry (a, b) is L(a + b), the trace of multiplication by basis[a] *
     basis[b], so the matrix is read off one trace value per grid exponent,
-    and it is built once.  Int columns (every integral phi) are used as they
-    are; Fraction entries are first rescaled to an isomorphic algebra with
-    integer multiplication matrices.  So the form is an integer matrix T.
-    For each prime p of ``TRACE_PRIMES`` in turn, T gets a kernel basis over
-    Z/p.  The rank mod p never exceeds the rank over Q, so an empty kernel
-    proves full rank.  Otherwise the kernel vectors are lifted to Q by
-    rational reconstruction; if the lifts are independent and T annihilates
-    them exactly, the rank over Q is at most the rank mod p, hence equal to
-    it.  A failed lift moves on to the next prime; after the last one, the
-    matrix is ranked by exact elimination.  Any other entry, a float or a
-    CycloScalar, raises TypeError (the parser makes only rational phi).
+    and it is built once.  The columns of ``build_quotient`` are int, in
+    variables rescaled by D = ``q.scale``, so the form is an integer matrix
+    Delta T Delta, Delta = diag(D^|b|), of the same rank as the form T in the
+    variables a_j.  For each prime p of ``TRACE_PRIMES`` in turn, it gets a
+    kernel basis over Z/p.  The rank mod p never exceeds the rank over Q, so
+    an empty kernel proves full rank.  Otherwise the kernel vectors are lifted
+    to Q by rational reconstruction; if the lifts are independent and the form
+    annihilates them exactly, the rank over Q is at most the rank mod p, hence
+    equal to it.  A failed lift moves on to the next prime; after the last
+    one, the matrix is ranked by exact elimination.  A column entry that is
+    not int (a hand-built quotient) raises TypeError.
     """
-    denominators = set()  # of the entries that are not int
-    for cols in q.columns:
-        for col in cols:
-            for _, c in col:
-                if type(c) is not int:
-                    if not isinstance(c, (int, Fraction)):
-                        raise TypeError(f"trace form requires int or Fraction entries, "
-                                        f"got {type(c).__name__}")
-                    denominators.add(c.denominator)
-    scale = lcm(*denominators)
-    integral = replace(q, columns=_integral_columns(q, scale)) if denominators else q
-    matrix = _trace_matrix(integral)
+    other = {type(c) for cols in q.columns for col in cols for _, c in col} - {int}
+    if other:
+        raise TypeError(f"trace form requires int entries, got {other.pop().__name__}")
+    matrix = _trace_matrix(q)
     degrees = [sum(b) for b in q.basis]
     for p in TRACE_PRIMES:
         kernel = nullspace_mod_p(matrix, p)
         if not kernel:
             return q.dim
-        if _lifts_to_exact_kernel(matrix, kernel, p, degrees, scale):
+        if _lifts_to_exact_kernel(matrix, kernel, p, degrees, q.scale):
             return q.dim - len(kernel)
     return exact_rank(matrix)
 
@@ -331,7 +305,7 @@ def ideal_membership(poly: SparsePoly, ideal: CIIdeal) -> bool:
     """Exact homogeneous membership: the normal form by the generators is zero."""
     if not poly.is_homogeneous():
         raise ValueError("membership test expects a homogeneous polynomial")
-    tails = generator_tails(ideal.spec, ideal.phi.entries[: ideal.k])
+    tails = generator_tails(ideal.spec, ideal.phi.entries)
     return not ci_normal_form(poly.terms, ideal.spec.exponents, tails)
 
 

@@ -142,7 +142,7 @@ def _degree_exponents(coords_list, t: int) -> list:
 
 def point_ideal_hilbert(points, t: int) -> int:
     """Hilbert function of the point ideal: dim (S/I)_t = rank of the evaluation matrix
-    (on float points, by SVD with the relative cutoff 1e-8 of ``linalg.rank``)."""
+    (on float points, by SVD with the relative cutoff ``linalg.RANK_CUTOFF``)."""
     if t < 0:
         return 0
     coords_list = _coords(points)

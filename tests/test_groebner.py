@@ -51,7 +51,7 @@ def in_span(poly, ideal, degree):
 
 
 def remainder(poly, ideal):
-    tails = generator_tails(ideal.spec, ideal.phi.entries[: ideal.k])
+    tails = generator_tails(ideal.spec, ideal.phi.entries)
     return ci_normal_form(poly.terms, ideal.spec.exponents, tails)
 
 
@@ -63,7 +63,7 @@ def test_members_and_non_members_for_every_k(exps):
     top = max(exps) + 2
     a0_power = SparsePoly.monomial(spec.n + 1, DUAL, (top,) + (0,) * spec.n)
     for k in range(1, spec.n + 1):
-        ideal = make_ci_ideal(spec, phi, k=k)
+        ideal = make_ci_ideal(spec, PhiTuple(spec, phi.entries[:k]))
         for _ in range(3):
             member = member_of(rng, ideal, top)
             assert ideal_membership(member, ideal)
@@ -78,7 +78,7 @@ def test_membership_agrees_with_linear_algebra(exps):
     phi = random_phi(rng, spec)
     degree = max(exps) + 2
     for k in range(1, spec.n + 1):
-        ideal = make_ci_ideal(spec, phi, k=k)
+        ideal = make_ci_ideal(spec, PhiTuple(spec, phi.entries[:k]))
         for poly in (member_of(rng, ideal, degree), random_poly(rng, spec.n + 1, degree, 4)):
             assert ideal_membership(poly, ideal) == in_span(poly, ideal, degree)
 
@@ -90,7 +90,7 @@ def test_remainder_has_no_leading_term_factor(exps):
     phi = random_phi(rng, spec)
     degree = max(exps) + 3
     for k in range(1, spec.n + 1):
-        ideal = make_ci_ideal(spec, phi, k=k)
+        ideal = make_ci_ideal(spec, PhiTuple(spec, phi.entries[:k]))
         poly = random_poly(rng, spec.n + 1, degree, 12)
         rest = remainder(poly, ideal)
         assert rest
@@ -258,7 +258,7 @@ def test_membership_matches_the_lifo_reduction(pops, exps):
     top = max(exps) + 3
     a0_power = SparsePoly.monomial(spec.n + 1, DUAL, (top,) + (0,) * spec.n)
     for k in range(1, spec.n + 1):
-        ideal = make_ci_ideal(spec, phi, k=k)
+        ideal = make_ci_ideal(spec, PhiTuple(spec, phi.entries[:k]))
         tails = generator_tails(spec, phi.entries[:k])
         for _ in range(3):
             member = member_of(rng, ideal, top)

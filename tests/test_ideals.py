@@ -130,8 +130,8 @@ class TestPhiTupleAndIdeal:
 
     def test_partial_ideal(self, xy2z3):
         phi = PhiTuple(xy2z3, [D("a2")])
-        ideal = make_ci_ideal(xy2z3, phi, k=1)
-        assert len(ideal.generators) == 1
+        ideal = make_ci_ideal(xy2z3, phi)
+        assert len(ideal.generators) == ideal.k == 1
 
 
 class TestCanonicalize:

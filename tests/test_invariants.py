@@ -30,7 +30,7 @@ def _points_of_xyz():
 
 
 def _half_lift_quotient():
-    """x*y*z with a1 * 1 = 1/2 * a1: a column entry that no rewrite reached has a denominator."""
+    """x*y*z with a1 * 1 = 1/2 * a1: a hand-built quotient with a Fraction entry."""
     spec = MonomialSpec.parse("x*y*z")
     q = solver.build_quotient(spec, ideals.explicit_phi(spec))
     (row, _), = q.columns[0][0]
@@ -76,9 +76,6 @@ CASES = [
         lambda: solver.build_quotient(MonomialSpec.parse("x*y^2*z^3"),
                                       ideals.explicit_phi(MonomialSpec.parse("x*y^2*z^3"))),
         "multiplication matrices 1 and 2 do not commute", id="build_quotient"),
-    pytest.param(
-        lambda mp: None, lambda: solver.trace_form_rank(_half_lift_quotient()),
-        "trace form rescaling: entry 1/2 of M_1", id="trace_form_rank"),
 ]
 
 
@@ -105,20 +102,20 @@ def test_invariant_survives_optimized_mode():
     assert "hilbert_S_mod_J at t=2: monomial count -1" in out
 
 
-def test_trace_rescaling_survives_optimized_mode():
+def test_trace_form_type_check_survives_optimized_mode():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "from test_invariants import _half_lift_quotient\n"
         "from waring import solver\n"
         "try:\n"
         "    solver.trace_form_rank(_half_lift_quotient())\n"
-        "except AssertionError as exc:\n"
+        "except TypeError as exc:\n"
         "    print(exc)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
-    assert "trace form rescaling: entry 1/2 of M_1" in out
+    assert "trace form requires int entries, got Fraction" in out
 
 
 def test_package_has_no_assert_statement():

@@ -29,7 +29,8 @@ class TestRank:
 
     def test_float_entries_rank_by_svd(self):
         assert rank([[1.0, 1.0], [1.0, 1.0 + 1e-12]]) == 1
-        assert rank([[1.0, 1.0], [1.0, 1.0 + 1e-12]], cutoff=1e-14) == 2
+        # sigma_min / sigma_max is about 2.5e-7 here, above the relative cutoff 1e-8
+        assert rank([[1.0, 1.0], [1.0, 1.0 + 1e-6]]) == 2
 
     def test_cyclotomic_entries(self):
         z = root_of_unity(3, 1)

@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -62,6 +63,10 @@ class TestBuildQuotient:
         with pytest.raises(ValueError):
             build_quotient(xyz, PhiTuple(xyz, [Fraction(1)]))
 
+    def test_float_phi_refused(self, xyz):
+        with pytest.raises(TypeError, match="int or Fraction coefficients in phi, got float"):
+            build_quotient(xyz, phi_of(xyz, 1.5, Fraction(1)))
+
 
 class TestTraceForm:
     def test_full_rank_for_distinct_points(self, x2y2z2):
@@ -90,7 +95,7 @@ class TestTraceForm:
                 for cols in q.columns
             ),
         )
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="trace form requires int entries, got complex"):
             trace_form_rank(fake)
 
 
@@ -123,7 +128,9 @@ class TestTraceRankFloatCrossCheck:
 
 
 def reference_trace_rank(q):
-    """The pairwise construction: every T[a][b] an r-term dot product over Q, then exact rank."""
+    """The pairwise construction on the Fraction matrices of q's phi (``fraction_columns``):
+    every T[a][b] an r-term dot product over Q, then exact rank."""
+    q = replace(q, columns=fraction_columns(q.spec, q.phi), scale=1)
     table = {}
 
     def normal_form(e):
@@ -301,7 +308,7 @@ class TestModularCertificate:
             for p in sample_phi(parameter_space(spec), 0).entries
         ])
         q = build_quotient(spec, phi)
-        assert any(c.denominator > 1 for cols in q.columns for col in cols for _, c in col)
+        assert q.scale > 1 and all(type(c) is int for c in entries(q.columns))
         rank, r = self.check(spec, phi, exact_calls, 0)
         assert rank == r
 
@@ -317,16 +324,17 @@ class TestModularCertificate:
     def test_cyclotomic_quotient_is_refused(self, exact_calls, x2y2z2):
         # the parser makes only rational phi: a CycloScalar entry is refused like a float
         z = root_of_unity(3, 1)
-        q = build_quotient(x2y2z2, phi_of(x2y2z2, z, 1 + z))
-        with pytest.raises(TypeError, match="int or Fraction entries, got CycloScalar"):
-            trace_form_rank(q)
+        with pytest.raises(TypeError, match="int or Fraction coefficients in phi, got CycloScalar"):
+            build_quotient(x2y2z2, phi_of(x2y2z2, z, 1 + z))
         assert not exact_calls
 
 
 def fraction_columns(spec, phi):
-    """The multiplication matrices reduced with Fraction tails, as phi stores them when
-    parsed or sampled: the reference for the int columns of build_quotient."""
-    tails = [solver.dehomogenize(p, 0).map_coefficients(Fraction) for p in phi.entries]
+    """The multiplication matrices in the variables a_j, reduced with Fraction tails: the
+    reference for the int columns of build_quotient."""
+    tails = [SparsePoly(p.num_vars, DUAL, {e: Fraction(c) for e, c in
+                                           solver.dehomogenize(p, 0).terms.items()})
+             for p in phi.entries]
     basis = solver.standard_monomials(spec)
     index = {e: i for i, e in enumerate(basis)}
     columns = []
@@ -340,12 +348,37 @@ def fraction_columns(spec, phi):
     return tuple(columns)
 
 
+def rescaled(columns, basis, scale):
+    """Entry (g, b) times D^(1 + |b| - |g|): the matrices in the variables b_j = D * a_j."""
+    degree = [sum(b) for b in basis]
+    return tuple(tuple(tuple((g, c * scale ** (1 + degree[b] - degree[g])) for g, c in col)
+                       for b, col in enumerate(cols)) for cols in columns)
+
+
 def entries(columns):
     return [c for cols in columns for col in cols for _, c in col]
 
 
+def rational_phi(kind):
+    """A dense phi over a fixed denominator, a phi with a coefficient 10^-20, or a
+    non-canonical phi (a1^2 in phi_2 of x*y*z^3)."""
+    if kind == "tiny":
+        spec = MonomialSpec.parse("x*y^2")
+        return spec, PhiTuple(spec, [SparsePoly(2, DUAL, {(1, 0): Fraction(3),
+                                                          (0, 1): Fraction(1, 10**20)})])
+    if kind == "non-canonical":
+        spec = MonomialSpec.parse("x*y*z^3")
+        return spec, phi_of(spec, Fraction(2, 3), "1/2*a1^2 + 3/5*a0*a2 - a1*a2")
+    spec = MonomialSpec.parse("x*y^3*z^3")
+    return spec, dense_phi(spec, 0, kind)
+
+
+RATIONAL_PHIS = [6, 35, 2**20 + 7, "tiny", "non-canonical"]
+
+
 class TestIntegerColumns:
-    """An integral phi reduces in int, and its columns equal the Fraction reduction."""
+    """build_quotient gives int columns: the Fraction reduction in the variables a_j,
+    rescaled by the lcm D of phi's denominators (D = 1 for an integral phi)."""
 
     @pytest.mark.parametrize("text, phi", [
         ("x*y^2*z^3", "sampled"), ("x^2*y^2*z^3", "sampled"), ("x*y*z^2*w^3", "sampled"),
@@ -356,56 +389,64 @@ class TestIntegerColumns:
         phi = {"sampled": lambda: sample_phi(parameter_space(spec), 0),
                "explicit": lambda: explicit_phi(spec),
                "dense": lambda: dense_phi(spec, 5, 1)}[phi]()
-        columns = build_quotient(spec, phi).columns
-        assert all(type(c) is int for c in entries(columns))
+        q = build_quotient(spec, phi)
+        assert q.scale == 1
+        assert all(type(c) is int for c in entries(q.columns))
         reference = fraction_columns(spec, phi)
         assert any(type(c) is Fraction for c in entries(reference))
-        assert columns == reference
+        assert q.columns == reference
 
-    @pytest.mark.parametrize("denominator", [6, 35])
-    def test_rational_phi_keeps_fraction_columns(self, denominator):
-        spec = MonomialSpec.parse("x*y^3*z^3")
-        phi = dense_phi(spec, 0, denominator)
-        columns = build_quotient(spec, phi).columns
-        assert any(isinstance(c, Fraction) and c.denominator > 1 for c in entries(columns))
-        assert columns == fraction_columns(spec, phi)
+    @pytest.mark.parametrize("kind", RATIONAL_PHIS)
+    def test_rational_phi_gives_rescaled_int_columns(self, kind):
+        spec, phi = rational_phi(kind)
+        q = build_quotient(spec, phi)
+        assert q.scale == {"tiny": 10**20, "non-canonical": 30}.get(kind, kind)
+        assert all(type(c) is int for c in entries(q.columns))
+        assert q.columns == rescaled(fraction_columns(spec, phi), q.basis, q.scale)
+
+    @pytest.mark.parametrize("kind", RATIONAL_PHIS)
+    def test_dense_matrix_is_the_reference_rounded(self, kind):
+        # each int entry over its power of D rounds as the Fraction entry does, bit for bit
+        spec, phi = rational_phi(kind)
+        q = build_quotient(spec, phi)
+        for i, cols in enumerate(fraction_columns(spec, phi), start=1):
+            want = np.zeros((q.dim, q.dim), dtype=complex)
+            for b, col in enumerate(cols):
+                for g, c in col:
+                    want[g, b] = complex(c)
+            assert np.array_equal(q.dense_matrix(i), want)
 
 
 class TestTraceFormColumns:
-    """trace_form_rank ranks int columns as they are and rescales the others."""
-
-    @pytest.fixture
-    def scales(self, monkeypatch):
-        seen = []
-        rescale = solver._integral_columns
-
-        def spy(q, scale):
-            seen.append(scale)
-            return rescale(q, scale)
-
-        monkeypatch.setattr(solver, "_integral_columns", spy)
-        return seen
+    """trace_form_rank ranks the int columns of build_quotient as they are."""
 
     @pytest.mark.parametrize("text", ["x*y^2*z^3", "x*y*z^2*w^3"])
-    def test_sampled_phi_is_certified_without_a_copy(self, scales, text):
+    def test_sampled_phi_is_certified_without_a_copy(self, monkeypatch, text):
+        ranked = []
+        build = solver._trace_matrix
+        monkeypatch.setattr(solver, "_trace_matrix", lambda q: ranked.append(q) or build(q))
         spec = MonomialSpec.parse(text)
-        assert certify_radical(spec, sample_phi(parameter_space(spec), 0)).radical
-        assert scales == []
+        certificate = certify_radical(spec, sample_phi(parameter_space(spec), 0))
+        assert certificate.radical and certificate.quotient.scale == 1
+        assert len(ranked) == 1 and ranked[0] is certificate.quotient
 
-    def test_a_third_is_rescaled(self, scales, xy2z3):
+    def test_a_third_is_rescaled(self, xy2z3):
         phi = phi_of(xy2z3, "4/3*a0 + 5*a1 - 8*a2",
                      "-a0^2 + 8*a0*a1 + 7*a1^2 + 4*a0*a2 + a1*a2 + 7*a2^2")
         q = build_quotient(xy2z3, phi)
+        assert q.scale == 3
         assert trace_form_rank(q) == reference_trace_rank(q) == 12
-        assert scales == [3]
 
-    def test_fraction_entries_of_denominator_one_are_made_int(self, scales):
-        # phi_2 = 1/2 * a1^2 reduces through a1^2 -> 2: entries Fraction(1), no int type
+    def test_fraction_entries_of_denominator_one_are_made_int(self):
+        # radical x*y*z^3 --phi 2 --phi "1/2*a1^2": phi_2 reduces through a1^2 -> 2, so
+        # the Fraction reduction gives entries Fraction(1); the rescaled one gives ints
         spec = MonomialSpec.parse("x*y*z^3")
-        q = build_quotient(spec, phi_of(spec, Fraction(2), "1/2*a1^2"))
-        assert any(type(c) is Fraction for c in entries(q.columns))
+        phi = phi_of(spec, Fraction(2), "1/2*a1^2")
+        q = build_quotient(spec, phi)
+        assert any(type(c) is Fraction for c in entries(fraction_columns(spec, phi)))
+        assert q.scale == 2
+        assert all(type(c) is int for c in entries(q.columns))
         assert trace_form_rank(q) == reference_trace_rank(q) == 8
-        assert scales == [1]
 
 
 class TestIsRadical:
