@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb, isfinite
 
 from . import serialize
@@ -153,7 +154,7 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except ValueError as exc:  # not JSON, or not text
+    except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deeply
         raise ValueError(f"cannot read JSON from {'standard input' if path == '-' else path}: "
                          f"{exc}") from None
 
@@ -344,6 +345,72 @@ def _render_text(payload: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
+def _float_text(value: float) -> str:
+    if isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+# the text json.dumps writes for a scalar, by its exact type
+_SCALAR_TEXT = {str: _quote, int: int.__repr__, float: _float_text,
+                bool: lambda value: "true" if value else "false", type(None): lambda _: "null"}
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` set the stdlib runs its pure-Python encoder.  This writer joins
+    strings, and writes a container once when the same object comes up again at the
+    same depth (the shared scalar records of ``serialize``).  A value that is not JSON
+    raises TypeError, as in ``json.dumps``; a cycle, which no payload has, recurses
+    until RecursionError instead of raising ValueError.
+    """
+    written: dict[tuple[int, int], str] = {}  # (id, depth) -> text; the payload keeps ids live
+    exact = _SCALAR_TEXT.get
+
+    def scalar(value) -> str | None:  # subclasses of str, int and float too, as json.dumps does
+        kind = type(value) if type(value) in _SCALAR_TEXT else next(
+            (k for k in (str, int, float) if isinstance(value, k)), None)
+        return _SCALAR_TEXT[kind](value) if kind else None
+
+    def key_text(key) -> str:
+        if isinstance(key, str):
+            return _quote(key)
+        text = scalar(key)  # json.dumps writes a scalar key as a string
+        if text is None:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        return f'"{text}"'
+
+    def write(value, depth: int) -> str:
+        memo = (id(value), depth)
+        if memo in written:
+            return written[memo]
+        depth += 1  # of the items; one of an exact scalar type is written without a call
+        if isinstance(value, (list, tuple)):
+            ends = "[]"
+            parts = [text(item) if (text := exact(type(item))) else write(item, depth)
+                     for item in value]
+        elif isinstance(value, dict):
+            ends = "{}"
+            parts = [f"{key_text(key)}: "
+                     f"{text(item) if (text := exact(type(item))) else write(item, depth)}"
+                     for key, item in sorted(value.items())]
+        else:
+            text = scalar(value)
+            if text is None:
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            return text
+        if not parts:
+            return ends
+        inner = "\n" + "  " * depth
+        text = written[memo] = (f"{ends[0]}{inner}{(',' + inner).join(parts)}"
+                                f"\n{'  ' * (depth - 1)}{ends[1]}")
+        return text
+
+    return write(payload, 0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="waring",
@@ -425,7 +492,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 2
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload))
     else:
         print(_render_text(payload))
     return 0

@@ -16,6 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm, prod
 
 from .cyclotomic import CycloScalar, cyclotomic_poly, root_of_unity
@@ -189,20 +190,14 @@ def explicit_decomposition(spec: MonomialSpec) -> Decomposition:
     """
     m = spec.conductor
     inv_c = CycloScalar.from_rational(1 / multinomial_C(spec), m)
-    one = CycloScalar.one(m)
+    roots = [root_of_unity(m, k) for k in range(m)]  # built once, shared by every summand
+    weights = [root * inv_c for root in roots]
     steps = [m // (d + 1) for d in spec.exponents[1:]]
     summands = []
-
-    def rec(i: int, index: tuple[int, ...]):
-        if i == spec.n:
-            coeffs = [one] + [root_of_unity(m, steps[j] * index[j]) for j in range(spec.n)]
-            weight = root_of_unity(m, sum(steps[j] * index[j] for j in range(spec.n))) * inv_c
-            summands.append((weight, spec.form_to_original(coeffs)))
-            return
-        for a in range(spec.exponents[i + 1] + 1):
-            rec(i + 1, index + (a,))
-
-    rec(0, ())
+    for index in product(*(range(d + 1) for d in spec.exponents[1:])):
+        powers = [step * a for step, a in zip(steps, index)]
+        form = spec.form_to_original([roots[0]] + [roots[k] for k in powers])
+        summands.append((weights[sum(powers) % m], form))
     if len(summands) != spec.rank:
         raise AssertionError(
             f"explicit decomposition built {len(summands)} summands, expected rank {spec.rank}"

@@ -170,15 +170,62 @@ def spec_to_json(spec: MonomialSpec) -> dict:
     }
 
 
+def _shared_writer():
+    """``scalar_to_json`` that writes each distinct cyclotomic scalar once per writer.
+
+    Equal scalars, keyed by (conductor, num, den), get the same record object, so the
+    caller must never mutate a record it is given.
+    """
+    records = {}
+
+    def write(value):
+        if type(value) is not CycloScalar:
+            return scalar_to_json(value)
+        key = (value.conductor, value.num, value.den)
+        record = records.get(key)
+        if record is None:
+            record = records[key] = scalar_to_json(value)
+        return record
+
+    return write
+
+
+def _shared_reader():
+    """``scalar_from_json`` that reads each distinct rational or cyclotomic record once per reader.
+
+    The key is the text of a rational record, or (conductor, coefficient strings) of a
+    cyclotomic one; equal records give the same immutable scalar.  Only a record that
+    ``scalar_from_json`` accepted is kept, so every other record, an unhashable one too,
+    takes its path and meets its errors in the same order.
+    """
+    scalars = {}
+
+    def read(obj):
+        if type(obj) is str:
+            key = obj
+        elif (type(obj) is dict and type(obj.get("conductor")) is int
+              and type(obj.get("coeffs")) is list):
+            key = (obj["conductor"], tuple(obj["coeffs"]))
+        else:
+            return scalar_from_json(obj)
+        try:
+            return scalars[key]
+        except KeyError:
+            value = scalars[key] = scalar_from_json(obj)
+            return value
+        except TypeError:  # a coefficient that cannot be hashed: not a valid record
+            return scalar_from_json(obj)
+
+    return read
+
+
 def decomposition_to_json(dec: Decomposition) -> dict:
+    write = _shared_writer()
     out = {
         "degree": dec.degree,
         "domain": dec.domain,
         "summands": [
-            {
-                "coeff": scalar_to_json(c),
-                "form": [scalar_to_json(v) for v in form.coeffs],
-            }
+            {"coeff": write(c), "form": [write(v) for v in form.coeffs]}
             for c, form in dec.summands
         ],
         "verified": dec.verified,
@@ -190,10 +237,11 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 
 def decomposition_from_json(data: dict) -> Decomposition:
     where = "decomposition JSON"
+    read = _shared_reader()
     summands = tuple(
         (
-            scalar_from_json(_field(entry, "coeff", None, "summand")),
-            LinearForm([scalar_from_json(v) for v in _field(entry, "form", "array", "summand")]),
+            read(_field(entry, "coeff", None, "summand")),
+            LinearForm([read(v) for v in _field(entry, "form", "array", "summand")]),
         )
         for entry in _field(data, "summands", "array", where)
     )

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -546,6 +547,13 @@ class TestMalformedJson:
         assert code == 2 and field in data["error"]
 
     @pytest.mark.parametrize("command, option", [("fit-phi", "--points"), ("verify", "--input")])
+    def test_deeply_nested_json_is_a_usage_error(self, capsys, monkeypatch, command, option):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100000 + "]" * 100000))
+        code, data = run_json(capsys, command, "x*y", option, "-")
+        assert code == 2
+        assert data["error"].startswith("cannot read JSON from standard input: maximum recursion")
+
+    @pytest.mark.parametrize("command, option", [("fit-phi", "--points"), ("verify", "--input")])
     def test_unreadable_json_names_the_path(self, capsys, tmp_path, command, option):
         path = tmp_path / "empty.json"
         path.write_text("")
@@ -580,8 +588,14 @@ class TestTMax:
      "--phi=-a1^2+6*a1*a2-3*a1*a3+2*a2^2-5*a2*a3+a3^2",
      "--phi=2*a1^2+a1*a2-4*a1*a3-6*a2^2+3*a2*a3+9*a3^2"],
     ["rank", "x*y^2*z^3"],
+    # the verify half of the exact benchmark round; "{exact}" is a decompose --exact file
+    ["verify", "x^2*y^3*z^3*w^3", "--input", "{exact}"],
 ])
-def test_exact_commands_do_not_import_numpy(argv):
+def test_exact_commands_do_not_import_numpy(capsys, tmp_path, argv):
+    if "{exact}" in argv:
+        path = tmp_path / "exact.json"
+        path.write_text(run(capsys, "decompose", argv[1], "--exact")[1])
+        argv = [str(path) if arg == "{exact}" else arg for arg in argv]
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys\n"

@@ -31,6 +31,9 @@ PINNED = {
                 "e5aee72b58bc51007669c4ffa2d64ddca684353030f6f4e1af18f6b0a693a7e8"),
     "decompose-exact": (["decompose", "x*y^2*z^3", "--exact"], 0,
                         "7ae4bf5f9839435c0a326e21504bfa950620d4202137a2d75eea7539b2261ab5"),
+    # m = 56, r = 56: the heaviest op of the exact benchmark round
+    "decompose-exact-m56": (["decompose", "x^3*y^6*z^7", "--exact"], 0,
+                            "a979fa6e3a1acac954e681e64b9922039fd41112f3388ab173907b510e5f6410"),
     "ideal-member": (["ideal", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2",
                       "--member", "a0^4*a1 - a1^2*a2^3"], 0,
                      "fc8a8cce5bc2108c92c05d2f244449ceff7cc741e86e0aff035fe788ad7cb00d"),
@@ -59,8 +62,9 @@ PINNED = {
                         "5702280c29695606cccfdc09f1e27e20b4aa3a968a7d4acfde812bd58364bf3c"),
 }
 
-# verify of the "decompose-exact" output
+# verify of the "decompose-exact" and "decompose-exact-m56" outputs
 VERIFY_DIGEST = "1d5e32af25736683b5070654b33d7d0a34fc16b7c041e3ea0b49a28fa215d882"
+VERIFY_M56_DIGEST = "2f9c86eef93ca9b8c78ba006537136fa7da0366d40aa9d9cc2c2f30cd50acf2d"
 
 
 def _run(capsys, argv):
@@ -76,12 +80,20 @@ def test_exact_command_output_is_pinned(capsys, name):
     assert (got_code, got_digest) == (code, digest), out
 
 
-def test_verify_of_the_exact_decomposition_is_pinned(capsys, tmp_path):
-    argv, _, _ = PINNED["decompose-exact"]
+def _verify_output(capsys, tmp_path, name):
+    argv, _, _ = PINNED[name]
     path = tmp_path / "dec.json"
     path.write_text(_run(capsys, argv)[1])
     monomial = argv[1]
-    assert _run(capsys, ["verify", monomial, "--input", str(path)])[::2] == (0, VERIFY_DIGEST)
+    return _run(capsys, ["verify", monomial, "--input", str(path)])[::2]
+
+
+def test_verify_of_the_exact_decomposition_is_pinned(capsys, tmp_path):
+    assert _verify_output(capsys, tmp_path, "decompose-exact") == (0, VERIFY_DIGEST)
+
+
+def test_verify_of_the_heaviest_exact_decomposition_is_pinned(capsys, tmp_path):
+    assert _verify_output(capsys, tmp_path, "decompose-exact-m56") == (0, VERIFY_M56_DIGEST)
 
 
 # name: (argv, exit code, values); "coeffs", "forms" and "points" hold (re, im) pairs

@@ -250,3 +250,67 @@ class TestMalformedInput:
             {"summands": [], "degree": 2, "domain": "complex-float", "residual": None})
         assert dec.verified == "unverified" and dec.residual is None
 
+
+
+class TestSharedRecords:
+    """Each distinct scalar is built once per call of the decomposition reader and writer."""
+
+    def test_repeated_records_read_as_one_scalar_and_write_back_the_same_bytes(self):
+        data = decomposition_to_json(explicit_decomposition(MonomialSpec.parse("x^3*y^6*z^7")))
+        text = json.dumps(data, sort_keys=True)
+        back = decomposition_from_json(json.loads(text))  # fresh record objects
+        shared = {}
+        for (coeff, form), entry in zip(back.summands, data["summands"], strict=True):
+            for record, value in [(entry["coeff"], coeff), *zip(entry["form"], form.coeffs)]:
+                key = json.dumps(record, sort_keys=True)
+                assert shared.setdefault(key, value) is value
+                assert value == scalar_from_json(record)
+        assert len(shared) < sum(1 + len(entry["form"]) for entry in data["summands"])
+        assert json.dumps(decomposition_to_json(back), sort_keys=True) == text
+
+    def test_equal_scalars_are_written_as_one_record(self):
+        data = decomposition_to_json(explicit_decomposition(MonomialSpec.parse("x*y^3*z^5")))
+        records = [r for entry in data["summands"] for r in (entry["coeff"], *entry["form"])
+                   if isinstance(r, dict)]
+        assert len({id(r) for r in records}) == len({json.dumps(r) for r in records}) < len(records)
+
+    @pytest.mark.parametrize("bad, text", [
+        ({"conductor": 3, "coeffs": [0, 1]},
+         "cyclotomic coefficient must be a JSON string, got integer"),
+        ({"conductor": 3, "coeffs": [["0"], "1"]},
+         "cyclotomic coefficient must be a JSON string, got array"),
+        ({"conductor": True, "coeffs": ["0", "1"]},
+         "cyclotomic scalar field 'conductor' must be a JSON integer, got boolean"),
+        ({"conductor": 3.0, "coeffs": ["0", "1"]},
+         "cyclotomic scalar field 'conductor' must be a JSON integer, got number"),
+        ({"conductor": 3, "coeffs": "01"},
+         "cyclotomic scalar field 'coeffs' must be a JSON array, got string"),
+        ({"conductor": 3, "coeffs": ["0", "1/0"]},
+         "cyclotomic coefficient '1/0' has a zero denominator"),
+        ("1/0", "rational scalar '1/0' has a zero denominator"),
+    ])
+    def test_the_first_malformed_record_keeps_its_error(self, bad, text):
+        # the valid records before it repeat, so they are read from the memo
+        z = {"conductor": 3, "coeffs": ["0", "1"]}
+        data = {"degree": 2, "domain": "exact-cyclotomic", "summands": [
+            {"coeff": "1/2", "form": ["1", z]},
+            {"coeff": "1/2", "form": ["1", {"conductor": 3, "coeffs": ["0", "1"]}]},
+            {"coeff": "1/2", "form": [z, bad]},
+            {"coeff": "2/0", "form": ["1", z]},
+        ]}
+        with pytest.raises(ValueError) as unshared:
+            scalar_from_json(bad)
+        assert str(unshared.value) == text
+        with pytest.raises(ValueError) as read:
+            decomposition_from_json(data)
+        assert str(read.value) == text
+
+    def test_equal_values_from_different_records(self):
+        z = {"conductor": 3, "coeffs": ["0", "1"]}
+        data = {"degree": 2, "domain": "exact-cyclotomic", "summands": [
+            {"coeff": "1/2", "form": ["1", z]},
+            {"coeff": "2/4", "form": ["1", dict(z, note="an extra key")]},
+        ]}
+        (c1, f1), (c2, f2) = decomposition_from_json(data).summands
+        assert c1 == c2 == Fraction(1, 2)
+        assert f1.coeffs[1] == f2.coeffs[1] == root_of_unity(3, 1)
