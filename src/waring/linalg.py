@@ -10,9 +10,9 @@ residue mod p to a fraction.
 Floating-point ranks use an SVD with the relative cutoff ``RANK_CUTOFF``; numpy
 is imported only by the float routines, so exact work never loads it.
 
-``rank``, ``solve`` and ``solve_nonsingular`` are the one place that chooses
-between the two, by the entries: all int, Fraction or CycloScalar is exact,
-anything else is complex floats (``solve`` gates on column rank and residual).
+``rank`` and ``solve`` choose between the two by the entries: all int,
+Fraction or CycloScalar is exact, anything else is complex floats (``solve``
+gates on column rank and on a residual above ``SOLVE_TOL``).
 """
 
 from __future__ import annotations
@@ -203,6 +203,7 @@ def exact_solve(rows, rhs) -> list:
 
 
 RANK_CUTOFF = 1e-8
+SOLVE_TOL = 1e-6  # max-norm residual a float ``solve`` accepts
 
 
 def float_rank(matrix: np.ndarray) -> int:
@@ -227,10 +228,10 @@ def rank(rows) -> int:
     return float_rank(np.array(rows, dtype=complex))
 
 
-def solve(rows, rhs, tol: float) -> list:
+def solve(rows, rhs) -> list:
     """The unique solution of rows * x = rhs: exact on exact entries, else least squares,
     refused below full column rank (RankDeficientSystem) or when the max-norm residual
-    exceeds ``tol`` (InconsistentSystem, which carries it)."""
+    exceeds ``SOLVE_TOL`` (InconsistentSystem, which carries it)."""
     if _all_exact(rows, [rhs]):
         return exact_solve(rows, rhs)
     import numpy as np
@@ -241,23 +242,7 @@ def solve(rows, rhs, tol: float) -> list:
     b = np.array(rhs, dtype=complex)
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.max(np.abs(a @ x - b)))
-    if residual > tol:
+    if residual > SOLVE_TOL:
         raise InconsistentSystem(f"no solution (residual {residual:.3e})", residual)
     return [complex(c) for c in x]
 
-
-def solve_nonsingular(rows, rhs) -> list:
-    """The solution of a square system known to be nonsingular, with no gate on floats;
-    a singular matrix (exactly, or to working precision) raises RankDeficientSystem."""
-    if _all_exact(rows, [rhs]):
-        try:
-            return exact_solve(rows, rhs)
-        except InconsistentSystem:  # a square system with no solution
-            raise RankDeficientSystem("matrix is singular") from None
-    import numpy as np
-
-    try:
-        x = np.linalg.solve(np.array(rows, dtype=complex), np.array(rhs, dtype=complex))
-    except np.linalg.LinAlgError:
-        raise RankDeficientSystem("matrix is singular") from None
-    return [complex(c) for c in x]

@@ -171,6 +171,9 @@ class Decomposition:
     residual: float | None = None
 
     def __post_init__(self):
+        if self.domain not in (EXACT_CYCLOTOMIC, COMPLEX_FLOAT):
+            raise ValueError(f"unknown decomposition domain {self.domain!r}, expected "
+                             f"{EXACT_CYCLOTOMIC!r} or {COMPLEX_FLOAT!r}")
         for _, form in self.summands:
             if form.is_zero():
                 raise ValueError("decomposition summands must be nonzero forms")

@@ -36,13 +36,13 @@ from math import lcm, prod
 from .groebner import ci_normal_form
 from .ideals import CIIdeal, PhiTuple, generator_tails
 from .linalg import (
-    RankDeficientSystem,
+    LinearSolveError,
     _all_exact,
     _exactify,
     exact_rank,
+    exact_solve,
     nullspace_mod_p,
     rational_reconstruction,
-    solve_nonsingular,
 )
 from .monomials import COMPLEX_FLOAT, EXACT_CYCLOTOMIC, Decomposition, MonomialSpec
 from .monomials import verify_decomposition
@@ -406,56 +406,55 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
 
 
 def in_chart(spec: MonomialSpec, points) -> list[tuple]:
-    """The r points scaled to a0 = 1, exactly on exact coordinates."""
+    """The r points (n + 1 coordinates each) scaled to a0 = 1, exactly on exact coordinates."""
     coords_list = _coords(points)
     if len(coords_list) != spec.rank:
         raise ValueError(f"expected {spec.rank} points, got {len(coords_list)}")
+    for j, p in enumerate(coords_list):
+        if len(p) != spec.n + 1:
+            raise ValueError(f"point {j}: expected {spec.n + 1} coordinates, got {len(p)}")
     if any(not p[0] for p in coords_list):
         raise NonRadicalIdealError("points must have nonzero a0 coordinate")
     return [tuple(c / p[0] for c in _exactify(p)) for p in coords_list]
 
 
-def summand_coefficients(spec: MonomialSpec, points) -> list:
-    """The c_j with sum_j c_j * (l_j)^d equal to the monomial, by one r x r solve.
+def _fit_decomposition(spec: MonomialSpec, points, tol: float) -> Decomposition:
+    """sum_j c_j * (l_j)^d = monomial by one r x r solve, judged by ``verify_decomposition``.
 
     With each point scaled to a0 = 1, the x^e coefficient at e = (d - |b|, b)
     is (d; e) * sum_j c_j p_j^b; over the standard monomials b that reads
     V^T c = e_top / (d; d0, ..., dn), V[j][b] = p_j^b, top = (0, d1, ..., dn).
     The r points of a radical I(n, phi) make V nonsingular, so the solve takes
-    no rank gate; ``verify_decomposition`` judges the other coefficients.
-    Float points give V as one array evaluation; exact points keep scalar
-    rows, so the solve stays exact.
+    no rank gate.  Exact points keep scalar rows and an exact solve, and give
+    an exact decomposition, checked exactly; float points give V as one array
+    evaluation and a decomposition checked to ``tol`` that carries its
+    residual.  Sorted-frame points are read as forms.  A singular V or a
+    failed check raises NonRadicalIdealError: no power-sum configuration for
+    the monomial has these points.
     """
     basis = standard_monomials(spec)
     top = (0,) + spec.exponents[1:]
+    rhs = [int(b == top) for b in basis]
     chart = in_chart(spec, points)
-    if _all_exact(chart):
-        v_transposed = [list(col) for col in zip(*evaluation_matrix(chart, basis))]
+    singular = "the points are not distinct (V is singular)"
+    if exact := _all_exact(chart):
+        try:
+            solution = exact_solve(list(zip(*evaluation_matrix(chart, basis))), rhs)
+        except LinearSolveError:
+            raise NonRadicalIdealError(singular) from None
     else:
         import numpy as np
 
-        v_transposed = evaluation_matrix(np.array(chart, dtype=complex), basis).T
-    try:
-        solution = solve_nonsingular(v_transposed, [int(b == top) for b in basis])
-    except RankDeficientSystem:
-        raise NonRadicalIdealError("the points are not distinct (V is singular)") from None
-    scale = multinomial(spec.degree, spec.exponents)
-    return [x / (scale * p[0] ** spec.degree) for x, p in zip(solution, _coords(points))]
-
-
-def _fit_decomposition(spec: MonomialSpec, points, tol: float) -> Decomposition:
-    """sum_j c_j * (l_j)^d from ``summand_coefficients``, judged by ``verify_decomposition``.
-
-    Sorted-frame points are read as forms; exact points give an exact
-    decomposition, checked exactly, float points one checked to ``tol`` that
-    carries its residual.  A failed check raises NonRadicalIdealError: no
-    power-sum configuration for the monomial has these points.
-    """
-    coeffs = summand_coefficients(spec, points)
+        cloud = np.array(chart, dtype=complex)
+        try:  # V is not kept: it would stay alive through the verification below
+            solution = np.linalg.solve(evaluation_matrix(cloud, basis).T, rhs).tolist()
+        except np.linalg.LinAlgError:
+            raise NonRadicalIdealError(singular) from None
     coords_list = _coords(points)
-    domain = EXACT_CYCLOTOMIC if _all_exact(coords_list) else COMPLEX_FLOAT
-    dec = Decomposition(spec.degree, domain, tuple(
-        (c, spec.form_to_original(p)) for c, p in zip(coeffs, coords_list)))
+    scale = multinomial(spec.degree, spec.exponents)
+    dec = Decomposition(spec.degree, EXACT_CYCLOTOMIC if exact else COMPLEX_FLOAT, tuple(
+        (x / (scale * p[0] ** spec.degree), spec.form_to_original(p))
+        for x, p in zip(solution, coords_list)))
     report = verify_decomposition(spec, dec, tol)
     if not report.ok:
         detail = "" if report.mode == "exact" else f" (residual {report.max_error:.3e}, tol {tol})"

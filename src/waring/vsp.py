@@ -119,7 +119,7 @@ def fit_phi_from_points(spec: MonomialSpec, points) -> PhiTuple:
             rows.append(row)
             rhs.append(value)
         try:
-            solution = solve(rows, rhs, 1e-6)
+            solution = solve(rows, rhs)
         except RankDeficientSystem:
             raise ValueError("phi fit is not unique; degenerate point configuration") from None
         except InconsistentSystem as exc:

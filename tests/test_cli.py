@@ -494,6 +494,12 @@ class TestMalformedJson:
           "domain": "exact-cyclotomic"}, "' 1/4' is not an integer or a ratio"),
         ({"summands": [{"coeff": {"conductor": 3, "coeffs": ["1e-3", "1"]}, "form": ["1", "1"]}],
           "degree": 2, "domain": "exact-cyclotomic"}, "cyclotomic coefficient '1e-3'"),
+        ({"summands": [{"coeff": "1/4", "form": ["1", "1"]},
+                       {"coeff": "-1/4", "form": ["1", "-1"]}],
+          "degree": 2, "domain": "weird"}, "unknown decomposition domain 'weird'"),
+        ({"summands": [], "degree": 2, "domain": "exact_cyclotomic"},
+         "unknown decomposition domain 'exact_cyclotomic', expected 'exact-cyclotomic' or "
+         "'complex-float'"),
     ])
     def test_verify_input_of_the_wrong_shape(self, capsys, tmp_path, payload, field):
         path = tmp_path / "dec.json"
@@ -545,6 +551,16 @@ class TestMalformedJson:
         path.write_text(json.dumps(payload))
         code, data = run_json(capsys, "fit-phi", "x*y", "--points", str(path))
         assert code == 2 and field in data["error"]
+
+    @pytest.mark.parametrize("points, count", [([["1"], ["1", "-1"]], 1),
+                                               ([[], ["1", "-1"]], 0),
+                                               ([["1", "1", "5"], ["1", "-1", "7"]], 3)])
+    def test_fit_phi_point_of_the_wrong_length(self, capsys, tmp_path, points, count):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"points": points}))
+        code, data = run_json(capsys, "fit-phi", "x*y", "--points", str(path))
+        assert code == 1
+        assert data == {"error": f"point 0: expected 2 coordinates, got {count}"}
 
     @pytest.mark.parametrize("command, option", [("fit-phi", "--points"), ("verify", "--input")])
     def test_deeply_nested_json_is_a_usage_error(self, capsys, monkeypatch, command, option):

@@ -178,6 +178,11 @@ class TestVerification:
         expected = scale(power_linear_form(LinearForm((1, -1)), 2), Fraction(1, 2))
         assert report.difference == expected
 
+    @pytest.mark.parametrize("domain", ["weird", "exact_cyclotomic", ""])
+    def test_unknown_domain_is_refused(self, domain):
+        with pytest.raises(ValueError, match="unknown decomposition domain"):
+            Decomposition(2, domain, ((Fraction(1, 4), LinearForm((1, 1))),))
+
     def test_float_domain_uses_tolerance(self):
         spec = MonomialSpec.parse("x*y")
         dec = Decomposition(

@@ -679,6 +679,21 @@ class TestFitCoefficients:
         with pytest.raises(ValueError):
             fit_coefficients(xyz, [(1, 1, 1)])
 
+    @pytest.mark.parametrize("bad, count", [((1, 1), 2), ((), 0), ((1, 1, 1, 5), 4)])
+    def test_point_of_the_wrong_length_rejected(self, xyz, bad, count):
+        points = [(1, 1, 1), (1, 1, -1), bad, (1, -1, -1)]
+        with pytest.raises(ValueError, match=f"^point 2: expected 3 coordinates, got {count}$"):
+            fit_coefficients(xyz, points)
+        with pytest.raises(ValueError, match="point 2: expected 3 coordinates"):
+            fit_coefficients(xyz, [tuple(map(float, p)) for p in points])
+
+    @pytest.mark.parametrize("kind", [int, float])
+    def test_repeated_point_makes_v_singular(self, xyz, kind):
+        points = [(1, 1, 1), (1, 1, 1), (1, -1, 1), (1, -1, -1)]
+        singular = r"^the points are not distinct \(V is singular\)$"
+        with pytest.raises(NonRadicalIdealError, match=singular):
+            fit_coefficients(xyz, [tuple(map(kind, p)) for p in points])
+
     def test_inconsistent_points_rejected(self, xyz):
         bad = [(1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (1.0, -1.0, 1.0), (1.0, 2.0, 3.0)]
         with pytest.raises(NonRadicalIdealError):
