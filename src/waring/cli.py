@@ -4,9 +4,12 @@ Every subcommand takes a monomial ("x^2*y^2*z^3", "x0^2*x1^2*x2^3", or an
 exponent list "2,2,3") and writes JSON by default (``--format text`` for a
 human-readable rendering).  Exit codes: 0 on success, 1 on a mathematical
 failure (for example a non-radical phi where a radical one is required), 2 on
-usage or parse errors; a failure or usage error prints ``{"error": ...}``.
-Randomized subcommands require a seed, either via --seed or the WARING_SEED
-environment variable, and are reproducible.
+usage or parse errors, among them an option the command would ignore; a
+failure or usage error prints ``{"error": ...}``.  141 (128 + SIGPIPE, what a
+shell reports for a program killed by a closed pipe) when the reader of
+standard output closes it early, as ``| head -1`` does, with nothing on
+standard error.  Randomized subcommands require a seed, either via --seed or
+the WARING_SEED environment variable, and are reproducible.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .solver import (
     certify_radical,
     extract_points,
     ideal_membership,
+    in_chart,
 )
 from .vsp import (
     apply_torus,
@@ -87,7 +91,10 @@ def _whole(text: str, name: str, least: int = 0) -> int:
 
 
 def _check_limits(args) -> None:
-    """Read --tol, --seed, --count and --t-max, left as text by argparse, from ASCII digits."""
+    """Read --tol, --seed, --count and --t-max, left as text by argparse, from ASCII digits.
+
+    An option the command would ignore is refused; --tol then defaults to 1e-8.
+    """
     if getattr(args, "tol", None) is not None:
         if not _DECIMAL.fullmatch(args.tol):
             raise ValueError(f"--tol must be a non-negative decimal number, got {args.tol!r}")
@@ -98,6 +105,17 @@ def _check_limits(args) -> None:
                                 ("t_max", "--t-max", 0)):
         if getattr(args, dest, None) is not None:
             setattr(args, dest, _whole(getattr(args, dest), option, least))
+    if getattr(args, "exact", False):
+        given = [option for option in ("--phi", "--seed", "--tol")
+                 if getattr(args, option[2:]) is not None]
+        if given:
+            raise ValueError(f"decompose --exact takes no {', '.join(given)}: the explicit "
+                             "decomposition has no phi, seed or tolerance")
+    if args.command == "normalize" and args.tol is not None and _seed(args) is None:
+        raise ValueError("normalize reads --tol only to extract points, which takes --seed "
+                         "or WARING_SEED")
+    if hasattr(args, "tol") and args.tol is None:
+        args.tol = 1e-8
 
 
 def _seed(args, required: bool = False) -> int | None:
@@ -236,6 +254,7 @@ def cmd_fit_phi(args) -> dict:
     spec = MonomialSpec.parse(args.monomial)
     data = _load_json(args.points)
     points = serialize.pointset_from_json(data)
+    in_chart(spec, points)  # the wrong number of points or of coordinates is bad input: exit 2
     try:
         phi = fit_phi_from_points(spec, points)
     except (ValueError, LinearSolveError) as exc:
@@ -411,8 +430,15 @@ def _json_text(payload) -> str:
     return write(payload, 0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors (an unknown option, a missing argument) as ValueError: exit 2 in JSON."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="waring",
         description="Exact Waring ranks and decompositions of monomials.",
     )
@@ -422,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--phi": {"action": "append", "help": "phi entry (repeat per entry)"},
         # numbers stay text here; _check_limits reads them
         "--seed": {},
-        "--tol": {"default": "1e-8"},
+        "--tol": {},
         "--t-max": {"dest": "t_max"},
     }
 
@@ -480,22 +506,24 @@ _parser: argparse.ArgumentParser | None = None  # built by the first main() and 
 def main(argv=None) -> int:
     global _parser
     _parser = _parser or build_parser()
-    args = _parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
     try:
+        args = _parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
         _check_limits(args)
         payload = args.fn(args)
     except (MathFailure, NonRadicalIdealError, PointExtractionError,
             serialize.DigitLimitError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return 1
+        code, text = 1, json.dumps({"error": str(exc)}, sort_keys=True)
     except (ValueError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return 2
-    if args.format == "json":
-        print(_json_text(payload))
+        code, text = 2, json.dumps({"error": str(exc)}, sort_keys=True)
     else:
-        print(_render_text(payload))
-    return 0
+        code, text = 0, _json_text(payload) if args.format == "json" else _render_text(payload)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone; the exit flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

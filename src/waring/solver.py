@@ -5,14 +5,12 @@ have pairwise coprime leading monomials, so they already form a reduction basis:
 normal forms are supported on the r = (d1+1)*...*(dn+1) standard monomials
 a^e with e_i <= d_i.  From the multiplication matrices on that basis we get
 
-* an exact radicality certificate (the rank of the trace bilinear form equals
-  the number of distinct points of the scheme); the matrices have int entries
-  (``build_quotient`` rescales the variables by the lcm D of phi's
-  denominators), so the form is built once as an integer matrix, and its
-  kernel is taken over Z/p: an empty kernel proves full rank, and below full
-  rank the kernel vectors lifted to Q and checked exactly prove the rank mod
-  p is the rank over Q, so ``trace_form_rank`` is always the exact rank
-  (exact elimination remains only as the fallback when no prime certifies).
+* an exact radicality certificate: the rank of the trace form, the number of
+  distinct points, is that of multiplication by the Jacobian J of the
+  generators; ``build_quotient`` rescales the variables by the lcm D of phi's
+  denominators, so M_J is one int matrix, whose kernel over Z/p proves full
+  rank when empty and, below it, the rank once its vectors lift to Q and
+  check exactly (exact elimination is the fallback when no prime certifies).
   ``certify_radical`` is the one place that decides radicality, and it hands
   back the quotient it built so that no caller builds or ranks it twice,
 * the points themselves via a floating-point eigendecomposition of a random
@@ -31,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import lcm
 
 from .groebner import ci_normal_form
 from .ideals import CIIdeal, PhiTuple, generator_tails
@@ -74,6 +72,7 @@ class QuotientAlgebra:
     form of b_i * basis[b] as sparse (row, int) pairs, in the variables
     b_j = D * a_j, D = ``scale``, so that every entry is an integer.  Entry
     (g, b) is D^(1 + |b| - |g|) times that of a_i in the variables a_j.
+    ``psi`` holds the int tails psi_i of the generators b_i^(d_i+1) - psi_i.
     """
 
     spec: MonomialSpec
@@ -82,6 +81,7 @@ class QuotientAlgebra:
     index: dict[Exponent, int]
     columns: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     scale: int = 1
+    psi: tuple[SparsePoly, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -141,9 +141,9 @@ def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
         raise TypeError(f"build_quotient requires int or Fraction coefficients in phi, "
                         f"got {other.pop().__name__}")
     scale = lcm(*(c.denominator for p in phi.entries for c in p.terms.values()))
-    psi = [SparsePoly(n + 1, DUAL, {e: c.numerator * scale ** (d + 1 - sum(e)) // c.denominator
-                                    for e, c in dehomogenize(p, 0).terms.items()})
-           for d, p in zip(spec.exponents[1:], phi.entries)]
+    psi = tuple(SparsePoly(n + 1, DUAL, {e: c.numerator * scale ** (d + 1 - sum(e)) // c.denominator
+                                     for e, c in dehomogenize(p, 0).terms.items()})
+                for d, p in zip(spec.exponents[1:], phi.entries))
     bounds = spec.exponents
     basis = standard_monomials(spec)
     index = {e: i for i, e in enumerate(basis)}
@@ -161,7 +161,7 @@ def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
         columns.append(tuple(cols_i))
 
     algebra = QuotientAlgebra(spec=spec, phi=phi, basis=tuple(basis), index=index,
-                              columns=tuple(columns), scale=scale)
+                              columns=tuple(columns), scale=scale, psi=psi)
     _assert_commuting(algebra)
     return algebra
 
@@ -177,57 +177,62 @@ def _assert_commuting(q: QuotientAlgebra):
                     )
 
 
-# Mersenne primes, tried in turn by the trace-form certificate: a larger prime
-# reconstructs larger kernel entries, at the cost of larger residues
+# Mersenne primes tried in turn: a larger one lifts larger kernel entries, on larger residues
 TRACE_PRIMES = (2**61 - 1, 2**127 - 1, 2**521 - 1)
 
 
-def _trace_matrix(q: QuotientAlgebra) -> list[list]:
-    """The trace form T[a][b] = L(a + b), L(e) the trace of multiplication by a^e.
+def _jacobian_columns(q: QuotientAlgebra) -> list[list[int]]:
+    """The r columns of M_J, J = det(dg_i/db_j) for the chart generators g_i = b_i^(d_i+1) - psi_i.
 
-    Normal forms of the grid monomials a^e, e_i <= 2*d_i, come by dynamic
-    programming, one multiplication by a variable each; the trace of basis
-    monomial k is the sum of the diagonal entries of its multiplication
-    matrix, and L(e) = sum_k trace_k * NF(a^e)[k], once per grid exponent.
-    Grid exponents are numbered with strides, so a + b has the number of a
-    plus that of b.  The arithmetic is that of the entries of ``q.columns``.
+    J is one Laplace expansion over the nonzero entries, each minor computed
+    once: n products when every psi_i is constant.  Column 0 is the normal
+    form of J, and column b is b_i times the earlier column b - e_i.
     """
-    sizes = [2 * d + 1 for d in q.spec.exponents[1:]]
-    strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
-    table = []
-    for e in product(*(range(size) for size in sizes)):  # each e - e_i comes before e
-        if any(e):
-            i = next(idx for idx, ei in enumerate(e) if ei)
-            table.append(q.apply(i + 1, enumerate(table[len(table) - strides[i]])))
-        else:
-            unit = [0] * q.dim
-            unit[q.index[(0,) * len(q.spec.exponents)]] = 1
-            table.append(unit)
-    place = [sum(x * stride for x, stride in zip(b[1:], strides)) for b in q.basis]
-    traces = [sum(table[c + a][k] for k, a in enumerate(place)) for c in place]
-    values = [sum(t * v for t, v in zip(traces, vec) if v) for vec in table]
-    return [[values[a + b] for b in place] for a in place]
+    n, bounds = q.spec.n, q.spec.exponents
+    rows = [[SparsePoly(n + 1, DUAL, {tuple(x - (k == j) for k, x in enumerate(e)): -c * e[j]
+                                      for e, c in tail.terms.items() if e[j]})
+             for j in range(1, n + 1)] for tail in q.psi]  # -dpsi_i/db_j
+    for i, row in enumerate(rows, start=1):
+        lead = tuple(bounds[i] * (k == i) for k in range(n + 1))
+        row[i - 1] = row[i - 1] + SparsePoly.monomial(n + 1, DUAL, lead, bounds[i] + 1)
+    minors = {(): SparsePoly.constant(n + 1, DUAL, 1)}
+
+    def det(cols: tuple[int, ...]) -> SparsePoly:  # the last len(cols) rows against cols
+        if cols not in minors:
+            row, total = rows[n - len(cols)], SparsePoly(n + 1, DUAL)
+            for pos, j in enumerate(cols):
+                if row[j]:
+                    term = row[j] * det(cols[:pos] + cols[pos + 1:])
+                    total = total - term if pos % 2 else total + term
+            minors[cols] = total
+        return minors[cols]
+
+    form = ci_normal_form(det(tuple(range(n))).terms, bounds, q.psi)
+    columns = [[form.get(b, 0) for b in q.basis]]
+    for b in q.basis[1:]:
+        i = next(i for i, x in enumerate(b) if x)
+        lower = q.index[tuple(x - (k == i) for k, x in enumerate(b))]
+        columns.append(q.apply(i, enumerate(columns[lower])))
+    return columns
 
 
 def _lifts_to_exact_kernel(matrix: list[list[int]], kernel: list[list[int]], p: int,
-                          degrees: list[int], scale: int) -> bool:
+                          powers: list[int], scale: int) -> bool:
     """True when the kernel basis mod p lifts to as many independent kernel vectors over Q.
 
-    ``matrix`` is Delta T Delta, Delta = diag(D^|b|), T the form in the a_j
-    (``QuotientAlgebra``), so v is in its kernel exactly when Delta v is in
-    that of T, whose kernel carries no powers of D.  With f the free column
-    of v (v_f = 1, v_b = 0 after it), u_b = v_b * D^(|b| - |f|) mod p is
-    lifted entry by entry by rational reconstruction, its denominators are
-    cleared and it is scaled back exactly, v_b = u_b * D^(t - |b|), t the
-    largest |b| in the support (v is known up to a factor); the lift must be
-    nonzero, its last nonzero entry must sit in a column no other lift ends in
-    (so the lifts are independent), and matrix * lift must be exactly 0.  Then
-    the rank over Q is at most ncols - len(kernel), which is the rank mod p, a
-    lower bound on it.
+    ``matrix`` is M_J^T in the b_j = D * a_j, entry (g, b) of M_J a constant times
+    D^(|b| - |g|) that in the a_j: v is in its kernel iff (D^(e_b) v_b), e_b =
+    ``powers[b]`` = -|b|, is in the kernel in the a_j, free of powers of D.  With
+    f the free column of v (v_f = 1, v_b = 0 after it), u_b = v_b * D^(e_b - e_f)
+    mod p is lifted by rational reconstruction, cleared of denominators and
+    scaled back exactly, v_b = u_b * D^(t - e_b), t the largest e_b in the
+    support.  Each lift must be nonzero, end in a column no other lift ends in
+    (so they are independent) and be annihilated exactly by ``matrix``: then
+    the rank over Q is at most ncols - len(kernel), the rank mod p, its bound.
     """
     if scale % p == 0:
         return False
-    weight = [pow(scale, d, p) for d in degrees]
+    weight = [pow(scale, e, p) for e in powers]
     ends = set()
     for vector in kernel:
         unit = pow(weight[max(i for i, v in enumerate(vector) if v)], -1, p)
@@ -235,8 +240,8 @@ def _lifts_to_exact_kernel(matrix: list[list[int]], kernel: list[list[int]], p: 
         if any(x is None for x in entries):
             return False
         common = lcm(*(x.denominator for x in entries))
-        top = max((degrees[i] for i, x in enumerate(entries) if x), default=0)
-        support = [(i, x.numerator * (common // x.denominator) * scale ** (top - degrees[i]))
+        top = max((powers[i] for i, x in enumerate(entries) if x), default=0)
+        support = [(i, x.numerator * (common // x.denominator) * scale ** (top - powers[i]))
                    for i, x in enumerate(entries) if x]
         if not support or support[-1][0] in ends:
             return False
@@ -249,30 +254,25 @@ def _lifts_to_exact_kernel(matrix: list[list[int]], kernel: list[list[int]], p: 
 def trace_form_rank(q: QuotientAlgebra) -> int:
     """Exact rank of the trace bilinear form; equals the number of distinct points.
 
-    Entry (a, b) is L(a + b), the trace of multiplication by basis[a] *
-    basis[b], so the matrix is read off one trace value per grid exponent,
-    and it is built once.  The columns of ``build_quotient`` are int, in
-    variables rescaled by D = ``q.scale``, so the form is an integer matrix
-    Delta T Delta, Delta = diag(D^|b|), of the same rank as the form T in the
-    variables a_j.  For each prime p of ``TRACE_PRIMES`` in turn, it gets a
-    kernel basis over Z/p.  The rank mod p never exceeds the rank over Q, so
-    an empty kernel proves full rank.  Otherwise the kernel vectors are lifted
-    to Q by rational reconstruction; if the lifts are independent and the form
-    annihilates them exactly, the rank over Q is at most the rank mod p, hence
-    equal to it.  A failed lift moves on to the next prime; after the last
-    one, the matrix is ranked by exact elimination.  A column entry that is
-    not int (a hand-built quotient) raises TypeError.
+    On a zero-dimensional complete intersection Tr(h) = Res(J * h) (Scheja &
+    Storch, J. reine angew. Math. 1975), Res(h) the top coefficient of the
+    normal form of h, so T = R * M_J with the perfect pairing R[a][b] =
+    Res(basis[a] * basis[b]), and rank M_J = rank T.  The int columns of M_J
+    are the rows ranked mod each p of ``TRACE_PRIMES`` in turn: the rank mod p
+    never exceeds the rank over Q, so an empty kernel proves full rank, and
+    kernel vectors that lift to Q prove the rank; after the last prime, exact
+    elimination decides.  A column entry that is not int raises TypeError.
     """
     other = {type(c) for cols in q.columns for col in cols for _, c in col} - {int}
     if other:
         raise TypeError(f"trace form requires int entries, got {other.pop().__name__}")
-    matrix = _trace_matrix(q)
-    degrees = [sum(b) for b in q.basis]
+    matrix = _jacobian_columns(q)
+    powers = [-sum(b) for b in q.basis]
     for p in TRACE_PRIMES:
         kernel = nullspace_mod_p(matrix, p)
         if not kernel:
             return q.dim
-        if _lifts_to_exact_kernel(matrix, kernel, p, degrees, q.scale):
+        if _lifts_to_exact_kernel(matrix, kernel, p, powers, q.scale):
             return q.dim - len(kernel)
     return exact_rank(matrix)
 

@@ -559,8 +559,23 @@ class TestMalformedJson:
         path = tmp_path / "points.json"
         path.write_text(json.dumps({"points": points}))
         code, data = run_json(capsys, "fit-phi", "x*y", "--points", str(path))
-        assert code == 1
+        assert code == 2
         assert data == {"error": f"point 0: expected 2 coordinates, got {count}"}
+
+    @pytest.mark.parametrize("monomial, points, code, error", [
+        ("x*y", [["1"]] * 1, 2, "expected 2 points, got 1"),
+        ("x*y^2", [["1", "1"], ["1", "2"]], 2, "expected 3 points, got 2"),
+        ("x*y", [["1", "1"], ["1", "2"]], 1, "no phi fits these points; not a power-sum "
+                                             "configuration"),
+        ("x*y^2", [["1", "1"]] * 3, 1, "phi fit is not unique; degenerate point configuration"),
+    ])
+    def test_fit_phi_wrong_point_count_is_bad_input(self, capsys, tmp_path, monomial, points,
+                                                    code, error):
+        # the shape of the points is input (exit 2); no fit or many is a math failure (exit 1)
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"points": points}))
+        assert run_json(capsys, "fit-phi", monomial, "--points", str(path)) == (code,
+                                                                               {"error": error})
 
     @pytest.mark.parametrize("command, option", [("fit-phi", "--points"), ("verify", "--input")])
     def test_deeply_nested_json_is_a_usage_error(self, capsys, monkeypatch, command, option):
@@ -576,6 +591,64 @@ class TestMalformedJson:
         code, data = run_json(capsys, command, "x*y", option, str(path))
         assert code == 2
         assert data["error"] == f"cannot read JSON from {path}: Expecting value: line 1 column 1 (char 0)"
+
+
+class TestRefusedOptions:
+    @pytest.mark.parametrize("options, named", [
+        (["--phi", "5"], "--phi"),
+        (["--seed", "3"], "--seed"),
+        (["--tol", "1e-3"], "--tol"),
+        (["--phi", "1", "--seed", "0", "--tol", "1e-8"], "--phi, --seed, --tol"),
+    ])
+    def test_exact_decompose_refuses_what_it_would_ignore(self, capsys, options, named):
+        code, data = run_json(capsys, "decompose", "x*y", "--exact", *options)
+        assert code == 2
+        assert data["error"].startswith(f"decompose --exact takes no {named}:")
+
+    def test_exact_decompose_ignores_the_seed_variable(self, capsys, monkeypatch):
+        # the variable is not an option given on the command line: --exact still runs
+        monkeypatch.delenv("WARING_SEED", raising=False)
+        plain = run(capsys, "decompose", "x*y", "--exact")
+        monkeypatch.setenv("WARING_SEED", "4")
+        assert run(capsys, "decompose", "x*y", "--exact") == plain and plain[0] == 0
+
+    def test_normalize_tol_needs_a_seed(self, capsys, monkeypatch):
+        monkeypatch.delenv("WARING_SEED", raising=False)
+        argv = ["normalize", "x^2*y^2", "--phi", "2"]
+        code, data = run_json(capsys, *argv, "--tol", "1e-3")
+        assert code == 2 and "--tol" in data["error"] and "--seed" in data["error"]
+        assert run_json(capsys, *argv, "--tol", "1e-3", "--seed", "0")[0] == 0
+        monkeypatch.setenv("WARING_SEED", "0")
+        assert run(capsys, *argv, "--tol", "1e-8") == run(capsys, *argv, "--seed", "0")
+
+    @pytest.mark.parametrize("argv, error", [
+        (["rank", "x*y", "--seed", "3"], "waring: unrecognized arguments: --seed 3"),
+        (["rank"], "waring rank: the following arguments are required: monomial"),
+        ([], "waring: the following arguments are required: command"),
+        (["verify", "x*y"], "waring verify: the following arguments are required: --input"),
+        (["--format", "xml", "rank", "x"], "waring: argument --format: invalid choice: 'xml' "
+                                           "(choose from 'json', 'text')"),
+        (["frobnicate"], "waring: argument command: invalid choice: 'frobnicate'"),
+    ])
+    def test_parser_errors_are_json(self, capsys, argv, error):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert json.loads(captured.out)["error"].startswith(error)
+
+
+def test_closed_pipe_ends_quietly():
+    # the reading end is closed before the command writes: every write meets a closed pipe
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        done = subprocess.run([sys.executable, "-m", "waring.cli", "hilbert", "x^3*y^4*z^5",
+                               "--t-max", "40"], stdout=write, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 class TestTMax:

@@ -40,6 +40,9 @@ INPUTS = {
         {"coeff": zeta3("-1/9", "-1/9"), "form": ["1", zeta3("-1", "-1")]}]},
 }
 
+# an unknown option: the one call that exits 2, through the parser's JSON error
+PARSER_ERROR = ["rank", "x*y", "--seed", "3"]
+
 # (argv, file to write stdout to, or None); "{name}" in argv is that file's path
 CALLS = [
     (["rank", "x*y^2*z^3"], None),
@@ -69,6 +72,7 @@ CALLS = [
     (["diagnose", "x*y"], None),
     (["diagnose", "x*y", "--seed", "0"], None),
     (["diagnose", "x*y^2", "--phi", "3*a0 + a1", "--seed", "2", "--t-max", "3"], None),
+    (PARSER_ERROR, None),
 ]
 
 
@@ -139,7 +143,8 @@ def entered_by_the_calls(tmp_path, capsys, monkeypatch):
 def test_every_function_is_entered_by_a_command(tmp_path, capsys, monkeypatch):
     code = defined_code()
     entered, codes = entered_by_the_calls(tmp_path, capsys, monkeypatch)
-    assert all(exit_code == 0 for _, exit_code in codes), codes
+    refused = " ".join(PARSER_ERROR)
+    assert all(exit_code == 2 * (call == refused) for call, exit_code in codes), codes
     names = set(code.values())
     assert set(ALLOWED) <= names, sorted(set(ALLOWED) - names)
     missed = sorted(name for c, name in code.items() if c not in entered and name not in ALLOWED)

@@ -127,10 +127,10 @@ class TestTraceRankFloatCrossCheck:
                     assert max(abs(x - y) for x, y in zip(a, b)) > 1e-6
 
 
-def reference_trace_rank(q):
-    """The pairwise construction on the Fraction matrices of q's phi (``fraction_columns``):
-    every T[a][b] an r-term dot product over Q, then exact rank."""
-    q = replace(q, columns=fraction_columns(q.spec, q.phi), scale=1)
+def reference_pairings(q):
+    """(T, R) from q's own columns, pairwise: T[a][b] the trace of multiplication by
+    basis[a] * basis[b], an r-term dot product, and R[a][b] its residue, the top
+    coefficient of its normal form."""
     table = {}
 
     def normal_form(e):
@@ -146,10 +146,18 @@ def reference_trace_rank(q):
     def add(a, b):
         return tuple(x + y for x, y in zip(a, b))
 
+    top = q.index[(0,) + q.spec.exponents[1:]]
     traces = [sum(normal_form(add(c, a))[k] for k, a in enumerate(q.basis)) for c in q.basis]
-    matrix = [[sum(t * v for t, v in zip(traces, normal_form(add(a, b))) if v) for b in q.basis]
-              for a in q.basis]
-    return exact_rank(matrix)
+    trace = [[sum(t * v for t, v in zip(traces, normal_form(add(a, b))) if v) for b in q.basis]
+             for a in q.basis]
+    return trace, [[normal_form(add(a, b))[top] for b in q.basis] for a in q.basis]
+
+
+def reference_trace_rank(q):
+    """The exact rank of the pairwise trace form on the Fraction matrices of q's phi
+    (``fraction_columns``)."""
+    return exact_rank(reference_pairings(
+        replace(q, columns=fraction_columns(q.spec, q.phi), scale=1))[0])
 
 
 def dense_phi(spec, seed, denominator=None):
@@ -166,6 +174,24 @@ def dense_phi(spec, seed, denominator=None):
     return PhiTuple(spec, entries)
 
 
+def mixed_kernel_phi(lam=1):
+    """A phi of x*y^3*z^3 of trace rank 13 whose kernel of M_J^T is not spanned by unit
+    vectors (two of its three basis vectors have entries +-1 on three or four monomials),
+    so a shifted entry breaks a kernel vector; with ``lam`` its image under a_j -> lam * a_j,
+    j >= 1."""
+    spec = MonomialSpec.parse("x*y^3*z^3")
+    phi = phi_of(spec, "a1^2 + a0*a2 + a1*a2 - a2^2", "-a0*a2 - a1*a2")
+    return spec, torus_image(spec, phi, lam)
+
+
+def torus_image(spec, phi, lam):
+    """phi_i(a0, lam * a) / lam^(d_i + 1): the ideal of phi with every point a / lam."""
+    return PhiTuple(spec, [
+        SparsePoly(p.num_vars, DUAL, {e: Fraction(c) * Fraction(lam) ** (sum(e) - e[0] - d - 1)
+                                      for e, c in p.terms.items()})
+        for d, p in zip(spec.exponents[1:], phi.entries)])
+
+
 CORRUPTIONS = [lambda x: x + 1 if x else x, lambda x: Fraction(0)]
 
 
@@ -173,13 +199,13 @@ def ranks_with_corrupted_lifts(corrupt):
     """(trace_form_rank, reference) pairs and the count of exact ranks, with every
     reconstructed kernel entry passed through ``corrupt``.
 
-    The first phi is dense and deficient: every prime must reject its lifts, and
-    exact elimination decides.  The second has full rank over Q, but its form drops
-    rank mod 2^61 - 1: a lift accepted there would report a rank below 9.
+    The first phi is deficient, and a corrupted lift of its kernel is no kernel
+    vector: every prime must reject its lifts, and exact elimination decides.  The
+    second has full rank over Q, but M_J drops rank mod 2^61 - 1: a lift accepted
+    there would report a rank below 9.
     """
-    dense = MonomialSpec.parse("x*y^3*z^3")
     x2y2z2 = MonomialSpec.parse("x^2*y^2*z^2")
-    cases = [(dense, dense_phi(dense, 5)),
+    cases = [mixed_kernel_phi(),
              (x2y2z2, phi_of(x2y2z2, Fraction(1, 2**61 - 1), Fraction(3)))]
     calls = []
     reconstruct, rank = solver.rational_reconstruction, solver.exact_rank
@@ -252,11 +278,10 @@ class TestModularCertificate:
         assert rank < r
 
     def test_kernel_beyond_one_prime_falls_back_to_exact_rank(self, exact_calls, monkeypatch):
-        # with the denominator 2^20 + 7 the kernel vectors need more than 30 bits even
+        # the torus image by lam = 2^20 + 7 puts powers of lam into the kernel vectors even
         # with the powers of D taken out, so one 61-bit prime cannot reconstruct them
         monkeypatch.setattr(solver, "TRACE_PRIMES", (2**61 - 1,))
-        spec = MonomialSpec.parse("x*y^3*z^3")
-        rank, r = self.check(spec, dense_phi(spec, 0, 2**20 + 7), exact_calls, 1)
+        rank, r = self.check(*mixed_kernel_phi(2**20 + 7), exact_calls, 1)
         assert rank < r
 
     @pytest.mark.parametrize("text", ["x*y^3*z^3", "x*y^4*z^4", "x*y^3*z^3*w^3"])
@@ -271,6 +296,18 @@ class TestModularCertificate:
         spec = MonomialSpec.parse(text)
         rank, r = self.check(spec, dense_phi(spec, 0, denominator), exact_calls, 0)
         assert rank < r and primes == [2**61 - 1]
+
+    @pytest.mark.parametrize("lam", [6, 35, 1000])
+    def test_torus_image_is_certified_at_the_first_prime(self, exact_calls, monkeypatch, lam):
+        # D = lam^3, and the kernel of M_J^T in the b_j is Delta = diag(D^|b|) times the one
+        # in the a_j: weighted by D^-|b| it reconstructs mod 2^61 - 1, by D^|b| it would not
+        primes = []
+        kernel = solver.nullspace_mod_p
+        monkeypatch.setattr(solver, "nullspace_mod_p",
+                            lambda rows, p: primes.append(p) or kernel(rows, p))
+        spec, phi = mixed_kernel_phi(lam)
+        assert self.check(spec, phi, exact_calls, 0) == (13, 16)
+        assert build_quotient(spec, phi).scale == lam**3 and primes == [2**61 - 1]
 
     @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=["shifted", "zero"])
     def test_corrupted_lift_is_rejected(self, corrupt):
@@ -291,8 +328,8 @@ class TestModularCertificate:
     @pytest.mark.parametrize("text", ["x*y^3*z^3", "x*y^3*z^3*w^3"])
     def test_dense_deficient_phi_builds_the_grid_once(self, monkeypatch, text):
         builds = []
-        build = solver._trace_matrix
-        monkeypatch.setattr(solver, "_trace_matrix",
+        build = solver._jacobian_columns
+        monkeypatch.setattr(solver, "_jacobian_columns",
                             lambda *args: builds.append(args) or build(*args))
         spec = MonomialSpec.parse(text)
         q = build_quotient(spec, dense_phi(spec, 5))
@@ -417,14 +454,87 @@ class TestIntegerColumns:
             assert np.array_equal(q.dense_matrix(i), want)
 
 
+def unit_phi(spec, seed):
+    """Every phi_i a nonzero form in (a0..an) with coefficients drawn from {-1, 0, 1}."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for d in spec.exponents[1:]:
+        entry = SparsePoly(spec.n + 1, DUAL)
+        while not entry:
+            entry = SparsePoly(spec.n + 1, DUAL, {
+                e: int(rng.integers(-1, 2))
+                for e in exponents_of_degree(spec.n + 1, d - spec.exponents[0])})
+        entries.append(entry)
+    return PhiTuple(spec, entries)
+
+
+def identity_case(kind):
+    if kind == "embedded":
+        spec = MonomialSpec.parse("x*y^2*z^3")
+        return spec, phi_of(spec, "a2", "a1^2"), 11
+    if kind == "mixed":
+        return (*mixed_kernel_phi(), 13)
+    if kind.startswith("sampled"):
+        spec = MonomialSpec.parse(kind.split()[1])
+        return spec, sample_phi(parameter_space(spec), 0), spec.rank
+    spec = MonomialSpec.parse("x*y^3*z^3")
+    return {"dense": (spec, dense_phi(spec, 5), 13),
+            "rational 6": (spec, dense_phi(spec, 0, 6), 13),
+            "rational 35": (spec, dense_phi(spec, 0, 35), 13)}[kind]
+
+
+class TestJacobianCertificate:
+    """Tr(h) = Res(J * h) (Scheja-Storch), so T = R * M_J with R the residue pairing,
+    and trace_form_rank, which ranks M_J, is the rank of the trace form."""
+
+    @pytest.mark.parametrize("kind", ["sampled x*y^2*z^3", "sampled x*y*z^2*w^3", "rational 6",
+                                      "rational 35", "dense", "embedded", "mixed"])
+    def test_trace_form_is_the_residue_pairing_times_m_j(self, kind):
+        spec, phi, rank = identity_case(kind)
+        q = build_quotient(spec, phi)
+        trace, residue = reference_pairings(q)
+        columns = solver._jacobian_columns(q)
+        assert [[sum(x * y for x, y in zip(row, col)) for col in columns]
+                for row in residue] == trace
+        assert exact_rank(columns) == exact_rank(trace) == trace_form_rank(q) == rank
+        if kind.startswith("rational"):
+            assert q.scale == int(kind.split()[1])
+
+    @pytest.mark.parametrize("text", ["x*y^2*z^2", "x*y^3*z^3", "x*y*z^2*w^2",
+                                      "x0*x1*x2*x3*x4*x5^2"])
+    def test_rank_agrees_with_the_reference(self, text):
+        spec = MonomialSpec.parse(text)
+        deficient = 0
+        for seed in range(16):
+            q = build_quotient(spec, unit_phi(spec, seed))
+            rank = trace_form_rank(q)
+            assert rank == reference_trace_rank(q)
+            deficient += rank < q.dim
+        assert deficient
+
+    def test_equal_exponents_give_a_diagonal_jacobian(self):
+        # every psi_i constant: J = prod (d_i + 1) b_i^d_i, one product per row
+        spec = MonomialSpec.parse("x^2*y^2*z^2*w^2")
+        q = build_quotient(spec, explicit_phi(spec))
+        products = []
+        mul = SparsePoly.__mul__
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SparsePoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+            columns = solver._jacobian_columns(q)
+        assert len(products) == spec.n
+        # J = 27 b1^2 b2^2 b3^2 is the top standard monomial: column 0 needs no reduction
+        assert columns[0] == [27 * (b == (0, 2, 2, 2)) for b in q.basis]
+        assert trace_form_rank(q) == spec.rank
+
+
 class TestTraceFormColumns:
     """trace_form_rank ranks the int columns of build_quotient as they are."""
 
     @pytest.mark.parametrize("text", ["x*y^2*z^3", "x*y*z^2*w^3"])
     def test_sampled_phi_is_certified_without_a_copy(self, monkeypatch, text):
         ranked = []
-        build = solver._trace_matrix
-        monkeypatch.setattr(solver, "_trace_matrix", lambda q: ranked.append(q) or build(q))
+        build = solver._jacobian_columns
+        monkeypatch.setattr(solver, "_jacobian_columns", lambda q: ranked.append(q) or build(q))
         spec = MonomialSpec.parse(text)
         certificate = certify_radical(spec, sample_phi(parameter_space(spec), 0))
         assert certificate.radical and certificate.quotient.scale == 1
