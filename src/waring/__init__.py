@@ -50,9 +50,7 @@ from .solver import (
     QuotientAlgebra,
     build_quotient,
     extract_points,
-    fit_coefficients,
     ideal_membership,
-    points_from_decomposition,
     trace_form_rank,
 )
 from .vsp import (
@@ -102,7 +100,6 @@ __all__ = [
     "explicit_decomposition",
     "explicit_phi",
     "extract_points",
-    "fit_coefficients",
     "fit_phi_from_points",
     "hilbert_S_mod_J",
     "ideal_membership",
@@ -110,7 +107,6 @@ __all__ = [
     "multinomial_C",
     "parameter_space",
     "point_ideal_hilbert",
-    "points_from_decomposition",
     "q_t_diagnostic",
     "rank_lower_bound",
     "root_of_unity",

@@ -49,7 +49,6 @@ from .solver import (
     certify_radical,
     extract_points,
     ideal_membership,
-    in_chart,
 )
 from .vsp import (
     apply_torus,
@@ -254,10 +253,9 @@ def cmd_fit_phi(args) -> dict:
     spec = MonomialSpec.parse(args.monomial)
     data = _load_json(args.points)
     points = serialize.pointset_from_json(data)
-    in_chart(spec, points)  # the wrong number of points or of coordinates is bad input: exit 2
-    try:
+    try:  # points the fit refuses are bad input (ValueError, exit 2)
         phi = fit_phi_from_points(spec, points)
-    except (ValueError, LinearSolveError) as exc:
+    except LinearSolveError as exc:  # no phi fits, or many
         raise MathFailure(str(exc)) from None
     return {"monomial": str(spec), "phi": serialize.phi_to_json(phi)}
 

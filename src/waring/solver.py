@@ -15,9 +15,10 @@ a^e with e_i <= d_i.  From the multiplication matrices on that basis we get
   back the quotient it built so that no caller builds or ranks it twice,
 * the points themselves via a floating-point eigendecomposition of a random
   linear combination of the multiplication matrices, and
-* the summand coefficients from one square solve on the standard monomials,
-  which the certified points make nonsingular; ``verify_decomposition`` is
-  the only judge of the result.
+* the points refined by Newton's method on the chart generators, and the
+  summand coefficients in closed form, c_j = 1/(C * J(p_j)) with C the
+  multinomial (d; d0, ..., dn), by the Euler-Jacobi residue formula;
+  ``verify_decomposition`` is the only judge of the result.
 
 Homogeneous ideal membership needs no completion either: with a0 the smallest
 variable in grevlex the homogeneous generators of I(k, phi) have the coprime
@@ -28,21 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
 
 from .groebner import ci_normal_form
 from .ideals import CIIdeal, PhiTuple, generator_tails
-from .linalg import (
-    LinearSolveError,
-    _all_exact,
-    _exactify,
-    exact_rank,
-    exact_solve,
-    nullspace_mod_p,
-    rational_reconstruction,
-)
-from .monomials import COMPLEX_FLOAT, EXACT_CYCLOTOMIC, Decomposition, MonomialSpec
+from .linalg import _exactify, exact_rank, nullspace_mod_p, rational_reconstruction
+from .monomials import COMPLEX_FLOAT, Decomposition, MonomialSpec
 from .monomials import verify_decomposition
 from .polynomial import (
     DUAL,
@@ -60,7 +54,7 @@ class NonRadicalIdealError(ValueError):
 
 
 class PointExtractionError(RuntimeError):
-    """Point extraction failed: an entry outside float range, or no r separated points."""
+    """Point extraction failed: an entry past float range, crowded points, a singular Jacobian."""
 
 
 @dataclass
@@ -114,6 +108,33 @@ class QuotientAlgebra:
                     raise PointExtractionError(f"eigenvalue stage: entry of M_{var} at row {row}, "
                                                f"column {col_idx} is outside float range") from None
         return m
+
+    @cached_property
+    def _chart_system(self):
+        """The chart generators g_i = a_i^(d_i+1) - phi_i(1, a) and their derivatives.
+
+        Returns the exponents E over a_1..a_n and an array C of shape
+        |E| x n x (n+1): column 0 holds the coefficients of g_i, column j those
+        of dg_i/da_j, so ``_chart_values`` gives every g_i and the Jacobian at
+        once.  Built on first use and kept with the quotient.
+        """
+        import numpy as np
+
+        n = self.spec.n
+        entries = {}  # (exponent, i, column) -> coefficient; no key comes up twice
+        for i, (d, entry) in enumerate(zip(self.spec.exponents[1:], self.phi.entries)):
+            lead = tuple((d + 1) * (k == i) for k in range(n))
+            tail = [(e[1:], -c.numerator / c.denominator) for e, c in entry.terms.items()]
+            for e, c in [(lead, 1)] + tail:
+                entries[e, i, 0] = c
+                for j, x in enumerate(e):
+                    if x:
+                        entries[e[:j] + (x - 1,) + e[j + 1:], i, j + 1] = c * x
+        index = {e: k for k, e in enumerate(dict.fromkeys(e for e, _, _ in entries))}
+        system = np.zeros((len(index), n, n + 1), dtype=complex)
+        for (e, i, column), c in entries.items():
+            system[index[e], i, column] = c
+        return list(index), system
 
 
 def standard_monomials(spec: MonomialSpec) -> list[Exponent]:
@@ -330,20 +351,20 @@ def _coords(points) -> list:
     return list(points.points if isinstance(points, PointSet) else points)
 
 
-def points_from_decomposition(dec, spec: MonomialSpec) -> PointSet:
-    """The point set of a decomposition's forms, rescaled to a0 = 1, sorted frame."""
-    pts = []
-    for _, form in dec.summands:
-        sorted_coords = _exactify(form.coeffs[spec.positions[i]] for i in range(spec.n + 1))
-        lead = sorted_coords[0]
-        if not lead:
-            raise ValueError("form has zero a0 coordinate; cannot normalize")
-        pts.append(tuple(c / lead for c in sorted_coords))
-    return PointSet(points=tuple(pts))
+# Newton steps on the eigenvalue points: each about doubles their correct digits
+NEWTON_STEPS = 2
+
+
+def _chart_values(q: QuotientAlgebra, coords):
+    """g_i and dg_i/da_j at each row of ``coords`` (a_1..a_n): shape r x n x (n+1), column 0 g_i."""
+    exponents, system = q._chart_system
+    n = q.spec.n
+    flat = system.reshape(len(exponents), n * (n + 1))
+    return (evaluation_matrix(coords, exponents) @ flat).reshape(len(coords), n, n + 1)
 
 
 def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> PointSet:
-    """Eigenvalue method: read the points off the eigenvectors of a random combination.
+    """Eigenvalue method, then Newton's method on the chart generators.
 
     ``q`` must be the quotient of a phi that ``certify_radical`` found
     radical, so that it has r distinct reduced points.  A seeded random real
@@ -355,12 +376,15 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
     ``tol * min(1, s)`` of an earlier one in every coordinate, s the largest
     |a_k| over all points (one max-abs distance matrix): a cloud near the
     origin is told apart relative to its extent, while a double point at the
-    origin of a larger cloud still raises.  The generator residuals are
-    evaluated on the array of points.
+    origin of a larger cloud still raises.  Then ``NEWTON_STEPS`` batched
+    Newton steps on g_i = a_i^(d_i+1) - phi_i(1, a) refine every point at
+    once (one solve over the r stacked n x n Jacobians; a singular one
+    raises), and the points are sorted.  ``residuals`` holds, per point, the
+    largest |g_i(p)| / max(1, max_k |p_k|^(d_i+1)) at the refined points.
     """
     import numpy as np
 
-    spec, n, r = q.spec, q.spec.n, q.dim
+    n, r = q.spec.n, q.dim
     weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
     m = sum((weights[i - 1] * q.dense_matrix(i) for i in range(1, n + 1)), np.zeros((r, r)))
     _, vectors = np.linalg.eig(m.T)
@@ -385,95 +409,69 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
     if crowded:
         raise PointExtractionError(f"expected {r} separated points: {crowded} within "
                                    f"tol={tol} of an earlier one")
+
+    for _ in range(NEWTON_STEPS):
+        values = _chart_values(q, coords)
+        try:
+            coords = coords - np.linalg.solve(values[..., 1:], values[..., :1])[..., 0]
+        except np.linalg.LinAlgError:
+            j = int(np.abs(np.linalg.det(values[..., 1:])).argmin())
+            raise PointExtractionError(f"Newton step: the Jacobian at eigenvector {j} "
+                                       "is singular") from None
     rows = [(1.0 + 0j,) + tuple(row) for row in coords.tolist()]
     order = sorted(range(r), key=lambda a: tuple(
         (round(x.real, 9), round(x.imag, 9)) for x in rows[a]))
-    points = [rows[a] for a in order]
+    coords = coords[order]
 
-    # generator a_i^(d_i+1) - phi_i at each point; a0 = 1, so the homogeneous phi_i serves
-    cloud = np.array(points, dtype=complex).reshape(r, n + 1)
-    residuals = np.zeros(r)
-    tops = np.abs(cloud).max(axis=1)
-    for i, entry in enumerate(q.phi.entries, start=1):
-        d = spec.exponents[i]
-        lifted = tuple(d + 1 if j == i else 0 for j in range(n + 1))
-        values = evaluation_matrix(cloud, (lifted,) + tuple(entry.terms))
-        rhs = values[:, 1:] @ np.array([complex(c) for c in entry.terms.values()])
-        gap = np.abs(values[:, 0] - rhs) / np.maximum(1.0, tops ** (d + 1))
-        residuals = np.maximum(residuals, gap)
-
-    return PointSet(points=tuple(points), tol=tol, residuals=tuple(residuals.tolist()))
+    tops = np.abs(coords).max(axis=1, initial=1.0)  # a0 = 1 takes part in the max
+    powers = np.array(q.spec.exponents[1:], dtype=float) + 1
+    gaps = np.abs(_chart_values(q, coords)[..., 0]) / tops[:, None] ** powers
+    return PointSet(points=tuple(rows[a] for a in order), tol=tol,
+                    residuals=tuple(gaps.max(axis=1, initial=0.0).tolist()))
 
 
 def in_chart(spec: MonomialSpec, points) -> list[tuple]:
-    """The r points (n + 1 coordinates each) scaled to a0 = 1, exactly on exact coordinates."""
+    """The r points (n + 1 coordinates each) scaled to a0 = 1, exactly on exact coordinates.
+
+    A wrong point count, a point of the wrong length or one with a0 = 0 raises ValueError.
+    """
     coords_list = _coords(points)
     if len(coords_list) != spec.rank:
         raise ValueError(f"expected {spec.rank} points, got {len(coords_list)}")
     for j, p in enumerate(coords_list):
         if len(p) != spec.n + 1:
             raise ValueError(f"point {j}: expected {spec.n + 1} coordinates, got {len(p)}")
-    if any(not p[0] for p in coords_list):
-        raise NonRadicalIdealError("points must have nonzero a0 coordinate")
+        if not p[0]:
+            raise ValueError(f"point {j} has a0 = 0: it is outside the chart a0 = 1")
     return [tuple(c / p[0] for c in _exactify(p)) for p in coords_list]
 
 
-def _fit_decomposition(spec: MonomialSpec, points, tol: float) -> Decomposition:
-    """sum_j c_j * (l_j)^d = monomial by one r x r solve, judged by ``verify_decomposition``.
+def _fit_decomposition(q: QuotientAlgebra, points: PointSet, tol: float) -> Decomposition:
+    """sum_j c_j * (l_j)^d = monomial with c_j = 1/(C * J(p_j)), judged by ``verify_decomposition``.
 
-    With each point scaled to a0 = 1, the x^e coefficient at e = (d - |b|, b)
-    is (d; e) * sum_j c_j p_j^b; over the standard monomials b that reads
-    V^T c = e_top / (d; d0, ..., dn), V[j][b] = p_j^b, top = (0, d1, ..., dn).
-    The r points of a radical I(n, phi) make V nonsingular, so the solve takes
-    no rank gate.  Exact points keep scalar rows and an exact solve, and give
-    an exact decomposition, checked exactly; float points give V as one array
-    evaluation and a decomposition checked to ``tol`` that carries its
-    residual.  Sorted-frame points are read as forms.  A singular V or a
-    failed check raises NonRadicalIdealError: no power-sum configuration for
-    the monomial has these points.
+    ``points`` come from ``extract_points(q)``, so a0 = 1.  The monomial asks
+    sum_j c_j p_j^b = [b = top] / C on the standard monomials b, C = (d; d0, ..., dn),
+    and by Euler-Jacobi (Cattani, Dickenstein & Sturmfels 1998) sum_j p_j^b / J(p_j)
+    is the residue of a^b, [b = top], J = det(dg_i/da_j).  A zero or non-finite
+    J(p_j) raises PointExtractionError; a check failed to ``tol``, NonRadicalIdealError.
     """
-    basis = standard_monomials(spec)
-    top = (0,) + spec.exponents[1:]
-    rhs = [int(b == top) for b in basis]
-    chart = in_chart(spec, points)
-    singular = "the points are not distinct (V is singular)"
-    if exact := _all_exact(chart):
-        try:
-            solution = exact_solve(list(zip(*evaluation_matrix(chart, basis))), rhs)
-        except LinearSolveError:
-            raise NonRadicalIdealError(singular) from None
-    else:
-        import numpy as np
+    import numpy as np
 
-        cloud = np.array(chart, dtype=complex)
-        try:  # V is not kept: it would stay alive through the verification below
-            solution = np.linalg.solve(evaluation_matrix(cloud, basis).T, rhs).tolist()
-        except np.linalg.LinAlgError:
-            raise NonRadicalIdealError(singular) from None
-    coords_list = _coords(points)
-    scale = multinomial(spec.degree, spec.exponents)
-    dec = Decomposition(spec.degree, EXACT_CYCLOTOMIC if exact else COMPLEX_FLOAT, tuple(
-        (x / (scale * p[0] ** spec.degree), spec.form_to_original(p))
-        for x, p in zip(solution, coords_list)))
+    spec = q.spec
+    det = np.linalg.det(_chart_values(q, np.array([p[1:] for p in points.points]))[..., 1:])
+    bad = np.flatnonzero(~np.isfinite(det) | (det == 0))
+    if bad.size:
+        raise PointExtractionError(f"coefficient fit: |J| = {abs(det[bad[0]]):.3e} at point "
+                                   f"{bad[0]}, so c = 1/(C*J) is not finite")
+    coeffs = (1 / (multinomial(spec.degree, spec.exponents) * det)).tolist()
+    dec = Decomposition(spec.degree, COMPLEX_FLOAT, tuple(
+        (c, spec.form_to_original(p)) for c, p in zip(coeffs, points.points)))
     report = verify_decomposition(spec, dec, tol)
     if not report.ok:
-        detail = "" if report.mode == "exact" else f" (residual {report.max_error:.3e}, tol {tol})"
         raise NonRadicalIdealError(
-            f"power-expansion system is inconsistent{detail}; "
+            f"power-expansion system is inconsistent (residual {report.max_error:.3e}, tol {tol}); "
             "the points are not a power-sum configuration for this monomial"
         )
     dec.verified = report.mode
-    if report.mode == "numeric":
-        dec.residual = report.max_error
+    dec.residual = report.max_error
     return dec
-
-
-def fit_coefficients(spec: MonomialSpec, points, tol: float = 1e-6):
-    """Solve sum_j c_j * (l_j)^d = monomial for the coefficients c_j.
-
-    ``points`` may be a PointSet or a plain sequence of sorted-frame coordinate
-    tuples (the latter allows unnormalized forms).  ``verify_decomposition``
-    judges the solution, exactly on exact points and to ``tol`` on floats;
-    no power-sum configuration for the monomial raises NonRadicalIdealError.
-    """
-    return [c for c, _ in _fit_decomposition(spec, points, tol).summands]

@@ -1,16 +1,18 @@
 """Exploring the space of power-sum decompositions of a monomial.
 
 The canonical generator tuples phi (no term in the model ideal J) parametrize
-the reduced decompositions bijectively, so sampling phi, solving the resulting
-ideal and its r x r coefficient system walks the space of decompositions; each
-phi is certified radical once, and each decomposition is expanded once, to verify.
+the reduced decompositions bijectively, so sampling phi and solving the
+resulting ideal walks the space of decompositions: its r points are the linear
+forms, and they fix the coefficients, c_j = 1/(C * J(p_j)).  Each phi is
+certified radical once, and each decomposition is expanded once, to verify.
 This module also hosts the point-side Hilbert-function diagnostics and the
 torus normalization that, for equal exponents, maps any decomposition to the
 canonical one.  The diagnostics and the phi fit evaluate monomials at points
 through the one builder, ``polynomial.evaluation_matrix``, in its scalar
 mode, so exact points give exact rows, and leave the exact-or-float choice of
 rank and solve to ``linalg``.  The float stage of a decomposition (points,
-coefficients, verification) runs on its array mode, one row per point.
+Newton steps, coefficients, verification) runs on its array mode, one row per
+point.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ def decompose_from_phi(
     certificate = certify_radical(spec, phi)
     if not certificate.radical:
         raise NonRadicalIdealError(f"I(n, phi) is not radical for phi = {phi}")
-    return _fit_decomposition(spec, extract_points(certificate.quotient, tol, seed), tol)
+    q = certificate.quotient
+    return _fit_decomposition(q, extract_points(q, tol, seed), tol)
 
 
 def fit_phi_from_points(spec: MonomialSpec, points) -> PhiTuple:
@@ -100,7 +103,8 @@ def fit_phi_from_points(spec: MonomialSpec, points) -> PhiTuple:
     For each i the generator a_i^(d_i+1) - phi_i * a0^(d0+1) must vanish on
     every point; with a0 normalized to 1 that reads phi_i(p) = p_i^(d_i+1),
     a linear system for the coefficients of phi_i over the no-term-in-J basis.
-    A float point whose values there leave float range raises ValueError.
+    Points ``in_chart`` refuses or whose values leave float range raise ValueError;
+    no fit, or many, raise InconsistentSystem or RankDeficientSystem.
     """
     coords_list = in_chart(spec, points)
     entries = []
@@ -121,9 +125,10 @@ def fit_phi_from_points(spec: MonomialSpec, points) -> PhiTuple:
         try:
             solution = solve(rows, rhs)
         except RankDeficientSystem:
-            raise ValueError("phi fit is not unique; degenerate point configuration") from None
+            raise RankDeficientSystem(
+                "phi fit is not unique; degenerate point configuration") from None
         except InconsistentSystem as exc:
-            raise ValueError(
+            raise InconsistentSystem(
                 f"no phi fits these points{exc.detail}; not a power-sum configuration"
             ) from None
         entries.append(SparsePoly(spec.n + 1, DUAL, dict(zip(basis, solution))))
@@ -270,8 +275,8 @@ def sample_decompositions(
     for s in range(seed, seed + count):
         phi = sample_phi(space, s)
         certificate = certify_radical(spec, phi)
-        dec = (_fit_decomposition(spec, extract_points(certificate.quotient, tol, s), tol)
-               if certificate.radical else None)
+        q = certificate.quotient
+        dec = _fit_decomposition(q, extract_points(q, tol, s), tol) if certificate.radical else None
         reports.append(SampleReport(seed=s, phi=phi, radical=certificate.radical,
                                     verified=dec is not None,
                                     residual=None if dec is None else dec.residual))

@@ -2,16 +2,25 @@
 
 No command runs these: each is the plain, slow form of something the package
 computes another way (the expansion coefficients by closed form, a power of
-a linear form term by term), or a small reading of a package value that only
-the tests need.
+a linear form term by term, the summand coefficients by a square solve
+instead of 1/J), or a small reading of a package value that only the tests
+need.
 """
 
 from fractions import Fraction
 
+import numpy as np
+
 from waring import cyclotomic
 from waring.cyclotomic import CycloScalar, embed
-from waring.linalg import _is_exact_scalar
-from waring.monomials import multinomial_C
+from waring.linalg import LinearSolveError, _all_exact, _exactify, _is_exact_scalar, exact_solve
+from waring.monomials import (
+    COMPLEX_FLOAT,
+    EXACT_CYCLOTOMIC,
+    Decomposition,
+    multinomial_C,
+    verify_decomposition,
+)
 from waring.polynomial import (
     PRIMAL,
     SparsePoly,
@@ -19,7 +28,7 @@ from waring.polynomial import (
     exponents_of_degree,
     multinomial,
 )
-from waring.solver import PointSet
+from waring.solver import NonRadicalIdealError, PointSet, _coords, in_chart, standard_monomials
 
 
 def root_power_sum(m: int, e: int) -> CycloScalar:
@@ -98,3 +107,57 @@ def fraction_coords(x: CycloScalar) -> tuple[Fraction, ...]:
 def is_exact(points: PointSet) -> bool:
     """True when every coordinate is an int, Fraction or CycloScalar."""
     return all(_is_exact_scalar(c) for p in points.points for c in p)
+
+
+def points_from_decomposition(dec, spec) -> PointSet:
+    """The point set of a decomposition's forms, rescaled to a0 = 1, sorted frame."""
+    pts = []
+    for _, form in dec.summands:
+        sorted_coords = _exactify(form.coeffs[spec.positions[i]] for i in range(spec.n + 1))
+        lead = sorted_coords[0]
+        if not lead:
+            raise ValueError("form has zero a0 coordinate; cannot normalize")
+        pts.append(tuple(c / lead for c in sorted_coords))
+    return PointSet(points=tuple(pts))
+
+
+def fit_coefficients(spec, points, tol: float = 1e-6) -> list:
+    """The c_j of sum_j c_j * (l_j)^d = monomial by one r x r solve: the reference for 1/J.
+
+    With each point scaled to a0 = 1, the x^e coefficient at e = (d - |b|, b)
+    is (d; e) * sum_j c_j p_j^b; over the standard monomials b that reads
+    V^T c = e_top / (d; d0, ..., dn), V[j][b] = p_j^b, top = (0, d1, ..., dn).
+    Each c_j is then divided by a0^d of its point as given, so unnormalized
+    forms fit too.  Exact points solve exactly and are checked exactly, float
+    points solve with numpy and are checked to ``tol``.  A singular V or a
+    failed check raises NonRadicalIdealError.
+    """
+    basis = standard_monomials(spec)
+    top = (0,) + spec.exponents[1:]
+    rhs = [int(b == top) for b in basis]
+    chart = in_chart(spec, points)
+    singular = "the points are not distinct (V is singular)"
+    if exact := _all_exact(chart):
+        try:
+            solution = exact_solve(list(zip(*evaluation_matrix(chart, basis))), rhs)
+        except LinearSolveError:
+            raise NonRadicalIdealError(singular) from None
+    else:
+        try:
+            v = evaluation_matrix(np.array(chart, dtype=complex), basis)
+            solution = np.linalg.solve(v.T, rhs).tolist()
+        except np.linalg.LinAlgError:
+            raise NonRadicalIdealError(singular) from None
+    coords = _coords(points)
+    scale = multinomial(spec.degree, spec.exponents)
+    coeffs = [x / (scale * p[0] ** spec.degree) for x, p in zip(solution, coords)]
+    dec = Decomposition(spec.degree, EXACT_CYCLOTOMIC if exact else COMPLEX_FLOAT,
+                        tuple(zip(coeffs, map(spec.form_to_original, coords))))
+    report = verify_decomposition(spec, dec, tol)
+    if not report.ok:
+        detail = "" if exact else f" (residual {report.max_error:.3e}, tol {tol})"
+        raise NonRadicalIdealError(
+            f"power-expansion system is inconsistent{detail}; "
+            "the points are not a power-sum configuration for this monomial"
+        )
+    return coeffs

@@ -21,11 +21,9 @@ from waring import (
     explicit_decomposition,
     explicit_phi,
     extract_points,
-    fit_coefficients,
     hilbert_S_mod_J,
     ideal_membership,
     make_ci_ideal,
-    points_from_decomposition,
     rank_lower_bound,
     trace_form_rank,
     verify_decomposition,
@@ -44,7 +42,14 @@ from waring.vsp import (
 )
 
 from conftest import spec_grid
-from oracles import coefficient, coefficient_Cm, power_linear_form, scale
+from oracles import (
+    coefficient,
+    coefficient_Cm,
+    fit_coefficients,
+    points_from_decomposition,
+    power_linear_form,
+    scale,
+)
 
 
 def _float_points(points: PointSet) -> PointSet:

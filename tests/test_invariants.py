@@ -118,6 +118,25 @@ def test_trace_form_type_check_survives_optimized_mode():
     assert "trace form requires int entries, got Fraction" in out
 
 
+def test_zero_jacobian_raise_survives_optimized_mode():
+    # at a0 = 1, the point (1, 0) of x*y has J = 2 * a1 = 0: no finite coefficient 1/(C * J)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from waring import MonomialSpec, ideals, solver\n"
+        "spec = MonomialSpec.parse('x*y')\n"
+        "q = solver.build_quotient(spec, ideals.explicit_phi(spec))\n"
+        "points = solver.PointSet(points=((1 + 0j, -1 + 0j), (1 + 0j, 0j)))\n"
+        "try:\n"
+        "    solver._fit_decomposition(q, points, 1e-8)\n"
+        "except solver.PointExtractionError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "coefficient fit: |J| = 0.000e+00 at point 1, so c = 1/(C*J) is not finite\n"
+
+
 def test_package_has_no_assert_statement():
     """An invariant that gates a certificate is an explicit raise: -O strips asserts."""
     package = Path(__file__).resolve().parents[1] / "src" / "waring"

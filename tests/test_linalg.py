@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from waring import MonomialSpec, explicit_decomposition, fit_coefficients, points_from_decomposition
+from waring import MonomialSpec, explicit_decomposition
 from waring.cyclotomic import root_of_unity
 from waring.linalg import (
     InconsistentSystem,
@@ -19,6 +19,8 @@ from waring.linalg import (
     solve,
 )
 from waring.solver import TRACE_PRIMES, NonRadicalIdealError
+
+from oracles import fit_coefficients, points_from_decomposition
 
 
 class TestRank:

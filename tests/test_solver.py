@@ -18,10 +18,8 @@ from waring import (
     explicit_decomposition,
     explicit_phi,
     extract_points,
-    fit_coefficients,
     ideal_membership,
     make_ci_ideal,
-    points_from_decomposition,
     trace_form_rank,
 )
 from waring import solver
@@ -32,7 +30,7 @@ from waring.solver import NonRadicalIdealError, PointExtractionError, certify_ra
 from waring.polynomial import DUAL, LinearForm, SparsePoly, exponents_of_degree, parse_poly
 from waring.vsp import parameter_space, sample_phi
 
-from oracles import is_exact
+from oracles import fit_coefficients, is_exact, points_from_decomposition
 
 
 def D(text, n=3):
@@ -647,12 +645,38 @@ class TestExtractPoints:
         assert pts.points == ((1.0 + 0j,),)
 
 
+def loop_chart(q, a):
+    """g_i = a_i^(d_i+1) - phi_i(1, a) and dg_i/da_j at one point a = (a_1..a_n), term by term."""
+    spec, n = q.spec, q.spec.n
+    g, jac = np.zeros(n, complex), np.zeros((n, n), complex)
+    for i, entry in enumerate(q.phi.entries):
+        d = spec.exponents[i + 1]
+        g[i], jac[i, i] = a[i] ** (d + 1), (d + 1) * a[i] ** d
+        for e, c in entry.terms.items():
+            g[i] -= complex(c) * prod(x**k for x, k in zip(a, e[1:]))
+            for j in range(n):
+                if e[j + 1]:
+                    jac[i, j] -= complex(c) * e[j + 1] * prod(
+                        x ** (k - (m == j)) for m, (x, k) in enumerate(zip(a, e[1:])))
+    return g, jac
+
+
+def loop_newton(q, point):
+    """``solver.NEWTON_STEPS`` Newton steps at one point, by ``loop_chart``."""
+    a = list(point[1:])
+    for _ in range(solver.NEWTON_STEPS):
+        g, jac = loop_chart(q, a)
+        a = (np.array(a) - np.linalg.solve(jac, g)).tolist()
+    return (1.0 + 0j,) + tuple(complex(x) for x in a)
+
+
 def loop_extract_points(q, tol=1e-8, seed=0):
     """``extract_points`` as it was before it ran on arrays: one eigenvector at a time.
 
-    Kept as the reference for the array version; it returns (points,
-    residuals, a0 coordinates and degree <= 1 window norms of the unit
-    eigenvectors) and raises PointExtractionError alike.
+    Kept as the reference for the array version; each point is refined on its
+    own by ``loop_newton``.  It returns (points, residuals, a0 coordinates and
+    degree <= 1 window norms of the unit eigenvectors) and raises
+    PointExtractionError alike.
     """
     spec = q.spec
     n = spec.n
@@ -675,6 +699,7 @@ def loop_extract_points(q, tol=1e-8, seed=0):
         if any(max(abs(a - b) for a, b in zip(point, other[0])) < tol for other in raw):
             raise PointExtractionError("a point within tol of an earlier one")
         raw.append((point, complex(lead), scale))
+    raw = [(loop_newton(q, point), lead, scale) for point, lead, scale in raw]
     merged = sorted(
         raw, key=lambda record: tuple((round(x.real, 9), round(x.imag, 9)) for x in record[0])
     )
@@ -717,10 +742,12 @@ class TestExtractPointsAgainstTheLoop:
         assert_a0_ratio(got, alpha0, scale)
 
     @pytest.mark.parametrize("text", ["x*y^2*z^3", "x*y*z^2*w^2"])
-    def test_residuals_of_generators_the_points_miss(self, text):
-        # points of one phi judged against another: residuals of order 1, not rounding
+    def test_residuals_of_generators_the_points_miss(self, monkeypatch, text):
+        # points of one phi judged against another: residuals of order 1, not rounding;
+        # without Newton steps, which would move the points toward the other phi's roots
         from dataclasses import replace
 
+        monkeypatch.setattr(solver, "NEWTON_STEPS", 0)
         spec = MonomialSpec.parse(text)
         space = parameter_space(spec)
         q = replace(build_quotient(spec, sample_phi(space, 1)), phi=sample_phi(space, 2))
@@ -745,7 +772,100 @@ class TestExtractPointsAgainstTheLoop:
         assert_a0_ratio(got, alpha0, scale)
 
 
+# the benchmark's seeded monomials (sorted exponents), and (1, 4, 4, 4) at r = 125
+BENCHMARK_SPECS = [(1, 1, 2, 3), (2, 2, 3, 3), (3, 3, 3, 3), (2, 3, 5), (1, 2, 2, 2),
+                   (1, 1, 3, 3), (2, 2, 2, 3), (1, 1, 2, 5), (2, 2, 2, 2), (1, 1, 1, 5)]
+
+
+def refined_decomposition(exps, seed):
+    spec = MonomialSpec.from_exponents(exps)
+    certificate = certify_radical(spec, sample_phi(parameter_space(spec), seed))
+    assert certificate.radical
+    q = certificate.quotient
+    points = extract_points(q, seed=seed)
+    return q, points, solver._fit_decomposition(q, points, 1e-8)
+
+
+class TestClosedFormCoefficients:
+    """c_j = 1/(C * J(p_j)) on the refined points, against the r x r solve of the oracle."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("exps", BENCHMARK_SPECS + [(1, 4, 4, 4)], ids=str)
+    def test_equals_the_v_solve(self, exps, seed):
+        q, points, dec = refined_decomposition(exps, seed)
+        want = np.array(fit_coefficients(q.spec, points))
+        got = np.array([c for c, _ in dec.summands])
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        assert dec.residual < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("exps", BENCHMARK_SPECS + [(1, 4, 4, 4)], ids=str)
+    def test_euler_jacobi(self, exps, seed):
+        # sum_j p_j^b / J(p_j) is the residue of a^b: 1 at b = top, 0 on the other
+        # standard monomials; J term by term, not through the chart system
+        q, points, _ = refined_decomposition(exps, seed)
+        inverse = np.array([1 / np.linalg.det(loop_chart(q, p[1:])[1]) for p in points.points])
+        values = np.array(solver.evaluation_matrix(points.points, q.basis)) * inverse[:, None]
+        top = (0,) + q.spec.exponents[1:]
+        sums, scale = values.sum(axis=0), np.abs(values).sum(axis=0)
+        assert np.all(np.abs(sums - [b == top for b in q.basis]) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("text", ["x*y", "x*y*z^2", "x^2*y^2*z^2", "x*y^2*z^3",
+                                      "x*y^3*z^3*w^3"])
+    def test_explicit_phi_gives_the_explicit_coefficients(self, text):
+        # g_i = a_i^(d_i+1) - 1: J = prod (d_i + 1) a_i^d_i, and 1/(C * J) = zeta/C at the roots
+        spec = MonomialSpec.parse(text)
+        q = build_quotient(spec, explicit_phi(spec))
+        points = extract_points(q, seed=0)
+        for p in points.points:
+            jac = prod((d + 1) * x**d for d, x in zip(spec.exponents[1:], p[1:]))
+            assert abs(jac - np.linalg.det(solver._chart_values(q, np.array([p[1:]]))[0, :, 1:])
+                       ) <= 1e-12 * abs(jac)
+        explicit = [(complex(c), np.array([complex(a) for a in form.coeffs]))
+                    for c, form in explicit_decomposition(spec).summands]
+        for c, form in solver._fit_decomposition(q, points, 1e-8).summands:
+            want, _ = min(explicit, key=lambda e: np.abs(e[1] - form.coeffs).max())
+            assert abs(c - want) <= 1e-12 * abs(want)
+
+    def test_pure_power_has_the_empty_jacobian(self):
+        # n = 0: no generator, det() = 1, and x^3 = 1 * x^3
+        spec = MonomialSpec.parse("x^3")
+        q = build_quotient(spec, PhiTuple(spec, []))
+        dec = solver._fit_decomposition(q, extract_points(q), 1e-8)
+        assert [(c, form.coeffs) for c, form in dec.summands] == [(1, (1,))]
+        assert dec.residual == 0.0
+
+    def test_zero_jacobian_names_the_point(self):
+        spec = MonomialSpec.parse("x*y")
+        q = build_quotient(spec, explicit_phi(spec))
+        points = solver.PointSet(points=((1 + 0j, -1 + 0j), (1 + 0j, 0j)))
+        error = r"^coefficient fit: \|J\| = 0\.000e\+00 at point 1, so c = 1/\(C\*J\) is not finite"
+        with pytest.raises(PointExtractionError, match=error):
+            solver._fit_decomposition(q, points, 1e-8)
+
+    def test_singular_newton_step_raises(self, monkeypatch):
+        spec = MonomialSpec.parse("x*y^2")
+        q = build_quotient(spec, explicit_phi(spec))
+        monkeypatch.setattr(solver, "_chart_values",
+                            lambda q, coords: np.zeros((len(coords), 1, 2)))
+        error = "^Newton step: the Jacobian at eigenvector 0 is singular$"
+        with pytest.raises(PointExtractionError, match=error):
+            extract_points(q, seed=0)
+
+    def test_system_is_built_once_per_decomposition(self, monkeypatch):
+        # read from phi on first use and kept with the quotient; evaluated NEWTON_STEPS + 2 times
+        calls = []
+        values = solver._chart_values
+        monkeypatch.setattr(solver, "_chart_values",
+                            lambda q, coords: calls.append(q) or values(q, coords))
+        q, _, _ = refined_decomposition((1, 2, 3), 0)
+        assert len(calls) == solver.NEWTON_STEPS + 2 and all(c is q for c in calls)
+        assert "_chart_system" in vars(q)
+
+
 class TestFitCoefficients:
+    """The oracle: the r x r solve V^T c = e_top, exact on exact points."""
+
     def test_xy_quarter_coefficients(self):
         spec = MonomialSpec.parse("x*y")
         coeffs = fit_coefficients(spec, [(1, 1), (1, -1)])
@@ -826,7 +946,7 @@ class TestFitCoefficients:
         assert np.max(np.abs(a @ x - b)) > 1e-3
 
     def test_point_off_the_chart_is_refused(self, xyz):
-        with pytest.raises(NonRadicalIdealError, match="nonzero a0"):
+        with pytest.raises(ValueError, match="^point 0 has a0 = 0"):
             fit_coefficients(xyz, [(0, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)])
-        with pytest.raises(NonRadicalIdealError, match="nonzero a0"):
+        with pytest.raises(ValueError, match="^point 0 has a0 = 0"):
             fit_coefficients(xyz, [(0j, 1.0, 1.0), (1.0, 1.0, -1.0), (1.0, -1.0, 1.0), (1.0, 0, 0)])

@@ -11,7 +11,6 @@ from waring import (
     explicit_phi,
     extract_points,
     hilbert_S_mod_J,
-    points_from_decomposition,
 )
 from waring.solver import NonRadicalIdealError, PointSet, certify_radical
 from waring.vsp import (
@@ -28,7 +27,7 @@ from waring.vsp import (
     torus_normalize,
 )
 
-from oracles import coefficient, is_exact
+from oracles import coefficient, is_exact, points_from_decomposition
 
 
 def _phi_close(a, b, tol=1e-8):
