@@ -62,7 +62,6 @@ from .vsp import (
     fit_phi_from_points,
     parameter_space,
     point_ideal_hilbert,
-    q_t_diagnostic,
     sample_phi,
     torus_normalize,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "multinomial_C",
     "parameter_space",
     "point_ideal_hilbert",
-    "q_t_diagnostic",
     "rank_lower_bound",
     "root_of_unity",
     "sample_phi",

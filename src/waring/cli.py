@@ -34,6 +34,7 @@ from .ideals import (
 )
 from .linalg import LinearSolveError
 from .monomials import (
+    EXACT_CYCLOTOMIC,
     MonomialSpec,
     explicit_decomposition,
     multinomial_C,
@@ -57,7 +58,6 @@ from .vsp import (
     fit_phi_from_points,
     parameter_space,
     point_ideal_hilbert,
-    q_t_diagnostic,
     sample_decompositions,
     sample_phi,
     torus_normalize,
@@ -92,7 +92,8 @@ def _whole(text: str, name: str, least: int = 0) -> int:
 def _check_limits(args) -> None:
     """Read --tol, --seed, --count and --t-max, left as text by argparse, from ASCII digits.
 
-    An option the command would ignore is refused; --tol then defaults to 1e-8.
+    An option the command would ignore is refused; --tol then defaults to 1e-8, except
+    in verify, which leaves the default to ``verify_decomposition``.
     """
     if getattr(args, "tol", None) is not None:
         if not _DECIMAL.fullmatch(args.tol):
@@ -113,7 +114,7 @@ def _check_limits(args) -> None:
     if args.command == "normalize" and args.tol is not None and _seed(args) is None:
         raise ValueError("normalize reads --tol only to extract points, which takes --seed "
                          "or WARING_SEED")
-    if hasattr(args, "tol") and args.tol is None:
+    if hasattr(args, "tol") and args.tol is None and args.command != "verify":
         args.tol = 1e-8
 
 
@@ -180,7 +181,11 @@ def cmd_verify(args) -> dict:
     spec = MonomialSpec.parse(args.monomial)
     data = _load_json(args.input)
     dec = serialize.decomposition_from_json(data)
-    report = verify_decomposition(spec, dec, tol=args.tol)
+    given = {} if args.tol is None else {"tol": args.tol}
+    if given and dec.domain == EXACT_CYCLOTOMIC:
+        raise ValueError("verify takes no --tol on an exact-cyclotomic decomposition: "
+                         "its expansion must cancel exactly")
+    report = verify_decomposition(spec, dec, **given)
     if not report.ok:
         raise MathFailure(str(report))
     return {
@@ -321,18 +326,21 @@ def cmd_diagnose(args) -> dict:
         raise MathFailure("the ideal is not radical; diagnostics need reduced points")
     points = extract_points(certificate.quotient, tol=args.tol, seed=seed or 0)
     t_max = args.t_max if args.t_max is not None else spec.degree + 2
-    rows = []
+    rows, dim_I = [], 0  # dim I_(t-1), 0 before degree 0
     for t in range(t_max + 1):
         h_model = hilbert_S_mod_J(spec, t)
         h_points = point_ideal_hilbert(points, t)  # dim (S/I)_t; dim I_t is the rest of S_t
+        # q_t = dim(I_t cap a0*S_(t-1)): every extracted point has a0 = 1, so the a0-divisible
+        # block of the degree-t matrix is the degree t-1 matrix and q_t = dim I_(t-1)
+        q_t, dim_I = dim_I, comb(t + spec.n, spec.n) - h_points
         rows.append(
             {
                 "t": t,
                 "hilbert_model": h_model,
                 "hilbert_points": h_points,
                 "agree": h_model == h_points,
-                "dim_I_t": comb(t + spec.n, spec.n) - h_points,
-                "q_t": q_t_diagnostic(spec, points, t),
+                "dim_I_t": dim_I,
+                "q_t": q_t,
                 "perp_cap_alpha0": dim_perp_cap_alpha0(spec, t),
             }
         )

@@ -11,8 +11,9 @@ Floating-point ranks use an SVD with the relative cutoff ``RANK_CUTOFF``; numpy
 is imported only by the float routines, so exact work never loads it.
 
 ``rank`` and ``solve`` choose between the two by the entries: all int,
-Fraction or CycloScalar is exact, anything else is complex floats (``solve``
-gates on column rank and on a residual above ``SOLVE_TOL``).
+Fraction or CycloScalar is exact, anything else is complex floats.  A float
+``solve`` factors its matrix once: it gates on the column rank that its own
+least squares reads at ``RANK_CUTOFF``, and on a residual above ``SOLVE_TOL``.
 """
 
 from __future__ import annotations
@@ -230,17 +231,18 @@ def rank(rows) -> int:
 
 def solve(rows, rhs) -> list:
     """The unique solution of rows * x = rhs: exact on exact entries, else least squares,
-    refused below full column rank (RankDeficientSystem) or when the max-norm residual
-    exceeds ``SOLVE_TOL`` (InconsistentSystem, which carries it)."""
+    refused below full column rank (RankDeficientSystem; the rank is the one the least
+    squares' SVD reads at ``RANK_CUTOFF``, as ``float_rank`` would) or when the max-norm
+    residual exceeds ``SOLVE_TOL`` (InconsistentSystem, which carries it)."""
     if _all_exact(rows, [rhs]):
         return exact_solve(rows, rhs)
     import numpy as np
 
     a = np.array(rows, dtype=complex)
-    if float_rank(a) < a.shape[1]:
-        raise RankDeficientSystem("solution is not unique")
     b = np.array(rhs, dtype=complex)
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    x, _, column_rank, _ = np.linalg.lstsq(a, b, rcond=RANK_CUTOFF)
+    if column_rank < a.shape[1]:
+        raise RankDeficientSystem("solution is not unique")
     residual = float(np.max(np.abs(a @ x - b)))
     if residual > SOLVE_TOL:
         raise InconsistentSystem(f"no solution (residual {residual:.3e})", residual)

@@ -5,14 +5,15 @@ the reduced decompositions bijectively, so sampling phi and solving the
 resulting ideal walks the space of decompositions: its r points are the linear
 forms, and they fix the coefficients, c_j = 1/(C * J(p_j)).  Each phi is
 certified radical once, and each decomposition is expanded once, to verify.
-This module also hosts the point-side Hilbert-function diagnostics and the
-torus normalization that, for equal exponents, maps any decomposition to the
-canonical one.  The diagnostics and the phi fit evaluate monomials at points
-through the one builder, ``polynomial.evaluation_matrix``, in its scalar
-mode, so exact points give exact rows, and leave the exact-or-float choice of
-rank and solve to ``linalg``.  The float stage of a decomposition (points,
-Newton steps, coefficients, verification) runs on its array mode, one row per
-point.
+This module also hosts the point-side Hilbert function, one rank per degree
+(``diagnose`` reads q_t off it: no point has a0 = 0, so q_t = dim I_(t-1)),
+and the torus normalization that, for equal exponents, maps any decomposition
+to the canonical one.  The Hilbert function and the phi fit evaluate monomials
+at points through the one builder, ``polynomial.evaluation_matrix``, in its
+scalar mode, so exact points give exact rows, and leave the exact-or-float
+choice of rank and solve to ``linalg``.  The float stage of a decomposition
+(points, Newton steps, coefficients, verification) runs on its array mode, one
+row per point.
 """
 
 from __future__ import annotations
@@ -138,36 +139,15 @@ def fit_phi_from_points(spec: MonomialSpec, points) -> PhiTuple:
     return phi
 
 
-def _degree_exponents(coords_list, t: int) -> list:
-    """Every degree-t exponent over the points' variables."""
-    if not coords_list:
-        raise ValueError("empty point set")
-    return exponents_of_degree(len(coords_list[0]), t)
-
-
 def point_ideal_hilbert(points, t: int) -> int:
     """Hilbert function of the point ideal: dim (S/I)_t = rank of the evaluation matrix
     (on float points, by SVD with the relative cutoff ``linalg.RANK_CUTOFF``)."""
     if t < 0:
         return 0
     coords_list = _coords(points)
-    return rank(evaluation_matrix(coords_list, _degree_exponents(coords_list, t)))
-
-
-def q_t_diagnostic(spec: MonomialSpec, points, t: int) -> int:
-    """dim of I_t intersected with a0 * S_{t-1}.
-
-    A degree-t polynomial divisible by a0 is exactly one supported on the
-    a0-divisible monomials, so the intersection is the kernel of the
-    evaluation matrix restricted to those columns.
-    """
-    if t <= 0:
-        return 0
-    coords_list = _coords(points)
-    if coords_list and len(coords_list[0]) != spec.n + 1:
-        raise ValueError("points do not match the spec's variable count")
-    exponents = [e for e in _degree_exponents(coords_list, t) if e[0] >= 1]
-    return len(exponents) - rank(evaluation_matrix(coords_list, exponents))
+    if not coords_list:
+        raise ValueError("empty point set")
+    return rank(evaluation_matrix(coords_list, exponents_of_degree(len(coords_list[0]), t)))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 No command runs these: each is the plain, slow form of something the package
 computes another way (the expansion coefficients by closed form, a power of
 a linear form term by term, the summand coefficients by a square solve
-instead of 1/J), or a small reading of a package value that only the tests
-need.
+instead of 1/J, q_t by its definition instead of the previous degree's
+dim I_t), or a small reading of a package value that only the tests need.
 """
 
 from fractions import Fraction
@@ -13,7 +13,14 @@ import numpy as np
 
 from waring import cyclotomic
 from waring.cyclotomic import CycloScalar, embed
-from waring.linalg import LinearSolveError, _all_exact, _exactify, _is_exact_scalar, exact_solve
+from waring.linalg import (
+    LinearSolveError,
+    _all_exact,
+    _exactify,
+    _is_exact_scalar,
+    exact_solve,
+    rank,
+)
 from waring.monomials import (
     COMPLEX_FLOAT,
     EXACT_CYCLOTOMIC,
@@ -161,3 +168,21 @@ def fit_coefficients(spec, points, tol: float = 1e-6) -> list:
             "the points are not a power-sum configuration for this monomial"
         )
     return coeffs
+
+
+def q_t_diagnostic(spec, points, t: int) -> int:
+    """dim of I_t intersected with a0 * S_{t-1}: the reference for q_t = dim I_{t-1}.
+
+    A degree-t polynomial divisible by a0 is exactly one supported on the
+    a0-divisible monomials, so the intersection is the kernel of the
+    evaluation matrix restricted to those columns.
+    """
+    if t <= 0:
+        return 0
+    coords_list = _coords(points)
+    if not coords_list:
+        raise ValueError("empty point set")
+    if len(coords_list[0]) != spec.n + 1:
+        raise ValueError("points do not match the spec's variable count")
+    exponents = [e for e in exponents_of_degree(spec.n + 1, t) if e[0] >= 1]
+    return len(exponents) - rank(evaluation_matrix(coords_list, exponents))

@@ -36,7 +36,6 @@ from waring.vsp import (
     fit_phi_from_points,
     parameter_space,
     point_ideal_hilbert,
-    q_t_diagnostic,
     sample_phi,
     torus_normalize,
 )
@@ -48,6 +47,7 @@ from oracles import (
     fit_coefficients,
     points_from_decomposition,
     power_linear_form,
+    q_t_diagnostic,
     scale,
 )
 

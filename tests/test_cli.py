@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from waring import cli
+from waring import MonomialSpec, cli
 from waring.cli import main
+
+from oracles import q_t_diagnostic
 
 
 def run(capsys, *argv):
@@ -337,12 +339,43 @@ class TestSampleAndDiagnose:
         monkeypatch.setattr(vsp, "rank", counting)
         monkeypatch.setattr(cli, "extract_points", recording)
         code, data = run_json(capsys, "diagnose", "x*y*z^2", "--seed", "1", "--t-max", "6")
-        # one rank per row for hilbert_points, one per row t >= 1 for q_t
-        assert code == 0 and len(ranks) == 13
+        # one rank per row, for hilbert_points; q_t is the previous row's dim_I_t
+        assert code == 0 and len(ranks) == 7
         monkeypatch.setattr(vsp, "rank", real_rank)
         assert [row["dim_I_t"] for row in data["table"]] == [
             comb(t + 2, 2) - vsp.point_ideal_hilbert(extracted[0], t) for t in range(7)
         ]
+
+    @pytest.mark.parametrize("argv", [
+        ["x^3"],  # n = 0: no point ideal in any degree
+        ["x*y*z^2", "--seed", "1"],
+        ["x*y^2", "--phi", "1/3*a0+a1"],
+        ["x*y*z", "--phi", "1/2", "--phi", "-2/3"],
+        ["x*y", "--phi", "1e-300", "--seed", "0"],
+        ["x*y^2", "--phi", "1e20*a1"],
+        ["x*y^2", "--phi", "1e-20*a1"],
+    ])
+    def test_diagnose_q_t_is_the_definition_on_its_own_points(self, capsys, monkeypatch, argv):
+        extracted = []
+        real = cli.extract_points
+
+        def recording(q, tol, seed):
+            extracted.append(real(q, tol=tol, seed=seed))
+            return extracted[-1]
+
+        monkeypatch.setattr(cli, "extract_points", recording)
+        code, data = run_json(capsys, "diagnose", *argv)
+        spec = MonomialSpec.parse(argv[0])
+        assert code == 0 and len(extracted) == 1
+        assert [row["q_t"] for row in data["table"]] == [
+            q_t_diagnostic(spec, extracted[0], row["t"]) for row in data["table"]
+        ]
+
+    def test_diagnose_of_a_tiny_constant_still_disagrees(self, capsys):
+        # a known defect of the float ranks on a certified phi (ROADMAP item 2): the
+        # Hilbert functions disagree, and balancing the torus should turn this true
+        code, data = run_json(capsys, "diagnose", "x*y", "--phi", "1e-300", "--seed", "0")
+        assert code == 0 and data["all_agree"] is False
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_sample_count_below_one_is_usage_error(self, capsys, count):
@@ -644,6 +677,26 @@ class TestRefusedOptions:
         plain = run(capsys, "decompose", "x*y", "--exact")
         monkeypatch.setenv("WARING_SEED", "4")
         assert run(capsys, "decompose", "x*y", "--exact") == plain and plain[0] == 0
+
+    def test_verify_refuses_tol_on_an_exact_file(self, capsys, tmp_path):
+        path = tmp_path / "dec.json"
+        path.write_text(run(capsys, "decompose", "x*y", "--exact")[1])
+        assert run_json(capsys, "verify", "x*y", "--input", str(path))[0] == 0
+        code, data = run_json(capsys, "verify", "x*y", "--input", str(path), "--tol", "1e-3")
+        assert code == 2
+        assert data["error"].startswith("verify takes no --tol on an exact-cyclotomic")
+
+    def test_verify_reads_tol_on_a_float_file(self, capsys, tmp_path):
+        code, out = run(capsys, "decompose", "x*y", "--seed", "0")
+        payload = json.loads(out)
+        assert code == 0 and payload["domain"] == "complex-float"
+        payload["summands"][0]["coeff"]["re"] += 1e-6  # off by 1e-6 in one coefficient
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps(payload))
+        code, data = run_json(capsys, "verify", "x*y", "--input", str(path))
+        assert code == 1 and "max coefficient error" in data["error"]
+        code, data = run_json(capsys, "verify", "x*y", "--input", str(path), "--tol", "1e-3")
+        assert code == 0 and 1e-7 < data["max_error"] < 1e-5
 
     def test_normalize_tol_needs_a_seed(self, capsys, monkeypatch):
         monkeypatch.delenv("WARING_SEED", raising=False)

@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from waring import MonomialSpec, explicit_decomposition
+from waring import MonomialSpec, explicit_decomposition, linalg
 from waring.cyclotomic import root_of_unity
 from waring.linalg import (
     InconsistentSystem,
@@ -18,7 +18,8 @@ from waring.linalg import (
     rational_reconstruction,
     solve,
 )
-from waring.solver import TRACE_PRIMES, NonRadicalIdealError
+from waring.solver import TRACE_PRIMES, NonRadicalIdealError, PointSet
+from waring.vsp import fit_phi_from_points
 
 from oracles import fit_coefficients, points_from_decomposition
 
@@ -287,6 +288,54 @@ class TestSolve:
         with pytest.raises(InconsistentSystem) as info:
             solve([[1], [1]], [0, 1])
         assert info.value.residual is None and info.value.detail == ""
+
+
+class TestFloatSolveFactorsOnce:
+    """A float solve reads its column rank off its own least squares, at RANK_CUTOFF."""
+
+    @pytest.fixture
+    def lstsq_calls(self, monkeypatch):
+        import numpy as np
+
+        def refuse(matrix):
+            raise AssertionError("a float solve ranked its matrix a second time")
+
+        calls, real = [], np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("rcond"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "float_rank", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        return calls
+
+    def test_full_rank(self, lstsq_calls):
+        x = solve([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]], [1.0, 4.0, 3.0])
+        assert abs(x[0] - 1) < 1e-12 and abs(x[1] - 2) < 1e-12
+        assert lstsq_calls == [linalg.RANK_CUTOFF]
+
+    @pytest.mark.parametrize("rows", [[[1.0, 2.0], [2.0, 4.0]],
+                                      [[1.0, 0.0], [0.0, 1e-10]]])  # below the cutoff
+    def test_rank_deficient(self, lstsq_calls, rows):
+        with pytest.raises(RankDeficientSystem):
+            solve(rows, [1.0, 2.0])
+        assert len(lstsq_calls) == 1
+
+    def test_inconsistent_carries_the_residual(self, lstsq_calls):
+        with pytest.raises(InconsistentSystem) as info:
+            solve([[1.0], [1.0]], [0.0, 1.0])
+        assert info.value.residual == pytest.approx(0.5)
+        assert info.value.detail == " (residual 5.000e-01)"
+        assert len(lstsq_calls) == 1
+
+    def test_degenerate_float_points(self, lstsq_calls):
+        spec = MonomialSpec.parse("x*y^2")
+        with pytest.raises(RankDeficientSystem, match="phi fit is not unique"):
+            fit_phi_from_points(spec, PointSet(points=((1.0 + 0j, 1.0 + 0j),) * 3))
+        with pytest.raises(InconsistentSystem, match="no phi fits these points"):
+            fit_phi_from_points(spec, PointSet(points=((1.0, 1.0), (1.0, 2.0), (1.0, 3.0))))
 
 
 class TestFitCoefficientsErrors:

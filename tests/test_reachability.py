@@ -164,7 +164,7 @@ PUBLIC_NAMES = [
     "dehomogenize", "dim_perp_cap_alpha0", "dim_vsp", "embed", "explicit_decomposition",
     "explicit_phi", "extract_points", "fit_phi_from_points", "hilbert_S_mod_J",
     "ideal_membership", "make_ci_ideal", "multinomial_C", "parameter_space",
-    "point_ideal_hilbert", "q_t_diagnostic", "rank_lower_bound", "root_of_unity", "sample_phi",
+    "point_ideal_hilbert", "rank_lower_bound", "root_of_unity", "sample_phi",
     "torus_normalize", "trace_form_rank", "verify_decomposition", "waring_rank",
 ]
 

@@ -21,13 +21,12 @@ from waring.vsp import (
     fit_phi_from_points,
     parameter_space,
     point_ideal_hilbert,
-    q_t_diagnostic,
     sample_decompositions,
     sample_phi,
     torus_normalize,
 )
 
-from oracles import coefficient, is_exact, points_from_decomposition
+from oracles import coefficient, is_exact, points_from_decomposition, q_t_diagnostic
 
 
 def _phi_close(a, b, tol=1e-8):
