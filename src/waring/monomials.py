@@ -249,10 +249,11 @@ def verify_decomposition(
     digits of the centered residue are its coordinates, which give the
     reported difference.  A bound that fails to hold raises AssertionError
     (see ``_verify_exact``).  The float domain is held to a max-coefficient
-    tolerance instead.  Its forms go into one summands x variables array, and
-    the expansion is one product with their evaluation: the x^e coefficients
-    of sum_j c_j l_j^d are weights * (c @ powers), weights[e] = (d; e) and
-    powers[j, e] = l_j^e.
+    tolerance instead: it passes when that error is at most ``tol``, so
+    ``tol = 0`` accepts an exact fit.  Its forms go into one summands x
+    variables array, and the expansion is one product with their evaluation:
+    the x^e coefficients of sum_j c_j l_j^d are weights * (c @ powers),
+    weights[e] = (d; e) and powers[j, e] = l_j^e.
     """
     if dec.degree != spec.degree:
         raise ValueError("decomposition degree does not match the monomial")
@@ -272,7 +273,7 @@ def verify_decomposition(
     difference = np.array(multinomial_weights(len(used), dec.degree)) * (c @ powers)
     difference[exponents.index(tuple(spec.original_exponents[k] for k in used))] -= 1
     max_error = float(np.max(np.abs(difference)))
-    return VerificationReport(ok=max_error < tol, mode="numeric", max_error=max_error)
+    return VerificationReport(ok=max_error <= tol, mode="numeric", max_error=max_error)
 
 
 def _parts(x) -> tuple[tuple[int, ...], int, int]:

@@ -14,7 +14,9 @@ a^e with e_i <= d_i.  From the multiplication matrices on that basis we get
   ``certify_radical`` is the one place that decides radicality, and it hands
   back the quotient it built so that no caller builds or ranks it twice,
 * the points themselves via a floating-point eigendecomposition of a random
-  linear combination of the multiplication matrices, and
+  linear combination of the multiplication matrices: phi is rational, so
+  that combination is a real matrix and one real ``eig`` (LAPACK ``dgeev``)
+  gives its eigenpairs, real ones real and complex ones in conjugate pairs, and
 * the points refined by Newton's method on the chart generators, and the
   summand coefficients in closed form, c_j = 1/(C * J(p_j)) with C the
   multinomial (d; d0, ..., dn), by the Euler-Jacobi residue formula;
@@ -95,11 +97,14 @@ class QuotientAlgebra:
         return out
 
     def dense_matrix(self, var: int) -> np.ndarray:
-        """M_var in the variables a_j: each int entry over its power of D, correctly rounded."""
+        """Real M_var in the variables a_j: each int entry over its power of D, correctly rounded.
+
+        phi is rational, so M_var is real and ``extract_points`` runs a real ``eig`` on it.
+        """
         import numpy as np
 
         degree = [sum(b) for b in self.basis]
-        m = np.zeros((self.dim, self.dim), dtype=complex)
+        m = np.zeros((self.dim, self.dim))
         for col_idx, col in enumerate(self.columns[var - 1]):
             for row, c in col:
                 try:
@@ -368,8 +373,9 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
 
     ``q`` must be the quotient of a phi that ``certify_radical`` found
     radical, so that it has r distinct reduced points.  A seeded random real
-    combination M of the multiplication matrices is eigendecomposed; each
-    left eigenvector is (up to scale) the evaluation vector of the basis
+    combination M of the multiplication matrices, itself a real matrix, is
+    eigendecomposed by one real ``eig``; each left eigenvector (complex ones
+    come in conjugate pairs) is up to scale the evaluation vector of the basis
     monomials at one point, so after normalizing the constant coordinate to 1
     the degree-one coordinates are the point itself.  An eigenvector with a
     vanishing constant coordinate raises, and so does a point within
@@ -388,6 +394,7 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
     weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
     m = sum((weights[i - 1] * q.dense_matrix(i) for i in range(1, n + 1)), np.zeros((r, r)))
     _, vectors = np.linalg.eig(m.T)
+    vectors = vectors.astype(complex)  # real when every eigenvalue is
 
     one_idx = q.index[(0,) * (n + 1)]
     var_idx = [q.index[tuple(1 if j == i else 0 for j in range(n + 1))] for i in range(1, n + 1)]

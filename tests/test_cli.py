@@ -75,6 +75,16 @@ class TestDecompose:
         )
         assert code == 1 and "error" in data
 
+    def test_all_real_points_print_complex_records(self, capsys):
+        # both points (a1 = -1 and 1) are real; their records still carry "im"
+        code, data = run_json(capsys, "decompose", "x*y", "--phi", "1", "--seed", "0")
+        assert code == 0 and data["residual"] == 0.0
+        one, minus = {"re": 1.0, "im": 0.0}, {"re": -1.0, "im": 0.0}
+        assert data["summands"] == [
+            {"coeff": {"re": -0.25, "im": 0.0}, "form": [one, minus]},
+            {"coeff": {"re": 0.25, "im": 0.0}, "form": [one, one]},
+        ]
+
     @pytest.mark.parametrize("argv", [
         ["decompose", "x*y*z", "--phi", "1", "--phi", "1"],
         ["points", "x*y"],
@@ -698,6 +708,19 @@ class TestRefusedOptions:
         code, data = run_json(capsys, "verify", "x*y", "--input", str(path), "--tol", "1e-3")
         assert code == 0 and 1e-7 < data["max_error"] < 1e-5
 
+    def test_tol_zero_accepts_an_exact_fit(self, capsys, tmp_path):
+        code, out = run(capsys, "decompose", "x*y", "--seed", "0", "--tol", "0")
+        payload = json.loads(out)
+        assert code == 0 and payload["residual"] == 0.0
+        path = tmp_path / "dec.json"
+        path.write_text(out)
+        code, data = run_json(capsys, "verify", "x*y", "--input", str(path), "--tol", "0")
+        assert code == 0 and data["max_error"] == 0.0
+        payload["summands"][0]["coeff"]["re"] += 1e-6  # off by 1e-6 in one coefficient
+        path.write_text(json.dumps(payload))
+        code, data = run_json(capsys, "verify", "x*y", "--input", str(path), "--tol", "0")
+        assert code == 1 and "max coefficient error" in data["error"]
+
     def test_normalize_tol_needs_a_seed(self, capsys, monkeypatch):
         monkeypatch.delenv("WARING_SEED", raising=False)
         argv = ["normalize", "x^2*y^2", "--phi", "2"]
@@ -763,6 +786,8 @@ class TestTMax:
      "--phi=-a1^2+6*a1*a2-3*a1*a3+2*a2^2-5*a2*a3+a3^2",
      "--phi=2*a1^2+a1*a2-4*a1*a3-6*a2^2+3*a2*a3+9*a3^2"],
     ["rank", "x*y^2*z^3"],
+    ["ideal", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2", "--member", "a1^3"],
+    ["ideal", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2", "--canonicalize"],
     # the verify half of the exact benchmark round; "{exact}" is a decompose --exact file
     ["verify", "x^2*y^3*z^3*w^3", "--input", "{exact}"],
 ])

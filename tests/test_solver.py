@@ -445,11 +445,13 @@ class TestIntegerColumns:
         spec, phi = rational_phi(kind)
         q = build_quotient(spec, phi)
         for i, cols in enumerate(fraction_columns(spec, phi), start=1):
-            want = np.zeros((q.dim, q.dim), dtype=complex)
+            want = np.zeros((q.dim, q.dim))
             for b, col in enumerate(cols):
                 for g, c in col:
-                    want[g, b] = complex(c)
-            assert np.array_equal(q.dense_matrix(i), want)
+                    want[g, b] = float(c)
+            got = q.dense_matrix(i)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
 
 
 def unit_phi(spec, seed):
@@ -662,11 +664,17 @@ def loop_chart(q, a):
 
 
 def loop_newton(q, point):
-    """``solver.NEWTON_STEPS`` Newton steps at one point, by ``loop_chart``."""
+    """``solver.NEWTON_STEPS`` Newton steps at one point, by ``loop_chart``.
+
+    A singular Jacobian raises PointExtractionError, as in ``extract_points``.
+    """
     a = list(point[1:])
     for _ in range(solver.NEWTON_STEPS):
         g, jac = loop_chart(q, a)
-        a = (np.array(a) - np.linalg.solve(jac, g)).tolist()
+        try:
+            a = (np.array(a) - np.linalg.solve(jac, g)).tolist()
+        except np.linalg.LinAlgError:
+            raise PointExtractionError("Newton step: the Jacobian is singular") from None
     return (1.0 + 0j,) + tuple(complex(x) for x in a)
 
 
@@ -770,6 +778,43 @@ class TestExtractPointsAgainstTheLoop:
         assert got.points == tuple(points) == ((1.0 + 0j,),)
         assert list(got.residuals) == residuals == [0.0]
         assert_a0_ratio(got, alpha0, scale)
+
+
+class TestRealEigenvalueStage:
+    """phi is rational, so M is real: one real ``eig``, and the points stay complex."""
+
+    @pytest.mark.parametrize("text, seed", [("x*y", 0), ("x*y^2*z^3", 0), ("x^2*y^3*z^3*w^3", 4)])
+    def test_one_float64_eig_per_call(self, monkeypatch, text, seed):
+        spec = MonomialSpec.parse(text)
+        q = build_quotient(spec, sample_phi(parameter_space(spec), seed))
+        calls = []
+        eig = np.linalg.eig
+
+        def spy(a):
+            calls.append((a.dtype, a.shape))
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", spy)
+        extract_points(q, seed=seed)
+        assert calls == [(np.float64, (spec.rank, spec.rank))]
+
+    def test_all_real_points_keep_complex_coordinates(self):
+        # eig returns a real array here, since every eigenvalue is real
+        spec = MonomialSpec.parse("x*y")
+        q = build_quotient(spec, phi_of(spec, Fraction(1)))
+        points = extract_points(q, seed=0)
+        assert points.points == ((1.0 + 0j, -1.0 + 0j), (1.0 + 0j, 1.0 + 0j))
+        assert all(type(x) is complex for p in points.points for x in p)
+
+    @pytest.mark.parametrize("text, seed", [("x*y^2", 4), ("x*y^2*z^3", 0), ("x*y*z^2*w^2", 2),
+                                            ("x^3*y^3*z^3*w^3", 11)])
+    def test_points_closed_under_conjugation(self, text, seed):
+        spec = MonomialSpec.parse(text)
+        q = build_quotient(spec, sample_phi(parameter_space(spec), seed))
+        points = np.array(extract_points(q, seed=seed).points)
+        assert (np.abs(points.imag) > 1e-6).any()  # some point is not real
+        gap = np.abs(points.conj()[:, None, :] - points[None, :, :]).max(axis=2).min(axis=1)
+        assert gap.max() <= 1e-12 * max(1.0, np.abs(points).max())
 
 
 # the benchmark's seeded monomials (sorted exponents), and (1, 4, 4, 4) at r = 125
