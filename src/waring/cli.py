@@ -1,15 +1,15 @@
 """Command-line front end.
 
-Every subcommand takes a monomial ("x^2*y^2*z^3", "x0^2*x1^2*x2^3", or an
-exponent list "2,2,3") and writes JSON by default (``--format text`` for a
-human-readable rendering).  Exit codes: 0 on success, 1 on a mathematical
-failure (for example a non-radical phi where a radical one is required), 2 on
-usage or parse errors, among them an option the command would ignore; a
-failure or usage error prints ``{"error": ...}``.  141 (128 + SIGPIPE, what a
-shell reports for a program killed by a closed pipe) when the reader of
-standard output closes it early, as ``| head -1`` does, with nothing on
-standard error.  Randomized subcommands require a seed, either via --seed or
-the WARING_SEED environment variable, and are reproducible.
+Every subcommand takes a monomial ("x^2*y^2*z^3", "x0^2*x1^2*x2^3", or an exponent
+list "2,2,3"), which ``main`` parses once and hands to the command as a
+``MonomialSpec``, and writes JSON by default (``--format text`` for a human-readable
+rendering).  Exit codes: 0 on success, 1 on a mathematical failure (for example a
+non-radical phi where a radical one is required), 2 on usage or parse errors, among
+them an option the command would ignore; a failure or usage error prints
+``{"error": ...}``.  141 (128 + SIGPIPE, what a shell reports for a program killed by
+a closed pipe) when the reader of standard output closes it early, as ``| head -1``
+does, with nothing on standard error.  Randomized subcommands require a seed, either
+via --seed or the WARING_SEED environment variable, and are reproducible.
 """
 
 from __future__ import annotations
@@ -130,13 +130,11 @@ def _seed(args, required: bool = False) -> int | None:
     return None
 
 
-def cmd_rank(args) -> dict:
-    spec = MonomialSpec.parse(args.monomial)
+def cmd_rank(spec: MonomialSpec, args) -> dict:
     return {"monomial": str(spec), "rank": waring_rank(spec)}
 
 
-def cmd_bounds(args) -> dict:
-    spec = MonomialSpec.parse(args.monomial)
+def cmd_bounds(spec: MonomialSpec, args) -> dict:
     return {
         "monomial": str(spec),
         "lower_bound": rank_lower_bound(spec),
@@ -146,8 +144,7 @@ def cmd_bounds(args) -> dict:
     }
 
 
-def cmd_decompose(args) -> dict:
-    spec = MonomialSpec.parse(args.monomial)
+def cmd_decompose(spec: MonomialSpec, args) -> dict:
     seed = None if args.exact else _seed(args, required=bool(args.phi))
     if seed is None:
         dec = explicit_decomposition(spec)
@@ -177,8 +174,7 @@ def _load_json(path: str):
                          f"{exc}") from None
 
 
-def cmd_verify(args) -> dict:
-    spec = MonomialSpec.parse(args.monomial)
+def cmd_verify(spec: MonomialSpec, args) -> dict:
     data = _load_json(args.input)
     dec = serialize.decomposition_from_json(data)
     given = {} if args.tol is None else {"tol": args.tol}
@@ -195,8 +191,7 @@ def cmd_verify(args) -> dict:
     }
 
 
-def cmd_hilbert(args) -> dict:
-    spec = MonomialSpec.parse(args.monomial)
+def cmd_hilbert(spec: MonomialSpec, args) -> dict:
     t_max = args.t_max if args.t_max is not None else spec.degree + 2
     table = {str(t): hilbert_S_mod_J(spec, t) for t in range(t_max + 1)}
     return {
@@ -206,13 +201,11 @@ def cmd_hilbert(args) -> dict:
     }
 
 
-def cmd_vsp_dim(args) -> dict:
-    spec = MonomialSpec.parse(args.monomial)
+def cmd_vsp_dim(spec: MonomialSpec, args) -> dict:
     return {"monomial": str(spec), "dim_vsp": dim_vsp(spec)}
 
 
-def cmd_ideal(args) -> dict:
-    spec = MonomialSpec.parse(args.monomial)
+def cmd_ideal(spec: MonomialSpec, args) -> dict:
     phi = _parse_phi(spec, args.phi)
     if args.canonicalize:
         phi = canonicalize_phi(spec, phi)
@@ -224,8 +217,7 @@ def cmd_ideal(args) -> dict:
     return out
 
 
-def cmd_radical(args) -> dict:
-    spec = MonomialSpec.parse(args.monomial)
+def cmd_radical(spec: MonomialSpec, args) -> dict:
     phi = _parse_phi(spec, args.phi)
     certificate = certify_radical(spec, phi)
     out = {
@@ -240,8 +232,7 @@ def cmd_radical(args) -> dict:
     return out
 
 
-def cmd_points(args) -> dict:
-    spec = MonomialSpec.parse(args.monomial)
+def cmd_points(spec: MonomialSpec, args) -> dict:
     phi = _parse_phi(spec, args.phi)
     seed = _seed(args, required=True)
     certificate = certify_radical(spec, phi)
@@ -254,8 +245,7 @@ def cmd_points(args) -> dict:
     return out
 
 
-def cmd_fit_phi(args) -> dict:
-    spec = MonomialSpec.parse(args.monomial)
+def cmd_fit_phi(spec: MonomialSpec, args) -> dict:
     data = _load_json(args.points)
     points = serialize.pointset_from_json(data)
     try:  # points the fit refuses are bad input (ValueError, exit 2)
@@ -265,8 +255,7 @@ def cmd_fit_phi(args) -> dict:
     return {"monomial": str(spec), "phi": serialize.phi_to_json(phi)}
 
 
-def cmd_normalize(args) -> dict:
-    spec = MonomialSpec.parse(args.monomial)
+def cmd_normalize(spec: MonomialSpec, args) -> dict:
     phi = _parse_phi(spec, args.phi)
     try:
         torus, ones = torus_normalize(spec, phi)
@@ -292,8 +281,7 @@ def cmd_normalize(args) -> dict:
     return out
 
 
-def cmd_sample(args) -> dict:
-    spec = MonomialSpec.parse(args.monomial)
+def cmd_sample(spec: MonomialSpec, args) -> dict:
     seed = _seed(args, required=True)
     reports = sample_decompositions(spec, seed, args.count, tol=args.tol)
     return {
@@ -312,8 +300,7 @@ def cmd_sample(args) -> dict:
     }
 
 
-def cmd_diagnose(args) -> dict:
-    spec = MonomialSpec.parse(args.monomial)
+def cmd_diagnose(spec: MonomialSpec, args) -> dict:
     seed = _seed(args)
     if args.phi:
         phi = _parse_phi(spec, args.phi)
@@ -515,7 +502,7 @@ def main(argv=None) -> int:
     try:
         args = _parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
         _check_limits(args)
-        payload = args.fn(args)
+        payload = args.fn(MonomialSpec.parse(args.monomial), args)
     except (MathFailure, NonRadicalIdealError, PointExtractionError,
             serialize.DigitLimitError) as exc:
         code, text = 1, json.dumps({"error": str(exc)}, sort_keys=True)

@@ -170,21 +170,22 @@ def explicit_phi(spec: MonomialSpec) -> PhiTuple:
 
 @dataclass
 class CIIdeal:
-    """The complete intersection I(k, phi) with its generators materialized."""
+    """The complete intersection I(k, phi) with its generators a_i^(d_i+1) - tails[i-1]."""
 
     spec: MonomialSpec
     phi: PhiTuple
     generators: tuple[SparsePoly, ...]
+    tails: tuple[SparsePoly, ...]  # phi_i * a0^(d0+1), what the normal form rewrites to
 
     @property
     def k(self) -> int:
         return len(self.phi)
 
 
-def generator_tails(spec: MonomialSpec, entries) -> list[SparsePoly]:
+def generator_tails(spec: MonomialSpec, entries) -> tuple[SparsePoly, ...]:
     """phi_i * a0^(d0+1) per entry: generator i of I(k, phi) is a_i^(d_i+1) minus it."""
     shift = SparsePoly.monomial(spec.n + 1, DUAL, (spec.exponents[0] + 1,) + (0,) * spec.n)
-    return [p * shift for p in entries]
+    return tuple(p * shift for p in entries)
 
 
 def make_ci_ideal(spec: MonomialSpec, phi: PhiTuple) -> CIIdeal:
@@ -195,8 +196,8 @@ def make_ci_ideal(spec: MonomialSpec, phi: PhiTuple) -> CIIdeal:
     """
     n = spec.n
     target = spec.monomial_poly()
-    gens = []
-    for i, tail in enumerate(generator_tails(spec, phi.entries), start=1):
+    gens, tails = [], generator_tails(spec, phi.entries)
+    for i, tail in enumerate(tails, start=1):
         lead = SparsePoly.monomial(
             n + 1, DUAL, tuple(spec.exponents[i] + 1 if j == i else 0 for j in range(n + 1))
         )
@@ -206,7 +207,7 @@ def make_ci_ideal(spec: MonomialSpec, phi: PhiTuple) -> CIIdeal:
         if apply_diff(g, target):
             raise ValueError(f"generator {i} does not annihilate the monomial")
         gens.append(g)
-    return CIIdeal(spec=spec, phi=phi, generators=tuple(gens))
+    return CIIdeal(spec=spec, phi=phi, generators=tuple(gens), tails=tails)
 
 
 def canonicalize_phi(spec: MonomialSpec, phi: PhiTuple) -> PhiTuple:

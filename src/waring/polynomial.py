@@ -120,7 +120,7 @@ def _evaluation_array(points, exponents):
 
 
 class SparsePoly:
-    """A sparse polynomial: a map from exponent tuples to nonzero scalars."""
+    """A sparse polynomial: exponent tuples to nonzero scalars; only the constructor drops zeros."""
 
     __slots__ = ("num_vars", "ring", "terms")
 
@@ -174,11 +174,7 @@ class SparsePoly:
         self._check_compatible(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+            terms[e] = terms.get(e, 0) + c
         return SparsePoly(self.num_vars, self.ring, terms)
 
     def __neg__(self):
@@ -197,11 +193,7 @@ class SparsePoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
+                terms[e] = terms.get(e, 0) + c1 * c2
         return SparsePoly(self.num_vars, self.ring, terms)
 
     def __eq__(self, other):
@@ -209,9 +201,7 @@ class SparsePoly:
             return NotImplemented
         if self.num_vars != other.num_vars or self.ring != other.ring:
             return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[e] == other.terms[e] for e in self.terms)
+        return self.terms == other.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -279,11 +269,7 @@ def apply_diff(op: SparsePoly, target: SparsePoly) -> SparsePoly:
                     if si:
                         scale *= factorial(ei) // factorial(ei - si)
                 out = tuple(ei - si for ei, si in zip(e, s))
-                v = terms.get(out, 0) + scale * cs * ce
-                if v:
-                    terms[out] = v
-                else:
-                    terms.pop(out, None)
+                terms[out] = terms.get(out, 0) + scale * cs * ce
     return SparsePoly(op.num_vars, PRIMAL, terms)
 
 
@@ -296,11 +282,7 @@ def dehomogenize(poly: SparsePoly, var_index: int) -> SparsePoly:
     terms: dict[Exponent, object] = {}
     for e, c in poly.terms.items():
         out = tuple(0 if i == var_index else ei for i, ei in enumerate(e))
-        s = terms.get(out, 0) + c
-        if s:
-            terms[out] = s
-        else:
-            terms.pop(out, None)
+        terms[out] = terms.get(out, 0) + c
     return SparsePoly(poly.num_vars, poly.ring, terms)
 
 
@@ -370,9 +352,5 @@ def parse_poly(text: str, num_vars: int, ring: str) -> SparsePoly:
                 raise ValueError(f"variable {name!r} out of range for {num_vars} variables")
             exponent[index] += power
         key = tuple(exponent)
-        s = terms.get(key, 0) + coeff
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
+        terms[key] = terms.get(key, 0) + coeff
     return SparsePoly(num_vars, ring, terms)

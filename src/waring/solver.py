@@ -36,7 +36,7 @@ from itertools import product
 from math import lcm
 
 from .groebner import ci_normal_form
-from .ideals import CIIdeal, PhiTuple, generator_tails
+from .ideals import CIIdeal, PhiTuple
 from .linalg import _exactify, exact_rank, nullspace_mod_p, rational_reconstruction
 from .monomials import COMPLEX_FLOAT, Decomposition, MonomialSpec
 from .monomials import verify_decomposition
@@ -331,8 +331,7 @@ def ideal_membership(poly: SparsePoly, ideal: CIIdeal) -> bool:
     """Exact homogeneous membership: the normal form by the generators is zero."""
     if not poly.is_homogeneous():
         raise ValueError("membership test expects a homogeneous polynomial")
-    tails = generator_tails(ideal.spec, ideal.phi.entries)
-    return not ci_normal_form(poly.terms, ideal.spec.exponents, tails)
+    return not ci_normal_form(poly.terms, ideal.spec.exponents, ideal.tails)
 
 
 @dataclass
@@ -438,9 +437,9 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
 
 
 def in_chart(spec: MonomialSpec, points) -> list[tuple]:
-    """The r points (n + 1 coordinates each) scaled to a0 = 1, exactly on exact coordinates.
-
-    A wrong point count, a point of the wrong length or one with a0 = 0 raises ValueError.
+    """The r points (n + 1 coordinates each) scaled to a0 = 1, exactly on exact coordinates;
+    a point with a float coordinate is complex throughout, as ``linalg.solve`` reads it.
+    A wrong point count or length, a0 = 0 or a value past float range raises ValueError.
     """
     coords_list = _coords(points)
     if len(coords_list) != spec.rank:
@@ -448,6 +447,11 @@ def in_chart(spec: MonomialSpec, points) -> list[tuple]:
     for j, p in enumerate(coords_list):
         if len(p) != spec.n + 1:
             raise ValueError(f"point {j}: expected {spec.n + 1} coordinates, got {len(p)}")
+        if any(isinstance(c, (float, complex)) for c in p):
+            try:
+                p = coords_list[j] = [complex(c) for c in p]
+            except OverflowError:
+                raise ValueError(f"point {j} is outside float range") from None
         if not p[0]:
             raise ValueError(f"point {j} has a0 = 0: it is outside the chart a0 = 1")
     return [tuple(c / p[0] for c in _exactify(p)) for p in coords_list]

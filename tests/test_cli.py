@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -10,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from waring import MonomialSpec, cli
+from waring import MonomialSpec, cli, explicit_decomposition, ideals, serialize
 from waring.cli import main
 
-from oracles import q_t_diagnostic
+from oracles import points_from_decomposition, q_t_diagnostic
 
 
 def run(capsys, *argv):
@@ -205,6 +206,20 @@ class TestIdealAndRadical:
         assert data["phi"]["canonical"] is True
         assert data["generators"][1] == "-2*a0^4*a2^2 + a2^6"
 
+    @pytest.mark.parametrize("extra, built", [([], 1), (["--canonicalize"], 2)])
+    def test_ideal_builds_the_tails_once_per_phi(self, capsys, monkeypatch, extra, built):
+        # make_ci_ideal builds them and membership reads ideal.tails; canonicalizing
+        # builds those of the phi as given
+        argv = ["ideal", "1,1,5", "--phi", "2", "--phi", "a1^2*a2^2", *extra,
+                "--member", "a2^6 - 2*a0^2*a2^4"]
+        plain = run(capsys, *argv)
+        calls = []
+        original = ideals.generator_tails
+        monkeypatch.setattr(ideals, "generator_tails",
+                            lambda *args: calls.append(args) or original(*args))
+        assert run(capsys, *argv) == plain and plain[0] == 0
+        assert len(calls) == built
+
 
 class TestPointsFitNormalize:
     def test_points_then_fit_phi(self, capsys, tmp_path):
@@ -277,6 +292,42 @@ class TestPointsFitNormalize:
         path.write_text(json.dumps({"points": [["1", "1"], [a0, "1"]]}))
         code, data = run_json(capsys, "fit-phi", "x*y", "--points", str(path))
         assert (code, data) == (2, {"error": "point 1 has a0 = 0: it is outside the chart a0 = 1"})
+
+    def test_fit_phi_reads_a_point_with_cyclotomic_and_float_records(self, capsys, tmp_path):
+        # the explicit points of x*y^3*z^3, one coordinate of a point with a cyclotomic
+        # record written as a float record: that point is fitted in complex throughout
+        spec = MonomialSpec.parse("x*y^3*z^3")
+        data = serialize.pointset_to_json(
+            points_from_decomposition(explicit_decomposition(spec), spec))
+        j, k = next((j, k) for j, p in enumerate(data["points"]) for k in (1, 2)
+                    if isinstance(p[k], dict) and isinstance(p[3 - k], str))
+        value = complex(serialize.scalar_from_json(data["points"][j][3 - k]))
+        data["points"][j][3 - k] = {"re": value.real, "im": value.imag}
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(data))
+        code, out = run_json(capsys, "fit-phi", "x*y^3*z^3", "--points", str(path))
+        assert code == 0
+        for entry in out["phi"]["entries"]:  # the explicit phi: a0^2 for each entry
+            got = {tuple(t["exponent"]): complex(t["coeff"]["re"], t["coeff"]["im"])
+                   for t in entry}
+            assert (2, 0, 0) in got
+            assert all(abs(c - (e == (2, 0, 0))) < 1e-12 for e, c in got.items())
+
+    def test_fit_phi_mixed_records_end_in_json(self, capsys, tmp_path):
+        # a cyclotomic and a float record in one point, 15 rational points that fit nothing
+        points = [["1", {"conductor": 3, "coeffs": ["0", "1"]}, {"re": 1.0}]]
+        points += [["1", str(j), str(j * j % 7 + 1)] for j in range(1, 16)]
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"points": points}))
+        code, data = run_json(capsys, "fit-phi", "x*y^3*z^3", "--points", str(path))
+        assert code in (0, 1) and (code == 0 or set(data) == {"error"})
+
+    def test_fit_phi_mixed_records_past_float_range(self, capsys, tmp_path):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"points": [["1", "1"], [{"re": 1.0}, "1" + "0" * 400]]}))
+        code, data = run_json(capsys, "fit-phi", "x*y", "--points", str(path))
+        assert code == 2
+        assert data["error"].startswith("point 1 is outside float range")
 
 
 class TestRefinedPoints:
@@ -809,3 +860,116 @@ def test_exact_commands_do_not_import_numpy(capsys, tmp_path, argv):
                           text=True, timeout=60, check=True)
     assert done.stdout.splitlines()[0] == "False"
     assert done.stderr.split() == ["False", "0"]
+
+
+class TestOptionContract:
+    """Every option counts: with it and without it, stdout differs.
+
+    The pairs come from ``build_parser()``, so a new option without a case here
+    fails ``test_every_option_has_a_case``.  A refusal (exit 2 with a JSON
+    error) on one side counts as a difference; a refusal on both sides shows
+    nothing.  "{float}" and "{points}" are files written by ``decompose`` and
+    ``points`` of x*y^2 at seed 0.
+    """
+
+    # (command, option) -> (argv without the option, argv with it)
+    CASES = {
+        (None, "--format"): (["rank", "x*y"], ["--format", "text", "rank", "x*y"]),
+        ("decompose", "--phi"): (["decompose", "x*y^2", "--seed", "0"],
+                                 ["decompose", "x*y^2", "--seed", "0", "--phi", "a0 + 2*a1"]),
+        ("decompose", "--seed"): (["decompose", "x*y^2"], ["decompose", "x*y^2", "--seed", "0"]),
+        ("decompose", "--tol"): (["decompose", "x*y^2", "--seed", "0"],
+                                 ["decompose", "x*y^2", "--seed", "0", "--tol", "1e-30"]),
+        # the seed variable alone makes decompose sample a phi; --exact keeps the explicit one
+        ("decompose", "--exact"): (["decompose", "x*y^2"], ["decompose", "x*y^2", "--exact"]),
+        ("verify", "--tol"): (["verify", "x*y^2", "--input", "{float}"],
+                              ["verify", "x*y^2", "--input", "{float}", "--tol", "1e-30"]),
+        ("verify", "--input"): (["verify", "x*y^2"], ["verify", "x*y^2", "--input", "{float}"]),
+        ("hilbert", "--t-max"): (["hilbert", "x*y"], ["hilbert", "x*y", "--t-max", "1"]),
+        ("ideal", "--phi"): (["ideal", "x*y^2"], ["ideal", "x*y^2", "--phi", "a1"]),
+        ("ideal", "--canonicalize"): (
+            ["ideal", "1,1,5", "--phi", "2", "--phi", "a1^2*a2^2"],
+            ["ideal", "1,1,5", "--phi", "2", "--phi", "a1^2*a2^2", "--canonicalize"]),
+        ("ideal", "--member"): (["ideal", "x*y^2"], ["ideal", "x*y^2", "--member", "a1^3"]),
+        ("radical", "--phi"): (["radical", "x*y^2"], ["radical", "x*y^2", "--phi", "1/2*a0 + a1"]),
+        ("points", "--phi"): (["points", "x*y^2", "--seed", "0"],
+                              ["points", "x*y^2", "--seed", "0", "--phi", "a0 + 2*a1"]),
+        ("points", "--seed"): (["points", "x*y^2"], ["points", "x*y^2", "--seed", "0"]),
+        # --tol 10 crowds every point of x*y^2 into the first
+        ("points", "--tol"): (["points", "x*y^2", "--seed", "0"],
+                              ["points", "x*y^2", "--seed", "0", "--tol", "10"]),
+        ("fit-phi", "--points"): (["fit-phi", "x*y^2"],
+                                  ["fit-phi", "x*y^2", "--points", "{points}"]),
+        ("normalize", "--phi"): (["normalize", "x^2*y^2"], ["normalize", "x^2*y^2", "--phi", "2"]),
+        ("normalize", "--seed"): (["normalize", "x^2*y^2", "--phi", "2"],
+                                  ["normalize", "x^2*y^2", "--phi", "2", "--seed", "0"]),
+        ("normalize", "--tol"): (["normalize", "x^2*y^2", "--phi", "2", "--seed", "0"],
+                                 ["normalize", "x^2*y^2", "--phi", "2", "--seed", "0",
+                                  "--tol", "10"]),
+        ("sample", "--seed"): (["sample", "x*y^2"], ["sample", "x*y^2", "--seed", "0"]),
+        ("sample", "--tol"): (["sample", "x*y^2", "--seed", "0"],
+                              ["sample", "x*y^2", "--seed", "0", "--tol", "1e-30"]),
+        ("sample", "--count"): (["sample", "x*y^2", "--seed", "0"],
+                                ["sample", "x*y^2", "--seed", "0", "--count", "2"]),
+        ("diagnose", "--phi"): (["diagnose", "x*y^2"], ["diagnose", "x*y^2", "--phi", "3*a0 + a1"]),
+        ("diagnose", "--seed"): (["diagnose", "x*y^2"], ["diagnose", "x*y^2", "--seed", "1"]),
+        ("diagnose", "--tol"): (["diagnose", "x*y^2", "--seed", "0"],
+                                ["diagnose", "x*y^2", "--seed", "0", "--tol", "10"]),
+        ("diagnose", "--t-max"): (["diagnose", "x*y^2"], ["diagnose", "x*y^2", "--t-max", "1"]),
+    }
+    ENV = {("decompose", "--exact"): "0"}  # WARING_SEED for the case; unset for the others
+
+    @staticmethod
+    def parser_options():
+        def options(parser):
+            return [a.option_strings[0] for a in parser._actions
+                    if a.option_strings and not isinstance(a, argparse._HelpAction)]
+
+        parser = cli.build_parser()
+        pairs = {(None, option) for option in options(parser)}
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        pairs |= {(name, option) for name, sub in commands.items() for option in options(sub)}
+        return pairs
+
+    @staticmethod
+    def write_files(capsys, tmp_path) -> dict:
+        files = {"float": tmp_path / "float.json", "points": tmp_path / "points.json"}
+        files["float"].write_text(run(capsys, "decompose", "x*y^2", "--seed", "0")[1])
+        files["points"].write_text(run(capsys, "points", "x*y^2", "--seed", "0")[1])
+        return files
+
+    def test_every_option_has_a_case(self):
+        assert self.parser_options() == set(self.CASES)
+
+    @pytest.mark.parametrize("pair", sorted(CASES, key=str))
+    def test_the_option_changes_stdout(self, capsys, tmp_path, monkeypatch, pair):
+        monkeypatch.delenv("WARING_SEED", raising=False)
+        files = self.write_files(capsys, tmp_path)
+        if pair in self.ENV:
+            monkeypatch.setenv("WARING_SEED", self.ENV[pair])
+        without, with_ = ([arg.format(**files) for arg in argv] for argv in self.CASES[pair])
+        (code_without, out_without), (code_with, out_with) = run(capsys, *without), run(
+            capsys, *with_)
+        assert out_with != out_without
+        assert (code_with, code_without) != (2, 2)  # refused both ways: the option shows nothing
+        for code, out in ((code_without, out_without), (code_with, out_with)):
+            assert code == 0 or (code in (1, 2) and set(json.loads(out)) == {"error"})
+
+    def test_main_parses_the_monomial_once(self, capsys, tmp_path, monkeypatch):
+        # every command, through every case: one parse per call that reaches the command
+        monkeypatch.delenv("WARING_SEED", raising=False)
+        files = self.write_files(capsys, tmp_path)
+        seen = []
+        parse = MonomialSpec.parse
+        monkeypatch.setattr(MonomialSpec, "parse",
+                            staticmethod(lambda text: seen.append(text) or parse(text)))
+        commands = set()
+        optionless = [["bounds", "x*y"], ["vsp-dim", "x*y"]]
+        for argv in [argv for pair in self.CASES.values() for argv in pair] + optionless:
+            seen.clear()
+            code, _ = run(capsys, *(arg.format(**files) for arg in argv))
+            if code != 2:
+                assert len(seen) == 1 and seen[0] in argv, (argv, seen)
+                commands.add(argv[argv.index(seen[0]) - 1])
+        assert len(commands) == 13  # every subcommand of build_parser

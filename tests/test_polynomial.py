@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waring import (
     DUAL,
@@ -280,3 +282,92 @@ def test_exponents_of_degree_is_cached_and_immutable():
     assert exponents_of_degree(4, 6) is exponents_of_degree(4, 6)
     assert isinstance(exponents_of_degree(4, 6), tuple)
     assert exponents_of_degree(3, -1) == ()
+
+
+exps = st.tuples(*[st.integers(0, 2)] * 3)
+coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+polys = st.dictionaries(exps, coeffs, max_size=6)
+homogeneous = st.integers(0, 3).flatmap(
+    lambda d: st.dictionaries(st.sampled_from(exponents_of_degree(3, d)), coeffs, max_size=6))
+
+
+class TestZeroTermsHaveOneOwner:
+    """Only the ``SparsePoly`` constructor drops zero terms; every builder just sums.
+
+    Each builder is checked against a plain dict-of-``Fraction`` reference that sums
+    (exponent, coefficient) pairs and then drops the zeros.  Exponents up to 2 in 3
+    variables and coefficients in [-2, 2] with denominators up to 2 make terms cancel
+    often.
+    """
+
+    @staticmethod
+    def reference(pairs) -> dict:
+        out = {}
+        for e, c in pairs:
+            out[e] = out.get(e, 0) + Fraction(c)
+        return {e: c for e, c in out.items() if c}
+
+    @staticmethod
+    def check(poly, want):
+        assert all(poly.terms.values()), poly.terms  # no zero coefficient is stored
+        assert poly.terms == want
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(polys, polys)
+    def test_sums_differences_and_negation(self, f, g):
+        pf, pg = SparsePoly(3, DUAL, f), SparsePoly(3, DUAL, g)
+        self.check(pf, self.reference(f.items()))
+        self.check(pf + pg, self.reference([*f.items(), *g.items()]))
+        self.check(pf - pg, self.reference([*f.items(), *((e, -c) for e, c in g.items())]))
+        self.check(-pf, self.reference((e, -c) for e, c in f.items()))
+        self.check(pf + -pf, {})
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(polys, polys)
+    def test_products(self, f, g):
+        product = SparsePoly(3, PRIMAL, f) * SparsePoly(3, PRIMAL, g)
+        self.check(product, self.reference(
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in f.items() for e2, c2 in g.items()))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(homogeneous, st.integers(0, 2))
+    def test_dehomogenize(self, f, var_index):
+        got = dehomogenize(SparsePoly(3, DUAL, f), var_index)
+        self.check(got, self.reference(
+            (tuple(0 if i == var_index else ei for i, ei in enumerate(e)), c)
+            for e, c in f.items()))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(polys, polys)
+    def test_apply_diff(self, op, target):
+        got = apply_diff(SparsePoly(3, DUAL, op), SparsePoly(3, PRIMAL, target))
+        self.check(got, self.reference(
+            (tuple(ei - si for ei, si in zip(e, s)),
+             prod(factorial(ei) // factorial(ei - si) for ei, si in zip(e, s)) * cs * ce)
+            for s, cs in op.items() for e, ce in target.items()
+            if all(ei >= si for ei, si in zip(e, s))))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.lists(st.tuples(coeffs, exps), max_size=8))
+    def test_parse_poly(self, terms):
+        def term(c, e):
+            body = "*".join(f"a{i}^{ei}" for i, ei in enumerate(e) if ei)
+            return f"{abs(c)}*{body}" if body else str(abs(c))
+
+        text = "".join(("-" if c < 0 else "+") + term(c, e) for c, e in terms) or "0"
+        self.check(parse_poly(text, 3, DUAL), self.reference((e, c) for c, e in terms))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(polys)
+    def test_equality_ignores_term_order(self, f):
+        items = list(f.items())
+        assert SparsePoly(3, DUAL, dict(reversed(items))) == SparsePoly(3, DUAL, f)
+        assert SparsePoly(3, PRIMAL, f) != SparsePoly(3, DUAL, f)
+
+    def test_a_term_that_cancels_and_returns(self):
+        # the returning a0 keeps its first place in ``terms``; == reads no order
+        again = D("a0 + a1 - a0 + a0")
+        assert list(again.terms) == [(1, 0, 0), (0, 1, 0)]
+        assert again == D("a1 + a0") and list(D("a1 + a0").terms) == [(0, 1, 0), (1, 0, 0)]
+        assert again != D("a1 + 2*a0")
