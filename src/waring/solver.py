@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import product
 from math import lcm
 
-from .groebner import ci_normal_form
+from .groebner import ci_normal_form, ci_normal_forms
 from .ideals import CIIdeal, PhiTuple
 from .linalg import _exactify, exact_rank, nullspace_mod_p, rational_reconstruction
 from .monomials import COMPLEX_FLOAT, Decomposition, MonomialSpec
@@ -155,9 +155,11 @@ def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
     coefficients, a term c * a^e of psi_i becomes the int c * D^(d_i + 1 - |e|)
     (d_i + 1 - |e| >= d0 + 1), and every leading coefficient is 1, so the
     reduction runs in int.  It strictly drops degree (deg psi_i <= d_i - d0),
-    so normal forms terminate; pairwise commutation of the resulting matrices
-    is asserted, failure would mean a reduction bug.  A coefficient that is
-    not int or Fraction raises TypeError.
+    so normal forms terminate; all n*r columns share one memo
+    (``ci_normal_forms``), which reduces each nonstandard monomial once.
+    Pairwise commutation of the resulting matrices is asserted, failure would
+    mean a reduction bug.  A coefficient that is not int or Fraction raises
+    TypeError.
     """
     n = spec.n
     if len(phi) != n:
@@ -170,24 +172,18 @@ def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
     psi = tuple(SparsePoly(n + 1, DUAL, {e: c.numerator * scale ** (d + 1 - sum(e)) // c.denominator
                                      for e, c in dehomogenize(p, 0).terms.items()})
                 for d, p in zip(spec.exponents[1:], phi.entries))
-    bounds = spec.exponents
     basis = standard_monomials(spec)
     index = {e: i for i, e in enumerate(basis)}
 
-    columns = []
-    for i in range(1, n + 1):
-        cols_i = []
-        for e in basis:
-            lifted = tuple(ei + 1 if j == i else ei for j, ei in enumerate(e))
-            if lifted in index:
-                cols_i.append(((index[lifted], 1),))
-            else:
-                reduced = ci_normal_form({lifted: 1}, bounds, psi)
-                cols_i.append(tuple(sorted((index[t], c) for t, c in reduced.items())))
-        columns.append(tuple(cols_i))
+    lifted = [[tuple(x + (j == i) for j, x in enumerate(e)) for e in basis]
+              for i in range(1, n + 1)]
+    outside = {t for row in lifted for t in row if t not in index}
+    forms = ci_normal_forms(outside, spec.exponents, psi, index)
+    columns = tuple(tuple(((index[t], 1),) if t in index else tuple(sorted(forms[t].items()))
+                          for t in row) for row in lifted)
 
     algebra = QuotientAlgebra(spec=spec, phi=phi, basis=tuple(basis), index=index,
-                              columns=tuple(columns), scale=scale, psi=psi)
+                              columns=columns, scale=scale, psi=psi)
     _assert_commuting(algebra)
     return algebra
 
@@ -203,8 +199,10 @@ def _assert_commuting(q: QuotientAlgebra):
                     )
 
 
-# Mersenne primes tried in turn: a larger one lifts larger kernel entries, on larger residues
-TRACE_PRIMES = (2**61 - 1, 2**127 - 1, 2**521 - 1)
+# Mersenne primes tried in turn.  Any one proves full rank by an empty kernel, and 2^31 - 1
+# packs a residue into 9 bytes of ``nullspace_mod_p`` instead of 17; a larger prime lifts
+# kernel entries past its reconstruction bound isqrt(p // 2), about 2^15 for 2^31 - 1.
+TRACE_PRIMES = (2**31 - 1, 2**61 - 1, 2**127 - 1, 2**521 - 1)
 
 
 def _jacobian_columns(q: QuotientAlgebra) -> list[list[int]]:
@@ -285,9 +283,12 @@ def trace_form_rank(q: QuotientAlgebra) -> int:
     normal form of h, so T = R * M_J with the perfect pairing R[a][b] =
     Res(basis[a] * basis[b]), and rank M_J = rank T.  The int columns of M_J
     are the rows ranked mod each p of ``TRACE_PRIMES`` in turn: the rank mod p
-    never exceeds the rank over Q, so an empty kernel proves full rank, and
-    kernel vectors that lift to Q prove the rank; after the last prime, exact
-    elimination decides.  A column entry that is not int raises TypeError.
+    never exceeds the rank over Q, so an empty kernel proves full rank at any
+    of them, the first and cheapest included, and kernel vectors that lift to
+    Q and check exactly prove the rank.  A kernel whose lifts fail (entries
+    past the prime's reconstruction bound, or a rank that only drops mod p)
+    falls through to the next prime; after the last, exact elimination
+    decides.  A column entry that is not int raises TypeError.
     """
     other = {type(c) for cols in q.columns for col in cols for _, c in col} - {int}
     if other:
@@ -438,16 +439,18 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
 
 def in_chart(spec: MonomialSpec, points) -> list[tuple]:
     """The r points (n + 1 coordinates each) scaled to a0 = 1, exactly on exact coordinates;
-    a point with a float coordinate is complex throughout, as ``linalg.solve`` reads it.
-    A wrong point count or length, a0 = 0 or a value past float range raises ValueError.
+    once any point holds a float coordinate every point is complex, as ``linalg.solve``
+    reads them all.  A wrong point count or length, a0 = 0 or a value past float range
+    raises ValueError.
     """
     coords_list = _coords(points)
     if len(coords_list) != spec.rank:
         raise ValueError(f"expected {spec.rank} points, got {len(coords_list)}")
+    floats = any(isinstance(c, (float, complex)) for p in coords_list for c in p)
     for j, p in enumerate(coords_list):
         if len(p) != spec.n + 1:
             raise ValueError(f"point {j}: expected {spec.n + 1} coordinates, got {len(p)}")
-        if any(isinstance(c, (float, complex)) for c in p):
+        if floats:
             try:
                 p = coords_list[j] = [complex(c) for c in p]
             except OverflowError:

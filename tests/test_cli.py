@@ -329,6 +329,14 @@ class TestPointsFitNormalize:
         assert code == 2
         assert data["error"].startswith("point 1 is outside float range")
 
+    def test_fit_phi_float_point_beside_a_huge_exact_point(self, capsys, tmp_path):
+        # the float record is in point 0, so point 1 holds exact coordinates only; it is
+        # converted all the same, since the solve reads every point in complex
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"points": [["1", {"re": 1.0}], ["1", "1" + "0" * 400]]}))
+        code, data = run_json(capsys, "fit-phi", "x*y", "--points", str(path))
+        assert (code, data) == (2, {"error": "point 1 is outside float range"})
+
 
 class TestRefinedPoints:
     """x*y^5*z^5*w^5, seed 0: trace rank 216 of 216, and the fit on the eigenvalue points

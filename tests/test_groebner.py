@@ -1,18 +1,29 @@
 """Normal forms modulo I(k, phi): membership, remainders and canonical phi."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from waring import MonomialSpec, PhiTuple, canonicalize_phi, ideal_membership, make_ci_ideal
+from waring import (
+    MonomialSpec,
+    PhiTuple,
+    build_quotient,
+    canonicalize_phi,
+    explicit_phi,
+    ideal_membership,
+    make_ci_ideal,
+)
 from waring.cyclotomic import root_of_unity
 from waring.groebner import ci_normal_form
 from waring.ideals import generator_tails
 from waring.linalg import exact_rank
 from waring.polynomial import DUAL, SparsePoly, exponents_of_degree, parse_poly
+from waring.vsp import parameter_space, sample_phi
 
 from oracles import coefficient
+from test_solver import dense_phi
 
 SPECS = [(1, 2), (1, 3), (1, 2, 3), (1, 1, 5), (2, 2, 3), (1, 2, 2, 3)]
 
@@ -234,20 +245,62 @@ def assert_each_popped_once(calls):
         assert len(popped) == len(set(popped))
 
 
-@pytest.mark.parametrize("exps", [(1, 2, 3), (1, 1, 2, 3), (2, 2, 3, 3), (1, 3, 3, 3)])
-def test_quotient_columns_match_the_lifo_reduction(monkeypatch, pops, exps):
-    from waring import build_quotient
-    import waring.solver as solver
-    from waring.vsp import parameter_space, sample_phi
+def per_column(q, normal_form):
+    """The multiplication matrices of q rebuilt with one ``normal_form`` call per nonstandard
+    column, as ``build_quotient`` built them before its memo."""
+    columns = []
+    for i in range(1, q.spec.n + 1):
+        lifted = [tuple(x + (j == i) for j, x in enumerate(e)) for e in q.basis]
+        columns.append(tuple(
+            ((q.index[t], 1),) if t in q.index else tuple(sorted(
+                (q.index[m], c) for m, c in normal_form({t: 1}, q.spec.exponents, q.psi).items()))
+            for t in lifted))
+    return tuple(columns)
 
+
+@pytest.fixture
+def rewrites(monkeypatch):
+    """Every monomial the reductions rewrite, in order."""
+    import waring.groebner as groebner
+
+    seen = []
+    rewrite = groebner._rewrite
+    monkeypatch.setattr(groebner, "_rewrite", lambda e, *rest: seen.append(e) or rewrite(e, *rest))
+    return seen
+
+
+@pytest.mark.parametrize("exps", [(1, 2, 3), (1, 1, 2, 3), (2, 2, 3, 3), (1, 3, 3, 3)])
+def test_quotient_columns_match_the_lifo_reduction(rewrites, exps):
     spec = MonomialSpec.from_exponents(exps)
     for seed in range(3):
-        phi = sample_phi(parameter_space(spec), seed)
-        heap_columns = build_quotient(spec, phi).columns
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "ci_normal_form", lifo_normal_form)
-            assert build_quotient(spec, phi).columns == heap_columns
-    assert_each_popped_once(pops)
+        rewrites.clear()
+        q = build_quotient(spec, sample_phi(parameter_space(spec), seed))
+        assert rewrites and len(rewrites) == len(set(rewrites))  # no monomial reduced twice
+        assert q.columns == per_column(q, lifo_normal_form)
+
+
+@pytest.mark.parametrize("kind", ["sampled", "dense", "rational", "explicit"])
+@pytest.mark.parametrize("exps", [(1, 2, 3), (2, 3, 5), (1, 3, 3, 3), (1, 1, 1, 2, 2, 2)])
+def test_memo_columns_match_one_normal_form_per_column(kind, exps):
+    spec = MonomialSpec.from_exponents(exps)
+    phi = {"sampled": lambda: sample_phi(parameter_space(spec), 0),
+           "dense": lambda: dense_phi(spec, 1, 1),
+           "rational": lambda: dense_phi(spec, 0, 35),
+           "explicit": lambda: explicit_phi(spec)}[kind]()
+    q = build_quotient(spec, phi)
+    assert (q.scale > 1) == (kind == "rational")
+    assert q.columns == per_column(q, ci_normal_form)
+
+
+def test_long_rewrite_chain_builds_without_recursion():
+    # x*y*z^2100 with phi = (1, a1^2099): b_2 * a1 * a2^2100 -> a1^2100, which a1^2 -> 1
+    # rewrites 1050 times, one memo entry per step: a chain past the recursion limit
+    spec = MonomialSpec.from_exponents((1, 1, 2100))
+    assert 2100 // 2 > sys.getrecursionlimit()
+    q = build_quotient(spec, PhiTuple(spec, [SparsePoly.constant(3, DUAL, 1),
+                                             SparsePoly.monomial(3, DUAL, (0, 2099, 0))]))
+    for a1, image in ((0, (0, 1, 0)), (1, (0, 0, 0))):
+        assert q.columns[1][q.index[(0, a1, 2100)]] == ((q.index[image], 1),)
 
 
 @pytest.mark.parametrize("exps", SPECS)

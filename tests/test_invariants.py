@@ -38,6 +38,17 @@ def _half_lift_quotient():
     return replace(q, columns=columns)
 
 
+def _constant_normal_forms(monkeypatch):
+    """A corrupted memo reduction: every nonstandard column reads 1, the constant's row."""
+    monkeypatch.setattr(solver, "ci_normal_forms",
+                        lambda monomials, exponents, tails, index: dict.fromkeys(monomials, {0: 1}))
+
+
+def _explicit_quotient_of_xy2z3():
+    spec = MonomialSpec.parse("x*y^2*z^3")
+    return solver.build_quotient(spec, ideals.explicit_phi(spec))
+
+
 # (break one side of an invariant, call that checks it, the message it must name)
 CASES = [
     pytest.param(
@@ -71,10 +82,7 @@ CASES = [
         lambda: vsp.fit_phi_from_points(MonomialSpec.parse("x*y*z"), _points_of_xyz()),
         "non-canonical", id="fit_phi_from_points"),
     pytest.param(
-        lambda mp: mp.setattr(solver, "ci_normal_form",
-                              lambda terms, bounds, tails: {(0,) * len(bounds): 1}),
-        lambda: solver.build_quotient(MonomialSpec.parse("x*y^2*z^3"),
-                                      ideals.explicit_phi(MonomialSpec.parse("x*y^2*z^3"))),
+        _constant_normal_forms, _explicit_quotient_of_xy2z3,
         "multiplication matrices 1 and 2 do not commute", id="build_quotient"),
 ]
 
@@ -116,6 +124,23 @@ def test_trace_form_type_check_survives_optimized_mode():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert "trace form requires int entries, got Fraction" in out
+
+
+def test_corrupted_reduction_raises_in_optimized_mode():
+    tests = Path(__file__).resolve().parent
+    code = (
+        "from types import SimpleNamespace\n"
+        "from test_invariants import _constant_normal_forms, _explicit_quotient_of_xy2z3\n"
+        "_constant_normal_forms(SimpleNamespace(setattr=setattr))\n"
+        "try:\n"
+        "    _explicit_quotient_of_xy2z3()\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "multiplication matrices 1 and 2 do not commute\n"
 
 
 def test_zero_jacobian_raise_survives_optimized_mode():

@@ -199,12 +199,12 @@ def ranks_with_corrupted_lifts(corrupt):
 
     The first phi is deficient, and a corrupted lift of its kernel is no kernel
     vector: every prime must reject its lifts, and exact elimination decides.  The
-    second has full rank over Q, but M_J drops rank mod 2^61 - 1: a lift accepted
-    there would report a rank below 9.
+    second has full rank over Q, but a1^3 = 2^31 - 1 makes a1 nilpotent mod 2^31 - 1,
+    so M_J drops rank there and its kernel is reconstructed: a lift accepted there
+    would report a rank below 9.
     """
     x2y2z2 = MonomialSpec.parse("x^2*y^2*z^2")
-    cases = [mixed_kernel_phi(),
-             (x2y2z2, phi_of(x2y2z2, Fraction(1, 2**61 - 1), Fraction(3)))]
+    cases = [mixed_kernel_phi(), (x2y2z2, phi_of(x2y2z2, 2**31 - 1, 3))]
     calls = []
     reconstruct, rank = solver.rational_reconstruction, solver.exact_rank
     solver.rational_reconstruction = lambda a, p: corrupt(reconstruct(a, p))
@@ -293,19 +293,21 @@ class TestModularCertificate:
                             lambda rows, p: primes.append(p) or kernel(rows, p))
         spec = MonomialSpec.parse(text)
         rank, r = self.check(spec, dense_phi(spec, 0, denominator), exact_calls, 0)
-        assert rank < r and primes == [2**61 - 1]
+        assert rank < r and primes == [2**31 - 1]
 
     @pytest.mark.parametrize("lam", [6, 35, 1000])
     def test_torus_image_is_certified_at_the_first_prime(self, exact_calls, monkeypatch, lam):
         # D = lam^3, and the kernel of M_J^T in the b_j is Delta = diag(D^|b|) times the one
-        # in the a_j: weighted by D^-|b| it reconstructs mod 2^61 - 1, by D^|b| it would not
+        # in the a_j: weighted by D^-|b| it reconstructs mod 2^61 - 1, by D^|b| it would not.
+        # Its entries reach lam^3, past the bound 2^15 of 2^31 - 1 from lam = 35 on
+        want = {6: [2**31 - 1], 35: [2**31 - 1, 2**61 - 1], 1000: [2**31 - 1, 2**61 - 1]}[lam]
         primes = []
         kernel = solver.nullspace_mod_p
         monkeypatch.setattr(solver, "nullspace_mod_p",
                             lambda rows, p: primes.append(p) or kernel(rows, p))
         spec, phi = mixed_kernel_phi(lam)
         assert self.check(spec, phi, exact_calls, 0) == (13, 16)
-        assert build_quotient(spec, phi).scale == lam**3 and primes == [2**61 - 1]
+        assert build_quotient(spec, phi).scale == lam**3 and primes == want
 
     @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=["shifted", "zero"])
     def test_corrupted_lift_is_rejected(self, corrupt):
@@ -352,9 +354,43 @@ class TestModularCertificate:
 
     def test_denominator_divisible_by_p_is_certified_by_the_next_prime(self, exact_calls,
                                                                         x2y2z2):
-        # mod 2^61 - 1 the rescaled form drops rank, no lift passes, and 2^127 - 1 certifies
+        # D = 2^61 - 1 is a unit mod 2^31 - 1, which certifies; mod 2^61 - 1 the rescaled
+        # form would drop rank (the next test has D = 2^31 - 1)
         phi = phi_of(x2y2z2, Fraction(1, 2**61 - 1), Fraction(3))
         assert self.check(x2y2z2, phi, exact_calls, 0) == (9, 9)
+
+    def test_denominator_of_the_first_prime_is_certified_by_the_second(self, exact_calls,
+                                                                        monkeypatch, x2y2z2):
+        # D = 2^31 - 1: mod the first prime the rescaled form drops rank and no lift is
+        # tried (p divides D), and 2^61 - 1 certifies full rank
+        kernels = []  # (prime, kernel dimension)
+        kernel = solver.nullspace_mod_p
+
+        def counting(rows, p):
+            basis = kernel(rows, p)
+            kernels.append((p, len(basis)))
+            return basis
+
+        monkeypatch.setattr(solver, "nullspace_mod_p", counting)
+        phi = phi_of(x2y2z2, Fraction(1, 2**31 - 1), Fraction(3))
+        assert self.check(x2y2z2, phi, exact_calls, 0) == (9, 9)
+        assert [p for p, _ in kernels] == [2**31 - 1, 2**61 - 1]
+        assert kernels[0][1] > 0 and kernels[1][1] == 0
+
+    @pytest.mark.parametrize("kind", ["sampled", "dense", "torus"])
+    def test_first_prime_keeps_every_rank(self, monkeypatch, kind):
+        # 36 phi per kind: the rank with 2^31 - 1 first equals the rank with 2^61 - 1 first
+        specs = [MonomialSpec.parse(t) for t in ("x*y^2*z^3", "x*y^3*z^3", "x*y*z^2*w^3")]
+        cases = {
+            "sampled": lambda: [(s, sample_phi(parameter_space(s), seed))
+                                for s in specs for seed in range(12)],
+            "dense": lambda: [(s, dense_phi(s, seed)) for s in specs for seed in range(12)],
+            "torus": lambda: [mixed_kernel_phi(lam) for lam in range(1, 37)],
+        }[kind]()
+        quotients = [build_quotient(spec, phi) for spec, phi in cases]
+        new = [trace_form_rank(q) for q in quotients]
+        monkeypatch.setattr(solver, "TRACE_PRIMES", (2**61 - 1, 2**127 - 1, 2**521 - 1))
+        assert [trace_form_rank(q) for q in quotients] == new
 
     def test_cyclotomic_quotient_is_refused(self, exact_calls, x2y2z2):
         # the parser makes only rational phi: a CycloScalar entry is refused like a float
