@@ -57,7 +57,6 @@ from .vsp import (
     TorusElement,
     VSPParameterSpace,
     apply_torus,
-    check_alpha0_nonzero,
     decompose_from_phi,
     fit_phi_from_points,
     parameter_space,
@@ -89,7 +88,6 @@ __all__ = [
     "basis_Bprime",
     "build_quotient",
     "canonicalize_phi",
-    "check_alpha0_nonzero",
     "cyclotomic_poly",
     "decompose_from_phi",
     "dehomogenize",

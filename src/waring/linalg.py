@@ -4,9 +4,10 @@ The exact routines only need field operations (+, -, *, /, truthiness), so
 they work uniformly for Fraction and CycloScalar entries.  ``nullspace_mod_p``
 gives a kernel basis of an integer matrix over Z/p (its length is the number
 of columns less the rank mod p, which never exceeds the rank over Q); it
-eliminates on rows packed into one int each, one field per column, so a row
-update is one big-int multiply-add.  ``rational_reconstruction`` lifts a
-residue mod p to a fraction.
+peels the rows with one nonzero entry, then eliminates on rows packed into
+one int each, one field per column, so a row update is one big-int
+multiply-add.  ``rational_reconstruction`` lifts a residue mod p to a
+fraction.
 Floating-point ranks use an SVD with the relative cutoff ``RANK_CUTOFF``; numpy
 is imported only by the float routines, so exact work never loads it.
 
@@ -19,6 +20,7 @@ least squares reads at ``RANK_CUTOFF``, and on a residual above ``SOLVE_TOL``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt
 
 from .cyclotomic import CycloScalar
@@ -90,8 +92,61 @@ def exact_rank(rows) -> int:
 def nullspace_mod_p(rows, p: int) -> list[list[int]]:
     """A basis of the right kernel over Z/p (p prime) of a matrix of integers.
 
-    One vector per free (non-pivot) column of the echelon form: 1 on that
-    column, 0 on the other free columns and after it, entries in [0, p).
+    One vector per free (non-pivot) column of the column-order echelon form:
+    1 on that column, 0 on the other free columns and after it, entries in
+    [0, p).  Such a basis is unique, since the free columns are those in the
+    span of the columns before them.
+
+    Singleton rows are peeled first, the first phase of structured Gaussian
+    elimination (LaMacchia & Odlyzko, 1990).  A row with exactly one entry
+    nonzero mod p forces that entry's column to 0 in every kernel vector,
+    and the column is a pivot, since no earlier column reaches that row.  So
+    the row and the column are dropped, and again for every row that the
+    drop leaves with one nonzero entry, until none is left; rows left with
+    none drop too.  The kernel is then that of the rest, with 0 in each
+    dropped column, and its free columns, so its basis, are the same.  An
+    entry that is a nonzero multiple of p counts as zero: counting it would
+    overstate the rank mod p.  The rest goes to ``_packed_kernel``.
+    """
+    ncols = len(rows[0]) if rows else 0
+    if not ncols:
+        return []
+    reduced = [[v and v % p for v in row] for row in rows]  # a zero skips the long division
+    count = [ncols - row.count(0) for row in reduced]
+    dropped = [False] * ncols
+    todo = [i for i, n in enumerate(count) if n == 1]
+    if todo:
+        support = [list(compress(range(ncols), row)) for row in reduced]
+        hits: list[list[int]] = [[] for _ in range(ncols)]  # column -> the rows nonzero on it
+        for i, cols in enumerate(support):
+            for j in cols:
+                hits[j].append(i)
+    while todo:
+        i = todo.pop()
+        if count[i] != 1:  # its last column was dropped through another row
+            continue
+        j = next(j for j in support[i] if not dropped[j])
+        dropped[j] = True
+        for other in hits[j]:
+            count[other] -= 1
+            if count[other] == 1:
+                todo.append(other)
+    keep = [j for j in range(ncols) if not dropped[j]]
+    if not keep:
+        return []
+    rest = [row for row, n in zip(reduced, count) if n]
+    if len(keep) == ncols:
+        return _packed_kernel(rest, ncols, p)
+    basis = _packed_kernel([[row[j] for j in keep] for row in rest], len(keep), p)
+    out = [[0] * ncols for _ in basis]
+    for full, vector in zip(out, basis):
+        for j, v in zip(keep, vector):
+            full[j] = v
+    return out
+
+
+def _packed_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """The basis of ``nullspace_mod_p`` for rows of ``ncols`` entries in [0, p).
 
     Each live row is one int: field j, w bits wide, holds the row's entry in
     the j-th column not yet eliminated, and every field stays >= 0, so the
@@ -114,16 +169,13 @@ def nullspace_mod_p(rows, p: int) -> list[list[int]]:
     pivot rows are unpacked and normalized only when a free column exists, so
     at full column rank the call costs the forward elimination alone.
     """
-    ncols = len(rows[0]) if rows else 0
-    if not ncols:
-        return []
     k = p.bit_length()
     size = (2 * k + 3 + len(rows).bit_length() + 7) // 8
     w = 8 * size
     mask, c = (1 << w) - 1, (1 << k) - p
     ones = ((1 << w * ncols) - 1) // mask  # 1 in every field
     low, high = ones * ((1 << k) - 1), ones * (mask ^ ((1 << k + 1) - 1))
-    live = [int.from_bytes(b"".join((v % p).to_bytes(size, "little") for v in row), "little")
+    live = [int.from_bytes(b"".join(v.to_bytes(size, "little") for v in row), "little")
             for row in rows]
     pivots = []  # (column, inverse of its head, folded fields of the later columns)
     for col in range(ncols):

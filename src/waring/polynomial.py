@@ -309,10 +309,15 @@ def parse_poly(text: str, num_vars: int, ring: str) -> SparsePoly:
     """Parse "3/2*a1^2*a2 - a0" style input; variables are x0.../a0... by ring.
 
     The one-letter aliases x, y, z, w for x0..x3 (and a, b, c for a0..a2 in
-    the dual ring) are accepted for convenience.
+    the dual ring) are accepted for convenience.  A coefficient whose value is
+    integral is stored as an ``int``, any other as a ``Fraction``: a digit run
+    is read by ``int``, only a "p/q" or decimal literal by ``Fraction``.
     """
     prefix = _VAR_PREFIX[ring]
     aliases = {"x": 0, "y": 1, "z": 2, "w": 3} if ring == PRIMAL else {"a": 0, "b": 1, "c": 2}
+    # the plain names of the variables, read without further checks
+    known = {f"{prefix}{i}": i for i in range(num_vars)}
+    known.update((name, i) for name, i in aliases.items() if i < num_vars)
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise ValueError("empty polynomial")
@@ -325,32 +330,36 @@ def parse_poly(text: str, num_vars: int, ring: str) -> SparsePoly:
     for chunk in re.split(r"(?<!\d[eE])\+", cleaned):
         if not chunk:
             raise ValueError(f"could not parse polynomial {text!r}")
-        coeff = Fraction(1)
+        coeff = 1
         if chunk.startswith("-"):
-            coeff = -coeff
+            coeff = -1
             chunk = chunk[1:]
         exponent = [0] * num_vars
         for factor in chunk.split("*"):
             if not factor:
                 raise ValueError(f"could not parse polynomial {text!r}")
-            name, power = split_power(factor, text)
-            if name[0].isdigit():
-                if not _NUMBER.fullmatch(name):
-                    raise ValueError(f"invalid number {name!r} in {text!r}")
-                try:
-                    coeff *= Fraction(name) ** power
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in {name!r} of {text!r}") from None
-                continue
-            if name.startswith(prefix) and is_digits(name[len(prefix):]):
-                index = int(name[len(prefix):])
-            elif name in aliases:
-                index = aliases[name]
-            else:
-                raise ValueError(f"unknown variable {name!r} in {text!r}")
-            if index >= num_vars:
-                raise ValueError(f"variable {name!r} out of range for {num_vars} variables")
+            name, power = split_power(factor, text) if "^" in factor else (factor, 1)
+            index = known.get(name)
+            if index is None:
+                if name[0].isdigit():
+                    if not _NUMBER.fullmatch(name):
+                        raise ValueError(f"invalid number {name!r} in {text!r}")
+                    try:
+                        value = int(name) if name.isdigit() else Fraction(name)
+                    except ZeroDivisionError:
+                        raise ValueError(f"zero denominator in {name!r} of {text!r}") from None
+                    coeff *= value ** power
+                    continue
+                if name.startswith(prefix) and is_digits(name[len(prefix):]):
+                    index = int(name[len(prefix):])
+                elif name in aliases:
+                    index = aliases[name]
+                else:
+                    raise ValueError(f"unknown variable {name!r} in {text!r}")
+                if index >= num_vars:
+                    raise ValueError(f"variable {name!r} out of range for {num_vars} variables")
             exponent[index] += power
         key = tuple(exponent)
         terms[key] = terms.get(key, 0) + coeff
-    return SparsePoly(num_vars, ring, terms)
+    return SparsePoly(num_vars, ring,
+                      {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()})

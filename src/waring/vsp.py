@@ -220,21 +220,6 @@ def torus_normalize(spec: MonomialSpec, phi: PhiTuple) -> tuple[TorusElement, Ph
     return torus, ones
 
 
-def check_alpha0_nonzero(points) -> bool:
-    """Every point keeps its a0 coordinate away from zero.
-
-    Exact coordinates are tested exactly; a float point p needs
-    |p0| > 1e-8 * ||p||_2, a ratio that no rescaling of the point changes.
-    """
-    for p in _coords(points):
-        if _is_exact_scalar(p[0]):
-            if not p[0]:
-                return False
-        elif abs(complex(p[0])) <= 1e-8 * math.hypot(*(abs(complex(c)) for c in p)):
-            return False
-    return True
-
-
 @dataclass
 class SampleReport:
     """One seeded sample: the phi drawn, its radicality, and verification data."""

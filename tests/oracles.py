@@ -4,9 +4,11 @@ No command runs these: each is the plain, slow form of something the package
 computes another way (the expansion coefficients by closed form, a power of
 a linear form term by term, the summand coefficients by a square solve
 instead of 1/J, q_t by its definition instead of the previous degree's
-dim I_t), or a small reading of a package value that only the tests need.
+dim I_t, every parsed coefficient in ``Fraction``), or a small reading of a
+package value that only the tests need.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -29,11 +31,15 @@ from waring.monomials import (
     verify_decomposition,
 )
 from waring.polynomial import (
+    _NUMBER,
+    _VAR_PREFIX,
     PRIMAL,
     SparsePoly,
     evaluation_matrix,
     exponents_of_degree,
+    is_digits,
     multinomial,
+    split_power,
 )
 from waring.solver import NonRadicalIdealError, PointSet, _coords, in_chart, standard_monomials
 
@@ -186,3 +192,49 @@ def q_t_diagnostic(spec, points, t: int) -> int:
         raise ValueError("points do not match the spec's variable count")
     exponents = [e for e in exponents_of_degree(spec.n + 1, t) if e[0] >= 1]
     return len(exponents) - rank(evaluation_matrix(coords_list, exponents))
+
+
+def fraction_parse_poly(text: str, num_vars: int, ring: str) -> SparsePoly:
+    """``parse_poly`` with every coefficient built in ``Fraction``: the reference for its values
+    and for the text and order of its errors."""
+    prefix = _VAR_PREFIX[ring]
+    aliases = {"x": 0, "y": 1, "z": 2, "w": 3} if ring == PRIMAL else {"a": 0, "b": 1, "c": 2}
+    cleaned = text.replace(" ", "")
+    if not cleaned:
+        raise ValueError("empty polynomial")
+    cleaned = re.sub(r"(?<!\d[eE])(?<!\+)-", "+-", cleaned)
+    if cleaned.startswith("+"):
+        cleaned = cleaned[1:]
+    terms = {}
+    for chunk in re.split(r"(?<!\d[eE])\+", cleaned):
+        if not chunk:
+            raise ValueError(f"could not parse polynomial {text!r}")
+        coeff = Fraction(1)
+        if chunk.startswith("-"):
+            coeff = -coeff
+            chunk = chunk[1:]
+        exponent = [0] * num_vars
+        for factor in chunk.split("*"):
+            if not factor:
+                raise ValueError(f"could not parse polynomial {text!r}")
+            name, power = split_power(factor, text)
+            if name[0].isdigit():
+                if not _NUMBER.fullmatch(name):
+                    raise ValueError(f"invalid number {name!r} in {text!r}")
+                try:
+                    coeff *= Fraction(name) ** power
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {name!r} of {text!r}") from None
+                continue
+            if name.startswith(prefix) and is_digits(name[len(prefix):]):
+                index = int(name[len(prefix):])
+            elif name in aliases:
+                index = aliases[name]
+            else:
+                raise ValueError(f"unknown variable {name!r} in {text!r}")
+            if index >= num_vars:
+                raise ValueError(f"variable {name!r} out of range for {num_vars} variables")
+            exponent[index] += power
+        key = tuple(exponent)
+        terms[key] = terms.get(key, 0) + coeff
+    return SparsePoly(num_vars, ring, terms)

@@ -6,12 +6,13 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from waring import MonomialSpec, cli, explicit_decomposition, ideals, serialize
+from waring import MonomialSpec, cli, explicit_decomposition, groebner, ideals, serialize, solver
 from waring.cli import main
 
 from oracles import points_from_decomposition, q_t_diagnostic
@@ -221,6 +222,30 @@ class TestIdealAndRadical:
         assert len(calls) == built
 
 
+    @pytest.mark.parametrize("phi, member, types", [
+        (["2", "a1^2*a2^2"], "a2^6 - 4/2*a0^4*a2^2", {int}),
+        (["2.0", "3*a1^2*a2^2 - 1e1*a0^2*a1*a2"], "a2^6 - 2*a0^4*a2^2 + a1^6", {int}),
+        (["1/2", "a1^2*a2^2"], "a2^6 - a0^4*a2^2", {int, Fraction}),
+    ])
+    def test_integral_input_reduces_in_int(self, capsys, monkeypatch, phi, member, types):
+        # the coefficients of every input, tail and remainder of the normal forms that
+        # --canonicalize and --member take
+        seen = set()
+        original = groebner.ci_normal_form
+
+        def spy(terms, exponents, tails):
+            out = original(terms, exponents, tails)
+            seen.update(type(c) for poly in (terms, out, *(t.terms for t in tails))
+                        for c in poly.values())
+            return out
+
+        monkeypatch.setattr(ideals, "ci_normal_form", spy)
+        monkeypatch.setattr(solver, "ci_normal_form", spy)
+        argv = ["ideal", "1,1,5", "--phi", phi[0], "--phi", phi[1], "--canonicalize"]
+        assert run(capsys, *argv, "--member", member)[0] == 0
+        assert seen == types
+
+
 class TestPointsFitNormalize:
     def test_points_then_fit_phi(self, capsys, tmp_path):
         code, out = run(capsys, "points", "x*y*z^2", "--seed", "3")
@@ -230,6 +255,12 @@ class TestPointsFitNormalize:
         code, data = run_json(capsys, "fit-phi", "x*y*z^2", "--points", str(path))
         assert code == 0
         assert data["phi"]["canonical"] is True
+
+    @pytest.mark.parametrize("phi", ["a1", "1e-20*a1", "1e20*a1"])
+    def test_points_alpha0_nonzero_is_always_true(self, capsys, phi):
+        # a float test |p0| > 1e-8*||p||_2 read false at 1e20, whose points are about 1e10
+        code, data = run_json(capsys, "points", "x*y^2", "--phi", phi, "--seed", "0")
+        assert code == 0 and data["alpha0_nonzero"] is True
 
     def test_normalize(self, capsys):
         code, data = run_json(
@@ -844,6 +875,8 @@ class TestTMax:
      "--phi=3*a1^2-2*a1*a2+5*a1*a3-a2^2+4*a2*a3-7*a3^2",
      "--phi=-a1^2+6*a1*a2-3*a1*a3+2*a2^2-5*a2*a3+a3^2",
      "--phi=2*a1^2+a1*a2-4*a1*a3-6*a2^2+3*a2*a3+9*a3^2"],
+    # the explicit phi: M_J has one nonzero per row, so its kernel is found by the peel alone
+    ["radical", "x*y^3*z^3*w^3"],
     ["rank", "x*y^2*z^3"],
     ["ideal", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2", "--member", "a1^3"],
     ["ideal", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2", "--canonicalize"],

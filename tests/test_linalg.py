@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from waring import MonomialSpec, explicit_decomposition, linalg
+from waring import MonomialSpec, build_quotient, explicit_decomposition, explicit_phi, linalg
 from waring.cyclotomic import root_of_unity
 from waring.linalg import (
     InconsistentSystem,
@@ -18,8 +18,8 @@ from waring.linalg import (
     rational_reconstruction,
     solve,
 )
-from waring.solver import TRACE_PRIMES, NonRadicalIdealError, PointSet
-from waring.vsp import fit_phi_from_points
+from waring.solver import TRACE_PRIMES, NonRadicalIdealError, PointSet, _jacobian_columns
+from waring.vsp import fit_phi_from_points, parameter_space, sample_phi
 
 from oracles import fit_coefficients, points_from_decomposition
 
@@ -228,6 +228,57 @@ class TestLazyElimination:
         copy = [row[:] for row in matrix]
         nullspace_mod_p(matrix, P)
         assert matrix == copy
+
+
+def sparse_shapes(rng, p):
+    """Matrices whose rows have one nonzero entry, or come to have one as others are peeled."""
+    yield [[0] * j + [rng.choice([1, -1, p - 1, p + 2, 5])] + [0] * (8 - j)
+           for j in (rng.randrange(9) for _ in range(rng.randint(1, 12)))]  # one per row
+    perm = rng.sample(range(9), 9)
+    diag = [rng.choice([1, 2, p - 1, -3, p, 0]) for _ in range(9)]  # p and 0 leave a gap
+    yield [[diag[i] if j == perm[i] else 0 for j in range(9)] for i in range(9)]
+    # row i is nonzero on columns order[0..i]: each is a singleton once the earlier ones
+    # are peeled; below them a deficient block on the last three columns, and zero rows
+    order = rng.sample(range(9), 6)
+    chain = [[rng.choice([1, -2, p + 1]) if j in order[:i + 1] else 0 for j in range(9)]
+             for i in range(6)]
+    rest = [j for j in range(9) if j not in order]
+    block = [[0] * 9 for _ in range(4)]
+    for row, values in zip(block, random_matrix(rng, 4, 3, 2)):
+        for j, v in zip(rest, values):
+            row[j] = v
+    yield chain + block + [[0] * 9, [p] * 9]
+    yield [[p, 0, 0], [0, 0, 2 * p], [0, 0, 0], [3, p, 0]]  # multiples of p are zero
+    yield [[0] * 5 for _ in range(4)]
+
+
+class TestSingletonPeel:
+    """Rows with one entry nonzero mod p are peeled before the packed elimination; the
+    kernel basis stays that of the elimination reduced at every step."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_agrees_with_the_reduced_elimination(self, p, seed):
+        rng = random.Random(seed)
+        for matrix in sparse_shapes(rng, p):
+            kernel = nullspace_mod_p(matrix, p)
+            assert kernel == reference_nullspace_mod_p(matrix, p)
+            assert all(annihilates(matrix, v, p) for v in kernel)
+
+    def test_an_entry_equal_to_p_is_no_pivot(self):
+        assert nullspace_mod_p([[P]], P) == [[1]]
+        assert nullspace_mod_p([[P, 0], [0, 1]], P) == [[1, 0]]
+        # row 0 is a singleton at column 1 only because P counts as zero; then row 1 is one
+        assert nullspace_mod_p([[P, 4, 0], [2, 3, 0]], P) == [[0, 0, 1]]
+        assert nullspace_mod_p([[6, 4, 0], [2, 3, 0]], 2) == [[1, 0, 0], [0, 0, 1]]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_explicit_and_sampled_jacobian_matrices(self, p):
+        for text in ("x*y^3*z^3*w^3", "x^3*y^3*z^3*w^3", "x*y^2*z^3"):
+            spec = MonomialSpec.parse(text)
+            for phi in (explicit_phi(spec), sample_phi(parameter_space(spec), 0)):
+                matrix = _jacobian_columns(build_quotient(spec, phi))
+                assert nullspace_mod_p(matrix, p) == reference_nullspace_mod_p(matrix, p)
 
 
 class TestRationalReconstruction:

@@ -40,6 +40,12 @@ PINNED = {
     "ideal-canonicalize": (["ideal", "1,1,5", "--phi", "2", "--phi", "a1^2*a2^2",
                             "--canonicalize"], 0,
                            "e295bd47ee43b3cdbc7f0b3ce37ab172ad25d3871f99d8ae0a1ce2b12403e0a9"),
+    # a rational phi: its coefficients stay Fraction, and print as before
+    "ideal-rational": (["ideal", "x*y^2*z^3", "--phi", "1/2*a1", "--phi", "a1^2 - 3/4*a0*a2",
+                        "--member", "a1^3 - 1/2*a0^2*a1", "--canonicalize"], 0,
+                       "453268af47e707596f83c12f1aed2aa301f9ec42a0b0685f01f78758d35adc22"),
+    "radical-half": (["radical", "x*y^2", "--phi", "1/2*a1"], 0,
+                     "e909c831add9b7e6f333cbaa669ed9f6ad98ebb9837e34d074183e74386cc361"),
     "radical-integer": (["radical", "x*y^2*z^3", "--phi=4*a0 + 5*a1 - 8*a2",
                          "--phi=-a0^2 + 8*a0*a1 + 7*a1^2 + 4*a0*a2 + a1*a2 + 7*a2^2"], 0,
                         "9ac4a99bf03af0a6a70f2edc03eafe4d150b4de9c7d8079073205e2f14e7975c"),

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial, prod
 
@@ -17,7 +18,7 @@ from waring import (
 )
 from waring.polynomial import exponents_of_degree, multinomial, parse_poly
 
-from oracles import coefficient, power_linear_form, scale
+from oracles import coefficient, fraction_parse_poly, power_linear_form, scale
 
 
 def P(text, n=3):
@@ -231,6 +232,79 @@ def test_parse_exponent_notation_literals():
     assert D("-1e-2*a0^2") == SparsePoly.monomial(3, DUAL, (2, 0, 0), Fraction(-1, 100))
     assert D("a0 - 1e-2*a1 + 2E+1*a2") == D("a0 - 1/100*a1 + 20*a2")
     assert D("3/2*a0 + 1.*a1 + 0.25*a2") == D("3/2*a0 + a1 + 1/4*a2")
+
+
+@pytest.mark.parametrize("text", ["9" * 5000 + "*a1", "a0 - " + "9" * 5000 + "^2*a1"])
+def test_parse_names_the_digit_limit(text):
+    with pytest.raises(ValueError, match=r"^Exceeds the limit \(4300 digits\) for integer string "
+                                         r"conversion: value has 5000 digits"):
+        D(text)
+
+
+_literals = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.tuples(st.integers(0, 99), st.integers(1, 99)).map("{0[0]}/{0[1]}".format),
+    st.tuples(st.integers(0, 99), st.text("0123456789", max_size=3)).map("{0[0]}.{0[1]}".format),
+    st.tuples(st.integers(0, 99).map(str), st.sampled_from(["", ".", ".5", ".25"]),
+              st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+              st.integers(0, 4).map(str)).map("".join),
+)
+_factors = st.one_of(
+    st.tuples(_literals, st.sampled_from(["", "^0", "^2", "^3"])).map("".join),
+    st.tuples(st.sampled_from(["a0", "a1", "a2", "a", "b", "c"]),
+              st.sampled_from(["", "^1", "^2"])).map("".join),
+)
+_SIGNS = {False: ["+", " + "], True: ["-", " - ", "+-"]}
+# a term: (negative, which spelling of its sign, factors)
+_terms = st.tuples(st.booleans(), st.integers(0, 2),
+                   st.lists(_factors, min_size=1, max_size=4).map("*".join))
+
+
+class TestIntegralCoefficientsAreInt:
+    """``parse_poly`` against the all-``Fraction`` reference: equal coefficients, and an
+    ``int`` exactly where the value is integral, whichever literal wrote it."""
+
+    @staticmethod
+    def check(text):
+        try:
+            want = fraction_parse_poly(text, 3, DUAL)
+        except ValueError as exc:  # "2.e+3": the "+" after a bare "." splits a term, in both
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                D(text)
+            return
+        got = D(text)
+        assert got == want
+        for e, c in got.terms.items():
+            assert type(c) is (int if want.terms[e].denominator == 1 else Fraction), (text, c)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(_terms, min_size=1, max_size=5), st.booleans())
+    def test_agrees_with_the_fraction_parser(self, terms, cancel):
+        if cancel:  # every term again with the other sign: all of them cancel
+            terms = terms + [(not negative, k, body) for negative, k, body in terms]
+        self.check("".join(_SIGNS[negative][k % len(_SIGNS[negative])] + body
+                           for negative, k, body in terms))
+
+    @pytest.mark.parametrize("text", [
+        "4/2*a1", "2.0*a1", "2.5E+3*a1", "1e3*a1", "1e-300*a1", "2^3*a1", "6/4*a1 + 1/2*a1",
+        "a1*a1^2 - 2*a1^3", "1/2*a1 + 1/2*a1 - a0", "0.5*a1 + 1/3*a1", "3*a1 - 3*a1 + 0*a0",
+        "10^30*a1^2", "-7", "0/5*a2 + 1.*a0", "a01^2*b - 2*c*a + a0^0",
+    ])
+    def test_literals(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize("text", [
+        "qq + 1", "x5", "", "2^-1", "a0^", "a1^*a2", "a0 + 3^", "1/0", "1/0*a0", "a1 - 3/0*a2",
+        "1_000", "\u0661*a0", "a1 - 1_0/3*a2", "3/1_0", "1e1_0*a0", "2.5_0", "a1^1_0",
+        "a0^\u0661", "a1*a2^\u00b2", "a\u0661", "a0 ++ a1", "a5", "9" * 5000, "9" * 5000 + "^2",
+        "1/" + "9" * 5000, "2^3^2", "a1 - 1/0 + 9" + "9" * 5000, "a3", "x1", "d", "a1^2*a03",
+    ])
+    def test_errors_keep_their_text(self, text):
+        with pytest.raises(ValueError) as want:
+            fraction_parse_poly(text, 3, DUAL)
+        with pytest.raises(ValueError) as got:
+            D(text)
+        assert str(got.value) == str(want.value)
 
 
 def test_parse_explicit_plus_minus():

@@ -160,12 +160,12 @@ PUBLIC_NAMES = [
     "MonomialSpec", "NonRadicalIdealError", "PRIMAL", "PhiTuple", "PointExtractionError",
     "PointSet", "QuotientAlgebra", "SparsePoly", "TorusElement", "VSPParameterSpace",
     "VerificationReport", "apply_diff", "apply_torus", "basis_Bprime", "build_quotient",
-    "canonicalize_phi", "check_alpha0_nonzero", "cyclotomic_poly", "decompose_from_phi",
-    "dehomogenize", "dim_perp_cap_alpha0", "dim_vsp", "embed", "explicit_decomposition",
-    "explicit_phi", "extract_points", "fit_phi_from_points", "hilbert_S_mod_J",
-    "ideal_membership", "make_ci_ideal", "multinomial_C", "parameter_space",
-    "point_ideal_hilbert", "rank_lower_bound", "root_of_unity", "sample_phi",
-    "torus_normalize", "trace_form_rank", "verify_decomposition", "waring_rank",
+    "canonicalize_phi", "cyclotomic_poly", "decompose_from_phi", "dehomogenize",
+    "dim_perp_cap_alpha0", "dim_vsp", "embed", "explicit_decomposition", "explicit_phi",
+    "extract_points", "fit_phi_from_points", "hilbert_S_mod_J", "ideal_membership",
+    "make_ci_ideal", "multinomial_C", "parameter_space", "point_ideal_hilbert",
+    "rank_lower_bound", "root_of_unity", "sample_phi", "torus_normalize", "trace_form_rank",
+    "verify_decomposition", "waring_rank",
 ]
 
 

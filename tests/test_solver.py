@@ -766,7 +766,7 @@ def assert_close(got, want, tol=1e-12):
 
 
 def assert_a0_ratio(points, alpha0, scale):
-    """|p0| / ||p||_2, which check_alpha0_nonzero reads, is the eigenvector's |lead| / ||window||."""
+    """|p0| / ||p||_2 of each point, with p0 = 1, is the eigenvector's |lead| / ||window||."""
     assert_close([1 / np.linalg.norm(p) for p in points.points], np.abs(alpha0) / np.array(scale))
 
 

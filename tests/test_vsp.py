@@ -11,12 +11,12 @@ from waring import (
     explicit_phi,
     extract_points,
     hilbert_S_mod_J,
+    make_ci_ideal,
 )
 from waring.solver import NonRadicalIdealError, PointSet, certify_radical
 from waring.vsp import (
     TorusElement,
     apply_torus,
-    check_alpha0_nonzero,
     decompose_from_phi,
     fit_phi_from_points,
     parameter_space,
@@ -227,25 +227,24 @@ class TestTorus:
 
 
 class TestAlpha0:
+    """No point of any I(n, phi) has a0 = 0, so ``points`` prints ``alpha0_nonzero`` as true."""
+
     def test_explicit_points_pass(self, xyz):
         pts = points_from_decomposition(explicit_decomposition(xyz), xyz)
-        assert check_alpha0_nonzero(pts)
+        assert all(p[0] == 1 for p in pts.points)
 
-    def test_constructed_failure(self):
-        pts = PointSet(points=((1, 1, 1), (0, 1, 0)))
-        assert not check_alpha0_nonzero(pts)
-
-    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
-    def test_float_a0_against_the_euclidean_norm(self, scale):
-        # |p0| > 1e-8 * ||p||_2 = 1.414e-8 * scale: the verdict does not follow the point's scale
-        assert check_alpha0_nonzero([(1.5e-8 * scale, scale, -scale)])
-        assert not check_alpha0_nonzero([(1.2e-8 * scale, scale, -scale)])
+    def test_constructed_failure(self, xy2z3):
+        # at a0 = 0 generator i reads a_i^(d_i+1): a point there with some a_i != 0 misses it
+        generators = make_ci_ideal(xy2z3, sample_phi(parameter_space(xy2z3), 2)).generators
+        for point in [(0, 1, 0), (0, 0, 1), (0, 2, -3)]:
+            assert any(sum(c * prod(x**k for x, k in zip(point, e)) for e, c in g.terms.items())
+                       for g in generators)
 
     def test_extracted_points_pass(self, xy2z3):
         phi = sample_phi(parameter_space(xy2z3), 2)
         assert certify_radical(xy2z3, phi).radical
         pts = extract_points(build_quotient(xy2z3, phi), seed=2)
-        assert check_alpha0_nonzero(pts)
+        assert all(p[0] == 1 for p in pts.points)
 
 
 class TestSampleReports:
