@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .cyclotomic import CycloScalar, cyclotomic_poly, root_of_unity
 from .polynomial import (
@@ -242,13 +242,27 @@ def verify_decomposition(
     Z[zeta_M] -> Z/N, N = Phi_M(2^b), under which a scalar of conductor c
     with coordinates num_k maps to sum_k num_k * 2^(b*k*M/c).  With ||x||_1
     the sum of |num_k| and rho_M the largest |coordinate| of z^k mod Phi_M
-    over k < M, every power-basis coordinate of R_e is at most
-    C = rho_M * (sum_j ||c'_j||_1 * (sum_i ||a'_ji||_1)^d + D).  For H the
-    largest |coefficient| of Phi_M and 2^b > 2*(C + H) + 1, |R_e(2^b)| < N/2,
+    over k < M, a scalar times a power of zeta_M has every coordinate at most
+    rho_M times its L1 norm, so every power-basis coordinate of R_e is at most
+    C = rho_M * (sum_j ||c'_j||_1 * B_j + D) for any B_j >= (d; e) * the L1
+    norm of prod_i a'_ji^e_i, multiplied out, at every e.  In general B_j is
+    (sum_i ||a'_ji||_1)^d, which is the sum of those bounds over all e.  When
+    every entry is a'_ji = s_ji * u_ji with u_ji = +-zeta^k (s_ji is the gcd
+    of its coordinates, since a root of unity has norm +-1 and so no common
+    factor), the product is +-zeta_M^K * prod_i s_ji^e_i, one power of zeta_M,
+    and B_j = min((sum_i s_ji)^d, Mult(d, k) * prod_i s_ji^d) over the k
+    nonzero entries, Mult(d, k) the largest multinomial (d; e_1, ..., e_k).
+    Each term bounds (d; e) * prod_i s_ji^e_i at every e: the first is the sum
+    of those numbers over e, the second bounds both factors apart (e_i <= d,
+    s_ji >= 1).  It is never above the general B_j, since s_ji <= ||a'_ji||_1,
+    and for roots of unity it drops the d-th power of their L1 norms.  For H
+    the largest |coefficient| of Phi_M and 2^b > 2*(C + H) + 1, |R_e(2^b)| < N/2,
     so R_e = 0 exactly when R_e = 0 mod N, and otherwise the balanced base-2^b
     digits of the centered residue are its coordinates, which give the
-    reported difference.  A bound that fails to hold raises AssertionError
-    (see ``_verify_exact``).  The float domain is held to a max-coefficient
+    reported difference.  The expansion mod N holds the powers a^0..a^k of
+    each entry in one int, one slot per power, so a state takes one product
+    per pass; a bound that fails to hold raises AssertionError (both in
+    ``_verify_exact``).  The float domain is held to a max-coefficient
     tolerance instead: it passes when that error is at most ``tol``, so
     ``tol = 0`` accepts an exact fit.  Its forms go into one summands x
     variables array, and the expansion is one product with their evaluation:
@@ -293,6 +307,33 @@ def _ring_constants(m: int) -> tuple[int, int]:
     return rho, max(map(abs, cyclotomic_poly(m).coeffs))
 
 
+@lru_cache(maxsize=None)
+def _roots(m: int) -> frozenset[tuple[int, ...]]:
+    """The coordinates of zeta_m^k over k < m, reduced modulo Phi_m."""
+    return frozenset(root_of_unity(m, k).num for k in range(m))
+
+
+def _unit_scale(coords: tuple[int, ...], conductor: int) -> int | None:
+    """s when the scalar with these coordinates is s * (+-zeta^k), s >= 0; else None.
+
+    s is the gcd of the coordinates: a root of unity has norm +-1, so no integer
+    above 1 divides all of its coordinates, and s * u with u = +-zeta^k has gcd s.
+    """
+    s = gcd(*coords)
+    if not s:
+        return 0
+    unit = tuple(c // s for c in coords)
+    roots = _roots(conductor)
+    return s if unit in roots or tuple(-c for c in unit) in roots else None
+
+
+@lru_cache(maxsize=None)
+def _largest_multinomial(degree: int, parts: int) -> int:
+    """The largest (degree; e_1, ..., e_parts): the e as even as they can be."""
+    q, r = divmod(degree, parts)
+    return multinomial(degree, (q + 1,) * r + (q,) * (parts - r))
+
+
 def _substitute(coords, shift: int) -> int:
     """sum_k coords[k] * 2^(shift*k), an integer polynomial at z = 2^shift.
 
@@ -314,7 +355,12 @@ def _verify_exact(spec: MonomialSpec, dec: Decomposition) -> VerificationReport:
     S_e = sum_j c'_j * prod_i a'_ji^e_i are built over states (exponents
     chosen so far, entries still to use), one variable per pass; summands
     that share their remaining entries merge into one state, so the variable
-    with the most distinct entries goes first.
+    with the most distinct entries goes first.  The powers a^0..a^k of an
+    entry, reduced mod N, sit in one int as slots of ``width`` bytes, wide
+    enough for a sum of as many products below N^2 as there are summands; so
+    a state adds all of its products by one multiply-add, and each merged
+    state is cut back into slots once.  The last pass needs one power per
+    state and multiplies it alone.
     """
     degree, num_vars = dec.degree, spec.num_original_vars
     parts = [(_parts(c), [_parts(v) for v in form.coeffs]) for c, form in dec.summands]
@@ -331,9 +377,20 @@ def _verify_exact(spec: MonomialSpec, dec: Decomposition) -> VerificationReport:
     def norm(x):
         return sum(map(abs, x[0]))
 
+    scales: dict[tuple, int | None] = {}  # form entry -> its s, or None if it is no s*unit
+
+    def weight(entries):  # B_j of ``verify_decomposition``
+        for x in entries:
+            if x not in scales:
+                scales[x] = _unit_scale(*x)
+        s = [scales[x] for x in entries]
+        if None in s:
+            return sum(map(norm, entries)) ** degree
+        s = [t for t in s if t]
+        return min(sum(s) ** degree, _largest_multinomial(degree, len(s)) * prod(s) ** degree)
+
     rho, height = _ring_constants(m)
-    mass = sum(norm(c) * (common_den // den) * sum(map(norm, entries)) ** degree
-               for c, entries, den in summands)
+    mass = sum(norm(c) * (common_den // den) * weight(entries) for c, entries, den in summands)
     bound = rho * (mass + common_den) + height
     b = _modulus_bits(bound)
     if 1 << b <= 2 * bound + 1:
@@ -352,29 +409,44 @@ def _verify_exact(spec: MonomialSpec, dec: Decomposition) -> VerificationReport:
     keyed = [(image(c) * (common_den // den) % modulus,
               [ids.setdefault(image(a), len(ids)) for a in entries])
              for c, entries, den in summands]
-    powers = []
+    width = (2 * modulus.bit_length() + len(summands).bit_length() + 8) // 8
+    powers, packed = [], []  # packed[i][k]: powers[i][0..k] in slots of ``width`` bytes
     for value in ids:
-        powers.append([1])
-        for _ in range(degree):
-            powers[-1].append(powers[-1][-1] * value % modulus)
+        row, rows = [1], [1]
+        for k in range(1, degree + 1):
+            row.append(row[-1] * value % modulus)
+            rows.append(rows[-1] | row[-1] << 8 * width * k)
+        powers.append(row)
+        packed.append(rows)
     order = sorted(range(num_vars), key=lambda i: -len({key[i] for _, key in keyed}))
     states: dict[tuple, dict[tuple, int]] = defaultdict(lambda: defaultdict(int))
     for value, key in keyed:  # entries still to use -> {exponents chosen so far: sum}
         states[tuple(key[i] for i in order)][()] += value
-    for step in range(num_vars):
+    for _ in range(num_vars - 1):
         merged: dict[tuple, dict[tuple, int]] = defaultdict(lambda: defaultdict(int))
         for rest, sums in states.items():
-            row, out = powers[rest[0]], merged[rest[1:]]
+            rows, out = packed[rest[0]], merged[rest[1:]]
+            for chosen, value in sums.items():
+                out[chosen] += value * rows[degree - sum(chosen)]
+        states = {}
+        for rest, sums in merged.items():
+            out = states[rest] = {}
             for chosen, value in sums.items():
                 left = degree - sum(chosen)
-                for k in (left,) if step == num_vars - 1 else range(left + 1):
-                    if row[k]:
-                        out[chosen + (k,)] += value * row[k]
-        states = {rest: {chosen: value % modulus for chosen, value in sums.items()}
-                  for rest, sums in merged.items()}
+                raw = value.to_bytes(width * (left + 1), "little")
+                for k in range(left + 1):
+                    slot = int.from_bytes(raw[width * k:width * (k + 1)], "little") % modulus
+                    if slot:
+                        out[chosen + (k,)] = slot
+    last: dict[tuple, int] = defaultdict(int)
+    for (entry,), sums in states.items():
+        row = powers[entry]
+        for chosen, value in sums.items():
+            left = degree - sum(chosen)
+            last[chosen + (left,)] += value * row[left]
 
     place = [order.index(i) for i in range(num_vars)]  # exponents are chosen in ``order``
-    sums = {tuple(chosen[p] for p in place): value for chosen, value in states.get((), {}).items()}
+    sums = {tuple(chosen[p] for p in place): value % modulus for chosen, value in last.items()}
     target = spec.original_exponents
     sums.setdefault(target, 0)
     difference = {}

@@ -295,13 +295,16 @@ def split_power(factor: str, text: str) -> tuple[str, int]:
     """Split a factor "name^k" of ``text`` into (name, k); a bare name has power 1.
 
     A "^" with nothing after it is refused rather than read as power 1, and
-    k must be ASCII digits: no sign, underscore or other script.
+    k must be ASCII digits: no sign, underscore or other script.  A "^" with
+    nothing before it is refused too.
     """
     name, caret, exp_text = factor.partition("^")
     if caret and not exp_text:
         raise ValueError(f"missing exponent after '^' in {text!r}")
     if caret and not is_digits(exp_text):
         raise ValueError(f"invalid exponent {exp_text!r} in {text!r}")
+    if caret and not name:
+        raise ValueError(f"missing base before '^' in {text!r}")
     return name, int(exp_text) if exp_text else 1
 
 
@@ -321,13 +324,13 @@ def parse_poly(text: str, num_vars: int, ring: str) -> SparsePoly:
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise ValueError("empty polynomial")
-    # a sign right after "<digit>e" belongs to a literal such as 1e-300, not a term;
-    # one right after "+" already starts a term
-    cleaned = re.sub(r"(?<!\d[eE])(?<!\+)-", "+-", cleaned)
+    # a sign right after "<digit>e" or "<digit>.e" belongs to a literal such as 1e-300
+    # or 2.e-3, not a term; one right after "+" already starts a term
+    cleaned = re.sub(r"(?<!\d[eE])(?<!\d\.[eE])(?<!\+)-", "+-", cleaned)
     if cleaned.startswith("+"):
         cleaned = cleaned[1:]
     terms: dict[Exponent, object] = {}
-    for chunk in re.split(r"(?<!\d[eE])\+", cleaned):
+    for chunk in re.split(r"(?<!\d[eE])(?<!\d\.[eE])\+", cleaned):
         if not chunk:
             raise ValueError(f"could not parse polynomial {text!r}")
         coeff = 1

@@ -133,12 +133,13 @@ def _totient(m: int) -> int:
     return result - result // rest if rest > 1 else result
 
 
-def scalar_from_json(obj):
+def scalar_from_json(obj, ratio=_ratio):
+    """The scalar of a record; ``ratio`` reads its "p/q" texts, as ``_ratio`` does."""
     if isinstance(obj, str):
-        return Fraction(*_ratio(obj, "rational scalar"))
+        return Fraction(*ratio(obj, "rational scalar"))
     if isinstance(obj, dict) and "conductor" in obj:
         conductor = _field(obj, "conductor", "integer", "cyclotomic scalar")
-        coeffs = [_ratio(c, "cyclotomic coefficient")
+        coeffs = [ratio(c, "cyclotomic coefficient")
                   for c in _field(obj, "coeffs", "array", "cyclotomic scalar")]
         if conductor < 1:
             raise ValueError("conductor must be a positive integer")
@@ -194,11 +195,20 @@ def _shared_reader():
     """``scalar_from_json`` that reads each distinct rational or cyclotomic record once per reader.
 
     The key is the text of a rational record, or (conductor, coefficient strings) of a
-    cyclotomic one; equal records give the same immutable scalar.  Only a record that
-    ``scalar_from_json`` accepted is kept, so every other record, an unhashable one too,
-    takes its path and meets its errors in the same order.
+    cyclotomic one; equal records give the same immutable scalar.  Each distinct "p/q"
+    text is parsed once too, since different cyclotomic records share most of theirs.
+    Only a record or text that was accepted is kept, so every other one, an unhashable
+    one too, takes its path and meets its errors in the same order.
     """
-    scalars = {}
+    scalars, ratios = {}, {}
+
+    def ratio(text, what):
+        if type(text) is not str:
+            return _ratio(text, what)
+        value = ratios.get(text)
+        if value is None:
+            value = ratios[text] = _ratio(text, what)
+        return value
 
     def read(obj):
         if type(obj) is str:
@@ -207,14 +217,14 @@ def _shared_reader():
               and type(obj.get("coeffs")) is list):
             key = (obj["conductor"], tuple(obj["coeffs"]))
         else:
-            return scalar_from_json(obj)
+            return scalar_from_json(obj, ratio)
         try:
             return scalars[key]
         except KeyError:
-            value = scalars[key] = scalar_from_json(obj)
+            value = scalars[key] = scalar_from_json(obj, ratio)
             return value
         except TypeError:  # a coefficient that cannot be hashed: not a valid record
-            return scalar_from_json(obj)
+            return scalar_from_json(obj, ratio)
 
     return read
 

@@ -202,11 +202,11 @@ def fraction_parse_poly(text: str, num_vars: int, ring: str) -> SparsePoly:
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise ValueError("empty polynomial")
-    cleaned = re.sub(r"(?<!\d[eE])(?<!\+)-", "+-", cleaned)
+    cleaned = re.sub(r"(?<!\d[eE])(?<!\d\.[eE])(?<!\+)-", "+-", cleaned)
     if cleaned.startswith("+"):
         cleaned = cleaned[1:]
     terms = {}
-    for chunk in re.split(r"(?<!\d[eE])\+", cleaned):
+    for chunk in re.split(r"(?<!\d[eE])(?<!\d\.[eE])\+", cleaned):
         if not chunk:
             raise ValueError(f"could not parse polynomial {text!r}")
         coeff = Fraction(1)

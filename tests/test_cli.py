@@ -513,10 +513,17 @@ class TestDeterminismAndErrors:
         (["rank", "x^+3*y"], "invalid exponent '+3'"),
         (["rank", "x^\u0661"], "invalid exponent '\u0661'"),
         (["radical", "x*y", "--phi", "1_000"], "invalid number '1_000'"),
+        (["ideal", "x*y^2", "--member=^2*a1"], "missing base before '^' in '^2*a1'"),
+        (["radical", "x*y^2", "--phi=a1*^3"], "missing base before '^' in 'a1*^3'"),
     ])
     def test_malformed_number_is_usage_error(self, capsys, argv, message):
         code, data = run_json(capsys, *argv)
         assert code == 2 and message in data["error"]
+
+    def test_a_mantissa_ending_in_a_point_takes_a_signed_exponent(self, capsys):
+        bare = run(capsys, "radical", "x*y^2", "--phi=2.e-3*a1")
+        assert bare == run(capsys, "radical", "x*y^2", "--phi=2.0e-3*a1")
+        assert bare[0] == 0 and '"1/500"' in bare[1]
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this interpreter has no int-to-str digit limit")

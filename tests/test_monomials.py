@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,7 @@ from waring import (
     waring_rank,
 )
 from waring import monomials
-from waring.cyclotomic import CycloScalar, cyclotomic_poly, root_of_unity
+from waring.cyclotomic import CycloScalar, cyclotomic_poly, embed, root_of_unity
 from waring.monomials import Decomposition, EXACT_CYCLOTOMIC
 from waring.polynomial import PRIMAL, LinearForm, SparsePoly, exponents_of_degree
 
@@ -466,6 +466,101 @@ class TestKroneckerVerifier:
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                              text=True, timeout=120, check=True).stdout
         assert out.splitlines() == ["raised"]
+
+
+def chosen_bound(spec, dec):
+    """The bound C + H that ``verify_decomposition`` sized its modulus 2^b by."""
+    seen = []
+    choose = monomials._modulus_bits
+    monomials._modulus_bits = lambda bound: seen.append(bound) or choose(bound)
+    try:
+        verify_decomposition(spec, dec)
+    finally:
+        monomials._modulus_bits = choose
+    return seen[0]
+
+
+def largest_coordinate(spec, dec):
+    """(M, the largest |power-basis coordinate| over e of D * R_e), by the scalar expansion.
+
+    D is the common denominator of the verifier: the lcm over the summands with a
+    nonzero coefficient of den(c) * lcm(den of the form's entries)^d.
+    """
+    def cyclo(x):
+        return x if isinstance(x, CycloScalar) else CycloScalar.from_rational(x)
+
+    m = lcm(*(cyclo(x).conductor for c, form in dec.summands for x in (c, *form.coeffs)))
+    d = lcm(*(cyclo(c).den * lcm(*(cyclo(v).den for v in form.coeffs)) ** dec.degree
+              for c, form in dec.summands if c))
+    largest = 0
+    for value in reference_difference(spec, dec).terms.values():
+        scaled = embed(cyclo(value), m) * d
+        assert scaled.den == 1
+        largest = max(largest, *map(abs, scaled.num))
+    return m, largest
+
+
+# the nine monomials of the exact benchmark, and the b of their explicit decompositions;
+# the bound summed over all e with each entry's L1 norm gave 30, 23, 27, 24, 37, 39, 45, 48, 54
+BENCHMARK_BITS = {(2, 3, 3, 3): 25, (1, 3, 5): 18, (1, 2, 3, 3): 21, (1, 3, 7): 20,
+                  (2, 4, 5): 21, (1, 3, 9): 24, (1, 4, 6): 22, (2, 4, 6): 24, (3, 6, 7): 29}
+
+
+def torus_scaled(spec, lam):
+    """The explicit decomposition moved by x_i -> lam_i x_i: forms scaled, coefficients divided."""
+    scale = prod(l**e for l, e in zip(lam, spec.original_exponents))
+    return Decomposition(spec.degree, EXACT_CYCLOTOMIC, tuple(
+        (c / scale, LinearForm(tuple(v * l for v, l in zip(form.coeffs, lam))))
+        for c, form in explicit_decomposition(spec).summands))
+
+
+class TestKroneckerBound:
+    """C bounds every coordinate of D*R_e, and b stays sized by the per-summand bound."""
+
+    @staticmethod
+    def check(spec, dec):
+        m, largest = largest_coordinate(spec, dec)
+        height = max(map(abs, cyclotomic_poly(m).coeffs))
+        assert chosen_bound(spec, dec) - height >= largest
+        return largest
+
+    @pytest.mark.parametrize("kind", ["grid", "torus", "sparse", "dense", "rational",
+                                      "conductor2", "mixed"])
+    def test_the_bound_holds_on_the_sweep(self, kind):
+        assert any([self.check(*sweep_case(kind, seed)) for seed in range(30)])
+
+    @pytest.mark.parametrize("exps", sorted(BENCHMARK_BITS))
+    def test_the_bound_holds_with_a_summand_dropped(self, exps):
+        spec = MonomialSpec.from_exponents(exps)
+        summands = explicit_decomposition(spec).summands
+        j = random.Random(sum(exps)).randrange(len(summands))
+        assert self.check(spec, Decomposition(spec.degree, EXACT_CYCLOTOMIC,
+                                              summands[:j] + summands[j + 1:]))
+
+    def test_the_benchmark_moduli_stay_small(self):
+        bits = {}
+        for exps in BENCHMARK_BITS:
+            spec = MonomialSpec.from_exponents(exps)
+            bits[exps] = monomials._modulus_bits(chosen_bound(spec, explicit_decomposition(spec)))
+        assert all(bits[exps] <= most for exps, most in BENCHMARK_BITS.items()), bits
+
+    def test_the_unit_table_knows_roots_and_their_multiples(self):
+        spec = MonomialSpec.parse("x^3*y^6*z^7")
+        lam = (2, Fraction(-3, 2), Fraction(5, 3))
+        dec = torus_scaled(spec, lam)
+        assert verify_decomposition(spec, dec).ok
+        for (_, form), (_, scaled) in zip(explicit_decomposition(spec).summands, dec.summands):
+            for v, w, l in zip(form.coeffs, scaled.coeffs, lam):
+                assert monomials._unit_scale(v.num, v.conductor) == 1
+                assert monomials._unit_scale(w.num, w.conductor) == abs(Fraction(l).numerator)
+        # s = (12, 9, 10) after clearing the denominators 6: the summed L1 bound gave b = 106
+        assert monomials._modulus_bits(chosen_bound(spec, dec)) <= 87
+        golden = CycloScalar(5, (1, 1, 0, 0))  # 1 + zeta_5: a unit, but no root of unity
+        assert monomials._unit_scale(golden.num, 5) is None
+        assert monomials._unit_scale((2, 2, 0, 0), 5) is None
+        assert monomials._unit_scale((0, 0, 0, 0), 5) == 0
+        assert monomials._unit_scale((-4,), 1) == 4 and monomials._unit_scale((3,), 2) == 3
+        assert monomials._unit_scale((0, -6), 3) == 6  # -6 * zeta_3
 
 
 class TestFloatEvaluationProduct:

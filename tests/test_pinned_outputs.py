@@ -71,6 +71,8 @@ PINNED = {
 # verify of the "decompose-exact" and "decompose-exact-m56" outputs
 VERIFY_DIGEST = "1d5e32af25736683b5070654b33d7d0a34fc16b7c041e3ea0b49a28fa215d882"
 VERIFY_M56_DIGEST = "2f9c86eef93ca9b8c78ba006537136fa7da0366d40aa9d9cc2c2f30cd50acf2d"
+# verify of the "decompose-exact-m56" output without its last summand
+VERIFY_M56_DROPPED_DIGEST = "19f112490c03131e1644fcc5d0a22b1361319b604494c01ff75d6b33ee5e8a13"
 
 
 def _run(capsys, argv):
@@ -100,6 +102,16 @@ def test_verify_of_the_exact_decomposition_is_pinned(capsys, tmp_path):
 
 def test_verify_of_the_heaviest_exact_decomposition_is_pinned(capsys, tmp_path):
     assert _verify_output(capsys, tmp_path, "decompose-exact-m56") == (0, VERIFY_M56_DIGEST)
+
+
+def test_verify_of_a_dropped_summand_prints_the_pinned_difference(capsys, tmp_path):
+    # the difference is read back from the residues mod Phi_56(2^b): every digit pinned
+    data = json.loads(_run(capsys, PINNED["decompose-exact-m56"][0])[1])
+    del data["summands"][-1]
+    path = tmp_path / "dropped.json"
+    path.write_text(json.dumps(data))
+    assert _run(capsys, ["verify", "x^3*y^6*z^7", "--input", str(path)])[::2] == (
+        1, VERIFY_M56_DROPPED_DIGEST)
 
 
 # name: (argv, exit code, values); "coeffs", "forms" and "points" hold (re, im) pairs

@@ -268,7 +268,7 @@ class TestIntegralCoefficientsAreInt:
     def check(text):
         try:
             want = fraction_parse_poly(text, 3, DUAL)
-        except ValueError as exc:  # "2.e+3": the "+" after a bare "." splits a term, in both
+        except ValueError as exc:  # "^2" with no base, "0^0" raised to a negative power, ...
             with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                 D(text)
             return
@@ -278,26 +278,33 @@ class TestIntegralCoefficientsAreInt:
             assert type(c) is (int if want.terms[e].denominator == 1 else Fraction), (text, c)
 
     @settings(max_examples=300, deadline=None, database=None)
-    @given(st.lists(_terms, min_size=1, max_size=5), st.booleans())
-    def test_agrees_with_the_fraction_parser(self, terms, cancel):
+    @given(st.lists(_terms, min_size=1, max_size=5), st.booleans(), st.integers(0, 9))
+    def test_agrees_with_the_fraction_parser(self, terms, cancel, bare):
         if cancel:  # every term again with the other sign: all of them cancel
             terms = terms + [(not negative, k, body) for negative, k, body in terms]
-        self.check("".join(_SIGNS[negative][k % len(_SIGNS[negative])] + body
-                           for negative, k, body in terms))
+        text = "".join(_SIGNS[negative][k % len(_SIGNS[negative])] + body
+                       for negative, k, body in terms)
+        self.check(text if bare else text + "*^2")  # one text in ten has a "^" with no base
 
     @pytest.mark.parametrize("text", [
         "4/2*a1", "2.0*a1", "2.5E+3*a1", "1e3*a1", "1e-300*a1", "2^3*a1", "6/4*a1 + 1/2*a1",
         "a1*a1^2 - 2*a1^3", "1/2*a1 + 1/2*a1 - a0", "0.5*a1 + 1/3*a1", "3*a1 - 3*a1 + 0*a0",
         "10^30*a1^2", "-7", "0/5*a2 + 1.*a0", "a01^2*b - 2*c*a + a0^0",
+        "2.e-3*a1", "2.e+3*a1 - 1.E-1*a0", "a2 + 5.e-0",
     ])
     def test_literals(self, text):
         self.check(text)
+
+    def test_a_bare_point_keeps_the_sign_of_its_exponent(self):
+        assert D("2.e-3*a1") == D("2.0e-3*a1") == D("1/500*a1")
+        assert D("a0 - 2.E+1*a1") == D("a0 - 20*a1")
 
     @pytest.mark.parametrize("text", [
         "qq + 1", "x5", "", "2^-1", "a0^", "a1^*a2", "a0 + 3^", "1/0", "1/0*a0", "a1 - 3/0*a2",
         "1_000", "\u0661*a0", "a1 - 1_0/3*a2", "3/1_0", "1e1_0*a0", "2.5_0", "a1^1_0",
         "a0^\u0661", "a1*a2^\u00b2", "a\u0661", "a0 ++ a1", "a5", "9" * 5000, "9" * 5000 + "^2",
         "1/" + "9" * 5000, "2^3^2", "a1 - 1/0 + 9" + "9" * 5000, "a3", "x1", "d", "a1^2*a03",
+        "^2*a1", "a1*^3", "a0 + ^", "x.e-3*a1",
     ])
     def test_errors_keep_their_text(self, text):
         with pytest.raises(ValueError) as want:
