@@ -82,37 +82,39 @@ def cyclotomic_poly(m: int) -> CyclotomicPolynomial:
 
 @lru_cache(maxsize=None)
 def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """z^j mod Phi_m, as integer vectors of length deg(Phi_m), for j >= deg.
+    """z^j mod Phi_m, as integer vectors of length deg(Phi_m), for deg <= j < m.
 
-    Row index 0 corresponds to j = deg; rows run far enough to reduce both
-    products of two reduced elements and any power z^k with k < m.
+    Row index 0 corresponds to j = deg.  Since z^m = 1, these rows and the unit
+    vectors below deg are every power of z.
     """
     phi = cyclotomic_poly(m).coeffs
     deg = len(phi) - 1
-    top = max(m, 2 * deg - 1)
     rows = []
     cur = [-c for c in phi[:deg]]
-    for _ in range(deg, top):
+    for _ in range(deg, m):
         rows.append(tuple(cur))
-        lead = cur[-1] if deg > 0 else 0
-        cur = [0] + cur[:-1]
-        if lead:
-            cur = [a - lead * b for a, b in zip(cur, phi[:deg])]
+        lead = cur[-1]  # z * cur, less lead * Phi_m
+        cur = [a - lead * b for a, b in zip([0] + cur[:-1], phi)]
     return tuple(rows)
 
 
-def _reduce_mod_phi(m: int, vec: list[int]) -> list[int]:
+def _reduce_mod_phi(m: int, vec) -> list[int]:
+    """The polynomial sum_j vec[j] z^j modulo Phi_m: z^j is z^(j mod m), then a table row."""
     deg = cyclotomic_poly(m).degree
     if len(vec) <= deg:
-        return vec + [0] * (deg - len(vec))
+        return list(vec) + [0] * (deg - len(vec))
+    out = list(vec[:deg])
     rows = _reduction_rows(m)
-    out = vec[:deg]
     for j in range(deg, len(vec)):
         c = vec[j]
         if c:
-            row = rows[j - deg]
-            for i in range(deg):
-                out[i] += c * row[i]
+            k = j % m
+            if k < deg:
+                out[k] += c
+            else:
+                row = rows[k - deg]
+                for i in range(deg):
+                    out[i] += c * row[i]
     return out
 
 
@@ -129,10 +131,7 @@ class CycloScalar:
     def __init__(self, conductor: int, num: tuple[int, ...], den: int = 1):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        deg = cyclotomic_poly(conductor).degree
-        vec = _reduce_mod_phi(conductor, list(num))
-        if len(vec) != deg:
-            raise ValueError(f"expected {deg} coefficients for conductor {conductor}")
+        vec = _reduce_mod_phi(conductor, num)
         if den < 0:
             den, vec = -den, [-c for c in vec]
         g = gcd(den, *vec) if any(vec) else den
@@ -153,8 +152,7 @@ class CycloScalar:
     @staticmethod
     def from_rational(value: int | Fraction, conductor: int = 1) -> CycloScalar:
         q = Fraction(value)
-        deg = cyclotomic_poly(conductor).degree
-        return CycloScalar(conductor, (q.numerator,) + (0,) * (deg - 1), q.denominator)
+        return CycloScalar(conductor, (q.numerator,), q.denominator)
 
     @staticmethod
     def one(conductor: int = 1) -> CycloScalar:
@@ -349,11 +347,6 @@ def embed(x: CycloScalar, conductor: int) -> CycloScalar:
     if conductor == x.conductor:
         return x
     step = conductor // x.conductor
-    deg = cyclotomic_poly(conductor).degree
-    vec = [0] * deg
-    for j, c in enumerate(x.num):
-        if c:
-            image = root_of_unity(conductor, j * step)
-            for i, v in enumerate(image.num):
-                vec[i] += c * v
+    vec = [0] * ((len(x.num) - 1) * step + 1)
+    vec[::step] = x.num  # zeta_m^j is zeta_conductor^(j*step)
     return CycloScalar(conductor, tuple(vec), x.den)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 
-from .cyclotomic import CycloScalar, cyclotomic_poly, root_of_unity
+from .cyclotomic import CycloScalar, _reduction_rows, cyclotomic_poly, root_of_unity
 from .polynomial import (
     PRIMAL,
     LinearForm,
@@ -301,16 +301,12 @@ def _parts(x) -> tuple[tuple[int, ...], int, int]:
 
 
 @lru_cache(maxsize=None)
-def _ring_constants(m: int) -> tuple[int, int]:
-    """(rho_m, H_m): the largest |coordinate| of z^k mod Phi_m over k < m, and of Phi_m."""
-    rho = max(abs(c) for k in range(m) for c in root_of_unity(m, k).num)
-    return rho, max(map(abs, cyclotomic_poly(m).coeffs))
-
-
-@lru_cache(maxsize=None)
-def _roots(m: int) -> frozenset[tuple[int, ...]]:
-    """The coordinates of zeta_m^k over k < m, reduced modulo Phi_m."""
-    return frozenset(root_of_unity(m, k).num for k in range(m))
+def _ring_constants(m: int) -> tuple[int, int, frozenset[tuple[int, ...]]]:
+    """(rho_m, H_m, rows): the largest |coordinate| of z^k mod Phi_m over k < m, the
+    largest |coefficient| of Phi_m, and z^k mod Phi_m for deg(Phi_m) <= k < m."""
+    rows = _reduction_rows(m)
+    rho = max((max(map(abs, row)) for row in rows), default=1)
+    return rho, max(map(abs, cyclotomic_poly(m).coeffs)), frozenset(rows)
 
 
 def _unit_scale(coords: tuple[int, ...], conductor: int) -> int | None:
@@ -320,11 +316,11 @@ def _unit_scale(coords: tuple[int, ...], conductor: int) -> int | None:
     above 1 divides all of its coordinates, and s * u with u = +-zeta^k has gcd s.
     """
     s = gcd(*coords)
-    if not s:
-        return 0
+    if coords.count(0) >= len(coords) - 1:  # zero, or s * (+-zeta^k) with k < deg(Phi_m)
+        return s
     unit = tuple(c // s for c in coords)
-    roots = _roots(conductor)
-    return s if unit in roots or tuple(-c for c in unit) in roots else None
+    rows = _ring_constants(conductor)[2]
+    return s if unit in rows or tuple(-c for c in unit) in rows else None
 
 
 @lru_cache(maxsize=None)
@@ -389,7 +385,7 @@ def _verify_exact(spec: MonomialSpec, dec: Decomposition) -> VerificationReport:
         s = [t for t in s if t]
         return min(sum(s) ** degree, _largest_multinomial(degree, len(s)) * prod(s) ** degree)
 
-    rho, height = _ring_constants(m)
+    rho, height, _ = _ring_constants(m)
     mass = sum(norm(c) * (common_den // den) * weight(entries) for c, entries, den in summands)
     bound = rho * (mass + common_den) + height
     b = _modulus_bits(bound)

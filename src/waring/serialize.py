@@ -59,7 +59,7 @@ def scalar_to_json(value):
     if isinstance(value, Fraction):
         return _ratio_text(value.numerator, value.denominator, "rational scalar")
     if isinstance(value, CycloScalar):
-        if not any(value.num[1:]):
+        if value.is_rational():
             return _ratio_text(value.num[0], value.den, "rational scalar")
         what = f"cyclotomic scalar of conductor {value.conductor}"
         return {

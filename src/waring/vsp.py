@@ -22,7 +22,6 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from .ideals import PhiTuple, basis_Bprime, dim_vsp
@@ -73,7 +72,7 @@ def sample_phi(space: VSPParameterSpace, seed: int) -> PhiTuple:
     entries = []
     nonzero = [k for k in range(-9, 10) if k != 0]
     for basis in space.bases:
-        terms = {e: Fraction(rng.choice(nonzero)) for e in basis}
+        terms = {e: rng.choice(nonzero) for e in basis}
         entries.append(SparsePoly(spec.n + 1, DUAL, terms))
     phi = PhiTuple(spec, entries)
     if not phi.canonical:
@@ -216,7 +215,7 @@ def torus_normalize(spec: MonomialSpec, phi: PhiTuple) -> tuple[TorusElement, Ph
             source = f"phi_{i}" if i else "the product of the phi_i"
             raise ValueError(f"lambda_{i}, from {source}, is outside float range")
     torus = TorusElement(lam=tuple(lam), exponents=spec.exponents)
-    ones = PhiTuple(spec, [SparsePoly.constant(n + 1, DUAL, Fraction(1)) for _ in range(n)])
+    ones = PhiTuple(spec, [SparsePoly.constant(n + 1, DUAL, 1) for _ in range(n)])
     return torus, ones
 
 

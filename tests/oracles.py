@@ -4,7 +4,8 @@ No command runs these: each is the plain, slow form of something the package
 computes another way (the expansion coefficients by closed form, a power of
 a linear form term by term, the summand coefficients by a square solve
 instead of 1/J, q_t by its definition instead of the previous degree's
-dim I_t, every parsed coefficient in ``Fraction``), or a small reading of a
+dim I_t, every parsed coefficient in ``Fraction``, the remainder mod Phi_m
+by long division instead of a table of powers), or a small reading of a
 package value that only the tests need.
 """
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from waring import cyclotomic
-from waring.cyclotomic import CycloScalar, embed
+from waring.cyclotomic import CycloScalar, cyclotomic_poly, embed
 from waring.linalg import (
     LinearSolveError,
     _all_exact,
@@ -42,6 +43,23 @@ from waring.polynomial import (
     split_power,
 )
 from waring.solver import NonRadicalIdealError, PointSet, _coords, in_chart, standard_monomials
+
+
+def remainder_mod_phi(m: int, vec) -> list[int]:
+    """sum_j vec[j] z^j modulo Phi_m by long division, highest term first.
+
+    Phi_m is monic, so each step subtracts c * z^(top - deg) * Phi_m for the
+    leading coefficient c; no table of powers, and z^m = 1 is never used.
+    """
+    phi = cyclotomic_poly(m).coeffs
+    deg = len(phi) - 1
+    rem = list(vec) + [0] * (deg - len(vec))
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = rem[top]
+        if c:
+            for i, p in enumerate(phi):
+                rem[top - deg + i] -= c * p
+    return rem[:deg]
 
 
 def root_power_sum(m: int, e: int) -> CycloScalar:

@@ -6,13 +6,24 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from waring import MonomialSpec, cli, explicit_decomposition, groebner, ideals, serialize, solver
+from waring import (
+    MonomialSpec,
+    cli,
+    cyclotomic,
+    explicit_decomposition,
+    groebner,
+    ideals,
+    monomials,
+    serialize,
+    solver,
+)
 from waring.cli import main
 
 from oracles import points_from_decomposition, q_t_diagnostic
@@ -134,6 +145,29 @@ class TestVerifyRoundTrip:
         path.write_text(json.dumps(payload))
         code, data = run_json(capsys, "verify", "x*y", "--input", str(path))
         assert code == 1 and "error" in data
+
+    def test_a_large_conductor_lcm_reads_a_small_table(self, capsys, tmp_path):
+        # 1/2*(zeta_53*x + zeta_59*y)^2 is checked in Q(zeta_3127), phi(3127) = 3016: the
+        # table of z^j mod Phi_3127 holds only the 111 powers j in [3016, 3127)
+        def zeta(m):
+            return {"conductor": m, "coeffs": ["0", "1"] + ["0"] * (m - 3)}
+
+        path = tmp_path / "lcm.json"
+        path.write_text(json.dumps({"degree": 2, "domain": "exact-cyclotomic", "summands": [
+            {"coeff": "1/2", "form": [zeta(53), zeta(59)]}]}))
+        for cached in (cyclotomic._reduction_rows, monomials._ring_constants):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            code, out = run(capsys, "verify", "x*y", "--input", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ('{"error": "FAIL (exact): difference = 1/2*z3127^118*x0^2 + '
+                       '(-1 + z3127^112)*x0*x1 + 1/2*z3127^106*x1^2"}\n')
+        assert len(cyclotomic._reduction_rows(3127)) == 111
+        assert peak < 10_000_000, peak
 
 
 class TestIdealAndRadical:

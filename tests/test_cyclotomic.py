@@ -4,10 +4,13 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waring import CycloScalar, cyclotomic_poly, embed, root_of_unity
+from waring.cyclotomic import _reduce_mod_phi, _reduction_rows
 
-from oracles import fraction_coords, root_power_sum
+from oracles import fraction_coords, remainder_mod_phi, root_power_sum
 
 
 def test_cyclotomic_poly_small_values():
@@ -55,6 +58,46 @@ def test_root_of_unity_order_and_sum(m):
     for a in range(m):
         total = total + root_of_unity(m, a)
     assert total == 0
+
+
+# a conductor and an integer vector of up to three times its length: past z^(m-1), the
+# last power the table holds, and past the 2*deg(Phi_m) - 1 coordinates of a product
+conductor_and_vector = st.integers(1, 120).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(-50, 50), max_size=3 * m)))
+
+
+class TestReductionModPhi:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(conductor_and_vector)
+    def test_agrees_with_long_division(self, case):
+        m, vec = case
+        assert _reduce_mod_phi(m, vec) == remainder_mod_phi(m, vec)
+        assert _reduce_mod_phi(m, tuple(vec)) == remainder_mod_phi(m, vec)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(conductor_and_vector, st.integers(2, 5), st.integers(1, 9))
+    def test_embed_is_the_remainder_of_the_spread_vector(self, case, step, den):
+        m, vec = case
+        x = CycloScalar(m, tuple(vec), den)
+        spread = [0] * (m * step)
+        for j, c in enumerate(x.num):
+            spread[j * step] = c  # zeta_m^j = zeta_(m*step)^(j*step)
+        image = remainder_mod_phi(m * step, spread)
+        assert embed(x, m * step) == CycloScalar(m * step, tuple(image), x.den)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 7, 12, 30, 53])
+    def test_the_table_holds_the_powers_below_m(self, m):
+        deg = cyclotomic_poly(m).degree
+        rows = _reduction_rows(m)
+        assert len(rows) == m - deg
+        for j, row in enumerate(rows, start=deg):
+            assert list(row) == remainder_mod_phi(m, [0] * j + [1])
+
+    def test_a_vector_longer_than_the_table(self):
+        assert CycloScalar(3, (0,) * 5 + (1,)) == root_of_unity(3, 5)
+        assert CycloScalar(3, (0,) * 5 + (1,)).num == (-1, -1)
+        assert CycloScalar(5, (1,) * 11) == 1  # two sums of z^0..z^4 vanish, z^10 = 1
+        assert CycloScalar(2, (7,)) == 7 and CycloScalar(12, ()) == 0
 
 
 def test_root_power_sum_closed_form():

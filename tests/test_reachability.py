@@ -4,8 +4,8 @@ A fixed list of in-process ``cli.main`` calls runs under ``sys.setprofile``.
 It covers every subcommand on small monomials, exact and float input to
 ``verify`` and ``fit-phi``, and ``--format text``.  Every function and every
 method defined in ``src/waring`` whose name is not a dunder must be entered,
-except the exact round trip in ``ALLOWED``, which no command reaches and which
-the tests keep as a whole.  Code only the tests use belongs in ``tests/``.
+except those in ``ALLOWED``, which is empty: a name goes there only with the
+reason no command reaches it.  Code only the tests use belongs in ``tests/``.
 """
 
 import importlib
@@ -19,9 +19,7 @@ import waring
 from waring import cli
 
 # (the name as this test prints it, why no command enters it)
-ALLOWED = {
-    "cyclotomic.embed": "exact round trip: mixed-conductor arithmetic on decomposition scalars",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def zeta3(*coeffs):
@@ -29,10 +27,14 @@ def zeta3(*coeffs):
 
 
 # the points (1, 1), (1, zeta_3), (1, zeta_3^2) of x*y^2, and its explicit decomposition
-# sum_a zeta_3^a / 9 * (x + zeta_3^a y)^3 read as floats
+# sum_a zeta_3^a / 9 * (x + zeta_3^a y)^3 read as floats; the points (1, zeta_4^a) of x*y^3,
+# -1 given with conductor 2, so the exact solve embeds it into Q(zeta_4)
 INPUTS = {
     "cyclotomic_points": {"points": [["1", "1"], ["1", zeta3("0", "1")],
                                      ["1", zeta3("-1", "-1")]]},
+    "mixed_conductor_points": {"points": [
+        ["1", "1"], ["1", {"conductor": 4, "coeffs": ["0", "1"]}],
+        ["1", {"conductor": 2, "coeffs": ["-1"]}], ["1", {"conductor": 4, "coeffs": ["0", "-1"]}]]},
     "cyclotomic_as_float": {"degree": 3, "domain": "complex-float", "summands": [
         {"coeff": "1/9", "form": ["1", "1"]},
         {"coeff": zeta3("0", "1/9"), "form": ["1", zeta3("0", "1")]},
@@ -66,6 +68,7 @@ CALLS = [
     (["points", "x*y^2", "--seed", "0"], "points"),
     (["fit-phi", "x*y^2", "--points", "{points}"], None),
     (["fit-phi", "x*y^2", "--points", "{cyclotomic_points}"], None),
+    (["fit-phi", "x*y^3", "--points", "{mixed_conductor_points}"], None),
     (["normalize", "x^2*y^2", "--phi", "2", "--seed", "0"], None),
     (["sample", "x*y^2", "--seed", "0", "--count", "2"], None),
     (["diagnose", "x*y"], None),
