@@ -19,6 +19,7 @@ least squares reads at ``RANK_CUTOFF``, and on a residual above ``SOLVE_TOL``.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt
@@ -165,18 +166,31 @@ def _packed_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]
     len(rows).bit_length() (rounded up to whole bytes, so that a row packs
     and unpacks through one bytes object) never carries between fields.  Up to
     127 rows that is 9 bytes for p = 2^31 - 1 against 17 for 2^61 - 1, so
-    the smaller prime about halves the int each multiply-add runs on.  The
+    the smaller prime about halves the int each multiply-add runs on.  Below
+    2^63 a row packs through one ``struct.Struct`` per call, each field a "Q"
+    (the entry, below p) then zero pad bytes, so at least 8 bytes wide, and the
+    echelon rows unpack the same way, their folded fields being below
+    2^(k+1) <= 2^64; a larger prime packs field by field with ``to_bytes``.  The
     pivot rows are unpacked and normalized only when a free column exists, so
     at full column rank the call costs the forward elimination alone.
     """
     k = p.bit_length()
     size = (2 * k + 3 + len(rows).bit_length() + 7) // 8
+    field = None
+    if k < 64:  # every entry, and every folded field (below 2^(k+1)), is one "Q" of a field
+        size = max(size, 8)
+        layout = "Q" + "x" * (size - 8)
+        field = struct.Struct("<" + layout)
     w = 8 * size
     mask, c = (1 << w) - 1, (1 << k) - p
     ones = ((1 << w * ncols) - 1) // mask  # 1 in every field
     low, high = ones * ((1 << k) - 1), ones * (mask ^ ((1 << k + 1) - 1))
-    live = [int.from_bytes(b"".join(v.to_bytes(size, "little") for v in row), "little")
-            for row in rows]
+    if field:
+        packer = struct.Struct("<" + layout * ncols)
+        live = [int.from_bytes(packer.pack(*row), "little") for row in rows]
+    else:
+        live = [int.from_bytes(b"".join(v.to_bytes(size, "little") for v in row), "little")
+                for row in rows]
     pivots = []  # (column, inverse of its head, folded fields of the later columns)
     for col in range(ncols):
         heads = [(row & mask) % p for row in live]
@@ -199,8 +213,12 @@ def _packed_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]
     echelon = []
     for col, inv, top in pivots:
         packed = top.to_bytes((ncols - col - 1) * size, "little")
-        echelon.append((col, [int.from_bytes(packed[j:j + size], "little") * inv % p
-                              for j in range(0, len(packed), size)]))
+        if field:
+            fields = [x for x, in field.iter_unpack(packed)]
+        else:
+            fields = [int.from_bytes(packed[j:j + size], "little")
+                      for j in range(0, len(packed), size)]
+        echelon.append((col, [x * inv % p for x in fields]))
     pivot_set = {col for col, _ in echelon}
     basis = []
     for free in (j for j in range(ncols) if j not in pivot_set):

@@ -172,17 +172,22 @@ def spec_to_json(spec: MonomialSpec) -> dict:
 
 
 def _shared_writer():
-    """``scalar_to_json`` that writes each distinct cyclotomic scalar once per writer.
+    """``scalar_to_json`` that writes each distinct cyclotomic or complex scalar once per writer.
 
-    Equal scalars, keyed by (conductor, num, den), get the same record object, so the
-    caller must never mutate a record it is given.
+    Equal scalars, keyed by (conductor, num, den) or by the complex value, get the same
+    record object, so the caller must never mutate a record it is given.  Equal complex
+    values write equal records: the + 0.0 of ``scalar_to_json`` writes -0.0 as 0.0.
     """
     records = {}
 
     def write(value):
-        if type(value) is not CycloScalar:
+        kind = type(value)
+        if kind is complex:
+            key = value
+        elif kind is CycloScalar:
+            key = (value.conductor, value.num, value.den)
+        else:
             return scalar_to_json(value)
-        key = (value.conductor, value.num, value.den)
         record = records.get(key)
         if record is None:
             record = records[key] = scalar_to_json(value)

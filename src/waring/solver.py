@@ -22,6 +22,18 @@ a^e with e_i <= d_i.  From the multiplication matrices on that basis we get
   multinomial (d; d0, ..., dn), by the Euler-Jacobi residue formula;
   ``verify_decomposition`` is the only judge of the result.
 
+What depends on the monomial alone is one quotient plan per sorted exponent
+tuple (``_quotient_plan``, cached), shared by every phi: the standard basis
+and its index, the n*r lifted monomials b + e_i split into unit shifts
+(b_i < d_i: column b of M_i is the basis vector of b + e_i) and boundary ones
+(b_i = d_i: the only columns the reduction makes), per variable the map from
+a row of M_i to the unit column that lands on it, and the chain b -> (i,
+b - e_i) along which the columns of M_J are built.  So ``build_quotient``
+reduces only the boundary monomials, the commutation check compares two
+stored columns wherever both first steps are unit shifts, a product by M_i is
+one gather plus the boundary columns, and the real M_i is one scatter.  The
+plan holds nothing that depends on phi.
+
 Homogeneous ideal membership needs no completion either: with a0 the smallest
 variable in grevlex the homogeneous generators of I(k, phi) have the coprime
 leading terms a_i^(d_i+1), so one reduction by them decides it.
@@ -31,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm
 
@@ -97,22 +109,32 @@ class QuotientAlgebra:
         return out
 
     def dense_matrix(self, var: int) -> np.ndarray:
-        """Real M_var in the variables a_j: each int entry over its power of D, correctly rounded.
+        """Real M_var in the variables a_j, filled by one scatter of its nonzero entries.
 
-        phi is rational, so M_var is real and ``extract_points`` runs a real ``eig`` on it.
+        A unit shift is 1.0; a boundary entry (g, b) is its int over D^(1 + |b| - |g|),
+        so correctly rounded, and one past float range raises PointExtractionError naming
+        the first such entry in column order.  phi is rational, so M_var is real and
+        ``extract_points`` runs a real ``eig`` on it.
         """
         import numpy as np
 
-        degree = [sum(b) for b in self.basis]
-        m = np.zeros((self.dim, self.dim))
-        for col_idx, col in enumerate(self.columns[var - 1]):
-            for row, c in col:
-                try:
-                    m[row, col_idx] = c / self.scale ** (1 + degree[col_idx] - degree[row])
-                except OverflowError:
-                    raise PointExtractionError(f"eigenvalue stage: entry of M_{var} at row {row}, "
-                                               f"column {col_idx} is outside float range") from None
-        return m
+        plan = _quotient_plan(self.spec.exponents)
+        r, degree, columns = self.dim, plan.degree, self.columns[var - 1]
+        powers = [self.scale ** k for k in range(max(degree) + 2)]
+        flat = list(plan.units[var - 1])
+        values = [1.0] * len(flat)
+        try:
+            for b, _ in plan.lifts[var - 1]:
+                top = 1 + degree[b]
+                for g, c in columns[b]:
+                    values.append(c / powers[top - degree[g]])
+                    flat.append(g * r + b)
+        except OverflowError:
+            raise PointExtractionError(f"eigenvalue stage: entry of M_{var} at row {g}, "
+                                       f"column {b} is outside float range") from None
+        m = np.zeros(r * r)
+        m[flat] = values
+        return m.reshape(r, r)
 
     @cached_property
     def _chart_system(self):
@@ -148,6 +170,56 @@ def standard_monomials(spec: MonomialSpec) -> list[Exponent]:
     return sorted(((0,) + b for b in box), key=grevlex_key)
 
 
+@dataclass(frozen=True)
+class _QuotientPlan:
+    """The phi-independent part of every quotient of one monomial (see the module docstring).
+
+    Per variable i (position i - 1): ``skeleton`` holds the column ((index of b + e_i, 1),)
+    of each unit shift b and None at each boundary one; ``lifts`` the (b, b + e_i) pairs of
+    the boundary columns, in basis order; ``sources`` maps each row g to the unit column b
+    with b + e_i = g, or -1; ``units`` the flat position g * r + b of each unit entry.
+    ``chain`` gives, for each basis monomial after the first, (i, index of b - e_i) with i
+    its first nonzero exponent.  ``index`` is never handed out: ``build_quotient`` copies it.
+    """
+
+    basis: tuple[Exponent, ...]
+    index: dict[Exponent, int]
+    degree: tuple[int, ...]
+    skeleton: tuple[tuple, ...]
+    lifts: tuple[tuple[tuple[int, Exponent], ...], ...]
+    sources: tuple[tuple[int, ...], ...]
+    units: tuple[tuple[int, ...], ...]
+    chain: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=64)
+def _quotient_plan(exponents: Exponent) -> _QuotientPlan:
+    """The plan of the monomial with sorted exponents (d0, ..., dn); a few KB at r = 64."""
+    n = len(exponents) - 1
+    basis = tuple(standard_monomials(MonomialSpec.from_exponents(exponents)))
+    index = {e: i for i, e in enumerate(basis)}
+    r = len(basis)
+    skeleton, lifts, sources, units = [], [], [], []
+    for i in range(1, n + 1):
+        lifted = [b[:i] + (b[i] + 1,) + b[i + 1:] for b in basis]
+        shifted = [index.get(t, -1) for t in lifted]
+        skeleton.append(tuple(((g, 1),) if g >= 0 else None for g in shifted))
+        lifts.append(tuple((b, t) for b, (t, g) in enumerate(zip(lifted, shifted)) if g < 0))
+        source = [-1] * r
+        for b, g in enumerate(shifted):
+            if g >= 0:
+                source[g] = b
+        sources.append(tuple(source))
+        units.append(tuple(g * r + b for b, g in enumerate(shifted) if g >= 0))
+    chain = []
+    for b in basis[1:]:
+        i = next(i for i, x in enumerate(b) if x)
+        chain.append((i, index[b[:i] + (b[i] - 1,) + b[i + 1:]]))
+    return _QuotientPlan(basis=basis, index=index, degree=tuple(map(sum, basis)),
+                         skeleton=tuple(skeleton), lifts=tuple(lifts), sources=tuple(sources),
+                         units=tuple(units), chain=tuple(chain))
+
+
 def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
     """Dehomogenize the generators at a0 = 1 and build the multiplication matrices.
 
@@ -155,11 +227,11 @@ def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
     coefficients, a term c * a^e of psi_i becomes the int c * D^(d_i + 1 - |e|)
     (d_i + 1 - |e| >= d0 + 1), and every leading coefficient is 1, so the
     reduction runs in int.  It strictly drops degree (deg psi_i <= d_i - d0),
-    so normal forms terminate; all n*r columns share one memo
-    (``ci_normal_forms``), which reduces each nonstandard monomial once.
-    Pairwise commutation of the resulting matrices is asserted, failure would
-    mean a reduction bug.  A coefficient that is not int or Fraction raises
-    TypeError.
+    so normal forms terminate; the unit shifts come from the monomial's plan,
+    and the boundary columns share one memo (``ci_normal_forms``), which
+    reduces each nonstandard monomial once.  Pairwise commutation of the
+    resulting matrices is asserted, failure would mean a reduction bug.  A
+    coefficient that is not int or Fraction raises TypeError.
     """
     n = spec.n
     if len(phi) != n:
@@ -172,36 +244,46 @@ def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
     psi = tuple(SparsePoly(n + 1, DUAL, {e: c.numerator * scale ** (d + 1 - sum(e)) // c.denominator
                                      for e, c in dehomogenize(p, 0).terms.items()})
                 for d, p in zip(spec.exponents[1:], phi.entries))
-    basis = standard_monomials(spec)
-    index = {e: i for i, e in enumerate(basis)}
-
-    lifted = [[tuple(x + (j == i) for j, x in enumerate(e)) for e in basis]
-              for i in range(1, n + 1)]
-    outside = {t for row in lifted for t in row if t not in index}
+    plan = _quotient_plan(spec.exponents)
+    index = dict(plan.index)
+    outside = [t for lifts in plan.lifts for _, t in lifts]
     forms = ci_normal_forms(outside, spec.exponents, psi, index)
-    columns = tuple(tuple(((index[t], 1),) if t in index else tuple(sorted(forms[t].items()))
-                          for t in row) for row in lifted)
+    columns = []
+    for skeleton, lifts in zip(plan.skeleton, plan.lifts):
+        column = list(skeleton)
+        for b, t in lifts:
+            column[b] = tuple(sorted(forms[t].items()))
+        columns.append(tuple(column))
 
-    algebra = QuotientAlgebra(spec=spec, phi=phi, basis=tuple(basis), index=index,
-                              columns=columns, scale=scale, psi=psi)
-    _assert_commuting(algebra)
+    algebra = QuotientAlgebra(spec=spec, phi=phi, basis=plan.basis, index=index,
+                              columns=tuple(columns), scale=scale, psi=psi)
+    _assert_commuting(algebra, plan)
     return algebra
 
 
-def _assert_commuting(q: QuotientAlgebra):
-    """Column b of M_i * M_j is M_i applied to column b of M_j; it must equal that of M_j * M_i."""
+def _assert_commuting(q: QuotientAlgebra, plan: _QuotientPlan):
+    """M_i * (M_j e_b) must equal M_j * (M_i e_b) for every i < j and every b.
+
+    Where both e_b steps are unit shifts the two sides are stored columns, b + e_j of
+    M_i and b + e_i of M_j, compared as they are; elsewhere both sides go through
+    ``apply``.
+    """
     for i in range(1, q.spec.n + 1):
         for j in range(i + 1, q.spec.n + 1):
-            for b in range(q.dim):
-                if q.apply(i, q.columns[j - 1][b]) != q.apply(j, q.columns[i - 1][b]):
-                    raise AssertionError(
-                        f"multiplication matrices {i} and {j} do not commute"
-                    )
+            cols_i, cols_j = q.columns[i - 1], q.columns[j - 1]
+            for b, (unit_i, unit_j) in enumerate(zip(plan.skeleton[i - 1], plan.skeleton[j - 1])):
+                if unit_i and unit_j:  # ((index of b + e_i, 1),) and ((index of b + e_j, 1),)
+                    agree = cols_i[unit_j[0][0]] == cols_j[unit_i[0][0]]
+                else:
+                    agree = q.apply(i, cols_j[b]) == q.apply(j, cols_i[b])
+                if not agree:
+                    raise AssertionError(f"multiplication matrices {i} and {j} do not commute")
 
 
 # Mersenne primes tried in turn.  Any one proves full rank by an empty kernel, and 2^31 - 1
-# packs a residue into 9 bytes of ``nullspace_mod_p`` instead of 17; a larger prime lifts
-# kernel entries past its reconstruction bound isqrt(p // 2), about 2^15 for 2^31 - 1.
+# packs a residue into 9 bytes of ``nullspace_mod_p`` instead of 17; kernel entries past the
+# reconstruction bound isqrt(p // 2), about 2^15 for 2^31 - 1, lift modulo the product of the
+# primes that agree on the free columns.
 TRACE_PRIMES = (2**31 - 1, 2**61 - 1, 2**127 - 1, 2**521 - 1)
 
 
@@ -210,7 +292,8 @@ def _jacobian_columns(q: QuotientAlgebra) -> list[list[int]]:
 
     J is one Laplace expansion over the nonzero entries, each minor computed
     once: n products when every psi_i is constant.  Column 0 is the normal
-    form of J, and column b is b_i times the earlier column b - e_i.
+    form of J, and column b is b_i times the earlier column b - e_i (the plan's
+    ``chain``): its unit shifts are one gather, its boundary columns are summed.
     """
     n, bounds = q.spec.n, q.spec.exponents
     rows = [[SparsePoly(n + 1, DUAL, {tuple(x - (k == j) for k, x in enumerate(e)): -c * e[j]
@@ -232,35 +315,42 @@ def _jacobian_columns(q: QuotientAlgebra) -> list[list[int]]:
         return minors[cols]
 
     form = ci_normal_form(det(tuple(range(n))).terms, bounds, q.psi)
-    columns = [[form.get(b, 0) for b in q.basis]]
-    for b in q.basis[1:]:
-        i = next(i for i, x in enumerate(b) if x)
-        lower = q.index[tuple(x - (k == i) for k, x in enumerate(b))]
-        columns.append(q.apply(i, enumerate(columns[lower])))
+    plan = _quotient_plan(bounds)
+    columns = [[form.get(b, 0) for b in plan.basis]]
+    for i, lower in plan.chain:  # b_i * column b - e_i: the unit part gathered, then the rest
+        v, boundary = columns[lower], q.columns[i - 1]
+        out = [v[s] if s >= 0 else 0 for s in plan.sources[i - 1]]
+        for b, _ in plan.lifts[i - 1]:
+            if x := v[b]:
+                for row, c in boundary[b]:
+                    out[row] += c * x
+        columns.append(out)
     return columns
 
 
-def _lifts_to_exact_kernel(matrix: list[list[int]], kernel: list[list[int]], p: int,
+def _lifts_to_exact_kernel(matrix: list[list[int]], kernel: list[list[int]], modulus: int,
                           powers: list[int], scale: int) -> bool:
-    """True when the kernel basis mod p lifts to as many independent kernel vectors over Q.
+    """True when the kernel basis mod ``modulus`` lifts to as many independent kernel vectors
+    over Q.
 
+    ``modulus`` is a product of primes none of which divides ``scale``, each with
+    this kernel's free columns, so the rank over Q is at least ncols - len(kernel).
     ``matrix`` is M_J^T in the b_j = D * a_j, entry (g, b) of M_J a constant times
     D^(|b| - |g|) that in the a_j: v is in its kernel iff (D^(e_b) v_b), e_b =
     ``powers[b]`` = -|b|, is in the kernel in the a_j, free of powers of D.  With
     f the free column of v (v_f = 1, v_b = 0 after it), u_b = v_b * D^(e_b - e_f)
-    mod p is lifted by rational reconstruction, cleared of denominators and
-    scaled back exactly, v_b = u_b * D^(t - e_b), t the largest e_b in the
+    mod the modulus is lifted by rational reconstruction, cleared of denominators
+    and scaled back exactly, v_b = u_b * D^(t - e_b), t the largest e_b in the
     support.  Each lift must be nonzero, end in a column no other lift ends in
     (so they are independent) and be annihilated exactly by ``matrix``: then
-    the rank over Q is at most ncols - len(kernel), the rank mod p, its bound.
+    the rank over Q is at most ncols - len(kernel) too.
     """
-    if scale % p == 0:
-        return False
-    weight = [pow(scale, e, p) for e in powers]
+    weight = [pow(scale, e, modulus) for e in powers]
     ends = set()
     for vector in kernel:
-        unit = pow(weight[max(i for i, v in enumerate(vector) if v)], -1, p)
-        entries = [rational_reconstruction(v * w * unit % p, p) for v, w in zip(vector, weight)]
+        unit = pow(weight[max(i for i, v in enumerate(vector) if v)], -1, modulus)
+        entries = [rational_reconstruction(v * w * unit % modulus, modulus)
+                   for v, w in zip(vector, weight)]
         if any(x is None for x in entries):
             return False
         common = lcm(*(x.denominator for x in entries))
@@ -286,21 +376,39 @@ def trace_form_rank(q: QuotientAlgebra) -> int:
     never exceeds the rank over Q, so an empty kernel proves full rank at any
     of them, the first and cheapest included, and kernel vectors that lift to
     Q and check exactly prove the rank.  A kernel whose lifts fail (entries
-    past the prime's reconstruction bound, or a rank that only drops mod p)
-    falls through to the next prime; after the last, exact elimination
-    decides.  A column entry that is not int raises TypeError.
+    past the reconstruction bound, or a rank that only drops mod p) is kept:
+    when the next prime's kernel has the same free columns, the two canonical
+    bases are residues of one basis over Q, so they are joined by the Chinese
+    remainder theorem and lifted modulo the product, whose bound isqrt(P // 2)
+    grows with every prime.  When the free columns differ, the prime of higher
+    rank is kept (on a tie, the newer).  A prime that divides D is skipped once
+    its kernel is not empty.  After the last prime, exact elimination decides.
+    A column entry that is not int raises TypeError.
     """
     other = {type(c) for cols in q.columns for col in cols for _, c in col} - {int}
     if other:
         raise TypeError(f"trace form requires int entries, got {other.pop().__name__}")
     matrix = _jacobian_columns(q)
     powers = [-sum(b) for b in q.basis]
+    residues, modulus, kept = None, 1, None  # the kernel kept, its modulus and free columns
     for p in TRACE_PRIMES:
         kernel = nullspace_mod_p(matrix, p)
         if not kernel:
             return q.dim
-        if _lifts_to_exact_kernel(matrix, kernel, p, powers, q.scale):
-            return q.dim - len(kernel)
+        if q.scale % p == 0:
+            continue
+        free = [max(i for i, v in enumerate(vector) if v) for vector in kernel]
+        if free == kept:
+            inverse = pow(modulus, -1, p)
+            residues = [[a + modulus * ((b - a) * inverse % p) for a, b in zip(old, new)]
+                        for old, new in zip(residues, kernel)]
+            modulus *= p
+        elif residues is None or len(kernel) <= len(residues):
+            residues, modulus, kept = kernel, p, free
+        else:
+            continue
+        if _lifts_to_exact_kernel(matrix, residues, modulus, powers, q.scale):
+            return q.dim - len(residues)
     return exact_rank(matrix)
 
 
@@ -368,6 +476,17 @@ def _chart_values(q: QuotientAlgebra, coords):
     return (evaluation_matrix(coords, exponents) @ flat).reshape(len(coords), n, n + 1)
 
 
+def _point_order(coords) -> list[int]:
+    """The rows of ``coords`` (r x n complex) sorted by (re, im) of each coordinate, rounded
+    to 9 digits: one flat key per row, since flattened pairs compare as the pairs do."""
+    import numpy as np
+
+    width = (9,) * (2 * coords.shape[1])
+    pairs = np.ascontiguousarray(coords).view(float).tolist()  # re, im, re, im, ...
+    keys = [tuple(map(round, row, width)) for row in pairs]
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
 def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> PointSet:
     """Eigenvalue method, then Newton's method on the chart generators.
 
@@ -426,8 +545,7 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
             raise PointExtractionError(f"Newton step: the Jacobian at eigenvector {j} "
                                        "is singular") from None
     rows = [(1.0 + 0j,) + tuple(row) for row in coords.tolist()]
-    order = sorted(range(r), key=lambda a: tuple(
-        (round(x.real, 9), round(x.imag, 9)) for x in rows[a]))
+    order = _point_order(coords)
     coords = coords[order]
 
     tops = np.abs(coords).max(axis=1, initial=1.0)  # a0 = 1 takes part in the max

@@ -44,6 +44,21 @@ def _constant_normal_forms(monkeypatch):
                         lambda monomials, exponents, tails, index: dict.fromkeys(monomials, {0: 1}))
 
 
+def _one_boundary_form_off(monkeypatch):
+    """The boundary column (0, 0, 3) of M_2 of x*y^2*z^3, the form of a2^4, one off in row 0.
+
+    a1 * (0, 0, 3) is a unit shift, so only the products through ``apply`` compare it."""
+    reduce = solver.ci_normal_forms
+
+    def off(monomials, exponents, tails, index):
+        memo = reduce(monomials, exponents, tails, index)
+        form = memo[0, 0, 4] = dict(memo[0, 0, 4])
+        form[0] = form.get(0, 0) + 1
+        return memo
+
+    monkeypatch.setattr(solver, "ci_normal_forms", off)
+
+
 def _explicit_quotient_of_xy2z3():
     spec = MonomialSpec.parse("x*y^2*z^3")
     return solver.build_quotient(spec, ideals.explicit_phi(spec))
@@ -84,11 +99,23 @@ CASES = [
     pytest.param(
         _constant_normal_forms, _explicit_quotient_of_xy2z3,
         "multiplication matrices 1 and 2 do not commute", id="build_quotient"),
+    pytest.param(
+        _one_boundary_form_off, _explicit_quotient_of_xy2z3,
+        "multiplication matrices 1 and 2 do not commute", id="build_quotient_boundary_column"),
 ]
 
 
 @pytest.mark.parametrize("break_it, call, message", CASES)
 def test_broken_invariant_raises(monkeypatch, break_it, call, message):
+    break_it(monkeypatch)
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("break_it, call, message", CASES)
+def test_broken_invariant_raises_after_a_warm_call(monkeypatch, break_it, call, message):
+    # what the first call caches (the quotient plan among it) holds nothing the break touches
+    call()
     break_it(monkeypatch)
     with pytest.raises(AssertionError, match=re.escape(message)):
         call()
@@ -126,21 +153,31 @@ def test_trace_form_type_check_survives_optimized_mode():
     assert "trace form requires int entries, got Fraction" in out
 
 
-def test_corrupted_reduction_raises_in_optimized_mode():
+def _build_under_optimized_mode(corrupt: str) -> str:
+    """Stdout of building the explicit quotient of x*y^2*z^3 with ``corrupt`` applied, under -O."""
     tests = Path(__file__).resolve().parent
     code = (
         "from types import SimpleNamespace\n"
-        "from test_invariants import _constant_normal_forms, _explicit_quotient_of_xy2z3\n"
-        "_constant_normal_forms(SimpleNamespace(setattr=setattr))\n"
+        f"from test_invariants import {corrupt}, _explicit_quotient_of_xy2z3\n"
+        f"{corrupt}(SimpleNamespace(setattr=setattr))\n"
         "try:\n"
         "    _explicit_quotient_of_xy2z3()\n"
         "except AssertionError as exc:\n"
         "    print(exc)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout
-    assert out == "multiplication matrices 1 and 2 do not commute\n"
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout
+
+
+def test_corrupted_reduction_raises_in_optimized_mode():
+    assert _build_under_optimized_mode("_constant_normal_forms") == (
+        "multiplication matrices 1 and 2 do not commute\n")
+
+
+def test_corrupted_boundary_column_raises_in_optimized_mode():
+    assert _build_under_optimized_mode("_one_boundary_form_off") == (
+        "multiplication matrices 1 and 2 do not commute\n")
 
 
 def test_zero_jacobian_raise_survives_optimized_mode():

@@ -159,8 +159,10 @@ def reference_nullspace_mod_p(rows, p):
     return basis
 
 
-# 2 is the one prime not of the form 2^k - 1; the last four are TRACE_PRIMES
-PRIMES = [2, 3, 7, *TRACE_PRIMES]
+# 2 is the one prime not of the form 2^k - 1; 2^63 - 25 and 2^64 - 59, the largest primes
+# of 63 and 64 bits, sit on either side of the 64-bit struct field of the packing; the last
+# four are TRACE_PRIMES
+PRIMES = [2, 3, 7, 2**63 - 25, 2**64 - 59, *TRACE_PRIMES]
 
 
 class TestLazyElimination:

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import random
 import re
 import sys
@@ -8,6 +10,9 @@ import pytest
 
 from waring import CycloScalar, MonomialSpec, cyclotomic_poly, explicit_decomposition, root_of_unity
 from waring import serialize
+from waring.cli import _json_text
+from waring.monomials import Decomposition
+from waring.polynomial import LinearForm
 from waring.serialize import (
     DigitLimitError,
     decomposition_from_json,
@@ -21,7 +26,7 @@ from waring.serialize import (
 )
 from waring.polynomial import DUAL, parse_poly
 from waring.solver import PointSet
-from waring.vsp import parameter_space, sample_phi
+from waring.vsp import decompose_from_phi, parameter_space, sample_phi
 
 from oracles import fraction_coords
 
@@ -273,6 +278,28 @@ class TestSharedRecords:
         records = [r for entry in data["summands"] for r in (entry["coeff"], *entry["form"])
                    if isinstance(r, dict)]
         assert len({id(r) for r in records}) == len({json.dumps(r) for r in records}) < len(records)
+
+    def test_equal_complex_scalars_share_one_record(self):
+        # a float decomposition repeats coordinates (a0 = 1 in every form); -0.0 and 0.0
+        # are equal values and write the same record, while a NaN equals nothing
+        spec = MonomialSpec.parse("x*y^2*z^3")
+        dec = decompose_from_phi(spec, sample_phi(parameter_space(spec), 0))
+        extra = (complex(0.5, -0.0), LinearForm([complex(-0.0, 1.0), complex(0.0, 1.0),
+                                                 complex(math.nan, 0.0)]))
+        dec = Decomposition(dec.degree, dec.domain, dec.summands + (extra,), dec.verified,
+                            dec.residual)
+        data = decomposition_to_json(dec)
+        before = copy.deepcopy(data)
+        records = [r for entry in data["summands"] for r in (entry["coeff"], *entry["form"])]
+        values = [v for c, form in dec.summands for v in (c, *form.coeffs)]
+        first = {}
+        for record, value in zip(records, values, strict=True):
+            if value == value:  # a NaN is its own record
+                assert first.setdefault(value, record) is record
+        assert records[-3] is records[-2] == {"re": 0.0, "im": 1.0}
+        assert len({id(r) for r in records}) < len(records)
+        assert _json_text(data) == json.dumps(data, sort_keys=True, indent=2)
+        assert data == before  # deepcopy keeps each float object, the NaN's too
 
     @pytest.mark.parametrize("bad, text", [
         ({"conductor": 3, "coeffs": [0, 1]},

@@ -295,6 +295,43 @@ class TestModularCertificate:
         rank, r = self.check(spec, dense_phi(spec, 0, denominator), exact_calls, 0)
         assert rank < r and primes == [2**31 - 1]
 
+    @pytest.mark.parametrize("case", ["torus 35", "torus 250", "dense"])
+    def test_kernels_of_agreeing_primes_are_joined(self, exact_calls, monkeypatch, case):
+        # kernel entries up to lam^3 pass the bound 63 of 8191 and the 511 of 524287, and so
+        # do those of the dense phi: they lift modulo the product of the primes, and only there
+        monkeypatch.setattr(solver, "TRACE_PRIMES", (8191, 131071, 524287))
+        if case == "dense":
+            spec = MonomialSpec.parse("x*y^3*z^3*w^3")
+            phi = dense_phi(spec, 0)
+        else:
+            spec, phi = mixed_kernel_phi(int(case.split()[1]))
+        q = build_quotient(spec, phi)
+        assert trace_form_rank(q) == exact_rank(solver._jacobian_columns(q)) < q.dim
+        assert not exact_calls
+
+    def test_a_prime_of_lower_rank_is_passed_over(self, exact_calls, monkeypatch):
+        # at 8191 the first row of M_J^T outside the span of the others is taken times p, so
+        # the rank drops as at a prime where it drops only mod p: other free columns and one
+        # kernel vector more.  The kernel of 131071 is kept and joined with that of 524287;
+        # its entries reach 20^3, past the bound 511 of 524287 alone
+        kernel = solver.nullspace_mod_p
+        sizes = []
+
+        def dropping(rows, p):
+            if p == 8191:
+                scaled = ([*rows[:i], [p * v for v in rows[i]], *rows[i + 1:]]
+                          for i in range(len(rows)))
+                rows = next(m for m in scaled if len(kernel(m, p)) > len(kernel(rows, p)))
+            basis = kernel(rows, p)
+            sizes.append(len(basis))
+            return basis
+
+        monkeypatch.setattr(solver, "TRACE_PRIMES", (131071, 8191, 524287))
+        monkeypatch.setattr(solver, "nullspace_mod_p", dropping)
+        q = build_quotient(*mixed_kernel_phi(20))
+        assert trace_form_rank(q) == 13 and sizes == [3, 4, 3]
+        assert not exact_calls
+
     @pytest.mark.parametrize("lam", [6, 35, 1000])
     def test_torus_image_is_certified_at_the_first_prime(self, exact_calls, monkeypatch, lam):
         # D = lam^3, and the kernel of M_J^T in the b_j is Delta = diag(D^|b|) times the one
@@ -593,6 +630,73 @@ class TestTraceFormColumns:
         assert q.scale == 2
         assert all(type(c) is int for c in entries(q.columns))
         assert trace_form_rank(q) == reference_trace_rank(q) == 8
+
+
+def reference_jacobian_columns(q):
+    """M_J with column b = b_i * column (b - e_i) through ``apply`` and ``index``, for the
+    first nonzero b_i; column 0, the normal form of J, is that of ``_jacobian_columns``."""
+    columns = solver._jacobian_columns(q)[:1]
+    for b in q.basis[1:]:
+        i = next(i for i, x in enumerate(b) if x)
+        lower = q.index[tuple(x - (k == i) for k, x in enumerate(b))]
+        columns.append(q.apply(i, enumerate(columns[lower])))
+    return columns
+
+
+class TestQuotientPlan:
+    """Every phi of a monomial shares one plan; what it builds equals a build from scratch."""
+
+    @pytest.mark.parametrize("text", ["x*y^3", "x*y^2*z^3", "x*y*z^2*w^3", "x0*x1*x2*x3*x4^2"])
+    def test_each_phi_equals_a_build_from_scratch(self, text):
+        spec = MonomialSpec.parse(text)
+        basis = tuple(solver.standard_monomials(spec))
+        solver._quotient_plan.cache_clear()
+        for kind, phi in [("sampled", sample_phi(parameter_space(spec), 0)),
+                          ("explicit", explicit_phi(spec)), ("dense", dense_phi(spec, 1, 1)),
+                          ("rational", dense_phi(spec, 0, 6))]:
+            q = build_quotient(spec, phi)
+            assert (q.scale > 1) == (kind == "rational")
+            assert q.basis == basis and q.index == {e: i for i, e in enumerate(basis)}
+            assert q.columns == rescaled(fraction_columns(spec, phi), basis, q.scale)
+            columns = solver._jacobian_columns(q)
+            assert columns == reference_jacobian_columns(q)
+            assert trace_form_rank(q) == exact_rank(columns)
+        assert solver._quotient_plan.cache_info().misses == 1
+
+    def test_a_changed_quotient_changes_no_later_one(self):
+        spec = MonomialSpec.parse("x*y^2*z^3")
+        first = build_quotient(spec, explicit_phi(spec))
+        assert first.index is not solver._quotient_plan(spec.exponents).index
+        first.index.clear()
+        first.index[(0, 0, 0)] = 5
+        first.basis = first.basis[::-1]
+        phi = sample_phi(parameter_space(spec), 3)
+        q = build_quotient(spec, phi)
+        basis = tuple(solver.standard_monomials(spec))
+        assert q.basis == basis and q.index == {e: i for i, e in enumerate(basis)}
+        assert q.columns == fraction_columns(spec, phi)
+
+
+def old_point_order(coords):
+    """The sort of the points before the flat key: (re, im) pairs, a0 = 1 + 0j first."""
+    rows = [(1.0 + 0j,) + tuple(row) for row in coords.tolist()]
+    return sorted(range(len(rows)), key=lambda a: tuple(
+        (round(x.real, 9), round(x.imag, 9)) for x in rows[a]))
+
+
+def test_flat_point_key_sorts_as_the_pairs():
+    # ties in re and in im, equal to 9 digits or exactly, -0.0, and rows with NaN and inf;
+    # a NaN compares false both ways, and the two keys make the same comparisons
+    values = [1 + 2j, 1 + 1j, 1 + 1j + 1e-12, 1 - 1j, 0.5 + 1j, complex(-0.0, 0.0), 0j,
+              complex(1, 2 + 3e-10)]
+    coords = np.array([[a, b] for a in values for b in values]
+                      + [[complex(np.nan, 0), 1], [1, complex(np.inf, 0)],
+                         [complex(1, np.nan), 0], [complex(-np.inf, 1), 2], [1 + 1j, np.nan]])
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        shuffled = coords[rng.permutation(len(coords))]
+        assert solver._point_order(shuffled) == old_point_order(shuffled)
+        assert solver._point_order(shuffled.T.copy().T) == old_point_order(shuffled)  # F order
 
 
 class TestIsRadical:
