@@ -343,6 +343,8 @@ def _render_text(payload: dict, indent: int = 0) -> str:
     lines = []
     pad = "  " * indent
     for key, value in payload.items():
+        if isinstance(value, serialize.FloatRecords):
+            value = value.records()
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_render_text(value, indent + 1))
@@ -373,12 +375,16 @@ def _json_text(payload) -> str:
 
     With ``indent`` set the stdlib runs its pure-Python encoder.  This writer joins
     strings, and writes a container once when the same object comes up again at the
-    same depth (the shared scalar records of ``serialize``).  A value that is not JSON
-    raises TypeError, as in ``json.dumps``; a cycle, which no payload has, recurses
-    until RecursionError instead of raising ValueError.
+    same depth (the shared scalar records of ``serialize``).  A ``serialize.FloatRecords``
+    is written as the list of its records: its shape once, as a template with one
+    ``%s`` per hole, filled by ``float.__repr__`` of its numbers (``_float_text`` when
+    one is not finite).  A value that is not JSON raises TypeError, as in
+    ``json.dumps``; a cycle, which no payload has, recurses until RecursionError
+    instead of raising ValueError.
     """
     written: dict[tuple[int, int], str] = {}  # (id, depth) -> text; the payload keeps ids live
     exact = _SCALAR_TEXT.get
+    hole = _quote(serialize.HOLE)
 
     def scalar(value) -> str | None:  # subclasses of str, int and float too, as json.dumps does
         kind = type(value) if type(value) in _SCALAR_TEXT else next(
@@ -408,6 +414,9 @@ def _json_text(payload) -> str:
             parts = [f"{key_text(key)}: "
                      f"{text(item) if (text := exact(type(item))) else write(item, depth)}"
                      for key, item in sorted(value.items())]
+        elif type(value) is serialize.FloatRecords:
+            written[memo] = text = float_records(value, depth)
+            return text
         else:
             text = scalar(value)
             if text is None:
@@ -419,6 +428,17 @@ def _json_text(payload) -> str:
         text = written[memo] = (f"{ends[0]}{inner}{(',' + inner).join(parts)}"
                                 f"\n{'  ' * (depth - 1)}{ends[1]}")
         return text
+
+    def float_records(value, depth: int) -> str:  # the list of records, its items at depth
+        rows = len(value.numbers)
+        if not rows:
+            return "[]"
+        template = write(value.shape, depth).replace("%", "%%").replace(hole, "%s")
+        numbers = value.numbers.ravel().tolist()
+        text = float.__repr__ if isfinite(abs(value.numbers).max(initial=0.0)) else _float_text
+        inner = "\n" + "  " * depth
+        return (f"[{inner}{(',' + inner).join([template] * rows)}\n{'  ' * (depth - 1)}]"
+                % tuple(map(text, numbers)))
 
     return write(payload, 0)
 

@@ -157,14 +157,16 @@ def _packed_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]
     (k = p.bit_length(), c = 2^k - p; c = 1 for a Mersenne prime):
     x -> (x mod 2^k) + c*(x >> k) on every field at once, by one mask, until
     no field reaches 2^(k+1).  Every other row drops its head field and adds
-    ((-head/pivot head) mod p) times the folded pivot row: one multiply-add
-    on the packed int (delayed reduction and packing as in FFLAS-FFPACK,
-    Dumas, Giorgi & Pernet, ACM TOMS 2008; Kronecker substitution, von zur
-    Gathen & Gerhard, 8.4).  A field starts below p and each of at most
-    ``len(rows)`` updates adds below p*2^(k+1) < 2^(2k+1), so it stays below
-    2^(2k+1+len(rows).bit_length()), and a width w >= 2k + 3 +
-    len(rows).bit_length() (rounded up to whole bytes, so that a row packs
-    and unpacks through one bytes object) never carries between fields.  Up to
+    ((-head/pivot head) mod p) times the folded pivot row, the factor taken
+    from the raw field as field * (p - 1/pivot head) mod p, with no reduced
+    head kept: one multiply-add on the packed int (delayed reduction and
+    packing as in FFLAS-FFPACK, Dumas, Giorgi & Pernet, ACM TOMS 2008;
+    Kronecker substitution, von zur Gathen & Gerhard, 8.4).  A field starts
+    below p and each of at most ``len(rows)`` updates adds below p*2^(k+1) <
+    2^(2k+1), so it stays below 2^(2k+1+len(rows).bit_length()), and a width
+    w >= 2k + 3 + len(rows).bit_length() (rounded up to whole bytes, so that a
+    row packs and unpacks through one bytes object) never carries between
+    fields.  Up to
     127 rows that is 9 bytes for p = 2^31 - 1 against 17 for 2^61 - 1, so
     the smaller prime about halves the int each multiply-add runs on.  Below
     2^63 a row packs through one ``struct.Struct`` per call, each field a "Q"
@@ -193,19 +195,20 @@ def _packed_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]
                 for row in rows]
     pivots = []  # (column, inverse of its head, folded fields of the later columns)
     for col in range(ncols):
-        heads = [(row & mask) % p for row in live]
-        i = next((i for i, h in enumerate(heads) if h), None)
+        i = next((i for i, row in enumerate(live) if (row & mask) % p), None)
         if i is None:
             live = [row >> w for row in live]
             continue
-        top = live.pop(i) >> w
-        inv = pow(heads.pop(i), -1, p)
+        top = live.pop(i)
+        inv = pow(top & mask, -1, p)
+        top >>= w
         while top & high:
             part = top & low
             top = part + c * ((top - part) >> k)
         pivots.append((col, inv, top))
-        live = [(row >> w) + (-h * inv) % p * top if h else row >> w
-                for row, h in zip(live, heads)]
+        minus = p - inv  # a raw head field times p - inv is -head/pivot head mod p
+        live = [(row >> w) + (row & mask) * minus % p * top if row & mask else row >> w
+                for row in live]
         if not live:
             break
     if len(pivots) == ncols:

@@ -160,26 +160,72 @@ def multinomial_C(spec: MonomialSpec) -> Fraction:
     return Fraction(multinomial(spec.degree, spec.exponents) * spec.rank)
 
 
-@dataclass
 class Decomposition:
-    """A weighted power-sum expression sum_j c_j * (l_j)^d for the target."""
+    """A weighted power-sum expression sum_j c_j * (l_j)^d for the target.
 
-    degree: int
-    domain: str  # EXACT_CYCLOTOMIC or COMPLEX_FLOAT
-    summands: tuple[tuple[object, LinearForm], ...]
-    verified: str = "unverified"  # "exact" | "numeric" | "unverified"
-    residual: float | None = None
+    Built from ``summands``, (c_j, l_j) pairs with l_j a LinearForm, or, in the
+    complex-float domain, from arrays by ``from_arrays``: then ``coeffs`` holds
+    the r coefficients and ``forms`` the r x variables form entries, both
+    complex, ``zero_columns`` the variables whose entries are the int 0, and
+    ``summands`` is built from them on first use.  A decomposition built from
+    summands has no arrays (``coeffs`` and ``forms`` are None).
+    """
 
-    def __post_init__(self):
-        if self.domain not in (EXACT_CYCLOTOMIC, COMPLEX_FLOAT):
-            raise ValueError(f"unknown decomposition domain {self.domain!r}, expected "
+    def __init__(self, degree: int, domain: str, summands: tuple[tuple[object, LinearForm], ...],
+                 verified: str = "unverified", residual: float | None = None):
+        if domain not in (EXACT_CYCLOTOMIC, COMPLEX_FLOAT):
+            raise ValueError(f"unknown decomposition domain {domain!r}, expected "
                              f"{EXACT_CYCLOTOMIC!r} or {COMPLEX_FLOAT!r}")
-        for _, form in self.summands:
+        for _, form in summands:
             if form.is_zero():
                 raise ValueError("decomposition summands must be nonzero forms")
+        self.degree, self.domain, self._summands = degree, domain, summands
+        self.verified: str = verified  # "exact" | "numeric" | "unverified"
+        self.residual = residual
+        self.coeffs = self.forms = None
+        self.zero_columns: tuple[int, ...] = ()
+
+    @classmethod
+    def from_arrays(cls, spec: MonomialSpec, coeffs, coords) -> Decomposition:
+        """The complex-float decomposition with coefficients ``coeffs`` (r) whose form j has the
+        sorted-frame coordinates ``coords[j]`` (r x (n+1)), placed as ``form_to_original``
+        places them: a variable of exponent 0 holds the int 0."""
+        import numpy as np
+
+        if not np.all(coords.any(axis=1)):
+            raise ValueError("decomposition summands must be nonzero forms")
+        dec = cls(spec.degree, COMPLEX_FLOAT, ())
+        dec._summands = None
+        dec.coeffs = coeffs
+        dec.forms = np.zeros((len(coords), spec.num_original_vars), dtype=complex)
+        dec.forms[:, spec.positions] = coords
+        dec.zero_columns = tuple(k for k in range(spec.num_original_vars) if k not in spec.positions)
+        return dec
+
+    @property
+    def summands(self) -> tuple[tuple[object, LinearForm], ...]:
+        if self._summands is None:
+            rows = self.forms.tolist()
+            for row in rows:
+                for k in self.zero_columns:
+                    row[k] = 0
+            self._summands = tuple((c, LinearForm(row))
+                                   for c, row in zip(self.coeffs.tolist(), rows))
+        return self._summands
 
     def __len__(self) -> int:
-        return len(self.summands)
+        return len(self.summands) if self.coeffs is None else len(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.degree, self.domain, self.summands, self.verified, self.residual)
+                == (other.degree, other.domain, other.summands, other.verified, other.residual))
+
+    def __repr__(self) -> str:
+        return (f"Decomposition(degree={self.degree!r}, domain={self.domain!r}, "
+                f"summands={self.summands!r}, verified={self.verified!r}, "
+                f"residual={self.residual!r})")
 
 
 def explicit_decomposition(spec: MonomialSpec) -> Decomposition:
@@ -264,26 +310,34 @@ def verify_decomposition(
     per pass; a bound that fails to hold raises AssertionError (both in
     ``_verify_exact``).  The float domain is held to a max-coefficient
     tolerance instead: it passes when that error is at most ``tol``, so
-    ``tol = 0`` accepts an exact fit.  Its forms go into one summands x
-    variables array, and the expansion is one product with their evaluation:
+    ``tol = 0`` accepts an exact fit.  It reads the decomposition's arrays, or
+    puts the summands into one summands x variables array when it has none,
+    and the expansion is one product with their evaluation:
     the x^e coefficients of sum_j c_j l_j^d are weights * (c @ powers),
     weights[e] = (d; e) and powers[j, e] = l_j^e.
     """
     if dec.degree != spec.degree:
         raise ValueError("decomposition degree does not match the monomial")
-    if any(form.num_vars != spec.num_original_vars for _, form in dec.summands):
+    if dec.forms is not None:
+        widths = {dec.forms.shape[1]}
+    else:
+        widths = {form.num_vars for _, form in dec.summands}
+    if widths - {spec.num_original_vars}:
         raise ValueError("form has the wrong number of variables")
     if dec.domain == EXACT_CYCLOTOMIC:
         return _verify_exact(spec, dec)
     import numpy as np  # only the float domain needs it
 
-    forms = np.array([[complex(a) for a in form.coeffs] for _, form in dec.summands],
-                     dtype=complex).reshape(len(dec.summands), spec.num_original_vars)
+    if dec.forms is not None:
+        c, forms = dec.coeffs, dec.forms
+    else:
+        c = np.array([complex(coeff) for coeff, _ in dec.summands], dtype=complex)
+        forms = np.array([[complex(a) for a in form.coeffs] for _, form in dec.summands],
+                         dtype=complex).reshape(len(dec.summands), spec.num_original_vars)
     # the target's variables and those of some form: no other one occurs in the expansion
     used = [k for k, d in enumerate(spec.original_exponents) if d or forms[:, k].any()]
     exponents = exponents_of_degree(len(used), dec.degree)
     powers = evaluation_matrix(forms[:, used], exponents)  # powers[j, i] = l_j^(exponents[i])
-    c = np.array([complex(coeff) for coeff, _ in dec.summands], dtype=complex)
     difference = np.array(multinomial_weights(len(used), dec.degree)) * (c @ powers)
     difference[exponents.index(tuple(spec.original_exponents[k] for k in used))] -= 1
     max_error = float(np.max(np.abs(difference)))

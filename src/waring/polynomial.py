@@ -101,14 +101,27 @@ def evaluation_matrix(points, exponents):
     return rows
 
 
+@lru_cache(maxsize=64)
+def _exponent_table(exponents: tuple, num_vars: int):
+    """The exponents as a read-only intp array, one row per variable, and its largest entry."""
+    import numpy as np
+
+    table = np.asarray(exponents, dtype=np.intp).reshape(len(exponents), num_vars).T
+    table.flags.writeable = False
+    return table, int(table.max(initial=0))
+
+
 def _evaluation_array(points, exponents):
-    """The array mode of ``evaluation_matrix``: points (m, k) -> values (m, len(exponents))."""
+    """The array mode of ``evaluation_matrix``: points (m, k) -> values (m, len(exponents)).
+
+    The exponent table is cached by the exponent tuple, so the verifier's
+    ``exponents_of_degree`` and a quotient's chart exponents are converted once.
+    """
     import numpy as np
 
     num_points, num_vars = points.shape
     dtype = np.result_type(points.dtype, np.float64)
-    table = np.asarray(exponents, dtype=np.intp).reshape(len(exponents), num_vars).T
-    top = table.max(initial=0)
+    table, top = _exponent_table(tuple(exponents), num_vars)
     powers = np.empty((num_vars, top + 1, num_points), dtype=dtype)  # powers[k, t, j] = x_jk^t
     powers[:, 0] = 1
     for t in range(1, top + 1):

@@ -5,13 +5,17 @@ Scalar records are polymorphic by shape: a rational value is the string "p/q"
 {"conductor": m, "coeffs": ["p/q", ...]} with phi(m) coefficients, and a
 float value is {"re": ..., "im": ...}.  Polynomials are lists of
 {"exponent": [...], "coeff": record} entries in descending grevlex order,
-which makes every serialization byte-stable for equal inputs.
+which makes every serialization byte-stable for equal inputs.  The summands
+of a float decomposition, and the points of a point set, held as arrays are
+handed on as one ``FloatRecords``, which ``cli._json_text`` writes as the
+list of their records.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -172,22 +176,17 @@ def spec_to_json(spec: MonomialSpec) -> dict:
 
 
 def _shared_writer():
-    """``scalar_to_json`` that writes each distinct cyclotomic or complex scalar once per writer.
+    """``scalar_to_json`` that writes each distinct cyclotomic scalar once per writer.
 
-    Equal scalars, keyed by (conductor, num, den) or by the complex value, get the same
-    record object, so the caller must never mutate a record it is given.  Equal complex
-    values write equal records: the + 0.0 of ``scalar_to_json`` writes -0.0 as 0.0.
+    Equal scalars, keyed by (conductor, num, den), get the same record object, so the
+    caller must never mutate a record it is given.
     """
     records = {}
 
     def write(value):
-        kind = type(value)
-        if kind is complex:
-            key = value
-        elif kind is CycloScalar:
-            key = (value.conductor, value.num, value.den)
-        else:
+        if type(value) is not CycloScalar:
             return scalar_to_json(value)
+        key = (value.conductor, value.num, value.den)
         record = records.get(key)
         if record is None:
             record = records[key] = scalar_to_json(value)
@@ -234,15 +233,70 @@ def _shared_reader():
     return read
 
 
+# a hole of ``FloatRecords.shape``: a string no record holds, so ``cli._json_text`` can find it
+HOLE = "\x00"
+_COMPLEX_RECORD = {"re": HOLE, "im": HOLE}  # scalar_to_json of a complex; sorted, im comes first
+
+
+@dataclass(frozen=True, eq=False)
+class FloatRecords:
+    """A JSON list of records of one shape that differ only in their float numbers.
+
+    ``shape`` is one record with ``HOLE`` wherever a number goes, and row j of
+    ``numbers`` (a records x holes float array) holds the numbers of record j in
+    the order ``json.dumps(sort_keys=True)`` meets the holes.  ``cli._json_text``
+    writes the list in one pass from one template; ``records`` builds it.
+    """
+
+    shape: object
+    numbers: object
+
+    def records(self) -> list:
+        def fill(shape, numbers):
+            if shape is HOLE:
+                return next(numbers)
+            if isinstance(shape, dict):  # filled in sorted order, kept in the shape's order
+                filled = {key: fill(shape[key], numbers) for key in sorted(shape)}
+                return {key: filled[key] for key in shape}
+            if isinstance(shape, list):
+                return [fill(item, numbers) for item in shape]
+            return shape
+
+        return [fill(self.shape, iter(row)) for row in self.numbers.tolist()]
+
+
+def _complex_records(shape, columns) -> FloatRecords:
+    """Records of ``shape`` whose complex records take, in turn, the columns of ``columns``
+    (records x columns, complex): the holes in pairs (im, re), -0.0 written 0.0."""
+    import numpy as np
+
+    numbers = np.empty(columns.shape + (2,))
+    numbers[..., 0], numbers[..., 1] = columns.imag, columns.real
+    numbers += 0.0  # the + 0.0 of scalar_to_json
+    return FloatRecords(shape, numbers.reshape(len(columns), 2 * columns.shape[1]))
+
+
 def decomposition_to_json(dec: Decomposition) -> dict:
-    write = _shared_writer()
+    """The decomposition record; a float decomposition held as arrays gives its summands as
+    one ``FloatRecords``, each form entry a complex record or the "0" of a variable of
+    exponent 0."""
+    if dec.forms is not None:
+        import numpy as np
+
+        zero = dec.zero_columns
+        kept = [k for k in range(dec.forms.shape[1]) if k not in zero]
+        shape = {"coeff": _COMPLEX_RECORD,
+                 "form": [scalar_to_json(0) if k in zero else _COMPLEX_RECORD
+                          for k in range(dec.forms.shape[1])]}
+        summands = _complex_records(shape, np.column_stack((dec.coeffs, dec.forms[:, kept])))
+    else:
+        write = _shared_writer()
+        summands = [{"coeff": write(c), "form": [write(v) for v in form.coeffs]}
+                    for c, form in dec.summands]
     out = {
         "degree": dec.degree,
         "domain": dec.domain,
-        "summands": [
-            {"coeff": write(c), "form": [write(v) for v in form.coeffs]}
-            for c, form in dec.summands
-        ],
+        "summands": summands,
         "verified": dec.verified,
     }
     if dec.residual is not None:
@@ -287,8 +341,13 @@ def ci_ideal_to_json(ideal: CIIdeal) -> dict:
 
 
 def pointset_to_json(points: PointSet) -> dict:
+    """The point-set record; a set held as an array gives its points as one ``FloatRecords``."""
+    if points.coords is not None:
+        records = _complex_records([_COMPLEX_RECORD] * points.coords.shape[1], points.coords)
+    else:
+        records = [[scalar_to_json(c) for c in p] for p in points.points]
     out = {
-        "points": [[scalar_to_json(c) for c in p] for p in points.points],
+        "points": records,
         "normalized": "alpha0=1",
         "multiplicity_free": True,  # a PointSet holds distinct points only
     }

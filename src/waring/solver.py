@@ -50,7 +50,7 @@ from math import lcm
 from .groebner import ci_normal_form, ci_normal_forms
 from .ideals import CIIdeal, PhiTuple
 from .linalg import _exactify, exact_rank, nullspace_mod_p, rational_reconstruction
-from .monomials import COMPLEX_FLOAT, Decomposition, MonomialSpec
+from .monomials import Decomposition, MonomialSpec
 from .monomials import verify_decomposition
 from .polynomial import (
     DUAL,
@@ -161,7 +161,7 @@ class QuotientAlgebra:
         system = np.zeros((len(index), n, n + 1), dtype=complex)
         for (e, i, column), c in entries.items():
             system[index[e], i, column] = c
-        return list(index), system
+        return tuple(index), system
 
 
 def standard_monomials(spec: MonomialSpec) -> list[Exponent]:
@@ -443,20 +443,45 @@ def ideal_membership(poly: SparsePoly, ideal: CIIdeal) -> bool:
     return not ci_normal_form(poly.terms, ideal.spec.exponents, ideal.tails)
 
 
-@dataclass
 class PointSet:
     """Projective points, normalized to a0 = 1 whenever the chart allows.
 
     ``tol`` is the separation the points were extracted with; ``residuals``
-    reports, per point, the worst relative error on a generator.
+    reports, per point, the worst relative error on a generator.  A set from
+    ``extract_points`` holds its points as one r x (n+1) complex array,
+    ``coords`` (a0 = 1 in column 0), with the Jacobian determinant J(p_j) of
+    the chart generators at each point, ``jacobian``, and builds ``points``
+    from ``coords`` on first use; a set built from ``points`` has neither array.
     """
 
-    points: tuple[tuple, ...]
-    tol: float | None = None
-    residuals: tuple[float, ...] | None = None
+    def __init__(self, points: tuple[tuple, ...], tol: float | None = None,
+                 residuals: tuple[float, ...] | None = None):
+        self._points, self.tol, self.residuals = points, tol, residuals
+        self.coords = self.jacobian = None
+
+    @classmethod
+    def _refined(cls, coords, jacobian, tol: float, residuals: tuple[float, ...]) -> PointSet:
+        points = cls(None, tol, residuals)
+        points.coords, points.jacobian = coords, jacobian
+        return points
+
+    @property
+    def points(self) -> tuple[tuple, ...]:
+        if self._points is None:
+            self._points = tuple(map(tuple, self.coords.tolist()))
+        return self._points
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.points) if self.coords is None else len(self.coords)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.points, self.tol, self.residuals)
+                == (other.points, other.tol, other.residuals))
+
+    def __repr__(self) -> str:
+        return f"PointSet(points={self.points!r}, tol={self.tol!r}, residuals={self.residuals!r})"
 
 
 def _coords(points) -> list:
@@ -505,7 +530,9 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
     Newton steps on g_i = a_i^(d_i+1) - phi_i(1, a) refine every point at
     once (one solve over the r stacked n x n Jacobians; a singular one
     raises), and the points are sorted.  ``residuals`` holds, per point, the
-    largest |g_i(p)| / max(1, max_k |p_k|^(d_i+1)) at the refined points.
+    largest |g_i(p)| / max(1, max_k |p_k|^(d_i+1)) at the refined points, and
+    the same evaluation of the chart system gives the Jacobian determinants
+    J(p_j) that ``_fit_decomposition`` needs.
     """
     import numpy as np
 
@@ -544,15 +571,16 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
             j = int(np.abs(np.linalg.det(values[..., 1:])).argmin())
             raise PointExtractionError(f"Newton step: the Jacobian at eigenvector {j} "
                                        "is singular") from None
-    rows = [(1.0 + 0j,) + tuple(row) for row in coords.tolist()]
-    order = _point_order(coords)
-    coords = coords[order]
+    coords = coords[_point_order(coords)]
 
+    values = _chart_values(q, coords)  # the residuals, and J(p_j) for the fit
     tops = np.abs(coords).max(axis=1, initial=1.0)  # a0 = 1 takes part in the max
     powers = np.array(q.spec.exponents[1:], dtype=float) + 1
-    gaps = np.abs(_chart_values(q, coords)[..., 0]) / tops[:, None] ** powers
-    return PointSet(points=tuple(rows[a] for a in order), tol=tol,
-                    residuals=tuple(gaps.max(axis=1, initial=0.0).tolist()))
+    gaps = np.abs(values[..., 0]) / tops[:, None] ** powers
+    full = np.ones((r, n + 1), dtype=complex)
+    full[:, 1:] = coords
+    return PointSet._refined(full, np.linalg.det(values[..., 1:]), tol,
+                             tuple(gaps.max(axis=1, initial=0.0).tolist()))
 
 
 def in_chart(spec: MonomialSpec, points) -> list[tuple]:
@@ -586,18 +614,22 @@ def _fit_decomposition(q: QuotientAlgebra, points: PointSet, tol: float) -> Deco
     and by Euler-Jacobi (Cattani, Dickenstein & Sturmfels 1998) sum_j p_j^b / J(p_j)
     is the residue of a^b, [b = top], J = det(dg_i/da_j).  A zero or non-finite
     J(p_j) raises PointExtractionError; a check failed to ``tol``, NonRadicalIdealError.
+    The coordinates and J(p_j) come as arrays from ``extract_points``; a point set
+    built by hand has its points put into one array and the chart system evaluated.
     """
     import numpy as np
 
     spec = q.spec
-    det = np.linalg.det(_chart_values(q, np.array([p[1:] for p in points.points]))[..., 1:])
+    coords, det = points.coords, points.jacobian
+    if coords is None:
+        coords = np.array(points.points, dtype=complex).reshape(len(points), spec.n + 1)
+        det = np.linalg.det(_chart_values(q, coords[:, 1:])[..., 1:])
     bad = np.flatnonzero(~np.isfinite(det) | (det == 0))
     if bad.size:
         raise PointExtractionError(f"coefficient fit: |J| = {abs(det[bad[0]]):.3e} at point "
                                    f"{bad[0]}, so c = 1/(C*J) is not finite")
-    coeffs = (1 / (multinomial(spec.degree, spec.exponents) * det)).tolist()
-    dec = Decomposition(spec.degree, COMPLEX_FLOAT, tuple(
-        (c, spec.form_to_original(p)) for c, p in zip(coeffs, points.points)))
+    coeffs = 1 / (multinomial(spec.degree, spec.exponents) * det)
+    dec = Decomposition.from_arrays(spec, coeffs, coords)
     report = verify_decomposition(spec, dec, tol)
     if not report.ok:
         raise NonRadicalIdealError(

@@ -4,11 +4,13 @@ import enum
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waring.cli import _json_text
+from waring.serialize import HOLE, FloatRecords
 
 
 def reference(value) -> str:
@@ -89,3 +91,17 @@ def test_a_value_that_is_not_json_raises_type_error(value):
     with pytest.raises(TypeError) as got:
         _json_text(value)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("shape, numbers", [
+    ({"a%s": HOLE, "b": [HOLE, "x%d", {}], "c": [], "d": 1}, [[1.5, -0.0], [math.nan, 1e300]]),
+    ({"re": HOLE, "im": HOLE}, [[math.inf, -math.inf], [5e-324, -2.5]]),
+    (HOLE, [[0.1], [-0.0], [math.nan]]),  # a bare number per record
+    ({"k": "v"}, [[], []]),  # no holes
+    ([HOLE, HOLE], np.zeros((0, 2))),  # no records
+])
+def test_float_records_are_written_as_their_records(shape, numbers):
+    rows = FloatRecords(shape, np.array(numbers, dtype=float))
+    payload = {"top": rows, "deeper": [[rows], {"x": rows}]}
+    records = rows.records()
+    assert _json_text(payload) == reference({"top": records, "deeper": [[records], {"x": records}]})

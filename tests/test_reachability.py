@@ -52,6 +52,7 @@ CALLS = [
     (["decompose", "x*y^2", "--exact"], "exact"),
     (["verify", "x*y^2", "--input", "{exact}"], None),
     (["decompose", "x*y^2", "--seed", "0"], "float"),
+    (["--format", "text", "decompose", "x*y^2", "--seed", "0"], None),
     (["verify", "x*y^2", "--input", "{float}"], None),
     (["verify", "x*y^2", "--input", "{cyclotomic_as_float}"], None),
     (["decompose", "x*y^2", "--phi", "a0 + 2*a1", "--seed", "1"], None),

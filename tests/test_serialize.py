@@ -1,4 +1,3 @@
-import copy
 import json
 import math
 import random
@@ -6,13 +5,13 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from waring import CycloScalar, MonomialSpec, cyclotomic_poly, explicit_decomposition, root_of_unity
 from waring import serialize
 from waring.cli import _json_text
 from waring.monomials import Decomposition
-from waring.polynomial import LinearForm
 from waring.serialize import (
     DigitLimitError,
     decomposition_from_json,
@@ -25,7 +24,7 @@ from waring.serialize import (
     scalar_to_json,
 )
 from waring.polynomial import DUAL, parse_poly
-from waring.solver import PointSet
+from waring.solver import PointSet, certify_radical, extract_points
 from waring.vsp import decompose_from_phi, parameter_space, sample_phi
 
 from oracles import fraction_coords
@@ -257,6 +256,89 @@ class TestMalformedInput:
 
 
 
+def record_payload(payload):
+    """``payload`` with each float record list written record by record, as scalar_to_json does."""
+    return {key: value.records() if isinstance(value, serialize.FloatRecords) else value
+            for key, value in payload.items()}
+
+
+def seeded_decomposition(text, seed):
+    spec = MonomialSpec.parse(text)
+    return spec, decompose_from_phi(spec, sample_phi(parameter_space(spec), seed), seed=seed)
+
+
+def float_payloads():
+    """(name, array-backed payload, the same payload built one scalar_to_json record at a time)"""
+    out = []
+    for text, seed in [("x*y^2*z^3", 1), ("x^3*y^6*z^7", 1), ("x0*x2^2", 1)]:
+        _, dec = seeded_decomposition(text, seed)
+        records = {"degree": dec.degree, "domain": dec.domain, "verified": dec.verified,
+                   "residual": dec.residual,
+                   "summands": [{"coeff": scalar_to_json(c),
+                                 "form": [scalar_to_json(v) for v in form.coeffs]}
+                                for c, form in dec.summands]}
+        out.append((f"decompose {text}", decomposition_to_json(dec), records))
+    spec = MonomialSpec.parse("x*y*z^2")
+    certificate = certify_radical(spec, sample_phi(parameter_space(spec), 3))
+    points = extract_points(certificate.quotient, seed=3)
+    records = {"points": [[scalar_to_json(c) for c in p] for p in points.points],
+               "normalized": "alpha0=1", "multiplicity_free": True, "tol": points.tol,
+               "residuals": list(points.residuals)}
+    out.append(("points x*y*z^2", pointset_to_json(points), records))
+    return out
+
+
+def signed_zero_payload():
+    """A float decomposition with -0.0, NaN and infinite parts, and x1 of exponent 0."""
+    spec = MonomialSpec.parse("x0*x2^2")
+    coeffs = np.array([complex(-0.0, -0.0), complex(math.nan, 1.5), complex(0.25, math.inf)])
+    coords = np.array([[1, complex(-math.inf, -0.0)], [-0.0, complex(0.0, math.nan)],
+                       [complex(math.nan, math.nan), 2.0]])
+    dec = Decomposition.from_arrays(spec, coeffs, coords)
+    records = {"degree": 3, "domain": "complex-float", "verified": "unverified",
+               "summands": [{"coeff": scalar_to_json(c),
+                             "form": [scalar_to_json(v) for v in form.coeffs]}
+                            for c, form in dec.summands]}
+    return decomposition_to_json(dec), records
+
+
+class TestFloatRecords:
+    """A float decomposition or point set is written from its arrays, as its records would be."""
+
+    @pytest.mark.parametrize("payload, records",
+                             [pytest.param(*case[1:], id=case[0]) for case in float_payloads()])
+    def test_json_text_equals_json_dumps_of_the_records(self, payload, records):
+        assert isinstance(payload.get("summands", payload.get("points")), serialize.FloatRecords)
+        text = json.dumps(records, sort_keys=True, indent=2)
+        assert _json_text(payload) == text
+        assert json.dumps(record_payload(payload), sort_keys=True, indent=2) == text
+
+    def test_signed_zeros_and_non_finite_parts(self):
+        self.test_json_text_equals_json_dumps_of_the_records(*signed_zero_payload())
+
+    def test_records_keep_the_key_order_of_scalar_to_json(self):
+        # --format text writes the records in their key order: re before im
+        _, dec = seeded_decomposition("x0*x2^2", 1)
+        first = decomposition_to_json(dec)["summands"].records()[0]
+        assert list(first) == ["coeff", "form"] and list(first["coeff"]) == ["re", "im"]
+        assert first["form"][1] == "0" and list(first["form"][2]) == ["re", "im"]
+
+    def test_a_variable_of_exponent_zero_holds_the_int_zero(self):
+        spec, dec = seeded_decomposition("x0*x2^2", 1)
+        assert dec.zero_columns == (1,)
+        assert all(type(form.coeffs[1]) is int and form.coeffs[1] == 0
+                   for _, form in dec.summands)
+        assert [form.coeffs for _, form in dec.summands] == [
+            spec.form_to_original(row).coeffs for row in dec.forms[:, [0, 2]].tolist()]
+
+    def test_a_decomposition_built_from_summands_is_written_record_by_record(self):
+        _, dec = seeded_decomposition("x*y^2*z^3", 1)
+        again = Decomposition(dec.degree, dec.domain, dec.summands, dec.verified, dec.residual)
+        data = decomposition_to_json(again)
+        assert isinstance(data["summands"], list)
+        assert _json_text(data) == _json_text(decomposition_to_json(dec))
+
+
 class TestSharedRecords:
     """Each distinct scalar is built once per call of the decomposition reader and writer."""
 
@@ -278,28 +360,6 @@ class TestSharedRecords:
         records = [r for entry in data["summands"] for r in (entry["coeff"], *entry["form"])
                    if isinstance(r, dict)]
         assert len({id(r) for r in records}) == len({json.dumps(r) for r in records}) < len(records)
-
-    def test_equal_complex_scalars_share_one_record(self):
-        # a float decomposition repeats coordinates (a0 = 1 in every form); -0.0 and 0.0
-        # are equal values and write the same record, while a NaN equals nothing
-        spec = MonomialSpec.parse("x*y^2*z^3")
-        dec = decompose_from_phi(spec, sample_phi(parameter_space(spec), 0))
-        extra = (complex(0.5, -0.0), LinearForm([complex(-0.0, 1.0), complex(0.0, 1.0),
-                                                 complex(math.nan, 0.0)]))
-        dec = Decomposition(dec.degree, dec.domain, dec.summands + (extra,), dec.verified,
-                            dec.residual)
-        data = decomposition_to_json(dec)
-        before = copy.deepcopy(data)
-        records = [r for entry in data["summands"] for r in (entry["coeff"], *entry["form"])]
-        values = [v for c, form in dec.summands for v in (c, *form.coeffs)]
-        first = {}
-        for record, value in zip(records, values, strict=True):
-            if value == value:  # a NaN is its own record
-                assert first.setdefault(value, record) is record
-        assert records[-3] is records[-2] == {"re": 0.0, "im": 1.0}
-        assert len({id(r) for r in records}) < len(records)
-        assert _json_text(data) == json.dumps(data, sort_keys=True, indent=2)
-        assert data == before  # deepcopy keeps each float object, the NaN's too
 
     @pytest.mark.parametrize("bad, text", [
         ({"conductor": 3, "coeffs": [0, 1]},

@@ -25,7 +25,7 @@ from waring import (
 from waring import solver
 from waring.cyclotomic import root_of_unity
 from waring.linalg import exact_rank
-from waring.monomials import EXACT_CYCLOTOMIC, Decomposition
+from waring.monomials import EXACT_CYCLOTOMIC, Decomposition, verify_decomposition
 from waring.solver import NonRadicalIdealError, PointExtractionError, certify_radical
 from waring.polynomial import DUAL, LinearForm, SparsePoly, exponents_of_degree, parse_poly
 from waring.vsp import parameter_space, sample_phi
@@ -1020,6 +1020,21 @@ class TestClosedFormCoefficients:
         assert [(c, form.coeffs) for c, form in dec.summands] == [(1, (1,))]
         assert dec.residual == 0.0
 
+    @pytest.mark.parametrize("exps", [(1, 2, 3), (1, 1, 2, 5), (1, 0, 2)], ids=str)
+    def test_a_point_set_built_by_hand_gives_the_same_fit(self, exps):
+        # extract_points hands over coordinates and J(p_j) as arrays; a set built from the
+        # tuples has the chart system evaluated again, and ends in the same decomposition
+        q, points, dec = refined_decomposition(exps, 1)
+        by_hand = solver._fit_decomposition(q, solver.PointSet(points=points.points), 1e-8)
+        assert np.abs(by_hand.coeffs - dec.coeffs).max() <= 1e-12 * np.abs(dec.coeffs).max()
+        assert [f.coeffs for _, f in by_hand.summands] == [f.coeffs for _, f in dec.summands]
+        assert by_hand.zero_columns == dec.zero_columns == tuple(
+            k for k, d in enumerate(exps) if not d)
+        # the verifier reads the arrays, or puts the summands into arrays, alike
+        again = Decomposition(dec.degree, dec.domain, dec.summands)
+        assert again.forms is None
+        assert verify_decomposition(q.spec, again).max_error == dec.residual
+
     def test_zero_jacobian_names_the_point(self):
         spec = MonomialSpec.parse("x*y")
         q = build_quotient(spec, explicit_phi(spec))
@@ -1038,13 +1053,14 @@ class TestClosedFormCoefficients:
             extract_points(q, seed=0)
 
     def test_system_is_built_once_per_decomposition(self, monkeypatch):
-        # read from phi on first use and kept with the quotient; evaluated NEWTON_STEPS + 2 times
+        # read from phi on first use and kept with the quotient; evaluated NEWTON_STEPS + 1
+        # times: the last evaluation gives the residuals and J(p_j) for the fit
         calls = []
         values = solver._chart_values
         monkeypatch.setattr(solver, "_chart_values",
                             lambda q, coords: calls.append(q) or values(q, coords))
         q, _, _ = refined_decomposition((1, 2, 3), 0)
-        assert len(calls) == solver.NEWTON_STEPS + 2 and all(c is q for c in calls)
+        assert len(calls) == solver.NEWTON_STEPS + 1 and all(c is q for c in calls)
         assert "_chart_system" in vars(q)
 
 
