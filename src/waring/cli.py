@@ -348,10 +348,11 @@ def _render_text(payload: dict, indent: int = 0) -> str:
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_render_text(value, indent + 1))
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            lines.append(f"{pad}{key}:")
+        elif isinstance(value, list) and any(isinstance(item, dict) for item in value):
+            lines.append(f"{pad}{key}:")  # records and scalars, item by item
             for item in value:
-                lines.append(_render_text(item, indent + 1))
+                lines.append(_render_text(item, indent + 1) if isinstance(item, dict)
+                             else f"{pad}  {item}")
                 lines.append(pad + "  -")
             lines.pop()
         else:

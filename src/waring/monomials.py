@@ -281,31 +281,32 @@ def verify_decomposition(
     scalar's conductor.  Each summand is brought to integers over one common
     denominator D: a' = a * F / den_a for the form entries, F their lcm
     denominator, and c' = c * D / (den_c * F^d).  Then D times the x^e
-    coefficient of the difference is R_e = (d; e) * sum_j c'_j * prod_i
-    a'_ji^e_i - [e = target] * D, in Z[zeta_M].
+    coefficient of the difference is R_e = (d; e) * S_e - [e = target] * D,
+    with S_e = sum_j c'_j * prod_i a'_ji^e_i in Z[zeta_M].
 
     The check is Kronecker substitution: z -> 2^b is a ring homomorphism
     Z[zeta_M] -> Z/N, N = Phi_M(2^b), under which a scalar of conductor c
-    with coordinates num_k maps to sum_k num_k * 2^(b*k*M/c).  With ||x||_1
-    the sum of |num_k| and rho_M the largest |coordinate| of z^k mod Phi_M
-    over k < M, a scalar times a power of zeta_M has every coordinate at most
-    rho_M times its L1 norm, so every power-basis coordinate of R_e is at most
-    C = rho_M * (sum_j ||c'_j||_1 * B_j + D) for any B_j >= (d; e) * the L1
-    norm of prod_i a'_ji^e_i, multiplied out, at every e.  In general B_j is
-    (sum_i ||a'_ji||_1)^d, which is the sum of those bounds over all e.  When
-    every entry is a'_ji = s_ji * u_ji with u_ji = +-zeta^k (s_ji is the gcd
-    of its coordinates, since a root of unity has norm +-1 and so no common
-    factor), the product is +-zeta_M^K * prod_i s_ji^e_i, one power of zeta_M,
-    and B_j = min((sum_i s_ji)^d, Mult(d, k) * prod_i s_ji^d) over the k
-    nonzero entries, Mult(d, k) the largest multinomial (d; e_1, ..., e_k).
-    Each term bounds (d; e) * prod_i s_ji^e_i at every e: the first is the sum
-    of those numbers over e, the second bounds both factors apart (e_i <= d,
-    s_ji >= 1).  It is never above the general B_j, since s_ji <= ||a'_ji||_1,
-    and for roots of unity it drops the d-th power of their L1 norms.  For H
-    the largest |coefficient| of Phi_M and 2^b > 2*(C + H) + 1, |R_e(2^b)| < N/2,
-    so R_e = 0 exactly when R_e = 0 mod N, and otherwise the balanced base-2^b
-    digits of the centered residue are its coordinates, which give the
-    reported difference.  The expansion mod N holds the powers a^0..a^k of
+    with coordinates num_k maps to sum_k num_k * 2^(b*k*M/c), so the sums
+    S_e are taken mod N and R_e never is.  Read a scalar x = t * zeta_c^k,
+    t an integer, as the monomial t * z^(k*M/c) of weight w(x) = |t| (|t| is
+    the gcd of the coordinates, since a root of unity has norm +-1 and so no
+    common factor), and any other x as the polynomial sum_k num_k * z^(k*M/c)
+    of weight w(x) = ||x||_1 = sum_k |num_k|, its L1 norm.  A product's L1
+    norm, multiplied out and not yet reduced, is at most the product of the
+    factors' weights, and z^K mod Phi_M has every coordinate at
+    most rho_M, the largest |coordinate| of z^k mod Phi_M over k < M.  Since
+    sum_i e_i = d, every power-basis coordinate of S_e, at every e, is at
+    most C = rho_M * sum_j w(c'_j) * (max_i w(a'_ji))^d.  Neither (d; e) nor
+    D is in C, as neither is in S_e.  For H the largest |coefficient| of
+    Phi_M and 2^b > 2*(C + H) + 1, |S_e(2^b)| < N/2: it is at most C times
+    sum_k 2^(b*k) over k < deg(Phi_M), and N is at least 2^(b*deg(Phi_M))
+    less H times that sum.  So S_e = 0 exactly when S_e = 0 mod N, and the
+    balanced base-2^b digits of the centered residue of S_e are its
+    coordinates.  An e other than the target whose residue is zero has
+    S_e = 0 and so R_e = 0; at every other e, R_e is formed from the digits
+    in exact integers, and R_e / D is the reported x^e coefficient of the
+    difference.  The verdict is exact: the residues prove every S_e, and
+    through them every R_e.  The expansion mod N holds the powers a^0..a^k of
     each entry in one int, one slot per power, so a state takes one product
     per pass; a bound that fails to hold raises AssertionError (both in
     ``_verify_exact``).  The float domain is held to a max-coefficient
@@ -355,33 +356,37 @@ def _parts(x) -> tuple[tuple[int, ...], int, int]:
 
 
 @lru_cache(maxsize=None)
-def _ring_constants(m: int) -> tuple[int, int, frozenset[tuple[int, ...]]]:
-    """(rho_m, H_m, rows): the largest |coordinate| of z^k mod Phi_m over k < m, the
-    largest |coefficient| of Phi_m, and z^k mod Phi_m for deg(Phi_m) <= k < m."""
-    rows = _reduction_rows(m)
-    rho = max((max(map(abs, row)) for row in rows), default=1)
-    return rho, max(map(abs, cyclotomic_poly(m).coeffs)), frozenset(rows)
-
-
-def _unit_scale(coords: tuple[int, ...], conductor: int) -> int | None:
-    """s when the scalar with these coordinates is s * (+-zeta^k), s >= 0; else None.
-
-    s is the gcd of the coordinates: a root of unity has norm +-1, so no integer
-    above 1 divides all of its coordinates, and s * u with u = +-zeta^k has gcd s.
-    """
-    s = gcd(*coords)
-    if coords.count(0) >= len(coords) - 1:  # zero, or s * (+-zeta^k) with k < deg(Phi_m)
-        return s
-    unit = tuple(c // s for c in coords)
-    rows = _ring_constants(conductor)[2]
-    return s if unit in rows or tuple(-c for c in unit) in rows else None
+def _ring_constants(m: int) -> tuple[int, int]:
+    """(rho_m, H_m): the largest |coordinate| of z^k mod Phi_m over k < m, and the largest
+    |coefficient| of Phi_m."""
+    rho = max((max(map(abs, row)) for row in _reduction_rows(m)), default=1)
+    return rho, max(map(abs, cyclotomic_poly(m).coeffs))
 
 
 @lru_cache(maxsize=None)
-def _largest_multinomial(degree: int, parts: int) -> int:
-    """The largest (degree; e_1, ..., e_parts): the e as even as they can be."""
-    q, r = divmod(degree, parts)
-    return multinomial(degree, (q + 1,) * r + (q,) * (parts - r))
+def _unit_powers(m: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """z^k mod Phi_m -> (1, k) and -z^k mod Phi_m -> (-1, k), for deg(Phi_m) <= k < m."""
+    rows = _reduction_rows(m)
+    start = m - len(rows)
+    table = {tuple(-c for c in row): (-1, start + k) for k, row in enumerate(rows)}
+    table.update((row, (1, start + k)) for k, row in enumerate(rows))
+    return table
+
+
+def _unit(coords: tuple[int, ...], conductor: int) -> tuple[int, int] | None:
+    """(t, k) when the scalar with these coordinates is t * zeta^k, t an integer; else None.
+
+    |t| is the gcd of the coordinates: a root of unity has norm +-1, so no integer
+    above 1 divides all of its coordinates, and t * zeta^k has gcd |t|.  Zero is (0, 0).
+    """
+    if coords.count(0) >= len(coords) - 1:  # zero, or t * zeta^k with k < deg(Phi_m)
+        for k, t in enumerate(coords):
+            if t:
+                return t, k
+        return 0, 0
+    s = gcd(*coords)
+    found = _unit_powers(conductor).get(coords if s == 1 else tuple(c // s for c in coords))
+    return None if found is None else (found[0] * s, found[1])
 
 
 def _substitute(coords, shift: int) -> int:
@@ -401,7 +406,9 @@ def _modulus_bits(bound: int) -> int:
 def _verify_exact(spec: MonomialSpec, dec: Decomposition) -> VerificationReport:
     """The exact check: Kronecker substitution into Z/N, summed one variable at a time.
 
-    See ``verify_decomposition`` for the map z -> 2^b and its bound.  The sums
+    See ``verify_decomposition`` for the map z -> 2^b and its bound.  Each
+    distinct scalar object is read once (coordinates, denominator, conductor,
+    weight and image), and the summands refer to it by index.  The sums
     S_e = sum_j c'_j * prod_i a'_ji^e_i are built over states (exponents
     chosen so far, entries still to use), one variable per pass; summands
     that share their remaining entries merge into one state, so the variable
@@ -413,51 +420,50 @@ def _verify_exact(spec: MonomialSpec, dec: Decomposition) -> VerificationReport:
     state and multiplies it alone.
     """
     degree, num_vars = dec.degree, spec.num_original_vars
-    parts = [(_parts(c), [_parts(v) for v in form.coeffs]) for c, form in dec.summands]
-    m = lcm(*(cond for c, entries in parts for _, _, cond in (c, *entries)))
-    summands = []  # (coefficient, entries, denominator), scalars as (coordinates, conductor)
-    for (num, den, cond), entries in parts:
-        if any(num):
-            form_den = lcm(*(d for _, d, _ in entries))
-            entries = [(tuple(a * (form_den // d) for a in n) if d < form_den else n, c)
-                       for n, d, c in entries]
-            summands.append(((num, cond), entries, den * form_den**degree))
+    index: dict[int, int] = {}  # id of a scalar object -> its place in ``parts``
+    parts = []  # (coordinates, denominator, conductor) of each distinct scalar object
+
+    def ref(x):
+        i = index.get(id(x))  # every scalar is held by ``dec``, so its id stays its own
+        if i is None:
+            i = index[id(x)] = len(parts)
+            parts.append(_parts(x))
+        return i
+
+    listed = [(ref(c), [ref(v) for v in form.coeffs]) for c, form in dec.summands]
+    m = lcm(*(cond for _, _, cond in parts))
+    units = [_unit(num, cond) for num, _, cond in parts]
+    weights = [abs(u[0]) if u else sum(map(abs, num)) for u, (num, _, _) in zip(units, parts)]
+    dens = [den for _, den, _ in parts]
+    scaled: dict[tuple[int, int], int] = {}  # (scalar, factor) -> the index of factor * scalar
+    summands = []  # (coefficient, entries a', denominator), scalars as indices
+    for c, entries in listed:
+        if any(parts[c][0]):
+            form_den = lcm(*[dens[i] for i in entries])
+            if form_den > 1:
+                entries = [scaled.setdefault((i, form_den // dens[i]), len(parts) + len(scaled))
+                           for i in entries]
+            summands.append((c, entries, dens[c] * form_den**degree))
+    weights += [weights[i] * f for i, f in scaled]
     common_den = lcm(*(den for _, _, den in summands))
 
-    def norm(x):
-        return sum(map(abs, x[0]))
-
-    scales: dict[tuple, int | None] = {}  # form entry -> its s, or None if it is no s*unit
-
-    def weight(entries):  # B_j of ``verify_decomposition``
-        for x in entries:
-            if x not in scales:
-                scales[x] = _unit_scale(*x)
-        s = [scales[x] for x in entries]
-        if None in s:
-            return sum(map(norm, entries)) ** degree
-        s = [t for t in s if t]
-        return min(sum(s) ** degree, _largest_multinomial(degree, len(s)) * prod(s) ** degree)
-
-    rho, height, _ = _ring_constants(m)
-    mass = sum(norm(c) * (common_den // den) * weight(entries) for c, entries, den in summands)
-    bound = rho * (mass + common_den) + height
+    rho, height = _ring_constants(m)
+    mass = sum(weights[c] * (common_den // den) * max(map(weights.__getitem__, entries)) ** degree
+               for c, entries, den in summands)
+    bound = rho * mass + height
     b = _modulus_bits(bound)
     if 1 << b <= 2 * bound + 1:
         raise AssertionError(f"Kronecker substitution: 2^{b} is not above 2*(C + H) + 1 = "
                              f"{2 * bound + 1}, so a zero residue would prove nothing")
     modulus = _substitute(cyclotomic_poly(m).coeffs, b)
-
-    images: dict[tuple, int] = {}
-
-    def image(x):
-        if x not in images:
-            images[x] = _substitute(x[0], b * (m // x[1])) % modulus
-        return images[x]
+    images = [(u[0] << b * u[1] * (m // cond)) % modulus if u
+              else _substitute(num, b * (m // cond)) % modulus
+              for u, (num, _, cond) in zip(units, parts)]
+    images += [images[i] * f % modulus for i, f in scaled]
 
     ids: dict[int, int] = {}  # image of a form entry -> its index into powers
-    keyed = [(image(c) * (common_den // den) % modulus,
-              [ids.setdefault(image(a), len(ids)) for a in entries])
+    keyed = [(images[c] * (common_den // den) % modulus,
+              [ids.setdefault(images[i], len(ids)) for i in entries])
              for c, entries, den in summands]
     width = (2 * modulus.bit_length() + len(summands).bit_length() + 8) // 8
     powers, packed = [], []  # packed[i][k]: powers[i][0..k] in slots of ``width`` bytes
@@ -501,21 +507,25 @@ def _verify_exact(spec: MonomialSpec, dec: Decomposition) -> VerificationReport:
     sums.setdefault(target, 0)
     difference = {}
     phi_m = cyclotomic_poly(m).degree
-    for e, value in sums.items():
-        residue = value and multinomial(degree, e) * value
-        residue = (residue - (common_den if e == target else 0)) % modulus
+    for e, residue in sums.items():
+        if not residue and e != target:
+            continue  # S_e = 0, so R_e = 0
+        residue -= modulus if 2 * residue > modulus else 0
+        digits = []  # balanced base-2^b digits: the power-basis coordinates of S_e
+        for _ in range(phi_m):
+            low = residue & ((1 << b) - 1)
+            low -= 1 << b if low >> (b - 1) else 0
+            digits.append(low)
+            residue = (residue - low) >> b
         if residue:
-            residue -= modulus if 2 * residue > modulus else 0
-            digits = []  # balanced base-2^b digits: the power-basis coordinates of R_e
-            for _ in range(phi_m):
-                low = residue & ((1 << b) - 1)
-                low -= 1 << b if low >> (b - 1) else 0
-                digits.append(low)
-                residue = (residue - low) >> b
-            if residue:
-                raise AssertionError(f"Kronecker substitution: the residue of x^{e} has digits "
-                                     f"beyond the {phi_m} coordinates of Q(zeta_{m})")
-            difference[e] = CycloScalar(m, tuple(digits), common_den)
+            raise AssertionError(f"Kronecker substitution: the residue of x^{e} has digits "
+                                 f"beyond the {phi_m} coordinates of Q(zeta_{m})")
+        weight = multinomial(degree, e)  # R_e = (d; e) * S_e - [e = target] * D
+        coords = [weight * t for t in digits]
+        if e == target:
+            coords[0] -= common_den
+        if any(coords):
+            difference[e] = CycloScalar(m, tuple(coords), common_den)
     if not difference:
         return VerificationReport(ok=True, mode="exact", max_error=0.0)
     return VerificationReport(ok=False, mode="exact", max_error=float("inf"),

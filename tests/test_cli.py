@@ -572,6 +572,15 @@ class TestDeterminismAndErrors:
         code, out = run(capsys, "--format", "text", "rank", "x*y*z")
         assert code == 0 and "rank: 4" in out
 
+    @pytest.mark.parametrize("monomial", ["x0*x2^2", "x1*x2"])
+    def test_text_format_of_a_form_with_an_absent_variable(self, capsys, monomial):
+        # the form holds the "0" of the absent variable beside complex records
+        code, out = run(capsys, "--format", "text", "decompose", monomial, "--seed", "1")
+        assert code == 0 and out.endswith(f"monomial: {monomial}\n")
+        forms = out.split("  form:\n")[1:]
+        assert len(forms) == (3 if monomial == "x0*x2^2" else 2)
+        assert all("    0" in form.splitlines() for form in forms)
+
     @pytest.mark.parametrize("argv", [
         ["decompose", "x*y*z", "--seed", "1"],
         ["verify", "x*y", "--input", "-"],

@@ -4,10 +4,12 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm, prod
+from math import factorial, lcm, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from waring import (
     MonomialSpec,
@@ -430,6 +432,65 @@ def sweep_case(kind, seed):
     return spec, Decomposition(spec.degree, EXACT_CYCLOTOMIC, tuple(summands))
 
 
+conductors = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12])
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def exact_scalars(draw):
+    """A rational, an integer times a root of unity, or a dense cyclotomic scalar."""
+    kind = draw(st.sampled_from(["rational", "unit", "dense"]))
+    if kind == "rational":
+        q = draw(rationals)
+        return q.numerator if q.denominator == 1 and draw(st.booleans()) else q
+    m = draw(conductors)
+    if kind == "unit":
+        return draw(rationals) * root_of_unity(m, draw(st.integers(0, m - 1)))
+    coords = draw(st.lists(st.integers(-4, 4), min_size=cyclotomic_poly(m).degree,
+                           max_size=cyclotomic_poly(m).degree))
+    return CycloScalar(m, tuple(coords), draw(st.integers(1, 4)))
+
+
+@st.composite
+def small_decompositions(draw):
+    """(spec, summands): a small target and up to four random summands, zeros allowed."""
+    spec = MonomialSpec.from_exponents(draw(st.sampled_from(SWEEP_SPECS[:8])))
+    width = spec.num_original_vars
+    summands = draw(st.lists(st.tuples(
+        st.one_of(st.just(0), exact_scalars()),
+        st.lists(st.one_of(st.just(0), exact_scalars()), min_size=width, max_size=width)
+        .filter(any)), min_size=0, max_size=4))
+    return spec, [(c, LinearForm(form)) for c, form in summands]
+
+
+class TestVerifierProperties:
+    """verify_decomposition against the scalar expansion on drawn exact decompositions."""
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(small_decompositions())
+    def test_random_summands(self, case):
+        spec, summands = case
+        check_against_reference(spec, Decomposition(spec.degree, EXACT_CYCLOTOMIC,
+                                                     tuple(summands)))
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(small_decompositions(), exact_scalars(), st.data())
+    def test_identities_and_one_perturbed_summand(self, case, factor, data):
+        # the explicit decomposition, plus the drawn summands and their negatives, is the
+        # target; scaling one nonzero coefficient by a factor other than 1 adds
+        # (factor - 1) * c * l^d, which is not zero
+        spec, extra = case
+        summands = list(explicit_decomposition(spec).summands) + extra + [
+            (-c, form) for c, form in extra]
+        assert check_against_reference(spec, Decomposition(
+            spec.degree, EXACT_CYCLOTOMIC, tuple(summands))).ok
+        assume(factor != 1)
+        j = data.draw(st.sampled_from([j for j, (c, _) in enumerate(summands) if c]))
+        summands[j] = (summands[j][0] * factor, summands[j][1])
+        assert not check_against_reference(spec, Decomposition(
+            spec.degree, EXACT_CYCLOTOMIC, tuple(summands))).ok
+
+
 def verify_with_a_small_modulus(bits):
     """verify_decomposition with b forced to ``bits``; 'raised' if the bound check fires."""
     spec = MonomialSpec.parse("x*y^2")
@@ -445,6 +506,21 @@ def verify_with_a_small_modulus(bits):
         monomials._modulus_bits = choose
 
 
+def verify_with_no_bound():
+    """verify_decomposition of a decomposition less a summand with rho and H taken as 0,
+    so that C + H = 0 and b = 1: 'raised' if the check on the digits fires."""
+    spec = MonomialSpec.parse("x*y^2")
+    wrong = Decomposition(3, EXACT_CYCLOTOMIC, explicit_decomposition(spec).summands[1:])
+    constants = monomials._ring_constants
+    monomials._ring_constants = lambda m: (0, 0)
+    try:
+        return verify_decomposition(spec, wrong).ok
+    except AssertionError as exc:
+        return "raised" if "digits beyond" in str(exc) else repr(exc)
+    finally:
+        monomials._ring_constants = constants
+
+
 class TestKroneckerVerifier:
     """The verifier in Z/Phi_M(2^b) against the scalar expansion, on seeded input."""
 
@@ -458,14 +534,18 @@ class TestKroneckerVerifier:
     def test_a_modulus_below_the_bound_raises(self):
         assert verify_with_a_small_modulus(2) == "raised"
 
+    def test_digits_beyond_the_field_raise(self):
+        assert verify_with_no_bound() == "raised"
+
     def test_a_modulus_below_the_bound_raises_in_optimized_mode(self):
         tests = Path(__file__).resolve().parent
-        code = ("from test_monomials import verify_with_a_small_modulus\n"
-                "print(verify_with_a_small_modulus(2))\n")
+        code = ("from test_monomials import verify_with_a_small_modulus, verify_with_no_bound\n"
+                "print(verify_with_a_small_modulus(2))\n"
+                "print(verify_with_no_bound())\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                              text=True, timeout=120, check=True).stdout
-        assert out.splitlines() == ["raised"]
+        assert out.splitlines() == ["raised", "raised"]
 
 
 def chosen_bound(spec, dec):
@@ -480,30 +560,60 @@ def chosen_bound(spec, dec):
     return seen[0]
 
 
-def largest_coordinate(spec, dec):
-    """(M, the largest |power-basis coordinate| over e of D * R_e), by the scalar expansion.
+def cyclo(x):
+    return x if isinstance(x, CycloScalar) else CycloScalar.from_rational(x)
 
-    D is the common denominator of the verifier: the lcm over the summands with a
-    nonzero coefficient of den(c) * lcm(den of the form's entries)^d.
+
+def verifier_ring(dec):
+    """(M, D): the conductor and the common denominator of the verifier.
+
+    D is the lcm over the summands with a nonzero coefficient of
+    den(c) * lcm(den of the form's entries)^d.
     """
-    def cyclo(x):
-        return x if isinstance(x, CycloScalar) else CycloScalar.from_rational(x)
-
     m = lcm(*(cyclo(x).conductor for c, form in dec.summands for x in (c, *form.coeffs)))
     d = lcm(*(cyclo(c).den * lcm(*(cyclo(v).den for v in form.coeffs)) ** dec.degree
               for c, form in dec.summands if c))
+    return m, d
+
+
+def largest_integral_coordinate(values, m):
+    """The largest |power-basis coordinate| of scalars that must lie in Z[zeta_m]."""
     largest = 0
-    for value in reference_difference(spec, dec).terms.values():
-        scaled = embed(cyclo(value), m) * d
+    for value in values:
+        scaled = embed(cyclo(value), m)
         assert scaled.den == 1
         largest = max(largest, *map(abs, scaled.num))
-    return m, largest
+    return largest
+
+
+def largest_coordinate(spec, dec, difference=None):
+    """(M, the largest |power-basis coordinate| over e of S_e), by the scalar expansion.
+
+    S_e = D * sum_j c_j * prod_i a_ji^e_i is D times the x^e coefficient of
+    sum_j c_j l_j^d divided by the multinomial (d; e); it lies in Z[zeta_M].
+    ``difference`` is ``reference_difference(spec, dec)`` when the caller has it.
+    """
+    m, d = verifier_ring(dec)
+    if difference is None:
+        difference = reference_difference(spec, dec)
+    target = SparsePoly.monomial(spec.num_original_vars, PRIMAL, spec.original_exponents)
+    expansion = difference + target
+    return m, largest_integral_coordinate(
+        (value * Fraction(d * prod(map(factorial, e)), factorial(dec.degree))
+         for e, value in expansion.terms.items()), m)
+
+
+def largest_difference_coordinate(dec, difference):
+    """The largest |power-basis coordinate| over e of R_e, D times the x^e coefficient of
+    ``difference``, the ``reference_difference`` of ``dec``."""
+    m, d = verifier_ring(dec)
+    return largest_integral_coordinate((value * d for value in difference.terms.values()), m)
 
 
 # the nine monomials of the exact benchmark, and the b of their explicit decompositions;
-# the bound summed over all e with each entry's L1 norm gave 30, 23, 27, 24, 37, 39, 45, 48, 54
-BENCHMARK_BITS = {(2, 3, 3, 3): 25, (1, 3, 5): 18, (1, 2, 3, 3): 21, (1, 3, 7): 20,
-                  (2, 4, 5): 21, (1, 3, 9): 24, (1, 4, 6): 22, (2, 4, 6): 24, (3, 6, 7): 29}
+# the bound on D*R_e = (d; e)*S_e - [e = target]*D gave 25, 18, 21, 20, 21, 24, 22, 24, 29
+BENCHMARK_BITS = {(2, 3, 3, 3): 8, (1, 3, 5): 6, (1, 2, 3, 3): 7, (1, 3, 7): 7,
+                  (2, 4, 5): 6, (1, 3, 9): 7, (1, 4, 6): 7, (2, 4, 6): 7, (3, 6, 7): 7}
 
 
 def torus_scaled(spec, lam):
@@ -514,8 +624,15 @@ def torus_scaled(spec, lam):
         for c, form in explicit_decomposition(spec).summands))
 
 
+def dropped_summand(spec):
+    """The explicit decomposition of ``spec`` less one seeded summand."""
+    summands = explicit_decomposition(spec).summands
+    j = random.Random(sum(spec.exponents)).randrange(len(summands))
+    return Decomposition(spec.degree, EXACT_CYCLOTOMIC, summands[:j] + summands[j + 1:])
+
+
 class TestKroneckerBound:
-    """C bounds every coordinate of D*R_e, and b stays sized by the per-summand bound."""
+    """C bounds every coordinate of S_e, and b stays sized by the per-summand bound."""
 
     @staticmethod
     def check(spec, dec):
@@ -532,10 +649,20 @@ class TestKroneckerBound:
     @pytest.mark.parametrize("exps", sorted(BENCHMARK_BITS))
     def test_the_bound_holds_with_a_summand_dropped(self, exps):
         spec = MonomialSpec.from_exponents(exps)
-        summands = explicit_decomposition(spec).summands
-        j = random.Random(sum(exps)).randrange(len(summands))
-        assert self.check(spec, Decomposition(spec.degree, EXACT_CYCLOTOMIC,
-                                              summands[:j] + summands[j + 1:]))
+        assert self.check(spec, dropped_summand(spec))
+
+    @pytest.mark.parametrize("exps", [(3, 6, 7), (1, 4, 6), (1, 3, 5)])
+    def test_a_difference_beyond_the_digits_is_reported_exactly(self, exps):
+        # R_e = (d; e)*S_e - [e = target]*D is formed from the digits of S_e, so its
+        # coordinates may run far past the 2^(b-1) that bounds every digit
+        spec = MonomialSpec.from_exponents(exps)
+        dec = dropped_summand(spec)
+        expected = reference_difference(spec, dec)
+        report = verify_decomposition(spec, dec)
+        assert not report.ok and report.difference == expected
+        b = monomials._modulus_bits(chosen_bound(spec, dec))
+        assert largest_coordinate(spec, dec, expected)[1] < 2 ** (b - 1)
+        assert largest_difference_coordinate(dec, expected) > 2 ** (b + 3)
 
     def test_the_benchmark_moduli_stay_small(self):
         bits = {}
@@ -551,16 +678,21 @@ class TestKroneckerBound:
         assert verify_decomposition(spec, dec).ok
         for (_, form), (_, scaled) in zip(explicit_decomposition(spec).summands, dec.summands):
             for v, w, l in zip(form.coeffs, scaled.coeffs, lam):
-                assert monomials._unit_scale(v.num, v.conductor) == 1
-                assert monomials._unit_scale(w.num, w.conductor) == abs(Fraction(l).numerator)
-        # s = (12, 9, 10) after clearing the denominators 6: the summed L1 bound gave b = 106
-        assert monomials._modulus_bits(chosen_bound(spec, dec)) <= 87
+                t, k = monomials._unit(v.num, v.conductor)
+                assert t in (1, -1) and v == t * root_of_unity(v.conductor, k)
+                t, k = monomials._unit(w.num, w.conductor)
+                assert abs(t) == abs(Fraction(l).numerator)
+                assert w == Fraction(t, w.den) * root_of_unity(w.conductor, k)
+        # s = (12, 9, 10) after clearing the denominators 6: the bound on D*R_e gave b = 87
+        assert monomials._modulus_bits(chosen_bound(spec, dec)) <= 65
         golden = CycloScalar(5, (1, 1, 0, 0))  # 1 + zeta_5: a unit, but no root of unity
-        assert monomials._unit_scale(golden.num, 5) is None
-        assert monomials._unit_scale((2, 2, 0, 0), 5) is None
-        assert monomials._unit_scale((0, 0, 0, 0), 5) == 0
-        assert monomials._unit_scale((-4,), 1) == 4 and monomials._unit_scale((3,), 2) == 3
-        assert monomials._unit_scale((0, -6), 3) == 6  # -6 * zeta_3
+        assert monomials._unit(golden.num, 5) is None
+        assert monomials._unit((2, 2, 0, 0), 5) is None
+        assert monomials._unit((0, 0, 0, 0), 5) == (0, 0)
+        assert monomials._unit((-4,), 1) == (-4, 0) and monomials._unit((3,), 2) == (3, 0)
+        assert monomials._unit((0, -6), 3) == (-6, 1)  # -6 * zeta_3
+        assert monomials._unit((-6, -6), 3) == (6, 2)  # 6 * zeta_3^2 = -6 - 6*zeta_3
+        assert monomials._unit((6, 6), 3) == (-6, 2)
 
 
 class TestFloatEvaluationProduct:

@@ -699,6 +699,79 @@ def test_flat_point_key_sorts_as_the_pairs():
         assert solver._point_order(shuffled.T.copy().T) == old_point_order(shuffled)  # F order
 
 
+
+def tuple_point_order(coords):
+    """The sort of the points by one tuple of round(x, 9) over their re, im, re, im, ..."""
+    rows = np.ascontiguousarray(coords).view(float).tolist()
+    keys = [tuple(round(x, 9) for x in row) for row in rows]
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def near_ties(rng, count):
+    """Values x whose x * 1e9 lies at or within a few ulps of a half-integer, from 1e-9 to
+    1e8: where rint(x * 1e9) can round the other way than round(x, 9)."""
+    values = [(2 * j + 1) / 1024 for j in range(8)]  # x * 1e9 is a half-integer exactly
+    for _ in range(count):
+        half = (int(rng.integers(0, 10 ** int(rng.integers(1, 18)))) + 0.5) / 1e9
+        values += [half * rng.choice([1, -1])]
+        for _ in range(3):
+            values.append(np.nextafter(values[-1], rng.choice([np.inf, -np.inf])))
+    for _ in range(count // 4):  # x * 1e9 >= 2^52: round(x, 9) is x, rint(x * 1e9) / 1e9 may not be
+        values.append(float(rng.uniform(1, 2) * 10.0 ** rng.integers(7, 25)))
+        for _ in range(3):
+            values.append(np.nextafter(values[-1], np.inf))
+    return values + [2.0**52 / 1e9, -1e20]
+
+
+class TestVectorPointOrder:
+    """The numpy keys of ``_point_order`` order rows as the tuples of round(x, 9) do."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        r, n = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        scale = 10.0 ** rng.integers(-9, 9)
+        coords = (rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))) * scale
+        coords[rng.integers(0, r, r // 3)] = coords[0]  # equal rows
+        coords[rng.integers(0, r, r // 3), 0] = coords[-1, 0]  # rows that tie on a prefix
+        grid = np.round(coords * 1e9) / 1e9  # equal to 9 digits, but for noise below them
+        noisy = grid + rng.normal(size=(r, n)) * 1e-13 * max(scale, 1.0)
+        for case in (coords, grid, noisy):
+            assert solver._point_order(case) == tuple_point_order(case)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_ties_against_their_rounded_values(self, seed):
+        # each x sits beside round(x, 9) in a group of its own: a key that rounded x the
+        # other way would break their tie, and so move one of the two orders below
+        rng = np.random.default_rng(100 + seed)
+        values = near_ties(rng, 40)
+        rows = []
+        for group, x in enumerate(values):
+            rounded = round(x, 9)
+            rows += [[group, rounded], [group, x], [group, x], [group, rounded]]
+        coords = np.array(rows, dtype=float) * (1 - 1j if seed % 2 else 1)
+        coords = coords[::-1] if seed > 1 else coords
+        assert solver._point_order(coords) == tuple_point_order(coords)
+
+    def test_a_shuffled_mix_and_no_coordinates(self):
+        rng = np.random.default_rng(7)
+        values = np.array(near_ties(rng, 60))
+        coords = rng.choice(values, size=(200, 3)) + 1j * rng.choice(values, size=(200, 3))
+        coords[::5, 0] = coords[0, 0]
+        for _ in range(3):
+            shuffled = coords[rng.permutation(len(coords))]
+            assert solver._point_order(shuffled) == tuple_point_order(shuffled)
+        assert solver._point_order(np.zeros((3, 0), dtype=complex)) == [0, 1, 2]
+
+    def test_neighbouring_floats_in_descending_rows(self):
+        # two keys that fell together where round(x, 9) keeps them apart would keep
+        # these rows in their descending order
+        rng = np.random.default_rng(11)
+        values = sorted(set(near_ties(rng, 80)), reverse=True)
+        coords = np.array(values)[:, None] * np.array([1, 1j])
+        assert solver._point_order(coords) == tuple_point_order(coords)
+
+
 class TestIsRadical:
     def test_ab_nonzero_dichotomy(self, x2y2z2):
         for a, b in itertools.product(range(-2, 3), repeat=2):
