@@ -339,6 +339,27 @@ def cmd_diagnose(spec: MonomialSpec, args) -> dict:
     }
 
 
+def _holds_record(value) -> bool:
+    """Whether ``value`` is a record or a list that holds one, at any depth."""
+    return isinstance(value, dict) or isinstance(value, list) and any(map(_holds_record, value))
+
+
+def _render_items(items: list, indent: int) -> list[str]:
+    """The lines of a list that holds records: item by item, a "-" line between items."""
+    pad = "  " * indent
+    lines = []
+    for item in items:
+        if isinstance(item, dict):
+            lines.append(_render_text(item, indent + 1))
+        elif _holds_record(item):  # a list of records, such as a point's coordinates
+            lines.extend(_render_items(item, indent + 1))
+        else:
+            lines.append(f"{pad}  {item}")
+        lines.append(pad + "  -")
+    lines.pop()
+    return lines
+
+
 def _render_text(payload: dict, indent: int = 0) -> str:
     lines = []
     pad = "  " * indent
@@ -348,13 +369,9 @@ def _render_text(payload: dict, indent: int = 0) -> str:
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_render_text(value, indent + 1))
-        elif isinstance(value, list) and any(isinstance(item, dict) for item in value):
-            lines.append(f"{pad}{key}:")  # records and scalars, item by item
-            for item in value:
-                lines.append(_render_text(item, indent + 1) if isinstance(item, dict)
-                             else f"{pad}  {item}")
-                lines.append(pad + "  -")
-            lines.pop()
+        elif isinstance(value, list) and _holds_record(value):
+            lines.append(f"{pad}{key}:")  # records, lists of them and scalars, item by item
+            lines.extend(_render_items(value, indent))
         else:
             lines.append(f"{pad}{key}: {value}")
     return "\n".join(lines)

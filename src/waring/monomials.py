@@ -238,9 +238,10 @@ def explicit_decomposition(spec: MonomialSpec) -> Decomposition:
     output forms are rearranged into the caller's variable order.
     """
     m = spec.conductor
-    inv_c = CycloScalar.from_rational(1 / multinomial_C(spec), m)
+    c = multinomial_C(spec).numerator
     roots = [root_of_unity(m, k) for k in range(m)]  # built once, shared by every summand
-    weights = [root * inv_c for root in roots]
+    # zeta^k / C with no product: a root's coordinates have gcd 1, so C stays the denominator
+    weights = [CycloScalar(m, root.num, c) for root in roots]
     steps = [m // (d + 1) for d in spec.exponents[1:]]
     summands = []
     for index in product(*(range(d + 1) for d in spec.exponents[1:])):

@@ -55,20 +55,21 @@ def _ratio_text(num: int, den: int, what: str) -> str:
     return f"{_decimal(num // g, what)}/{_decimal(den // g, what)}"
 
 
-def scalar_to_json(value):
+def scalar_to_json(value, ratio_text=_ratio_text):
+    """The record of a scalar; ``ratio_text`` writes its "p/q" texts, as ``_ratio_text`` does."""
     if isinstance(value, bool):
         raise TypeError("booleans are not scalars")
     if isinstance(value, int):
         return _decimal(value, "rational scalar")
     if isinstance(value, Fraction):
-        return _ratio_text(value.numerator, value.denominator, "rational scalar")
+        return ratio_text(value.numerator, value.denominator, "rational scalar")
     if isinstance(value, CycloScalar):
         if value.is_rational():
-            return _ratio_text(value.num[0], value.den, "rational scalar")
+            return ratio_text(value.num[0], value.den, "rational scalar")
         what = f"cyclotomic scalar of conductor {value.conductor}"
         return {
             "conductor": value.conductor,
-            "coeffs": [_ratio_text(c, value.den, what) for c in value.num],
+            "coeffs": [ratio_text(c, value.den, what) for c in value.num],
         }
     if isinstance(value, (complex, float)):  # + 0.0 writes a -0.0 part as 0.0
         return {"re": value.real + 0.0, "im": value.imag + 0.0}
@@ -151,8 +152,8 @@ def scalar_from_json(obj, ratio=_ratio):
         if conductor > 2 * len(coeffs) ** 2 or _totient(conductor) != len(coeffs):
             raise ValueError(f"cyclotomic scalar of conductor {conductor} needs phi({conductor}) "
                              f"coefficients, got {len(coeffs)}")
-        den = lcm(*(q for _, q in coeffs))
-        return CycloScalar(conductor, tuple(p * (den // q) for p, q in coeffs), den)
+        den = lcm(*{q for _, q in coeffs})  # each distinct denominator once
+        return CycloScalar(conductor, [p if q == den else p * (den // q) for p, q in coeffs], den)
     if isinstance(obj, dict) and "re" in obj:
         return complex(_float(obj, "re"), _float(obj, "im", 0.0))
     raise ValueError(f"not a scalar record: {obj!r}")
@@ -179,9 +180,17 @@ def _shared_writer():
     """``scalar_to_json`` that writes each distinct cyclotomic scalar once per writer.
 
     Equal scalars, keyed by (conductor, num, den), get the same record object, so the
-    caller must never mutate a record it is given.
+    caller must never mutate a record it is given.  The text of each coordinate is kept
+    by (numerator, denominator) too: the records of one decomposition share a handful of
+    distinct coordinates, so most of them are a dict lookup, not a gcd and a conversion.
     """
-    records = {}
+    records, texts = {}, {}
+
+    def coordinate_text(num: int, den: int, what: str) -> str:
+        text = texts.get((num, den))
+        if text is None:
+            text = texts[num, den] = _ratio_text(num, den, what)
+        return text
 
     def write(value):
         if type(value) is not CycloScalar:
@@ -189,7 +198,7 @@ def _shared_writer():
         key = (value.conductor, value.num, value.den)
         record = records.get(key)
         if record is None:
-            record = records[key] = scalar_to_json(value)
+            record = records[key] = scalar_to_json(value, coordinate_text)
         return record
 
     return write

@@ -1,12 +1,13 @@
 """Independent references that the tests check the package against.
 
 No command runs these: each is the plain, slow form of something the package
-computes another way (the expansion coefficients by closed form, a power of
-a linear form term by term, the summand coefficients by a square solve
-instead of 1/J, q_t by its definition instead of the previous degree's
-dim I_t, every parsed coefficient in ``Fraction``, the remainder mod Phi_m
-by long division instead of a table of powers), or a small reading of a
-package value that only the tests need.
+computes another way (the expansion coefficients by closed form, the weights
+zeta_m^k / C by a product instead of the root table, a power of a linear form
+term by term, the summand coefficients by a square solve instead of 1/J, q_t
+by its definition instead of the previous degree's dim I_t, every parsed
+coefficient in ``Fraction``, the remainder mod Phi_m by long division instead
+of a table of powers), or a small reading of a package value that only the
+tests need.
 """
 
 import re
@@ -99,6 +100,13 @@ def coefficient_Cm(spec, m_vec) -> CycloScalar:
     for i in range(1, spec.n + 1):
         value = value * root_power_sum(spec.exponents[i] + 1, m_vec[i] + 1)
     return embed(value, spec.conductor) if value.conductor != spec.conductor else value
+
+
+def explicit_weight(spec, k: int) -> CycloScalar:
+    """zeta_m^k / C, the weight of a summand of the explicit decomposition, as a product."""
+    m = spec.conductor
+    return cyclotomic.root_of_unity(m, k) * CycloScalar.from_rational(
+        Fraction(1, multinomial_C(spec)), m)
 
 
 def power_linear_form(form, degree: int) -> SparsePoly:

@@ -581,6 +581,18 @@ class TestDeterminismAndErrors:
         assert len(forms) == (3 if monomial == "x0*x2^2" else 2)
         assert all("    0" in form.splitlines() for form in forms)
 
+    @pytest.mark.parametrize("argv", [["points", "x*y", "--seed", "1"],
+                                      ["points", "x*y*z^2", "--seed", "1"],
+                                      ["diagnose", "x*y*z", "--seed", "1"],
+                                      ["normalize", "x*y*z", "--seed", "1"]])
+    def test_text_format_of_a_list_of_lists_of_records(self, capsys, argv):
+        # a point is a list of complex records, a phi entry a list of term records: each
+        # is written record by record, not as a Python repr
+        code, out = run(capsys, "--format", "text", *argv)
+        assert code == 0 and "{'" not in out and "[{" not in out
+        if argv[0] == "points":
+            assert out.startswith("points:\n    re: 1.0\n    im: 0.0\n    -\n")
+
     @pytest.mark.parametrize("argv", [
         ["decompose", "x*y*z", "--seed", "1"],
         ["verify", "x*y", "--input", "-"],

@@ -79,7 +79,28 @@ def test_subclasses_and_scalar_keys_are_written_as_json_dumps_writes_them():
 
 
 @pytest.mark.parametrize("value", [
+    ["a", {"b": 1}],  # starts with a string, ends in a record
+    ["a", 2, "c"],  # a string at both ends, an int in between
+    ["a", [1, "b"], None, True, 1.5, -math.inf, "z"],
+    [["a", "b"], "c"],
+])
+def test_a_list_that_starts_with_a_string_and_holds_other_items(value):
+    payload = {"top": value, "deeper": [value, {"k": value}]}
+    assert _json_text(payload) == reference(payload)
+
+
+def test_a_list_of_strings_and_str_subclasses():
+    class Text(str):
+        def __str__(self):
+            return "not this"
+
+    payload = [[Text('q"'), "b"], ["a", Text("\u00e9")], [Text("x")], ["a", "b", Text("c")]]
+    assert _json_text(payload) == reference(payload)
+
+
+@pytest.mark.parametrize("value", [
     [object()],
+    ["a", b"bytes", "z"],  # a string at both ends, not JSON in between
     {"a": {1, 2}},
     {"a": [1, b"bytes"]},
     {(1, 2): "tuple key"},

@@ -25,7 +25,7 @@ from waring.monomials import Decomposition, EXACT_CYCLOTOMIC
 from waring.polynomial import PRIMAL, LinearForm, SparsePoly, exponents_of_degree
 
 from conftest import spec_grid
-from oracles import coefficient, coefficient_Cm, power_linear_form, scale
+from oracles import coefficient, coefficient_Cm, explicit_weight, power_linear_form, scale
 
 
 class TestMonomialSpec:
@@ -155,6 +155,17 @@ class TestExplicitDecomposition:
         dec = explicit_decomposition(spec)
         assert all(form.coeffs[1] == 0 for _, form in dec.summands)
         assert verify_decomposition(spec, dec).ok
+
+    def test_each_weight_is_its_root_times_one_over_c(self):
+        # the summand of form x0 + z^a1 x1 + ... weighs z^(a1 + ...) / C; read k off the form
+        for exps in spec_grid(3, 8, min_n=0):
+            spec = MonomialSpec.from_exponents(exps)
+            m = spec.conductor
+            roots = [root_of_unity(m, k) for k in range(m)]
+            for coeff, form in explicit_decomposition(spec).summands:
+                root = prod((v for v in form.coeffs if v != 0), start=CycloScalar.one(m))
+                want = explicit_weight(spec, roots.index(root))
+                assert (coeff.conductor, coeff.num, coeff.den) == (m, want.num, want.den)
 
     def test_grid_small_degrees(self):
         for exps in spec_grid(3, 5):

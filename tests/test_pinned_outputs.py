@@ -34,6 +34,23 @@ PINNED = {
     # m = 56, r = 56: the heaviest op of the exact benchmark round
     "decompose-exact-m56": (["decompose", "x^3*y^6*z^7", "--exact"], 0,
                             "a979fa6e3a1acac954e681e64b9922039fd41112f3388ab173907b510e5f6410"),
+    # the other eight monomials of the exact benchmark round
+    "decompose-exact-m4": (["decompose", "x^2*y^3*z^3*w^3", "--exact"], 0,
+                           "724b9c2d1c9a8d892bb408f78d2636efd4715f013b857c7d47586118f3a0f887"),
+    "decompose-exact-m24": (["decompose", "x*y^3*z^5", "--exact"], 0,
+                            "1e86c53bb93c503315eff85759338fa5128e049fc2c6561c8d31c7e9812e2c03"),
+    "decompose-exact-m12": (["decompose", "x*y^2*z^3*w^3", "--exact"], 0,
+                            "690feaaf79d2b77dc492f28a5edaf50ed358442fadd72cd2c7402f85794c0bbd"),
+    "decompose-exact-m32": (["decompose", "x*y^3*z^7", "--exact"], 0,
+                            "1aba37b7db0c357bfb2a0c9f26fb4a80eeccf7a18bbf8262b323acc6f81ec6a1"),
+    "decompose-exact-m30": (["decompose", "x^2*y^4*z^5", "--exact"], 0,
+                            "dcfa45b8ac165c0e19b48b0dd91777bf7b30af9becbf7ef4effcc70e174f39ec"),
+    "decompose-exact-m40": (["decompose", "x*y^3*z^9", "--exact"], 0,
+                            "14761376e2a8283605d5f42ed279d9b4971b9cdbb6e2ee7abf87aa6bf14871f3"),
+    "decompose-exact-m35": (["decompose", "x*y^4*z^6", "--exact"], 0,
+                            "37d3d5f59d3879f89a50b094c31efcd40265f03b7a0df316a9390d259164017c"),
+    "decompose-exact-m35-d12": (["decompose", "x^2*y^4*z^6", "--exact"], 0,
+                                "1ec35e5d8a4b9e99e7d4d0489b81676f7aa583f9c7b0553cb644bc9bbc94de57"),
     "ideal-member": (["ideal", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2",
                       "--member", "a0^4*a1 - a1^2*a2^3"], 0,
                      "fc8a8cce5bc2108c92c05d2f244449ceff7cc741e86e0aff035fe788ad7cb00d"),
@@ -73,6 +90,29 @@ VERIFY_DIGEST = "1d5e32af25736683b5070654b33d7d0a34fc16b7c041e3ea0b49a28fa215d88
 VERIFY_M56_DIGEST = "2f9c86eef93ca9b8c78ba006537136fa7da0366d40aa9d9cc2c2f30cd50acf2d"
 # verify of the "decompose-exact-m56" output without its last summand
 VERIFY_M56_DROPPED_DIGEST = "19f112490c03131e1644fcc5d0a22b1361319b604494c01ff75d6b33ee5e8a13"
+# verify of the other eight exact outputs
+VERIFY_DIGESTS = {
+    "decompose-exact-m4": "b597986bce4e49855f3cb56b51d5c5380b5f70adf41c97baa46b32b851dbaa2d",
+    "decompose-exact-m24": "14e314f97bb6eb9860df9dbd47f050270dfdfc1ad1b1fc0fa2e389744ce35158",
+    "decompose-exact-m12": "7cc6ae0545d9a2b289b3c4e9589170c9fd5bd52f22882f83516841ab315ac977",
+    "decompose-exact-m32": "87c22dc7ab2e992a93f69c92c0f75e377837e709adc9f032817d63c7d26c7852",
+    "decompose-exact-m30": "71e7b190d8c46238dc80e5ad4fdd9ff8da37ca5772f47dafa66dddbc1dacc98d",
+    "decompose-exact-m40": "1ec352b5309d06f8e5bbced4fc121eb4905e292cabf5d79ad5094ef707c8a0b6",
+    "decompose-exact-m35": "373f163e0f8edd9e2052dcebfc9c09923f7c801bb279c85e63ae5a6745251728",
+    "decompose-exact-m35-d12": "e09682683c31f245859b3e78e9b0f7e9b7d4dd2b3b2c9f2ab978adffdde9499c",
+}
+
+# name: (file written by hand, verify's exit code, SHA-256 of its stdout), all for x*y
+HAND_WRITTEN = {
+    # x*y = 1/4 (x + y)^2 - 1/4 (x - y)^2: a negative coordinate and a denominator above 1
+    "rational": ([("1/4", ["1", "1"]), ("-1/4", ["1", "-1"])], 0,
+                 "c3407ec02d6e26665d86797b6ef7c00d006e543700519f2a2af5380c7b2b126d"),
+    # one more summand, (1/2 + 1/3 z3)(x + y)^2, its record not in lowest terms: the
+    # difference it leaves is printed in lowest terms
+    "cyclotomic-unreduced": ([("1/4", ["1", "1"]), ("-1/4", ["1", "-1"]),
+                              ({"conductor": 3, "coeffs": ["2/4", "1/3"]}, ["1", "1"])], 1,
+                             "5d01483bb5f822cf66e63ff23c8627cdd486045aed0dff592c4733bf622810a5"),
+}
 
 
 def _run(capsys, argv):
@@ -102,6 +142,20 @@ def test_verify_of_the_exact_decomposition_is_pinned(capsys, tmp_path):
 
 def test_verify_of_the_heaviest_exact_decomposition_is_pinned(capsys, tmp_path):
     assert _verify_output(capsys, tmp_path, "decompose-exact-m56") == (0, VERIFY_M56_DIGEST)
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_DIGESTS))
+def test_verify_of_each_exact_benchmark_decomposition_is_pinned(capsys, tmp_path, name):
+    assert _verify_output(capsys, tmp_path, name) == (0, VERIFY_DIGESTS[name])
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+def test_verify_of_a_hand_written_decomposition_is_pinned(capsys, tmp_path, name):
+    summands, code, digest = HAND_WRITTEN[name]
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps({"degree": 2, "domain": "exact-cyclotomic", "summands": [
+        {"coeff": coeff, "form": form} for coeff, form in summands]}))
+    assert _run(capsys, ["verify", "x*y", "--input", str(path)])[::2] == (code, digest)
 
 
 def test_verify_of_a_dropped_summand_prints_the_pinned_difference(capsys, tmp_path):

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waring import CycloScalar, MonomialSpec, cyclotomic_poly, explicit_decomposition, root_of_unity
 from waring import serialize
@@ -23,7 +25,7 @@ from waring.serialize import (
     scalar_from_json,
     scalar_to_json,
 )
-from waring.polynomial import DUAL, parse_poly
+from waring.polynomial import DUAL, LinearForm, parse_poly
 from waring.solver import PointSet, certify_radical, extract_points
 from waring.vsp import decompose_from_phi, parameter_space, sample_phi
 
@@ -401,3 +403,93 @@ class TestSharedRecords:
         (c1, f1), (c2, f2) = decomposition_from_json(data).summands
         assert c1 == c2 == Fraction(1, 2)
         assert f1.coeffs[1] == f2.coeffs[1] == root_of_unity(3, 1)
+
+
+# records that scalar_from_json refuses; the first failing check names the error
+MALFORMED_CYCLOTOMIC = {
+    "conductor-0": {"conductor": 0, "coeffs": []},
+    "conductor-0-one-coefficient": {"conductor": 0, "coeffs": ["1"]},
+    "conductor-true": {"conductor": True, "coeffs": ["1", "2"]},
+    "conductor-negative": {"conductor": -3, "coeffs": ["1", "2"]},
+    "count-above-phi": {"conductor": 3, "coeffs": ["1", "2", "3"]},
+    "count-below-phi": {"conductor": 12, "coeffs": ["1", "2", "3"]},
+    "conductor-past-twice-the-squared-count": {"conductor": 10**30, "coeffs": ["1", "2"]},
+    "zero-denominator": {"conductor": 3, "coeffs": ["1/0", "1"]},
+    "non-string": {"conductor": 3, "coeffs": ["1", 2]},
+    "unhashable": {"conductor": 3, "coeffs": [["1"], "1"]},
+    "bad-syntax": {"conductor": 5, "coeffs": ["1", "2", "3/-4", "0"]},
+    # a coefficient is read before the conductor and the count are checked
+    "conductor-0-and-zero-denominator": {"conductor": 0, "coeffs": ["1/0"]},
+    "count-and-non-string": {"conductor": 3, "coeffs": ["1", "2", None]},
+}
+
+
+class TestSharedReader:
+    """The reader of a decomposition reads each record as ``scalar_from_json`` reads it."""
+
+    @pytest.mark.parametrize("record", MALFORMED_CYCLOTOMIC.values(), ids=MALFORMED_CYCLOTOMIC)
+    def test_a_malformed_record_fails_as_scalar_from_json_fails(self, record):
+        with pytest.raises(Exception) as want:
+            scalar_from_json(record)
+        read = serialize._shared_reader()
+        read({"conductor": 3, "coeffs": ["1", "2"]})  # its texts are parsed and kept first
+        for _ in range(2):  # a failed record is not kept
+            with pytest.raises(Exception) as got:
+                read(record)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    @pytest.mark.parametrize("record", [
+        {"conductor": 3, "coeffs": ["2/4", "1/3"]},
+        {"conductor": 5, "coeffs": ["1/2", "-2/3", "0", "5/6"]},
+        {"conductor": 5, "coeffs": ["-1/6", "0", "3/4", "-7"]},
+        {"conductor": 12, "coeffs": ["3/6", "0/5", "-4/8", "7"]},
+        {"conductor": 6, "coeffs": ["-9/6", "4/6"]},
+        {"conductor": 4, "coeffs": ["0/7", "0"]},
+        {"conductor": 1, "coeffs": ["6/4"]},
+        {"conductor": 7, "coeffs": ["2/4", "2/4", "2/4", "2/4", "2/4", "2/4"]},  # sum is -1/2
+    ])
+    def test_mixed_or_unreduced_denominators_read_as_scalar_from_json(self, record):
+        want = scalar_from_json(record)
+        for read in (serialize._shared_reader(), serialize._shared_reader()):
+            read({"conductor": 5, "coeffs": ["1/2", "2/4", "0", "1"]})  # shares texts
+            got = read(record)
+            assert (got.conductor, got.num, got.den) == (want.conductor, want.num, want.den)
+            assert read(dict(record)) is got
+
+
+@st.composite
+def exact_decompositions(draw):
+    """Decompositions over Q(zeta_m), m <= 60, with repeated and rational-valued scalars."""
+    conductors = draw(st.lists(st.integers(1, 60), min_size=1, max_size=2))
+
+    def scalar():
+        if draw(st.booleans()):
+            return Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 12)))
+        m = draw(st.sampled_from(conductors))
+        deg = serialize._totient(m)
+        small = st.integers(-30, 30) | st.sampled_from([0, 0, 1, -1, 10**25])
+        num = draw(st.lists(small, min_size=deg, max_size=deg))
+        return CycloScalar(m, tuple(num), draw(st.integers(1, 60) | st.just(2**70)))
+
+    pool = [scalar() for _ in range(draw(st.integers(1, 6)))]
+    num_vars = draw(st.integers(1, 4))
+    summands = tuple(
+        (draw(st.sampled_from(pool)),
+         LinearForm([Fraction(1)] + [draw(st.sampled_from(pool)) for _ in range(num_vars - 1)]))
+        for _ in range(draw(st.integers(1, 6))))
+    return Decomposition(degree=draw(st.integers(1, 6)), domain="exact-cyclotomic",
+                         summands=summands, verified=draw(st.sampled_from(["exact", "unverified"])))
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(exact_decompositions())
+def test_exact_decompositions_round_trip_through_the_printed_text(dec):
+    payload = decomposition_to_json(dec)
+    assert payload["summands"] == [  # the shared writer writes what scalar_to_json writes
+        {"coeff": scalar_to_json(c), "form": [scalar_to_json(v) for v in form.coeffs]}
+        for c, form in dec.summands]
+    text = _json_text(payload)
+    assert text == json.dumps(payload, sort_keys=True, indent=2)
+    back = decomposition_from_json(json.loads(text))
+    assert back == dec
+    assert _json_text(decomposition_to_json(back)) == text
