@@ -19,6 +19,7 @@ import json
 import os
 import re
 import sys
+from itertools import chain, cycle
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb, isfinite
 
@@ -361,11 +362,10 @@ def _render_items(items: list, indent: int) -> list[str]:
 
 
 def _render_text(payload: dict, indent: int = 0) -> str:
+    """The text rendering of a payload of plain values (``serialize.plain``)."""
     lines = []
     pad = "  " * indent
     for key, value in payload.items():
-        if isinstance(value, serialize.FloatRecords):
-            value = value.records()
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_render_text(value, indent + 1))
@@ -389,18 +389,22 @@ _SCALAR_TEXT = {str: _quote, int: int.__repr__, float: _float_text,
 
 
 def _json_text(payload) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte.
+    """``json.dumps(serialize.plain(payload), sort_keys=True, indent=2)``, byte for byte.
 
     With ``indent`` set the stdlib runs its pure-Python encoder.  This writer joins
     strings, and writes a container once when the same object comes up again at the
-    same depth (the shared scalar records of ``serialize``).  A ``serialize.FloatRecords``
+    same depth (the shared scalar records of ``serialize``).  A ``serialize.Records``
     is written as the list of its records: its shape once, as a template with one
-    ``%s`` per hole, filled by ``float.__repr__`` of its numbers (``_float_text`` when
-    one is not finite).  A value that is not JSON raises TypeError, as in
-    ``json.dumps``; a cycle, which no payload has, recurses until RecursionError
-    instead of raising ValueError.
+    ``%s`` per hole, filled by the JSON text of each value: ``float.__repr__`` over a
+    float array (``_float_text`` when a number is not finite), the scalar text of a
+    str, int or float, and ``write`` at the hole's depth for any other value, so a
+    shared record is still written once per depth.  A value that is not JSON raises
+    TypeError, as in ``json.dumps``; a cycle, which no payload has, recurses until
+    RecursionError instead of raising ValueError.
     """
     written: dict[tuple[int, int], str] = {}  # (id, depth) -> text; the payload keeps ids live
+    # (id of a shape, depth) -> its template and the depth of each hole
+    templates: dict[tuple[int, int], tuple[str, list[int]]] = {}
     exact = _SCALAR_TEXT.get
     hole = _quote(serialize.HOLE)
 
@@ -432,8 +436,8 @@ def _json_text(payload) -> str:
             parts = [f"{key_text(key)}: "
                      f"{text(item) if (text := exact(type(item))) else write(item, depth)}"
                      for key, item in sorted(value.items())]
-        elif type(value) is serialize.FloatRecords:
-            written[memo] = text = float_records(value, depth)
+        elif type(value) is serialize.Records:
+            written[memo] = text = records(value, depth)
             return text
         else:
             text = scalar(value)
@@ -447,16 +451,33 @@ def _json_text(payload) -> str:
                                 f"\n{'  ' * (depth - 1)}{ends[1]}")
         return text
 
-    def float_records(value, depth: int) -> str:  # the list of records, its items at depth
-        rows = len(value.numbers)
-        if not rows:
+    def hole_depths(shape, depth: int) -> list[int]:  # the depth write() gives each hole
+        if shape is serialize.HOLE:
+            return [depth]
+        if isinstance(shape, dict):
+            shape = [shape[key] for key in sorted(shape)]
+        elif not isinstance(shape, (list, tuple)):
+            return []
+        return [d for item in shape for d in hole_depths(item, depth + 1)]
+
+    def records(value, depth: int) -> str:  # the list of records, its items at depth
+        rows = value.rows
+        if not len(rows):
             return "[]"
-        template = write(value.shape, depth).replace("%", "%%").replace(hole, "%s")
-        numbers = value.numbers.ravel().tolist()
-        text = float.__repr__ if isfinite(abs(value.numbers).max(initial=0.0)) else _float_text
+        memo = (id(value.shape), depth)
+        if memo not in templates:
+            templates[memo] = (write(value.shape, depth).replace("%", "%%").replace(hole, "%s"),
+                               hole_depths(value.shape, depth))
+        template, depths = templates[memo]
+        if type(rows) is list:
+            texts = [text(item) if (text := exact(type(item))) else write(item, d)
+                     for item, d in zip(chain.from_iterable(rows), cycle(depths))]
+        else:
+            text = float.__repr__ if isfinite(abs(rows).max(initial=0.0)) else _float_text
+            texts = map(text, rows.ravel().tolist())
         inner = "\n" + "  " * depth
-        return (f"[{inner}{(',' + inner).join([template] * rows)}\n{'  ' * (depth - 1)}]"
-                % tuple(map(text, numbers)))
+        return (f"[{inner}{(',' + inner).join([template] * len(rows))}\n{'  ' * (depth - 1)}]"
+                % tuple(texts))
 
     return write(payload, 0)
 
@@ -547,7 +568,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         code, text = 2, json.dumps({"error": str(exc)}, sort_keys=True)
     else:
-        code, text = 0, _json_text(payload) if args.format == "json" else _render_text(payload)
+        code, text = 0, (_json_text(payload) if args.format == "json"
+                         else _render_text(serialize.plain(payload)))
     try:
         print(text)
         sys.stdout.flush()

@@ -183,9 +183,15 @@ class CIIdeal:
 
 
 def generator_tails(spec: MonomialSpec, entries) -> tuple[SparsePoly, ...]:
-    """phi_i * a0^(d0+1) per entry: generator i of I(k, phi) is a_i^(d_i+1) minus it."""
-    shift = SparsePoly.monomial(spec.n + 1, DUAL, (spec.exponents[0] + 1,) + (0,) * spec.n)
-    return tuple(p * shift for p in entries)
+    """phi_i * a0^(d0+1) per entry: generator i of I(k, phi) is a_i^(d_i+1) minus it.
+
+    Multiplying by the monomial a0^(d0+1) only raises the a0 exponent of each term.
+    """
+    shift = spec.exponents[0] + 1
+    return tuple(
+        SparsePoly(spec.n + 1, DUAL, {(e[0] + shift, *e[1:]): c for e, c in p.terms.items()})
+        for p in entries
+    )
 
 
 def make_ci_ideal(spec: MonomialSpec, phi: PhiTuple) -> CIIdeal:

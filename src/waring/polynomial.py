@@ -15,7 +15,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, factorial
+from operator import neg
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -24,13 +26,25 @@ _VAR_PREFIX = {PRIMAL: "x", DUAL: "a"}
 
 # a coefficient literal: an integer, a fraction, or a decimal with an optional exponent
 _NUMBER = re.compile(r"[0-9]+(?:/[0-9]+|(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?)")
+# the "-" that starts a term and the "+" between terms: not the sign of a decimal
+# exponent after "<digit>e" or "<digit>.e", as in 1e-300 or 2.e-3, and a "-" right
+# after "+" already starts a term
+_TERM_SIGN = re.compile(r"(?<!\d[eE])(?<!\d\.[eE])(?<!\+)-")
+_TERM_PLUS = re.compile(r"(?<!\d[eE])(?<!\d\.[eE])\+")
 
 Exponent = tuple[int, ...]
 
 
 def grevlex_key(exponent: Exponent):
-    """Sort key for graded reverse lexicographic order (larger key = larger monomial)."""
-    return (sum(exponent), tuple(-e for e in reversed(exponent)))
+    """Sort key for graded reverse lexicographic order (larger key = larger monomial):
+    the degree, then the negated exponents from the last variable to the first."""
+    return (sum(exponent), tuple(map(neg, reversed(exponent))))
+
+
+def _term_key(term: tuple[Exponent, object]):
+    """``grevlex_key`` of a (exponent, coefficient) term."""
+    exponent = term[0]
+    return (sum(exponent), tuple(map(neg, reversed(exponent))))
 
 
 @lru_cache(maxsize=256)
@@ -140,14 +154,15 @@ class SparsePoly:
     def __init__(self, num_vars: int, ring: str, terms: dict[Exponent, object] | None = None):
         if ring not in (PRIMAL, DUAL):
             raise ValueError(f"unknown ring tag {ring!r}")
+        terms = terms or {}
         clean: dict[Exponent, object] = {}
-        for exponent, coeff in (terms or {}).items():
+        for exponent, coeff in terms.items():
             if len(exponent) != num_vars:
                 raise ValueError("exponent length does not match the number of variables")
-            if any(e < 0 for e in exponent):
-                raise ValueError("negative exponent")
             if coeff:
                 clean[tuple(exponent)] = coeff
+        if min(chain.from_iterable(terms), default=0) < 0:  # of every term, a zero one too
+            raise ValueError("negative exponent")
         self.num_vars = num_vars
         self.ring = ring
         self.terms = clean
@@ -173,7 +188,7 @@ class SparsePoly:
         return len(degrees) <= 1
 
     def sorted_terms(self) -> list[tuple[Exponent, object]]:
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=_term_key, reverse=True)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -225,11 +240,10 @@ class SparsePoly:
         prefix = _VAR_PREFIX[self.ring]
         out = ""
         for e, c in self.sorted_terms():
-            body = "*".join(
-                f"{prefix}{i}" + (f"^{ei}" if ei > 1 else "") for i, ei in enumerate(e) if ei
-            )
+            body = "*".join([f"{prefix}{i}^{ei}" if ei > 1 else f"{prefix}{i}"
+                             for i, ei in enumerate(e) if ei])
             cs = str(c)
-            if body and any(op in cs[1:] for op in "+-"):
+            if body and ("+" in cs[1:] or "-" in cs[1:]):
                 cs = f"({cs})"
             sign = " + "
             if cs.startswith("-"):
@@ -337,13 +351,11 @@ def parse_poly(text: str, num_vars: int, ring: str) -> SparsePoly:
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise ValueError("empty polynomial")
-    # a sign right after "<digit>e" or "<digit>.e" belongs to a literal such as 1e-300
-    # or 2.e-3, not a term; one right after "+" already starts a term
-    cleaned = re.sub(r"(?<!\d[eE])(?<!\d\.[eE])(?<!\+)-", "+-", cleaned)
+    cleaned = _TERM_SIGN.sub("+-", cleaned)
     if cleaned.startswith("+"):
         cleaned = cleaned[1:]
     terms: dict[Exponent, object] = {}
-    for chunk in re.split(r"(?<!\d[eE])(?<!\d\.[eE])\+", cleaned):
+    for chunk in _TERM_PLUS.split(cleaned):
         if not chunk:
             raise ValueError(f"could not parse polynomial {text!r}")
         coeff = 1
@@ -354,16 +366,25 @@ def parse_poly(text: str, num_vars: int, ring: str) -> SparsePoly:
         for factor in chunk.split("*"):
             if not factor:
                 raise ValueError(f"could not parse polynomial {text!r}")
-            name, power = split_power(factor, text) if "^" in factor else (factor, 1)
+            name, caret, digits = factor.partition("^")
+            if not caret:
+                power = 1
+            elif name and is_digits(digits):  # "name^digits"; split_power words every error
+                power = int(digits)
+            else:
+                name, power = split_power(factor, text)
             index = known.get(name)
             if index is None:
                 if name[0].isdigit():
-                    if not _NUMBER.fullmatch(name):
+                    if is_digits(name):
+                        value = int(name)
+                    elif not _NUMBER.fullmatch(name):
                         raise ValueError(f"invalid number {name!r} in {text!r}")
-                    try:
-                        value = int(name) if name.isdigit() else Fraction(name)
-                    except ZeroDivisionError:
-                        raise ValueError(f"zero denominator in {name!r} of {text!r}") from None
+                    else:
+                        try:
+                            value = Fraction(name)
+                        except ZeroDivisionError:
+                            raise ValueError(f"zero denominator in {name!r} of {text!r}") from None
                     coeff *= value ** power
                     continue
                 if name.startswith(prefix) and is_digits(name[len(prefix):]):

@@ -5,10 +5,11 @@ Scalar records are polymorphic by shape: a rational value is the string "p/q"
 {"conductor": m, "coeffs": ["p/q", ...]} with phi(m) coefficients, and a
 float value is {"re": ..., "im": ...}.  Polynomials are lists of
 {"exponent": [...], "coeff": record} entries in descending grevlex order,
-which makes every serialization byte-stable for equal inputs.  The summands
-of a float decomposition, and the points of a point set, held as arrays are
-handed on as one ``FloatRecords``, which ``cli._json_text`` writes as the
-list of their records.
+which makes every serialization byte-stable for equal inputs.  A list of
+records of one shape (the terms of a polynomial, the summands of a
+decomposition, the points of a point set held as an array) is handed on as
+one ``Records``: the shape once and the values of each record, which
+``cli._json_text`` writes from one template; ``plain`` gives the lists.
 """
 
 from __future__ import annotations
@@ -159,10 +160,66 @@ def scalar_from_json(obj, ratio=_ratio):
     raise ValueError(f"not a scalar record: {obj!r}")
 
 
-def poly_to_json(poly: SparsePoly) -> list:
-    return [
-        {"exponent": list(e), "coeff": scalar_to_json(c)} for e, c in poly.sorted_terms()
-    ]
+# a hole of ``Records.shape``: a string no record holds, so ``cli._json_text`` can find it
+HOLE = "\x00"
+_COMPLEX_RECORD = {"re": HOLE, "im": HOLE}  # scalar_to_json of a complex; sorted, im comes first
+
+
+@dataclass(frozen=True, eq=False)
+class Records:
+    """A JSON list of records of one shape that differ only in the values at its holes.
+
+    ``shape`` is one record with ``HOLE`` wherever a value goes, and row j of
+    ``rows`` holds the values of record j in the order ``json.dumps(sort_keys=True)``
+    meets the holes.  ``rows`` is a records x holes float array, or a list of
+    tuples whose values are str, int or float scalars or records, such as the
+    shared cyclotomic records of ``_shared_writer``.  ``cli._json_text`` writes
+    the list in one pass from one template; ``records`` builds it.
+    """
+
+    shape: object
+    rows: object
+
+    def records(self) -> list:
+        """The list of records, each value passed through ``plain``."""
+        def fill(shape, values):
+            if shape is HOLE:
+                return plain(next(values))
+            if isinstance(shape, dict):  # filled in sorted order, kept in the shape's order
+                filled = {key: fill(shape[key], values) for key in sorted(shape)}
+                return {key: filled[key] for key in shape}
+            if isinstance(shape, (list, tuple)):
+                return [fill(item, values) for item in shape]
+            return shape
+
+        rows = self.rows if type(self.rows) is list else self.rows.tolist()
+        return [fill(self.shape, iter(row)) for row in rows]
+
+
+def plain(value):
+    """``value`` with every ``Records`` in it, at any depth, replaced by its records."""
+    if type(value) is Records:
+        return value.records()
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
+@lru_cache(maxsize=64)
+def _term_shape(num_vars: int) -> dict:
+    """The shape of a term record; shared, so ``cli._json_text`` writes it once per depth."""
+    return {"exponent": [HOLE] * num_vars, "coeff": HOLE}
+
+
+def poly_to_json(poly: SparsePoly) -> Records | list:
+    """The term records of ``poly`` in descending grevlex order, as one ``Records`` whose
+    rows are (coefficient record, *exponent); the zero polynomial is ``[]``."""
+    if not poly.terms:
+        return []
+    return Records(_term_shape(poly.num_vars),
+                   [(scalar_to_json(c), *e) for e, c in poly.sorted_terms()])
 
 
 def spec_to_json(spec: MonomialSpec) -> dict:
@@ -242,39 +299,7 @@ def _shared_reader():
     return read
 
 
-# a hole of ``FloatRecords.shape``: a string no record holds, so ``cli._json_text`` can find it
-HOLE = "\x00"
-_COMPLEX_RECORD = {"re": HOLE, "im": HOLE}  # scalar_to_json of a complex; sorted, im comes first
-
-
-@dataclass(frozen=True, eq=False)
-class FloatRecords:
-    """A JSON list of records of one shape that differ only in their float numbers.
-
-    ``shape`` is one record with ``HOLE`` wherever a number goes, and row j of
-    ``numbers`` (a records x holes float array) holds the numbers of record j in
-    the order ``json.dumps(sort_keys=True)`` meets the holes.  ``cli._json_text``
-    writes the list in one pass from one template; ``records`` builds it.
-    """
-
-    shape: object
-    numbers: object
-
-    def records(self) -> list:
-        def fill(shape, numbers):
-            if shape is HOLE:
-                return next(numbers)
-            if isinstance(shape, dict):  # filled in sorted order, kept in the shape's order
-                filled = {key: fill(shape[key], numbers) for key in sorted(shape)}
-                return {key: filled[key] for key in shape}
-            if isinstance(shape, list):
-                return [fill(item, numbers) for item in shape]
-            return shape
-
-        return [fill(self.shape, iter(row)) for row in self.numbers.tolist()]
-
-
-def _complex_records(shape, columns) -> FloatRecords:
+def _complex_records(shape, columns) -> Records:
     """Records of ``shape`` whose complex records take, in turn, the columns of ``columns``
     (records x columns, complex): the holes in pairs (im, re), -0.0 written 0.0."""
     import numpy as np
@@ -282,13 +307,18 @@ def _complex_records(shape, columns) -> FloatRecords:
     numbers = np.empty(columns.shape + (2,))
     numbers[..., 0], numbers[..., 1] = columns.imag, columns.real
     numbers += 0.0  # the + 0.0 of scalar_to_json
-    return FloatRecords(shape, numbers.reshape(len(columns), 2 * columns.shape[1]))
+    return Records(shape, numbers.reshape(len(columns), 2 * columns.shape[1]))
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:
-    """The decomposition record; a float decomposition held as arrays gives its summands as
-    one ``FloatRecords``, each form entry a complex record or the "0" of a variable of
-    exponent 0."""
+    """The decomposition record, its summands one ``Records``.
+
+    A float decomposition held as arrays gives them as a float array, each form entry
+    a complex record or the "0" of a variable of exponent 0; one built from summands
+    gives rows (coefficient record, *form records), equal scalars sharing one record.
+    Forms of different lengths have no common shape: a ValueError names the first
+    summand whose form differs from the first one's.
+    """
     if dec.forms is not None:
         import numpy as np
 
@@ -300,8 +330,14 @@ def decomposition_to_json(dec: Decomposition) -> dict:
         summands = _complex_records(shape, np.column_stack((dec.coeffs, dec.forms[:, kept])))
     else:
         write = _shared_writer()
-        summands = [{"coeff": write(c), "form": [write(v) for v in form.coeffs]}
-                    for c, form in dec.summands]
+        width = len(dec.summands[0][1].coeffs) if dec.summands else 0
+        rows = []
+        for j, (c, form) in enumerate(dec.summands):
+            if len(form.coeffs) != width:
+                raise ValueError(f"summand {j} has a form of {len(form.coeffs)} coordinates, "
+                                 f"summand 0 one of {width}")
+            rows.append((write(c), *map(write, form.coeffs)))
+        summands = Records({"coeff": HOLE, "form": [HOLE] * width}, rows)
     out = {
         "degree": dec.degree,
         "domain": dec.domain,
@@ -350,7 +386,7 @@ def ci_ideal_to_json(ideal: CIIdeal) -> dict:
 
 
 def pointset_to_json(points: PointSet) -> dict:
-    """The point-set record; a set held as an array gives its points as one ``FloatRecords``."""
+    """The point-set record; a set held as an array gives its points as one ``Records``."""
     if points.coords is not None:
         records = _complex_records([_COMPLEX_RECORD] * points.coords.shape[1], points.coords)
     else:

@@ -14,6 +14,7 @@ below 1e-10.
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -79,6 +80,27 @@ PINNED = {
     "fail-points-non-radical": (["points", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2",
                                  "--seed", "0"], 1,
                                 "4b00c8315e4ea1723171e083df48dffd46a66349126722237cd3cf2d6243aa81"),
+    # the heaviest term-record outputs of the ideal benchmark round: I(3, phi) with the
+    # fixed phi of its chain (seed 20120113) and a member, and a dense phi in (a1..a3)^2
+    "ideal-member-chain": (
+        ["ideal", "x*y^2*z^3*w^3", "--phi=9*a0 + 4*a1 + 9*a2 + 4*a3",
+         "--phi=3*a0^2 + 5*a0*a1 - a0*a2 - 7*a0*a3 - 6*a1^2 + 4*a1*a2 - 3*a1*a3 + 8*a2^2 "
+         "- 3*a2*a3 + 9*a3^2",
+         "--phi=3*a0^2 - 4*a0*a1 + 2*a0*a2 - 8*a0*a3 + 5*a1^2 + 7*a1*a2 - 9*a1*a3 - 2*a2^2 "
+         "+ 7*a2*a3 + 5*a3^2",
+         "--member=-42*a0^5 + 8*a0^4*a1 + 29*a0^4*a2 + 168*a0^4*a3 + 32*a0^3*a1^2 "
+         "- 114*a0^3*a1*a2 + 77*a0^3*a1*a3 - 15*a0^3*a2^2 - 33*a0^3*a2*a3 - 70*a0^3*a3^2 "
+         "- 30*a0^2*a1^3 + 65*a0^2*a1^2*a2 - 15*a0^2*a1^2*a3 + 103*a0^2*a1*a2^2 "
+         "- 96*a0^2*a1*a2*a3 + 45*a0^2*a1*a3^2 - 18*a0^2*a2^3 + 63*a0^2*a2^2*a3 "
+         "+ 45*a0^2*a2*a3^2 - a0*a1^3*a2 - 7*a0*a1^3*a3 + 7*a0*a2^4 + 7*a0*a3^4 - 5*a1*a2^4 "
+         "- 9*a2*a3^4"], 0,
+        "02a2070a3e521bc7fe87685e8489bff9b3517b7c72e097a86dbb47f9a8cefada"),
+    "radical-dense-w": (
+        ["radical", "x*y^3*z^3*w^3",
+         "--phi=-9*a1^2 - 5*a1*a2 + 6*a1*a3 - 4*a2^2 + 3*a2*a3 - 2*a3^2",
+         "--phi=-9*a1^2 + 7*a1*a2 + 6*a1*a3 - 8*a2^2 + 5*a2*a3 + a3^2",
+         "--phi=3*a1^2 - 9*a1*a2 + 3*a1*a3 + a2^2 + 5*a2*a3 - 6*a3^2"], 0,
+        "566a2473a38c21119b166d9f2c3bbd878805b20105973e4a97aadcbc6912eb81"),
     "usage-bad-monomial": (["rank", "2*x*y"], 2,
                            "56bbb7b0763ca219e70dde3d77dbab3adf68a5e01c6617f3af662ba42413cb6f"),
     "usage-phi-count": (["radical", "x*y^2*z^3", "--phi", "a2"], 2,
@@ -126,6 +148,32 @@ def test_exact_command_output_is_pinned(capsys, name):
     argv, code, digest = PINNED[name]
     got_code, out, got_digest = _run(capsys, argv)
     assert (got_code, got_digest) == (code, digest), out
+
+
+# --format text of outputs holding term, summand and point records at several depths:
+# argv, SHA-256 of stdout; a float residual is pinned as "<float>" and held below 1e-10
+TEXT_PINS = {
+    "ideal-member": (["ideal", "x*y^2*z^3", "--phi=a1+a0", "--phi=a1^2", "--member=a1^3"],
+                     "d8104ee20eb0c4620b4c676d9741c2c81b4948dedf8b378c571b2d78cf653628"),
+    "radical-dense": (["radical", "x*y^3*z^3", "--phi=4*a1^2 + a1*a2 + 5*a2^2",
+                       "--phi=a1^2 + a1*a2 + 6*a2^2"],
+                      "041a0d556a4a941a95822d151398c21ad9acd363eba7bab4dbc63ebb38610674"),
+    "sample": (["sample", "x*y*z^2*w^3", "--seed", "1", "--count", "2"],
+               "3ac0c1b9ab45b402b11ab2cf96816d6f35934f64ff1046d2f8053352a16ca881"),
+    "decompose-exact": (["decompose", "x*y^2*z^3", "--exact"],
+                        "9722f41e76227dbea4e16e11d4c3e93e30f9f155e37363ba6e0e411287e30c43"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_PINS))
+def test_text_output_is_pinned(capsys, name):
+    argv, digest = TEXT_PINS[name]
+    code = main(["--format", "text", *argv])
+    out = capsys.readouterr().out
+    residuals = [float(r) for r in re.findall(r"(?m)^\s*residual: (.*)$", out)]
+    assert all(r < 1e-10 for r in residuals)
+    out = re.sub(r"(?m)^(\s*residual: ).*$", r"\1<float>", out)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), out
 
 
 def _verify_output(capsys, tmp_path, name):

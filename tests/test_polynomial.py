@@ -173,6 +173,18 @@ def test_zero_coefficients_are_dropped():
     assert list(g.terms) == [(0, 1)]
 
 
+@pytest.mark.parametrize("terms, message", [
+    ({(1, 0): 1, (1,): 2}, "exponent length does not match the number of variables"),
+    ({(1, 0, 0): 0}, "exponent length does not match the number of variables"),
+    ({(1, 1): 1, (2, -1): 3}, "negative exponent"),
+    ({(1, 1): 1, (-1, 3): 0}, "negative exponent"),  # a zero term is checked too
+])
+def test_malformed_exponents_are_refused(terms, message):
+    with pytest.raises(ValueError) as error:
+        SparsePoly(2, DUAL, terms)
+    assert str(error.value) == message
+
+
 def test_str_round_trips_through_parser():
     for text in ("x0^2 - 2*x0*x1 + x1^2", "3/4*x1*x2^3 - x0^4", "1"):
         f = P(text, 3)
@@ -219,6 +231,25 @@ def test_parse_rejects_a_number_beyond_ascii_digits(text, literal):
 def test_parse_rejects_an_exponent_beyond_ascii_digits(text, literal):
     with pytest.raises(ValueError, match=f"invalid exponent {literal}"):
         D(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a1^", "missing exponent after '^' in 'a1^'"),
+    ("a1^^2", "invalid exponent '^2' in 'a1^^2'"),
+    ("^2*a1", "missing base before '^' in '^2*a1'"),
+    ("a1^2^3", "invalid exponent '2^3' in 'a1^2^3'"),
+    ("a1^+3", "missing exponent after '^' in 'a1^+3'"),  # "+" starts a term first
+    ("a1^1_0", "invalid exponent '1_0' in 'a1^1_0'"),
+    ("a1^\u0663", "invalid exponent '\u0663' in 'a1^\u0663'"),
+    ("a9^2", "variable 'a9' out of range for 3 variables"),
+    ("b7^2", "unknown variable 'b7' in 'b7^2'"),
+])
+def test_a_factor_with_a_power_keeps_the_error_text_of_split_power(text, message):
+    # a well-formed "name^digits" is read inline; every other factor with "^" goes through
+    # split_power, so these texts are the ones split_power has always written
+    with pytest.raises(ValueError) as error:
+        D(text)
+    assert str(error.value) == message
 
 
 def test_parse_rejects_a_variable_index_beyond_ascii_digits():

@@ -19,6 +19,7 @@ from waring.serialize import (
     decomposition_from_json,
     decomposition_to_json,
     phi_to_json,
+    plain,
     pointset_from_json,
     pointset_to_json,
     poly_to_json,
@@ -124,12 +125,12 @@ class TestPolynomials:
     def test_poly_round_trip(self):
         # no command reads polynomial JSON: each term's record reads back to its coefficient
         p = parse_poly("a1^3 - 5/2*a0^2*a2", 3, DUAL)
-        data = poly_to_json(p)
+        data = poly_to_json(p).records()
         assert {tuple(t["exponent"]): scalar_from_json(t["coeff"]) for t in data} == p.terms
 
     def test_descending_grevlex_ordering(self):
         p = parse_poly("a2 + a0 + a1", 3, DUAL)
-        data = poly_to_json(p)
+        data = poly_to_json(p).records()
         assert [d["exponent"] for d in data] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -137,20 +138,33 @@ class TestDecompositions:
     def test_exact_round_trip(self):
         spec = MonomialSpec.parse("x*y*z^2")
         dec = explicit_decomposition(spec)
-        data = decomposition_to_json(dec)
+        data = plain(decomposition_to_json(dec))
         back = decomposition_from_json(data)
-        assert decomposition_to_json(back) == data
+        assert plain(decomposition_to_json(back)) == data
         assert len(back) == len(dec)
         for (c1, f1), (c2, f2) in zip(dec.summands, back.summands):
             assert c1 == c2
             assert all(a == b for a, b in zip(f1.coeffs, f2.coeffs))
 
 
+    def test_forms_of_different_lengths_are_refused_by_name(self):
+        # no template fits both summands: the writer names the first form that differs
+        # instead of writing a record through the wrong shape
+        dec = Decomposition(2, "exact-cyclotomic", (
+            (Fraction(1, 4), LinearForm([1, 1])),
+            (Fraction(-1, 4), LinearForm([1, -1])),
+            (Fraction(1, 2), LinearForm([1, 1, 0])),
+        ))
+        with pytest.raises(ValueError) as error:
+            decomposition_to_json(dec)
+        assert str(error.value) == "summand 2 has a form of 3 coordinates, summand 0 one of 2"
+
+
 class TestPhiAndPoints:
     def test_phi_round_trip(self):
         spec = MonomialSpec.parse("x*y^2*z^3")
         phi = sample_phi(parameter_space(spec), 3)
-        data = phi_to_json(phi)
+        data = plain(phi_to_json(phi))
         assert data["canonical"] is phi.canonical is True
         assert [{tuple(t["exponent"]): scalar_from_json(t["coeff"]) for t in entry}
                 for entry in data["entries"]] == [p.terms for p in phi.entries]
@@ -258,12 +272,6 @@ class TestMalformedInput:
 
 
 
-def record_payload(payload):
-    """``payload`` with each float record list written record by record, as scalar_to_json does."""
-    return {key: value.records() if isinstance(value, serialize.FloatRecords) else value
-            for key, value in payload.items()}
-
-
 def seeded_decomposition(text, seed):
     spec = MonomialSpec.parse(text)
     return spec, decompose_from_phi(spec, sample_phi(parameter_space(spec), seed), seed=seed)
@@ -310,10 +318,11 @@ class TestFloatRecords:
     @pytest.mark.parametrize("payload, records",
                              [pytest.param(*case[1:], id=case[0]) for case in float_payloads()])
     def test_json_text_equals_json_dumps_of_the_records(self, payload, records):
-        assert isinstance(payload.get("summands", payload.get("points")), serialize.FloatRecords)
+        rows = payload.get("summands", payload.get("points"))
+        assert isinstance(rows, serialize.Records) and type(rows.rows) is np.ndarray
         text = json.dumps(records, sort_keys=True, indent=2)
         assert _json_text(payload) == text
-        assert json.dumps(record_payload(payload), sort_keys=True, indent=2) == text
+        assert json.dumps(plain(payload), sort_keys=True, indent=2) == text
 
     def test_signed_zeros_and_non_finite_parts(self):
         self.test_json_text_equals_json_dumps_of_the_records(*signed_zero_payload())
@@ -337,7 +346,7 @@ class TestFloatRecords:
         _, dec = seeded_decomposition("x*y^2*z^3", 1)
         again = Decomposition(dec.degree, dec.domain, dec.summands, dec.verified, dec.residual)
         data = decomposition_to_json(again)
-        assert isinstance(data["summands"], list)
+        assert type(data["summands"].rows) is list  # one tuple of records per summand
         assert _json_text(data) == _json_text(decomposition_to_json(dec))
 
 
@@ -345,7 +354,8 @@ class TestSharedRecords:
     """Each distinct scalar is built once per call of the decomposition reader and writer."""
 
     def test_repeated_records_read_as_one_scalar_and_write_back_the_same_bytes(self):
-        data = decomposition_to_json(explicit_decomposition(MonomialSpec.parse("x^3*y^6*z^7")))
+        dec = explicit_decomposition(MonomialSpec.parse("x^3*y^6*z^7"))
+        data = plain(decomposition_to_json(dec))
         text = json.dumps(data, sort_keys=True)
         back = decomposition_from_json(json.loads(text))  # fresh record objects
         shared = {}
@@ -355,12 +365,11 @@ class TestSharedRecords:
                 assert shared.setdefault(key, value) is value
                 assert value == scalar_from_json(record)
         assert len(shared) < sum(1 + len(entry["form"]) for entry in data["summands"])
-        assert json.dumps(decomposition_to_json(back), sort_keys=True) == text
+        assert json.dumps(plain(decomposition_to_json(back)), sort_keys=True) == text
 
     def test_equal_scalars_are_written_as_one_record(self):
         data = decomposition_to_json(explicit_decomposition(MonomialSpec.parse("x*y^3*z^5")))
-        records = [r for entry in data["summands"] for r in (entry["coeff"], *entry["form"])
-                   if isinstance(r, dict)]
+        records = [r for row in data["summands"].rows for r in row if isinstance(r, dict)]
         assert len({id(r) for r in records}) == len({json.dumps(r) for r in records}) < len(records)
 
     @pytest.mark.parametrize("bad, text", [
@@ -485,11 +494,11 @@ def exact_decompositions(draw):
 @given(exact_decompositions())
 def test_exact_decompositions_round_trip_through_the_printed_text(dec):
     payload = decomposition_to_json(dec)
-    assert payload["summands"] == [  # the shared writer writes what scalar_to_json writes
+    assert payload["summands"].records() == [  # the shared writer writes what scalar_to_json writes
         {"coeff": scalar_to_json(c), "form": [scalar_to_json(v) for v in form.coeffs]}
         for c, form in dec.summands]
     text = _json_text(payload)
-    assert text == json.dumps(payload, sort_keys=True, indent=2)
+    assert text == json.dumps(plain(payload), sort_keys=True, indent=2)
     back = decomposition_from_json(json.loads(text))
     assert back == dec
     assert _json_text(decomposition_to_json(back)) == text
