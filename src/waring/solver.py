@@ -24,15 +24,15 @@ a^e with e_i <= d_i.  From the multiplication matrices on that basis we get
 
 What depends on the monomial alone is one quotient plan per sorted exponent
 tuple (``_quotient_plan``, cached), shared by every phi: the standard basis
-and its index, the n*r lifted monomials b + e_i split into unit shifts
-(b_i < d_i: column b of M_i is the basis vector of b + e_i) and boundary ones
-(b_i = d_i: the only columns the reduction makes), per variable the map from
-a row of M_i to the unit column that lands on it, and the chain b -> (i,
-b - e_i) along which the columns of M_J are built.  So ``build_quotient``
-reduces only the boundary monomials, the commutation check compares two
-stored columns wherever both first steps are unit shifts, a product by M_i is
-one gather plus the boundary columns, and the real M_i is one scatter.  The
-plan holds nothing that depends on phi.
+and its index, per variable the unit shifts (b_i < d_i: column b of M_i is the
+basis vector of b + e_i, ``shifts``) and the boundary columns (b_i = d_i: the
+only columns the reduction makes, ``lifts``), and the chain b -> (i, b - e_i)
+along which the columns of M_J are built.  A quotient stores only its
+boundary columns, so ``build_quotient`` reduces only the boundary monomials,
+``QuotientAlgebra.times`` is the one product by M_i (a unit step moves an
+entry, a boundary step adds a column), the commutation check and M_J go
+through it, and the real M_i is one scatter.  The plan holds nothing that
+depends on phi.
 
 Homogeneous ideal membership needs no completion either: with a0 the smallest
 variable in grevlex the homogeneous generators of I(k, phi) have the coprime
@@ -76,18 +76,22 @@ class QuotientAlgebra:
     """S/I(n, phi) in the chart a0 = 1, with its multiplication matrices.
 
     ``basis`` lists the standard monomials (exponent tuples over the full
-    sorted frame, first entry always 0); ``columns[i-1][b]`` holds the normal
-    form of b_i * basis[b] as sparse (row, int) pairs, in the variables
-    b_j = D * a_j, D = ``scale``, so that every entry is an integer.  Entry
-    (g, b) is D^(1 + |b| - |g|) times that of a_i in the variables a_j.
-    ``psi`` holds the int tails psi_i of the generators b_i^(d_i+1) - psi_i.
+    sorted frame, first entry always 0).  Column b of M_i is the basis vector
+    of b + e_i when ``plan.shifts[i-1][b]`` names it; otherwise b_i = d_i and
+    ``boundary[i-1][b]`` holds the normal form of b_i * basis[b] as sorted
+    (row, int) pairs, in the variables b_j = D * a_j, D = ``scale``, so that
+    every entry is an integer.  Entry (g, b) is D^(1 + |b| - |g|) times that
+    of a_i in the variables a_j.  ``plan`` is the monomial's cached
+    ``_QuotientPlan``, shared by all its quotients.  ``psi`` holds the int
+    tails psi_i of the generators b_i^(d_i+1) - psi_i.
     """
 
     spec: MonomialSpec
     phi: PhiTuple
     basis: tuple[Exponent, ...]
     index: dict[Exponent, int]
-    columns: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    boundary: tuple[dict[int, tuple[tuple[int, int], ...]], ...]
+    plan: _QuotientPlan
     scale: int = 1
     psi: tuple[SparsePoly, ...] = ()
 
@@ -95,17 +99,21 @@ class QuotientAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def apply(self, var: int, pairs) -> list:
-        """Multiply a vector, given as (index, value) pairs, by b_var (1-based variable index).
+    def times(self, var: int, pairs) -> list:
+        """b_var (1-based variable index) times a vector given as (index, value) pairs.
 
-        A dense vector ``vec`` goes in as ``enumerate(vec)``, a column of
-        ``columns`` as it is; the product comes out dense.
+        A dense vector ``vec`` goes in as ``enumerate(vec)``, a column as its
+        pairs; the product comes out dense.
         """
         out = [0] * self.dim
-        for col_idx, v in pairs:
+        shifts, boundary = self.plan.shifts[var - 1], self.boundary[var - 1]
+        for b, v in pairs:
             if v:
-                for row, c in self.columns[var - 1][col_idx]:
-                    out[row] = out[row] + c * v
+                if (g := shifts[b]) >= 0:
+                    out[g] += v
+                else:
+                    for row, c in boundary[b]:
+                        out[row] += c * v
         return out
 
     def dense_matrix(self, var: int) -> np.ndarray:
@@ -118,15 +126,14 @@ class QuotientAlgebra:
         """
         import numpy as np
 
-        plan = _quotient_plan(self.spec.exponents)
-        r, degree, columns = self.dim, plan.degree, self.columns[var - 1]
+        r, degree, boundary = self.dim, self.plan.degree, self.boundary[var - 1]
         powers = [self.scale ** k for k in range(max(degree) + 2)]
-        flat = list(plan.units[var - 1])
+        flat = [g * r + b for b, g in enumerate(self.plan.shifts[var - 1]) if g >= 0]
         values = [1.0] * len(flat)
         try:
-            for b, _ in plan.lifts[var - 1]:
+            for b, column in boundary.items():
                 top = 1 + degree[b]
-                for g, c in columns[b]:
+                for g, c in column:
                     values.append(c / powers[top - degree[g]])
                     flat.append(g * r + b)
         except OverflowError:
@@ -174,21 +181,18 @@ def standard_monomials(spec: MonomialSpec) -> list[Exponent]:
 class _QuotientPlan:
     """The phi-independent part of every quotient of one monomial (see the module docstring).
 
-    Per variable i (position i - 1): ``skeleton`` holds the column ((index of b + e_i, 1),)
-    of each unit shift b and None at each boundary one; ``lifts`` the (b, b + e_i) pairs of
-    the boundary columns, in basis order; ``sources`` maps each row g to the unit column b
-    with b + e_i = g, or -1; ``units`` the flat position g * r + b of each unit entry.
-    ``chain`` gives, for each basis monomial after the first, (i, index of b - e_i) with i
-    its first nonzero exponent.  ``index`` is never handed out: ``build_quotient`` copies it.
+    Per variable i (position i - 1): ``shifts`` maps each column b to the index of b + e_i,
+    or to -1 at a boundary column; ``lifts`` holds the (b, b + e_i) pairs of the boundary
+    columns, in basis order.  ``chain`` gives, for each basis monomial after the first,
+    (i, index of b - e_i) with i its first nonzero exponent.  Every quotient of the monomial
+    holds this one object, so nothing may change it; ``build_quotient`` copies ``index``.
     """
 
     basis: tuple[Exponent, ...]
     index: dict[Exponent, int]
     degree: tuple[int, ...]
-    skeleton: tuple[tuple, ...]
+    shifts: tuple[tuple[int, ...], ...]
     lifts: tuple[tuple[tuple[int, Exponent], ...], ...]
-    sources: tuple[tuple[int, ...], ...]
-    units: tuple[tuple[int, ...], ...]
     chain: tuple[tuple[int, int], ...]
 
 
@@ -198,36 +202,27 @@ def _quotient_plan(exponents: Exponent) -> _QuotientPlan:
     n = len(exponents) - 1
     basis = tuple(standard_monomials(MonomialSpec.from_exponents(exponents)))
     index = {e: i for i, e in enumerate(basis)}
-    r = len(basis)
-    skeleton, lifts, sources, units = [], [], [], []
+    shifts, lifts = [], []
     for i in range(1, n + 1):
         lifted = [b[:i] + (b[i] + 1,) + b[i + 1:] for b in basis]
-        shifted = [index.get(t, -1) for t in lifted]
-        skeleton.append(tuple(((g, 1),) if g >= 0 else None for g in shifted))
-        lifts.append(tuple((b, t) for b, (t, g) in enumerate(zip(lifted, shifted)) if g < 0))
-        source = [-1] * r
-        for b, g in enumerate(shifted):
-            if g >= 0:
-                source[g] = b
-        sources.append(tuple(source))
-        units.append(tuple(g * r + b for b, g in enumerate(shifted) if g >= 0))
+        shifts.append(tuple(index.get(t, -1) for t in lifted))
+        lifts.append(tuple((b, t) for b, (t, g) in enumerate(zip(lifted, shifts[-1])) if g < 0))
     chain = []
     for b in basis[1:]:
         i = next(i for i, x in enumerate(b) if x)
         chain.append((i, index[b[:i] + (b[i] - 1,) + b[i + 1:]]))
     return _QuotientPlan(basis=basis, index=index, degree=tuple(map(sum, basis)),
-                         skeleton=tuple(skeleton), lifts=tuple(lifts), sources=tuple(sources),
-                         units=tuple(units), chain=tuple(chain))
+                         shifts=tuple(shifts), lifts=tuple(lifts), chain=tuple(chain))
 
 
 def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
-    """Dehomogenize the generators at a0 = 1 and build the multiplication matrices.
+    """Dehomogenize the generators at a0 = 1 and build the boundary columns of M_1..M_n.
 
     In the variables b_j = D * a_j, D the lcm of the denominators of phi's
     coefficients, a term c * a^e of psi_i becomes the int c * D^(d_i + 1 - |e|)
     (d_i + 1 - |e| >= d0 + 1), and every leading coefficient is 1, so the
     reduction runs in int.  It strictly drops degree (deg psi_i <= d_i - d0),
-    so normal forms terminate; the unit shifts come from the monomial's plan,
+    so normal forms terminate; the unit shifts stay in the monomial's plan,
     and the boundary columns share one memo (``ci_normal_forms``), which
     reduces each nonstandard monomial once.  Pairwise commutation of the
     resulting matrices is asserted, failure would mean a reduction bug.  A
@@ -248,36 +243,30 @@ def build_quotient(spec: MonomialSpec, phi: PhiTuple) -> QuotientAlgebra:
     index = dict(plan.index)
     outside = [t for lifts in plan.lifts for _, t in lifts]
     forms = ci_normal_forms(outside, spec.exponents, psi, index)
-    columns = []
-    for skeleton, lifts in zip(plan.skeleton, plan.lifts):
-        column = list(skeleton)
-        for b, t in lifts:
-            column[b] = tuple(sorted(forms[t].items()))
-        columns.append(tuple(column))
-
+    boundary = tuple({b: tuple(sorted(forms[t].items())) for b, t in lifts} for lifts in plan.lifts)
     algebra = QuotientAlgebra(spec=spec, phi=phi, basis=plan.basis, index=index,
-                              columns=tuple(columns), scale=scale, psi=psi)
-    _assert_commuting(algebra, plan)
+                              boundary=boundary, plan=plan, scale=scale, psi=psi)
+    _assert_commuting(algebra)
     return algebra
 
 
-def _assert_commuting(q: QuotientAlgebra, plan: _QuotientPlan):
+def _assert_commuting(q: QuotientAlgebra):
     """M_i * (M_j e_b) must equal M_j * (M_i e_b) for every i < j and every b.
 
-    Where both e_b steps are unit shifts the two sides are stored columns, b + e_j of
-    M_i and b + e_i of M_j, compared as they are; elsewhere both sides go through
-    ``apply``.
+    Where both steps are unit shifts, both sides are the basis vector of b + e_i + e_j,
+    which lies in the box; elsewhere both sides go through ``times``.
     """
+    shifts = q.plan.shifts
     for i in range(1, q.spec.n + 1):
         for j in range(i + 1, q.spec.n + 1):
-            cols_i, cols_j = q.columns[i - 1], q.columns[j - 1]
-            for b, (unit_i, unit_j) in enumerate(zip(plan.skeleton[i - 1], plan.skeleton[j - 1])):
-                if unit_i and unit_j:  # ((index of b + e_i, 1),) and ((index of b + e_j, 1),)
-                    agree = cols_i[unit_j[0][0]] == cols_j[unit_i[0][0]]
-                else:
-                    agree = q.apply(i, cols_j[b]) == q.apply(j, cols_i[b])
-                if not agree:
-                    raise AssertionError(f"multiplication matrices {i} and {j} do not commute")
+            for b, (unit_i, unit_j) in enumerate(zip(shifts[i - 1], shifts[j - 1])):
+                if unit_i >= 0 and unit_j >= 0:
+                    continue
+                step_i = ((unit_i, 1),) if unit_i >= 0 else q.boundary[i - 1][b]
+                step_j = ((unit_j, 1),) if unit_j >= 0 else q.boundary[j - 1][b]
+                if q.times(i, step_j) != q.times(j, step_i):
+                    raise AssertionError(f"multiplication matrices {i} and {j} do not commute "
+                                         f"at column {b}")
 
 
 # Mersenne primes tried in turn.  Any one proves full rank by an empty kernel, and 2^31 - 1
@@ -292,8 +281,8 @@ def _jacobian_columns(q: QuotientAlgebra) -> list[list[int]]:
 
     J is one Laplace expansion over the nonzero entries, each minor computed
     once: n products when every psi_i is constant.  Column 0 is the normal
-    form of J, and column b is b_i times the earlier column b - e_i (the plan's
-    ``chain``): its unit shifts are one gather, its boundary columns are summed.
+    form of J, and column b is ``times(i, ...)`` of the earlier column b - e_i
+    (the plan's ``chain``).
     """
     n, bounds = q.spec.n, q.spec.exponents
     rows = [[SparsePoly(n + 1, DUAL, {tuple(x - (k == j) for k, x in enumerate(e)): -c * e[j]
@@ -315,16 +304,9 @@ def _jacobian_columns(q: QuotientAlgebra) -> list[list[int]]:
         return minors[cols]
 
     form = ci_normal_form(det(tuple(range(n))).terms, bounds, q.psi)
-    plan = _quotient_plan(bounds)
-    columns = [[form.get(b, 0) for b in plan.basis]]
-    for i, lower in plan.chain:  # b_i * column b - e_i: the unit part gathered, then the rest
-        v, boundary = columns[lower], q.columns[i - 1]
-        out = [v[s] if s >= 0 else 0 for s in plan.sources[i - 1]]
-        for b, _ in plan.lifts[i - 1]:
-            if x := v[b]:
-                for row, c in boundary[b]:
-                    out[row] += c * x
-        columns.append(out)
+    columns = [[form.get(b, 0) for b in q.basis]]
+    for i, lower in q.plan.chain:
+        columns.append(q.times(i, enumerate(columns[lower])))
     return columns
 
 
@@ -383,9 +365,9 @@ def trace_form_rank(q: QuotientAlgebra) -> int:
     grows with every prime.  When the free columns differ, the prime of higher
     rank is kept (on a tie, the newer).  A prime that divides D is skipped once
     its kernel is not empty.  After the last prime, exact elimination decides.
-    A column entry that is not int raises TypeError.
+    A boundary entry that is not int raises TypeError.
     """
-    other = {type(c) for cols in q.columns for col in cols for _, c in col} - {int}
+    other = {type(c) for cols in q.boundary for col in cols.values() for _, c in col} - {int}
     if other:
         raise TypeError(f"trace form requires int entries, got {other.pop().__name__}")
     matrix = _jacobian_columns(q)

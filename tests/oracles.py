@@ -202,6 +202,25 @@ def fit_coefficients(spec, points, tol: float = 1e-6) -> list:
     return coeffs
 
 
+def full_columns(q) -> tuple:
+    """All n*r columns of M_1..M_n of a quotient as (row, value) pairs: a unit shift of the
+    plan as ((row, 1),), a boundary column as the quotient stores it."""
+    return tuple(tuple(((g, 1),) if g >= 0 else boundary[b] for b, g in enumerate(shifts))
+                 for shifts, boundary in zip(q.plan.shifts, q.boundary))
+
+
+def column_product(columns, var: int, pairs) -> list:
+    """M_var times a vector given as (index, value) pairs, M_var given by all its columns
+    (as ``full_columns`` gives them), summed column by column: the reference for
+    ``QuotientAlgebra.times``."""
+    out = [0] * len(columns[var - 1])
+    for b, v in pairs:
+        if v:
+            for row, c in columns[var - 1][b]:
+                out[row] += c * v
+    return out
+
+
 def q_t_diagnostic(spec, points, t: int) -> int:
     """dim of I_t intersected with a0 * S_{t-1}: the reference for q_t = dim I_{t-1}.
 

@@ -22,7 +22,7 @@ from waring.linalg import exact_rank
 from waring.polynomial import DUAL, SparsePoly, exponents_of_degree, parse_poly
 from waring.vsp import parameter_space, sample_phi
 
-from oracles import coefficient
+from oracles import coefficient, full_columns
 from test_solver import dense_phi
 
 SPECS = [(1, 2), (1, 3), (1, 2, 3), (1, 1, 5), (2, 2, 3), (1, 2, 2, 3)]
@@ -276,7 +276,7 @@ def test_quotient_columns_match_the_lifo_reduction(rewrites, exps):
         rewrites.clear()
         q = build_quotient(spec, sample_phi(parameter_space(spec), seed))
         assert rewrites and len(rewrites) == len(set(rewrites))  # no monomial reduced twice
-        assert q.columns == per_column(q, lifo_normal_form)
+        assert full_columns(q) == per_column(q, lifo_normal_form)
 
 
 @pytest.mark.parametrize("kind", ["sampled", "dense", "rational", "explicit"])
@@ -289,7 +289,7 @@ def test_memo_columns_match_one_normal_form_per_column(kind, exps):
            "explicit": lambda: explicit_phi(spec)}[kind]()
     q = build_quotient(spec, phi)
     assert (q.scale > 1) == (kind == "rational")
-    assert q.columns == per_column(q, ci_normal_form)
+    assert full_columns(q) == per_column(q, ci_normal_form)
 
 
 def test_long_rewrite_chain_builds_without_recursion():
@@ -300,7 +300,7 @@ def test_long_rewrite_chain_builds_without_recursion():
     q = build_quotient(spec, PhiTuple(spec, [SparsePoly.constant(3, DUAL, 1),
                                              SparsePoly.monomial(3, DUAL, (0, 2099, 0))]))
     for a1, image in ((0, (0, 1, 0)), (1, (0, 0, 0))):
-        assert q.columns[1][q.index[(0, a1, 2100)]] == ((q.index[image], 1),)
+        assert q.boundary[1][q.index[(0, a1, 2100)]] == ((q.index[image], 1),)
 
 
 @pytest.mark.parametrize("exps", SPECS)

@@ -30,12 +30,12 @@ def _points_of_xyz():
 
 
 def _half_lift_quotient():
-    """x*y*z with a1 * 1 = 1/2 * a1: a hand-built quotient with a Fraction entry."""
+    """x*y*z with a1 * a1 = 1/2: a hand-built quotient with a Fraction boundary entry."""
     spec = MonomialSpec.parse("x*y*z")
     q = solver.build_quotient(spec, ideals.explicit_phi(spec))
-    (row, _), = q.columns[0][0]
-    columns = ((((row, Fraction(1, 2)),),) + q.columns[0][1:],) + q.columns[1:]
-    return replace(q, columns=columns)
+    b = q.index[0, 1, 0]
+    (row, _), = q.boundary[0][b]
+    return replace(q, boundary=({**q.boundary[0], b: ((row, Fraction(1, 2)),)},) + q.boundary[1:])
 
 
 def _constant_normal_forms(monkeypatch):
@@ -47,7 +47,7 @@ def _constant_normal_forms(monkeypatch):
 def _one_boundary_form_off(monkeypatch):
     """The boundary column (0, 0, 3) of M_2 of x*y^2*z^3, the form of a2^4, one off in row 0.
 
-    a1 * (0, 0, 3) is a unit shift, so only the products through ``apply`` compare it."""
+    a1 * (0, 0, 3) is a unit shift, so only the products through ``times`` compare it."""
     reduce = solver.ci_normal_forms
 
     def off(monomials, exponents, tails, index):
@@ -98,10 +98,11 @@ CASES = [
         "non-canonical", id="fit_phi_from_points"),
     pytest.param(
         _constant_normal_forms, _explicit_quotient_of_xy2z3,
-        "multiplication matrices 1 and 2 do not commute", id="build_quotient"),
+        "multiplication matrices 1 and 2 do not commute at column 5", id="build_quotient"),
     pytest.param(
         _one_boundary_form_off, _explicit_quotient_of_xy2z3,
-        "multiplication matrices 1 and 2 do not commute", id="build_quotient_boundary_column"),
+        "multiplication matrices 1 and 2 do not commute at column 6",
+        id="build_quotient_boundary_column"),
 ]
 
 
@@ -172,12 +173,12 @@ def _build_under_optimized_mode(corrupt: str) -> str:
 
 def test_corrupted_reduction_raises_in_optimized_mode():
     assert _build_under_optimized_mode("_constant_normal_forms") == (
-        "multiplication matrices 1 and 2 do not commute\n")
+        "multiplication matrices 1 and 2 do not commute at column 5\n")
 
 
 def test_corrupted_boundary_column_raises_in_optimized_mode():
     assert _build_under_optimized_mode("_one_boundary_form_off") == (
-        "multiplication matrices 1 and 2 do not commute\n")
+        "multiplication matrices 1 and 2 do not commute at column 6\n")
 
 
 def test_zero_jacobian_raise_survives_optimized_mode():

@@ -3,7 +3,6 @@ import itertools
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -30,7 +29,13 @@ from waring.solver import NonRadicalIdealError, PointExtractionError, certify_ra
 from waring.polynomial import DUAL, LinearForm, SparsePoly, exponents_of_degree, parse_poly
 from waring.vsp import parameter_space, sample_phi
 
-from oracles import fit_coefficients, is_exact, points_from_decomposition
+from oracles import (
+    column_product,
+    fit_coefficients,
+    full_columns,
+    is_exact,
+    points_from_decomposition,
+)
 
 
 def D(text, n=3):
@@ -88,10 +93,11 @@ class TestTraceForm:
             phi=q.phi,
             basis=q.basis,
             index=q.index,
-            columns=tuple(
-                tuple(tuple((r, complex(c)) for r, c in col) for col in cols)
-                for cols in q.columns
+            boundary=tuple(
+                {b: tuple((r, complex(c)) for r, c in col) for b, col in cols.items()}
+                for cols in q.boundary
             ),
+            plan=q.plan,
         )
         with pytest.raises(TypeError, match="trace form requires int entries, got complex"):
             trace_form_rank(fake)
@@ -125,10 +131,11 @@ class TestTraceRankFloatCrossCheck:
                     assert max(abs(x - y) for x, y in zip(a, b)) > 1e-6
 
 
-def reference_pairings(q):
-    """(T, R) from q's own columns, pairwise: T[a][b] the trace of multiplication by
-    basis[a] * basis[b], an r-term dot product, and R[a][b] its residue, the top
-    coefficient of its normal form."""
+def reference_pairings(q, columns=None):
+    """(T, R) from ``columns``, all n*r columns of M_1..M_n (q's own by default), pairwise:
+    T[a][b] the trace of multiplication by basis[a] * basis[b], an r-term dot product, and
+    R[a][b] its residue, the top coefficient of its normal form."""
+    columns = columns or full_columns(q)
     table = {}
 
     def normal_form(e):
@@ -138,7 +145,7 @@ def reference_pairings(q):
                 table[e] = [int(b == e) for b in q.basis]
             else:
                 below = normal_form(tuple(x - (k == i) for k, x in enumerate(e)))
-                table[e] = q.apply(i, enumerate(below))
+                table[e] = column_product(columns, i, enumerate(below))
         return table[e]
 
     def add(a, b):
@@ -154,8 +161,7 @@ def reference_pairings(q):
 def reference_trace_rank(q):
     """The exact rank of the pairwise trace form on the Fraction matrices of q's phi
     (``fraction_columns``)."""
-    return exact_rank(reference_pairings(
-        replace(q, columns=fraction_columns(q.spec, q.phi), scale=1))[0])
+    return exact_rank(reference_pairings(q, fraction_columns(q.spec, q.phi))[0])
 
 
 def dense_phi(spec, seed, denominator=None):
@@ -382,7 +388,7 @@ class TestModularCertificate:
             for p in sample_phi(parameter_space(spec), 0).entries
         ])
         q = build_quotient(spec, phi)
-        assert q.scale > 1 and all(type(c) is int for c in entries(q.columns))
+        assert q.scale > 1 and all(type(c) is int for c in entries(full_columns(q)))
         rank, r = self.check(spec, phi, exact_calls, 0)
         assert rank == r
 
@@ -499,18 +505,18 @@ class TestIntegerColumns:
                "dense": lambda: dense_phi(spec, 5, 1)}[phi]()
         q = build_quotient(spec, phi)
         assert q.scale == 1
-        assert all(type(c) is int for c in entries(q.columns))
+        assert all(type(c) is int for c in entries(full_columns(q)))
         reference = fraction_columns(spec, phi)
         assert any(type(c) is Fraction for c in entries(reference))
-        assert q.columns == reference
+        assert full_columns(q) == reference
 
     @pytest.mark.parametrize("kind", RATIONAL_PHIS)
     def test_rational_phi_gives_rescaled_int_columns(self, kind):
         spec, phi = rational_phi(kind)
         q = build_quotient(spec, phi)
         assert q.scale == {"tiny": 10**20, "non-canonical": 30}.get(kind, kind)
-        assert all(type(c) is int for c in entries(q.columns))
-        assert q.columns == rescaled(fraction_columns(spec, phi), q.basis, q.scale)
+        assert all(type(c) is int for c in entries(full_columns(q)))
+        assert full_columns(q) == rescaled(fraction_columns(spec, phi), q.basis, q.scale)
 
     @pytest.mark.parametrize("kind", RATIONAL_PHIS)
     def test_dense_matrix_is_the_reference_rounded(self, kind):
@@ -628,18 +634,19 @@ class TestTraceFormColumns:
         q = build_quotient(spec, phi)
         assert any(type(c) is Fraction for c in entries(fraction_columns(spec, phi)))
         assert q.scale == 2
-        assert all(type(c) is int for c in entries(q.columns))
+        assert all(type(c) is int for c in entries(full_columns(q)))
         assert trace_form_rank(q) == reference_trace_rank(q) == 8
 
 
 def reference_jacobian_columns(q):
-    """M_J with column b = b_i * column (b - e_i) through ``apply`` and ``index``, for the
-    first nonzero b_i; column 0, the normal form of J, is that of ``_jacobian_columns``."""
-    columns = solver._jacobian_columns(q)[:1]
+    """M_J with column b = b_i * column (b - e_i) through ``column_product`` over
+    ``full_columns(q)`` and ``index``, for the first nonzero b_i; column 0, the normal form
+    of J, is that of ``_jacobian_columns``."""
+    columns, matrices = solver._jacobian_columns(q)[:1], full_columns(q)
     for b in q.basis[1:]:
         i = next(i for i, x in enumerate(b) if x)
         lower = q.index[tuple(x - (k == i) for k, x in enumerate(b))]
-        columns.append(q.apply(i, enumerate(columns[lower])))
+        columns.append(column_product(matrices, i, enumerate(columns[lower])))
     return columns
 
 
@@ -657,7 +664,7 @@ class TestQuotientPlan:
             q = build_quotient(spec, phi)
             assert (q.scale > 1) == (kind == "rational")
             assert q.basis == basis and q.index == {e: i for i, e in enumerate(basis)}
-            assert q.columns == rescaled(fraction_columns(spec, phi), basis, q.scale)
+            assert full_columns(q) == rescaled(fraction_columns(spec, phi), basis, q.scale)
             columns = solver._jacobian_columns(q)
             assert columns == reference_jacobian_columns(q)
             assert trace_form_rank(q) == exact_rank(columns)
@@ -674,7 +681,41 @@ class TestQuotientPlan:
         q = build_quotient(spec, phi)
         basis = tuple(solver.standard_monomials(spec))
         assert q.basis == basis and q.index == {e: i for i, e in enumerate(basis)}
-        assert q.columns == fraction_columns(spec, phi)
+        assert full_columns(q) == fraction_columns(spec, phi)
+
+
+class TestTimes:
+    """``times`` is the product by M_i over all n*r columns, the unit shifts included."""
+
+    @pytest.mark.parametrize("kind", ["sampled", "explicit", "dense", "rational"])
+    @pytest.mark.parametrize("text", ["x*y^2*z^3", "x*y*z^2*w^3"])
+    def test_times_is_the_product_over_all_columns(self, text, kind):
+        spec = MonomialSpec.parse(text)
+        phi = {"sampled": lambda: sample_phi(parameter_space(spec), 0),
+               "explicit": lambda: explicit_phi(spec),
+               "dense": lambda: dense_phi(spec, 1, 1),
+               "rational": lambda: dense_phi(spec, 0, 6)}[kind]()
+        q = build_quotient(spec, phi)
+        columns = full_columns(q)
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            support = rng.choice(q.dim, size=int(rng.integers(1, 4)), replace=False)
+            sparse = [(int(b), int(rng.integers(-9, 10))) for b in support]
+            dense = [int(x) for x in rng.integers(-10**12, 10**12, size=q.dim)]
+            for i in range(1, spec.n + 1):
+                assert q.times(i, sparse) == column_product(columns, i, sparse)
+                assert q.times(i, enumerate(dense)) == column_product(columns, i,
+                                                                      enumerate(dense))
+
+    @pytest.mark.parametrize("text", ["x*y^2*z^3", "x*y*z^2*w^3", "x0*x1*x2*x3*x4^2"])
+    def test_two_unit_steps_meet_at_one_unit_column(self, text):
+        # what ``_assert_commuting`` leaves out: from a column where b_i and b_j shift,
+        # each order of the two steps is a unit shift to the basis vector of b + e_i + e_j
+        shifts = solver._quotient_plan(MonomialSpec.parse(text).exponents).shifts
+        for i, j in itertools.combinations(range(len(shifts)), 2):
+            for b, (g_i, g_j) in enumerate(zip(shifts[i], shifts[j])):
+                if g_i >= 0 and g_j >= 0:
+                    assert shifts[i][g_j] == shifts[j][g_i] >= 0
 
 
 def old_point_order(coords):
