@@ -563,8 +563,8 @@ def main(argv=None) -> int:
         _check_limits(args)
         payload = args.fn(MonomialSpec.parse(args.monomial), args)
     except (MathFailure, NonRadicalIdealError, PointExtractionError,
-            serialize.DigitLimitError) as exc:
-        code, text = 1, json.dumps({"error": str(exc)}, sort_keys=True)
+            serialize.DigitLimitError, MemoryError) as exc:  # a MemoryError's text may be ""
+        code, text = 1, json.dumps({"error": str(exc) or "out of memory"}, sort_keys=True)
     except (ValueError, OSError) as exc:
         code, text = 2, json.dumps({"error": str(exc)}, sort_keys=True)
     else:

@@ -307,10 +307,10 @@ def verify_decomposition(
     S_e = 0 and so R_e = 0; at every other e, R_e is formed from the digits
     in exact integers, and R_e / D is the reported x^e coefficient of the
     difference.  The verdict is exact: the residues prove every S_e, and
-    through them every R_e.  The expansion mod N holds the powers a^0..a^k of
-    each entry in one int, one slot per power, so a state takes one product
-    per pass; a bound that fails to hold raises AssertionError (both in
-    ``_verify_exact``).  The float domain is held to a max-coefficient
+    through them every R_e.  The expansion mod N keeps one int per entry
+    image, a^0..a^d in d + 1 slots (O(d * width) bytes), so a state takes one
+    product per pass; a bound that fails to hold raises AssertionError (both
+    in ``_verify_exact``).  The float domain is held to a max-coefficient
     tolerance instead: it passes when that error is at most ``tol``, so
     ``tol = 0`` accepts an exact fit.  It reads the decomposition's arrays, or
     puts the summands into one summands x variables array when it has none,
@@ -413,12 +413,12 @@ def _verify_exact(spec: MonomialSpec, dec: Decomposition) -> VerificationReport:
     S_e = sum_j c'_j * prod_i a'_ji^e_i are built over states (exponents
     chosen so far, entries still to use), one variable per pass; summands
     that share their remaining entries merge into one state, so the variable
-    with the most distinct entries goes first.  The powers a^0..a^k of an
-    entry, reduced mod N, sit in one int as slots of ``width`` bytes, wide
-    enough for a sum of as many products below N^2 as there are summands; so
-    a state adds all of its products by one multiply-add, and each merged
-    state is cut back into slots once.  The last pass needs one power per
-    state and multiplies it alone.
+    with the most distinct entries goes first.  Each entry image a is one int
+    of d + 1 slots of ``width`` bytes, slot k = a^k mod N (O(d * width) bytes
+    per image), wide enough for a sum of as many products below N^2 as there
+    are summands.  A state with ``left`` degrees to go masks the low left + 1
+    slots and adds all of its products by one multiply-add; each merged state
+    is cut back into slots once.  The last pass shifts out slot left alone.
     """
     degree, num_vars = dec.degree, spec.num_original_vars
     index: dict[int, int] = {}  # id of a scalar object -> its place in ``parts``
@@ -467,14 +467,13 @@ def _verify_exact(spec: MonomialSpec, dec: Decomposition) -> VerificationReport:
               [ids.setdefault(images[i], len(ids)) for i in entries])
              for c, entries, den in summands]
     width = (2 * modulus.bit_length() + len(summands).bit_length() + 8) // 8
-    powers, packed = [], []  # packed[i][k]: powers[i][0..k] in slots of ``width`` bytes
+    bits = 8 * width  # of one slot
+    packed = []  # packed[i]: a^0..a^d of entry image i, a^k in slot k
     for value in ids:
-        row, rows = [1], [1]
-        for k in range(1, degree + 1):
+        row = [1]
+        for _ in range(degree):
             row.append(row[-1] * value % modulus)
-            rows.append(rows[-1] | row[-1] << 8 * width * k)
-        powers.append(row)
-        packed.append(rows)
+        packed.append(int.from_bytes(b"".join(a.to_bytes(width, "little") for a in row), "little"))
     order = sorted(range(num_vars), key=lambda i: -len({key[i] for _, key in keyed}))
     states: dict[tuple, dict[tuple, int]] = defaultdict(lambda: defaultdict(int))
     for value, key in keyed:  # entries still to use -> {exponents chosen so far: sum}
@@ -482,9 +481,9 @@ def _verify_exact(spec: MonomialSpec, dec: Decomposition) -> VerificationReport:
     for _ in range(num_vars - 1):
         merged: dict[tuple, dict[tuple, int]] = defaultdict(lambda: defaultdict(int))
         for rest, sums in states.items():
-            rows, out = packed[rest[0]], merged[rest[1:]]
-            for chosen, value in sums.items():
-                out[chosen] += value * rows[degree - sum(chosen)]
+            full, out = packed[rest[0]], merged[rest[1:]]
+            for chosen, value in sums.items():  # times a^0..a^left: the low left + 1 slots
+                out[chosen] += value * (full & ((1 << bits * (degree - sum(chosen) + 1)) - 1))
         states = {}
         for rest, sums in merged.items():
             out = states[rest] = {}
@@ -497,10 +496,10 @@ def _verify_exact(spec: MonomialSpec, dec: Decomposition) -> VerificationReport:
                         out[chosen + (k,)] = slot
     last: dict[tuple, int] = defaultdict(int)
     for (entry,), sums in states.items():
-        row = powers[entry]
-        for chosen, value in sums.items():
+        full = packed[entry]
+        for chosen, value in sums.items():  # times a^left alone: slot left
             left = degree - sum(chosen)
-            last[chosen + (left,)] += value * row[left]
+            last[chosen + (left,)] += value * ((full >> bits * left) & ((1 << bits) - 1))
 
     place = [order.index(i) for i in range(num_vars)]  # exponents are chosen in ``order``
     sums = {tuple(chosen[p] for p in place): value % modulus for chosen, value in last.items()}

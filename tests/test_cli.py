@@ -169,6 +169,30 @@ class TestVerifyRoundTrip:
         assert len(cyclotomic._reduction_rows(3127)) == 111
         assert peak < 10_000_000, peak
 
+    def test_a_high_degree_check_holds_one_packed_int_per_entry(self, capsys, monkeypatch):
+        # d = 120: one int of d + 1 power slots per entry image peaks near 1.3 MB, while
+        # O(d^2) slots per image (d + 1 packed prefixes) read 52 MB
+        tracemalloc.start()
+        try:
+            code, out = run(capsys, "decompose", "x^60*y^60", "--exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 10_000_000, peak
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, data = run_json(capsys, "verify", "x^60*y^60", "--input", "-")
+        assert code == 0 and data["verified"] == "exact"
+
+    def test_running_out_of_memory_is_a_json_error(self, capsys, monkeypatch):
+        def exhausted(spec, args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_rank", exhausted)
+        monkeypatch.setattr(cli, "_parser", None)  # rebuilt around the patched command
+        code, out = run(capsys, "rank", "x*y")
+        assert code == 1 and json.loads(out) == {"error": "out of memory"}
+
 
 class TestIdealAndRadical:
     def test_ideal_membership_flag(self, capsys):

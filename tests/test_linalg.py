@@ -303,6 +303,13 @@ class TestRationalReconstruction:
         assert rational_reconstruction(8, 101) is None
         assert rational_reconstruction(51, 101) == Fraction(1, 2)
 
+    def test_a_pair_with_a_common_factor_is_refused(self):
+        # mod q * P, q = 2^31 - 1, the residue a = 3/5 mod P: Euclid stops at (3q, 5q),
+        # both within isqrt(q * P // 2), and 3q/5q is no fraction in lowest terms for a
+        q = 2**31 - 1
+        assert 5 * q <= isqrt(q * P // 2)
+        assert rational_reconstruction(3 * pow(5, -1, P) % P, q * P) is None
+
 
 class TestSolve:
     def test_exact_overdetermined(self):

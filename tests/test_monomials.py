@@ -196,18 +196,23 @@ class TestVerification:
         with pytest.raises(ValueError, match="unknown decomposition domain"):
             Decomposition(2, domain, ((Fraction(1, 4), LinearForm((1, 1))),))
 
-    def test_float_domain_uses_tolerance(self):
+    @pytest.mark.parametrize("delta, ok", [(1e-12j, True), (2.5e-9, True), (2.5e-8, False)])
+    def test_float_domain_uses_tolerance(self, delta, ok):
+        # x*y = 1/4 (x + y)^2 - 1/4 (x - y)^2 with delta added to the first coefficient:
+        # the x*y coefficient is off by 2 delta, so max_error = 2 |delta|; 5e-8 lies
+        # between tol and 10 tol
         spec = MonomialSpec.parse("x*y")
         dec = Decomposition(
             degree=2,
             domain="complex-float",
             summands=(
-                (0.25 + 0j, LinearForm((1.0, 1.0))),
-                (-0.25 + 1e-12j, LinearForm((1.0, -1.0))),
+                (0.25 + delta, LinearForm((1.0, 1.0))),
+                (-0.25 + 0j, LinearForm((1.0, -1.0))),
             ),
         )
         report = verify_decomposition(spec, dec, tol=1e-8)
-        assert report.ok and report.mode == "numeric" and report.max_error < 1e-8
+        assert report.ok is ok and report.mode == "numeric"
+        assert report.max_error == pytest.approx(2 * abs(delta), rel=1e-6, abs=1e-15)
 
     def test_degree_mismatch_rejected(self):
         spec = MonomialSpec.parse("x*y")

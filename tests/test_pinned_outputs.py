@@ -52,6 +52,9 @@ PINNED = {
                             "37d3d5f59d3879f89a50b094c31efcd40265f03b7a0df316a9390d259164017c"),
     "decompose-exact-m35-d12": (["decompose", "x^2*y^4*z^6", "--exact"], 0,
                                 "1ec35e5d8a4b9e99e7d4d0489b81676f7aa583f9c7b0553cb644bc9bbc94de57"),
+    # d = 120: the check keeps one int of d + 1 power slots per entry image
+    "decompose-exact-d120": (["decompose", "x^60*y^60", "--exact"], 0,
+                             "e4f34e0d58222cfd8ed40b4581ce3e300086598025bc307b647edb8f48309e30"),
     "ideal-member": (["ideal", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2",
                       "--member", "a0^4*a1 - a1^2*a2^3"], 0,
                      "fc8a8cce5bc2108c92c05d2f244449ceff7cc741e86e0aff035fe788ad7cb00d"),

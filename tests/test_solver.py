@@ -281,6 +281,17 @@ class TestModularCertificate:
         rank, r = self.check(spec, dense_phi(spec, 0, denominator), exact_calls, 0)
         assert rank < r
 
+    def test_a_repeated_kernel_vector_does_not_lift(self):
+        # phi = (a1^2, a2^2) of x*y^3*z^3 has trace rank 9 of 16: its 7 kernel vectors
+        # mod 2^31 - 1 lift, but one vector twice ends twice in one free column
+        spec = MonomialSpec.parse("x*y^3*z^3")
+        q = build_quotient(spec, phi_of(spec, "a1^2", "a2^2"))
+        matrix, p = solver._jacobian_columns(q), 2**31 - 1
+        kernel, powers = solver.nullspace_mod_p(matrix, p), [-sum(b) for b in q.basis]
+        assert len(kernel) == 7
+        assert solver._lifts_to_exact_kernel(matrix, kernel, p, powers, q.scale)
+        assert not solver._lifts_to_exact_kernel(matrix, kernel[:1] * 2, p, powers, q.scale)
+
     def test_kernel_beyond_one_prime_falls_back_to_exact_rank(self, exact_calls, monkeypatch):
         # the torus image by lam = 2^20 + 7 puts powers of lam into the kernel vectors even
         # with the powers of D taken out, so one 61-bit prime cannot reconstruct them
