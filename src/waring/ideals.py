@@ -204,10 +204,9 @@ def make_ci_ideal(spec: MonomialSpec, phi: PhiTuple) -> CIIdeal:
     target = spec.monomial_poly()
     gens, tails = [], generator_tails(spec, phi.entries)
     for i, tail in enumerate(tails, start=1):
-        lead = SparsePoly.monomial(
-            n + 1, DUAL, tuple(spec.exponents[i] + 1 if j == i else 0 for j in range(n + 1))
-        )
-        g = lead - tail
+        lead = tuple(spec.exponents[i] + 1 if j == i else 0 for j in range(n + 1))
+        # every tail term carries a0^(d0+1), so none of them meets the lead
+        g = SparsePoly(n + 1, DUAL, {lead: 1, **{e: -c for e, c in tail.terms.items()}})
         if not g.is_homogeneous() or g.degree() != spec.exponents[i] + 1:
             raise ValueError(f"generator {i} is not homogeneous of degree {spec.exponents[i] + 1}")
         if apply_diff(g, target):

@@ -107,7 +107,8 @@ def nullspace_mod_p(rows, p: int) -> list[list[int]]:
     none drop too.  The kernel is then that of the rest, with 0 in each
     dropped column, and its free columns, so its basis, are the same.  An
     entry that is a nonzero multiple of p counts as zero: counting it would
-    overstate the rank mod p.  The rest goes to ``_packed_kernel``.
+    overstate the rank mod p.  The rest goes to ``_packed_kernel``, which
+    eliminates and back-substitutes on rows packed one int each.
     """
     ncols = len(rows[0]) if rows else 0
     if not ncols:
@@ -170,29 +171,30 @@ def _packed_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]
     127 rows that is 9 bytes for p = 2^31 - 1 against 17 for 2^61 - 1, so
     the smaller prime about halves the int each multiply-add runs on.  Below
     2^63 a row packs through one ``struct.Struct`` per call, each field a "Q"
-    (the entry, below p) then zero pad bytes, so at least 8 bytes wide, and the
-    echelon rows unpack the same way, their folded fields being below
-    2^(k+1) <= 2^64; a larger prime packs field by field with ``to_bytes``.  The
-    pivot rows are unpacked and normalized only when a free column exists, so
-    at full column rank the call costs the forward elimination alone.
+    (the entry, below p) then zero pad bytes, so at least 8 bytes wide; a
+    larger prime packs field by field with ``to_bytes``.
+
+    Back-substitution reads the pivot rows as the elimination keeps them:
+    column, inverse of the head, folded fields.  A kernel vector starts as 1
+    on its free column; for each pivot column before it, last first, its
+    entry is -inv * sum(field_j * v_j) mod p over the nonzero entries v_j
+    found so far, field j being ``(top >> w*(j - col - 1)) & mask``.  No
+    pivot row is unpacked or normalized, so at full column rank the call
+    costs the forward elimination alone.
     """
     k = p.bit_length()
     size = (2 * k + 3 + len(rows).bit_length() + 7) // 8
-    field = None
     if k < 64:  # every entry, and every folded field (below 2^(k+1)), is one "Q" of a field
         size = max(size, 8)
-        layout = "Q" + "x" * (size - 8)
-        field = struct.Struct("<" + layout)
-    w = 8 * size
-    mask, c = (1 << w) - 1, (1 << k) - p
-    ones = ((1 << w * ncols) - 1) // mask  # 1 in every field
-    low, high = ones * ((1 << k) - 1), ones * (mask ^ ((1 << k + 1) - 1))
-    if field:
-        packer = struct.Struct("<" + layout * ncols)
+        packer = struct.Struct("<" + ("Q" + "x" * (size - 8)) * ncols)
         live = [int.from_bytes(packer.pack(*row), "little") for row in rows]
     else:
         live = [int.from_bytes(b"".join(v.to_bytes(size, "little") for v in row), "little")
                 for row in rows]
+    w = 8 * size
+    mask, c = (1 << w) - 1, (1 << k) - p
+    ones = ((1 << w * ncols) - 1) // mask  # 1 in every field
+    low, high = ones * ((1 << k) - 1), ones * (mask ^ ((1 << k + 1) - 1))
     pivots = []  # (column, inverse of its head, folded fields of the later columns)
     for col in range(ncols):
         i = next((i for i, row in enumerate(live) if (row & mask) % p), None)
@@ -211,26 +213,17 @@ def _packed_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]
                 for row in live]
         if not live:
             break
-    if len(pivots) == ncols:
-        return []
-    echelon = []
-    for col, inv, top in pivots:
-        packed = top.to_bytes((ncols - col - 1) * size, "little")
-        if field:
-            fields = [x for x, in field.iter_unpack(packed)]
-        else:
-            fields = [int.from_bytes(packed[j:j + size], "little")
-                      for j in range(0, len(packed), size)]
-        echelon.append((col, [x * inv % p for x in fields]))
-    pivot_set = {col for col, _ in echelon}
+    pivot_set = {col for col, _, _ in pivots}
     basis = []
     for free in (j for j in range(ncols) if j not in pivot_set):
-        vector = [0] * ncols
-        vector[free] = 1
-        for col, row in reversed(echelon):
+        found = [(free, 1)]  # the nonzero entries so far, as (column, entry)
+        for col, inv, top in reversed(pivots):
             if col < free:
-                vector[col] = -sum(x * y for x, y in zip(row, vector[col + 1:free + 1])) % p
-        basis.append(vector)
+                x = -inv * sum(((top >> w * (j - col - 1)) & mask) * v for j, v in found) % p
+                if x:
+                    found.append((col, x))
+        vector = dict(found)
+        basis.append([vector.get(j, 0) for j in range(ncols)])
     return basis
 
 

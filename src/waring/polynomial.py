@@ -192,14 +192,11 @@ class SparsePoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_compatible(self, other: SparsePoly):
-        if self.num_vars != other.num_vars or self.ring != other.ring:
-            raise ValueError("polynomials live in different rings")
-
     def __add__(self, other):
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        self._check_compatible(other)
+        if self.num_vars != other.num_vars or self.ring != other.ring:
+            raise ValueError("polynomials live in different rings")
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
@@ -216,7 +213,8 @@ class SparsePoly:
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        self._check_compatible(other)
+        if self.num_vars != other.num_vars or self.ring != other.ring:
+            raise ValueError("polynomials live in different rings")
         terms: dict[Exponent, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

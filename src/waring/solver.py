@@ -46,6 +46,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm
+from operator import add
 
 from .groebner import ci_normal_form, ci_normal_forms
 from .ideals import CIIdeal, PhiTuple
@@ -276,34 +277,39 @@ def _assert_commuting(q: QuotientAlgebra):
 TRACE_PRIMES = (2**31 - 1, 2**61 - 1, 2**127 - 1, 2**521 - 1)
 
 
+def _add_product(total: dict, f: dict, g: dict, sign: int):
+    """total += sign * f * g, for polynomials held as {exponent: int} dicts."""
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            total[e] = total.get(e, 0) + sign * c1 * c2
+
+
 def _jacobian_columns(q: QuotientAlgebra) -> list[list[int]]:
     """The r columns of M_J, J = det(dg_i/db_j) for the chart generators g_i = b_i^(d_i+1) - psi_i.
 
     J is one Laplace expansion over the nonzero entries, each minor computed
-    once: n products when every psi_i is constant.  Column 0 is the normal
-    form of J, and column b is ``times(i, ...)`` of the earlier column b - e_i
-    (the plan's ``chain``).
+    once as an {exponent: int} dict: n products (``_add_product``) when every
+    psi_i is constant.  Column 0 is the normal form of J, and column b is
+    ``times(i, ...)`` of the earlier column b - e_i (the plan's ``chain``).
     """
     n, bounds = q.spec.n, q.spec.exponents
-    rows = [[SparsePoly(n + 1, DUAL, {tuple(x - (k == j) for k, x in enumerate(e)): -c * e[j]
-                                      for e, c in tail.terms.items() if e[j]})
+    rows = [[{e[:j] + (e[j] - 1,) + e[j + 1:]: -c * e[j] for e, c in tail.terms.items() if e[j]}
              for j in range(1, n + 1)] for tail in q.psi]  # -dpsi_i/db_j
-    for i, row in enumerate(rows, start=1):
-        lead = tuple(bounds[i] * (k == i) for k in range(n + 1))
-        row[i - 1] = row[i - 1] + SparsePoly.monomial(n + 1, DUAL, lead, bounds[i] + 1)
-    minors = {(): SparsePoly.constant(n + 1, DUAL, 1)}
+    for i, row in enumerate(rows, start=1):  # deg psi_i < d_i, so no term of it reaches b_i^d_i
+        row[i - 1][tuple(bounds[i] * (k == i) for k in range(n + 1))] = bounds[i] + 1
+    minors = {(): {(0,) * (n + 1): 1}}
 
-    def det(cols: tuple[int, ...]) -> SparsePoly:  # the last len(cols) rows against cols
+    def det(cols: tuple[int, ...]) -> dict:  # the last len(cols) rows against cols
         if cols not in minors:
-            row, total = rows[n - len(cols)], SparsePoly(n + 1, DUAL)
+            row, total = rows[n - len(cols)], {}
             for pos, j in enumerate(cols):
                 if row[j]:
-                    term = row[j] * det(cols[:pos] + cols[pos + 1:])
-                    total = total - term if pos % 2 else total + term
-            minors[cols] = total
+                    _add_product(total, row[j], det(cols[:pos] + cols[pos + 1:]), (-1) ** pos)
+            minors[cols] = {e: c for e, c in total.items() if c}
         return minors[cols]
 
-    form = ci_normal_form(det(tuple(range(n))).terms, bounds, q.psi)
+    form = ci_normal_form(det(tuple(range(n))), bounds, q.psi)
     columns = [[form.get(b, 0) for b in q.basis]]
     for i, lower in q.plan.chain:
         columns.append(q.times(i, enumerate(columns[lower])))
@@ -323,25 +329,27 @@ def _lifts_to_exact_kernel(matrix: list[list[int]], kernel: list[list[int]], mod
     f the free column of v (v_f = 1, v_b = 0 after it), u_b = v_b * D^(e_b - e_f)
     mod the modulus is lifted by rational reconstruction, cleared of denominators
     and scaled back exactly, v_b = u_b * D^(t - e_b), t the largest e_b in the
-    support.  Each lift must be nonzero, end in a column no other lift ends in
-    (so they are independent) and be annihilated exactly by ``matrix``: then
-    the rank over Q is at most ncols - len(kernel) too.
+    support; a zero residue lifts to 0, so only the nonzero entries are read.
+    Each lift must be nonzero, end in a column no other lift ends in (so they are
+    independent) and be annihilated exactly by ``matrix``: then the rank over Q
+    is at most ncols - len(kernel) too.
     """
-    weight = [pow(scale, e, modulus) for e in powers]
     ends = set()
     for vector in kernel:
-        unit = pow(weight[max(i for i, v in enumerate(vector) if v)], -1, modulus)
-        entries = [rational_reconstruction(v * w * unit % modulus, modulus)
-                   for v, w in zip(vector, weight)]
-        if any(x is None for x in entries):
+        nonzero = [(i, v) for i, v in enumerate(vector) if v]
+        e_free = powers[nonzero[-1][0]] if nonzero else 0
+        lifts = [(i, rational_reconstruction(v * pow(scale, powers[i] - e_free, modulus) % modulus,
+                                             modulus)) for i, v in nonzero]
+        if any(x is None for _, x in lifts):
             return False
-        common = lcm(*(x.denominator for x in entries))
-        top = max((powers[i] for i, x in enumerate(entries) if x), default=0)
+        entries = [(i, x) for i, x in lifts if x]
+        if not entries or entries[-1][0] in ends:
+            return False
+        ends.add(entries[-1][0])
+        common = lcm(*(x.denominator for _, x in entries))
+        top = max(powers[i] for i, _ in entries)
         support = [(i, x.numerator * (common // x.denominator) * scale ** (top - powers[i]))
-                   for i, x in enumerate(entries) if x]
-        if not support or support[-1][0] in ends:
-            return False
-        ends.add(support[-1][0])
+                   for i, x in entries]
         if any(sum(row[i] * x for i, x in support) for row in matrix):
             return False
     return True

@@ -35,6 +35,7 @@ from waring.monomials import (
 from waring.polynomial import (
     _NUMBER,
     _VAR_PREFIX,
+    DUAL,
     PRIMAL,
     SparsePoly,
     evaluation_matrix,
@@ -219,6 +220,30 @@ def column_product(columns, var: int, pairs) -> list:
             for row, c in columns[var - 1][b]:
                 out[row] += c * v
     return out
+
+
+def jacobian_determinant(q) -> SparsePoly:
+    """J = det(dg_i/db_j) for the chart generators g_i = b_i^(d_i+1) - psi_i of a quotient,
+    by Laplace expansion along the first row over ``SparsePoly`` entries, no minor kept:
+    the reference for the dict expansion of ``solver._jacobian_columns``."""
+    n, bounds = q.spec.n, q.spec.exponents
+    rows = [[SparsePoly(n + 1, DUAL, {tuple(x - (k == j) for k, x in enumerate(e)): -c * e[j]
+                                      for e, c in tail.terms.items() if e[j]})
+             for j in range(1, n + 1)] for tail in q.psi]
+    for i, row in enumerate(rows, start=1):
+        lead = tuple(bounds[i] * (k == i) for k in range(n + 1))
+        row[i - 1] = row[i - 1] + SparsePoly.monomial(n + 1, DUAL, lead, bounds[i] + 1)
+
+    def det(matrix):
+        if not matrix:
+            return SparsePoly.constant(n + 1, DUAL, 1)
+        total = SparsePoly(n + 1, DUAL)
+        for j, entry in enumerate(matrix[0]):
+            term = entry * det([row[:j] + row[j + 1:] for row in matrix[1:]])
+            total = total - term if j % 2 else total + term
+        return total
+
+    return det(rows)
 
 
 def q_t_diagnostic(spec, points, t: int) -> int:

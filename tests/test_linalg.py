@@ -283,6 +283,108 @@ class TestSingletonPeel:
                 assert nullspace_mod_p(matrix, p) == reference_nullspace_mod_p(matrix, p)
 
 
+def rational_kernel_mod_p(rows, p):
+    """The canonical kernel basis over Q, each entry n/d taken to n * d^-1 mod p.
+
+    Exact Fraction elimination to reduced row echelon form, independent of the packed
+    elimination mod p: the vector of free column f is 1 at f and minus column f of each
+    pivot row before it.  It is the basis mod p wherever the pivot columns mod p are those
+    over Q and no denominator is divisible by p.
+    """
+    matrix = [[Fraction(v) for v in row] for row in rows]
+    ncols = len(rows[0])
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        top = [v / matrix[rank][col] for v in matrix[rank]]
+        matrix[rank] = top
+        for r, row in enumerate(matrix):
+            if r != rank and row[col]:
+                matrix[r] = [a - row[col] * b for a, b in zip(row, top)]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vector = [Fraction(int(c == free)) for c in range(ncols)]
+        for row, col in zip(matrix, pivots):
+            if col < free:
+                vector[col] = -row[free]
+        basis.append([x.numerator * pow(x.denominator, -1, p) % p for x in vector])
+    return basis
+
+
+def kernel_shapes(rng, p):
+    """Matrices with a sparse kernel, a dense kernel, and rows for the singleton peel.
+
+    Columns are random (24 rows, so independent), or combinations of earlier random
+    ones: of two (sparse kernel vectors) or of all (dense ones).  Each row is then scaled
+    by a unit mod p, which keeps the kernel over Q and mod p and gives entries of the
+    size of p.
+    """
+    def matrix(combine):
+        columns, base = [], []
+        for _ in range(rng.randint(8, 20)):
+            if len(base) >= 3 and rng.random() < 0.4:
+                columns.append(combine(base))
+            else:
+                base.append([rng.randint(-9, 9) for _ in range(24)])
+                columns.append(base[-1])
+        units = [rng.randrange(1, p) for _ in range(24)]
+        return [[u * v for v in row] for u, row in zip(units, zip(*columns))]
+
+    def two(base):
+        x, y = rng.sample(base, 2)
+        a, b = rng.randint(-5, 5), rng.randint(1, 5)
+        return [a * u + b * v for u, v in zip(x, y)]
+
+    def every(base):
+        weights = [rng.randint(1, 5) for _ in base]
+        return [sum(w * x for w, x in zip(weights, row)) for row in zip(*base)]
+
+    yield matrix(two)
+    dense = matrix(every)
+    yield dense
+    # column j alone in one row, then columns j and k in another: the first is a singleton,
+    # the second one once column j is peeled; both columns leave every kernel vector
+    ncols = len(dense[0])
+    j, k = rng.sample(range(ncols), 2)
+    peel = [[rng.randrange(1, p) if c == j else 0 for c in range(ncols)],
+            [rng.randrange(1, p) if c in (j, k) else 0 for c in range(ncols)]]
+    yield peel + dense
+
+
+class TestTracePrimeKernels:
+    """At each of TRACE_PRIMES, 2^127 - 1 and 2^521 - 1 packed field by field, the kernel
+    basis is the canonical one over Q reduced mod p: back-substitution on the packed
+    pivot rows gives every entry of it."""
+
+    @pytest.mark.parametrize("p", TRACE_PRIMES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_fraction_elimination(self, p, seed):
+        rng = random.Random(seed)
+        for matrix in kernel_shapes(rng, p):
+            kernel = nullspace_mod_p(matrix, p)
+            assert kernel == rational_kernel_mod_p(matrix, p)
+            ends = [max(i for i, x in enumerate(v) if x) for v in kernel]
+            for v, end in zip(kernel, ends):
+                assert annihilates(matrix, v, p) and all(0 <= x < p for x in v)
+                assert v[end] == 1 and all(v[other] == 0 for other in ends if other != end)
+
+    @pytest.mark.parametrize("p", TRACE_PRIMES)
+    def test_shapes_reach_sparse_and_dense_kernels(self, p):
+        # the sparse kernel vectors have at most three nonzero entries; some dense one has
+        # more, and the peeled columns are 0 in every vector
+        shapes = list(kernel_shapes(random.Random(1), p))
+        sparse, dense, peeled = (nullspace_mod_p(m, p) for m in shapes)
+        assert sparse and all(sum(map(bool, v)) <= 3 for v in sparse)
+        assert max(sum(map(bool, v)) for v in dense) > 3
+        j, k = (c for c, x in enumerate(shapes[2][1]) if x)
+        assert peeled and all(v[j] == v[k] == 0 for v in peeled)
+
+
 class TestRationalReconstruction:
     BOUND = isqrt(P // 2)
 

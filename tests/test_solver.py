@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from waring import (
     make_ci_ideal,
     trace_form_rank,
 )
-from waring import solver
+from waring import cli, solver
 from waring.cyclotomic import root_of_unity
 from waring.linalg import exact_rank
 from waring.monomials import EXACT_CYCLOTOMIC, Decomposition, verify_decomposition
@@ -34,6 +35,7 @@ from oracles import (
     fit_coefficients,
     full_columns,
     is_exact,
+    jacobian_determinant,
     points_from_decomposition,
 )
 
@@ -292,6 +294,29 @@ class TestModularCertificate:
         assert solver._lifts_to_exact_kernel(matrix, kernel, p, powers, q.scale)
         assert not solver._lifts_to_exact_kernel(matrix, kernel[:1] * 2, p, powers, q.scale)
 
+    def test_the_lift_reconstructs_only_nonzero_entries(self, monkeypatch, capsys):
+        # the dense r = 64 radical of the ideal_queries round at seed 1 has a kernel of 7
+        # vectors mod 2^31 - 1: 448 entries, of which 16 are nonzero and reconstructed
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        label = "radical x*y^3*z^3*w^3 (dense in (a1..an)^2)"
+        argv = next(op.argv for op in workloads.build("ideal_queries", 1) if op.label == label)
+        calls, kernels = [], []
+        reconstruct, lift = solver.rational_reconstruction, solver._lifts_to_exact_kernel
+        monkeypatch.setattr(solver, "rational_reconstruction",
+                            lambda a, p: calls.append(a) or reconstruct(a, p))
+        monkeypatch.setattr(solver, "_lifts_to_exact_kernel",
+                            lambda matrix, kernel, *rest: kernels.append(kernel)
+                            or lift(matrix, kernel, *rest))
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["trace_rank"] == 57
+        [kernel] = kernels
+        entries = [v for vector in kernel for v in vector]
+        assert len(entries) == 448 and len(calls) == sum(map(bool, entries)) == 16
+
     def test_kernel_beyond_one_prime_falls_back_to_exact_rank(self, exact_calls, monkeypatch):
         # the torus image by lam = 2^20 + 7 puts powers of lam into the kernel vectors even
         # with the powers of D taken out, so one 61-bit prime cannot reconstruct them
@@ -425,11 +450,16 @@ class TestModularCertificate:
             kernels.append((p, len(basis)))
             return basis
 
+        lifts = []  # the modulus of each lift tried
+        lift = solver._lifts_to_exact_kernel
         monkeypatch.setattr(solver, "nullspace_mod_p", counting)
+        monkeypatch.setattr(solver, "_lifts_to_exact_kernel",
+                            lambda matrix, kernel, modulus, *rest: lifts.append(modulus)
+                            or lift(matrix, kernel, modulus, *rest))
         phi = phi_of(x2y2z2, Fraction(1, 2**31 - 1), Fraction(3))
         assert self.check(x2y2z2, phi, exact_calls, 0) == (9, 9)
         assert [p for p, _ in kernels] == [2**31 - 1, 2**61 - 1]
-        assert kernels[0][1] > 0 and kernels[1][1] == 0
+        assert kernels[0][1] > 0 and kernels[1][1] == 0 and lifts == []
 
     @pytest.mark.parametrize("kind", ["sampled", "dense", "torus"])
     def test_first_prime_keeps_every_rank(self, monkeypatch, kind):
@@ -602,14 +632,36 @@ class TestJacobianCertificate:
             deficient += rank < q.dim
         assert deficient
 
+    @pytest.mark.parametrize("text", ["x*y^2*z^3", "x*y*z^2*w^3", "x^3*y^6*z^7"])
+    @pytest.mark.parametrize("kind", ["sampled", "explicit", "dense", "rational"])
+    def test_the_dict_jacobian_is_the_laplace_expansion(self, monkeypatch, text, kind):
+        spec = MonomialSpec.parse(text)
+        phi = {"sampled": lambda: sample_phi(parameter_space(spec), 1),
+               "explicit": lambda: explicit_phi(spec),
+               "dense": lambda: dense_phi(spec, 5),
+               "rational": lambda: dense_phi(spec, 0, 35)}[kind]()
+        q = build_quotient(spec, phi)
+        handed = []
+        normal_form = solver.ci_normal_form
+        monkeypatch.setattr(solver, "ci_normal_form", lambda terms, *rest:
+                            handed.append(dict(terms)) or normal_form(terms, *rest))
+        columns = solver._jacobian_columns(q)
+        want = jacobian_determinant(q)
+        assert want and handed == [want.terms]
+        assert columns[0] == [normal_form(want.terms, spec.exponents, q.psi).get(b, 0)
+                              for b in q.basis]
+        if kind == "rational":
+            assert q.scale > 1
+
     def test_equal_exponents_give_a_diagonal_jacobian(self):
         # every psi_i constant: J = prod (d_i + 1) b_i^d_i, one product per row
         spec = MonomialSpec.parse("x^2*y^2*z^2*w^2")
         q = build_quotient(spec, explicit_phi(spec))
         products = []
-        mul = SparsePoly.__mul__
+        add_product = solver._add_product
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(SparsePoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+            patch.setattr(solver, "_add_product",
+                          lambda *args: products.append(1) or add_product(*args))
             columns = solver._jacobian_columns(q)
         assert len(products) == spec.n
         # J = 27 b1^2 b2^2 b3^2 is the top standard monomial: column 0 needs no reduction
