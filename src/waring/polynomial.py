@@ -233,11 +233,15 @@ class SparsePoly:
         return bool(self.terms)
 
     def __str__(self) -> str:
-        if not self.terms:
+        return self.text(self.sorted_terms())
+
+    def text(self, terms: list[tuple[Exponent, object]]) -> str:
+        """The text of the polynomial; ``terms`` are its ``sorted_terms()``."""
+        if not terms:
             return "0"
         prefix = _VAR_PREFIX[self.ring]
         out = ""
-        for e, c in self.sorted_terms():
+        for e, c in terms:
             body = "*".join([f"{prefix}{i}^{ei}" if ei > 1 else f"{prefix}{i}"
                              for i, ei in enumerate(e) if ei])
             cs = str(c)

@@ -213,13 +213,14 @@ def _term_shape(num_vars: int) -> dict:
     return {"exponent": [HOLE] * num_vars, "coeff": HOLE}
 
 
-def poly_to_json(poly: SparsePoly) -> Records | list:
+def poly_to_json(poly: SparsePoly, terms: list | None = None) -> Records | list:
     """The term records of ``poly`` in descending grevlex order, as one ``Records`` whose
-    rows are (coefficient record, *exponent); the zero polynomial is ``[]``."""
+    rows are (coefficient record, *exponent); the zero polynomial is ``[]``.  ``terms``
+    are ``poly.sorted_terms()`` when the caller has them already."""
     if not poly.terms:
         return []
-    return Records(_term_shape(poly.num_vars),
-                   [(scalar_to_json(c), *e) for e, c in poly.sorted_terms()])
+    return Records(_term_shape(poly.num_vars), [(scalar_to_json(c), *e) for e, c in
+                                                terms or poly.sorted_terms()])
 
 
 def spec_to_json(spec: MonomialSpec) -> dict:
@@ -376,12 +377,13 @@ def phi_to_json(phi: PhiTuple) -> dict:
 
 
 def ci_ideal_to_json(ideal: CIIdeal) -> dict:
+    terms = [(g, g.sorted_terms()) for g in ideal.generators]  # one sort for text and records
     return {
         "spec": spec_to_json(ideal.spec),
         "phi": phi_to_json(ideal.phi),
         "k": ideal.k,
-        "generators": [str(g) for g in ideal.generators],
-        "generators_json": [poly_to_json(g) for g in ideal.generators],
+        "generators": [g.text(t) for g, t in terms],
+        "generators_json": [poly_to_json(g, t) for g, t in terms],
     }
 
 

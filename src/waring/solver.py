@@ -16,7 +16,10 @@ a^e with e_i <= d_i.  From the multiplication matrices on that basis we get
 * the points themselves via a floating-point eigendecomposition of a random
   linear combination of the multiplication matrices: phi is rational, so
   that combination is a real matrix and one real ``eig`` (LAPACK ``dgeev``)
-  gives its eigenpairs, real ones real and complex ones in conjugate pairs, and
+  gives its eigenpairs, real ones real and complex ones in conjugate pairs,
+* for a binomial phi, every phi_i = c_i * a0^(d_i - d0) (``_binomial``), no M_J
+  and no ``eig``: its trace rank is r by separability, and its points are the
+  grid of the roots of t^(d_i+1) = c_i, and
 * the points refined by Newton's method on the chart generators, and the
   summand coefficients in closed form, c_j = 1/(C * J(p_j)) with C the
   multinomial (d; d0, ..., dn), by the Euler-Jacobi residue formula;
@@ -350,7 +353,10 @@ def _lifts_to_exact_kernel(matrix: list[list[int]], kernel: list[list[int]], mod
         top = max(powers[i] for i, _ in entries)
         support = [(i, x.numerator * (common // x.denominator) * scale ** (top - powers[i]))
                    for i, x in entries]
-        if any(sum(row[i] * x for i, x in support) for row in matrix):
+        total = [0] * len(matrix)  # matrix times the lift, one support column at a time
+        for i, x in support:
+            total = [t + row[i] * x for t, row in zip(total, matrix)]
+        if any(total):
             return False
     return True
 
@@ -411,18 +417,28 @@ class RadicalityCertificate:
     trace_rank: int | None
 
 
+def _binomial(phi: PhiTuple) -> bool:
+    """True when every phi_i is one term c_i * a0^(d_i - d0), c_i != 0: the chart generators
+    are then the binomials a_i^(d_i+1) - c_i."""
+    return all(len(p.terms) == 1 and not any(next(iter(p.terms))[1:]) for p in phi.entries)
+
+
 def certify_radical(spec: MonomialSpec, phi: PhiTuple) -> RadicalityCertificate:
     """Decide whether I(n, phi) cuts out r distinct reduced points.
 
     A zero entry in phi forces a_i^(d_i+1) into the ideal, which already rules
     out reducedness, so that case short-circuits without building the algebra.
+    A binomial phi (``_binomial``) has trace rank r with no M_J: in the chart
+    the algebra is the tensor product of the Q[t]/(t^m - c_i), m = d_i + 1, and
+    for c != 0 gcd(t^m - c, m * t^(m-1)) = 1 over Q, so each factor is reduced
+    with m distinct roots and the product has r distinct points, rank M_J = r.
     """
     if len(phi) != spec.n:
         raise ValueError("radicality is decided for complete tuples only")
     if any(not p for p in phi.entries):
         return RadicalityCertificate(False, None, None)
     q = build_quotient(spec, phi)
-    rank = trace_form_rank(q)
+    rank = q.dim if _binomial(phi) else trace_form_rank(q)
     return RadicalityCertificate(rank == q.dim, q, rank)
 
 
@@ -518,8 +534,33 @@ def _point_order(coords) -> list[int]:
     return np.lexsort(keys.T[::-1]).tolist()
 
 
+def _binomial_points(q: QuotientAlgebra):
+    """The grid of the roots of t^m = c_i, m = d_i + 1, of a binomial phi: r x n complex.
+
+    Root k is |c|^(1/m) * e^(i * theta_k), theta_k = (2k + [c < 0]) * pi / m; a root past
+    its own conjugate takes that conjugate and a real one is exactly +-|c|^(1/m), so the
+    grid is closed under conjugation exactly.  A c_i past float range raises as in
+    ``dense_matrix``, every boundary entry of M_i being c_i."""
+    import numpy as np
+
+    roots = []
+    for i, (d, entry) in enumerate(zip(q.spec.exponents[1:], q.phi.entries), start=1):
+        (c,), m = entry.terms.values(), d + 1
+        try:
+            size = abs(float(c)) ** (1 / m)
+        except OverflowError:  # so is each boundary entry of M_i; this raises at the first
+            q.dense_matrix(i)
+            raise
+        k = np.arange(m)
+        mirror = (-k - (c < 0)) % m  # theta_mirror = 2 * pi - theta_k
+        unit = np.exp(1j * np.pi / m * (2 * k + (c < 0)))
+        roots.append(size * np.where(k < mirror, unit, np.where(k == mirror, unit.real.round(),
+                                                                unit[mirror].conj())))
+    return np.array(list(product(*roots)), dtype=complex).reshape(q.dim, q.spec.n)
+
+
 def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> PointSet:
-    """Eigenvalue method, then Newton's method on the chart generators.
+    """Eigenvalue method (or the root grid of a binomial phi), then Newton's method.
 
     ``q`` must be the quotient of a phi that ``certify_radical`` found
     radical, so that it has r distinct reduced points.  A seeded random real
@@ -528,8 +569,9 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
     come in conjugate pairs) is up to scale the evaluation vector of the basis
     monomials at one point, so after normalizing the constant coordinate to 1
     the degree-one coordinates are the point itself.  An eigenvector with a
-    vanishing constant coordinate raises, and so does a point within
-    ``tol * min(1, s)`` of an earlier one in every coordinate, s the largest
+    vanishing constant coordinate raises.  A binomial phi takes the root grid
+    of ``_binomial_points`` instead, and ``seed`` moves nothing.  A point within
+    ``tol * min(1, s)`` of an earlier one in every coordinate raises, s the largest
     |a_k| over all points (one max-abs distance matrix): a cloud near the
     origin is told apart relative to its extent, while a double point at the
     origin of a larger cloud still raises.  Then ``NEWTON_STEPS`` batched
@@ -543,22 +585,24 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
     import numpy as np
 
     n, r = q.spec.n, q.dim
-    weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
-    m = sum((weights[i - 1] * q.dense_matrix(i) for i in range(1, n + 1)), np.zeros((r, r)))
-    _, vectors = np.linalg.eig(m.T)
-    vectors = vectors.astype(complex)  # real when every eigenvalue is
-
-    one_idx = q.index[(0,) * (n + 1)]
-    var_idx = [q.index[tuple(1 if j == i else 0 for j in range(n + 1))] for i in range(1, n + 1)]
-    vectors = vectors / np.linalg.norm(vectors, axis=0)
-    lead = vectors[one_idx]
-    scale = np.linalg.norm(vectors[[one_idx] + var_idx], axis=0)  # of the degree <= 1 window
-    if (np.abs(lead) < 1e-12 * scale).any():
-        raise PointExtractionError(
-            "eigenvector has vanishing constant coordinate; "
-            "the combination matrix looks non-diagonalizable"
-        )
-    coords = (vectors[var_idx] / lead).T  # one row per eigenvector, a0 dropped
+    if _binomial(q.phi):
+        coords = _binomial_points(q)
+    else:
+        weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
+        m = sum((weights[i - 1] * q.dense_matrix(i) for i in range(1, n + 1)), np.zeros((r, r)))
+        _, vectors = np.linalg.eig(m.T)
+        vectors = vectors.astype(complex)  # real when every eigenvalue is
+        one_idx = q.index[(0,) * (n + 1)]
+        var_idx = [q.index[tuple(1 if j == i else 0 for j in range(n + 1))] for i in range(1, n + 1)]
+        vectors = vectors / np.linalg.norm(vectors, axis=0)
+        lead = vectors[one_idx]
+        scale = np.linalg.norm(vectors[[one_idx] + var_idx], axis=0)  # of the degree <= 1 window
+        if (np.abs(lead) < 1e-12 * scale).any():
+            raise PointExtractionError(
+                "eigenvector has vanishing constant coordinate; "
+                "the combination matrix looks non-diagonalizable"
+            )
+        coords = (vectors[var_idx] / lead).T  # one row per eigenvector, a0 dropped
 
     # distances in units of the cloud's extent, at most 1: shrinking a small cloud keeps the
     # verdict; a cloud all at the origin keeps tol, so coincident points there still raise

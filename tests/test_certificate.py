@@ -1,5 +1,5 @@
-"""Every command that needs a radical ideal builds and ranks its quotient once per phi,
-and expands each decomposition it returns once."""
+"""Every command that needs a radical ideal builds its quotient once per phi and ranks it
+once unless phi is binomial, and expands each decomposition it returns once."""
 
 import json
 import sys
@@ -21,10 +21,21 @@ COMMANDS = [
 ]
 
 
+def binomial(phi) -> bool:
+    """Every entry one term c * a0^k: the certificate needs no trace rank."""
+    return all(len(p.terms) == 1 and all(not any(e[1:]) for e in p.terms) for p in phi.entries)
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """Per phi, how often build_quotient and trace_form_rank ran, wherever they are bound."""
-    counts = {"build_quotient": Counter(), "trace_form_rank": Counter()}
+    """Per phi, how often build_quotient and trace_form_rank ran, wherever they are bound;
+    ``binomial`` holds the text of each binomial phi built."""
+    counts = {"build_quotient": Counter(), "trace_form_rank": Counter(), "binomial": set()}
+
+    def built(spec, phi):
+        if binomial(phi):
+            counts["binomial"].add(str(phi))
+        return str(phi)
 
     def counting(name, fn, key):
         def wrapper(*args, **kwargs):
@@ -33,8 +44,7 @@ def calls(monkeypatch):
         return wrapper
 
     wrappers = {
-        "build_quotient": counting("build_quotient", solver.build_quotient,
-                                   lambda spec, phi: str(phi)),
+        "build_quotient": counting("build_quotient", solver.build_quotient, built),
         "trace_form_rank": counting("trace_form_rank", solver.trace_form_rank,
                                     lambda q: str(q.phi)),
     }
@@ -53,9 +63,17 @@ def test_one_quotient_and_one_trace_rank_per_phi(calls, capsys, argv):
     capsys.readouterr()
     built, ranked = calls["build_quotient"], calls["trace_form_rank"]
     assert built, "no quotient was built"
-    assert set(built) == set(ranked)
+    assert set(built) - calls["binomial"] == set(ranked)
     assert all(n == 1 for n in built.values()), built
     assert all(n == 1 for n in ranked.values()), ranked
+
+
+def test_the_commands_build_binomial_and_other_phi(calls, capsys):
+    """Both sides of the rank count above are exercised by ``COMMANDS``."""
+    for argv in COMMANDS:
+        cli.main(argv)
+    capsys.readouterr()
+    assert calls["binomial"] and set(calls["build_quotient"]) - calls["binomial"]
 
 
 def test_zero_entry_builds_nothing(calls):

@@ -453,6 +453,43 @@ class TestRefinedPoints:
         assert all(s["residual"] < 1e-12 for s in data["samples"])
 
 
+class TestBinomialPhi:
+    """Every phi_i = c_i * a0^(d_i - d0): points from the grid of the roots of t^(d_i+1) = c_i,
+    with the exit codes and texts of the eig readout at the edges."""
+
+    @pytest.mark.parametrize("phi", ["-3/4", "5/2", "-7"])
+    def test_negative_and_rational_constants(self, capsys, phi):
+        code, data = run_json(capsys, "decompose", "x^2*y^2", f"--phi={phi}", "--seed", "0")
+        assert code == 0 and data["verified"] == "numeric" and data["residual"] < 1e-12
+        assert len(data["summands"]) == 3
+
+    def test_seed_moves_no_point(self, capsys):
+        outs = [run(capsys, "points", "x^2*y^2*z^2", "--seed", seed)[1] for seed in ("0", "5")]
+        assert outs[0] == outs[1]
+
+    def test_tiny_constants_keep_the_zero_jacobian_text(self, capsys):
+        code, data = run_json(capsys, "decompose", "x*y*z*w", "--phi", "1e-300", "--phi",
+                              "1e-300", "--phi", "1e-300", "--seed", "0")
+        assert code == 1
+        assert data["error"] == ("coefficient fit: |J| = 0.000e+00 at point 0, "
+                                 "so c = 1/(C*J) is not finite")
+
+    def test_a_constant_below_float_range_leaves_no_separated_point(self, capsys):
+        # 1e-400 reads 0.0, so all three roots of a^3 = c sit at the origin
+        code, data = run_json(capsys, "decompose", "x^2*y^2", "--phi", "1e-400", "--seed", "0")
+        assert (code, data["error"]) == (1, "expected 3 separated points: 2 within tol=1e-08 "
+                                            "of an earlier one")
+
+    def test_pure_power_keeps_its_one_point(self, capsys):
+        code, data = run_json(capsys, "points", "x^3", "--seed", "0")
+        assert code == 0 and data["points"] == [[{"re": 1.0, "im": 0.0}]]
+
+    def test_single_terms_outside_a0_take_the_trace_rank(self, capsys):
+        code, data = run_json(capsys, "radical", "x*y^3*z^3", "--phi", "a1^2", "--phi", "a2^2")
+        assert code == 0
+        assert (data["radical"], data["trace_rank"], data["dimension"]) == (False, 9, 16)
+
+
 class TestSampleAndDiagnose:
     def test_sample_batch(self, capsys):
         code, data = run_json(capsys, "sample", "x*y*z^2", "--seed", "0", "--count", "4")

@@ -30,6 +30,7 @@ from waring.solver import NonRadicalIdealError, PointExtractionError, certify_ra
 from waring.polynomial import DUAL, LinearForm, SparsePoly, exponents_of_degree, parse_poly
 from waring.vsp import parameter_space, sample_phi
 
+from conftest import spec_grid
 from oracles import (
     column_product,
     fit_coefficients,
@@ -1100,10 +1101,8 @@ class TestExtractPointsAgainstTheLoop:
 class TestRealEigenvalueStage:
     """phi is rational, so M is real: one real ``eig``, and the points stay complex."""
 
-    @pytest.mark.parametrize("text, seed", [("x*y", 0), ("x*y^2*z^3", 0), ("x^2*y^3*z^3*w^3", 4)])
-    def test_one_float64_eig_per_call(self, monkeypatch, text, seed):
-        spec = MonomialSpec.parse(text)
-        q = build_quotient(spec, sample_phi(parameter_space(spec), seed))
+    @staticmethod
+    def eig_calls(monkeypatch, q, seed):
         calls = []
         eig = np.linalg.eig
 
@@ -1113,10 +1112,22 @@ class TestRealEigenvalueStage:
 
         monkeypatch.setattr(np.linalg, "eig", spy)
         extract_points(q, seed=seed)
-        assert calls == [(np.float64, (spec.rank, spec.rank))]
+        return calls
+
+    @pytest.mark.parametrize("text, seed", [("x*y^2", 0), ("x*y^2*z^3", 0), ("x^2*y^3*z^3*w^3", 4)])
+    def test_one_float64_eig_per_call(self, monkeypatch, text, seed):
+        spec = MonomialSpec.parse(text)
+        q = build_quotient(spec, sample_phi(parameter_space(spec), seed))
+        assert self.eig_calls(monkeypatch, q, seed) == [(np.float64, (spec.rank, spec.rank))]
+
+    @pytest.mark.parametrize("text, seed", [("x*y", 0), ("x^3*y^3*z^3*w^3", 1), ("x*y^2*z^3", None)])
+    def test_no_eig_on_a_binomial_phi(self, monkeypatch, text, seed):
+        spec = MonomialSpec.parse(text)
+        phi = explicit_phi(spec) if seed is None else sample_phi(parameter_space(spec), seed)
+        assert self.eig_calls(monkeypatch, build_quotient(spec, phi), 0) == []
 
     def test_all_real_points_keep_complex_coordinates(self):
-        # eig returns a real array here, since every eigenvalue is real
+        # the roots of a^2 = 1 are real: the grid holds them as complex numbers
         spec = MonomialSpec.parse("x*y")
         q = build_quotient(spec, phi_of(spec, Fraction(1)))
         points = extract_points(q, seed=0)
@@ -1132,6 +1143,63 @@ class TestRealEigenvalueStage:
         assert (np.abs(points.imag) > 1e-6).any()  # some point is not real
         gap = np.abs(points.conj()[:, None, :] - points[None, :, :]).max(axis=2).min(axis=1)
         assert gap.max() <= 1e-12 * max(1.0, np.abs(points).max())
+
+
+def binomial_cases():
+    """On the acceptance grid (n <= 3, degree <= 8): every equal-exponent monomial with
+    ``sample_phi`` seeds 0-4, and every monomial with its ``explicit_phi``."""
+    out = []
+    for exps in spec_grid(3, 8):
+        if len(set(exps)) == 1:
+            out += [pytest.param(exps, seed, id=f"{exps}-seed{seed}") for seed in range(5)]
+        out.append(pytest.param(exps, None, id=f"{exps}-explicit"))
+    return out
+
+
+class TestBinomialPhi:
+    """phi_i = c_i * a0^(d_i - d0): trace rank r with no M_J, points from the root grid,
+    each against the M_J rank and the eig readout."""
+
+    @pytest.mark.parametrize("exps, seed", binomial_cases())
+    def test_rank_points_and_decomposition_agree_with_the_general_path(self, monkeypatch,
+                                                                        exps, seed):
+        spec = MonomialSpec.from_exponents(exps)
+        phi = explicit_phi(spec) if seed is None else sample_phi(parameter_space(spec), seed)
+        assert solver._binomial(phi)
+        certificate = certify_radical(spec, phi)
+        assert certificate.trace_rank == trace_form_rank(build_quotient(spec, phi)) == spec.rank
+        q = certificate.quotient
+        with monkeypatch.context() as patch:  # the readouts alone, sorted by _point_order
+            patch.setattr(solver, "NEWTON_STEPS", 0)
+            grid = extract_points(q, seed=seed or 0).coords
+            patch.setattr(solver, "_binomial", lambda phi: False)
+            assert_close(grid.ravel(), extract_points(q, seed=seed or 0).coords.ravel())
+        got = extract_points(q, seed=seed or 0)
+        monkeypatch.setattr(solver, "_binomial", lambda phi: False)
+        assert_close(got.coords.ravel(), extract_points(q, seed=seed or 0).coords.ravel())
+        assert max(got.residuals) < 1e-10
+        dec = solver._fit_decomposition(q, got, 1e-8)
+        assert dec.verified == "numeric" and dec.residual < 1e-10
+
+    @pytest.mark.parametrize("c", [Fraction(-3, 4), Fraction(5), Fraction(-2, 9), Fraction(1, 10**300)])
+    @pytest.mark.parametrize("text", ["x*y", "x^2*y^2", "x^3*y^3*z^3"])
+    def test_grid_is_closed_under_conjugation_exactly(self, text, c):
+        spec = MonomialSpec.parse(text)
+        q = build_quotient(spec, phi_of(spec, *[c] * spec.n))
+        grid = solver._binomial_points(q)
+        assert {tuple(p) for p in grid.conj().tolist()} == {tuple(p) for p in grid.tolist()}
+        m = spec.exponents[1] + 1
+        size = abs(float(c)) ** (1 / m)
+        real = grid[(grid.imag == 0).all(axis=1)]
+        assert set(real.real.ravel().tolist()) <= {size, -size}
+        roots = 1 if m % 2 else 2 * (c > 0)  # real roots of t^m = c
+        assert len(real) == roots ** spec.n
+
+    def test_a_term_outside_a0_is_not_binomial(self):
+        spec = MonomialSpec.parse("x*y^3*z^3")
+        for phi in (phi_of(spec, D("a1^2"), D("a2^2")), phi_of(spec, D("a0^2 + a1^2"), D("a0^2")),
+                    phi_of(spec, Fraction(0), D("a0^2")), explicit_phi(spec)):
+            assert solver._binomial(phi) == (phi == explicit_phi(spec))
 
 
 # the benchmark's seeded monomials (sorted exponents), and (1, 4, 4, 4) at r = 125

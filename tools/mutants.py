@@ -35,8 +35,7 @@ MONOMIALS, SERIALIZE = "src/waring/monomials.py", "src/waring/serialize.py"
 # (file, exact old text, new text, name)
 MUTANTS = [
     # the kernel lift over the nonzero entries
-    (SOLVER, "        if any(sum(row[i] * x for i, x in support) for row in matrix):",
-     "        if False:", "lift without its exact kernel check"),
+    (SOLVER, "        if any(total):", "        if False:", "lift without its exact kernel check"),
     (SOLVER, "        if not entries or entries[-1][0] in ends:",
      "        if not entries:", "lift without its independence check"),
     (SOLVER, "        entries = [(i, x) for i, x in lifts if x]",
@@ -67,6 +66,10 @@ MUTANTS = [
      "reconstruction without its bound"),
     (LINALG, "    if abs(t1) > bound or gcd(r1, t1) != 1:", "    if abs(t1) > bound:",
      "reconstruction without its gcd test"),
+    # the binomial phi, which skips M_J and eig
+    (SOLVER, "len(p.terms) == 1 and not any(next(iter(p.terms))[1:])", "len(p.terms) == 1",
+     "binomial phi with a term outside a0"),
+    (SOLVER, "len(p.terms) == 1 and not any(", "not any(", "binomial phi with more than one term"),
     # the quotient and the float stage
     (SOLVER, "    _assert_commuting(algebra)\n", "", "no commutation check"),
     (SOLVER, "bad = np.flatnonzero(~np.isfinite(det) | (det == 0))",
