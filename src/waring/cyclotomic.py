@@ -62,9 +62,32 @@ class CyclotomicPolynomial:
         return len(self.coeffs) - 1
 
 
+@lru_cache(maxsize=256)
+def _totient(m: int) -> int:
+    """Euler's phi(m) for m >= 1, the degree of Phi_m, by trial division."""
+    result = rest = m
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            result -= result // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return result - result // rest if rest > 1 else result
+
+
+# The largest table of z^j mod Phi_m, phi(m) <= j < m, that a conductor m may need:
+# (m - phi(m)) * phi(m) integers.  Conductor 3127 (53 * 59) needs 334,776 and the explicit
+# decomposition of x*y^1000 (m = 1001) 202,320; m = 15015 (3*5*7*11*13) would need 53 million.
+MAX_TABLE_ENTRIES = 10**6
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> CyclotomicPolynomial:
     """Compute Phi_m as (z^m - 1) / prod of Phi_d over proper divisors d of m.
+
+    A conductor whose table of powers (``_reduction_rows``) would hold more than
+    ``MAX_TABLE_ENTRIES`` integers is refused with a ValueError before either is built.
 
     >>> cyclotomic_poly(1).coeffs, cyclotomic_poly(2).coeffs
     ((-1, 1), (1, 1))
@@ -73,6 +96,11 @@ def cyclotomic_poly(m: int) -> CyclotomicPolynomial:
     """
     if m < 1:
         raise ValueError("conductor must be a positive integer")
+    degree = _totient(m)
+    entries = (m - degree) * degree
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(f"conductor {m} needs a table of {entries} powers of zeta_{m}, "
+                         f"past the limit of {MAX_TABLE_ENTRIES}")
     num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:

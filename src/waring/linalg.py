@@ -6,8 +6,9 @@ gives a kernel basis of an integer matrix over Z/p (its length is the number
 of columns less the rank mod p, which never exceeds the rank over Q); it
 peels the rows with one nonzero entry, then eliminates on rows packed into
 one int each, one field per column, so a row update is one big-int
-multiply-add.  ``rational_reconstruction`` lifts a residue mod p to a
-fraction.
+multiply-add.  ``full_rank_mod_p`` runs the same elimination and stops at the
+first column without a pivot.  ``rational_reconstruction`` lifts a residue mod
+p to a fraction.
 Floating-point ranks use an SVD with the relative cutoff ``RANK_CUTOFF``; numpy
 is imported only by the float routines, so exact work never loads it.
 
@@ -147,8 +148,36 @@ def nullspace_mod_p(rows, p: int) -> list[list[int]]:
     return out
 
 
-def _packed_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """The basis of ``nullspace_mod_p`` for rows of ``ncols`` entries in [0, p).
+def full_rank_mod_p(rows, p: int) -> bool:
+    """True when a matrix of integers has full column rank over Z/p (p prime), that is when
+    ``nullspace_mod_p`` is empty; full column rank mod p proves it over Q.
+
+    The forward elimination of ``_packed_kernel`` (``_packed_elimination``), stopped at
+    the first column without a pivot.  Column 0 is searched on the rows as given,
+    before any entry is reduced or packed, so a zero first column costs one scan.
+    """
+    ncols = len(rows[0]) if rows else 0
+    if not ncols:
+        return True
+    if not any(row[0] % p for row in rows):
+        return False
+    residues = [[v and v % p for v in row] for row in rows]  # a zero skips the long division
+    for pivot in _packed_elimination(residues, ncols, p):
+        if pivot is None:
+            return False
+    return True
+
+
+def _field_bytes(p: int, nrows: int) -> int:
+    """The bytes of one packed field: a width of at least 2k + 3 + nrows.bit_length() bits,
+    k = p.bit_length(), never carries between fields (``_packed_elimination``)."""
+    return (2 * p.bit_length() + 3 + nrows.bit_length() + 7) // 8
+
+
+def _packed_elimination(rows: list[list[int]], ncols: int, p: int):
+    """Forward elimination mod p on rows of ``ncols`` entries in [0, p), packed one int each;
+    yields, column by column, None for a column without a pivot, else (inverse of the
+    pivot's head, the pivot row's folded fields of the later columns).
 
     Each live row is one int: field j, w bits wide, holds the row's entry in
     the j-th column not yet eliminated, and every field stays >= 0, so the
@@ -165,28 +194,21 @@ def _packed_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]
     Kronecker substitution, von zur Gathen & Gerhard, 8.4).  A field starts
     below p and each of at most ``len(rows)`` updates adds below p*2^(k+1) <
     2^(2k+1), so it stays below 2^(2k+1+len(rows).bit_length()), and a width
-    w >= 2k + 3 + len(rows).bit_length() (rounded up to whole bytes, so that a
-    row packs and unpacks through one bytes object) never carries between
-    fields.  Up to
-    127 rows that is 9 bytes for p = 2^31 - 1 against 17 for 2^61 - 1, so
-    the smaller prime about halves the int each multiply-add runs on.  Below
-    2^63 a row packs through one ``struct.Struct`` per call, each field a "Q"
-    (the entry, below p) then zero pad bytes, so at least 8 bytes wide; a
-    larger prime packs field by field with ``to_bytes``.
-
-    Back-substitution reads the pivot rows as the elimination keeps them:
-    column, inverse of the head, folded fields.  A kernel vector starts as 1
-    on its free column; for each pivot column before it, last first, its
-    entry is -inv * sum(field_j * v_j) mod p over the nonzero entries v_j
-    found so far, field j being ``(top >> w*(j - col - 1)) & mask``.  No
-    pivot row is unpacked or normalized, so at full column rank the call
-    costs the forward elimination alone.
+    w >= 2k + 3 + len(rows).bit_length() (``_field_bytes``: rounded up to whole
+    bytes, so that a row packs through one bytes object) never carries between
+    fields.  Up to 127 rows that is 3 bytes for p = 2^7 - 1, 9 for 2^31 - 1
+    and 17 for 2^61 - 1, so a smaller prime runs every multiply-add on a
+    smaller int.  Below 2^63 a row packs through one ``struct.Struct`` per
+    call, each field the narrowest of "B", "H", "I" and "Q" that holds p's k
+    bits (the entry) then zero pad bytes; a larger prime packs field by field
+    with ``to_bytes``.  Once every row is a pivot, each later column yields
+    None.
     """
     k = p.bit_length()
-    size = (2 * k + 3 + len(rows).bit_length() + 7) // 8
-    if k < 64:  # every entry, and every folded field (below 2^(k+1)), is one "Q" of a field
-        size = max(size, 8)
-        packer = struct.Struct("<" + ("Q" + "x" * (size - 8)) * ncols)
+    size = _field_bytes(p, len(rows))
+    if k < 64:  # every entry is one struct code of a field
+        code = next(code for code in "BHIQ" if k <= 8 * struct.calcsize(code))
+        packer = struct.Struct("<" + (code + "x" * (size - struct.calcsize(code))) * ncols)
         live = [int.from_bytes(packer.pack(*row), "little") for row in rows]
     else:
         live = [int.from_bytes(b"".join(v.to_bytes(size, "little") for v in row), "little")
@@ -195,11 +217,11 @@ def _packed_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]
     mask, c = (1 << w) - 1, (1 << k) - p
     ones = ((1 << w * ncols) - 1) // mask  # 1 in every field
     low, high = ones * ((1 << k) - 1), ones * (mask ^ ((1 << k + 1) - 1))
-    pivots = []  # (column, inverse of its head, folded fields of the later columns)
-    for col in range(ncols):
+    for _ in range(ncols):
         i = next((i for i, row in enumerate(live) if (row & mask) % p), None)
         if i is None:
             live = [row >> w for row in live]
+            yield None
             continue
         top = live.pop(i)
         inv = pow(top & mask, -1, p)
@@ -207,12 +229,28 @@ def _packed_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]
         while top & high:
             part = top & low
             top = part + c * ((top - part) >> k)
-        pivots.append((col, inv, top))
         minus = p - inv  # a raw head field times p - inv is -head/pivot head mod p
         live = [(row >> w) + (row & mask) * minus % p * top if row & mask else row >> w
                 for row in live]
-        if not live:
-            break
+        yield inv, top
+
+
+def _packed_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """The basis of ``nullspace_mod_p`` for rows of ``ncols`` entries in [0, p).
+
+    ``_packed_elimination`` gives the pivot rows.  Back-substitution reads
+    them as the elimination keeps them: column, inverse of the head, folded
+    fields.  A kernel vector starts as 1 on its free column; for each pivot
+    column before it, last first, its entry is -inv * sum(field_j * v_j) mod p
+    over the nonzero entries v_j found so far, field j being
+    ``(top >> w*(j - col - 1)) & mask``.  No pivot row is unpacked or
+    normalized, so at full column rank the call costs the forward elimination
+    alone.
+    """
+    w = 8 * _field_bytes(p, len(rows))
+    mask = (1 << w) - 1
+    pivots = [(col, *pivot) for col, pivot in enumerate(_packed_elimination(rows, ncols, p))
+              if pivot is not None]  # (column, inverse of its head, folded later fields)
     pivot_set = {col for col, _, _ in pivots}
     basis = []
     for free in (j for j in range(ncols) if j not in pivot_set):

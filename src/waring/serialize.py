@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import CycloScalar
+from .cyclotomic import CycloScalar, _totient
 from .ideals import CIIdeal, PhiTuple
 from .monomials import Decomposition, MonomialSpec
 from .polynomial import LinearForm, SparsePoly
@@ -123,20 +123,6 @@ def _float(obj, name: str, default=_REQUIRED) -> float:  # a JSON integer may ov
         return float(_field(obj, name, "number", "float scalar", default))
     except OverflowError:
         raise ValueError(f"float scalar field {name!r} is beyond float range") from None
-
-
-@lru_cache(maxsize=256)
-def _totient(m: int) -> int:
-    """Euler's phi(m) for m >= 1, the degree of Phi_m, by trial division."""
-    result = rest = m
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            result -= result // p
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    return result - result // rest if rest > 1 else result
 
 
 def scalar_from_json(obj, ratio=_ratio):

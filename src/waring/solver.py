@@ -8,9 +8,11 @@ a^e with e_i <= d_i.  From the multiplication matrices on that basis we get
 * an exact radicality certificate: the rank of the trace form, the number of
   distinct points, is that of multiplication by the Jacobian J of the
   generators; ``build_quotient`` rescales the variables by the lcm D of phi's
-  denominators, so M_J is one int matrix, whose kernel over Z/p proves full
-  rank when empty and, below it, the rank once its vectors lift to Q and
-  check exactly (exact elimination is the fallback when no prime certifies).
+  denominators, so M_J is one int matrix.  Full rank mod ``SCREEN_PRIME`` =
+  127 proves full rank (``full_rank_mod_p``, packed fields of 3 bytes);
+  otherwise its kernel over Z/p proves full rank when empty and, below it,
+  the rank once its vectors lift to Q and check exactly (exact elimination
+  is the fallback when no prime certifies).
   ``certify_radical`` is the one place that decides radicality, and it hands
   back the quotient it built so that no caller builds or ranks it twice,
 * the points themselves via a floating-point eigendecomposition of a random
@@ -53,7 +55,13 @@ from operator import add
 
 from .groebner import ci_normal_form, ci_normal_forms
 from .ideals import CIIdeal, PhiTuple
-from .linalg import _exactify, exact_rank, nullspace_mod_p, rational_reconstruction
+from .linalg import (
+    _exactify,
+    exact_rank,
+    full_rank_mod_p,
+    nullspace_mod_p,
+    rational_reconstruction,
+)
 from .monomials import Decomposition, MonomialSpec
 from .monomials import verify_decomposition
 from .polynomial import (
@@ -278,6 +286,9 @@ def _assert_commuting(q: QuotientAlgebra):
 # reconstruction bound isqrt(p // 2), about 2^15 for 2^31 - 1, lift modulo the product of the
 # primes that agree on the free columns.
 TRACE_PRIMES = (2**31 - 1, 2**61 - 1, 2**127 - 1, 2**521 - 1)
+# The prime of the full-rank screen that runs before them: a 7-bit prime packs a field of
+# ``full_rank_mod_p`` into 3 bytes, and any prime proves full rank.
+SCREEN_PRIME = 2**7 - 1
 
 
 def _add_product(total: dict, f: dict, g: dict, sign: int):
@@ -367,11 +378,14 @@ def trace_form_rank(q: QuotientAlgebra) -> int:
     On a zero-dimensional complete intersection Tr(h) = Res(J * h) (Scheja &
     Storch, J. reine angew. Math. 1975), Res(h) the top coefficient of the
     normal form of h, so T = R * M_J with the perfect pairing R[a][b] =
-    Res(basis[a] * basis[b]), and rank M_J = rank T.  The int columns of M_J
-    are the rows ranked mod each p of ``TRACE_PRIMES`` in turn: the rank mod p
-    never exceeds the rank over Q, so an empty kernel proves full rank at any
-    of them, the first and cheapest included, and kernel vectors that lift to
-    Q and check exactly prove the rank.  A kernel whose lifts fail (entries
+    Res(basis[a] * basis[b]), and rank M_J = rank T.  The rank mod p never
+    exceeds the rank over Q, even at a prime that divides D, so full rank mod
+    any prime proves it.  The int columns of M_J, as rows, go first to
+    ``full_rank_mod_p`` at ``SCREEN_PRIME``, which stops at its first column
+    without a pivot; when it passes, the rank is r with no kernel.  When it
+    refuses, they are ranked mod each p of ``TRACE_PRIMES`` in turn: an empty
+    kernel proves full rank, and kernel vectors that lift to Q and check
+    exactly prove the rank.  A kernel whose lifts fail (entries
     past the reconstruction bound, or a rank that only drops mod p) is kept:
     when the next prime's kernel has the same free columns, the two canonical
     bases are residues of one basis over Q, so they are joined by the Chinese
@@ -385,6 +399,8 @@ def trace_form_rank(q: QuotientAlgebra) -> int:
     if other:
         raise TypeError(f"trace form requires int entries, got {other.pop().__name__}")
     matrix = _jacobian_columns(q)
+    if full_rank_mod_p(matrix, SCREEN_PRIME):
+        return q.dim
     powers = [-sum(b) for b in q.basis]
     residues, modulus, kept = None, 1, None  # the kernel kept, its modulus and free columns
     for p in TRACE_PRIMES:

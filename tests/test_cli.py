@@ -169,6 +169,23 @@ class TestVerifyRoundTrip:
         assert len(cyclotomic._reduction_rows(3127)) == 111
         assert peak < 10_000_000, peak
 
+    def test_a_conductor_past_the_table_limit_is_refused(self, capsys, tmp_path):
+        # conductors 3, 5, 7, 11 and 13 meet in Q(zeta_15015), whose table of z^j mod
+        # Phi_15015 would hold 9255 rows of 5760: refused before Phi_15015 is built
+        def zeta(m):
+            return {"conductor": m, "coeffs": ["0", "1"] + ["0"] * (m - 3)}
+
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"degree": 2, "domain": "exact-cyclotomic", "summands": [
+            {"coeff": "1/4", "form": [zeta(3), zeta(5)]},
+            {"coeff": "-1/4", "form": [zeta(7), zeta(11)]},
+            {"coeff": "1/4", "form": [zeta(13), "1"]}]}))
+        start = time.perf_counter()
+        code, data = run_json(capsys, "verify", "x*y", "--input", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and data == {"error": "conductor 15015 needs a table of 53308800 powers "
+                                               "of zeta_15015, past the limit of 1000000"}
+
     def test_a_high_degree_check_holds_one_packed_int_per_entry(self, capsys, monkeypatch):
         # d = 120: one int of d + 1 power slots per entry image peaks near 1.3 MB, while
         # O(d^2) slots per image (d + 1 packed prefixes) read 52 MB

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waring import CycloScalar, cyclotomic_poly, embed, root_of_unity
-from waring.cyclotomic import _reduce_mod_phi, _reduction_rows
+from waring import CycloScalar, MonomialSpec, cyclotomic, cyclotomic_poly, embed, root_of_unity
+from waring.cyclotomic import MAX_TABLE_ENTRIES, _reduce_mod_phi, _reduction_rows, _totient
 
 from oracles import fraction_coords, remainder_mod_phi, root_power_sum
 
@@ -20,6 +20,25 @@ def test_cyclotomic_poly_small_values():
     assert cyclotomic_poly(4).coeffs == (1, 0, 1)
     assert cyclotomic_poly(6).coeffs == (1, -1, 1)  # z^2 - z + 1
     assert cyclotomic_poly(12).coeffs == (1, 0, -1, 0, 1)
+
+
+class TestConductorLimit:
+    """A conductor whose table of z^j mod Phi_m would hold more than MAX_TABLE_ENTRIES
+    integers is refused before Phi_m is built."""
+
+    def test_a_table_past_the_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(cyclotomic, "_poly_divmod_exact",
+                            lambda *args: pytest.fail("a division was run"))
+        message = ("conductor 15015 needs a table of 53308800 powers of zeta_15015, "
+                   "past the limit of 1000000")
+        with pytest.raises(ValueError, match=message):
+            cyclotomic_poly(15015)
+
+    @pytest.mark.parametrize("text, m", [("x*y^1000", 1001), ("x^200*y^200", 201),
+                                         ("x^500*y^500", 501)])
+    def test_high_degree_explicit_conductors_are_admitted(self, text, m):
+        assert MonomialSpec.parse(text).conductor == m
+        assert (m - _totient(m)) * _totient(m) <= MAX_TABLE_ENTRIES
 
 
 def test_cyclotomic_product_is_z_m_minus_one():

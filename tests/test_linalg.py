@@ -18,7 +18,13 @@ from waring.linalg import (
     rational_reconstruction,
     solve,
 )
-from waring.solver import TRACE_PRIMES, NonRadicalIdealError, PointSet, _jacobian_columns
+from waring.solver import (
+    SCREEN_PRIME,
+    TRACE_PRIMES,
+    NonRadicalIdealError,
+    PointSet,
+    _jacobian_columns,
+)
 from waring.vsp import fit_phi_from_points, parameter_space, sample_phi
 
 from oracles import fit_coefficients, points_from_decomposition
@@ -383,6 +389,86 @@ class TestTracePrimeKernels:
         assert max(sum(map(bool, v)) for v in dense) > 3
         j, k = (c for c, x in enumerate(shapes[2][1]) if x)
         assert peeled and all(v[j] == v[k] == 0 for v in peeled)
+
+
+# the primes of the screen's tests: 2, small Mersenne primes, SCREEN_PRIME and two of
+# TRACE_PRIMES, packed through the struct codes "B", "H", "I" and "Q"
+SCREEN_PRIMES = [2, 3, 7, SCREEN_PRIME, 8191, 2**31 - 1, 2**61 - 1]
+
+
+def deficient_at(rng, p, n, free):
+    """An n x n integer matrix whose one free column mod p is ``free``: random columns, but
+    column ``free`` a combination of the earlier ones (zero when it is column 0).  Entries
+    are shifted by multiples of p, some negative and some >= p."""
+    while True:
+        columns = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        weights = [rng.randrange(p) for _ in range(free)]
+        columns[free] = [sum(w * x for w, x in zip(weights, row)) % p
+                         for row in zip(*columns[:free])] if free else [0] * n
+        rows = [[v + p * rng.randint(-2, 2) for v in row] for row in zip(*columns)]
+        kernel = reference_nullspace_mod_p(rows, p)
+        if [max(i for i, x in enumerate(v) if x) for v in kernel] == [free]:
+            return rows
+
+
+class TestFullRankModP:
+    """The screen is True exactly when the kernel mod p is empty, and stops at the first
+    column without a pivot."""
+
+    @pytest.mark.parametrize("p", SCREEN_PRIMES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_the_reference_kernel(self, p, seed):
+        rng = random.Random(seed)
+        matrices = list(kernel_shapes(rng, p))
+        matrices += [[[rng.randint(-3 * p, 3 * p) for _ in range(n)] for _ in range(n)]
+                     for n in (1, 2, 5, 12)]  # full rank or not, by chance
+        matrices += [[row[:k] for row in m] for m in matrices[:3] for k in (1, 3)]  # narrow
+        matrices += [deficient_at(rng, p, 10, free) for free in (0, 4, 9)]
+        verdicts = []
+        for matrix in matrices:
+            verdicts.append(linalg.full_rank_mod_p(matrix, p))
+            assert verdicts[-1] == (reference_nullspace_mod_p(matrix, p) == [])
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("p", SCREEN_PRIMES)
+    def test_width_bound_worst_case(self, p):
+        # the 80 x 71 matrix of TestLazyElimination, one free column, and its first 70
+        # columns, of full rank: fields reach 2k + 7 bits
+        n = 70
+        triangle = [[p - 1 if j <= i or j == n else 0 for j in range(n + 1)] for i in range(n)]
+        matrix = triangle + [[p - 1] * (n + 1)] * 10
+        assert not linalg.full_rank_mod_p(matrix, p)
+        assert linalg.full_rank_mod_p([row[:n] for row in matrix], p)
+
+    @pytest.mark.parametrize("free", [0, 4, 9])
+    def test_stops_at_the_first_free_column(self, monkeypatch, free):
+        # columns after the free one are never eliminated; a zero column 0 packs nothing
+        rng = random.Random(free)
+        matrix = deficient_at(rng, SCREEN_PRIME, 10, free)
+        seen = []
+        eliminate = linalg._packed_elimination
+
+        def counting(*args):
+            for pivot in eliminate(*args):
+                seen.append(pivot)
+                yield pivot
+
+        monkeypatch.setattr(linalg, "_packed_elimination", counting)
+        assert not linalg.full_rank_mod_p(matrix, SCREEN_PRIME)
+        assert len(seen) == (free + 1 if free else 0) and seen[free:] in ([None], [])
+
+    def test_field_widths(self):
+        # 3 bytes a field mod 127 against 9 mod 2^31 - 1, up to 127 rows
+        assert [linalg._field_bytes(p, 127) for p in (SCREEN_PRIME, 2**31 - 1, 2**61 - 1)] == [
+            3, 9, 17]
+        assert linalg._field_bytes(SCREEN_PRIME, 128) == 4
+
+    def test_small_and_empty(self):
+        assert linalg.full_rank_mod_p([], SCREEN_PRIME) and linalg.full_rank_mod_p([[]], 7)
+        assert not linalg.full_rank_mod_p([[0, 0]], 7) and not linalg.full_rank_mod_p([[1, 2]], 7)
+        assert linalg.full_rank_mod_p([[-1], [7]], 7) and not linalg.full_rank_mod_p([[14]], 7)
+        assert not linalg.full_rank_mod_p([[2, 4], [1, 3]], 2)  # rank 2 over Q, 1 mod 2
+        assert linalg.full_rank_mod_p([[127, 1], [1, 0]], 2)
 
 
 class TestRationalReconstruction:

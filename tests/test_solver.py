@@ -22,7 +22,7 @@ from waring import (
     make_ci_ideal,
     trace_form_rank,
 )
-from waring import cli, solver
+from waring import cli, linalg, solver
 from waring.cyclotomic import root_of_unity
 from waring.linalg import exact_rank
 from waring.monomials import EXACT_CYCLOTOMIC, Decomposition, verify_decomposition
@@ -199,6 +199,19 @@ def torus_image(spec, phi, lam):
         for d, p in zip(spec.exponents[1:], phi.entries)])
 
 
+def sweep(kind):
+    """36 quotients of one kind: sampled phi (full rank), dense phi (deficient, singular at
+    the chart origin) or torus images of ``mixed_kernel_phi`` (deficient)."""
+    specs = [MonomialSpec.parse(t) for t in ("x*y^2*z^3", "x*y^3*z^3", "x*y*z^2*w^3")]
+    cases = {
+        "sampled": lambda: [(s, sample_phi(parameter_space(s), seed))
+                            for s in specs for seed in range(12)],
+        "dense": lambda: [(s, dense_phi(s, seed)) for s in specs for seed in range(12)],
+        "torus": lambda: [mixed_kernel_phi(lam) for lam in range(1, 37)],
+    }[kind]()
+    return [build_quotient(spec, phi) for spec, phi in cases]
+
+
 CORRUPTIONS = [lambda x: x + 1 if x else x, lambda x: Fraction(0)]
 
 
@@ -208,12 +221,12 @@ def ranks_with_corrupted_lifts(corrupt):
 
     The first phi is deficient, and a corrupted lift of its kernel is no kernel
     vector: every prime must reject its lifts, and exact elimination decides.  The
-    second has full rank over Q, but a1^3 = 2^31 - 1 makes a1 nilpotent mod 2^31 - 1,
-    so M_J drops rank there and its kernel is reconstructed: a lift accepted there
-    would report a rank below 9.
+    second has full rank over Q, but a1^3 = 127 * (2^31 - 1) makes a1 nilpotent mod
+    SCREEN_PRIME and mod 2^31 - 1, so M_J drops rank there and its kernel mod 2^31 - 1
+    is reconstructed: a lift accepted there would report a rank below 9.
     """
     x2y2z2 = MonomialSpec.parse("x^2*y^2*z^2")
-    cases = [mixed_kernel_phi(), (x2y2z2, phi_of(x2y2z2, 2**31 - 1, 3))]
+    cases = [mixed_kernel_phi(), (x2y2z2, phi_of(x2y2z2, 127 * (2**31 - 1), 3))]
     calls = []
     reconstruct, rank = solver.rational_reconstruction, solver.exact_rank
     solver.rational_reconstruction = lambda a, p: corrupt(reconstruct(a, p))
@@ -250,7 +263,10 @@ class TestModularCertificate:
 
     @pytest.mark.parametrize("text", ["x*y^2*z^3", "x^2*y^2*z^3", "x*y*z^2*w^3"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_sampled_full_rank_phi_skips_exact_rank(self, exact_calls, text, seed):
+    def test_sampled_full_rank_phi_skips_exact_rank(self, exact_calls, monkeypatch, text, seed):
+        # the screen mod SCREEN_PRIME certifies each: no kernel is taken either
+        monkeypatch.setattr(solver, "nullspace_mod_p",
+                            lambda rows, p: pytest.fail(f"a kernel mod {p} was taken"))
         spec = MonomialSpec.parse(text)
         rank, r = self.check(spec, sample_phi(parameter_space(spec), seed), exact_calls, 0)
         assert rank == r
@@ -434,15 +450,23 @@ class TestModularCertificate:
 
     def test_denominator_divisible_by_p_is_certified_by_the_next_prime(self, exact_calls,
                                                                         x2y2z2):
-        # D = 2^61 - 1 is a unit mod 2^31 - 1, which certifies; mod 2^61 - 1 the rescaled
-        # form would drop rank (the next test has D = 2^31 - 1)
-        phi = phi_of(x2y2z2, Fraction(1, 2**61 - 1), Fraction(3))
+        # D = 127 * (2^61 - 1) is a unit mod 2^31 - 1, which certifies; mod SCREEN_PRIME
+        # and mod 2^61 - 1 the rescaled form drops rank (the next test has 2^31 - 1 in D)
+        phi = phi_of(x2y2z2, Fraction(1, 127 * (2**61 - 1)), Fraction(3))
         assert self.check(x2y2z2, phi, exact_calls, 0) == (9, 9)
 
     def test_denominator_of_the_first_prime_is_certified_by_the_second(self, exact_calls,
                                                                         monkeypatch, x2y2z2):
-        # D = 2^31 - 1: mod the first prime the rescaled form drops rank and no lift is
-        # tried (p divides D), and 2^61 - 1 certifies full rank
+        # D = 127 * (2^31 - 1): mod SCREEN_PRIME and mod the first prime the rescaled form
+        # drops rank, so the screen refuses and no lift is tried (p divides D), and
+        # 2^61 - 1 certifies full rank
+        screens = []  # (prime, verdict)
+        screen = solver.full_rank_mod_p
+
+        def screening(rows, p):
+            screens.append((p, screen(rows, p)))
+            return screens[-1][1]
+
         kernels = []  # (prime, kernel dimension)
         kernel = solver.nullspace_mod_p
 
@@ -453,29 +477,64 @@ class TestModularCertificate:
 
         lifts = []  # the modulus of each lift tried
         lift = solver._lifts_to_exact_kernel
+        monkeypatch.setattr(solver, "full_rank_mod_p", screening)
         monkeypatch.setattr(solver, "nullspace_mod_p", counting)
         monkeypatch.setattr(solver, "_lifts_to_exact_kernel",
                             lambda matrix, kernel, modulus, *rest: lifts.append(modulus)
                             or lift(matrix, kernel, modulus, *rest))
-        phi = phi_of(x2y2z2, Fraction(1, 2**31 - 1), Fraction(3))
+        phi = phi_of(x2y2z2, Fraction(1, 127 * (2**31 - 1)), Fraction(3))
         assert self.check(x2y2z2, phi, exact_calls, 0) == (9, 9)
+        assert screens == [(solver.SCREEN_PRIME, False)]
         assert [p for p, _ in kernels] == [2**31 - 1, 2**61 - 1]
         assert kernels[0][1] > 0 and kernels[1][1] == 0 and lifts == []
 
     @pytest.mark.parametrize("kind", ["sampled", "dense", "torus"])
     def test_first_prime_keeps_every_rank(self, monkeypatch, kind):
         # 36 phi per kind: the rank with 2^31 - 1 first equals the rank with 2^61 - 1 first
-        specs = [MonomialSpec.parse(t) for t in ("x*y^2*z^3", "x*y^3*z^3", "x*y*z^2*w^3")]
-        cases = {
-            "sampled": lambda: [(s, sample_phi(parameter_space(s), seed))
-                                for s in specs for seed in range(12)],
-            "dense": lambda: [(s, dense_phi(s, seed)) for s in specs for seed in range(12)],
-            "torus": lambda: [mixed_kernel_phi(lam) for lam in range(1, 37)],
-        }[kind]()
-        quotients = [build_quotient(spec, phi) for spec, phi in cases]
+        quotients = sweep(kind)
         new = [trace_form_rank(q) for q in quotients]
         monkeypatch.setattr(solver, "TRACE_PRIMES", (2**61 - 1, 2**127 - 1, 2**521 - 1))
         assert [trace_form_rank(q) for q in quotients] == new
+
+    @pytest.mark.parametrize("kind", ["sampled", "dense", "torus"])
+    def test_the_screen_keeps_every_rank(self, monkeypatch, kind):
+        # the rank with the screen mod SCREEN_PRIME equals the rank without it; the screen
+        # passes only phi of full rank: every sampled one, 10 of the 12 dense ones of
+        # x*y^2*z^3 and no torus image
+        quotients = sweep(kind)
+        screened = [trace_form_rank(q) for q in quotients]
+        monkeypatch.setattr(solver, "full_rank_mod_p", lambda rows, p: False)
+        assert [trace_form_rank(q) for q in quotients] == screened
+        passed = [linalg.full_rank_mod_p(solver._jacobian_columns(q), solver.SCREEN_PRIME)
+                  for q in quotients]
+        assert all(rank == q.dim for q, rank, ok in zip(quotients, screened, passed) if ok)
+        assert sum(passed) == {"sampled": 36, "dense": 10, "torus": 0}[kind]
+
+    def test_a_phi_singular_mod_the_screen_prime_is_certified_by_the_first(self, monkeypatch):
+        # x*y*z^2*w^5 at sample_phi seed 7: one free column mod 127, column 35, so the
+        # screen refuses, and one empty kernel mod 2^31 - 1 certifies rank 36 of 36
+        spec = MonomialSpec.parse("x*y*z^2*w^5")
+        q = build_quotient(spec, sample_phi(parameter_space(spec), 7))
+        matrix = solver._jacobian_columns(q)
+        kernel = solver.nullspace_mod_p(matrix, solver.SCREEN_PRIME)
+        assert [max(i for i, v in enumerate(vector) if v) for vector in kernel] == [35]
+        assert not linalg.full_rank_mod_p(matrix, solver.SCREEN_PRIME)
+        primes = []
+        nullspace = solver.nullspace_mod_p
+        monkeypatch.setattr(solver, "nullspace_mod_p",
+                            lambda rows, p: primes.append(p) or nullspace(rows, p))
+        assert trace_form_rank(q) == q.dim == 36 and primes == [2**31 - 1]
+
+    @pytest.mark.parametrize("text", ["x*y^3*z^3", "x*y^3*z^3*w^3"])
+    def test_the_screen_stops_at_the_zero_first_column_of_a_dense_phi(self, monkeypatch, text):
+        # phi inside (a1..an)^2 is singular at the chart origin: the constant coordinate of
+        # every column of M_J is 0, and the screen refuses before it packs a row
+        spec = MonomialSpec.parse(text)
+        matrix = solver._jacobian_columns(build_quotient(spec, dense_phi(spec, 1)))
+        assert not any(row[0] for row in matrix)
+        monkeypatch.setattr(linalg, "_packed_elimination",
+                            lambda *args: pytest.fail("a row was packed"))
+        assert not linalg.full_rank_mod_p(matrix, solver.SCREEN_PRIME)
 
     def test_cyclotomic_quotient_is_refused(self, exact_calls, x2y2z2):
         # the parser makes only rational phi: a CycloScalar entry is refused like a float
