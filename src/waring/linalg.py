@@ -4,11 +4,10 @@ The exact routines only need field operations (+, -, *, /, truthiness), so
 they work uniformly for Fraction and CycloScalar entries.  ``nullspace_mod_p``
 gives a kernel basis of an integer matrix over Z/p (its length is the number
 of columns less the rank mod p, which never exceeds the rank over Q); it
-peels the rows with one nonzero entry, then eliminates on rows packed into
-one int each, one field per column, so a row update is one big-int
-multiply-add.  ``full_rank_mod_p`` runs the same elimination and stops at the
-first column without a pivot.  ``rational_reconstruction`` lifts a residue mod
-p to a fraction.
+eliminates on rows packed into one int each, one field per column, so a row
+update is one big-int multiply-add.  ``full_rank_mod_p`` runs the same
+elimination and stops at the first column without a pivot.
+``rational_reconstruction`` lifts a residue mod p to a fraction.
 Floating-point ranks use an SVD with the relative cutoff ``RANK_CUTOFF``; numpy
 is imported only by the float routines, so exact work never loads it.
 
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from itertools import compress
 from math import gcd, isqrt
 
 from .cyclotomic import CycloScalar
@@ -99,60 +97,39 @@ def nullspace_mod_p(rows, p: int) -> list[list[int]]:
     [0, p).  Such a basis is unique, since the free columns are those in the
     span of the columns before them.
 
-    Singleton rows are peeled first, the first phase of structured Gaussian
-    elimination (LaMacchia & Odlyzko, 1990).  A row with exactly one entry
-    nonzero mod p forces that entry's column to 0 in every kernel vector,
-    and the column is a pivot, since no earlier column reaches that row.  So
-    the row and the column are dropped, and again for every row that the
-    drop leaves with one nonzero entry, until none is left; rows left with
-    none drop too.  The kernel is then that of the rest, with 0 in each
-    dropped column, and its free columns, so its basis, are the same.  An
-    entry that is a nonzero multiple of p counts as zero: counting it would
-    overstate the rank mod p.  The rest goes to ``_packed_kernel``, which
-    eliminates and back-substitutes on rows packed one int each.
+    ``_packed_elimination`` gives the pivot rows.  Back-substitution reads
+    them as the elimination keeps them: column, inverse of the head, folded
+    fields.  A kernel vector starts as 1 on its free column; for each pivot
+    column before it, last first, its entry is -inv * sum(field_j * v_j) mod p
+    over the nonzero entries v_j found so far, field j being
+    ``(top >> w*(j - col - 1)) & mask``.  No pivot row is unpacked or
+    normalized, so at full column rank the call costs the forward elimination
+    alone.
     """
     ncols = len(rows[0]) if rows else 0
-    if not ncols:
-        return []
-    reduced = [[v and v % p for v in row] for row in rows]  # a zero skips the long division
-    count = [ncols - row.count(0) for row in reduced]
-    dropped = [False] * ncols
-    todo = [i for i, n in enumerate(count) if n == 1]
-    if todo:
-        support = [list(compress(range(ncols), row)) for row in reduced]
-        hits: list[list[int]] = [[] for _ in range(ncols)]  # column -> the rows nonzero on it
-        for i, cols in enumerate(support):
-            for j in cols:
-                hits[j].append(i)
-    while todo:
-        i = todo.pop()
-        if count[i] != 1:  # its last column was dropped through another row
-            continue
-        j = next(j for j in support[i] if not dropped[j])
-        dropped[j] = True
-        for other in hits[j]:
-            count[other] -= 1
-            if count[other] == 1:
-                todo.append(other)
-    keep = [j for j in range(ncols) if not dropped[j]]
-    if not keep:
-        return []
-    rest = [row for row, n in zip(reduced, count) if n]
-    if len(keep) == ncols:
-        return _packed_kernel(rest, ncols, p)
-    basis = _packed_kernel([[row[j] for j in keep] for row in rest], len(keep), p)
-    out = [[0] * ncols for _ in basis]
-    for full, vector in zip(out, basis):
-        for j, v in zip(keep, vector):
-            full[j] = v
-    return out
+    w = 8 * _field_bytes(p, len(rows))
+    mask = (1 << w) - 1
+    pivots = [(col, *pivot) for col, pivot in enumerate(_packed_elimination(rows, ncols, p))
+              if pivot is not None]  # (column, inverse of its head, folded later fields)
+    pivot_set = {col for col, _, _ in pivots}
+    basis = []
+    for free in (j for j in range(ncols) if j not in pivot_set):
+        found = [(free, 1)]  # the nonzero entries so far, as (column, entry)
+        for col, inv, top in reversed(pivots):
+            if col < free:
+                x = -inv * sum(((top >> w * (j - col - 1)) & mask) * v for j, v in found) % p
+                if x:
+                    found.append((col, x))
+        vector = dict(found)
+        basis.append([vector.get(j, 0) for j in range(ncols)])
+    return basis
 
 
 def full_rank_mod_p(rows, p: int) -> bool:
     """True when a matrix of integers has full column rank over Z/p (p prime), that is when
     ``nullspace_mod_p`` is empty; full column rank mod p proves it over Q.
 
-    The forward elimination of ``_packed_kernel`` (``_packed_elimination``), stopped at
+    The forward elimination of ``nullspace_mod_p`` (``_packed_elimination``), stopped at
     the first column without a pivot.  Column 0 is searched on the rows as given,
     before any entry is reduced or packed, so a zero first column costs one scan.
     """
@@ -161,11 +138,7 @@ def full_rank_mod_p(rows, p: int) -> bool:
         return True
     if not any(row[0] % p for row in rows):
         return False
-    residues = [[v and v % p for v in row] for row in rows]  # a zero skips the long division
-    for pivot in _packed_elimination(residues, ncols, p):
-        if pivot is None:
-            return False
-    return True
+    return None not in _packed_elimination(rows, ncols, p)
 
 
 def _field_bytes(p: int, nrows: int) -> int:
@@ -175,10 +148,12 @@ def _field_bytes(p: int, nrows: int) -> int:
 
 
 def _packed_elimination(rows: list[list[int]], ncols: int, p: int):
-    """Forward elimination mod p on rows of ``ncols`` entries in [0, p), packed one int each;
-    yields, column by column, None for a column without a pivot, else (inverse of the
-    pivot's head, the pivot row's folded fields of the later columns).
+    """Forward elimination mod p on rows of ``ncols`` integers, packed one int each; yields,
+    column by column, None for a column without a pivot, else (inverse of the pivot's
+    head, the pivot row's folded fields of the later columns).
 
+    The entries are first reduced into [0, p), in new rows: the caller's rows
+    are never written, and an entry that is a nonzero multiple of p is zero.
     Each live row is one int: field j, w bits wide, holds the row's entry in
     the j-th column not yet eliminated, and every field stays >= 0, so the
     column being eliminated is the lowest field and a row's head is
@@ -204,6 +179,7 @@ def _packed_elimination(rows: list[list[int]], ncols: int, p: int):
     with ``to_bytes``.  Once every row is a pivot, each later column yields
     None.
     """
+    rows = [[v and v % p for v in row] for row in rows]  # a zero skips the long division
     k = p.bit_length()
     size = _field_bytes(p, len(rows))
     if k < 64:  # every entry is one struct code of a field
@@ -233,36 +209,6 @@ def _packed_elimination(rows: list[list[int]], ncols: int, p: int):
         live = [(row >> w) + (row & mask) * minus % p * top if row & mask else row >> w
                 for row in live]
         yield inv, top
-
-
-def _packed_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """The basis of ``nullspace_mod_p`` for rows of ``ncols`` entries in [0, p).
-
-    ``_packed_elimination`` gives the pivot rows.  Back-substitution reads
-    them as the elimination keeps them: column, inverse of the head, folded
-    fields.  A kernel vector starts as 1 on its free column; for each pivot
-    column before it, last first, its entry is -inv * sum(field_j * v_j) mod p
-    over the nonzero entries v_j found so far, field j being
-    ``(top >> w*(j - col - 1)) & mask``.  No pivot row is unpacked or
-    normalized, so at full column rank the call costs the forward elimination
-    alone.
-    """
-    w = 8 * _field_bytes(p, len(rows))
-    mask = (1 << w) - 1
-    pivots = [(col, *pivot) for col, pivot in enumerate(_packed_elimination(rows, ncols, p))
-              if pivot is not None]  # (column, inverse of its head, folded later fields)
-    pivot_set = {col for col, _, _ in pivots}
-    basis = []
-    for free in (j for j in range(ncols) if j not in pivot_set):
-        found = [(free, 1)]  # the nonzero entries so far, as (column, entry)
-        for col, inv, top in reversed(pivots):
-            if col < free:
-                x = -inv * sum(((top >> w * (j - col - 1)) & mask) * v for j, v in found) % p
-                if x:
-                    found.append((col, x))
-        vector = dict(found)
-        basis.append([vector.get(j, 0) for j in range(ncols)])
-    return basis
 
 
 def rational_reconstruction(a: int, p: int) -> Fraction | None:

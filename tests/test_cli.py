@@ -1015,7 +1015,7 @@ class TestTMax:
      "--phi=3*a1^2-2*a1*a2+5*a1*a3-a2^2+4*a2*a3-7*a3^2",
      "--phi=-a1^2+6*a1*a2-3*a1*a3+2*a2^2-5*a2*a3+a3^2",
      "--phi=2*a1^2+a1*a2-4*a1*a3-6*a2^2+3*a2*a3+9*a3^2"],
-    # the explicit phi: M_J has one nonzero per row, so its kernel is found by the peel alone
+    # the explicit phi is binomial: its trace rank is r by separability, with no M_J built
     ["radical", "x*y^3*z^3*w^3"],
     ["rank", "x*y^2*z^3"],
     ["ideal", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2", "--member", "a1^3"],

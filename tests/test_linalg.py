@@ -232,21 +232,26 @@ class TestLazyElimination:
             assert nullspace_mod_p(empty, P) == reference_nullspace_mod_p(empty, P) == []
 
     def test_rows_are_not_mutated(self):
-        matrix = [[P + 1, -2, 3], [4, 5 * P, -6]]
-        copy = [row[:] for row in matrix]
-        nullspace_mod_p(matrix, P)
-        assert matrix == copy
+        # the reduction mod p runs inside the packed elimination, on new rows; entries
+        # >= p and negative ones would change if it wrote the caller's
+        for matrix in ([[P + 1, -2, 3], [4, 5 * P, -6]], [[-P - 3, 2 * P], [P + 1, -1]]):
+            copy = [row[:] for row in matrix]
+            nullspace_mod_p(matrix, P)
+            assert matrix == copy
+            linalg.full_rank_mod_p(matrix, P)
+            assert matrix == copy
 
 
 def sparse_shapes(rng, p):
-    """Matrices whose rows have one nonzero entry, or come to have one as others are peeled."""
+    """Sparse matrices: rows with one nonzero entry, rows nonzero on a chain of growing
+    column sets, zero rows and entries that are multiples of p."""
     yield [[0] * j + [rng.choice([1, -1, p - 1, p + 2, 5])] + [0] * (8 - j)
            for j in (rng.randrange(9) for _ in range(rng.randint(1, 12)))]  # one per row
     perm = rng.sample(range(9), 9)
     diag = [rng.choice([1, 2, p - 1, -3, p, 0]) for _ in range(9)]  # p and 0 leave a gap
     yield [[diag[i] if j == perm[i] else 0 for j in range(9)] for i in range(9)]
-    # row i is nonzero on columns order[0..i]: each is a singleton once the earlier ones
-    # are peeled; below them a deficient block on the last three columns, and zero rows
+    # row i is nonzero on columns order[0..i], so each of those columns is a pivot; below
+    # them a deficient block on the last three columns, and zero rows
     order = rng.sample(range(9), 6)
     chain = [[rng.choice([1, -2, p + 1]) if j in order[:i + 1] else 0 for j in range(9)]
              for i in range(6)]
@@ -260,9 +265,9 @@ def sparse_shapes(rng, p):
     yield [[0] * 5 for _ in range(4)]
 
 
-class TestSingletonPeel:
-    """Rows with one entry nonzero mod p are peeled before the packed elimination; the
-    kernel basis stays that of the elimination reduced at every step."""
+class TestSparseRows:
+    """On sparse rows, some with one entry nonzero mod p, the kernel basis of the packed
+    elimination is that of the elimination reduced at every step."""
 
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("seed", range(8))
@@ -276,7 +281,7 @@ class TestSingletonPeel:
     def test_an_entry_equal_to_p_is_no_pivot(self):
         assert nullspace_mod_p([[P]], P) == [[1]]
         assert nullspace_mod_p([[P, 0], [0, 1]], P) == [[1, 0]]
-        # row 0 is a singleton at column 1 only because P counts as zero; then row 1 is one
+        # row 0 is nonzero at column 1 only, since P counts as zero: column 0 pivots on row 1
         assert nullspace_mod_p([[P, 4, 0], [2, 3, 0]], P) == [[0, 0, 1]]
         assert nullspace_mod_p([[6, 4, 0], [2, 3, 0]], 2) == [[1, 0, 0], [0, 0, 1]]
 
@@ -323,7 +328,7 @@ def rational_kernel_mod_p(rows, p):
 
 
 def kernel_shapes(rng, p):
-    """Matrices with a sparse kernel, a dense kernel, and rows for the singleton peel.
+    """Matrices with a sparse kernel, a dense kernel, and two sparse rows on the dense one.
 
     Columns are random (24 rows, so independent), or combinations of earlier random
     ones: of two (sparse kernel vectors) or of all (dense ones).  Each row is then scaled
@@ -353,13 +358,13 @@ def kernel_shapes(rng, p):
     yield matrix(two)
     dense = matrix(every)
     yield dense
-    # column j alone in one row, then columns j and k in another: the first is a singleton,
-    # the second one once column j is peeled; both columns leave every kernel vector
+    # column j alone in one row, then columns j and k in another: together they force
+    # both columns to 0, so both leave every kernel vector
     ncols = len(dense[0])
     j, k = rng.sample(range(ncols), 2)
-    peel = [[rng.randrange(1, p) if c == j else 0 for c in range(ncols)],
-            [rng.randrange(1, p) if c in (j, k) else 0 for c in range(ncols)]]
-    yield peel + dense
+    sparse = [[rng.randrange(1, p) if c == j else 0 for c in range(ncols)],
+              [rng.randrange(1, p) if c in (j, k) else 0 for c in range(ncols)]]
+    yield sparse + dense
 
 
 class TestTracePrimeKernels:
@@ -382,13 +387,13 @@ class TestTracePrimeKernels:
     @pytest.mark.parametrize("p", TRACE_PRIMES)
     def test_shapes_reach_sparse_and_dense_kernels(self, p):
         # the sparse kernel vectors have at most three nonzero entries; some dense one has
-        # more, and the peeled columns are 0 in every vector
+        # more, and the two columns of the sparse rows are 0 in every vector
         shapes = list(kernel_shapes(random.Random(1), p))
-        sparse, dense, peeled = (nullspace_mod_p(m, p) for m in shapes)
+        sparse, dense, forced = (nullspace_mod_p(m, p) for m in shapes)
         assert sparse and all(sum(map(bool, v)) <= 3 for v in sparse)
         assert max(sum(map(bool, v)) for v in dense) > 3
         j, k = (c for c, x in enumerate(shapes[2][1]) if x)
-        assert peeled and all(v[j] == v[k] == 0 for v in peeled)
+        assert forced and all(v[j] == v[k] == 0 for v in forced)
 
 
 # the primes of the screen's tests: 2, small Mersenne primes, SCREEN_PRIME and two of

@@ -62,18 +62,16 @@ MUTANTS = [
      "CRT modulus of the newest prime alone"),
     (SOLVER, "len(kernel) <= len(residues)", "len(kernel) >= len(residues)",
      "the prime of lower rank kept"),
-    (LINALG, "    reduced = [[v and v % p for v in row] for row in rows]",
-     "    reduced = [[v for v in row] for row in rows]", "no reduction mod p"),
     (LINALG, "    if abs(t1) > bound or gcd(r1, t1) != 1:", "    if gcd(r1, t1) != 1:",
      "reconstruction without its bound"),
     (LINALG, "    if abs(t1) > bound or gcd(r1, t1) != 1:", "    if abs(t1) > bound:",
      "reconstruction without its gcd test"),
     # the full-rank screen and the packed elimination it shares with the kernel
-    (LINALG, "        if pivot is None:\n            return False\n",
-     "        if pivot is None:\n            return True\n",
-     "screen passing a column without a pivot"),
-    (LINALG, "    residues = [[v and v % p for v in row] for row in rows]",
-     "    residues = [[v for v in row] for row in rows]", "screen without its reduction mod p"),
+    (LINALG, "    return None not in _packed_elimination(rows, ncols, p)\n",
+     "    return True\n", "screen passing a column without a pivot"),
+    (LINALG, "    rows = [[v and v % p for v in row] for row in rows]",
+     "    rows = [[v for v in row] for row in rows]",
+     "packed elimination without its reduction mod p"),
     (LINALG, "nrows.bit_length() + 7) // 8\n", "nrows.bit_length() + 7) // 8 - 1\n",
      "packed field one byte narrower"),
     (LINALG, "    if not any(row[0] % p for row in rows):\n        return False\n", "",
