@@ -317,7 +317,11 @@ def cmd_diagnose(spec: MonomialSpec, args) -> dict:
     rows, dim_I = [], 0  # dim I_(t-1), 0 before degree 0
     for t in range(t_max + 1):
         h_model = hilbert_S_mod_J(spec, t)
-        h_points = point_ideal_hilbert(points, t)  # dim (S/I)_t; dim I_t is the rest of S_t
+        try:
+            h_points = point_ideal_hilbert(points, t)  # dim (S/I)_t; dim I_t is the rest of S_t
+        except OverflowError:  # a power of a point coordinate past float range
+            raise MathFailure(f"point ideal stage: the degree-{t} evaluation matrix of the "
+                              "points is outside float range") from None
         # q_t = dim(I_t cap a0*S_(t-1)): every extracted point has a0 = 1, so the a0-divisible
         # block of the degree-t matrix is the degree t-1 matrix and q_t = dim I_(t-1)
         q_t, dim_I = dim_I, comb(t + spec.n, spec.n) - h_points

@@ -52,6 +52,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm
 from operator import add
+from random import Random
 
 from .groebner import ci_normal_form, ci_normal_forms
 from .ideals import CIIdeal, PhiTuple
@@ -579,9 +580,11 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
     """Eigenvalue method (or the root grid of a binomial phi), then Newton's method.
 
     ``q`` must be the quotient of a phi that ``certify_radical`` found
-    radical, so that it has r distinct reduced points.  A seeded random real
-    combination M of the multiplication matrices, itself a real matrix, is
-    eigendecomposed by one real ``eig``; each left eigenvector (complex ones
+    radical, so that it has r distinct reduced points.  A real combination M of
+    the multiplication matrices, its n weights drawn uniformly from [0.5, 1.5) by
+    the stdlib's ``random.Random(seed)`` (a stream Python keeps stable across
+    versions for an int seed, which numpy promises for none of its generators),
+    is eigendecomposed by one real ``eig``; each left eigenvector (complex ones
     come in conjugate pairs) is up to scale the evaluation vector of the basis
     monomials at one point, so after normalizing the constant coordinate to 1
     the degree-one coordinates are the point itself.  An eigenvector with a
@@ -604,7 +607,8 @@ def extract_points(q: QuotientAlgebra, tol: float = 1e-8, seed: int = 0) -> Poin
     if _binomial(q.phi):
         coords = _binomial_points(q)
     else:
-        weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
+        rng = Random(seed)
+        weights = [rng.uniform(0.5, 1.5) for _ in range(n)]
         m = sum((weights[i - 1] * q.dense_matrix(i) for i in range(1, n + 1)), np.zeros((r, r)))
         _, vectors = np.linalg.eig(m.T)
         vectors = vectors.astype(complex)  # real when every eigenvalue is

@@ -25,6 +25,7 @@ from waring import (
     solver,
 )
 from waring.cli import main
+from waring.vsp import parameter_space, sample_phi
 
 from oracles import points_from_decomposition, q_t_diagnostic
 
@@ -589,6 +590,17 @@ class TestSampleAndDiagnose:
         code, data = run_json(capsys, "diagnose", "x*y", "--phi", "1e-300", "--seed", "0")
         assert code == 0 and data["all_agree"] is False
 
+    @pytest.mark.parametrize("argv, t", [
+        # points (1, +-1e150): a1^3 leaves float range in the degree-3 row
+        (["x*y", "--phi=1e300", "--seed", "0"], 3),
+        (["x^2*y^2", "--phi=1/3+1e300+1e300", "--seed", "40"], 4),
+    ])
+    def test_diagnose_of_a_huge_constant_names_the_degree(self, capsys, argv, t):
+        code, data = run_json(capsys, "diagnose", *argv)
+        assert code == 1
+        assert data == {"error": f"point ideal stage: the degree-{t} evaluation matrix of "
+                                 "the points is outside float range"}
+
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_sample_count_below_one_is_usage_error(self, capsys, count):
         code, data = run_json(capsys, "sample", "x*y*z", "--seed", "0", "--count", count)
@@ -600,6 +612,25 @@ class TestDeterminismAndErrors:
         _, first = run(capsys, "decompose", "x*y*z^2", "--seed", "9")
         _, second = run(capsys, "decompose", "x*y*z^2", "--seed", "9")
         assert first == second
+
+    @pytest.mark.parametrize("monomial", ["x*y*z^2*w^3", "x^3*y^6*z^7", "x*y^3*z^3*w^3"])
+    def test_the_seed_only_picks_the_combination_weights(self, capsys, monomial):
+        # with phi fixed, every seed reads the same sorted decomposition to a relative 1e-12
+        spec = MonomialSpec.parse(monomial)
+        phi = sample_phi(parameter_space(spec), 0)  # not binomial: the weights are drawn
+        argv = ["decompose", monomial, *(f"--phi={entry}" for entry in phi.entries)]
+
+        def entries(seed):
+            code, data = run_json(capsys, *argv, "--seed", str(seed))
+            assert code == 0, (monomial, seed)
+            return [complex(v["re"], v["im"]) for summand in data["summands"]
+                    for v in (summand["coeff"], *summand["form"])]
+
+        first = entries(0)
+        for seed in range(1, 10):
+            other = entries(seed)
+            assert len(other) == len(first)
+            assert all(abs(a - b) <= 1e-12 * max(abs(a), abs(b)) for a, b in zip(first, other))
 
     def test_output_round_trips_through_the_schema(self, capsys):
         from waring.serialize import decomposition_from_json, decomposition_to_json, plain
@@ -1007,34 +1038,52 @@ class TestTMax:
         assert code == 0 and data["hilbert_S_mod_J"] == {"0": 1}
 
 
-@pytest.mark.parametrize("argv", [
-    ["decompose", "x^2*y^3*z^3*w^3", "--exact"],
-    ["radical", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2"],
+# a file a row reads, by its placeholder: the argv that writes it
+INPUT_FILES = {
+    "{exact}": ["decompose", "x^2*y^3*z^3*w^3", "--exact"],
+    "{float}": ["decompose", "x*y*z^2*w^3", "--seed", "0"],
+    "{points}": ["points", "x*y^2", "--phi", "a0 + 2*a1", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("argv, forbidden", [
+    (["decompose", "x^2*y^3*z^3*w^3", "--exact"], "numpy"),
+    (["radical", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2"], "numpy"),
     # r = 64, every phi_i dense in (a1..a3)^2: trace rank 57, so the kernel is lifted
-    ["radical", "x*y^3*z^3*w^3",
-     "--phi=3*a1^2-2*a1*a2+5*a1*a3-a2^2+4*a2*a3-7*a3^2",
-     "--phi=-a1^2+6*a1*a2-3*a1*a3+2*a2^2-5*a2*a3+a3^2",
-     "--phi=2*a1^2+a1*a2-4*a1*a3-6*a2^2+3*a2*a3+9*a3^2"],
+    (["radical", "x*y^3*z^3*w^3",
+      "--phi=3*a1^2-2*a1*a2+5*a1*a3-a2^2+4*a2*a3-7*a3^2",
+      "--phi=-a1^2+6*a1*a2-3*a1*a3+2*a2^2-5*a2*a3+a3^2",
+      "--phi=2*a1^2+a1*a2-4*a1*a3-6*a2^2+3*a2*a3+9*a3^2"], "numpy"),
     # the explicit phi is binomial: its trace rank is r by separability, with no M_J built
-    ["radical", "x*y^3*z^3*w^3"],
-    ["rank", "x*y^2*z^3"],
-    ["ideal", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2", "--member", "a1^3"],
-    ["ideal", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2", "--canonicalize"],
-    # the verify half of the exact benchmark round; "{exact}" is a decompose --exact file
-    ["verify", "x^2*y^3*z^3*w^3", "--input", "{exact}"],
+    (["radical", "x*y^3*z^3*w^3"], "numpy"),
+    (["rank", "x*y^2*z^3"], "numpy"),
+    (["ideal", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2", "--member", "a1^3"], "numpy"),
+    (["ideal", "x*y^2*z^3", "--phi", "a2", "--phi", "a1^2", "--canonicalize"], "numpy"),
+    # the verify half of the exact benchmark round
+    (["verify", "x^2*y^3*z^3*w^3", "--input", "{exact}"], "numpy"),
+    # the float commands load numpy but not numpy.random: the eigenvalue stage draws its
+    # combination weights from the stdlib random (the first four from a non-binomial phi)
+    (["decompose", "x*y*z^2*w^3", "--seed", "0"], "numpy.random"),
+    (["sample", "x*y*z^2*w^3", "--count", "2", "--seed", "0"], "numpy.random"),
+    (["points", "x*y^2", "--phi", "a0 + 2*a1", "--seed", "0"], "numpy.random"),
+    (["diagnose", "x*y*z^2", "--seed", "0"], "numpy.random"),
+    (["normalize", "x^2*y^2", "--phi", "2", "--seed", "0"], "numpy.random"),
+    (["fit-phi", "x*y^2", "--points", "{points}"], "numpy.random"),
+    (["verify", "x*y*z^2*w^3", "--input", "{float}"], "numpy.random"),
 ])
-def test_exact_commands_do_not_import_numpy(capsys, tmp_path, argv):
-    if "{exact}" in argv:
-        path = tmp_path / "exact.json"
-        path.write_text(run(capsys, "decompose", argv[1], "--exact")[1])
-        argv = [str(path) if arg == "{exact}" else arg for arg in argv]
+def test_commands_do_not_import_their_forbidden_module(capsys, tmp_path, argv, forbidden):
+    for placeholder, writer in INPUT_FILES.items():
+        if placeholder in argv:
+            path = tmp_path / "input.json"
+            path.write_text(run(capsys, *writer)[1])
+            argv = [str(path) if arg == placeholder else arg for arg in argv]
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys\n"
         "import waring.cli\n"
-        "print('numpy' in sys.modules)\n"
+        f"print({forbidden!r} in sys.modules)\n"
         f"code = waring.cli.main({argv!r})\n"
-        "print('numpy' in sys.modules, code, file=sys.stderr)\n"
+        f"print({forbidden!r} in sys.modules, code, file=sys.stderr)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

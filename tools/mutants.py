@@ -33,6 +33,7 @@ TIMEOUT_S = 900  # a mutant that makes the suite hang counts as killed
 
 SOLVER, LINALG = "src/waring/solver.py", "src/waring/linalg.py"
 MONOMIALS, SERIALIZE = "src/waring/monomials.py", "src/waring/serialize.py"
+CLI = "src/waring/cli.py"
 
 # (file, exact old text, new text, name)
 MUTANTS = [
@@ -85,6 +86,10 @@ MUTANTS = [
     (SOLVER, "bad = np.flatnonzero(~np.isfinite(det) | (det == 0))",
      "bad = np.flatnonzero(~np.isfinite(det))", "a zero J accepted"),
     (SOLVER, "    if crowded:", "    if False:", "no separation test"),
+    # the CLI's exits
+    (CLI, "        except OverflowError:  # a power of a point coordinate past float range",
+     "        except ():  # a power of a point coordinate past float range",
+     "diagnose without its overflow clause"),
     # the verifiers and the readers
     (MONOMIALS, "ok=max_error <= tol,", "ok=max_error <= 10 * tol,", "float judge at 10 * tol"),
     (MONOMIALS, "        if not residue and e != target:", "        if not residue:",
